@@ -7,7 +7,7 @@
 //!
 //! * `cached_decode_ms` — a `DecodeSession`: one prefill, then single-token
 //!   steps against the `Arc`-backed KV cache through the seq-polymorphic
-//!   step plan (`PlanCache::compile_seq` + `Executor::run_compiled_seq`);
+//!   step plan (`PlanCache::compile_polymorphic` + `Executor::run`);
 //!   `tokens_per_sec` derives from it.
 //! * `recompute_decode_ms` — the no-cache baseline: every token recomputes
 //!   its full prefix through a prompt-length prefill model. The per-length

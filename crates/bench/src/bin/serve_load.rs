@@ -6,7 +6,7 @@
 //! `BENCH_exec.json`:
 //!
 //! * **Baseline** — every request executed one-at-a-time, serially, straight
-//!   through `Executor::run_compiled_batched` (no queue, no coalescing).
+//!   through `Executor::run` (no queue, no coalescing).
 //!   This is the paper-engine's per-request cost and the ISSUE's
 //!   "one-request-at-a-time" side.
 //! * **Served** — the same requests submitted as one burst to a running
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions};
-use dnnf_graph::Graph;
+use dnnf_graph::{Graph, SymbolicAxes};
 use dnnf_ops::{Attrs, OpKind};
 use dnnf_runtime::{ExecOptions, Executor, PlanCache, WorkPool};
 use dnnf_serve::{ServeConfig, Server};
@@ -229,7 +229,7 @@ fn main() {
         .map(|&(name, graph)| {
             let mut compiler = Compiler::new(CompilerOptions::default());
             let (model, _) = cache
-                .compile_batched(&mut compiler, graph)
+                .compile_polymorphic(&mut compiler, graph, SymbolicAxes::BATCH)
                 .expect("tenant compiles");
             (name, model)
         })
@@ -260,7 +260,7 @@ fn main() {
         .iter()
         .map(|r| {
             executor
-                .run_compiled_batched(&models[r.model], &r.inputs)
+                .run(&models[r.model], &r.inputs)
                 .expect("warmup run")
                 .outputs
         })
@@ -300,7 +300,7 @@ fn main() {
         for r in &mix {
             let t = Instant::now();
             executor
-                .run_compiled_batched(&models[r.model], &r.inputs)
+                .run(&models[r.model], &r.inputs)
                 .expect("baseline run");
             base_lat
                 .entry(r.model)

@@ -10,6 +10,7 @@
 //! seeds on every test run.
 
 use dnnf_bench::fuzz::random_fuzz_graph;
+use dnnf_graph::SymbolicAxes;
 use dnnf_io::{from_text, to_text, IoError};
 use proptest::prelude::*;
 
@@ -26,7 +27,10 @@ proptest! {
         // Markings outside the fingerprint survive too.
         prop_assert_eq!(imported.name(), graph.name());
         prop_assert_eq!(imported.shape_signature(), graph.shape_signature());
-        prop_assert_eq!(imported.seq_shape_signature(), graph.seq_shape_signature());
+        prop_assert_eq!(
+            imported.symbolic_shape_signature(SymbolicAxes::SEQ),
+            graph.symbolic_shape_signature(SymbolicAxes::SEQ)
+        );
     }
 
     #[test]

@@ -48,30 +48,28 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 pub mod codegen;
 mod compiler;
 mod ecg;
 mod error;
 pub mod exec;
+mod instance;
 mod inter;
 mod intra;
 mod latency;
 mod mapping;
 pub mod plan;
 pub mod rewrite;
-mod seq;
 
-pub use batch::BatchInstance;
 pub use compiler::{CompilationStats, CompiledModel, Compiler, CompilerOptions, RuntimeCacheSlot};
 pub use ecg::{Ecg, EcgNodeInfo};
 pub use error::CoreError;
 pub use exec::{
     compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, ScalarTape,
 };
+pub use instance::PlanInstance;
 pub use inter::{select_block_layouts, LayoutDecision};
 pub use intra::{eliminate_data_movement, DataMovementElimination};
 pub use latency::{AnalyticLatencyModel, LatencyModel};
 pub use mapping::{analyze_pair, fusable_cell_count, FusionDecision, FusionVerdict};
 pub use plan::{block_profile_key, FusionBlock, FusionPlan, FusionPlanner, PlanOptions};
-pub use seq::SeqInstance;

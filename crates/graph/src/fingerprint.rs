@@ -34,7 +34,7 @@
 
 use std::fmt;
 
-use crate::Graph;
+use crate::{Graph, SymbolicAxes};
 
 /// 128-bit FNV-1a offset basis.
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
@@ -180,8 +180,14 @@ pub(crate) fn graph_fingerprint(graph: &Graph) -> Fingerprint {
 /// cache key alongside the [`Fingerprint`] — redundant with it (shapes are
 /// hashed too) but kept explicit so cache files and diagnostics stay
 /// inspectable.
+///
+/// The dimensions `axes` names print symbolically — every *marked* sequence
+/// axis (see `Graph::mark_seq_axis`) as `S`, every input's leading (batch)
+/// dimension as `N` (`x=Nx3x224x224`, `token_ids=1;past_k0=2xSx8`; rank-0
+/// inputs have neither and print unchanged). Keying a cache entry by such a
+/// signature expresses that one compiled plan serves any value of them.
 #[must_use]
-pub(crate) fn shape_signature(graph: &Graph) -> String {
+pub(crate) fn shape_signature(graph: &Graph, axes: SymbolicAxes) -> String {
     let mut s = String::new();
     for (i, &id) in graph.inputs().iter().enumerate() {
         if i > 0 {
@@ -190,63 +196,7 @@ pub(crate) fn shape_signature(graph: &Graph) -> String {
         let v = graph.value(id);
         s.push_str(&v.name);
         s.push('=');
-        let dims: Vec<String> = v.shape.dims().iter().map(ToString::to_string).collect();
-        s.push_str(&dims.join("x"));
-    }
-    s
-}
-
-/// Builds the batch-polymorphic shape signature: identical to
-/// [`shape_signature`] except every input's leading (batch) dimension is
-/// printed as the symbolic `N` (`x=Nx3x224x224;mask=Nx128`). Rank-0 inputs
-/// have no batch dimension and print unchanged. Keying a cache entry by this
-/// signature expresses that one compiled plan serves any batch size.
-#[must_use]
-pub(crate) fn batch_shape_signature(graph: &Graph) -> String {
-    let mut s = String::new();
-    for (i, &id) in graph.inputs().iter().enumerate() {
-        if i > 0 {
-            s.push(';');
-        }
-        let v = graph.value(id);
-        s.push_str(&v.name);
-        s.push('=');
-        let dims: Vec<String> = v
-            .shape
-            .dims()
-            .iter()
-            .enumerate()
-            .map(|(axis, d)| {
-                if axis == 0 {
-                    "N".to_string()
-                } else {
-                    d.to_string()
-                }
-            })
-            .collect();
-        s.push_str(&dims.join("x"));
-    }
-    s
-}
-
-/// Builds the sequence-polymorphic shape signature: identical to
-/// [`shape_signature`] except every input's *marked* sequence axis (see
-/// `Graph::mark_seq_axis`) is printed as the symbolic `S`
-/// (`token_ids=1;past_k0=2xSx8`). Unmarked inputs print unchanged. Keying a
-/// cache entry by this signature expresses that one compiled plan serves
-/// any sequence length — the autoregressive analogue of
-/// [`batch_shape_signature`].
-#[must_use]
-pub(crate) fn seq_shape_signature(graph: &Graph) -> String {
-    let mut s = String::new();
-    for (i, &id) in graph.inputs().iter().enumerate() {
-        if i > 0 {
-            s.push(';');
-        }
-        let v = graph.value(id);
-        s.push_str(&v.name);
-        s.push('=');
-        let seq_axis = graph.seq_axis(id);
+        let seq_axis = graph.seq_axis(id).filter(|_| axes.seq);
         let dims: Vec<String> = v
             .shape
             .dims()
@@ -255,6 +205,8 @@ pub(crate) fn seq_shape_signature(graph: &Graph) -> String {
             .map(|(axis, d)| {
                 if Some(axis) == seq_axis {
                     "S".to_string()
+                } else if axes.batch && axis == 0 {
+                    "N".to_string()
                 } else {
                     d.to_string()
                 }
@@ -268,6 +220,7 @@ pub(crate) fn seq_shape_signature(graph: &Graph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DimBinding;
     use dnnf_ops::{Attrs, OpKind};
     use dnnf_tensor::{Shape, Tensor};
 
@@ -445,17 +398,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_shape_signature_symbolizes_leading_dim() {
+    fn batch_signature_symbolizes_leading_dim() {
         let g = base_graph();
-        assert_eq!(g.batch_shape_signature(), "x=Nx4x8x8");
+        let sig = |g: &Graph| g.symbolic_shape_signature(SymbolicAxes::BATCH);
+        assert_eq!(sig(&g), "x=Nx4x8x8");
         // Every batch variant of the same model shares one signature.
-        let g8 = g.with_batch_size(8).unwrap();
-        assert_eq!(g8.batch_shape_signature(), g.batch_shape_signature());
+        let g8 = g.rebind(DimBinding::batch(8)).unwrap();
+        assert_eq!(sig(&g8), sig(&g));
         assert_ne!(g8.shape_signature(), g.shape_signature());
     }
 
     #[test]
-    fn seq_shape_signature_symbolizes_only_marked_axes() {
+    fn seq_signature_symbolizes_only_marked_axes() {
         let mut g = Graph::new("seq-sig");
         let q = g.add_input("q", Shape::new(vec![2, 1, 8]));
         let past = g.add_input("past", Shape::new(vec![2, 6, 8]));
@@ -472,13 +426,20 @@ mod tests {
             .add_op(OpKind::MatMul, Attrs::new(), &[q, kt], "scores")
             .unwrap()[0];
         g.mark_output(scores);
-        assert_eq!(g.seq_shape_signature(), "q=2x1x8;past=2xSx8");
+        let sig = |g: &Graph| g.symbolic_shape_signature(SymbolicAxes::SEQ);
+        assert_eq!(sig(&g), "q=2x1x8;past=2xSx8");
         // Every sequence-length variant shares one signature.
-        let g3 = g.with_seq_len(3).unwrap();
-        assert_eq!(g3.seq_shape_signature(), g.seq_shape_signature());
+        let g3 = g.rebind(DimBinding::seq(3)).unwrap();
+        assert_eq!(sig(&g3), sig(&g));
         assert_ne!(g3.shape_signature(), g.shape_signature());
+        // Both axes symbolic at once.
+        let both = SymbolicAxes {
+            batch: true,
+            seq: true,
+        };
+        assert_eq!(g.symbolic_shape_signature(both), "q=Nx1x8;past=NxSx8");
         // Unmarked graphs degrade to the plain static signature.
         let plain = base_graph();
-        assert_eq!(plain.seq_shape_signature(), plain.shape_signature());
+        assert_eq!(sig(&plain), plain.shape_signature());
     }
 }

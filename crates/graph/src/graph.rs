@@ -5,7 +5,9 @@ use std::collections::{BTreeMap, VecDeque};
 use dnnf_ops::{cost, infer_shapes, Attrs, OpKind};
 use dnnf_tensor::{DataType, Shape, Tensor};
 
-use crate::{GraphError, GraphStats, Node, NodeId, Value, ValueId, ValueKind};
+use crate::{
+    DimBinding, GraphError, GraphStats, Node, NodeId, SymbolicAxes, Value, ValueId, ValueKind,
+};
 
 /// A computational graph: operator nodes connected through tensor values.
 ///
@@ -376,52 +378,82 @@ impl Graph {
         stats
     }
 
-    /// Rebuilds this graph with every input's leading (batch) dimension set
-    /// to `batch`, re-running shape inference over all nodes so every value
-    /// carries the rebatched shape. Node and value ids, names, weights and
-    /// attached weight data are preserved exactly, which is what lets a
-    /// [`FusionPlan`](https://docs.rs/dnnf-core)-style node grouping computed
-    /// on one batch size be replayed on another: only shapes change.
+    /// The graph's current symbolic dimensions. `batch` is the leading
+    /// dimension when the graph has inputs, none is rank-0 and all agree on
+    /// it (the NCHW / `[batch, features]` convention every bundled model
+    /// follows); `seq` is the marked dimension when at least one input is
+    /// seq-marked and all marked axes agree. A dimension the inputs do not
+    /// agree on is not symbolic: it reads `None` and cannot be rebound.
+    #[must_use]
+    pub fn binding(&self) -> DimBinding {
+        fn common(mut dims: impl Iterator<Item = Option<usize>>) -> Option<usize> {
+            let first = dims.next()??;
+            dims.all(|d| d == Some(first)).then_some(first)
+        }
+        let dim = |id: &ValueId, axis: usize| self.values[id.0].shape.dims().get(axis).copied();
+        DimBinding {
+            batch: common(self.inputs.iter().map(|id| dim(id, 0))),
+            seq: common(self.seq_axes.iter().map(|(id, &axis)| dim(id, axis))),
+        }
+    }
+
+    /// Rebuilds this graph with every dimension `binding` names set to the
+    /// requested value — the leading dimension of every input for `batch`,
+    /// every marked axis (see [`Graph::mark_seq_axis`]) for `seq` — and
+    /// re-runs shape inference once over all nodes so every value carries
+    /// the rebound shape. Node and value ids, names, weights, attached
+    /// weight data and the seq-axis markings are preserved exactly, which is
+    /// what lets a [`FusionPlan`](https://docs.rs/dnnf-core)-style node
+    /// grouping computed at one batch size and KV-cache length be replayed
+    /// at another: only shapes change.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Invalid`] when `batch == 0` or an input is
-    /// rank-0 (no batch dimension to rebind), and
-    /// [`GraphError::ShapeInference`] when an operator is not
-    /// batch-polymorphic (e.g. a `Reshape` whose target shape bakes in the
-    /// original batch size).
-    pub fn with_batch_size(&self, batch: usize) -> Result<Graph, GraphError> {
-        if batch == 0 {
-            return Err(GraphError::Invalid {
-                reason: "batch size must be at least 1".into(),
-            });
-        }
-        let mut g = self.clone();
-        let mut changed = false;
-        for &id in &self.inputs {
-            let v = &mut g.values[id.0];
-            if v.shape.rank() == 0 {
+    /// Returns [`GraphError::Invalid`] when a requested value is 0 or the
+    /// graph is not symbolic in a requested dimension (see
+    /// [`Graph::binding`]: no inputs, a rank-0 input or disagreeing leading
+    /// dimensions for `batch`; no or disagreeing markings for `seq`), and
+    /// [`GraphError::ShapeInference`] when an operator is not polymorphic in
+    /// it (e.g. a `Reshape` whose target shape bakes in the original value).
+    pub fn rebind(&self, binding: DimBinding) -> Result<Graph, GraphError> {
+        let native = self.binding();
+        for (what, requested, native) in [
+            ("batch size", binding.batch, native.batch),
+            ("sequence length", binding.seq, native.seq),
+        ] {
+            if requested == Some(0) {
                 return Err(GraphError::Invalid {
-                    reason: format!("input `{}` is rank-0 and has no batch dimension", v.name),
+                    reason: format!("{what} must be at least 1"),
                 });
             }
-            if v.shape.dim(0) != batch {
+            if requested.is_some() && native.is_none() {
+                return Err(GraphError::Invalid {
+                    reason: format!("the graph's inputs do not share a symbolic {what}"),
+                });
+            }
+        }
+        let batch_axes = self.inputs.iter().map(|&id| (id, 0, binding.batch));
+        let seq_axes = self.seq_axes.iter().map(|(&id, &a)| (id, a, binding.seq));
+        let mut g = self.clone();
+        let mut changed = false;
+        for (id, axis, requested) in batch_axes.chain(seq_axes) {
+            let Some(dim) = requested else { continue };
+            let v = &mut g.values[id.0];
+            if v.shape.dim(axis) != dim {
                 let mut dims = v.shape.dims().to_vec();
-                dims[0] = batch;
+                dims[axis] = dim;
                 v.shape = Shape::new(dims);
                 changed = true;
             }
         }
-        if !changed {
-            return Ok(g);
+        if changed {
+            Self::reinfer_all(&mut g)?;
         }
-        Self::reinfer_all(&mut g)?;
         Ok(g)
     }
 
     /// Re-infers every node output in topological order so rebound input
-    /// shapes propagate through the whole graph. Shared by
-    /// [`Graph::with_batch_size`] and [`Graph::with_seq_len`].
+    /// shapes propagate through the whole graph.
     fn reinfer_all(g: &mut Graph) -> Result<(), GraphError> {
         for id in g.topo_order() {
             let input_shapes: Vec<Shape> = g.nodes[id.0]
@@ -439,7 +471,7 @@ impl Graph {
                 })?;
             if output_shapes.len() != node.outputs.len() {
                 return Err(GraphError::Invalid {
-                    reason: format!("node `{}` changed output arity under rebatching", node.name),
+                    reason: format!("node `{}` changed output arity under rebinding", node.name),
                 });
             }
             let outputs = node.outputs.clone();
@@ -451,10 +483,9 @@ impl Graph {
     }
 
     /// Marks `axis` of graph input `id` as its symbolic sequence dimension.
-    /// Marked inputs are the ones [`Graph::with_seq_len`] rebinds and the
-    /// ones [`Graph::seq_shape_signature`] prints symbolically; unmarked
-    /// inputs keep their static shape. The markings survive
-    /// [`Graph::with_batch_size`] / [`Graph::with_seq_len`] cloning.
+    /// Marked axes are the ones [`Graph::rebind`] sets for `seq` and the
+    /// ones [`Graph::symbolic_shape_signature`] prints as `S`; unmarked
+    /// inputs keep their static shape. The markings survive rebinding.
     ///
     /// # Errors
     ///
@@ -490,73 +521,6 @@ impl Graph {
         self.seq_axes.get(&id).copied()
     }
 
-    /// Rebuilds this graph with every marked sequence axis (see
-    /// [`Graph::mark_seq_axis`]) set to `seq`, re-running shape inference
-    /// over all nodes. Node and value ids, names, weights, attached weight
-    /// data and the seq-axis markings themselves are preserved exactly —
-    /// the sequence-length analogue of [`Graph::with_batch_size`], which is
-    /// what lets one compiled plan (keyed by
-    /// [`Graph::seq_shape_signature`]) serve an autoregressive decode loop
-    /// whose KV-cache length grows every step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Invalid`] when `seq == 0` or no input carries a
-    /// seq-axis marking, and [`GraphError::ShapeInference`] when an operator
-    /// is not polymorphic in the marked dimension (e.g. a `Reshape` whose
-    /// target shape bakes in the original sequence length).
-    pub fn with_seq_len(&self, seq: usize) -> Result<Graph, GraphError> {
-        if seq == 0 {
-            return Err(GraphError::Invalid {
-                reason: "sequence length must be at least 1".into(),
-            });
-        }
-        if self.seq_axes.is_empty() {
-            return Err(GraphError::Invalid {
-                reason: "no input carries a seq-axis marking".into(),
-            });
-        }
-        let mut g = self.clone();
-        let mut changed = false;
-        for (&id, &axis) in &self.seq_axes {
-            let v = &mut g.values[id.0];
-            if v.shape.dim(axis) != seq {
-                let mut dims = v.shape.dims().to_vec();
-                dims[axis] = seq;
-                v.shape = Shape::new(dims);
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(g);
-        }
-        Self::reinfer_all(&mut g)?;
-        Ok(g)
-    }
-
-    /// The current sequence length: the marked dimension of the first marked
-    /// input (all marked inputs agree on any graph produced by
-    /// [`Graph::with_seq_len`]). `None` when no input is marked.
-    #[must_use]
-    pub fn seq_len(&self) -> Option<usize> {
-        let (&id, &axis) = self.seq_axes.iter().next()?;
-        Some(self.values[id.0].shape.dim(axis))
-    }
-
-    /// The leading dimension of the first graph input — the batch size by
-    /// the NCHW / `[batch, features]` convention every bundled model follows.
-    /// `None` when the graph has no inputs or the first input is rank-0.
-    #[must_use]
-    pub fn batch_size(&self) -> Option<usize> {
-        let &first = self.inputs.first()?;
-        let shape = &self.values[first.0].shape;
-        if shape.rank() == 0 {
-            None
-        } else {
-            Some(shape.dim(0))
-        }
-    }
-
     /// Computes the deterministic structural fingerprint of this graph:
     /// a 128-bit hash over topology, operator attributes, value shapes and
     /// dtypes, output markings, and weight identities (names plus any
@@ -573,26 +537,18 @@ impl Graph {
     /// compilation-cache key.
     #[must_use]
     pub fn shape_signature(&self) -> String {
-        crate::fingerprint::shape_signature(self)
+        crate::fingerprint::shape_signature(self, SymbolicAxes::default())
     }
 
-    /// Like [`Graph::shape_signature`] but with every input's leading
-    /// (batch) dimension printed as the symbolic `N`, e.g. `x=Nx3x224x224`.
-    /// Batch-polymorphic cache entries are keyed by this signature so one
-    /// compiled plan serves every batch size.
+    /// Like [`Graph::shape_signature`] but with the dimensions `axes` names
+    /// printed symbolically: every input's leading (batch) dimension as `N`
+    /// (`x=Nx3x224x224`), every *marked* sequence axis (see
+    /// [`Graph::mark_seq_axis`]) as `S` (`token_ids=1;past_k0=2xSx8`).
+    /// Polymorphic cache entries are keyed by this signature so one compiled
+    /// plan serves every batch size and every KV-cache length.
     #[must_use]
-    pub fn batch_shape_signature(&self) -> String {
-        crate::fingerprint::batch_shape_signature(self)
-    }
-
-    /// Like [`Graph::shape_signature`] but with every *marked* sequence axis
-    /// (see [`Graph::mark_seq_axis`]) printed as the symbolic `S`, e.g.
-    /// `token_ids=1;past_k0=2xSx8`. Sequence-polymorphic cache entries are
-    /// keyed by this signature so one compiled plan serves every KV-cache
-    /// length of a decode loop.
-    #[must_use]
-    pub fn seq_shape_signature(&self) -> String {
-        crate::fingerprint::seq_shape_signature(self)
+    pub fn symbolic_shape_signature(&self, axes: SymbolicAxes) -> String {
+        crate::fingerprint::shape_signature(self, axes)
     }
 
     /// Exports the graph in Graphviz DOT format (nodes labelled with operator
@@ -799,11 +755,11 @@ mod tests {
     }
 
     #[test]
-    fn with_batch_size_rebatches_every_value() {
+    fn rebinding_batch_rebatches_every_value() {
         let g = toy_cnn();
-        assert_eq!(g.batch_size(), Some(1));
-        let g4 = g.with_batch_size(4).unwrap();
-        assert_eq!(g4.batch_size(), Some(4));
+        assert_eq!(g.binding(), DimBinding::batch(1));
+        let g4 = g.rebind(DimBinding::batch(4)).unwrap();
+        assert_eq!(g4.binding(), DimBinding::batch(4));
         // Same structure, new shapes everywhere downstream of the input.
         assert_eq!(g4.node_count(), g.node_count());
         assert_eq!(g4.value_count(), g.value_count());
@@ -818,35 +774,6 @@ mod tests {
             }
         }
         assert!(g4.validate().is_ok());
-    }
-
-    #[test]
-    fn with_batch_size_round_trips_to_the_same_fingerprint() {
-        let g = toy_cnn();
-        let g4 = g.with_batch_size(4).unwrap();
-        assert_ne!(g4.fingerprint(), g.fingerprint());
-        // Rebatching back to 1 reproduces the original graph exactly.
-        let back = g4.with_batch_size(1).unwrap();
-        assert_eq!(back.fingerprint(), g.fingerprint());
-        // Rebatching to the current batch size is the identity.
-        assert_eq!(g.with_batch_size(1).unwrap().fingerprint(), g.fingerprint());
-    }
-
-    #[test]
-    fn with_batch_size_rejects_zero_and_rank0_inputs() {
-        let g = toy_cnn();
-        assert!(matches!(
-            g.with_batch_size(0),
-            Err(GraphError::Invalid { .. })
-        ));
-        let mut scalar = Graph::new("scalar-in");
-        scalar.add_input("s", Shape::new(vec![]));
-        assert!(matches!(
-            scalar.with_batch_size(2),
-            Err(GraphError::Invalid { .. })
-        ));
-        assert_eq!(scalar.batch_size(), None);
-        assert_eq!(Graph::new("empty").batch_size(), None);
     }
 
     /// Single-query attention score fragment over a length-6 KV cache:
@@ -872,11 +799,11 @@ mod tests {
     }
 
     #[test]
-    fn with_seq_len_rebinds_only_marked_axes() {
+    fn rebinding_seq_rebinds_only_marked_axes() {
         let g = toy_seq_graph();
-        assert_eq!(g.seq_len(), Some(6));
-        let g3 = g.with_seq_len(3).unwrap();
-        assert_eq!(g3.seq_len(), Some(3));
+        assert_eq!(g.binding().seq, Some(6));
+        let g3 = g.rebind(DimBinding::seq(3)).unwrap();
+        assert_eq!(g3.binding().seq, Some(3));
         assert_eq!(g3.node_count(), g.node_count());
         assert_eq!(g3.value_count(), g.value_count());
         // The unmarked input keeps its static shape; the marked one and
@@ -891,22 +818,79 @@ mod tests {
     }
 
     #[test]
-    fn with_seq_len_round_trips_to_the_same_fingerprint() {
+    fn rebinding_both_axes_is_one_pass_over_both() {
         let g = toy_seq_graph();
-        // Rebinding to the current length is the identity.
-        assert_eq!(g.with_seq_len(6).unwrap().fingerprint(), g.fingerprint());
-        let back = g.with_seq_len(1).unwrap().with_seq_len(6).unwrap();
-        assert_eq!(back.fingerprint(), g.fingerprint());
+        let both = DimBinding {
+            batch: Some(3),
+            seq: Some(7),
+        };
+        let g37 = g.rebind(both).unwrap();
+        assert_eq!(g37.binding(), both);
+        assert_eq!(g37.value(g37.inputs()[0]).shape.dims(), &[3, 1, 8]);
+        assert_eq!(g37.value(g37.inputs()[1]).shape.dims(), &[3, 7, 8]);
+        let out = *g37.outputs().first().unwrap();
+        assert_eq!(g37.value(out).shape.dims(), &[3, 1, 7]);
+        // The same graph as binding one axis after the other.
+        let stepwise = g
+            .rebind(DimBinding::batch(3))
+            .unwrap()
+            .rebind(DimBinding::seq(7))
+            .unwrap();
+        assert_eq!(g37.fingerprint(), stepwise.fingerprint());
     }
 
     #[test]
-    fn with_seq_len_rejects_zero_and_unmarked_graphs() {
-        let g = toy_seq_graph();
-        assert!(matches!(g.with_seq_len(0), Err(GraphError::Invalid { .. })));
-        let unmarked = toy_cnn();
-        assert_eq!(unmarked.seq_len(), None);
+    fn rebinding_round_trips_to_the_same_fingerprint() {
+        let g = toy_cnn();
+        let g4 = g.rebind(DimBinding::batch(4)).unwrap();
+        assert_ne!(g4.fingerprint(), g.fingerprint());
+        // Rebatching back to 1 reproduces the original graph exactly.
+        let back = g4.rebind(DimBinding::batch(1)).unwrap();
+        assert_eq!(back.fingerprint(), g.fingerprint());
+        // Rebinding to the current value (or to nothing) is the identity.
+        assert_eq!(
+            g.rebind(DimBinding::batch(1)).unwrap().fingerprint(),
+            g.fingerprint()
+        );
+        let s = toy_seq_graph();
+        assert_eq!(
+            s.rebind(DimBinding::seq(6)).unwrap().fingerprint(),
+            s.fingerprint()
+        );
+        let none = DimBinding::default();
+        assert_eq!(s.rebind(none).unwrap().fingerprint(), s.fingerprint());
+        let back = s
+            .rebind(DimBinding::seq(1))
+            .unwrap()
+            .rebind(DimBinding::seq(6))
+            .unwrap();
+        assert_eq!(back.fingerprint(), s.fingerprint());
+    }
+
+    #[test]
+    fn rebinding_rejects_zero_and_dimensions_the_inputs_do_not_share() {
+        let g = toy_cnn();
         assert!(matches!(
-            unmarked.with_seq_len(2),
+            g.rebind(DimBinding::batch(0)),
+            Err(GraphError::Invalid { .. })
+        ));
+        let mut scalar = Graph::new("scalar-in");
+        scalar.add_input("s", Shape::new(vec![]));
+        assert!(matches!(
+            scalar.rebind(DimBinding::batch(2)),
+            Err(GraphError::Invalid { .. })
+        ));
+        assert_eq!(scalar.binding().batch, None);
+        assert_eq!(Graph::new("empty").binding().batch, None);
+        let s = toy_seq_graph();
+        assert!(matches!(
+            s.rebind(DimBinding::seq(0)),
+            Err(GraphError::Invalid { .. })
+        ));
+        let unmarked = toy_cnn();
+        assert_eq!(unmarked.binding().seq, None);
+        assert!(matches!(
+            unmarked.rebind(DimBinding::seq(2)),
             Err(GraphError::Invalid { .. })
         ));
     }

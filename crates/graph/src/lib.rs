@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod binding;
 mod error;
 mod fingerprint;
 mod graph;
@@ -36,6 +37,7 @@ mod node;
 mod stats;
 mod value;
 
+pub use binding::{DimBinding, SymbolicAxes};
 pub use error::GraphError;
 pub use fingerprint::Fingerprint;
 pub use graph::Graph;

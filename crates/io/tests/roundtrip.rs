@@ -3,7 +3,7 @@
 //! dtypes, multi-output nodes, inputs marked as outputs, multiple output
 //! markings in order, seq-axis markings, and awkward names.
 
-use dnnf_graph::{Graph, ValueKind};
+use dnnf_graph::{DimBinding, Graph, SymbolicAxes, ValueKind};
 use dnnf_io::{from_text, to_text};
 use dnnf_ops::{Attrs, OpKind};
 use dnnf_tensor::{DataType, Shape, Tensor};
@@ -186,13 +186,14 @@ fn seq_axis_markings_round_trip_and_rebind() {
 
     let back = assert_round_trips(&g);
     assert_eq!(back.seq_axis(back.inputs()[1]), Some(1));
-    assert_eq!(back.seq_shape_signature(), g.seq_shape_signature());
-    // The marking is live: the imported graph rebinds like the original.
-    let rebound = back.with_seq_len(3).unwrap();
     assert_eq!(
-        rebound.fingerprint(),
-        g.with_seq_len(3).unwrap().fingerprint()
+        back.symbolic_shape_signature(SymbolicAxes::SEQ),
+        g.symbolic_shape_signature(SymbolicAxes::SEQ)
     );
+    // The marking is live: the imported graph rebinds like the original.
+    let seq3 = DimBinding::seq(3);
+    let rebound = back.rebind(seq3).unwrap();
+    assert_eq!(rebound.fingerprint(), g.rebind(seq3).unwrap().fingerprint());
 }
 
 #[test]

@@ -356,6 +356,7 @@ fn build_decoder(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnnf_graph::{DimBinding, SymbolicAxes};
 
     #[test]
     fn prefill_emits_cache_outputs_then_logits() {
@@ -373,7 +374,7 @@ mod tests {
         assert_eq!(logits.shape.dims(), &[4, cfg.vocab]);
         // The prefill form is not seq-polymorphic (its reshapes and mask
         // bake in the prompt length); only the step form is marked.
-        assert_eq!(g.seq_len(), None);
+        assert_eq!(g.binding().seq, None);
     }
 
     #[test]
@@ -381,9 +382,9 @@ mod tests {
         let cfg = DecoderConfig::test_tiny();
         let g = decoder_step(&cfg, 4).unwrap();
         assert!(g.validate().is_ok());
-        assert_eq!(g.seq_len(), Some(4));
+        assert_eq!(g.binding().seq, Some(4));
         // Rebinding the cache length moves every cache input and output.
-        let g9 = g.with_seq_len(9).unwrap();
+        let g9 = g.rebind(DimBinding::seq(9)).unwrap();
         for l in 0..cfg.layers {
             let k = g9.value(g9.outputs()[2 * l]);
             assert_eq!(k.shape.dims(), &[cfg.heads, 10, cfg.head_dim()]);
@@ -391,8 +392,9 @@ mod tests {
         let logits = g9.value(*g9.outputs().last().unwrap());
         assert_eq!(logits.shape.dims(), &[1, cfg.vocab]);
         // One shared signature across cache lengths.
-        assert_eq!(g9.seq_shape_signature(), g.seq_shape_signature());
-        assert!(g.seq_shape_signature().contains("past_k0=2xSx8"));
+        let sig = g.symbolic_shape_signature(SymbolicAxes::SEQ);
+        assert_eq!(g9.symbolic_shape_signature(SymbolicAxes::SEQ), sig);
+        assert!(sig.contains("past_k0=2xSx8"));
     }
 
     #[test]

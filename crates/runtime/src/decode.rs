@@ -7,16 +7,17 @@
 //! 1. **prefill** — one run of the prompt-length model produces the first
 //!    greedy token and every layer's keys/values, which seed the cache;
 //! 2. **step** — each further token runs the single-token model against
-//!    the cached keys/values through [`Executor::run_compiled_seq`]: the
-//!    cache tensors are shared into the engine as `Arc`s (no copying of a
-//!    cache that grows every token) and the appended keys/values coming
-//!    back *replace* the cache for the next step.
+//!    the cached keys/values through [`Executor::run`]: the cache tensors
+//!    are shared into the engine as `Arc`s (no copying of a cache that
+//!    grows every token) and the appended keys/values coming back *replace*
+//!    the cache for the next step.
 //!
 //! The step model is compiled **once** through
-//! [`PlanCache::compile_seq`](crate::PlanCache::compile_seq), so decoding
-//! `T` tokens costs exactly one plan search — per step only cheap shape
-//! inference + codegen run (cached per length on the model). Decoding is
-//! greedy argmax over raw logits, which keeps the whole loop deterministic:
+//! [`PlanCache::compile_polymorphic`](crate::PlanCache::compile_polymorphic)
+//! with the sequence axes symbolic, so decoding `T` tokens costs exactly one
+//! plan search — per step only cheap shape inference + codegen run (cached
+//! per length on the model). Decoding is greedy argmax over raw logits,
+//! which keeps the whole loop deterministic:
 //! the token sequence is bit-identical across thread counts, scalar mode,
 //! and — because prefill and step share every weight by name and masked
 //! softmax terms are exactly zero — identical to recomputing the full
@@ -42,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dnnf_core::{CompiledModel, Compiler, LatencyModel};
-use dnnf_graph::{Graph, GraphError};
+use dnnf_graph::{Graph, GraphError, SymbolicAxes};
 use dnnf_tensor::{Shape, Tensor};
 
 use crate::{Executor, PlanCache, RuntimeError};
@@ -95,10 +96,10 @@ fn invalid(reason: impl Into<String>) -> RuntimeError {
 impl DecodeSession {
     /// Builds a session over an already-compiled prefill/step pair. The
     /// step model should come from
-    /// [`PlanCache::compile_seq`](crate::PlanCache::compile_seq) so that
-    /// its single plan serves every cache length. Both models may be shared
-    /// with other concurrently-running sessions — per-session state is only
-    /// the cache and the token history.
+    /// [`PlanCache::compile_polymorphic`](crate::PlanCache::compile_polymorphic)
+    /// with [`SymbolicAxes::SEQ`] so that its single plan serves every cache
+    /// length. Both models may be shared with other concurrently-running
+    /// sessions — per-session state is only the cache and the token history.
     ///
     /// # Errors
     ///
@@ -181,9 +182,10 @@ impl DecodeSession {
     /// Convenience constructor: compiles the prefill graph through
     /// [`PlanCache::compile_cached`](crate::PlanCache::compile_cached) and
     /// the step graph through
-    /// [`PlanCache::compile_seq`](crate::PlanCache::compile_seq), then
-    /// builds the session. Repeated calls with the same graphs hit the
-    /// cache — further sessions cost no plan search at all.
+    /// [`PlanCache::compile_polymorphic`](crate::PlanCache::compile_polymorphic)
+    /// with the sequence axes symbolic, then builds the session. Repeated
+    /// calls with the same graphs hit the cache — further sessions cost no
+    /// plan search at all.
     ///
     /// # Errors
     ///
@@ -197,7 +199,7 @@ impl DecodeSession {
         step_graph: &Graph,
     ) -> Result<Self, RuntimeError> {
         let (prefill, _) = cache.compile_cached(compiler, prefill_graph)?;
-        let (step, _) = cache.compile_seq(compiler, step_graph)?;
+        let (step, _) = cache.compile_polymorphic(compiler, step_graph, SymbolicAxes::SEQ)?;
         DecodeSession::new(executor, prefill, step)
     }
 
@@ -294,7 +296,7 @@ impl DecodeSession {
             inputs.insert(k_name.clone(), Arc::clone(&layer.k));
             inputs.insert(v_name.clone(), Arc::clone(&layer.v));
         }
-        let report = self.executor.run_compiled_seq(&self.step, &inputs)?;
+        let report = self.executor.run(&self.step, &inputs)?;
         Ok(self.absorb(report.outputs))
     }
 

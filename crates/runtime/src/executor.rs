@@ -19,11 +19,12 @@
 //!   pins the engine against, and the baseline the wall-clock benches
 //!   compare with.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use dnnf_core::{compile_plan, BufferPool, CompiledModel, Ecg, FusionPlan};
-use dnnf_graph::{Graph, ValueId};
+use dnnf_graph::{DimBinding, Graph, ValueId};
 use dnnf_ops::execute;
 use dnnf_profiledb::ProfileDatabase;
 use dnnf_simdev::{BlockWork, CacheHierarchy, Counters, DeviceCostModel, DeviceSpec};
@@ -135,196 +136,64 @@ impl Executor {
         // re-compiles the plan and never re-materializes or re-packs a
         // weight — every run shares the same Arc-backed tensors, across
         // executors and across threads.
-        let store = WeightStore::of_model(model);
-        self.run_plan_with_store(
-            model.graph(),
-            &model.plan,
-            &model.engine,
-            &store,
-            inputs,
-            None,
-        )
+        self.run_compiled_with_store(model, &WeightStore::of_model(model), inputs)
     }
 
-    /// Runs a compiled model accepting any batch size: the leading (batch)
-    /// dimension of the provided inputs may differ from the batch size the
-    /// model was compiled at. When it does, the model's expensive fusion
-    /// plan is reused verbatim and only cheap shape inference + code
-    /// generation re-run for the requested batch
-    /// ([`CompiledModel::instance_for_batch`], cached on the model), so one
-    /// compiled plan — one plan-cache entry — serves every batch size.
+    /// Runs a compiled model at whatever symbolic dimensions the inputs
+    /// carry: their leading (batch) dimension and their marked sequence axes
+    /// ([`Graph::mark_seq_axis`]) may differ from what the model was
+    /// compiled at. When they do, the model's expensive fusion plan is reused
+    /// verbatim and only cheap shape inference + code generation re-run for
+    /// the requested [`DimBinding`] ([`CompiledModel::instance_for`], cached
+    /// on the model), so one compiled plan — one plan-cache entry — serves
+    /// every batch size of a request mix and every step of a decode loop
+    /// whose KV cache grows token by token. Inputs at the model's own
+    /// dimensions go straight to its precompiled engine.
     ///
-    /// The weight store is shared with the native path (weights are
-    /// batch-free and value ids are stable under rebatching), and because
-    /// every kernel partitions work so each thread/lane owns whole output
-    /// elements of independent batch items, outputs are **bit-identical** to
-    /// running each batch row through [`Executor::run_compiled`] separately.
+    /// Inputs may be owned tensors or `Arc<Tensor>`s; the latter are shared
+    /// into the engine without copying (the growing KV-cache tensors a
+    /// `DecodeSession` holds). The weight store is shared with the native
+    /// path (weights are batch- and length-free and value ids are stable
+    /// under rebinding), and because every kernel partitions work so each
+    /// thread/lane owns whole output elements of independent batch items,
+    /// outputs are **bit-identical** to running each batch row through
+    /// [`Executor::run_compiled`] separately, across thread counts and
+    /// scalar mode.
     ///
     /// # Errors
     ///
-    /// Returns a [`RuntimeError`] if inputs are missing, disagree on their
-    /// batch size, or mismatch the model beyond the batch dimension; and
-    /// [`RuntimeError::Core`] when the model cannot be rebatched (e.g. an
+    /// Returns a [`RuntimeError`] if inputs are missing, disagree with each
+    /// other on a symbolic dimension, or mismatch the model beyond them; and
+    /// [`RuntimeError::Core`] when the model cannot be rebound (e.g. an
     /// operator whose attributes bake in the native batch size).
+    pub fn run<T>(
+        &self,
+        model: &CompiledModel,
+        inputs: &HashMap<String, T>,
+    ) -> Result<ExecutionReport, RuntimeError>
+    where
+        T: Borrow<Tensor> + Clone + Into<Arc<Tensor>>,
+    {
+        let native = model.graph().binding();
+        let requested = requested_binding(model.graph(), native, inputs)?;
+        let instance;
+        let (graph, engine) = if requested == native {
+            (model.graph(), &model.engine)
+        } else {
+            instance = model.instance_for(requested)?;
+            (instance.graph(), instance.engine())
+        };
+        let store = WeightStore::of_model(model);
+        self.dispatch(graph, &model.plan, engine, &store, inputs, None)
+    }
+
+    /// [`Executor::run`] over owned input tensors; same errors.
     pub fn run_compiled_batched(
         &self,
         model: &CompiledModel,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<ExecutionReport, RuntimeError> {
-        let graph = model.graph();
-        let batch = self.requested_batch(graph, inputs)?;
-        if batch.is_none() || batch == model.native_batch() {
-            // Native batch (or nothing to rebatch): the precompiled engine
-            // serves the request directly.
-            return self.run_compiled(model, inputs);
-        }
-        let instance = model
-            .instance_for_batch(batch.expect("checked above"))
-            .map_err(RuntimeError::Core)?;
-        let store = WeightStore::of_model(model);
-        self.run_plan_with_store(
-            instance.graph(),
-            &model.plan,
-            instance.engine(),
-            &store,
-            inputs,
-            None,
-        )
-    }
-
-    /// Runs a compiled model accepting any KV-cache (sequence) length: the
-    /// marked sequence axes ([`Graph::mark_seq_axis`]) of the provided
-    /// inputs may differ from the length the model was compiled at. When
-    /// they do, the model's expensive fusion plan is reused verbatim and
-    /// only cheap shape inference + code generation re-run for the
-    /// requested length ([`CompiledModel::instance_for_seq`], cached on the
-    /// model) — the per-step dispatch of an autoregressive decode loop.
-    ///
-    /// Inputs are taken as `Arc<Tensor>` so the growing KV-cache tensors a
-    /// `DecodeSession` holds are shared into the engine without copying a
-    /// cache that gets larger every token. The weight store is shared with
-    /// the native path (weights are length-free and value ids are stable
-    /// under rebinding), and outputs are bit-identical across thread counts
-    /// and scalar mode exactly as for [`Executor::run_compiled`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] if inputs are missing, disagree on their
-    /// sequence length, or mismatch the model beyond the marked axes; and
-    /// [`RuntimeError::Core`] when the model cannot be rebound (e.g. an
-    /// operator whose attributes bake in the native sequence length).
-    pub fn run_compiled_seq(
-        &self,
-        model: &CompiledModel,
-        inputs: &HashMap<String, Arc<Tensor>>,
-    ) -> Result<ExecutionReport, RuntimeError> {
-        let graph = model.graph();
-        let seq_len = self.requested_seq(graph, inputs)?;
-        let store = WeightStore::of_model(model);
-        if seq_len.is_none() || seq_len == model.native_seq_len() {
-            // Native length (or nothing to rebind): the precompiled engine
-            // serves the request directly.
-            return self.run_plan_with_store_arc(
-                graph,
-                &model.plan,
-                &model.engine,
-                &store,
-                inputs,
-                None,
-            );
-        }
-        let instance = model
-            .instance_for_seq(seq_len.expect("checked above"))
-            .map_err(RuntimeError::Core)?;
-        self.run_plan_with_store_arc(
-            instance.graph(),
-            &model.plan,
-            instance.engine(),
-            &store,
-            inputs,
-            None,
-        )
-    }
-
-    /// The sequence length the provided inputs request, read off the marked
-    /// sequence axes. `None` when no input is marked or a marked input's
-    /// rank disagrees with the graph (the native path then reports the
-    /// precise mismatch); an error when inputs are missing or two marked
-    /// inputs disagree on the length.
-    fn requested_seq(
-        &self,
-        graph: &Graph,
-        inputs: &HashMap<String, Arc<Tensor>>,
-    ) -> Result<Option<usize>, RuntimeError> {
-        let mut seq_len: Option<usize> = None;
-        for &input_id in graph.inputs() {
-            let Some(axis) = graph.seq_axis(input_id) else {
-                continue;
-            };
-            let value = graph.value(input_id);
-            let tensor = inputs
-                .get(&value.name)
-                .ok_or_else(|| RuntimeError::MissingInput {
-                    name: value.name.clone(),
-                })?;
-            if tensor.shape().rank() != value.shape.rank() {
-                return Ok(None);
-            }
-            let s = tensor.shape().dim(axis);
-            match seq_len {
-                None => seq_len = Some(s),
-                Some(prev) if prev != s => {
-                    let mut expected = value.shape.dims().to_vec();
-                    expected[axis] = prev;
-                    return Err(RuntimeError::InputShapeMismatch {
-                        name: value.name.clone(),
-                        expected,
-                        actual: tensor.shape().dims().to_vec(),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(seq_len)
-    }
-
-    /// The batch size the provided inputs request, by the leading-dimension
-    /// convention. `None` when the graph has no inputs or an input's rank
-    /// disagrees with the graph (the native path then reports the precise
-    /// mismatch); an error when inputs are missing or disagree with each
-    /// other on the batch size.
-    fn requested_batch(
-        &self,
-        graph: &Graph,
-        inputs: &HashMap<String, Tensor>,
-    ) -> Result<Option<usize>, RuntimeError> {
-        let mut batch: Option<usize> = None;
-        for &input_id in graph.inputs() {
-            let value = graph.value(input_id);
-            let tensor = inputs
-                .get(&value.name)
-                .ok_or_else(|| RuntimeError::MissingInput {
-                    name: value.name.clone(),
-                })?;
-            if value.shape.rank() == 0 || tensor.shape().rank() != value.shape.rank() {
-                return Ok(None);
-            }
-            let b = tensor.shape().dim(0);
-            match batch {
-                None => batch = Some(b),
-                Some(prev) if prev != b => {
-                    let mut expected = value.shape.dims().to_vec();
-                    expected[0] = prev;
-                    return Err(RuntimeError::InputShapeMismatch {
-                        name: value.name.clone(),
-                        expected,
-                        actual: tensor.shape().dims().to_vec(),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(batch)
+        self.run(model, inputs)
     }
 
     /// Runs a compiled model like [`Executor::run_compiled`] while recording
@@ -350,7 +219,7 @@ impl Executor {
         db: &mut ProfileDatabase,
     ) -> Result<ExecutionReport, RuntimeError> {
         let store = WeightStore::of_model(model);
-        self.run_plan_with_store(
+        self.dispatch(
             model.graph(),
             &model.plan,
             &model.engine,
@@ -376,7 +245,7 @@ impl Executor {
         store: &WeightStore,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<ExecutionReport, RuntimeError> {
-        self.run_plan_with_store(
+        self.dispatch(
             model.graph(),
             &model.plan,
             &model.engine,
@@ -478,47 +347,33 @@ impl Executor {
         inputs: &HashMap<String, Tensor>,
     ) -> Result<ExecutionReport, RuntimeError> {
         let store = WeightStore::build(graph);
-        self.run_plan_with_store(graph, plan, engine, &store, inputs, None)
+        self.dispatch(graph, plan, engine, &store, inputs, None)
     }
 
-    /// [`Executor::run_plan_with_store_arc`] over a map of owned tensors:
-    /// each graph input is cloned into a shared handle once per run.
-    fn run_plan_with_store(
+    /// The one engine-dispatch path: boundary tensors in slot storage,
+    /// weights handed out by `Arc` clone (no copying, no re-materialization),
+    /// prepacked panels forwarded to the kernels. Each owned input is cloned
+    /// into a shared handle once per run; `Arc` inputs are shared as they are.
+    fn dispatch<T>(
         &self,
         graph: &Graph,
         plan: &FusionPlan,
         engine: &dnnf_core::CompiledPlan,
         store: &WeightStore,
-        inputs: &HashMap<String, Tensor>,
-        profile: Option<&mut ProfileDatabase>,
-    ) -> Result<ExecutionReport, RuntimeError> {
-        let shared: HashMap<String, Arc<Tensor>> = inputs
-            .iter()
-            .map(|(name, tensor)| (name.clone(), Arc::new(tensor.clone())))
-            .collect();
-        self.run_plan_with_store_arc(graph, plan, engine, store, &shared, profile)
-    }
-
-    /// The shared engine-dispatch path: boundary tensors in slot storage,
-    /// inputs and weights handed out by `Arc` clone (no copying, no
-    /// re-materialization), prepacked panels forwarded to the kernels.
-    fn run_plan_with_store_arc(
-        &self,
-        graph: &Graph,
-        plan: &FusionPlan,
-        engine: &dnnf_core::CompiledPlan,
-        store: &WeightStore,
-        inputs: &HashMap<String, Arc<Tensor>>,
+        inputs: &HashMap<String, T>,
         mut profile: Option<&mut ProfileDatabase>,
-    ) -> Result<ExecutionReport, RuntimeError> {
+    ) -> Result<ExecutionReport, RuntimeError>
+    where
+        T: Borrow<Tensor> + Clone + Into<Arc<Tensor>>,
+    {
         let order = plan.execution_order(graph);
         let memory = MemoryPlan::build(graph, plan, &order, self.device.elem_bytes);
 
         // Slot-indexed boundary storage: inputs, weights, block outputs.
         let mut env: Vec<Option<Arc<Tensor>>> = vec![None; graph.value_count()];
         for &input_id in graph.inputs() {
-            let tensor = self.checked_input_arc(graph, input_id, inputs)?;
-            env[input_id.index()] = Some(Arc::clone(tensor));
+            let tensor = checked_input(graph, input_id, inputs)?;
+            env[input_id.index()] = Some(tensor.clone().into());
         }
         for value in graph.values() {
             if value.is_weight() {
@@ -602,7 +457,7 @@ impl Executor {
         // Environment of boundary tensors: inputs, weights, block outputs.
         let mut env: HashMap<ValueId, Tensor> = HashMap::new();
         for &input_id in graph.inputs() {
-            let tensor = self.checked_input(graph, input_id, inputs)?;
+            let tensor = checked_input(graph, input_id, inputs)?;
             env.insert(input_id, tensor.clone());
         }
         for (id, tensor) in materialize_weights(graph) {
@@ -660,50 +515,6 @@ impl Executor {
             counters,
             memory,
         })
-    }
-
-    fn checked_input<'a>(
-        &self,
-        graph: &Graph,
-        input_id: ValueId,
-        inputs: &'a HashMap<String, Tensor>,
-    ) -> Result<&'a Tensor, RuntimeError> {
-        let value = graph.value(input_id);
-        let tensor = inputs
-            .get(&value.name)
-            .ok_or_else(|| RuntimeError::MissingInput {
-                name: value.name.clone(),
-            })?;
-        if tensor.shape() != &value.shape {
-            return Err(RuntimeError::InputShapeMismatch {
-                name: value.name.clone(),
-                expected: value.shape.dims().to_vec(),
-                actual: tensor.shape().dims().to_vec(),
-            });
-        }
-        Ok(tensor)
-    }
-
-    fn checked_input_arc<'a>(
-        &self,
-        graph: &Graph,
-        input_id: ValueId,
-        inputs: &'a HashMap<String, Arc<Tensor>>,
-    ) -> Result<&'a Arc<Tensor>, RuntimeError> {
-        let value = graph.value(input_id);
-        let tensor = inputs
-            .get(&value.name)
-            .ok_or_else(|| RuntimeError::MissingInput {
-                name: value.name.clone(),
-            })?;
-        if tensor.shape() != &value.shape {
-            return Err(RuntimeError::InputShapeMismatch {
-                name: value.name.clone(),
-                expected: value.shape.dims().to_vec(),
-                actual: tensor.shape().dims().to_vec(),
-            });
-        }
-        Ok(tensor)
     }
 
     fn collect_outputs(
@@ -812,6 +623,72 @@ impl Executor {
             }
         }
     }
+}
+
+/// The graph input `input_id` out of `inputs`, checked against the graph's
+/// shape for it.
+fn checked_input<'a, T: Borrow<Tensor>>(
+    graph: &Graph,
+    input_id: ValueId,
+    inputs: &'a HashMap<String, T>,
+) -> Result<&'a T, RuntimeError> {
+    let value = graph.value(input_id);
+    let tensor = inputs
+        .get(&value.name)
+        .ok_or_else(|| RuntimeError::MissingInput {
+            name: value.name.clone(),
+        })?;
+    let shape = tensor.borrow().shape();
+    if shape != &value.shape {
+        return Err(RuntimeError::InputShapeMismatch {
+            name: value.name.clone(),
+            expected: value.shape.dims().to_vec(),
+            actual: shape.dims().to_vec(),
+        });
+    }
+    Ok(tensor)
+}
+
+/// The symbolic dimensions the provided inputs request of `graph`: the
+/// leading dimension for batch, the marked axes for sequence length. Only
+/// dimensions the graph itself is symbolic in (`native`, its
+/// [`Graph::binding`]) are read — a graph whose own inputs do not share a
+/// leading dimension has no batch to request. A missing input, or one whose rank disagrees with the graph,
+/// yields the graph's own binding, so the native path reports it precisely;
+/// two inputs disagreeing on a dimension is an error.
+fn requested_binding<T: Borrow<Tensor>>(
+    graph: &Graph,
+    native: DimBinding,
+    inputs: &HashMap<String, T>,
+) -> Result<DimBinding, RuntimeError> {
+    let mut requested = DimBinding::default();
+    for &input_id in graph.inputs() {
+        let value = graph.value(input_id);
+        let tensor = inputs.get(&value.name).map(Borrow::borrow);
+        let Some(tensor) = tensor.filter(|t| t.shape().rank() == value.shape.rank()) else {
+            return Ok(native);
+        };
+        let batch_axis = native.batch.map(|_| 0);
+        let seq_axis = native.seq.and(graph.seq_axis(input_id));
+        for (axis, slot) in [
+            (batch_axis, &mut requested.batch),
+            (seq_axis, &mut requested.seq),
+        ] {
+            let Some(axis) = axis else { continue };
+            let dim = tensor.shape().dim(axis);
+            let prev = *slot.get_or_insert(dim);
+            if prev != dim {
+                let mut expected = value.shape.dims().to_vec();
+                expected[axis] = prev;
+                return Err(RuntimeError::InputShapeMismatch {
+                    name: value.name.clone(),
+                    expected,
+                    actual: tensor.shape().dims().to_vec(),
+                });
+            }
+        }
+    }
+    Ok(requested)
 }
 
 #[cfg(test)]
@@ -957,7 +834,7 @@ mod tests {
                 Tensor::from_vec(Shape::new(vec![batch, 3, 8, 8]), data).unwrap(),
             )]
             .into();
-            let report = executor.run_compiled_batched(&compiled, &batched).unwrap();
+            let report = executor.run(&compiled, &batched).unwrap();
             assert_eq!(report.outputs[0].shape().dims(), &[batch, 10]);
             // Each row is bit-identical to its own single-request run.
             for (i, row) in per_row.iter().enumerate() {
@@ -988,7 +865,7 @@ mod tests {
         ]
         .into();
         assert!(matches!(
-            executor.run_compiled_batched(&compiled2, &bad),
+            executor.run(&compiled2, &bad),
             Err(RuntimeError::InputShapeMismatch { .. })
         ));
     }

@@ -43,7 +43,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions, CoreError, LatencyModel};
-use dnnf_graph::{Fingerprint, Graph, NodeId};
+use dnnf_graph::{DimBinding, Fingerprint, Graph, NodeId, SymbolicAxes};
 
 /// Header line of the on-disk plan-cache format.
 pub const PLAN_CACHE_HEADER: &str = "dnnf-plancache/v1";
@@ -166,7 +166,7 @@ pub struct PlanCacheStats {
 
 /// Default bound on in-memory compiled models — generous (a server tenant
 /// set, not a per-request working set), because each entry pins compiled
-/// kernels, weight stores and batch instances via `Arc<CompiledModel>`.
+/// kernels, weight stores and plan instances via `Arc<CompiledModel>`.
 /// [`PlanCache::global`] uses this; tune per cache with
 /// [`PlanCache::with_capacity`] / [`PlanCache::set_capacity`].
 pub const DEFAULT_MODEL_CAPACITY: usize = 64;
@@ -314,83 +314,54 @@ impl PlanCache {
         self.compile_keyed(compiler, graph, key)
     }
 
-    /// Compiles `graph` through the cache under a **batch-polymorphic** key:
-    /// the graph is normalized to batch size 1
-    /// ([`Graph::with_batch_size`]) and keyed by the normalized
-    /// fingerprint plus the symbolic batch shape signature
-    /// ([`Graph::batch_shape_signature`], `x=Nx3x224x224`), so every batch
-    /// variant of one model shares a single cache entry. The returned model
-    /// is the batch-1 canonical compilation; run it at any batch size with
-    /// `Executor::run_compiled_batched`, which reuses the plan and re-runs
-    /// only cheap codegen per batch size.
+    /// Compiles `graph` through the cache under a **shape-polymorphic** key:
+    /// the dimensions `axes` names are normalized to 1 ([`Graph::rebind`])
+    /// and the entry is keyed by the normalized fingerprint plus the
+    /// symbolic shape signature ([`Graph::symbolic_shape_signature`],
+    /// `x=Nx3x224x224` / `token_ids=1;past_k0=2xSx8`), so every batch size of
+    /// one model — or every KV-cache length of one decode-step graph — shares
+    /// a single cache entry. The returned model is that canonical
+    /// compilation; run it at any value of the symbolic dimensions with
+    /// `Executor::run`, which reuses the plan and re-runs only cheap codegen
+    /// per binding. This is what makes serving a request mix, or decoding
+    /// `T` tokens, cost exactly one plan search.
     ///
-    /// Graphs that cannot be rebatched (rank-0 inputs, batch-baked
-    /// attributes, no inputs) fall back to the exact-shape
-    /// [`PlanCache::compile_cached`] behaviour.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors ([`CoreError`]) from the cold path.
-    pub fn compile_batched<L: LatencyModel>(
-        &self,
-        compiler: &mut Compiler<L>,
-        graph: &Graph,
-    ) -> Result<(Arc<CompiledModel>, CacheOutcome), CoreError> {
-        let canonical = match graph.batch_size() {
-            Some(1) => graph.clone(),
-            Some(_) => match graph.with_batch_size(1) {
-                Ok(g) => g,
-                // Not batch-polymorphic: cache per exact shape instead.
-                Err(_) => return self.compile_cached(compiler, graph),
-            },
-            None => return self.compile_cached(compiler, graph),
-        };
-        let key = PlanKey {
-            fingerprint: canonical.fingerprint(),
-            shape_signature: canonical.batch_shape_signature(),
-            options: compiler.options().cache_key(),
-        };
-        self.compile_keyed(compiler, &canonical, key)
-    }
-
-    /// Compiles `graph` through the cache under a **sequence-polymorphic**
-    /// key: the graph is normalized to sequence length 1
-    /// ([`Graph::with_seq_len`]) and keyed by the normalized fingerprint
-    /// plus the symbolic sequence shape signature
-    /// ([`Graph::seq_shape_signature`], `token_ids=1;past_k0=2xSx8`), so
-    /// every KV-cache length of one decode-step graph shares a single cache
-    /// entry. The returned model is the length-1 canonical compilation; run
-    /// it at any cache length with `Executor::run_compiled_seq`, which
-    /// reuses the plan and re-runs only cheap codegen per length. This is
-    /// what makes a T-token decode cost exactly one plan search.
-    ///
-    /// Graphs with no seq-marked inputs ([`Graph::mark_seq_axis`]) or whose
-    /// operators bake in the native sequence length fall back to the
+    /// Graphs that are not symbolic in `axes` (see [`Graph::binding`]: inputs
+    /// that do not share a leading dimension, rank-0 inputs, no seq-marked
+    /// input) or whose operators bake in the native value fall back to the
     /// exact-shape [`PlanCache::compile_cached`] behaviour.
     ///
     /// # Errors
     ///
     /// Propagates compilation errors ([`CoreError`]) from the cold path.
-    pub fn compile_seq<L: LatencyModel>(
+    pub fn compile_polymorphic<L: LatencyModel>(
+        &self,
+        compiler: &mut Compiler<L>,
+        graph: &Graph,
+        axes: SymbolicAxes,
+    ) -> Result<(Arc<CompiledModel>, CacheOutcome), CoreError> {
+        let canonical = DimBinding {
+            batch: axes.batch.then_some(1),
+            seq: axes.seq.then_some(1),
+        };
+        let Ok(canonical) = graph.rebind(canonical) else {
+            return self.compile_cached(compiler, graph);
+        };
+        let key = PlanKey {
+            fingerprint: canonical.fingerprint(),
+            shape_signature: canonical.symbolic_shape_signature(axes),
+            options: compiler.options().cache_key(),
+        };
+        self.compile_keyed(compiler, &canonical, key)
+    }
+
+    /// [`PlanCache::compile_polymorphic`] in the batch dimension; same errors.
+    pub fn compile_batched<L: LatencyModel>(
         &self,
         compiler: &mut Compiler<L>,
         graph: &Graph,
     ) -> Result<(Arc<CompiledModel>, CacheOutcome), CoreError> {
-        let canonical = match graph.seq_len() {
-            Some(1) => graph.clone(),
-            Some(_) => match graph.with_seq_len(1) {
-                Ok(g) => g,
-                // Not seq-polymorphic: cache per exact shape instead.
-                Err(_) => return self.compile_cached(compiler, graph),
-            },
-            None => return self.compile_cached(compiler, graph),
-        };
-        let key = PlanKey {
-            fingerprint: canonical.fingerprint(),
-            shape_signature: canonical.seq_shape_signature(),
-            options: compiler.options().cache_key(),
-        };
-        self.compile_keyed(compiler, &canonical, key)
+        self.compile_polymorphic(compiler, graph, SymbolicAxes::BATCH)
     }
 
     fn compile_keyed<L: LatencyModel>(
@@ -760,18 +731,22 @@ mod tests {
         let cache = PlanCache::new();
         let mut compiler = Compiler::new(CompilerOptions::default());
         let g1 = model("m", 4);
-        let (m1, o1) = cache.compile_batched(&mut compiler, &g1).unwrap();
+        let (m1, o1) = cache
+            .compile_polymorphic(&mut compiler, &g1, SymbolicAxes::BATCH)
+            .unwrap();
         assert_eq!(o1, CacheOutcome::Miss);
         // The same model presented at batch 8 is a memory hit on the same
         // canonical (batch-1) entry.
-        let g8 = g1.with_batch_size(8).unwrap();
-        let (m8, o8) = cache.compile_batched(&mut compiler, &g8).unwrap();
+        let g8 = g1.rebind(DimBinding::batch(8)).unwrap();
+        let (m8, o8) = cache
+            .compile_polymorphic(&mut compiler, &g8, SymbolicAxes::BATCH)
+            .unwrap();
         assert_eq!(o8, CacheOutcome::MemoryHit);
         assert!(Arc::ptr_eq(&m1, &m8));
         assert_eq!(cache.stats().models, 1);
         // The canonical model compiles at batch 1 regardless of how it was
         // presented.
-        assert_eq!(m8.native_batch(), Some(1));
+        assert_eq!(m8.graph().binding().batch, Some(1));
     }
 
     #[test]

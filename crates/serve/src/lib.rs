@@ -13,10 +13,11 @@
 //!   condvar, consistent with the engine's own `WorkPool`. Clients block on
 //!   a [`Ticket`] (an mpsc receiver) for their response.
 //! * **One plan per model, any batch size.** Models are compiled once (at
-//!   batch 1, typically through `dnnf_runtime::PlanCache::compile_batched`)
-//!   and executed at whatever batch the coalescer assembled via
-//!   `Executor::run_compiled_batched`, which reuses the fusion plan and
-//!   re-runs only cheap code generation per batch size.
+//!   batch 1, typically through
+//!   `dnnf_runtime::PlanCache::compile_polymorphic`) and executed at
+//!   whatever batch the coalescer assembled via `Executor::run`, which
+//!   reuses the fusion plan and re-runs only cheap code generation per
+//!   batch size.
 //! * **Backpressure, not buffering.** Each model has an admission limit
 //!   ([`ServeConfig::queue_capacity`]); a submit beyond it fails fast with
 //!   [`ServeError::QueueFull`] instead of growing the queue without bound.

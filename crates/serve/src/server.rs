@@ -8,6 +8,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions};
+use dnnf_graph::SymbolicAxes;
 use dnnf_runtime::{Executor, PlanCache};
 use dnnf_tensor::{Shape, Tensor};
 
@@ -194,7 +195,7 @@ impl ServerBuilder {
     /// The file is parsed with the strict importer of `dnnf-io` (see
     /// `docs/graph-format.md`), compiled through the process-wide
     /// [`PlanCache`] under a **batch-polymorphic** key
-    /// ([`PlanCache::compile_batched`]), and registered exactly as
+    /// ([`PlanCache::compile_polymorphic`]), and registered exactly as
     /// [`ServerBuilder::model`] would — so a tenant loaded from disk serves
     /// bit-identical responses to one built and compiled in memory.
     ///
@@ -217,7 +218,7 @@ impl ServerBuilder {
         let graph = dnnf_io::load(path).map_err(|e| load_error(e.to_string()))?;
         let mut compiler = Compiler::new(CompilerOptions::default());
         let (model, _) = PlanCache::global()
-            .compile_batched(&mut compiler, &graph)
+            .compile_polymorphic(&mut compiler, &graph, SymbolicAxes::BATCH)
             .map_err(|e| load_error(format!("compile failed: {e}")))?;
         self.model(name, model)
     }
@@ -583,7 +584,7 @@ fn dispatch(registered: &Registered, batch: Vec<Pending>, executor: &Executor) {
         inputs.insert(name.clone(), tensor);
     }
 
-    let report = match executor.run_compiled_batched(&registered.model, &inputs) {
+    let report = match executor.run(&registered.model, &inputs) {
         Ok(report) => report,
         Err(e) => {
             let message = e.to_string();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions};
-use dnnf_graph::Graph;
+use dnnf_graph::{Graph, SymbolicAxes};
 use dnnf_ops::{Attrs, OpKind};
 use dnnf_runtime::{Executor, PlanCache};
 use dnnf_serve::{ServeConfig, ServeError, Server};
@@ -62,7 +62,7 @@ fn request(rows: usize, seed: u64) -> HashMap<String, Tensor> {
 fn direct_outputs(model: &Arc<CompiledModel>, inputs: &HashMap<String, Tensor>) -> Vec<Tensor> {
     Executor::new(DeviceSpec::snapdragon_865_cpu())
         .without_cache_simulation()
-        .run_compiled_batched(model, inputs)
+        .run(model, inputs)
         .expect("direct run")
         .outputs
 }
@@ -114,7 +114,7 @@ fn mixed_batch_sizes_coalesce_through_one_polymorphic_plan() {
     let graph = conv_graph(4);
     let mut compiler = Compiler::new(CompilerOptions::default());
     let (model, _) = cache
-        .compile_batched(&mut compiler, &graph)
+        .compile_polymorphic(&mut compiler, &graph, SymbolicAxes::BATCH)
         .expect("compile via cache");
 
     let server = Server::builder(ServeConfig {
@@ -434,12 +434,12 @@ fn concurrent_clients_race_one_plan_cache_under_eviction_pressure() {
                         let graph = conv_graph(channels);
                         let mut compiler = Compiler::new(CompilerOptions::default());
                         let (model, _) = cache
-                            .compile_batched(&mut compiler, &graph)
+                            .compile_polymorphic(&mut compiler, &graph, SymbolicAxes::BATCH)
                             .expect("cached compile");
                         let inputs = request(1, tid * 1000 + round * 10 + channels as u64);
                         let report = Executor::new(DeviceSpec::snapdragon_865_cpu())
                             .without_cache_simulation()
-                            .run_compiled_batched(&model, &inputs)
+                            .run(&model, &inputs)
                             .expect("run");
                         assert_eq!(report.outputs[0].shape().dims(), &[1, channels, 8, 8]);
                     }

@@ -1,0 +1,216 @@
+//! One `DimBinding` for batch and sequence length: `Executor::run`,
+//! `CompiledModel::instance_for` and `PlanCache::compile_polymorphic` treat
+//! the two symbolic dimensions as one mechanism, so a request may bind both
+//! at once, and a graph whose inputs do not share a leading dimension has no
+//! batch to bind.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use dnnfusion::core::{CompiledModel, Compiler, CompilerOptions};
+use dnnfusion::graph::{DimBinding, Graph, SymbolicAxes};
+use dnnfusion::models::{decoder_step, DecoderConfig, ModelKind, ModelScale};
+use dnnfusion::ops::{Attrs, OpKind};
+use dnnfusion::runtime::{ExecOptions, Executor, PlanCache, RuntimeError};
+use dnnfusion::simdev::DeviceSpec;
+use dnnfusion::tensor::{Shape, Tensor};
+
+fn executor_with(threads: usize, force_scalar: bool) -> Executor {
+    Executor::new(DeviceSpec::snapdragon_865_cpu())
+        .without_cache_simulation()
+        .with_options(ExecOptions {
+            num_threads: threads,
+            force_scalar,
+            min_parallel_work: 0,
+        })
+}
+
+fn compile(graph: &Graph) -> CompiledModel {
+    Compiler::new(CompilerOptions::default())
+        .compile(graph)
+        .unwrap()
+}
+
+fn native_inputs(graph: &Graph) -> HashMap<String, Tensor> {
+    graph
+        .inputs()
+        .iter()
+        .map(|&id| {
+            let v = graph.value(id);
+            // Token and position ids stay zero so Gather indices are valid.
+            let tensor = if v.shape.dims() == [1] {
+                Tensor::zeros(v.shape.clone())
+            } else {
+                Tensor::random(v.shape.clone(), 11 + id.index() as u64)
+            };
+            (v.name.clone(), tensor)
+        })
+        .collect()
+}
+
+/// `x [1,8] @ table [8,4]` with `table` a graph *input*: the two inputs do
+/// not share a leading dimension.
+fn lookup_graph() -> Graph {
+    let mut g = Graph::new("lookup");
+    let x = g.add_input("x", Shape::new(vec![1, 8]));
+    let table = g.add_input("table", Shape::new(vec![8, 4]));
+    let y = g
+        .add_op(OpKind::MatMul, Attrs::new(), &[x, table], "y")
+        .unwrap()[0];
+    g.mark_output(y);
+    g
+}
+
+/// Regression: the polymorphic entry read "batch 1" off the first input and
+/// then rejected the model's own native inputs
+/// (`InputShapeMismatch { name: "table", expected: [1, 4], actual: [8, 4] }`).
+#[test]
+fn graphs_without_a_shared_leading_dim_have_no_batch_to_bind() {
+    let executor = executor_with(1, false);
+    let step = decoder_step(&DecoderConfig::test_tiny(), 4).unwrap();
+    for graph in [lookup_graph(), step] {
+        assert_eq!(graph.binding().batch, None, "{}", graph.name());
+        let model = compile(&graph);
+        let inputs = native_inputs(model.graph());
+        let strict = executor.run_compiled(&model, &inputs).unwrap();
+        let polymorphic = executor.run(&model, &inputs).unwrap();
+        assert_eq!(strict.outputs, polymorphic.outputs, "{}", graph.name());
+        // The batch-named wrappers are the same path.
+        let wrapped = executor.run_compiled_batched(&model, &inputs).unwrap();
+        assert_eq!(strict.outputs, wrapped.outputs, "{}", graph.name());
+        assert!(model.instance_for_batch(2).is_err(), "{}", graph.name());
+    }
+
+    // Real mismatches are still reported, by the native path.
+    let model = compile(&lookup_graph());
+    let mut bad = native_inputs(model.graph());
+    bad.insert("table".into(), Tensor::zeros(Shape::new(vec![8, 5])));
+    match executor.run(&model, &bad) {
+        Err(RuntimeError::InputShapeMismatch { name, expected, .. }) => {
+            assert_eq!((name.as_str(), expected), ("table", vec![8, 4]));
+        }
+        other => panic!("expected a shape mismatch on `table`, got {other:?}"),
+    }
+
+    // And the batch-polymorphic cache key is exact-shape by decision, not
+    // a symbolic key over a graph that cannot be rebatched.
+    let cache = PlanCache::new();
+    let mut compiler = Compiler::new(CompilerOptions::default());
+    cache
+        .compile_batched(&mut compiler, &lookup_graph())
+        .unwrap();
+    assert!(cache.to_text().contains("\tx=1x8;table=8x4\t"));
+}
+
+/// Single-query attention scores over a marked-length KV cache.
+fn tiny_seq_model() -> Graph {
+    let mut g = Graph::new("tiny-seq");
+    let q = g.add_input("q", Shape::new(vec![2, 1, 8]));
+    let past = g.add_input("past", Shape::new(vec![2, 4, 8]));
+    g.mark_seq_axis(past, 1).unwrap();
+    let kt = g
+        .add_op(
+            OpKind::Transpose,
+            Attrs::new().with_ints("perm", vec![0, 2, 1]),
+            &[past],
+            "kt",
+        )
+        .unwrap()[0];
+    let scores = g
+        .add_op(OpKind::MatMul, Attrs::new(), &[q, kt], "scores")
+        .unwrap()[0];
+    let act = g
+        .add_op(OpKind::Relu, Attrs::new(), &[scores], "act")
+        .unwrap()[0];
+    g.mark_output(act);
+    g
+}
+
+/// The merge is a unification, not a rename: one request binds batch *and*
+/// sequence length, builds one instance for the pair, and every row is
+/// bit-identical to running that row alone at batch 1.
+#[test]
+fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
+    const BATCH: usize = 3;
+    const SEQ: usize = 7;
+    let q = Tensor::random(Shape::new(vec![BATCH, 1, 8]), 5);
+    let past = Tensor::random(Shape::new(vec![BATCH, SEQ, 8]), 6);
+    let row = |t: &Tensor, i: usize| {
+        let mut dims = t.shape().dims().to_vec();
+        dims[0] = 1;
+        let per_row = t.shape().numel() / BATCH;
+        let data = t.data()[i * per_row..(i + 1) * per_row].to_vec();
+        Tensor::from_vec(Shape::new(dims), data).unwrap()
+    };
+
+    for (threads, force_scalar) in [(1, false), (4, false), (1, true)] {
+        let executor = executor_with(threads, force_scalar);
+        let model = compile(&tiny_seq_model());
+        let both = DimBinding {
+            batch: Some(BATCH),
+            seq: Some(SEQ),
+        };
+        let inputs: HashMap<String, Arc<Tensor>> = [
+            ("q".to_string(), Arc::new(q.clone())),
+            ("past".to_string(), Arc::new(past.clone())),
+        ]
+        .into();
+        let together = executor.run(&model, &inputs).unwrap();
+        assert_eq!(together.outputs[0].shape().dims(), &[BATCH, 1, SEQ]);
+        // The instance the run went through: one graph bound on both axes.
+        let instance = model.instance_for(both).unwrap();
+        assert_eq!(instance.graph().binding(), both);
+
+        for i in 0..BATCH {
+            let solo_inputs: HashMap<String, Tensor> = [
+                ("q".to_string(), row(&q, i)),
+                ("past".to_string(), row(&past, i)),
+            ]
+            .into();
+            let solo = executor.run(&model, &solo_inputs).unwrap();
+            assert_eq!(
+                &together.outputs[0].data()[i * SEQ..(i + 1) * SEQ],
+                solo.outputs[0].data(),
+                "row {i} diverged ({threads} threads, force_scalar {force_scalar})"
+            );
+        }
+    }
+}
+
+/// Persisted `plans.cache` files are keyed by these strings; they must not
+/// move, or stores saved by earlier builds stop disk-hitting.
+#[test]
+fn polymorphic_plan_keys_print_the_pinned_strings() {
+    const OPTIONS: &str =
+        "gr=1;fuse=1;intra=1;inter=1;max_block_ops=40;max_external_inputs=14;use_profile=1";
+    let mut compiler = Compiler::new(CompilerOptions::default());
+    let mut key_of = |graph: &Graph, axes| {
+        let cache = PlanCache::new();
+        cache
+            .compile_polymorphic(&mut compiler, graph, axes)
+            .unwrap();
+        let text = cache.to_text();
+        let entry = text.lines().nth(2).unwrap();
+        let fields: Vec<&str> = entry.split('\t').take(3).collect();
+        fields.join(" ")
+    };
+
+    // Presented at batch 4, keyed by its batch-1 canonical form.
+    let vgg = ModelKind::Vgg16.build(ModelScale::tiny()).unwrap();
+    let vgg4 = vgg.rebind(DimBinding::batch(4)).unwrap();
+    assert_eq!(
+        key_of(&vgg4, SymbolicAxes::BATCH),
+        format!("cea554a7c8afbcd316cb0752c578f468 image=Nx3x32x32 {OPTIONS}")
+    );
+
+    // Presented at past length 4, keyed by its length-1 canonical form.
+    let step = decoder_step(&DecoderConfig::test_tiny(), 4).unwrap();
+    assert_eq!(
+        key_of(&step, SymbolicAxes::SEQ),
+        format!(
+            "82b074cf10b73f4dd123e09f626fe91c \
+             token_ids=1;positions=1;past_k0=2xSx8;past_v0=2xSx8;past_k1=2xSx8;past_v1=2xSx8 \
+             {OPTIONS}"
+        )
+    );
+}
