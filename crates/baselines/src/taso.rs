@@ -9,18 +9,17 @@
 //! optimized graph is handed to a fixed-pattern baseline for execution, just
 //! like the paper runs TASO-optimized models under TFLite.
 
-use dnnf_core::rewrite::{default_rules, RewriteEngine, RuleCategory};
+use dnnf_core::rewrite::{RewriteEngine, RuleCategory, RULES};
 use dnnf_graph::Graph;
 
 /// Applies the TASO-like substitution pass, returning the optimized graph and
 /// the number of substitutions applied.
 #[must_use]
 pub fn taso_optimize(graph: &Graph) -> (Graph, usize) {
-    let rules = default_rules()
-        .into_iter()
-        .filter(|r| r.category() != RuleCategory::Simplification)
-        .collect();
-    let engine = RewriteEngine::new(rules);
+    let algebraic = RULES
+        .iter()
+        .filter(|r| r.category != RuleCategory::Simplification);
+    let engine = RewriteEngine::new(algebraic.collect());
     let (optimized, applied) = engine.run(graph);
     (optimized, applied.len())
 }

@@ -8,7 +8,9 @@
 //! (`force_scalar`). Every configuration must agree with the
 //! reference-kernel interpreter within `1e-5` — and all configurations must
 //! agree with each other **bit for bit** (the engine's ownership-split
-//! determinism invariant).
+//! determinism invariant). The same model compiled with the default options
+//! (graph rewriting on) must agree with the reference within `1e-5` too;
+//! rewrites reassociate float arithmetic, so that leg is not bit-exact.
 //!
 //! The `random_model` binary drives this over a seed range; any failure
 //! prints its seed, which replays the exact graph and inputs.
@@ -368,7 +370,9 @@ fn disagreement(reference: &Tensor, engine: &Tensor, tol: f32) -> Option<String>
 /// Checks one seed: generates the model, runs the reference interpreter as
 /// the oracle, then the fused engine at `num_threads ∈ {1, 2, 8}`, each
 /// with and without `force_scalar`. Engine runs must match the reference
-/// within [`FUZZ_TOLERANCE`] and each other bit for bit.
+/// within [`FUZZ_TOLERANCE`] and each other bit for bit. A compile with the
+/// default options (graph rewriting on) must match the reference within
+/// [`FUZZ_TOLERANCE`] as well.
 ///
 /// Every seed also exercises the `.dnnfg` serialization round-trip: the
 /// graph is exported and re-imported, the import must fingerprint
@@ -395,6 +399,22 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
         .run_plan_reference(&graph, &singletons, &inputs)
         .map_err(|e| fail(format!("reference run failed: {e}")))?;
 
+    let against_reference = |config: &str, outputs: &[Tensor]| {
+        if outputs.len() != reference.outputs.len() {
+            return Err(fail(format!(
+                "{config}: {} outputs vs the reference's {}",
+                outputs.len(),
+                reference.outputs.len()
+            )));
+        }
+        for (i, (r, e)) in reference.outputs.iter().zip(outputs).enumerate() {
+            if let Some(diff) = disagreement(r, e, FUZZ_TOLERANCE) {
+                return Err(fail(format!("{config}: output {i} vs reference: {diff}")));
+            }
+        }
+        Ok(())
+    };
+
     // Rewriting off: the differential compares the same dataflow.
     let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
     let compiled = compiler
@@ -413,11 +433,7 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
             let run = executor
                 .run_compiled(&compiled, &inputs)
                 .map_err(|e| fail(format!("{config}: engine run failed: {e}")))?;
-            for (i, (r, e)) in reference.outputs.iter().zip(&run.outputs).enumerate() {
-                if let Some(diff) = disagreement(r, e, FUZZ_TOLERANCE) {
-                    return Err(fail(format!("{config}: output {i} vs reference: {diff}")));
-                }
-            }
+            against_reference(&config, &run.outputs)?;
             match &baseline {
                 None => baseline = Some(run.outputs),
                 Some(first) => {
@@ -432,6 +448,18 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
             }
         }
     }
+    // Rewriting on: whatever the rule table does to this graph, the
+    // compiled model still computes the reference's outputs.
+    let rewritten = Compiler::new(CompilerOptions::default())
+        .compile(&graph)
+        .map_err(|e| fail(format!("rewriting on: compile failed: {e}")))?;
+    let run = base
+        .clone()
+        .with_options(ExecOptions::serial())
+        .run_compiled(&rewritten, &inputs)
+        .map_err(|e| fail(format!("rewriting on: engine run failed: {e}")))?;
+    against_reference("rewriting on", &run.outputs)?;
+
     // Serialization round-trip. Fingerprint identity means the imported
     // graph would hit the same PlanCache entry; compiling it from scratch
     // and demanding bit-identical outputs proves the stronger claim that
@@ -505,6 +533,18 @@ mod tests {
                 graph.validate().is_ok(),
                 "seed {seed} built an invalid graph"
             );
+        }
+    }
+
+    /// Seeds whose graph marks both an `Identity`'s source and its result as
+    /// outputs: `simplify.identity` used to rewire the second onto the first
+    /// and the compiled model came back one output short.
+    #[test]
+    fn seeds_that_once_lost_an_output_to_rewriting_pass() {
+        for seed in [37u64, 124, 887] {
+            if let Err(failure) = check_seed(seed, 12) {
+                panic!("{failure}");
+            }
         }
     }
 

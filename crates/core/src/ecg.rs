@@ -146,15 +146,14 @@ impl Ecg {
     /// points; each returned partition is a connected set of participating
     /// nodes inside which rule matching is exhaustive.
     #[must_use]
-    pub fn rewrite_partitions(&self) -> Vec<Vec<NodeId>> {
-        let participates: Vec<bool> = self
-            .graph
+    pub fn rewrite_partitions(graph: &Graph) -> Vec<Vec<NodeId>> {
+        let participates: Vec<bool> = graph
             .nodes()
             .map(|n| Self::is_rewrite_participant(n.op))
             .collect();
-        let mut visited = vec![false; self.graph.node_count()];
+        let mut visited = vec![false; graph.node_count()];
         let mut partitions = Vec::new();
-        for node in self.graph.nodes() {
+        for node in graph.nodes() {
             let idx = node.id.index();
             if visited[idx] || !participates[idx] {
                 continue;
@@ -165,11 +164,10 @@ impl Ecg {
             visited[idx] = true;
             while let Some(cur) = stack.pop() {
                 component.insert(cur);
-                for next in self
-                    .graph
+                for next in graph
                     .predecessors(cur)
                     .into_iter()
-                    .chain(self.graph.successors(cur))
+                    .chain(graph.successors(cur))
                 {
                     let nidx = next.index();
                     if !visited[nidx] && participates[nidx] {
@@ -280,8 +278,7 @@ mod tests {
             .add_op(OpKind::Mul, Attrs::new(), &[act, x], "mul2")
             .unwrap()[0];
         g.mark_output(m2);
-        let ecg = Ecg::new(g);
-        let parts = ecg.rewrite_partitions();
+        let parts = Ecg::rewrite_partitions(&g);
         assert_eq!(parts.len(), 2);
         let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
         assert!(sizes.contains(&2)); // {Recip, Mul1}

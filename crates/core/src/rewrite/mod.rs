@@ -1,30 +1,48 @@
 //! Mathematical-property-based graph rewriting (paper §4.2, Table 4,
 //! Figure 2).
 //!
-//! The engine partitions the ECG at operators that carry none of the
-//! associative / commutative / distributive properties, exhaustively matches
-//! rewrite rules inside each partition, and greedily applies the rule with
-//! the largest #FLOPs reduction until no rule matches — exactly the paper's
-//! procedure. Ties on #FLOPs are broken by memory loads and then by operator
-//! count, which captures the rules the paper annotates with "although #FLOPS
-//! is not reduced, A is loaded once instead of twice".
+//! Rules are data: [`RULES`] is a table whose rows name a rule, its property
+//! family, the operators it can be anchored at, and a matcher that inspects
+//! the neighbourhood of one anchor node and describes what it would do as a
+//! `Match` — the nodes to delete and a small expression tree (`Expr`) over
+//! existing values to put in their place. Matchers never build graphs.
 //!
-//! The rule set implemented here covers every rewrite the paper presents
-//! explicitly (Table 4 and Figure 2) plus the fusion-facilitating
-//! simplifications (§4.2's "remove unnecessary operations, eliminate
-//! redundant intermediate data copies"); the paper's full 149-rule catalogue
-//! enumerates operand-order and operator variants of these same patterns.
+//! One driver, [`RewriteEngine::run`], does everything else. Each iteration
+//! it partitions the graph at operators that carry none of the associative /
+//! commutative / distributive properties, walks partitions × rules × anchors,
+//! type-checks every proposed replacement with `dnnf_ops::infer_shapes` (a
+//! replacement that fails inference, or whose shape differs from the value
+//! it replaces, is not a match) and scores it *locally*: the #FLOPs, loaded
+//! elements and operator count of the deleted nodes minus those of the
+//! replacement operators. The match with the largest #FLOPs reduction wins —
+//! the paper's greedy procedure. Ties on #FLOPs are broken by memory loads
+//! and then by operator count, which captures the rules the paper annotates
+//! with "although #FLOPS is not reduced, A is loaded once instead of twice";
+//! a remaining tie goes to the match found first. Only the winner is applied,
+//! by one graph rebuild, and the loop repeats until no match improves.
+//!
+//! The rule set covers every rewrite the paper presents explicitly (Table 4
+//! and Figure 2) plus the fusion-facilitating simplifications (§4.2's "remove
+//! unnecessary operations, eliminate redundant intermediate data copies");
+//! the paper's full 149-rule catalogue enumerates operand-order and operator
+//! variants of these same patterns — each would be one more row.
 
 mod rules;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use dnnf_graph::{Graph, GraphError, Node, NodeId, ValueId};
+use dnnf_graph::{Graph, GraphError, Node, NodeId, ValueId, ValueKind};
+use dnnf_ops::{cost, infer_shapes, Attrs, OpKind};
+use dnnf_tensor::Shape;
 
 use crate::Ecg;
 
-pub use rules::default_rules;
+pub use rules::RULES;
+
+/// Upper bound on rewrites applied by one [`RewriteEngine::run`]; every
+/// applied rewrite strictly improves the score, so this is only a backstop.
+const MAX_APPLICATIONS: usize = 10_000;
 
 /// Category of a rewrite rule (the paper's three property families plus the
 /// structural simplifications that facilitate fusion).
@@ -52,17 +70,38 @@ impl fmt::Display for RuleCategory {
     }
 }
 
-/// A single graph-rewriting rule.
-pub trait RewriteRule: fmt::Debug {
+/// One row of the rule table.
+pub struct Rule {
     /// Stable rule name (used in reports).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// The property family the rule belongs to.
-    fn category(&self) -> RuleCategory;
-    /// Attempts to apply the rule once, anchored at a node inside
-    /// `partition`. Returns the rewritten graph, or `None` if the rule does
-    /// not match.
-    fn try_apply(&self, graph: &Graph, partition: &[NodeId]) -> Option<Graph>;
+    pub category: RuleCategory,
+    /// Operators the rule can be anchored at; `find` only sees such nodes.
+    anchors: &'static [OpKind],
+    /// Matches the rule at one anchor node, or declines.
+    find: fn(&Graph, &Node) -> Option<Match>,
 }
+
+/// What a rule would do at one anchor: delete `removed` and make every use
+/// of `replaced` (an output of one of them, the only one still needed) read
+/// `replacement` instead.
+struct Match {
+    removed: Vec<NodeId>,
+    replaced: ValueId,
+    replacement: Expr,
+}
+
+/// A replacement expression over values of the graph being rewritten.
+enum Expr {
+    /// An existing value, kept as is.
+    Old(ValueId),
+    /// A new single-output operator over sub-expressions.
+    Op(OpKind, Attrs, Vec<Expr>),
+}
+
+/// What a rewrite saves: (#FLOPs, elements loaded as operator inputs,
+/// operators), compared lexicographically.
+type Score = (i64, i64, i64);
 
 /// Record of one applied rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,18 +118,14 @@ pub struct AppliedRewrite {
 
 /// The greedy, FLOPs-driven rewrite engine.
 pub struct RewriteEngine {
-    rules: Vec<Box<dyn RewriteRule>>,
-    max_applications: usize,
+    rules: Vec<&'static Rule>,
 }
 
 impl fmt::Debug for RewriteEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<_> = self.rules.iter().map(|r| r.name).collect();
         f.debug_struct("RewriteEngine")
-            .field(
-                "rules",
-                &self.rules.iter().map(|r| r.name()).collect::<Vec<_>>(),
-            )
-            .field("max_applications", &self.max_applications)
+            .field("rules", &names)
             .finish()
     }
 }
@@ -102,31 +137,23 @@ impl Default for RewriteEngine {
 }
 
 impl RewriteEngine {
-    /// Creates an engine with the full default rule set.
+    /// Creates an engine with the full rule table.
     #[must_use]
     pub fn with_default_rules() -> Self {
-        RewriteEngine {
-            rules: default_rules(),
-            max_applications: 10_000,
-        }
+        RewriteEngine::new(RULES.iter().collect())
     }
 
-    /// Creates an engine with a custom rule set.
+    /// Creates an engine with a subset of the rule table's rows, tried in
+    /// the given order.
     #[must_use]
-    pub fn new(rules: Vec<Box<dyn RewriteRule>>) -> Self {
-        RewriteEngine {
-            rules,
-            max_applications: 10_000,
-        }
+    pub fn new(rules: Vec<&'static Rule>) -> Self {
+        RewriteEngine { rules }
     }
 
-    /// Names of the registered rules, grouped by category.
+    /// Names of the registered rules with their categories.
     #[must_use]
     pub fn rule_names(&self) -> Vec<(&'static str, RuleCategory)> {
-        self.rules
-            .iter()
-            .map(|r| (r.name(), r.category()))
-            .collect()
+        self.rules.iter().map(|r| (r.name, r.category)).collect()
     }
 
     /// Runs the engine to fixpoint, returning the rewritten graph and the
@@ -135,106 +162,129 @@ impl RewriteEngine {
     pub fn run(&self, graph: &Graph) -> (Graph, Vec<AppliedRewrite>) {
         let mut current = graph.clone();
         let mut applied = Vec::new();
-        for _ in 0..self.max_applications {
-            let ecg = Ecg::new(current.clone());
-            let partitions = ecg.rewrite_partitions();
-            let cur_flops = current.stats().flops as i64;
-            let cur_loads = total_load_elems(&current) as i64;
-            let cur_nodes = current.node_count() as i64;
-
-            // Evaluate every rule on every partition; keep the best
-            // improvement (greedy, as in the paper).
-            let mut best: Option<(Graph, AppliedRewrite, (i64, i64, i64))> = None;
-            for partition in &partitions {
-                for rule in &self.rules {
-                    if let Some(candidate) = rule.try_apply(&current, partition) {
-                        let flops_saved = cur_flops - candidate.stats().flops as i64;
-                        let loads_saved = cur_loads - total_load_elems(&candidate) as i64;
-                        let nodes_removed = cur_nodes - candidate.node_count() as i64;
-                        let score = (flops_saved, loads_saved, nodes_removed);
-                        let improves = score > (0, 0, 0);
-                        let better = best.as_ref().map(|(_, _, s)| score > *s).unwrap_or(true);
-                        if improves && better && candidate.validate().is_ok() {
-                            best = Some((
-                                candidate,
-                                AppliedRewrite {
-                                    rule: rule.name().to_string(),
-                                    category: rule.category(),
-                                    flops_saved,
-                                    nodes_removed,
-                                },
-                                score,
-                            ));
-                        }
-                    }
-                }
-            }
-            match best {
-                Some((next, record, _)) => {
-                    current = next;
-                    applied.push(record);
-                }
-                None => break,
-            }
+        while applied.len() < MAX_APPLICATIONS {
+            let Some((rule, found, score)) = self.best_match(&current) else {
+                break;
+            };
+            // A type-checked match always rebuilds; should that ever be
+            // untrue, stopping here keeps the last valid graph.
+            let Ok(next) = rebuild_replacing(&current, &found).and_then(|g| {
+                g.validate()?;
+                Ok(g)
+            }) else {
+                break;
+            };
+            current = next;
+            applied.push(AppliedRewrite {
+                rule: rule.name.to_string(),
+                category: rule.category,
+                flops_saved: score.0,
+                nodes_removed: score.2,
+            });
         }
         (current, applied)
     }
+
+    /// The best-scoring improving match over partitions × rules, where each
+    /// rule proposes its first well-typed match per partition. Earlier
+    /// proposals win ties.
+    fn best_match(&self, graph: &Graph) -> Option<(&'static Rule, Match, Score)> {
+        let mut best: Option<(&'static Rule, Match, Score)> = None;
+        for partition in Ecg::rewrite_partitions(graph) {
+            for &rule in &self.rules {
+                let proposal = partition
+                    .iter()
+                    .map(|&id| graph.node(id))
+                    .filter(|node| rule.anchors.contains(&node.op))
+                    .find_map(|node| {
+                        let found = (rule.find)(graph, node)?;
+                        let score = evaluate(graph, &found)?;
+                        Some((found, score))
+                    });
+                if let Some((found, score)) = proposal {
+                    let improves = score > (0, 0, 0);
+                    if improves && best.as_ref().is_none_or(|(_, _, b)| score > *b) {
+                        best = Some((rule, found, score));
+                    }
+                }
+            }
+        }
+        best
+    }
 }
 
-/// Total number of elements loaded as operator inputs across the whole graph
-/// — the tie-break metric for rewrites that keep #FLOPs constant but halve
-/// the number of times a tensor is read.
-fn total_load_elems(graph: &Graph) -> u64 {
-    graph
-        .nodes()
-        .flat_map(|n| n.inputs.iter())
-        .map(|&v| graph.value(v).shape.numel() as u64)
-        .sum()
+/// Type-checks a match and scores it; `None` when it is not applicable.
+fn evaluate(graph: &Graph, found: &Match) -> Option<Score> {
+    let replaced = graph.value(found.replaced);
+    let is_output = graph.outputs().contains(&found.replaced);
+    if let (Expr::Old(v), true) = (&found.replacement, is_output) {
+        // Forwarding a graph output onto a graph input, a weight or another
+        // graph output would drop or merge an output marker.
+        if graph.value(*v).kind != ValueKind::Intermediate {
+            return None;
+        }
+    }
+    let mut added = (0, 0, 0);
+    if infer(graph, &found.replacement, &mut added)? != replaced.shape {
+        return None;
+    }
+    let shapes = |ids: &[ValueId]| -> Vec<Shape> {
+        ids.iter().map(|&v| graph.value(v).shape.clone()).collect()
+    };
+    let mut removed = (0, 0, 0);
+    for &id in &found.removed {
+        let node = graph.node(id);
+        let (inputs, outputs) = (shapes(&node.inputs), shapes(&node.outputs));
+        add_op_cost(&mut removed, node.op, &node.attrs, &inputs, &outputs);
+    }
+    Some((
+        removed.0 - added.0,
+        removed.1 - added.1,
+        removed.2 - added.2,
+    ))
 }
 
-/// The producer node of a value, if any.
-pub(crate) fn producer(graph: &Graph, value: ValueId) -> Option<&Node> {
-    graph.value(value).producer.map(|p| graph.node(p))
+/// Infers the shape of a replacement expression bottom-up, accumulating the
+/// cost of its operators.
+fn infer(graph: &Graph, expr: &Expr, total: &mut Score) -> Option<Shape> {
+    match expr {
+        Expr::Old(v) => Some(graph.value(*v).shape.clone()),
+        Expr::Op(op, attrs, args) => {
+            let inputs = args
+                .iter()
+                .map(|arg| infer(graph, arg, total))
+                .collect::<Option<Vec<_>>>()?;
+            let outputs = infer_shapes(*op, attrs, &inputs).ok()?;
+            add_op_cost(total, *op, attrs, &inputs, &outputs);
+            outputs.into_iter().next()
+        }
+    }
 }
 
-/// Whether a value has exactly one consumer and is not a graph output — the
-/// precondition for folding its producer into a rewrite.
-pub(crate) fn single_use(graph: &Graph, value: ValueId) -> bool {
-    graph.value(value).consumers.len() == 1 && !graph.outputs().contains(&value)
+fn add_op_cost(total: &mut Score, op: OpKind, attrs: &Attrs, inputs: &[Shape], outputs: &[Shape]) {
+    total.0 += cost::flops(op, attrs, inputs, outputs) as i64;
+    total.1 += inputs.iter().map(|s| s.numel() as i64).sum::<i64>();
+    total.2 += 1;
 }
 
-/// Splice callback for [`rebuild_replacing`]: given the partially-built new
-/// graph and the old-to-new value-id mapping, adds the replacement operators
-/// and returns the mapping for the removed nodes' output values.
-pub(crate) type SpliceFn<'a> = dyn FnMut(&mut Graph, &BTreeMap<ValueId, ValueId>) -> Result<BTreeMap<ValueId, ValueId>, GraphError>
-    + 'a;
-
-/// Rebuilds `graph` with the nodes in `removed` deleted and a replacement
-/// sub-graph spliced in.
-///
-/// The `splice` callback is invoked exactly once, with the partially-built
-/// new graph and the mapping from old to new value ids established so far; it
-/// must add the replacement operators and return the mapping for the removed
-/// nodes' externally-visible output values.
-pub(crate) fn rebuild_replacing(
-    graph: &Graph,
-    removed: &BTreeSet<NodeId>,
-    splice: &mut SpliceFn,
-) -> Result<Graph, GraphError> {
+/// Rebuilds `graph` with the nodes in `found.removed` deleted and
+/// `found.replacement` spliced in where the first surviving consumer of a
+/// deleted node's output used to be (or at the end, if nothing consumes it).
+fn rebuild_replacing(graph: &Graph, found: &Match) -> Result<Graph, GraphError> {
     let mut new = Graph::new(graph.name());
     let mut map: BTreeMap<ValueId, ValueId> = BTreeMap::new();
 
     // Carry over inputs and weights.
     for value in graph.values() {
         match value.kind {
-            dnnf_graph::ValueKind::Input => {
+            ValueKind::Input => {
                 let id = new.add_input(value.name.clone(), value.shape.clone());
                 if let Some(axis) = graph.seq_axis(value.id) {
                     new.mark_seq_axis(id, axis)?;
                 }
                 map.insert(value.id, id);
             }
-            dnnf_graph::ValueKind::Weight => {
+            ValueKind::Weight => {
                 let id = match graph.weight_data(value.id) {
                     Some(data) => new.add_weight_with_data(value.name.clone(), data.clone()),
                     None => new.add_weight(value.name.clone(), value.shape.clone()),
@@ -247,23 +297,19 @@ pub(crate) fn rebuild_replacing(
 
     let mut spliced = false;
     for node_id in graph.topo_order() {
-        if removed.contains(&node_id) {
+        if found.removed.contains(&node_id) {
             continue;
         }
         let node = graph.node(node_id);
         if !spliced && node.inputs.iter().any(|i| !map.contains_key(i)) {
-            let extra = splice(&mut new, &map)?;
-            map.extend(extra);
+            let value = emit(graph, &found.replacement, &mut new, &map)?;
+            map.insert(found.replaced, value);
             spliced = true;
         }
         let new_inputs: Vec<ValueId> = node
             .inputs
             .iter()
-            .map(|i| {
-                map.get(i).copied().ok_or_else(|| GraphError::Invalid {
-                    reason: format!("rewrite lost value `{}`", graph.value(*i).name),
-                })
-            })
+            .map(|&i| mapped(graph, &map, i))
             .collect::<Result<_, _>>()?;
         let outs = new.add_op(node.op, node.attrs.clone(), &new_inputs, node.name.clone())?;
         for (old, newv) in node.outputs.iter().zip(outs) {
@@ -271,24 +317,50 @@ pub(crate) fn rebuild_replacing(
         }
     }
     if !spliced {
-        let extra = splice(&mut new, &map)?;
-        map.extend(extra);
+        let value = emit(graph, &found.replacement, &mut new, &map)?;
+        map.insert(found.replaced, value);
     }
 
     for &out in graph.outputs() {
-        let mapped = map.get(&out).copied().ok_or_else(|| GraphError::Invalid {
-            reason: "rewrite lost a graph output".into(),
-        })?;
-        new.mark_output(mapped);
+        new.mark_output(mapped(graph, &map, out)?);
     }
     Ok(new)
+}
+
+/// Adds a replacement expression's operators to `new` (arguments first, left
+/// to right) and returns the value it evaluates to.
+fn emit(
+    graph: &Graph,
+    expr: &Expr,
+    new: &mut Graph,
+    map: &BTreeMap<ValueId, ValueId>,
+) -> Result<ValueId, GraphError> {
+    match expr {
+        Expr::Old(v) => mapped(graph, map, *v),
+        Expr::Op(op, attrs, args) => {
+            let inputs = args
+                .iter()
+                .map(|arg| emit(graph, arg, new, map))
+                .collect::<Result<Vec<_>, _>>()?;
+            let name = format!("rw.{}", op.name().to_lowercase());
+            Ok(new.add_op(*op, attrs.clone(), &inputs, name)?[0])
+        }
+    }
+}
+
+fn mapped(
+    graph: &Graph,
+    map: &BTreeMap<ValueId, ValueId>,
+    old: ValueId,
+) -> Result<ValueId, GraphError> {
+    map.get(&old).copied().ok_or_else(|| GraphError::Invalid {
+        reason: format!("rewrite lost value `{}`", graph.value(old).name),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnnf_ops::{Attrs, OpKind};
-    use dnnf_tensor::Shape;
 
     fn relu_chain() -> Graph {
         let mut g = Graph::new("chain");
@@ -303,10 +375,14 @@ mod tests {
     #[test]
     fn rebuild_without_removals_is_equivalent() {
         let g = relu_chain();
-        let rebuilt =
-            rebuild_replacing(&g, &BTreeSet::new(), &mut |_, _| Ok(BTreeMap::new())).unwrap();
-        assert_eq!(rebuilt.node_count(), g.node_count());
-        assert_eq!(rebuilt.stats(), g.stats());
+        let out = g.outputs()[0];
+        let nothing = Match {
+            removed: Vec::new(),
+            replaced: out,
+            replacement: Expr::Old(out),
+        };
+        let rebuilt = rebuild_replacing(&g, &nothing).unwrap();
+        assert_eq!(rebuilt, g);
         assert!(rebuilt.validate().is_ok());
     }
 
@@ -314,17 +390,38 @@ mod tests {
     fn rebuild_can_drop_an_identity_node() {
         let g = relu_chain();
         let identity = g.nodes().find(|n| n.op == OpKind::Identity).unwrap();
-        let removed: BTreeSet<NodeId> = [identity.id].into_iter().collect();
-        let identity_in = identity.inputs[0];
-        let identity_out = identity.outputs[0];
-        let rebuilt = rebuild_replacing(&g, &removed, &mut |_, map| {
-            let mut extra = BTreeMap::new();
-            extra.insert(identity_out, map[&identity_in]);
-            Ok(extra)
-        })
-        .unwrap();
+        let drop_it = Match {
+            removed: vec![identity.id],
+            replaced: identity.outputs[0],
+            replacement: Expr::Old(identity.inputs[0]),
+        };
+        assert_eq!(evaluate(&g, &drop_it), Some((0, 4, 1)));
+        let rebuilt = rebuild_replacing(&g, &drop_it).unwrap();
         assert_eq!(rebuilt.node_count(), 2);
         assert!(rebuilt.validate().is_ok());
+    }
+
+    #[test]
+    fn ill_typed_replacements_are_not_matches() {
+        let g = relu_chain();
+        let identity = g.nodes().find(|n| n.op == OpKind::Identity).unwrap();
+        let with = |replacement| Match {
+            removed: vec![identity.id],
+            replaced: identity.outputs[0],
+            replacement,
+        };
+        // Inference fails: Conv rejects rank-1 operands.
+        let x = Expr::Old(identity.inputs[0]);
+        let y = Expr::Old(identity.inputs[0]);
+        let conv = Expr::Op(OpKind::Conv, Attrs::new(), vec![x, y]);
+        assert_eq!(evaluate(&g, &with(conv)), None);
+        // Inference succeeds but the shape changes: [4] -> [1, 4].
+        let unsqueezed = Expr::Op(
+            OpKind::Unsqueeze,
+            Attrs::new().with_ints("axes", vec![0]),
+            vec![Expr::Old(identity.inputs[0])],
+        );
+        assert_eq!(evaluate(&g, &with(unsqueezed)), None);
     }
 
     #[test]
@@ -352,12 +449,5 @@ mod tests {
         let (again, applied2) = engine.run(&rewritten);
         assert!(applied2.is_empty());
         assert_eq!(again.node_count(), rewritten.node_count());
-    }
-
-    #[test]
-    fn total_load_elems_counts_every_input_edge() {
-        let g = relu_chain();
-        // Three nodes each read a 4-element tensor.
-        assert_eq!(total_load_elems(&g), 12);
     }
 }

@@ -214,3 +214,56 @@ fn polymorphic_plan_keys_print_the_pinned_strings() {
         )
     );
 }
+
+/// Regression: `simplify.reorganize-chain` collapsed `Flatten → Unsqueeze`
+/// into `Reshape{shape = [1, 1, 16]}`, baking the native batch into an
+/// attribute, so this batch-polymorphic model ran at batch 3 with rewriting
+/// off but failed with the default options (`shape inference failed for node
+/// 'rw.reshape': element count changes from 48 to 16`).
+#[test]
+fn a_collapsed_reorganize_chain_stays_batch_polymorphic() {
+    let mut g = Graph::new("reorganize");
+    let x = g.add_input("x", Shape::new(vec![1, 4, 4]));
+    let relu = g.add_op(OpKind::Relu, Attrs::new(), &[x], "relu").unwrap()[0];
+    let flat = g
+        .add_op(
+            OpKind::Flatten,
+            Attrs::new().with_int("axis", 1),
+            &[relu],
+            "flatten",
+        )
+        .unwrap()[0];
+    let lifted = g
+        .add_op(
+            OpKind::Unsqueeze,
+            Attrs::new().with_ints("axes", vec![1]),
+            &[flat],
+            "unsqueeze",
+        )
+        .unwrap()[0];
+    let out = g
+        .add_op(OpKind::Sigmoid, Attrs::new(), &[lifted], "sigmoid")
+        .unwrap()[0];
+    g.mark_output(out);
+
+    let rewritten = compile(&g);
+    assert_eq!(rewritten.stats.rewrites.len(), 1);
+    assert_eq!(
+        rewritten.stats.rewrites[0].rule,
+        "simplify.reorganize-chain"
+    );
+    let plain = Compiler::new(CompilerOptions::without_rewriting())
+        .compile(&g)
+        .unwrap();
+
+    let executor = executor_with(1, false);
+    let inputs: HashMap<String, Tensor> = [(
+        "x".to_string(),
+        Tensor::random(Shape::new(vec![3, 4, 4]), 21),
+    )]
+    .into();
+    let expected = executor.run(&plain, &inputs).unwrap();
+    let actual = executor.run(&rewritten, &inputs).unwrap();
+    assert_eq!(expected.outputs[0].shape().dims(), &[3, 1, 16]);
+    assert_eq!(actual.outputs, expected.outputs);
+}
