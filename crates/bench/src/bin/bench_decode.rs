@@ -105,9 +105,8 @@ impl Row {
 
 fn main() {
     let prompt: Vec<u32> = (0..PROMPT_LEN as u32).collect();
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial());
+    let executor =
+        Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial());
     let mut rows = Vec::new();
 
     for (name, cfg) in configs() {

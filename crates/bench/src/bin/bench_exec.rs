@@ -20,9 +20,10 @@
 //!   Results are bit-identical between the two (the determinism suite
 //!   asserts it) — only the wall-clock moves.
 //! * `uncached_run_ms` / `repeat_run_ms` — the weight-cache pair:
-//!   `uncached_run_ms` dispatches through `run_plan_with_engine`, which
-//!   materializes (and prepacks) every weight per run — the pre-cache
-//!   behaviour — while `repeat_run_ms` is `run_compiled` with the model's
+//!   `uncached_run_ms` dispatches through `run_engine` with a
+//!   `WeightStore::build` per run, which materializes (and prepacks) every
+//!   weight — the pre-cache behaviour (`engine_unfused_ms` pays the same, as
+//!   it always has) — while `repeat_run_ms` is `run_compiled` with the model's
 //!   cached `WeightStore` warm, the steady-state serving configuration;
 //!   `weight_cache_speedup` is their ratio. Outputs are bit-identical.
 //! * `nopack_fused_ms` — the fused single-thread configuration again, but
@@ -234,9 +235,7 @@ struct FloorReport {
 
 fn main() {
     let device = DeviceSpec::snapdragon_865_cpu();
-    let executor = Executor::new(device)
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial());
+    let executor = Executor::new(device).with_options(ExecOptions::serial());
     // The same detection the executor's default options use.
     let host_parallelism = WorkPool::host().threads();
     let simd_width = detected_simd_width();
@@ -254,10 +253,10 @@ fn main() {
         // fused one, times dispatch only — not per-run plan compilation.
         let singleton_engine = compile_plan(&graph, &singletons);
 
-        let unfused_report = executor.run_unfused(&graph, &inputs).expect("unfused runs");
+        executor.run_unfused(&graph, &inputs).expect("unfused runs");
         // This first run also builds the model's cached weight store, so
         // every timed `run_compiled` below measures the warm steady state.
-        let fused_report = executor
+        executor
             .run_compiled(&compiled, &inputs)
             .expect("fused runs");
 
@@ -265,8 +264,16 @@ fn main() {
             executor.run_unfused(&graph, &inputs).expect("unfused runs");
         }));
         let engine_unfused_ms = median_ms(time_ms(|| {
+            let store = WeightStore::build(&graph);
             executor
-                .run_plan_with_engine(&graph, &singletons, &singleton_engine, &inputs)
+                .run_engine(
+                    &graph,
+                    &singletons,
+                    &singleton_engine,
+                    &store,
+                    &inputs,
+                    None,
+                )
                 .expect("engine singleton runs");
         }));
         let thread_scaling: Vec<(usize, f64)> = THREAD_COUNTS
@@ -295,10 +302,13 @@ fn main() {
         // The weight-cache pair: same engine, same plan — one side
         // re-materializes (and re-packs) every weight per run, the other
         // hands out the model's cached Arc-backed store.
+        let run_fused_with = |store: &WeightStore| {
+            let (graph, plan, engine) = (compiled.graph(), &compiled.plan, &compiled.engine);
+            executor.run_engine(graph, plan, engine, store, &inputs, None)
+        };
         let uncached_run_ms = median_ms(time_ms(|| {
-            executor
-                .run_plan_with_engine(compiled.graph(), &compiled.plan, &compiled.engine, &inputs)
-                .expect("uncached runs");
+            let store = WeightStore::build(compiled.graph());
+            run_fused_with(&store).expect("uncached runs");
         }));
         let repeat_run_ms = median_ms(time_ms(|| {
             executor
@@ -311,9 +321,7 @@ fn main() {
         // walk the untransposed tensor.
         let unpacked_store = WeightStore::build_unpacked(compiled.graph());
         let nopack_fused_ms = median_ms(time_ms(|| {
-            executor
-                .run_compiled_with_store(&compiled, &unpacked_store, &inputs)
-                .expect("unpacked fused runs");
+            run_fused_with(&unpacked_store).expect("unpacked fused runs");
         }));
 
         // The compilation-cache pair. Cold: a fresh compiler per run, so no
@@ -352,8 +360,8 @@ fn main() {
             thread_scaling,
             compile_ms,
             warm_compile_ms,
-            kernel_launches_unfused: unfused_report.counters.kernel_launches,
-            kernel_launches_fused: fused_report.counters.kernel_launches,
+            kernel_launches_unfused: singletons.fused_layer_count() as u64,
+            kernel_launches_fused: compiled.plan.fused_layer_count() as u64,
         });
     }
 

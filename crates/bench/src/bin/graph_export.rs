@@ -130,9 +130,8 @@ fn verify(graph: &Graph, path: &Path) -> Option<String> {
     // Full-pipeline tolerance-0 comparison: compile both graphs with the
     // default options (rewriting on) and execute on identical inputs.
     let inputs = fuzz_inputs(graph, VERIFY_SEED);
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial());
+    let executor =
+        Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial());
     let run = |g: &Graph| -> Result<Vec<dnnf_tensor::Tensor>, String> {
         let compiled = Compiler::new(CompilerOptions::default())
             .compile(g)

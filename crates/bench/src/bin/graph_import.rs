@@ -30,9 +30,8 @@ const RUN_SEED: u64 = 0xD0_0DAD;
 /// against the reference interpreter. Returns a violation, or `None`.
 fn run_differential(graph: &Graph) -> Option<String> {
     let inputs = fuzz_inputs(graph, RUN_SEED);
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial());
+    let executor =
+        Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial());
     let ecg = Ecg::new(graph.clone());
     let singletons = FusionPlan::singletons(&ecg);
     let reference = match executor.run_plan_reference(graph, &singletons, &inputs) {

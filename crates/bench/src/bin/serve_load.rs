@@ -12,8 +12,8 @@
 //! * **Served** — the same requests submitted as one burst to a running
 //!   [`dnnf_serve::Server`] hosting both models; workers coalesce same-model
 //!   requests along the batch dimension (up to [`MAX_BATCH`] rows) and each
-//!   dispatch amortizes the per-run fixed costs (memory planning, arena
-//!   setup, accounting) over every coalesced row. Served latency is
+//!   dispatch amortizes the per-run fixed costs (environment setup, one
+//!   launch per fused block) over every coalesced row. Served latency is
 //!   submit-to-response under burst load, so it *includes queueing* — the
 //!   headline column is throughput, latency percentiles are informational.
 //!
@@ -28,10 +28,19 @@
 //!
 //! The `serve_throughput_speedup` floor is armed unconditionally: coalescing
 //! amortizes per-dispatch *fixed* costs, a structural saving that — unlike
-//! `parallel_speedup` — does not need spare cores. The tenants are tiny
-//! models precisely so that fixed cost is a visible fraction of a dispatch;
-//! single-core hosts reach the floor through amortization alone, extra cores
-//! only add margin. See `docs/serving.md`.
+//! `parallel_speedup` — does not need spare cores.
+//!
+//! **The floor is currently not met.** While every real run also simulated
+//! the phone, that accounting was three quarters of a one-request dispatch
+//! on these tiny tenants, a coalesced dispatch paid it once per 32 requests,
+//! and the ratio measured 3.3x. Runs now only run kernels: the serial
+//! baseline is ~3.3x faster for it, and what coalescing still saves in
+//! launches the queue hand-off and reply channel cost back — 0.9–1.2x on one
+//! core, so this binary exits non-zero at [`THROUGHPUT_FLOOR`] after writing
+//! `BENCH_serve.json`. The floor stays where it was on purpose: the tenants
+//! have to change (ROADMAP item 3(e): a VGG-16 and a decoder-step tenant,
+//! per-model phases, latency at throughput), not the bar. See
+//! `docs/serving.md`.
 //!
 //! Run with `cargo run --release -p dnnf-bench --bin serve_load`.
 
@@ -250,9 +259,8 @@ fn main() {
              is a full batch and no request waits out the batch window"
         );
     }
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial());
+    let executor =
+        Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial());
 
     // Untimed warmup + expected outputs: warms every weight store and batch
     // instance, and pins down the bit-exact answer for each request.

@@ -50,9 +50,7 @@ fn inputs_for(graph: &Graph) -> HashMap<String, Tensor> {
 }
 
 fn executor() -> Executor {
-    Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial())
+    Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial())
 }
 
 fn save(dir: &std::path::Path) -> Result<(), String> {

@@ -388,7 +388,7 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
     let fail = |context: String| FuzzFailure { seed, context };
     let graph = random_fuzz_graph(seed, max_nodes);
     let inputs = fuzz_inputs(&graph, seed ^ 0xF00D_5EED);
-    let base = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+    let base = Executor::new(DeviceSpec::snapdragon_865_cpu());
 
     // The oracle: every operator through its reference kernel, serially.
     let ecg = Ecg::new(graph.clone());

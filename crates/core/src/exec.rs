@@ -711,10 +711,50 @@ impl FusedKernel {
     }
 }
 
-/// An entire fusion plan compiled to executable kernels, indexed by block id.
+/// What a run's block loop needs besides the kernels and does not depend on
+/// the inputs — or on shapes: it is a function of node/value ids and the
+/// plan's grouping alone, so every rebinding of a graph shares it.
+#[derive(Debug, PartialEq)]
+pub struct RunSchedule {
+    /// Block ids in execution order ([`FusionPlan::execution_order`]).
+    pub order: Vec<usize>,
+    /// Per position of `order`, the boundary values no later block reads:
+    /// their buffers can be recycled once that block has run. Graph outputs
+    /// never die.
+    pub deaths: Vec<Vec<ValueId>>,
+    /// The weight values, whose slots are filled before the first block.
+    pub weights: Vec<ValueId>,
+}
+
+impl RunSchedule {
+    fn build(graph: &Graph, plan: &FusionPlan) -> RunSchedule {
+        let order = plan.execution_order(graph);
+        let mut position = vec![0usize; plan.fused_layer_count()];
+        for (pos, &block) in order.iter().enumerate() {
+            position[block] = pos;
+        }
+        let mut deaths = vec![Vec::new(); order.len()];
+        for value in graph.values() {
+            if plan.value_escapes(graph, value.id) && !graph.outputs().contains(&value.id) {
+                let last_reader = value.consumers.iter().map(|&c| position[plan.block_of(c)]);
+                deaths[last_reader.max().unwrap_or(order.len() - 1)].push(value.id);
+            }
+        }
+        let weights = graph.values().filter(|v| v.is_weight()).map(|v| v.id);
+        RunSchedule {
+            order,
+            deaths,
+            weights: weights.collect(),
+        }
+    }
+}
+
+/// An entire fusion plan compiled to executable kernels, indexed by block id,
+/// plus the [`RunSchedule`] they run under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     kernels: Vec<FusedKernel>,
+    schedule: Arc<RunSchedule>,
 }
 
 impl CompiledPlan {
@@ -729,17 +769,38 @@ impl CompiledPlan {
     pub fn kernels(&self) -> &[FusedKernel] {
         &self.kernels
     }
+
+    /// The schedule built with the kernels (shared by [`Self::rebound`] plans).
+    #[must_use]
+    pub fn schedule(&self) -> &Arc<RunSchedule> {
+        &self.schedule
+    }
+
+    /// Recompiles the kernels against `graph` — a [`Graph::rebind`] of the
+    /// graph this plan was compiled for, so ids and therefore the schedule
+    /// are unchanged and shared rather than rebuilt.
+    #[must_use]
+    pub fn rebound(&self, graph: &Graph, plan: &FusionPlan) -> CompiledPlan {
+        CompiledPlan {
+            kernels: compile_kernels(graph, plan),
+            schedule: Arc::clone(&self.schedule),
+        }
+    }
 }
 
-/// Compiles every block of a plan into a [`FusedKernel`].
+/// Compiles every block of a plan into a [`FusedKernel`] and builds the
+/// plan's [`RunSchedule`].
 #[must_use]
 pub fn compile_plan(graph: &Graph, plan: &FusionPlan) -> CompiledPlan {
-    let kernels = plan
-        .blocks()
-        .iter()
-        .map(|b| compile_block(graph, plan, b))
-        .collect();
-    CompiledPlan { kernels }
+    CompiledPlan {
+        kernels: compile_kernels(graph, plan),
+        schedule: Arc::new(RunSchedule::build(graph, plan)),
+    }
+}
+
+fn compile_kernels(graph: &Graph, plan: &FusionPlan) -> Vec<FusedKernel> {
+    let blocks = plan.blocks().iter();
+    blocks.map(|b| compile_block(graph, plan, b)).collect()
 }
 
 /// Compiles one fusion block: maximal runs of tape-compatible operators

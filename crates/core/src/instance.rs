@@ -4,14 +4,15 @@
 //! which operators fuse into which block is decided by operator kinds,
 //! mapping types and data-flow topology, none of which change when a
 //! symbolic dimension — the batch size or a marked sequence length (see
-//! [`DimBinding`]) — does. Fused code generation ([`compile_plan`]) on the
-//! other hand bakes loop shapes into its scalar tapes, and the memory planner
-//! sizes arenas from value shapes — both of which are cheap and deterministic
-//! per-shape work.
+//! [`DimBinding`]) — does; neither does the run schedule (execution order,
+//! buffer deaths, weight slots), which is built from ids alone. Fused code
+//! generation on the other hand bakes loop shapes into its scalar tapes —
+//! cheap and deterministic per-shape work.
 //!
 //! [`CompiledModel::instance_for`] exploits that split: it reuses the
 //! expensive profile-driven plan verbatim and re-runs only the cheap codegen
-//! against the model's graph rebound to the requested dimensions. The result
+//! ([`CompiledPlan::rebound`], which shares the model's schedule) against the
+//! model's graph rebound to the requested dimensions. The result
 //! is one compiled plan (one plan-cache entry) serving *any* batch size and
 //! KV-cache length — the engine-side unlock for dynamic request batching in
 //! `dnnf-serve` and for a decode loop whose cache grows token by token.
@@ -21,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use dnnf_graph::{DimBinding, Graph};
 
-use crate::exec::{compile_plan, CompiledPlan};
+use crate::exec::CompiledPlan;
 use crate::{CompiledModel, CoreError};
 
 /// How many distinct bindings a model caches executable instances for.
@@ -37,9 +38,8 @@ const MAX_CACHED_INSTANCES: usize = 32;
 /// recompiled to kernels against those shapes.
 ///
 /// Node and value ids are identical to the parent model's graph, so the
-/// parent's fusion plan, weight store and layout decisions all apply
-/// unchanged; only shapes (and therefore loop extents and arena sizes)
-/// differ.
+/// parent's fusion plan, run schedule, weight store and layout decisions all
+/// apply unchanged; only shapes (and therefore loop extents) differ.
 #[derive(Debug)]
 pub struct PlanInstance {
     binding: DimBinding,
@@ -114,7 +114,7 @@ impl CompiledModel {
         // other binding behind it. The race loser's instance is dropped.
         let graph = self.graph().rebind(binding)?;
         self.plan.validate(&graph)?;
-        let engine = compile_plan(&graph, &self.plan);
+        let engine = self.engine.rebound(&graph, &self.plan);
         let instance = Arc::new(PlanInstance {
             binding,
             graph,

@@ -65,7 +65,8 @@ pub use compiler::{CompilationStats, CompiledModel, Compiler, CompilerOptions, R
 pub use ecg::{Ecg, EcgNodeInfo};
 pub use error::CoreError;
 pub use exec::{
-    compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, ScalarTape,
+    compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, RunSchedule,
+    ScalarTape,
 };
 pub use instance::PlanInstance;
 pub use inter::{select_block_layouts, LayoutDecision};

@@ -252,7 +252,8 @@ impl DecodeSession {
             )));
         }
         let as_f32 = |values: Vec<f32>| {
-            Tensor::from_vec(Shape::new(vec![expected]), values).expect("length matches shape")
+            let tensor = Tensor::from_vec(Shape::new(vec![expected]), values);
+            Arc::new(tensor.expect("length matches shape"))
         };
         let mut inputs = HashMap::new();
         inputs.insert(
@@ -263,7 +264,7 @@ impl DecodeSession {
             self.position_input.clone(),
             as_f32((0..expected).map(|p| p as f32).collect()),
         );
-        let report = self.executor.run_compiled(&self.prefill, &inputs)?;
+        let report = self.executor.run(&self.prefill, &inputs)?;
         self.tokens.clear();
         self.tokens.extend_from_slice(prompt);
         Ok(self.absorb(report.outputs))

@@ -18,8 +18,9 @@
 //!   without a compiled form fall back to the reference kernels.
 //! * **Memory** — boundary tensors live in `Arc`-backed slot storage keyed
 //!   by value id (no cloning between blocks), and output buffers are
-//!   recycled through a [`TensorArena`] as the [`MemoryPlan`]'s per-value
-//!   lifetimes expire, bounding allocation near the plan's peak working set.
+//!   recycled through a [`TensorArena`] at the positions the compiled plan's
+//!   [`dnnf_core::RunSchedule`] lists them dead, bounding allocation near
+//!   the plan's peak working set.
 //! * **Threads** — anchor kernels and scalar tapes are data-parallel over a
 //!   scoped-thread [`WorkPool`] ([`ExecOptions::num_threads`], default =
 //!   host parallelism, overridable via the `DNNF_NUM_THREADS` environment
@@ -50,10 +51,11 @@
 //! the wall-clock ratio between the two (the engine is >10x faster on
 //! VGG-16-class models; see `ROADMAP.md`).
 //!
-//! The executor feeds every boundary tensor access through the
-//! `dnnf-simdev` cache simulator and cost model, so one run yields the
-//! outputs *and* the latency / memory / cache / utilization counters that
-//! the paper reads from real hardware — identically on both paths.
+//! A run returns outputs and nothing else. The latency / memory / cache /
+//! utilization counters the paper reads from real hardware come from
+//! [`Executor::estimate_plan`], which feeds every boundary tensor access of
+//! a plan through the `dnnf-simdev` cache simulator and cost model — and a
+//! [`MemoryPlan`] through the lifetime sweep — without running a kernel.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,14 @@
-//! Memory planning for a fused execution.
+//! Memory planning for a fused execution, and the run-time buffer arena.
 //!
-//! Given a fusion plan and the order blocks execute in, the planner computes
-//! when each boundary tensor is allocated and freed and from that the peak
-//! memory consumption — the "MC" metric of the paper's Figure 8 — together
-//! with the total boundary traffic ("MA"). The per-value lifetimes also
-//! drive the executor's buffer arena: a boundary tensor's backing buffer is
-//! recycled the moment its last consuming block has run.
+//! Given a fusion plan and the order blocks execute in, [`MemoryPlan::build`]
+//! computes when each boundary tensor is allocated and freed and from that
+//! the peak memory consumption — the "MC" metric of the paper's Figure 8 —
+//! together with the total boundary traffic ("MA"). It belongs to the
+//! estimation path ([`Executor::estimate_plan`](crate::Executor::estimate_plan));
+//! a real run builds no memory plan. Its [`TensorArena`] recycles a boundary
+//! tensor's buffer the moment its last consuming block has run, as listed in
+//! the compiled plan's [`dnnf_core::RunSchedule`] — the same deaths these
+//! lifetimes describe, derived once at compile time from ids alone.
 
 use std::collections::BTreeMap;
 
@@ -65,6 +68,11 @@ impl MemoryPlan {
         for (pos, &block) in order.iter().enumerate() {
             position[block] = pos;
         }
+        let last = order.len().saturating_sub(1);
+        let mut is_output = vec![false; graph.value_count()];
+        for &output in graph.outputs() {
+            is_output[output.index()] = true;
+        }
 
         // Boundary values: produced in one block, consumed in another (or a
         // graph output). Record their birth and death positions. The escape
@@ -89,12 +97,8 @@ impl MemoryPlan {
                 .iter()
                 .map(|&c| position[plan.block_of(c)])
                 .max()
-                .unwrap_or(order.len().saturating_sub(1))
-                .max(if graph.outputs().contains(&value.id) {
-                    order.len().saturating_sub(1)
-                } else {
-                    0
-                });
+                .unwrap_or(last)
+                .max(if is_output[value.id.index()] { last } else { 0 });
             let bytes = scale(value.size_bytes());
             live_at.insert(value.id, (birth, death, bytes));
             result.materialized_values += 1;
@@ -108,17 +112,19 @@ impl MemoryPlan {
             result.boundary_traffic_bytes += bytes * (1 + reads);
         }
 
-        // Sweep the execution order accumulating live bytes.
-        let mut peak = 0u64;
-        for pos in 0..order.len() {
-            let live: u64 = live_at
-                .values()
-                .filter(|&&(birth, death, _)| birth <= pos && pos <= death)
-                .map(|&(_, _, bytes)| bytes)
-                .sum();
-            peak = peak.max(live);
+        // Sweep the execution order accumulating live bytes: a value's bytes
+        // come alive at its birth and go away after its death.
+        let mut born = vec![0u64; order.len()];
+        let mut freed = vec![0u64; order.len() + 1];
+        for &(birth, death, bytes) in live_at.values() {
+            born[birth] += bytes;
+            freed[death + 1] += bytes;
         }
-        result.peak_intermediate_bytes = peak;
+        let mut live = 0u64;
+        for (born, freed) in born.iter().zip(&freed) {
+            live = live + born - freed;
+            result.peak_intermediate_bytes = result.peak_intermediate_bytes.max(live);
+        }
         result.lifetimes = live_at
             .into_iter()
             .map(|(value, (birth, death, bytes))| ValueLifetime {
@@ -134,10 +140,9 @@ impl MemoryPlan {
 
 /// A recycling pool of `f32` buffers backing boundary and scratch tensors.
 ///
-/// The executor sizes its reuse expectations from [`MemoryPlan::peak_bytes`]
-/// and returns each boundary buffer here as soon as the value's
-/// [`ValueLifetime`] ends, so a fused run allocates roughly its peak working
-/// set once instead of one fresh allocation per tensor.
+/// The executor returns each boundary buffer here as soon as the compiled
+/// plan's schedule lists the value dead, so a fused run allocates roughly its
+/// peak working set once instead of one fresh allocation per tensor.
 #[derive(Debug, Default)]
 pub struct TensorArena {
     free: Vec<Vec<f32>>,

@@ -90,8 +90,9 @@ pub fn materialize_weights(graph: &Graph) -> HashMap<ValueId, Tensor> {
 ///   [`dnnf_core::RuntimeCacheSlot`]) and shared by clones of the model and
 ///   by every executor. This is what [`crate::Executor::run_compiled`] uses.
 /// * [`WeightStore::build`] — an uncached store for ad-hoc graph/plan
-///   combinations (what `run_plan_with_engine` falls back to). Outputs are
-///   bit-identical either way; only the materialization cost moves.
+///   combinations (what [`crate::Executor::run_plan`] builds per call, and
+///   what a caller of [`crate::Executor::run_engine`] passes in). Outputs
+///   are bit-identical either way; only the materialization cost moves.
 #[derive(Debug, Clone)]
 pub struct WeightStore {
     /// Weight tensors indexed by `ValueId::index()`; non-weight slots stay

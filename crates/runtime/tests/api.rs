@@ -57,28 +57,28 @@ fn run_compiled_matches_run_unfused_and_launches_fewer_kernels() {
     let fused = executor.run_compiled(&compiled, &inputs()).unwrap();
     assert_eq!(unfused.outputs.len(), 1);
     assert!(unfused.outputs[0].allclose(&fused.outputs[0], 1e-4));
-    assert!(fused.counters.kernel_launches < unfused.counters.kernel_launches);
-    assert_eq!(unfused.counters.kernel_launches, graph.node_count() as u64);
-    assert!(fused.latency_ms() > 0.0);
-    assert!(unfused.counters.latency_us > 0.0);
+    assert!(compiled.plan.fused_layer_count() < graph.node_count());
 }
 
 #[test]
-fn without_cache_simulation_does_not_change_results() {
+fn without_cache_simulation_only_drops_the_cache_statistics() {
     let graph = small_graph();
     let with_cache = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let without_cache = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
     assert_eq!(with_cache.device(), without_cache.device());
     let a = with_cache.run_unfused(&graph, &inputs()).unwrap();
     let b = without_cache.run_unfused(&graph, &inputs()).unwrap();
-    assert!(
-        a.outputs[0].allclose(&b.outputs[0], 0.0),
-        "cache simulation is observational only"
-    );
+    assert_eq!(a.outputs, b.outputs, "runs simulate nothing either way");
+    let (simulated, memory) = with_cache.estimate_unfused(&graph);
+    let (plain, plain_memory) = without_cache.estimate_unfused(&graph);
+    assert!(simulated.cache.level_accesses.iter().any(|&n| n > 0));
+    assert!(plain.cache.level_accesses.iter().all(|&n| n == 0));
+    assert_eq!(simulated.latency_us, plain.latency_us);
+    assert_eq!(memory, plain_memory);
 }
 
 #[test]
-fn estimates_agree_with_execution_on_launch_counts_and_traffic_direction() {
+fn estimates_count_one_launch_per_block_and_less_traffic_when_fused() {
     let graph = small_graph();
     let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let (unfused_counters, unfused_memory) = executor.estimate_unfused(&graph);
@@ -102,13 +102,7 @@ fn estimates_agree_with_execution_on_launch_counts_and_traffic_direction() {
         "fusion must not increase boundary traffic"
     );
     assert!(fused_memory.peak_bytes() <= unfused_memory.peak_bytes());
-
-    // The estimate path must agree with actually running the plan.
-    let report = executor.run_compiled(&compiled, &inputs()).unwrap();
-    assert_eq!(
-        report.counters.kernel_launches,
-        fused_counters.kernel_launches
-    );
+    assert!(fused_counters.latency_us > 0.0 && unfused_counters.latency_us > 0.0);
 }
 
 #[test]
@@ -118,7 +112,8 @@ fn run_plan_accepts_an_explicit_plan_and_rejects_missing_inputs() {
     let ecg = Ecg::new(graph.clone());
     let singletons = FusionPlan::singletons(&ecg);
     let report = executor.run_plan(&graph, &singletons, &inputs()).unwrap();
-    assert_eq!(report.counters.kernel_launches, graph.node_count() as u64);
+    let unfused = executor.run_unfused(&graph, &inputs()).unwrap();
+    assert_eq!(report.outputs, unfused.outputs);
 
     let err = executor.run_plan(&graph, &singletons, &HashMap::new());
     assert!(
@@ -164,11 +159,7 @@ fn materialize_weights_is_deterministic_and_covers_every_weight() {
 }
 
 #[test]
-fn engine_reference_and_estimate_paths_agree_on_counters() {
-    // The three entry points (compiled engine, reference interpreter, and
-    // kernel-free estimation) must produce identical counters for the same
-    // plan — the engine only changes how tensors are computed, never what
-    // the simulated device observes.
+fn engine_and_reference_paths_agree_on_the_same_plan() {
     let graph = small_graph();
     let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let compiled = Compiler::new(CompilerOptions::default())
@@ -178,10 +169,6 @@ fn engine_reference_and_estimate_paths_agree_on_counters() {
     let reference = executor
         .run_plan_reference(compiled.graph(), &compiled.plan, &inputs())
         .unwrap();
-    let (estimated, estimated_memory) = executor.estimate_plan(compiled.graph(), &compiled.plan);
-    assert_eq!(engine.counters, reference.counters);
-    assert_eq!(engine.counters, estimated);
-    assert_eq!(engine.memory, estimated_memory);
     for (a, b) in engine.outputs.iter().zip(&reference.outputs) {
         assert!(
             a.allclose(b, 1e-5),
@@ -195,7 +182,7 @@ fn repeated_engine_runs_are_deterministic_despite_buffer_reuse() {
     // The arena recycles buffers across blocks; stale data must never leak
     // into results, so back-to-back runs are bit-identical.
     let graph = small_graph();
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let compiled = Compiler::new(CompilerOptions::default())
         .compile(&graph)
         .unwrap();
@@ -205,14 +192,12 @@ fn repeated_engine_runs_are_deterministic_despite_buffer_reuse() {
 }
 
 #[test]
-fn memory_plan_lifetimes_drive_the_arena() {
+fn memory_plan_lifetimes_cover_every_materialized_value() {
     let graph = small_graph();
     let ecg = Ecg::new(graph.clone());
     let plan = FusionPlan::singletons(&ecg);
     let order = plan.execution_order(&graph);
     let memory = MemoryPlan::build(&graph, &plan, &order, 4);
-    // Every materialized boundary value has a recorded lifetime the executor
-    // can recycle on.
     assert_eq!(memory.lifetimes.len(), memory.materialized_values);
     assert!(memory
         .lifetimes

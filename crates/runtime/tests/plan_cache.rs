@@ -87,9 +87,7 @@ fn inputs_for(graph: &Graph, seed: u64) -> HashMap<String, Tensor> {
 }
 
 fn executor() -> Executor {
-    Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial())
+    Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial())
 }
 
 #[test]

@@ -407,7 +407,7 @@ proptest! {
         let mut rng = TestRng::new(seed);
         let graph = random_dag(&mut rng);
         let inputs = inputs_for(&graph, seed ^ 0xD1FF);
-        let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+        let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
 
         // The oracle: every operator through its reference kernel.
         let ecg = Ecg::new(graph.clone());
@@ -430,7 +430,8 @@ proptest! {
         }
 
         // Fusion must never launch more kernels than the singleton plan.
-        prop_assert!(fused.counters.kernel_launches <= engine_singleton.counters.kernel_launches);
+        let launches = |plan: &FusionPlan| executor.estimate_plan(&graph, plan).0.kernel_launches;
+        prop_assert!(launches(&compiled.plan) <= launches(&singletons));
     }
 
     #[test]
@@ -440,7 +441,7 @@ proptest! {
         let mut rng = TestRng::new(seed);
         let graph = random_dag(&mut rng);
         let inputs = inputs_for(&graph, seed ^ 0xBEEF);
-        let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+        let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
         let ecg = Ecg::new(graph.clone());
         let order = graph.topo_order();
         let groups: Vec<Vec<_>> = order.chunks(2).map(<[_]>::to_vec).collect();
@@ -453,7 +454,9 @@ proptest! {
         for (r, e) in reference.outputs.iter().zip(&engine.outputs) {
             assert_agrees(r, e, 1e-5, &format!("grouped engine (seed {seed})"));
         }
-        prop_assert_eq!(reference.counters.kernel_launches, engine.counters.kernel_launches);
+        // One simulated launch per block, however the nodes are grouped.
+        let (counters, _) = executor.estimate_plan(&graph, &plan);
+        prop_assert_eq!(counters.kernel_launches, plan.fused_layer_count() as u64);
     }
 }
 
@@ -545,7 +548,7 @@ proptest! {
         let graph = random_anchor_dag(&mut rng);
         let inputs = inputs_for(&graph, seed ^ 0xA5C3);
         let base =
-            Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+            Executor::new(DeviceSpec::snapdragon_865_cpu());
 
         // The oracle: the serial reference interpreter.
         let ecg = Ecg::new(graph.clone());
@@ -685,7 +688,7 @@ fn check_attention_seed(seed: u64) {
     let mut rng = TestRng::new(seed);
     let graph = random_attention_chain(&mut rng);
     let inputs = inputs_for(&graph, seed ^ 0xAC4E);
-    let base = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+    let base = Executor::new(DeviceSpec::snapdragon_865_cpu());
 
     let ecg = Ecg::new(graph.clone());
     let singletons = FusionPlan::singletons(&ecg);

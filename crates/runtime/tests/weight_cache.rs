@@ -4,10 +4,9 @@
 //!   [`CompiledModel`] — repeated runs hand out the same `Arc` allocations
 //!   (pointer identity, not just equality),
 //! * concurrent executors running the same model share that one store, and
-//! * the cached path ([`Executor::run_compiled`]) is bit-identical to the
-//!   uncached per-run materialization path
-//!   ([`Executor::run_plan_with_engine`]), including the prepacked `Gemm`
-//!   panels.
+//! * the cached path ([`Executor::run_compiled`]) is bit-identical to
+//!   [`Executor::run_engine`] over a store materialized for that one run,
+//!   including the prepacked `Gemm` panels.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,9 +76,7 @@ fn inputs_for(graph: &Graph, seed: u64) -> HashMap<String, Tensor> {
 }
 
 fn executor() -> Executor {
-    Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions::serial())
+    Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions::serial())
 }
 
 #[test]
@@ -149,7 +146,6 @@ fn concurrent_executors_share_one_store() {
             let expected = &expected;
             scope.spawn(move || {
                 let exec = Executor::new(DeviceSpec::snapdragon_865_cpu())
-                    .without_cache_simulation()
                     .with_options(ExecOptions::with_threads(threads));
                 let outputs = exec.run_compiled(model, inputs).unwrap().outputs;
                 for (a, b) in expected.iter().zip(&outputs) {
@@ -169,10 +165,18 @@ fn cached_path_is_bit_identical_to_the_uncached_path() {
     let inputs = inputs_for(&graph, 23);
     let exec = executor();
 
-    // run_plan_with_engine materializes a fresh store per call (the
-    // pre-cache behaviour); run_compiled reuses the model's cached store.
+    // A fresh store per call is the pre-cache behaviour; run_compiled reuses
+    // the model's cached store.
+    let fresh = WeightStore::build(model.graph());
     let uncached = exec
-        .run_plan_with_engine(model.graph(), &model.plan, &model.engine, &inputs)
+        .run_engine(
+            model.graph(),
+            &model.plan,
+            &model.engine,
+            &fresh,
+            &inputs,
+            None,
+        )
         .unwrap();
     let cached = exec.run_compiled(&model, &inputs).unwrap();
     assert_eq!(uncached.outputs.len(), cached.outputs.len());
@@ -183,9 +187,6 @@ fn cached_path_is_bit_identical_to_the_uncached_path() {
             "weight cache changed outputs"
         );
     }
-    // The modeled device counters and memory plan cannot depend on caching.
-    assert_eq!(uncached.counters, cached.counters);
-    assert_eq!(uncached.memory, cached.memory);
 }
 
 /// Conv with a lane-aligned output-channel count (so the OC-blocked panel
@@ -272,15 +273,20 @@ fn packed_conv_panels_are_bit_identical_to_unpacked_across_threads_and_scalar_mo
 
     let baseline = executor().run_compiled(&model, &inputs).unwrap().outputs;
     for opts in options {
-        let exec = Executor::new(DeviceSpec::snapdragon_865_cpu())
-            .without_cache_simulation()
-            .with_options(opts);
-        let packed_run = exec
-            .run_compiled_with_store(&model, &store, &inputs)
-            .unwrap();
-        let unpacked_run = exec
-            .run_compiled_with_store(&model, &unpacked, &inputs)
-            .unwrap();
+        let exec = Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(opts);
+        let run_with = |store: &WeightStore| {
+            exec.run_engine(
+                model.graph(),
+                &model.plan,
+                &model.engine,
+                store,
+                &inputs,
+                None,
+            )
+            .unwrap()
+        };
+        let packed_run = run_with(&store);
+        let unpacked_run = run_with(&unpacked);
         for ((p, u), b) in packed_run
             .outputs
             .iter()

@@ -34,9 +34,10 @@ pub struct ServeConfig {
     pub exec: ExecOptions,
     /// The simulated device the executor models.
     pub device: DeviceSpec,
-    /// Whether to run the (expensive) cache simulation per dispatch.
-    /// Serving wants throughput, so this defaults to `false`; counters in
-    /// responses then carry latency/traffic estimates but no cache stats.
+    /// Has no effect: a dispatch runs kernels and simulates nothing (the
+    /// simulated device lives in `Executor::estimate_plan` only). Frozen
+    /// because `crates/bench/src/bin/benchmark/` writes this struct out field
+    /// by field; delete it in the PR that next re-baselines the benchmark.
     pub simulate_cache: bool,
 }
 

@@ -479,14 +479,7 @@ fn any_dispatchable(state: &State, shared: &Shared, now: Instant) -> bool {
 }
 
 fn worker_loop(shared: &Shared) {
-    let executor = {
-        let e = Executor::new(shared.config.device.clone()).with_options(shared.config.exec);
-        if shared.config.simulate_cache {
-            e
-        } else {
-            e.without_cache_simulation()
-        }
-    };
+    let executor = Executor::new(shared.config.device.clone()).with_options(shared.config.exec);
     let queue_count = shared.models.len();
     let mut state = shared.state.lock().expect("serve state lock");
     // Where the next readiness scan begins. Rotated to just past the last
@@ -581,7 +574,8 @@ fn dispatch(registered: &Registered, batch: Vec<Pending>, executor: &Executor) {
         dims.extend_from_slice(tail);
         let tensor = Tensor::from_vec(Shape::new(dims), data)
             .expect("admission validated every request's input shape");
-        inputs.insert(name.clone(), tensor);
+        // Shared into the engine, not copied a second time.
+        inputs.insert(name.clone(), Arc::new(tensor));
     }
 
     let report = match executor.run(&registered.model, &inputs) {

@@ -61,7 +61,6 @@ fn request(rows: usize, seed: u64) -> HashMap<String, Tensor> {
 
 fn direct_outputs(model: &Arc<CompiledModel>, inputs: &HashMap<String, Tensor>) -> Vec<Tensor> {
     Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
         .run(model, inputs)
         .expect("direct run")
         .outputs
@@ -438,7 +437,6 @@ fn concurrent_clients_race_one_plan_cache_under_eviction_pressure() {
                             .expect("cached compile");
                         let inputs = request(1, tid * 1000 + round * 10 + channels as u64);
                         let report = Executor::new(DeviceSpec::snapdragon_865_cpu())
-                            .without_cache_simulation()
                             .run(&model, &inputs)
                             .expect("run");
                         assert_eq!(report.outputs[0].shape().dims(), &[1, channels, 8, 8]);

@@ -21,7 +21,6 @@ use dnnfusion::tensor::Tensor;
 fn run(graph: &Graph, inputs: &HashMap<String, Tensor>) -> Result<Vec<Tensor>, Box<dyn Error>> {
     let compiled = Compiler::new(CompilerOptions::default()).compile(graph)?;
     Ok(Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
         .with_options(ExecOptions::serial())
         .run_compiled(&compiled, inputs)?
         .outputs)

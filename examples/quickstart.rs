@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         compiled.fused_ops[0].source
     );
 
-    // 3. Execute fused and unfused on a simulated Snapdragon 865 CPU and
-    //    check the outputs agree.
+    // 3. Execute fused and unfused on this machine and check the outputs
+    //    agree.
     let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let inputs: HashMap<String, Tensor> = [(
         "image".to_string(),
@@ -77,12 +77,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     let unfused = executor.run_unfused(&graph, &inputs)?;
     let fused = executor.run_compiled(&compiled, &inputs)?;
     assert!(unfused.outputs[0].allclose(&fused.outputs[0], 1e-4));
+
+    // 4. Estimate both schedules on a simulated Snapdragon 865 CPU — no
+    //    kernel runs; the numbers come from the device cost model.
+    let (unfused, _) = executor.estimate_unfused(&graph);
+    let (fused, _) = executor.estimate_plan(compiled.graph(), &compiled.plan);
     println!(
         "unfused: {:.1} µs, {} kernel launches  |  fused: {:.1} µs, {} kernel launches",
-        unfused.counters.latency_us,
-        unfused.counters.kernel_launches,
-        fused.counters.latency_us,
-        fused.counters.kernel_launches
+        unfused.latency_us, unfused.kernel_launches, fused.latency_us, fused.kernel_launches
     );
     println!("outputs agree — fusion changed the schedule, not the math.");
     Ok(())

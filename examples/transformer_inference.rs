@@ -64,7 +64,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         biggest.name
     );
 
-    // Execute on the simulated CPU to compare counters.
+    // Run both ways on the host and check the outputs agree; then ask the
+    // simulated CPU what each schedule would cost on the phone.
     let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
     let token_ids: HashMap<String, Tensor> = graph
         .inputs()
@@ -77,12 +78,14 @@ fn main() -> Result<(), Box<dyn Error>> {
     let unfused = executor.run_unfused(&graph, &token_ids)?;
     let fused = executor.run_compiled(&compiled, &token_ids)?;
     assert!(unfused.outputs[0].allclose(&fused.outputs[0], 1e-3));
+    let (unfused, _) = executor.estimate_unfused(&graph);
+    let (fused, _) = executor.estimate_plan(compiled.graph(), &compiled.plan);
     println!(
         "\nunfused: {:.2} ms, {:.1} MiB traffic  |  DNNFusion: {:.2} ms, {:.1} MiB traffic",
-        unfused.counters.latency_us / 1e3,
-        unfused.counters.memory_access_mib(),
-        fused.counters.latency_us / 1e3,
-        fused.counters.memory_access_mib()
+        unfused.latency_us / 1e3,
+        unfused.memory_access_mib(),
+        fused.latency_us / 1e3,
+        fused.memory_access_mib()
     );
     Ok(())
 }

@@ -31,13 +31,11 @@ const PROMPT: [u32; 4] = [1, 2, 3, 4];
 const GENERATE: usize = 6;
 
 fn executor_with(threads: usize, force_scalar: bool) -> Executor {
-    Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions {
-            num_threads: threads,
-            force_scalar,
-            min_parallel_work: 0,
-        })
+    Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions {
+        num_threads: threads,
+        force_scalar,
+        min_parallel_work: 0,
+    })
 }
 
 /// Compiles a session for the tiny decoder through `cache`. Rewriting is

@@ -46,13 +46,11 @@ fn inputs_for(graph: &Graph, seed: u64) -> HashMap<String, Tensor> {
 }
 
 fn executor_with_threads(threads: usize) -> Executor {
-    Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions {
-            num_threads: threads,
-            min_parallel_work: 0,
-            ..ExecOptions::serial()
-        })
+    Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions {
+        num_threads: threads,
+        min_parallel_work: 0,
+        ..ExecOptions::serial()
+    })
 }
 
 fn assert_bit_identical(kind: ModelKind, context: &str, baseline: &[Tensor], run: &[Tensor]) {

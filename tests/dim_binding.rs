@@ -7,22 +7,20 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dnnfusion::core::{CompiledModel, Compiler, CompilerOptions};
+use dnnfusion::core::{CompiledModel, CompiledPlan, Compiler, CompilerOptions, FusionPlan};
 use dnnfusion::graph::{DimBinding, Graph, SymbolicAxes};
-use dnnfusion::models::{decoder_step, DecoderConfig, ModelKind, ModelScale};
+use dnnfusion::models::{decoder_prefill, decoder_step, DecoderConfig, ModelKind, ModelScale};
 use dnnfusion::ops::{Attrs, OpKind};
-use dnnfusion::runtime::{ExecOptions, Executor, PlanCache, RuntimeError};
+use dnnfusion::runtime::{ExecOptions, Executor, MemoryPlan, PlanCache, RuntimeError};
 use dnnfusion::simdev::DeviceSpec;
 use dnnfusion::tensor::{Shape, Tensor};
 
 fn executor_with(threads: usize, force_scalar: bool) -> Executor {
-    Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
-        .with_options(ExecOptions {
-            num_threads: threads,
-            force_scalar,
-            min_parallel_work: 0,
-        })
+    Executor::new(DeviceSpec::snapdragon_865_cpu()).with_options(ExecOptions {
+        num_threads: threads,
+        force_scalar,
+        min_parallel_work: 0,
+    })
 }
 
 fn compile(graph: &Graph) -> CompiledModel {
@@ -174,6 +172,69 @@ fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
                 "row {i} diverged ({threads} threads, force_scalar {force_scalar})"
             );
         }
+    }
+}
+
+/// What the compile-time schedule must say about `graph` under `plan`: the
+/// order `execution_order` derives and, per position, the non-output
+/// boundary values whose `MemoryPlan` lifetime ends there — what every run
+/// used to recompute.
+fn assert_schedule_matches(graph: &Graph, plan: &FusionPlan, engine: &CompiledPlan) {
+    let name = graph.name();
+    let order = plan.execution_order(graph);
+    let mut deaths = vec![Vec::new(); order.len()];
+    for lifetime in &MemoryPlan::build(graph, plan, &order, 4).lifetimes {
+        if !graph.outputs().contains(&lifetime.value) {
+            deaths[lifetime.death].push(lifetime.value);
+        }
+    }
+    let weights = graph.values().filter(|v| v.is_weight()).map(|v| v.id);
+    let schedule = engine.schedule();
+    assert_eq!(schedule.order, order, "{name}");
+    assert_eq!(schedule.deaths, deaths, "{name}");
+    assert_eq!(schedule.weights, weights.collect::<Vec<_>>(), "{name}");
+    assert!(
+        deaths.iter().any(|d| !d.is_empty()) || order.len() == 1,
+        "{name}"
+    );
+}
+
+/// The run schedule is built once, where the kernels are compiled, from ids
+/// alone — so a rebound instance shares its parent's (`Arc::ptr_eq`) and it
+/// still describes the instance's own graph.
+#[test]
+fn the_run_schedule_is_hoisted_and_shared_by_rebound_instances() {
+    let config = DecoderConfig::test_tiny();
+    let mut graphs: Vec<Graph> = ModelKind::all()
+        .iter()
+        .map(|kind| kind.build(ModelScale::tiny()).unwrap())
+        .collect();
+    graphs.push(decoder_prefill(&config, 4).unwrap());
+    graphs.push(decoder_step(&config, 4).unwrap());
+    for graph in &graphs {
+        let model = compile(graph);
+        assert_schedule_matches(model.graph(), &model.plan, &model.engine);
+    }
+
+    let rebound = [
+        (compile(&graphs[1]), DimBinding::batch(3)),
+        (compile(graphs.last().unwrap()), DimBinding::seq(7)),
+        (
+            compile(&tiny_seq_model()),
+            DimBinding {
+                batch: Some(3),
+                seq: Some(7),
+            },
+        ),
+    ];
+    for (model, binding) in rebound {
+        let instance = model.instance_for(binding).unwrap();
+        assert_ne!(instance.graph().binding(), model.graph().binding());
+        assert!(Arc::ptr_eq(
+            instance.engine().schedule(),
+            model.engine.schedule()
+        ));
+        assert_schedule_matches(instance.graph(), &model.plan, instance.engine());
     }
 }
 

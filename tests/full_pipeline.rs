@@ -69,11 +69,13 @@ fn fused_engine_matches_reference_execution_for_every_model_builder() {
         for (a, b) in unfused.outputs.iter().zip(&fused.outputs) {
             assert_outputs_agree(kind, a, b, 1e-5);
         }
+        let (fused_counters, _) = executor.estimate_plan(&graph, &compiled.plan);
+        let (unfused_counters, _) = executor.estimate_unfused(&graph);
         assert!(
-            fused.counters.kernel_launches < unfused.counters.kernel_launches,
+            fused_counters.kernel_launches < unfused_counters.kernel_launches,
             "{kind}: fusion must strictly reduce kernel launches ({} vs {})",
-            fused.counters.kernel_launches,
-            unfused.counters.kernel_launches
+            fused_counters.kernel_launches,
+            unfused_counters.kernel_launches
         );
     }
 }
@@ -84,7 +86,7 @@ fn full_compiler_pipeline_preserves_results_on_representative_models() {
     // end-to-end pipeline must still agree with the reference interpreter to
     // a practical tolerance. One representative model per family keeps this
     // case from duplicating the all-builders golden test above.
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     for kind in [
         ModelKind::Vgg16,
         ModelKind::C3d,
@@ -164,7 +166,7 @@ fn graph_rewriting_preserves_model_semantics() {
     // Compile the same model with and without graph rewriting and check the
     // executed outputs agree: the rewrites are semantics-preserving on a
     // full model, not just on the rule-level unit tests.
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let graph = ModelKind::TinyBert.build(ModelScale::tiny()).unwrap();
     let inputs = inputs_for(&graph, 3);
     let mut with_rewriting = Compiler::new(CompilerOptions::default());
@@ -184,7 +186,7 @@ fn graph_rewriting_preserves_model_semantics() {
 fn every_baseline_plan_executes_correctly_on_a_cnn() {
     let graph = ModelKind::Vgg16.build(ModelScale::tiny()).unwrap();
     let inputs = inputs_for(&graph, 11);
-    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu()).without_cache_simulation();
+    let executor = Executor::new(DeviceSpec::snapdragon_865_cpu());
     let reference = executor.run_unfused(&graph, &inputs).unwrap();
     let ecg = Ecg::new(graph.clone());
     for framework in BaselineFramework::all() {

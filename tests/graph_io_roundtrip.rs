@@ -41,7 +41,6 @@ fn run(graph: &Graph, seed: u64) -> Vec<Tensor> {
         .compile(graph)
         .expect("compile");
     Executor::new(DeviceSpec::snapdragon_865_cpu())
-        .without_cache_simulation()
         .with_options(ExecOptions::serial())
         .run_compiled(&compiled, &inputs_for(graph, seed))
         .expect("run")
