@@ -49,12 +49,17 @@ fn restamp(body: &str) -> String {
     format!("{body}checksum {h:016x}\n")
 }
 
-/// Applies `edit` to the body of a valid export and restamps the checksum.
-fn tamper(edit: impl Fn(&str) -> String) -> Result<Graph, IoError> {
-    let text = to_text(&sample());
+/// Applies `edit` to the body of `graph`'s export and restamps the checksum.
+fn tamper_graph(graph: &Graph, edit: impl Fn(&str) -> String) -> Result<Graph, IoError> {
+    let text = to_text(graph);
     let body_end = text.rfind("checksum ").unwrap();
     let body = edit(&text[..body_end]);
     from_text(&restamp(&body))
+}
+
+/// [`tamper_graph`] on [`sample`].
+fn tamper(edit: impl Fn(&str) -> String) -> Result<Graph, IoError> {
+    tamper_graph(&sample(), edit)
 }
 
 #[test]
@@ -217,6 +222,31 @@ fn shape_inference_rejection_is_a_graph_error() {
     // replay itself must refuse.
     let err = tamper(|body| body.replacen("in 3 2 out", "in 3 1 out", 1));
     assert!(matches!(err.unwrap_err(), IoError::Graph { .. }));
+
+    // Window attributes shorter than the spatial rank, and an empty pooling
+    // window: inference must refuse both with a typed error rather than
+    // index past the attribute or wrap `kernel - 1`.
+    let mut g = Graph::new("windows");
+    let x = g.add_input("x", Shape::new(vec![1, 2, 8, 8]));
+    let w = g.add_weight("w", Shape::new(vec![2, 2, 3, 3]));
+    let strided = Attrs::new().with_ints("strides", vec![2, 2]);
+    let c = g.add_op(OpKind::Conv, strided, &[x, w], "conv").unwrap()[0];
+    let window = Attrs::new().with_ints("kernel_shape", vec![2, 2]);
+    let p = g.add_op(OpKind::MaxPool, window, &[c], "pool").unwrap()[0];
+    g.mark_output(p);
+    for (valid, damaged) in [
+        ("strides=is:2,2", "strides=is:2"),
+        ("kernel_shape=is:2,2", "kernel_shape=is:0,0"),
+    ] {
+        let err = tamper_graph(&g, |body| {
+            assert!(body.contains(valid));
+            body.replacen(valid, damaged, 1)
+        });
+        assert!(
+            matches!(err.unwrap_err(), IoError::Graph { .. }),
+            "{damaged}"
+        );
+    }
 }
 
 #[test]

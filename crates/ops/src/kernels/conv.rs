@@ -2,35 +2,8 @@
 
 use dnnf_tensor::{IndexIter, Shape, Tensor};
 
-use crate::{Attrs, OpError};
-
-struct ConvParams {
-    strides: Vec<usize>,
-    dilations: Vec<usize>,
-    pads: Vec<usize>,
-    group: usize,
-}
-
-fn params(attrs: &Attrs, spatial_rank: usize) -> ConvParams {
-    ConvParams {
-        strides: attrs
-            .ints_or("strides", &vec![1; spatial_rank])
-            .iter()
-            .map(|&x| x.max(1) as usize)
-            .collect(),
-        dilations: attrs
-            .ints_or("dilations", &vec![1; spatial_rank])
-            .iter()
-            .map(|&x| x.max(1) as usize)
-            .collect(),
-        pads: attrs
-            .ints_or("pads", &vec![0; spatial_rank * 2])
-            .iter()
-            .map(|&x| x.max(0) as usize)
-            .collect(),
-        group: attrs.int_or("group", 1).max(1) as usize,
-    }
-}
+use crate::shape_infer::Window;
+use crate::{Attrs, OpError, OpKind};
 
 /// Direct N-dimensional convolution over an `(N, C, spatial...)` input with
 /// an `(M, C/group, kernel...)` weight and optional bias.
@@ -39,11 +12,17 @@ pub fn conv(attrs: &Attrs, inputs: &[&Tensor], out_shape: &Shape) -> Result<Tens
     let w = inputs[1];
     let bias = inputs.get(2);
     let spatial_rank = x.shape().rank() - 2;
-    let p = params(attrs, spatial_rank);
+    let p = Window::parse(
+        OpKind::Conv,
+        attrs,
+        spatial_rank,
+        Some(&w.shape().dims()[2..]),
+    )?;
+    let group = attrs.int_or("group", 1).max(1) as usize;
     let batch = x.shape().dim(0);
     let out_channels = w.shape().dim(0);
     let in_per_group = w.shape().dim(1);
-    let channels_per_group_out = out_channels / p.group;
+    let channels_per_group_out = out_channels / group;
     let kernel_spatial = Shape::new(w.shape().dims()[2..].to_vec());
     let out_spatial = Shape::new(out_shape.dims()[2..].to_vec());
 
@@ -103,11 +82,13 @@ pub fn conv_transpose(
     let w = inputs[1];
     let bias = inputs.get(2);
     let spatial_rank = x.shape().rank() - 2;
-    let p = params(attrs, spatial_rank);
+    let kernel = &w.shape().dims()[2..];
+    let p = Window::parse(OpKind::ConvTranspose, attrs, spatial_rank, Some(kernel))?;
+    let group = attrs.int_or("group", 1).max(1) as usize;
     let batch = x.shape().dim(0);
     let in_channels = x.shape().dim(1);
     let out_channels_per_group = w.shape().dim(1);
-    let in_per_group = in_channels / p.group;
+    let in_per_group = in_channels / group;
     let kernel_spatial = Shape::new(w.shape().dims()[2..].to_vec());
     let in_spatial = Shape::new(x.shape().dims()[2..].to_vec());
 

@@ -7,32 +7,38 @@
 //! orders of magnitude slower than necessary. The kernels here compute the
 //! *same* result — they visit taps in exactly the same order and accumulate
 //! in the same sequence, so outputs are bit-identical — but with precomputed
-//! strides, flat-slice indexing and no allocation inside the hot loops.
+//! offsets, flat-slice indexing and no allocation inside the hot loops.
 //!
-//! Every kernel is additionally **data-parallel** over a [`WorkPool`]: the
-//! output index space is partitioned into disjoint tiles (convolution and
-//! pooling over `(batch, channel)` planes, matrix products over output
-//! rows), and each tile is computed start-to-finish by one thread with the
-//! serial kernel's exact accumulation order. No reduction is ever split
-//! across threads, so results are bit-identical for every thread count —
-//! [`execute_fast_into`] with a serial pool and
-//! [`execute_fast_into_threaded`] with any pool produce the same bytes.
+//! **One windowed driver.** `Conv`, `MaxPool` and `AveragePool` share one
+//! rank-generic geometry, [`WindowRows`]: an output *row* is one position of
+//! the outer spatial axes (every axis but the innermost), and for each row
+//! the kernel taps of the outer axes that land inside the input are resolved
+//! **once per launch** into a table of `(input row offset, weight offset)`
+//! pairs. A column kernel is then `for ic { for tap in row_taps { for kx } }`
+//! at every spatial rank — outer taps in row-major order followed by `kx`
+//! *is* the reference ravel order — and a 2-D convolution is simply the
+//! launch whose rows have at most `kh` taps. The innermost axis is split once
+//! ([`col_tiles`]) into border columns, whose taps can fall in the padding,
+//! and *interior* columns, where every innermost tap is in bounds.
 //!
-//! Within a thread's tile, every kernel here is additionally
-//! **lane-blocked** over the [`crate::simd`] bundles: 4–8 consecutive output
-//! elements accumulate in lockstep, one element per lane, each lane running
-//! the scalar kernel's exact operation sequence (two rounding steps per
-//! conv/matmul tap, no fused multiply-add, no split reduction; `f32::max` /
-//! add-then-one-division for the pools). Convolution and pooling — at every
-//! spatial rank, including the 1-D/3-D odometer paths — vectorize only the
-//! *interior* output columns of each innermost-axis row: those whose every
-//! innermost kernel tap is in bounds, so no column tap-skip test fires
-//! (outer-axis taps keep their bounds checks, which are uniform across a
-//! row). Padded borders and lane remainders stay on the checked scalar
-//! loop; `GlobalAveragePool` lanes own whole `(n, c)` outputs. The scalar
-//! and lane regions compute identical tap sequences, so SIMD-on and
-//! SIMD-off ([`WorkPool::with_simd`]) produce the same bytes at every lane
-//! width.
+//! Every kernel is **data-parallel** over a [`WorkPool`]: the output index
+//! space is partitioned into disjoint tiles (convolution and pooling over
+//! `(batch, channel)` planes, matrix products over output rows), and each
+//! tile is computed start-to-finish by one thread with the serial kernel's
+//! exact accumulation order. No reduction is ever split across threads, so
+//! results are bit-identical for every thread count.
+//!
+//! Within a thread's tile, every kernel is **lane-blocked** over the
+//! [`crate::simd`] bundles: 4–8 consecutive output elements accumulate in
+//! lockstep, one element per lane, each lane running the scalar kernel's
+//! exact operation sequence (two rounding steps per conv/matmul tap, no
+//! fused multiply-add, no split reduction; `f32::max` / add-then-one-division
+//! for the pools). Each column kernel is written once, generic over its lane
+//! width; width 1 is the *checked* instance that tests every innermost tap
+//! against the padding, and serves border columns, lane remainders and the
+//! scalar mode ([`WorkPool::with_simd`]) alike — so SIMD-on and SIMD-off run
+//! the same source and produce the same bytes at every lane width.
+//! `GlobalAveragePool` lanes own whole `(n, c)` outputs.
 //!
 //! Inputs are expected to be shape-consistent with `out_shape`, exactly as
 //! produced by graph construction / shape inference (the fused engine always
@@ -42,6 +48,7 @@
 use dnnf_tensor::{broadcast_index, Shape, Tensor};
 
 use crate::parallel::WorkPool;
+use crate::shape_infer::Window;
 use crate::simd::{F32Lanes, LANES};
 use crate::{Attrs, OpError, OpKind};
 
@@ -103,53 +110,16 @@ pub fn pack_conv_oc_panel(w: &Tensor) -> Option<Tensor> {
     )
 }
 
-/// Executes `op` with its optimized kernel on the calling thread. Equivalent
-/// to [`execute_fast_into_threaded`] with a serial pool.
-///
-/// # Errors
-///
-/// Returns an [`OpError`] when the inputs are structurally invalid for the
-/// operator (wrong arity or rank).
-pub fn execute_fast_into(
-    op: OpKind,
-    attrs: &Attrs,
-    inputs: &[&Tensor],
-    out_shape: &Shape,
-    out: &mut [f32],
-) -> Result<bool, OpError> {
-    execute_fast_into_threaded(op, attrs, inputs, out_shape, out, WorkPool::serial())
-}
-
 /// Executes `op` with its optimized kernel, writing the single output into
 /// `out` (length `out_shape.numel()`), splitting the output space over
 /// `pool`'s threads. Returns `Ok(false)` without touching `out` when the
-/// operator has no fast kernel. Results are bit-identical to
-/// [`execute_fast_into`] for every pool (per-element ownership split; the
-/// pool's [`WorkPool::for_work`] gate keeps small launches serial).
+/// operator has no fast kernel. Results are bit-identical for every pool
+/// (per-element ownership split; the pool's [`WorkPool::for_work`] gate
+/// keeps small launches serial).
 ///
-/// # Errors
-///
-/// Returns an [`OpError`] when the inputs are structurally invalid for the
-/// operator (wrong arity or rank).
-///
-/// # Panics
-///
-/// May panic on inputs whose shapes are inconsistent with `out_shape`;
-/// callers are expected to pass shapes produced by shape inference.
-pub fn execute_fast_into_threaded(
-    op: OpKind,
-    attrs: &Attrs,
-    inputs: &[&Tensor],
-    out_shape: &Shape,
-    out: &mut [f32],
-    pool: WorkPool,
-) -> Result<bool, OpError> {
-    execute_fast_into_packed(op, attrs, inputs, None, out_shape, out, pool)
-}
-
-/// [`execute_fast_into_threaded`] with an optional **prepacked operand**: a
-/// kernel-friendly re-layout of one input, prepared once by the caller and
-/// reused across runs. Two packed forms exist today:
+/// `packed_b` is an optional **prepacked operand**: a kernel-friendly
+/// re-layout of one input, prepared once by the caller and reused across
+/// runs. Two packed forms exist today:
 ///
 /// * a transposed `Gemm` B panel — when `op` is `Gemm` with `transB = 1` and
 ///   `packed_b` carries `B` already transposed to `(K, N)` row-major, the
@@ -166,12 +136,12 @@ pub fn execute_fast_into_threaded(
 /// in the same accumulation order, so outputs are bit-identical to the
 /// unpacked call (pinned by the kernel tests). `packed_b` is ignored for
 /// every other operator, for untransposed `Gemm`, and for convs the panel
-/// layout does not fit (grouped, remainder channels, or the scalar path).
+/// layout does not fit (grouped, remainder channels, or the scalar mode).
 ///
 /// # Errors
 ///
 /// Returns an [`OpError`] when the inputs are structurally invalid for the
-/// operator (wrong arity or rank).
+/// operator (wrong arity or rank, malformed window attributes).
 ///
 /// # Panics
 ///
@@ -213,964 +183,49 @@ fn arity(op: OpKind, inputs: &[&Tensor], min: usize) -> Result<(), OpError> {
     Ok(())
 }
 
-fn spatial_attrs(attrs: &Attrs, spatial_rank: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let strides: Vec<usize> = attrs
-        .ints_or("strides", &vec![1; spatial_rank])
-        .iter()
-        .map(|&s| s.max(1) as usize)
-        .collect();
-    let dilations: Vec<usize> = attrs
-        .ints_or("dilations", &vec![1; spatial_rank])
-        .iter()
-        .map(|&d| d.max(1) as usize)
-        .collect();
-    let pads: Vec<usize> = attrs
-        .ints_or("pads", &vec![0; spatial_rank * 2])
-        .iter()
-        .map(|&p| p.max(0) as usize)
-        .collect();
-    (strides, dilations, pads)
-}
-
-/// Direct convolution with precomputed strides. Accumulates over input
-/// channels then kernel taps in row-major order — the reference kernel's
-/// exact summation sequence. Parallel over `(batch, out_channel)` output
-/// planes; each plane is owned by one thread. With a prepacked OC panel
-/// (`packed`, see [`pack_conv_oc_panel`]) and an ungrouped conv whose
-/// channel count fits the panel, the kernel parallelizes over
-/// `(batch, channel-block)` super-planes instead and lanes own whole output
-/// channels — same elements, same per-element tap order, different loop
-/// nesting across *independent* elements, so results stay bit-identical.
-fn fast_conv(
-    attrs: &Attrs,
-    inputs: &[&Tensor],
-    packed: Option<&Tensor>,
-    out_shape: &Shape,
-    out: &mut [f32],
-    pool: WorkPool,
-) -> Result<(), OpError> {
-    arity(OpKind::Conv, inputs, 2)?;
-    let x = inputs[0];
-    let w = inputs[1];
-    let bias = inputs.get(2).map(|b| b.data());
-    if x.shape().rank() < 3 || w.shape().rank() != x.shape().rank() {
-        return Err(OpError::InvalidShape {
-            op: OpKind::Conv,
-            reason: "expected (N, C, spatial...) input and matching-rank weight".into(),
-        });
-    }
-    if out.is_empty() {
-        return Ok(());
-    }
-    let spatial_rank = x.shape().rank() - 2;
-    let (strides, dilations, pads) = spatial_attrs(attrs, spatial_rank);
-    let group = attrs.int_or("group", 1).max(1) as usize;
-
-    let xd = x.shape().dims().to_vec();
-    let xs = x.shape().strides();
-    let ws = w.shape().strides();
-    let out_channels = out_shape.dim(1);
-    let in_per_group = w.shape().dim(1);
-    let channels_per_group_out = (out_channels / group).max(1);
-    let xdat = x.data();
-    let wdat = w.data();
-    let kernel_elems: usize = w.shape().dims()[2..].iter().product();
-    let pool = pool.for_work(
-        out.len()
-            .saturating_mul(in_per_group)
-            .saturating_mul(kernel_elems),
-    );
-
-    // OC-blocked lane path: with an ungrouped conv, a channel count that
-    // fills whole lane bundles, and a prepacked panel matching this weight
-    // ([`pack_conv_oc_panel`]'s layout), lanes own eight output channels of
-    // one output position instead of eight output columns — each tap's
-    // weights arrive as one contiguous panel load (the `(OC, ICpg, k…)`
-    // layout would gather them with stride `ICpg·∏k`) and the input value is
-    // a splat. Every output element still accumulates with the scalar tap
-    // order, so the path is bit-identical to the column-lane and scalar
-    // paths; the scalar mode ignores the panel entirely.
-    let panel = packed.filter(|p| {
-        group == 1
-            && out_channels.is_multiple_of(CONV_PANEL_LANES)
-            && p.shape().dims()
-                == [
-                    out_channels / CONV_PANEL_LANES,
-                    in_per_group * kernel_elems,
-                    CONV_PANEL_LANES,
-                ]
-    });
+/// Lane widths of the column-lane kernels (conv, pooling): [`LANES`]-wide
+/// bundles, then one 4-wide pass; none in the scalar mode.
+fn lane_widths(pool: WorkPool) -> &'static [usize] {
     if pool.use_simd() {
-        if let Some(panel) = panel {
-            fast_conv_packed(
-                panel.data(),
-                xdat,
-                bias,
-                &xd,
-                &xs,
-                &w.shape().dims()[2..],
-                out_shape,
-                &strides,
-                &dilations,
-                &pads,
-                in_per_group,
-                out,
-                pool,
-            );
-            return Ok(());
-        }
-    }
-
-    if spatial_rank == 2 {
-        let (oh, ow) = (out_shape.dim(2), out_shape.dim(3));
-        let (ih, iw) = (xd[2], xd[3]);
-        let (kh, kw) = (w.shape().dim(2), w.shape().dim(3));
-        let (sh, sw) = (strides[0], strides[1]);
-        let (dh, dw) = (dilations[0], dilations[1]);
-        let (ph, pw) = (pads[0], pads[1]);
-        // Hoist the stride vectors into scalars so the closure captures
-        // plain values the optimizer keeps in registers.
-        let (xs0, xs1, xs2) = (xs[0], xs[1], xs[2]);
-        let (ws0, ws1, ws2) = (ws[0], ws[1], ws[2]);
-        let tile = Conv2d {
-            xdat,
-            wdat,
-            ih,
-            iw,
-            kh,
-            kw,
-            sh,
-            sw,
-            dh,
-            dw,
-            ph,
-            pw,
-            in_per_group,
-            xs1,
-            xs2,
-            ws1,
-            ws2,
-        };
-        // Interior output columns: every kx tap lands in bounds, for every
-        // lane, so the lane-blocked path never needs a tap-skip test. The
-        // left border needs ox*sw >= pw; the right border needs the furthest
-        // tap, ox*sw + (kw-1)*dw - pw, to stay below iw.
-        let span = (kw - 1) * dw;
-        let x_hi = if iw + pw > span {
-            ((iw + pw - span - 1) / sw + 1).min(ow)
-        } else {
-            0
-        };
-        let x_lo = pw.div_ceil(sw).min(x_hi);
-        let simd = pool.use_simd();
-        // One chunk per (n, oc) output plane, written by exactly one thread.
-        pool.run_chunks(out, oh * ow, |plane, chunk| {
-            let n = plane / out_channels;
-            let oc = plane % out_channels;
-            let g = oc / channels_per_group_out;
-            let b0 = bias.map_or(0.0, |b| b[oc]);
-            let w_oc = oc * ws0;
-            let x_plane = n * xs0 + g * in_per_group * xs1;
-            for (oy, row) in chunk.chunks_mut(ow).enumerate() {
-                if simd {
-                    tile.scalar_cols(row, x_plane, w_oc, b0, oy, 0, x_lo);
-                    let mut ox = x_lo;
-                    while ox + LANES <= x_hi {
-                        tile.simd_cols::<LANES>(row, x_plane, w_oc, b0, oy, ox);
-                        ox += LANES;
-                    }
-                    if ox + 4 <= x_hi {
-                        tile.simd_cols::<4>(row, x_plane, w_oc, b0, oy, ox);
-                        ox += 4;
-                    }
-                    tile.scalar_cols(row, x_plane, w_oc, b0, oy, ox, ow);
-                } else {
-                    tile.scalar_cols(row, x_plane, w_oc, b0, oy, 0, ow);
-                }
-            }
-        });
-        return Ok(());
-    }
-
-    // Generic spatial rank (1-D and 3-D convolutions), parallel over the
-    // same (n, oc) planes. Each plane is walked row by row along the
-    // innermost spatial axis: outer-axis taps keep per-tap bounds checks
-    // (the predicate is uniform over a row), while the innermost axis is
-    // split into checked border columns and lane-blocked interior columns
-    // exactly like the 2-D kernel above.
-    let out_sp: Vec<usize> = out_shape.dims()[2..].to_vec();
-    let kernel_sp: Vec<usize> = w.shape().dims()[2..].to_vec();
-    let out_sp_count: usize = out_sp.iter().product();
-    let last = spatial_rank - 1;
-    let ow = out_sp[last];
-    let iw = xd[2 + last];
-    let (sw, dw, pw) = (strides[last], dilations[last], pads[last]);
-    let kw = kernel_sp[last];
-    // Interior columns: every innermost tap lands in bounds for every lane
-    // (same derivation as the 2-D kernel's x_lo / x_hi).
-    let span = (kw - 1) * dw;
-    let x_hi = if iw + pw > span {
-        ((iw + pw - span - 1) / sw + 1).min(ow)
+        &[LANES, 4]
     } else {
-        0
-    };
-    let x_lo = pw.div_ceil(sw).min(x_hi);
-    let tile = ConvNd {
-        xdat,
-        wdat,
-        xd_sp: &xd[2..],
-        xs_sp: &xs[2..],
-        ws_sp: &ws[2..],
-        kernel_sp: &kernel_sp,
-        kernel_count: kernel_sp.iter().product(),
-        outer_count: kernel_sp[..last].iter().product(),
-        strides: &strides,
-        dilations: &dilations,
-        pads: &pads,
-        in_per_group,
-        xs1: xs[1],
-        ws1: ws[1],
-    };
-    let outer_sp = &out_sp[..last];
-    let simd = pool.use_simd();
-    pool.run_chunks(out, out_sp_count, |plane, chunk| {
-        let n = plane / out_channels;
-        let oc = plane % out_channels;
-        let g = oc / channels_per_group_out;
-        let b0 = bias.map_or(0.0, |b| b[oc]);
-        let w_oc = oc * ws[0];
-        let x_plane = n * xs[0] + g * in_per_group * xs[1];
-        let mut outer_pos = vec![0usize; last];
-        // One odometer scratch per plane, shared by every column kernel call
-        // (the scalar path walks all axes, the lane path only the outer
-        // ones) — no allocation inside the row loop.
-        let mut k_pos = vec![0usize; spatial_rank];
-        for row in chunk.chunks_mut(ow) {
-            if simd {
-                tile.scalar_cols(row, x_plane, w_oc, b0, &outer_pos, &mut k_pos, 0, x_lo);
-                let mut ox = x_lo;
-                while ox + LANES <= x_hi {
-                    tile.simd_cols::<LANES>(
-                        row,
-                        x_plane,
-                        w_oc,
-                        b0,
-                        &outer_pos,
-                        &mut k_pos[..last],
-                        ox,
-                    );
-                    ox += LANES;
-                }
-                if ox + 4 <= x_hi {
-                    tile.simd_cols::<4>(row, x_plane, w_oc, b0, &outer_pos, &mut k_pos[..last], ox);
-                    ox += 4;
-                }
-                tile.scalar_cols(row, x_plane, w_oc, b0, &outer_pos, &mut k_pos, ox, ow);
-            } else {
-                tile.scalar_cols(row, x_plane, w_oc, b0, &outer_pos, &mut k_pos, 0, ow);
-            }
-            advance(&mut outer_pos, outer_sp);
-        }
-    });
-    Ok(())
+        &[]
+    }
 }
 
-/// The OC-blocked convolution path: lanes own [`CONV_PANEL_LANES`] whole
-/// output channels of one output position, weights stream from the packed
-/// panel ([`pack_conv_oc_panel`]), inputs splat. Parallel over
-/// `(batch, channel-block)` super-planes of [`CONV_PANEL_LANES`] output
-/// planes each — exact chunks, since the caller guarantees
-/// `OC % CONV_PANEL_LANES == 0` — so each super-plane is written by exactly
-/// one thread. Interior columns additionally take a register-blocked
-/// microkernel tile: [`CONV_PACK_COLS`] consecutive columns accumulate in
-/// independent registers sharing each tap's single panel load, which both
-/// amortizes the weight traffic and breaks the loop-carried dependence on
-/// one accumulator. Every output element still accumulates with the scalar
-/// kernel's tap order (`acc = acc + x * w`, input channels then kernel taps
-/// row-major, no FMA), so the path is bit-identical to the column-lane and
-/// scalar paths.
-#[allow(clippy::too_many_arguments)]
-fn fast_conv_packed(
-    panel: &[f32],
-    xdat: &[f32],
-    bias: Option<&[f32]>,
-    xd: &[usize],
-    xs: &[usize],
-    kernel_sp: &[usize],
-    out_shape: &Shape,
-    strides: &[usize],
-    dilations: &[usize],
-    pads: &[usize],
-    in_per_group: usize,
-    out: &mut [f32],
-    pool: WorkPool,
+/// Tiles the columns `[0, total)` of one output row and calls
+/// `tile(start, width)` on each: single columns outside the interior
+/// `[lo, hi)`; inside it as many `widths[0]`-wide tiles as fit, then
+/// `widths[1]`-wide ones and so on, then single columns again. Width 1 is
+/// every kernel's checked instance, so borders, lane remainders and the
+/// scalar mode (`widths` empty) take the same path.
+#[inline]
+fn col_tiles(
+    total: usize,
+    lo: usize,
+    hi: usize,
+    widths: &[usize],
+    mut tile: impl FnMut(usize, usize),
 ) {
-    const B: usize = CONV_PANEL_LANES;
-    let spatial_rank = kernel_sp.len();
-    let out_channels = out_shape.dim(1);
-    let blocks = out_channels / B;
-    let out_sp: Vec<usize> = out_shape.dims()[2..].to_vec();
-    let out_sp_count: usize = out_sp.iter().product();
-    let taps: usize = in_per_group * kernel_sp.iter().product::<usize>();
+    (0..lo).for_each(|at| tile(at, 1));
+    let mut at = lo;
+    for &width in widths {
+        while at + width <= hi {
+            tile(at, width);
+            at += width;
+        }
+    }
+    (at..total).for_each(|at| tile(at, 1));
+}
 
-    // Interior columns of the innermost axis: every innermost tap in bounds,
-    // same derivation as the column-lane kernels.
-    let last = spatial_rank - 1;
-    let ow = out_sp[last];
-    let iw = xd[2 + last];
-    let (sw, dw, pw) = (strides[last], dilations[last], pads[last]);
-    let kw = kernel_sp[last];
-    let span = (kw - 1) * dw;
-    let x_hi = if iw + pw > span {
-        ((iw + pw - span - 1) / sw + 1).min(ow)
+/// `N` elements `data[base + l * stride]`, one per lane: a contiguous load
+/// at stride 1, a gather otherwise (a single lane is one indexed read).
+#[inline]
+fn lanes_at<const N: usize>(data: &[f32], base: usize, stride: usize) -> F32Lanes<N> {
+    if stride == 1 && N > 1 {
+        F32Lanes::load(&data[base..])
     } else {
-        0
-    };
-    let x_lo = pw.div_ceil(sw).min(x_hi);
-
-    if spatial_rank == 2 {
-        let tile = ConvPacked2d {
-            xdat,
-            panel,
-            ih: xd[2],
-            iw,
-            kh: kernel_sp[0],
-            kw,
-            sh: strides[0],
-            sw,
-            dh: dilations[0],
-            dw,
-            ph: pads[0],
-            pw,
-            in_per_group,
-            xs1: xs[1],
-            xs2: xs[2],
-        };
-        let (oh, xs0) = (out_sp[0], xs[0]);
-        pool.run_chunks(out, B * out_sp_count, |super_plane, chunk| {
-            let n = super_plane / blocks;
-            let ob = super_plane % blocks;
-            let bias_v = bias.map_or_else(
-                || F32Lanes::<B>::splat(0.0),
-                |b| F32Lanes::<B>::load(&b[ob * B..]),
-            );
-            let x_plane = n * xs0;
-            let p_block = ob * taps * B;
-            for oy in 0..oh {
-                let pos = oy * ow;
-                for ox in 0..x_lo {
-                    tile.border_col(chunk, out_sp_count, x_plane, p_block, bias_v, oy, ox, pos);
-                }
-                let mut ox = x_lo;
-                while ox + CONV_PACK_COLS <= x_hi {
-                    tile.interior_cols::<CONV_PACK_COLS>(
-                        chunk,
-                        out_sp_count,
-                        x_plane,
-                        p_block,
-                        bias_v,
-                        oy,
-                        ox,
-                        pos,
-                    );
-                    ox += CONV_PACK_COLS;
-                }
-                while ox < x_hi {
-                    tile.interior_cols::<1>(
-                        chunk,
-                        out_sp_count,
-                        x_plane,
-                        p_block,
-                        bias_v,
-                        oy,
-                        ox,
-                        pos,
-                    );
-                    ox += 1;
-                }
-                for ox in x_hi..ow {
-                    tile.border_col(chunk, out_sp_count, x_plane, p_block, bias_v, oy, ox, pos);
-                }
-            }
-        });
-        return;
-    }
-
-    // Generic spatial rank (1-D / 3-D and beyond): outer kernel axes walk by
-    // odometer with per-tap bounds checks (uniform over a row and over the
-    // channel lanes), the innermost axis takes the same border/interior
-    // split.
-    let tile = ConvPackedNd {
-        xdat,
-        panel,
-        xd_sp: &xd[2..],
-        xs_sp: &xs[2..],
-        kernel_sp,
-        kernel_count: kernel_sp.iter().product(),
-        outer_count: kernel_sp[..last].iter().product(),
-        strides,
-        dilations,
-        pads,
-        in_per_group,
-        xs1: xs[1],
-    };
-    let outer_sp = &out_sp[..last];
-    let xs0 = xs[0];
-    pool.run_chunks(out, B * out_sp_count, |super_plane, chunk| {
-        let n = super_plane / blocks;
-        let ob = super_plane % blocks;
-        let bias_v = bias.map_or_else(
-            || F32Lanes::<B>::splat(0.0),
-            |b| F32Lanes::<B>::load(&b[ob * B..]),
-        );
-        let x_plane = n * xs0;
-        let p_block = ob * taps * B;
-        let mut outer_pos = vec![0usize; last];
-        let mut k_pos = vec![0usize; spatial_rank];
-        let mut pos = 0usize;
-        while pos < out_sp_count {
-            for ox in 0..x_lo {
-                tile.border_col(
-                    chunk,
-                    out_sp_count,
-                    x_plane,
-                    p_block,
-                    bias_v,
-                    &outer_pos,
-                    &mut k_pos,
-                    ox,
-                    pos,
-                );
-            }
-            let mut ox = x_lo;
-            while ox + CONV_PACK_COLS <= x_hi {
-                tile.interior_cols::<CONV_PACK_COLS>(
-                    chunk,
-                    out_sp_count,
-                    x_plane,
-                    p_block,
-                    bias_v,
-                    &outer_pos,
-                    &mut k_pos[..last],
-                    ox,
-                    pos,
-                );
-                ox += CONV_PACK_COLS;
-            }
-            while ox < x_hi {
-                tile.interior_cols::<1>(
-                    chunk,
-                    out_sp_count,
-                    x_plane,
-                    p_block,
-                    bias_v,
-                    &outer_pos,
-                    &mut k_pos[..last],
-                    ox,
-                    pos,
-                );
-                ox += 1;
-            }
-            for ox in x_hi..ow {
-                tile.border_col(
-                    chunk,
-                    out_sp_count,
-                    x_plane,
-                    p_block,
-                    bias_v,
-                    &outer_pos,
-                    &mut k_pos,
-                    ox,
-                    pos,
-                );
-            }
-            advance(&mut outer_pos, outer_sp);
-            pos += ow;
-        }
-    });
-}
-
-/// Columns per register-blocked interior tile of the packed conv path: four
-/// independent lane-bundle accumulators share each tap's panel load.
-const CONV_PACK_COLS: usize = 4;
-
-/// Loop constants of one 2-D OC-blocked packed convolution launch.
-struct ConvPacked2d<'a> {
-    xdat: &'a [f32],
-    panel: &'a [f32],
-    ih: usize,
-    iw: usize,
-    kh: usize,
-    kw: usize,
-    sh: usize,
-    sw: usize,
-    dh: usize,
-    dw: usize,
-    ph: usize,
-    pw: usize,
-    in_per_group: usize,
-    xs1: usize,
-    xs2: usize,
-}
-
-impl ConvPacked2d<'_> {
-    /// `R` consecutive interior columns at `(oy, ox…ox+R)`: every `kx` tap
-    /// in bounds, `ky` checks uniform across the tile. Lane `l` of
-    /// accumulator `r` owns output element `(oc0 + l, oy, ox + r)`; each
-    /// accumulates `acc = acc + x * w` over input channels then kernel taps
-    /// row-major — the scalar order. The panel index advances over skipped
-    /// `ky` rows so every tap reads its own fixed panel slot.
-    #[allow(clippy::too_many_arguments)]
-    fn interior_cols<const R: usize>(
-        &self,
-        chunk: &mut [f32],
-        plane_sp: usize,
-        x_plane: usize,
-        p_block: usize,
-        bias_v: F32Lanes<CONV_PANEL_LANES>,
-        oy: usize,
-        ox: usize,
-        row_pos: usize,
-    ) {
-        const B: usize = CONV_PANEL_LANES;
-        let mut acc = [bias_v; R];
-        let mut t = p_block;
-        for ic in 0..self.in_per_group {
-            let x_ic = x_plane + ic * self.xs1;
-            for ky in 0..self.kh {
-                let y = oy * self.sh + ky * self.dh;
-                if y < self.ph || y - self.ph >= self.ih {
-                    t += self.kw * B;
-                    continue;
-                }
-                let x_row = x_ic + (y - self.ph) * self.xs2;
-                for kx in 0..self.kw {
-                    let wv = F32Lanes::<B>::load(&self.panel[t..]);
-                    t += B;
-                    let xb = x_row + ox * self.sw + kx * self.dw - self.pw;
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        let xv = F32Lanes::<B>::splat(self.xdat[xb + r * self.sw]);
-                        *a = *a + xv * wv;
-                    }
-                }
-            }
-        }
-        for (r, a) in acc.iter().enumerate() {
-            for (l, &v) in a.to_array().iter().enumerate() {
-                chunk[l * plane_sp + row_pos + ox + r] = v;
-            }
-        }
-    }
-
-    /// One border column with full per-tap bounds checks — the checks
-    /// depend only on `(oy, ox, ky, kx)`, so they are uniform across the
-    /// channel lanes and skip exactly the taps the scalar kernel skips.
-    #[allow(clippy::too_many_arguments)]
-    fn border_col(
-        &self,
-        chunk: &mut [f32],
-        plane_sp: usize,
-        x_plane: usize,
-        p_block: usize,
-        bias_v: F32Lanes<CONV_PANEL_LANES>,
-        oy: usize,
-        ox: usize,
-        row_pos: usize,
-    ) {
-        const B: usize = CONV_PANEL_LANES;
-        let mut acc = bias_v;
-        let mut t = p_block;
-        for ic in 0..self.in_per_group {
-            let x_ic = x_plane + ic * self.xs1;
-            for ky in 0..self.kh {
-                let y = oy * self.sh + ky * self.dh;
-                if y < self.ph || y - self.ph >= self.ih {
-                    t += self.kw * B;
-                    continue;
-                }
-                let x_row = x_ic + (y - self.ph) * self.xs2;
-                for kx in 0..self.kw {
-                    let xx = ox * self.sw + kx * self.dw;
-                    if xx >= self.pw && xx - self.pw < self.iw {
-                        let xv = F32Lanes::<B>::splat(self.xdat[x_row + (xx - self.pw)]);
-                        acc = acc + xv * F32Lanes::<B>::load(&self.panel[t..]);
-                    }
-                    t += B;
-                }
-            }
-        }
-        for (l, &v) in acc.to_array().iter().enumerate() {
-            chunk[l * plane_sp + row_pos + ox] = v;
-        }
-    }
-}
-
-/// Loop constants of one generic-rank OC-blocked packed convolution launch.
-struct ConvPackedNd<'a> {
-    xdat: &'a [f32],
-    panel: &'a [f32],
-    xd_sp: &'a [usize],
-    xs_sp: &'a [usize],
-    kernel_sp: &'a [usize],
-    kernel_count: usize,
-    outer_count: usize,
-    strides: &'a [usize],
-    dilations: &'a [usize],
-    pads: &'a [usize],
-    in_per_group: usize,
-    xs1: usize,
-}
-
-impl ConvPackedNd<'_> {
-    /// `R` consecutive interior columns of the row at `outer_pos`: innermost
-    /// taps all in bounds, outer-axis checks uniform across the tile and the
-    /// channel lanes. Skipped outer taps advance the panel index by a whole
-    /// innermost run, so in-bounds taps read their fixed panel slots in the
-    /// scalar ravel order.
-    #[allow(clippy::too_many_arguments)]
-    fn interior_cols<const R: usize>(
-        &self,
-        chunk: &mut [f32],
-        plane_sp: usize,
-        x_plane: usize,
-        p_block: usize,
-        bias_v: F32Lanes<CONV_PANEL_LANES>,
-        outer_pos: &[usize],
-        k_outer: &mut [usize],
-        ox: usize,
-        row_pos: usize,
-    ) {
-        const B: usize = CONV_PANEL_LANES;
-        let rank = self.kernel_sp.len();
-        let last = rank - 1;
-        let (sw, dw, pw) = (self.strides[last], self.dilations[last], self.pads[last]);
-        let xs_last = self.xs_sp[last];
-        let kw = self.kernel_sp[last];
-        let lane_step = sw * xs_last;
-        let mut acc = [bias_v; R];
-        let mut t = p_block;
-        for ic in 0..self.in_per_group {
-            let x_base = x_plane + ic * self.xs1;
-            k_outer.iter_mut().for_each(|p| *p = 0);
-            for _ in 0..self.outer_count {
-                let mut x_off = x_base;
-                let mut in_bounds = true;
-                for d in 0..last {
-                    let pos = outer_pos[d] * self.strides[d] + k_outer[d] * self.dilations[d];
-                    if pos < self.pads[d] || pos - self.pads[d] >= self.xd_sp[d] {
-                        in_bounds = false;
-                        break;
-                    }
-                    x_off += (pos - self.pads[d]) * self.xs_sp[d];
-                }
-                if in_bounds {
-                    for kx in 0..kw {
-                        let wv = F32Lanes::<B>::load(&self.panel[t..]);
-                        t += B;
-                        let xb = x_off + (ox * sw + kx * dw - pw) * xs_last;
-                        for (r, a) in acc.iter_mut().enumerate() {
-                            let xv = F32Lanes::<B>::splat(self.xdat[xb + r * lane_step]);
-                            *a = *a + xv * wv;
-                        }
-                    }
-                } else {
-                    t += kw * B;
-                }
-                advance(k_outer, &self.kernel_sp[..last]);
-            }
-        }
-        for (r, a) in acc.iter().enumerate() {
-            for (l, &v) in a.to_array().iter().enumerate() {
-                chunk[l * plane_sp + row_pos + ox + r] = v;
-            }
-        }
-    }
-
-    /// One border column with per-tap bounds checks on every axis — uniform
-    /// across the channel lanes, skipping exactly the taps the scalar kernel
-    /// skips.
-    #[allow(clippy::too_many_arguments)]
-    fn border_col(
-        &self,
-        chunk: &mut [f32],
-        plane_sp: usize,
-        x_plane: usize,
-        p_block: usize,
-        bias_v: F32Lanes<CONV_PANEL_LANES>,
-        outer_pos: &[usize],
-        k_pos: &mut [usize],
-        ox: usize,
-        row_pos: usize,
-    ) {
-        const B: usize = CONV_PANEL_LANES;
-        let rank = self.kernel_sp.len();
-        let last = rank - 1;
-        let mut acc = bias_v;
-        let mut t = p_block;
-        for ic in 0..self.in_per_group {
-            let x_base = x_plane + ic * self.xs1;
-            k_pos.iter_mut().for_each(|p| *p = 0);
-            for _ in 0..self.kernel_count {
-                let mut x_off = x_base;
-                let mut in_bounds = true;
-                for d in 0..rank {
-                    let out_coord = if d == last { ox } else { outer_pos[d] };
-                    let pos = out_coord * self.strides[d] + k_pos[d] * self.dilations[d];
-                    if pos < self.pads[d] || pos - self.pads[d] >= self.xd_sp[d] {
-                        in_bounds = false;
-                        break;
-                    }
-                    x_off += (pos - self.pads[d]) * self.xs_sp[d];
-                }
-                if in_bounds {
-                    let xv = F32Lanes::<B>::splat(self.xdat[x_off]);
-                    acc = acc + xv * F32Lanes::<B>::load(&self.panel[t..]);
-                }
-                t += B;
-                advance(k_pos, self.kernel_sp);
-            }
-        }
-        for (l, &v) in acc.to_array().iter().enumerate() {
-            chunk[l * plane_sp + row_pos + ox] = v;
-        }
-    }
-}
-
-/// Loop constants of one generic-rank (1-D / 3-D / higher) convolution
-/// launch, shared by the scalar and lane-blocked column kernels so both walk
-/// the identical tap sequence. Spatial axis `last` (`kernel_sp.len() - 1`)
-/// is the vectorized one; the outer spatial axes are walked by odometer with
-/// per-tap bounds checks that are uniform over an output row.
-struct ConvNd<'a> {
-    xdat: &'a [f32],
-    wdat: &'a [f32],
-    /// Input spatial dims (length = spatial rank).
-    xd_sp: &'a [usize],
-    /// Input strides of the spatial axes.
-    xs_sp: &'a [usize],
-    /// Weight strides of the spatial axes.
-    ws_sp: &'a [usize],
-    kernel_sp: &'a [usize],
-    /// Product of all kernel extents (taps per input channel).
-    kernel_count: usize,
-    /// Product of the outer (non-innermost) kernel extents.
-    outer_count: usize,
-    strides: &'a [usize],
-    dilations: &'a [usize],
-    pads: &'a [usize],
-    in_per_group: usize,
-    xs1: usize,
-    ws1: usize,
-}
-
-impl ConvNd<'_> {
-    /// Columns `[ox0, ox1)` of the output row at `outer_pos`, one element at
-    /// a time with per-tap bounds checks on every axis — the reference
-    /// kernel's accumulation order (input channels, then kernel taps in
-    /// row-major order), used for padded borders, lane remainders and the
-    /// full-scalar mode.
-    #[allow(clippy::too_many_arguments)]
-    fn scalar_cols(
-        &self,
-        row: &mut [f32],
-        x_plane: usize,
-        w_oc: usize,
-        b0: f32,
-        outer_pos: &[usize],
-        k_pos: &mut [usize],
-        ox0: usize,
-        ox1: usize,
-    ) {
-        let rank = self.kernel_sp.len();
-        let last = rank - 1;
-        for (ox, slot) in row[..ox1].iter_mut().enumerate().skip(ox0) {
-            let mut acc = b0;
-            for ic in 0..self.in_per_group {
-                let x_base = x_plane + ic * self.xs1;
-                let w_base = w_oc + ic * self.ws1;
-                k_pos.iter_mut().for_each(|p| *p = 0);
-                for _ in 0..self.kernel_count {
-                    let mut x_off = x_base;
-                    let mut w_off = w_base;
-                    let mut in_bounds = true;
-                    for d in 0..rank {
-                        let out_coord = if d == last { ox } else { outer_pos[d] };
-                        let pos = out_coord * self.strides[d] + k_pos[d] * self.dilations[d];
-                        if pos < self.pads[d] || pos - self.pads[d] >= self.xd_sp[d] {
-                            in_bounds = false;
-                            break;
-                        }
-                        x_off += (pos - self.pads[d]) * self.xs_sp[d];
-                        w_off += k_pos[d] * self.ws_sp[d];
-                    }
-                    if in_bounds {
-                        acc += self.xdat[x_off] * self.wdat[w_off];
-                    }
-                    advance(k_pos, self.kernel_sp);
-                }
-            }
-            *slot = acc;
-        }
-    }
-
-    /// `N` consecutive interior columns starting at `ox`: one output element
-    /// per lane, every innermost tap in bounds by the caller's interior-range
-    /// computation. Outer-axis taps whose bounds check fails are skipped for
-    /// the whole bundle — exactly the taps [`ConvNd::scalar_cols`] skips —
-    /// and in-bounds taps accumulate in the scalar order (`acc = acc + x * w`
-    /// per lane, no FMA), so the two paths are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn simd_cols<const N: usize>(
-        &self,
-        row: &mut [f32],
-        x_plane: usize,
-        w_oc: usize,
-        b0: f32,
-        outer_pos: &[usize],
-        k_outer: &mut [usize],
-        ox: usize,
-    ) {
-        let rank = self.kernel_sp.len();
-        let last = rank - 1;
-        let (sw, dw, pw) = (self.strides[last], self.dilations[last], self.pads[last]);
-        let (xs_last, ws_last) = (self.xs_sp[last], self.ws_sp[last]);
-        let kw = self.kernel_sp[last];
-        let lane_stride = sw * xs_last;
-        let mut acc = F32Lanes::<N>::splat(b0);
-        for ic in 0..self.in_per_group {
-            let x_base = x_plane + ic * self.xs1;
-            let w_base = w_oc + ic * self.ws1;
-            k_outer.iter_mut().for_each(|p| *p = 0);
-            for _ in 0..self.outer_count {
-                let mut x_off = x_base;
-                let mut w_off = w_base;
-                let mut in_bounds = true;
-                for d in 0..last {
-                    let pos = outer_pos[d] * self.strides[d] + k_outer[d] * self.dilations[d];
-                    if pos < self.pads[d] || pos - self.pads[d] >= self.xd_sp[d] {
-                        in_bounds = false;
-                        break;
-                    }
-                    x_off += (pos - self.pads[d]) * self.xs_sp[d];
-                    w_off += k_outer[d] * self.ws_sp[d];
-                }
-                if in_bounds {
-                    for kx in 0..kw {
-                        let x0 = x_off + (ox * sw + kx * dw - pw) * xs_last;
-                        let xv = if lane_stride == 1 {
-                            F32Lanes::<N>::load(&self.xdat[x0..])
-                        } else {
-                            F32Lanes::<N>::gather(self.xdat, x0, lane_stride)
-                        };
-                        acc = acc + xv * F32Lanes::<N>::splat(self.wdat[w_off + kx * ws_last]);
-                    }
-                }
-                advance(k_outer, &self.kernel_sp[..last]);
-            }
-        }
-        acc.store(&mut row[ox..]);
-    }
-}
-
-/// Loop constants of one 2-D convolution launch, shared by the scalar and
-/// lane-blocked column kernels so both walk the identical tap sequence.
-struct Conv2d<'a> {
-    xdat: &'a [f32],
-    wdat: &'a [f32],
-    ih: usize,
-    iw: usize,
-    kh: usize,
-    kw: usize,
-    sh: usize,
-    sw: usize,
-    dh: usize,
-    dw: usize,
-    ph: usize,
-    pw: usize,
-    in_per_group: usize,
-    xs1: usize,
-    xs2: usize,
-    ws1: usize,
-    ws2: usize,
-}
-
-impl Conv2d<'_> {
-    /// Columns `[ox0, ox1)` of output row `oy`, one element at a time with
-    /// per-tap bounds checks — the reference accumulation order, used for
-    /// padded borders, lane remainders and the full-scalar mode.
-    #[allow(clippy::too_many_arguments)]
-    fn scalar_cols(
-        &self,
-        row: &mut [f32],
-        x_plane: usize,
-        w_oc: usize,
-        b0: f32,
-        oy: usize,
-        ox0: usize,
-        ox1: usize,
-    ) {
-        for (ox, slot) in row[..ox1].iter_mut().enumerate().skip(ox0) {
-            let mut acc = b0;
-            for ic in 0..self.in_per_group {
-                let x_base = x_plane + ic * self.xs1;
-                let w_base = w_oc + ic * self.ws1;
-                for ky in 0..self.kh {
-                    let y = oy * self.sh + ky * self.dh;
-                    if y < self.ph || y - self.ph >= self.ih {
-                        continue;
-                    }
-                    let x_row = x_base + (y - self.ph) * self.xs2;
-                    let w_row = w_base + ky * self.ws2;
-                    for kx in 0..self.kw {
-                        let xx = ox * self.sw + kx * self.dw;
-                        if xx < self.pw || xx - self.pw >= self.iw {
-                            continue;
-                        }
-                        acc += self.xdat[x_row + (xx - self.pw)] * self.wdat[w_row + kx];
-                    }
-                }
-            }
-            *slot = acc;
-        }
-    }
-
-    /// `N` consecutive interior columns starting at `ox`: one output element
-    /// per lane, all taps in bounds by the caller's interior-range
-    /// computation, accumulated tap by tap in the scalar order (`acc = acc +
-    /// x * w` per lane — bit-identical to [`Conv2d::scalar_cols`]).
-    #[allow(clippy::too_many_arguments)]
-    fn simd_cols<const N: usize>(
-        &self,
-        row: &mut [f32],
-        x_plane: usize,
-        w_oc: usize,
-        b0: f32,
-        oy: usize,
-        ox: usize,
-    ) {
-        let mut acc = F32Lanes::<N>::splat(b0);
-        for ic in 0..self.in_per_group {
-            let x_base = x_plane + ic * self.xs1;
-            let w_base = w_oc + ic * self.ws1;
-            for ky in 0..self.kh {
-                let y = oy * self.sh + ky * self.dh;
-                if y < self.ph || y - self.ph >= self.ih {
-                    continue;
-                }
-                let x_row = x_base + (y - self.ph) * self.xs2;
-                let w_row = w_base + ky * self.ws2;
-                for kx in 0..self.kw {
-                    let x0 = x_row + ox * self.sw + kx * self.dw - self.pw;
-                    let xv = if self.sw == 1 {
-                        F32Lanes::<N>::load(&self.xdat[x0..])
-                    } else {
-                        F32Lanes::<N>::gather(self.xdat, x0, self.sw)
-                    };
-                    acc = acc + xv * F32Lanes::<N>::splat(self.wdat[w_row + kx]);
-                }
-            }
-        }
-        acc.store(&mut row[ox..]);
+        F32Lanes::gather(data, base, stride)
     }
 }
 
@@ -1183,6 +238,379 @@ fn advance(pos: &mut [usize], dims: &[usize]) {
         }
         pos[axis] = 0;
     }
+}
+
+/// One outer-axis kernel tap of an output row that lands inside the input.
+#[derive(Clone, Copy)]
+struct RowTap {
+    /// Offset of the tapped input row within its channel plane.
+    x_off: usize,
+    /// Offset of the tap's innermost run within one input channel's kernel
+    /// (row-major outer tap index × `kw`).
+    w_off: usize,
+}
+
+/// Rank-generic geometry of one windowed launch (`Conv` or pooling), built
+/// once per launch and shared by every plane and thread. An output *row* is
+/// one position of the outer spatial axes; [`WindowRows::taps`] lists, in
+/// row-major kernel order, the outer-axis taps of that row that fall inside
+/// the input — the bounds tests the reference kernel repeats per element,
+/// resolved once. The innermost axis keeps its scalars here: the column
+/// kernels walk `kx` themselves.
+struct WindowRows {
+    /// Innermost-axis extents: input, output, kernel.
+    iw: usize,
+    ow: usize,
+    kw: usize,
+    /// Innermost-axis stride, dilation and begin pad.
+    sw: usize,
+    dw: usize,
+    pw: usize,
+    /// Interior output columns `[x_lo, x_hi)`: every `kx` tap in bounds.
+    x_lo: usize,
+    x_hi: usize,
+    /// Kernel taps per input channel (`∏ kernel`).
+    kernel_count: usize,
+    taps: Vec<RowTap>,
+    /// `taps[row_start[r]..row_start[r + 1]]` are row `r`'s taps.
+    row_start: Vec<usize>,
+}
+
+impl WindowRows {
+    fn new(window: &Window, in_sp: &[usize], out_sp: &[usize]) -> Self {
+        let last = in_sp.len() - 1;
+        let (iw, ow, kw) = (in_sp[last], out_sp[last], window.kernel[last]);
+        let (sw, dw, pw) = (
+            window.strides[last],
+            window.dilations[last],
+            window.pads[last],
+        );
+        // The left border needs ox*sw >= pw; the right border needs the
+        // furthest tap, ox*sw + (kw-1)*dw - pw, to stay below iw.
+        let span = (kw - 1) * dw;
+        let x_hi = if iw + pw > span {
+            ((iw + pw - span - 1) / sw + 1).min(ow)
+        } else {
+            0
+        };
+        let x_lo = pw.div_ceil(sw).min(x_hi);
+
+        let (outer_out, outer_kernel) = (&out_sp[..last], &window.kernel[..last]);
+        let row_count: usize = outer_out.iter().product();
+        let outer_taps: usize = outer_kernel.iter().product();
+        let mut taps = Vec::with_capacity(row_count * outer_taps);
+        let mut row_start = Vec::with_capacity(row_count + 1);
+        row_start.push(0);
+        let mut out_pos = vec![0usize; last];
+        let mut k_pos = vec![0usize; last];
+        for _ in 0..row_count {
+            for t in 0..outer_taps {
+                let mut x_off = 0;
+                let mut axis_stride = iw;
+                let mut inside = true;
+                for d in (0..last).rev() {
+                    let pos = out_pos[d] * window.strides[d] + k_pos[d] * window.dilations[d];
+                    if pos < window.pads[d] || pos - window.pads[d] >= in_sp[d] {
+                        inside = false;
+                        break;
+                    }
+                    x_off += (pos - window.pads[d]) * axis_stride;
+                    axis_stride *= in_sp[d];
+                }
+                if inside {
+                    taps.push(RowTap {
+                        x_off,
+                        w_off: t * kw,
+                    });
+                }
+                advance(&mut k_pos, outer_kernel);
+            }
+            row_start.push(taps.len());
+            advance(&mut out_pos, outer_out);
+        }
+        WindowRows {
+            iw,
+            ow,
+            kw,
+            sw,
+            dw,
+            pw,
+            x_lo,
+            x_hi,
+            kernel_count: outer_taps * kw,
+            taps,
+            row_start,
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.row_start.len() - 1
+    }
+
+    fn taps(&self, row: usize) -> &[RowTap] {
+        &self.taps[self.row_start[row]..self.row_start[row + 1]]
+    }
+
+    /// [`col_tiles`] over one output row of this launch.
+    #[inline]
+    fn tiles(&self, widths: &[usize], tile: impl FnMut(usize, usize)) {
+        col_tiles(self.ow, self.x_lo, self.x_hi, widths, tile);
+    }
+
+    /// The input column tap `kx` of output column `ox` reads; `None` when
+    /// `checked` and it falls in the padding. Unchecked callers pass interior
+    /// columns only, where it never does.
+    #[inline]
+    fn input_col(&self, ox: usize, kx: usize, checked: bool) -> Option<usize> {
+        let xx = ox * self.sw + kx * self.dw;
+        if checked && (xx < self.pw || xx - self.pw >= self.iw) {
+            None
+        } else {
+            Some(xx - self.pw)
+        }
+    }
+}
+
+/// Columns per register-blocked interior tile of the packed conv path: four
+/// independent lane-bundle accumulators share each tap's panel load.
+const CONV_PACK_COLS: usize = 4;
+
+/// Direct convolution at any spatial rank. Accumulates over input channels
+/// then kernel taps in row-major order — the reference kernel's exact
+/// summation sequence. Parallel over `(batch, out_channel)` output planes;
+/// each plane is owned by one thread. With a prepacked OC panel (`packed`,
+/// see [`pack_conv_oc_panel`]), an ungrouped conv whose channel count fills
+/// whole lane bundles, and SIMD on, the launch parallelizes over
+/// `(batch, channel-block)` super-planes of [`CONV_PANEL_LANES`] planes
+/// instead and lanes own whole output channels
+/// ([`ConvLaunch::panel_cols`]) — same elements, same per-element tap order,
+/// different loop nesting across *independent* elements, so results stay
+/// bit-identical.
+fn fast_conv(
+    attrs: &Attrs,
+    inputs: &[&Tensor],
+    packed: Option<&Tensor>,
+    out_shape: &Shape,
+    out: &mut [f32],
+    pool: WorkPool,
+) -> Result<(), OpError> {
+    const B: usize = CONV_PANEL_LANES;
+    arity(OpKind::Conv, inputs, 2)?;
+    let (x, w) = (inputs[0], inputs[1]);
+    let bias = inputs.get(2).map(|b| b.data());
+    if x.shape().rank() < 3 || w.shape().rank() != x.shape().rank() {
+        return Err(OpError::InvalidShape {
+            op: OpKind::Conv,
+            reason: "expected (N, C, spatial...) input and matching-rank weight".into(),
+        });
+    }
+    if out.is_empty() {
+        return Ok(());
+    }
+    let xd = x.shape().dims();
+    let window = Window::parse(
+        OpKind::Conv,
+        attrs,
+        xd.len() - 2,
+        Some(&w.shape().dims()[2..]),
+    )?;
+    let group = attrs.int_or("group", 1).max(1) as usize;
+    let rows = WindowRows::new(&window, &xd[2..], &out_shape.dims()[2..]);
+
+    let out_channels = out_shape.dim(1);
+    let in_per_group = w.shape().dim(1);
+    let channels_per_group_out = (out_channels / group).max(1);
+    let plane: usize = out_shape.dims()[2..].iter().product();
+    let x_plane: usize = xd[2..].iter().product();
+    let x_batch = xd[1] * x_plane;
+    let w_per_oc = in_per_group * rows.kernel_count;
+    let pool = pool.for_work(out.len().saturating_mul(w_per_oc));
+
+    let panel = packed.filter(|p| {
+        pool.use_simd()
+            && group == 1
+            && out_channels.is_multiple_of(B)
+            && p.shape().dims() == [out_channels / B, w_per_oc, B]
+    });
+    let conv = ConvLaunch {
+        rows: &rows,
+        xdat: x.data(),
+        wdat: panel.unwrap_or(w).data(),
+        in_per_group,
+        x_plane,
+    };
+    if panel.is_some() {
+        let blocks = out_channels / B;
+        // Exact chunks (OC % B == 0): one (n, channel-block) super-plane of
+        // B output planes each, written by exactly one thread.
+        pool.run_chunks(out, B * plane, |super_plane, chunk| {
+            let (n, ob) = (super_plane / blocks, super_plane % blocks);
+            let bias_v = bias.map_or_else(
+                || F32Lanes::<B>::splat(0.0),
+                |b| F32Lanes::<B>::load(&b[ob * B..]),
+            );
+            let (x_base, w_base) = (n * x_batch, ob * w_per_oc * B);
+            for r in 0..rows.count() {
+                let (taps, row) = (rows.taps(r), &mut chunk[r * rows.ow..]);
+                rows.tiles(&[CONV_PACK_COLS], |ox, width| match width {
+                    CONV_PACK_COLS => conv
+                        .panel_cols::<CONV_PACK_COLS>(row, plane, taps, x_base, w_base, bias_v, ox),
+                    _ => conv.panel_cols::<1>(row, plane, taps, x_base, w_base, bias_v, ox),
+                });
+            }
+        });
+        return Ok(());
+    }
+    let widths = lane_widths(pool);
+    pool.run_chunks(out, plane, |p, chunk| {
+        let (n, oc) = (p / out_channels, p % out_channels);
+        let g = oc / channels_per_group_out;
+        let b0 = bias.map_or(0.0, |b| b[oc]);
+        let (x_base, w_base) = (n * x_batch + g * in_per_group * x_plane, oc * w_per_oc);
+        for (r, row) in chunk.chunks_mut(rows.ow).enumerate() {
+            let taps = rows.taps(r);
+            rows.tiles(widths, |ox, width| match width {
+                LANES => conv.cols::<LANES>(row, taps, x_base, w_base, b0, ox),
+                4 => conv.cols::<4>(row, taps, x_base, w_base, b0, ox),
+                _ => conv.cols::<1>(row, taps, x_base, w_base, b0, ox),
+            });
+        }
+    });
+    Ok(())
+}
+
+/// Loop constants of one convolution launch, shared by the column-lane and
+/// the OC-panel kernel so both walk the identical tap sequence.
+struct ConvLaunch<'a> {
+    rows: &'a WindowRows,
+    xdat: &'a [f32],
+    /// The `(OC, ICpg, k…)` weights for [`ConvLaunch::cols`], the OC-blocked
+    /// panel for [`ConvLaunch::panel_cols`].
+    wdat: &'a [f32],
+    in_per_group: usize,
+    /// Elements per input channel plane.
+    x_plane: usize,
+}
+
+impl ConvLaunch<'_> {
+    /// `N` consecutive output columns of one output channel starting at
+    /// `ox`, one element per lane, accumulated tap by tap in the reference
+    /// order (`acc = acc + x * w` per lane: input channels, then the row's
+    /// outer taps, then `kx`). `N == 1` is the checked instance — it skips
+    /// the `kx` taps that fall in the padding, exactly as the reference
+    /// does; wider instances take interior columns only.
+    fn cols<const N: usize>(
+        &self,
+        row: &mut [f32],
+        taps: &[RowTap],
+        x_base: usize,
+        w_base: usize,
+        b0: f32,
+        ox: usize,
+    ) {
+        let g = self.rows;
+        let mut acc = F32Lanes::<N>::splat(b0);
+        for ic in 0..self.in_per_group {
+            let x_ic = x_base + ic * self.x_plane;
+            let w_ic = w_base + ic * g.kernel_count;
+            for tap in taps {
+                let (x_row, w_row) = (x_ic + tap.x_off, w_ic + tap.w_off);
+                for kx in 0..g.kw {
+                    let Some(xc) = g.input_col(ox, kx, N == 1) else {
+                        continue;
+                    };
+                    let xv = lanes_at::<N>(self.xdat, x_row + xc, g.sw);
+                    acc = acc + xv * F32Lanes::<N>::splat(self.wdat[w_row + kx]);
+                }
+            }
+        }
+        acc.store(&mut row[ox..]);
+    }
+
+    /// `R` consecutive output columns starting at `ox` for the
+    /// [`CONV_PANEL_LANES`] output channels of one panel block: lane `l` of
+    /// accumulator `c` owns output element `(oc0 + l, row, ox + c)`, each
+    /// tap's weights are one contiguous panel load shared by the `R`
+    /// accumulators (which also breaks the loop-carried dependence on a
+    /// single one) and the input value is a splat. Every element accumulates
+    /// in [`ConvLaunch::cols`]'s order, and `R == 1` is again the checked
+    /// instance — the padding test depends only on `(ox, kx)`, so it is
+    /// uniform across the channel lanes. `row` starts at the output row in
+    /// the block's first plane; the planes are `plane` elements apart.
+    #[allow(clippy::too_many_arguments)]
+    fn panel_cols<const R: usize>(
+        &self,
+        row: &mut [f32],
+        plane: usize,
+        taps: &[RowTap],
+        x_base: usize,
+        w_base: usize,
+        bias_v: F32Lanes<CONV_PANEL_LANES>,
+        ox: usize,
+    ) {
+        const B: usize = CONV_PANEL_LANES;
+        let g = self.rows;
+        let mut acc = [bias_v; R];
+        for ic in 0..self.in_per_group {
+            let x_ic = x_base + ic * self.x_plane;
+            let w_ic = w_base + ic * g.kernel_count * B;
+            for tap in taps {
+                // Hoisted by hand: with these sums inside the `kx` loop the
+                // interior tile measured ~20% slower.
+                let (x_row, w_row) = (x_ic + tap.x_off, w_ic + tap.w_off * B);
+                for kx in 0..g.kw {
+                    let Some(xc) = g.input_col(ox, kx, R == 1) else {
+                        continue;
+                    };
+                    let wv = F32Lanes::<B>::load(&self.wdat[w_row + kx * B..]);
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        *a = *a + F32Lanes::<B>::splat(self.xdat[x_row + xc + c * g.sw]) * wv;
+                    }
+                }
+            }
+        }
+        for (c, a) in acc.iter().enumerate() {
+            for (l, &v) in a.to_array().iter().enumerate() {
+                row[l * plane + ox + c] = v;
+            }
+        }
+    }
+}
+
+/// Columns of the widest `MatMul` / `Gemm` tile: a register-blocked pair of
+/// [`LANES`]-wide bundles.
+const DOT_PAIR: usize = 2 * LANES;
+
+/// Lane widths of the `MatMul` / `Gemm` column tiles: the bundle pair, one
+/// bundle, one 4-wide pass; none in the scalar mode.
+fn dot_widths(pool: WorkPool) -> &'static [usize] {
+    if pool.use_simd() {
+        &[DOT_PAIR, LANES, 4]
+    } else {
+        &[]
+    }
+}
+
+/// `R` bundles of `N` consecutive output columns of one matrix-product row:
+/// lane `l` of bundle `r` accumulates `Σ_p a[p] · b(p, r)[l]` from zero in
+/// `p` order — the scalar dot-product sequence on its own column.
+/// The bundles share each step's `a` splat, and `R > 1` breaks the
+/// loop-carried dependence on a single accumulator; per column the result is
+/// the same for every `(N, R)`. `b` is a closure so that each caller's load
+/// form (contiguous or gather) is fixed outside the reduction loop.
+#[inline]
+fn dot_tile<const N: usize, const R: usize>(
+    a: impl Iterator<Item = f32>,
+    b: impl Fn(usize, usize) -> F32Lanes<N>,
+) -> [F32Lanes<N>; R] {
+    let mut acc = [F32Lanes::<N>::splat(0.0); R];
+    for (p, av) in a.enumerate() {
+        let av = F32Lanes::<N>::splat(av);
+        for (r, acc) in acc.iter_mut().enumerate() {
+            *acc = *acc + av * b(p, r);
+        }
+    }
+    acc
 }
 
 /// Batched matrix multiplication with broadcasting over batch dimensions.
@@ -1238,81 +666,37 @@ fn fast_matmul(
 
     // One chunk per output row, across all batches. Lane-blocked over the
     // output columns: `b`'s column stride is 1, so each reduction step loads
-    // one contiguous `N`-wide slice of `b`'s row `p` and every lane
-    // accumulates its own column's dot product in the scalar order.
-    let simd = pool.use_simd();
+    // one contiguous `N`-wide slice of `b`'s row `p` per bundle.
+    let widths = dot_widths(pool);
     pool.run_chunks(out, n, |row, chunk| {
         let (a_base, b_base) = bases[row / m];
         let i = row % m;
         let a_row = &adat[a_base + i * a_row_stride..a_base + i * a_row_stride + k];
-        let mut j0 = 0usize;
-        if simd {
-            while j0 + 2 * LANES <= n {
-                matmul_cols2::<LANES>(chunk, j0, a_row, bdat, b_base, b_row_stride);
-                j0 += 2 * LANES;
-            }
-            while j0 + LANES <= n {
-                matmul_cols::<LANES>(chunk, j0, a_row, bdat, b_base, b_row_stride);
-                j0 += LANES;
-            }
-            if j0 + 4 <= n {
-                matmul_cols::<4>(chunk, j0, a_row, bdat, b_base, b_row_stride);
-                j0 += 4;
-            }
-        }
-        for (j, slot) in chunk.iter_mut().enumerate().skip(j0) {
-            let mut acc = 0.0f32;
-            for (p, &av) in a_row.iter().enumerate() {
-                acc += av * bdat[b_base + p * b_row_stride + j];
-            }
-            *slot = acc;
-        }
+        let b_mat = &bdat[b_base..];
+        col_tiles(n, 0, n, widths, |j, width| match width {
+            DOT_PAIR => matmul_tile::<LANES, 2>(chunk, j, a_row, b_mat, b_row_stride),
+            LANES => matmul_tile::<LANES, 1>(chunk, j, a_row, b_mat, b_row_stride),
+            4 => matmul_tile::<4, 1>(chunk, j, a_row, b_mat, b_row_stride),
+            _ => matmul_tile::<1, 1>(chunk, j, a_row, b_mat, b_row_stride),
+        });
     });
     Ok(())
 }
 
-/// `N` consecutive output columns of one `MatMul` row: lane `l` owns column
-/// `j + l` and runs the scalar dot-product sequence on it.
-fn matmul_cols<const N: usize>(
+/// `R · N` consecutive output columns of one `MatMul` row starting at `j`.
+fn matmul_tile<const N: usize, const R: usize>(
     chunk: &mut [f32],
     j: usize,
     a_row: &[f32],
-    bdat: &[f32],
-    b_base: usize,
+    b_mat: &[f32],
     b_row_stride: usize,
 ) {
-    let mut acc = F32Lanes::<N>::splat(0.0);
-    for (p, &av) in a_row.iter().enumerate() {
-        let bv = F32Lanes::<N>::load(&bdat[b_base + p * b_row_stride + j..]);
-        acc = acc + F32Lanes::<N>::splat(av) * bv;
+    let acc = dot_tile::<N, R>(a_row.iter().copied(), |p, r| {
+        lanes_at(b_mat, p * b_row_stride + j + r * N, 1)
+    });
+    for (r, acc) in acc.iter().enumerate() {
+        acc.store(&mut chunk[j + r * N..]);
     }
-    acc.store(&mut chunk[j..]);
-}
-
-/// Register-blocked tile of `2 * N` consecutive `MatMul` output columns: two
-/// independent lane-bundle accumulators share each reduction step's `a`
-/// splat, halving the splat traffic and breaking the loop-carried dependence
-/// on a single accumulator. Each column's accumulation sequence is exactly
-/// [`matmul_cols`]'s, so the tile is bit-identical to two single-bundle
-/// calls.
-fn matmul_cols2<const N: usize>(
-    chunk: &mut [f32],
-    j: usize,
-    a_row: &[f32],
-    bdat: &[f32],
-    b_base: usize,
-    b_row_stride: usize,
-) {
-    let mut acc0 = F32Lanes::<N>::splat(0.0);
-    let mut acc1 = F32Lanes::<N>::splat(0.0);
-    for (p, &av) in a_row.iter().enumerate() {
-        let row = b_base + p * b_row_stride + j;
-        let avv = F32Lanes::<N>::splat(av);
-        acc0 = acc0 + avv * F32Lanes::<N>::load(&bdat[row..]);
-        acc1 = acc1 + avv * F32Lanes::<N>::load(&bdat[row + N..]);
-    }
-    acc0.store(&mut chunk[j..]);
-    acc1.store(&mut chunk[j + N..]);
 }
 
 /// ONNX `Gemm` with transpose flags, `alpha`/`beta` scaling and broadcast
@@ -1338,8 +722,6 @@ fn fast_gemm(
     if out.is_empty() {
         return Ok(());
     }
-    let alpha = attrs.float_or("alpha", 1.0);
-    let beta = attrs.float_or("beta", 1.0);
     let trans_a = attrs.int_or("transA", 0) != 0;
     let trans_b = attrs.int_or("transB", 0) != 0;
     let m = out_shape.dim(0);
@@ -1349,8 +731,6 @@ fn fast_gemm(
     } else {
         a.shape().dim(1)
     };
-    let adat = a.data();
-    let a_cols = a.shape().dim(1);
     // A prepacked (already transposed, `(K, N)` row-major) B panel replaces
     // the transposed operand: reads become contiguous, while every element
     // value — `packed[p][j] == b[j][p]` — and the accumulation order stay
@@ -1367,175 +747,92 @@ fn fast_gemm(
         _ => (b.data(), b.shape().dim(1), trans_b),
     };
     // Broadcast strides of the optional bias over the (m, n) output.
-    let c = inputs.get(2);
-    let (c_dat, c_si, c_sj) = match c {
-        Some(c) => {
-            let cd = c.shape().dims();
-            let (si, sj) = match cd.len() {
-                2 => (
-                    if cd[0] == 1 { 0 } else { cd[1] },
-                    if cd[1] == 1 { 0 } else { 1 },
-                ),
-                1 => (0, if cd[0] == 1 { 0 } else { 1 }),
-                _ => (0, 0),
-            };
-            (Some(c.data()), si, sj)
-        }
-        None => (None, 0, 0),
+    let c = inputs.get(2).map(|c| {
+        let cd = c.shape().dims();
+        let (si, sj) = match cd.len() {
+            2 => (
+                if cd[0] == 1 { 0 } else { cd[1] },
+                if cd[1] == 1 { 0 } else { 1 },
+            ),
+            1 => (0, if cd[0] == 1 { 0 } else { 1 }),
+            _ => (0, 0),
+        };
+        (c.data(), si, sj)
+    });
+    // `a[i][p]` and `b[p][j]` as strides, so a transposed operand is the same
+    // walk with the two strides swapped.
+    let (a_cols, a) = (a.shape().dim(1), a.data());
+    let gemm = GemmLaunch {
+        a,
+        b: bdat,
+        a_strides: if trans_a { (1, a_cols) } else { (a_cols, 1) },
+        b_strides: if trans_b { (1, b_cols) } else { (b_cols, 1) },
+        k,
+        alpha: attrs.float_or("alpha", 1.0),
+        beta: attrs.float_or("beta", 1.0),
+        c,
     };
 
     let pool = pool.for_work(m.saturating_mul(n).saturating_mul(k));
-    // Lane-blocked over output columns: `a`'s element is uniform per
-    // reduction step (splat), `b` loads contiguously (or gathers with
-    // column stride when transposed), and the bias broadcast reuses its
-    // existing per-axis strides as gather strides.
-    let simd = pool.use_simd();
+    let widths = dot_widths(pool);
     pool.run_chunks(out, n, |i, chunk| {
-        let mut j0 = 0usize;
-        if simd {
-            if !trans_b {
-                while j0 + 2 * LANES <= n {
-                    gemm_cols2::<LANES>(
-                        chunk, i, j0, k, trans_a, adat, bdat, a_cols, b_cols, alpha, beta, c_dat,
-                        c_si, c_sj,
-                    );
-                    j0 += 2 * LANES;
-                }
-            }
-            while j0 + LANES <= n {
-                gemm_cols::<LANES>(
-                    chunk, i, j0, k, trans_a, trans_b, adat, bdat, a_cols, b_cols, alpha, beta,
-                    c_dat, c_si, c_sj,
-                );
-                j0 += LANES;
-            }
-            if j0 + 4 <= n {
-                gemm_cols::<4>(
-                    chunk, i, j0, k, trans_a, trans_b, adat, bdat, a_cols, b_cols, alpha, beta,
-                    c_dat, c_si, c_sj,
-                );
-                j0 += 4;
-            }
-        }
-        for (j, slot) in chunk.iter_mut().enumerate().skip(j0) {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                let av = if trans_a {
-                    adat[p * a_cols + i]
-                } else {
-                    adat[i * a_cols + p]
-                };
-                let bv = if trans_b {
-                    bdat[j * b_cols + p]
-                } else {
-                    bdat[p * b_cols + j]
-                };
-                acc += av * bv;
-            }
-            let mut v = alpha * acc;
-            if let Some(cd) = c_dat {
-                v += beta * cd[i * c_si + j * c_sj];
-            }
-            *slot = v;
-        }
+        col_tiles(n, 0, n, widths, |j, width| match width {
+            DOT_PAIR => gemm.tile::<LANES, 2>(chunk, i, j),
+            LANES => gemm.tile::<LANES, 1>(chunk, i, j),
+            4 => gemm.tile::<4, 1>(chunk, i, j),
+            _ => gemm.tile::<1, 1>(chunk, i, j),
+        });
     });
     Ok(())
 }
 
-/// `N` consecutive output columns of one `Gemm` row: lane `l` owns column
-/// `j + l`, accumulating `a[i,:] · b[:,j+l]` then applying `alpha`/`beta`
-/// and the broadcast bias with the scalar kernel's operation sequence.
-#[allow(clippy::too_many_arguments)]
-fn gemm_cols<const N: usize>(
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
+/// Loop constants of one `Gemm` launch.
+struct GemmLaunch<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    /// Element strides of `a` along `(i, p)` and of `b` along `(p, j)`.
+    a_strides: (usize, usize),
+    b_strides: (usize, usize),
     k: usize,
-    trans_a: bool,
-    trans_b: bool,
-    adat: &[f32],
-    bdat: &[f32],
-    a_cols: usize,
-    b_cols: usize,
     alpha: f32,
     beta: f32,
-    c_dat: Option<&[f32]>,
-    c_si: usize,
-    c_sj: usize,
-) {
-    let mut acc = F32Lanes::<N>::splat(0.0);
-    for p in 0..k {
-        let av = if trans_a {
-            adat[p * a_cols + i]
-        } else {
-            adat[i * a_cols + p]
-        };
-        let bv = if trans_b {
-            F32Lanes::<N>::gather(bdat, j * b_cols + p, b_cols)
-        } else {
-            F32Lanes::<N>::load(&bdat[p * b_cols + j..])
-        };
-        acc = acc + F32Lanes::<N>::splat(av) * bv;
-    }
-    let mut v = F32Lanes::<N>::splat(alpha) * acc;
-    if let Some(cd) = c_dat {
-        let cv = F32Lanes::<N>::gather(cd, i * c_si + j * c_sj, c_sj);
-        v = v + F32Lanes::<N>::splat(beta) * cv;
-    }
-    v.store(&mut chunk[j..]);
+    /// Bias data with its broadcast strides over the `(m, n)` output.
+    c: Option<(&'a [f32], usize, usize)>,
 }
 
-/// Register-blocked tile of `2 * N` consecutive `Gemm` output columns for
-/// the contiguous-B case (`transB = 0`, or a prepacked panel): two
-/// independent lane-bundle accumulators share each reduction step's `a`
-/// splat. Per column, the accumulation and `alpha`/`beta`/bias sequence is
-/// exactly [`gemm_cols`]'s, so the tile is bit-identical to two
-/// single-bundle calls.
-#[allow(clippy::too_many_arguments)]
-fn gemm_cols2<const N: usize>(
-    chunk: &mut [f32],
-    i: usize,
-    j: usize,
-    k: usize,
-    trans_a: bool,
-    adat: &[f32],
-    bdat: &[f32],
-    a_cols: usize,
-    b_cols: usize,
-    alpha: f32,
-    beta: f32,
-    c_dat: Option<&[f32]>,
-    c_si: usize,
-    c_sj: usize,
-) {
-    let mut acc0 = F32Lanes::<N>::splat(0.0);
-    let mut acc1 = F32Lanes::<N>::splat(0.0);
-    for p in 0..k {
-        let av = if trans_a {
-            adat[p * a_cols + i]
+impl GemmLaunch<'_> {
+    /// `R · N` consecutive output columns of row `i` starting at `j`: lane
+    /// `l` owns one column, accumulating `a[i,:] · b[:,col]` then applying
+    /// `alpha`/`beta` and the broadcast bias with the reference kernel's
+    /// operation sequence. `a`'s element is uniform per reduction step
+    /// (splat), `b` loads contiguously (or gathers with the row stride when
+    /// transposed), and the bias broadcast reuses its per-axis strides as
+    /// gather strides.
+    fn tile<const N: usize, const R: usize>(&self, chunk: &mut [f32], i: usize, j: usize) {
+        let ((a_row, a_step), (b_step, b_lane)) = (self.a_strides, self.b_strides);
+        let a = (0..self.k).map(|p| self.a[i * a_row + p * a_step]);
+        let acc = if b_lane == 1 {
+            dot_tile::<N, R>(a, |p, r| lanes_at(self.b, p * b_step + j + r * N, 1))
         } else {
-            adat[i * a_cols + p]
+            dot_tile::<N, R>(a, |p, r| {
+                F32Lanes::gather(self.b, p * b_step + (j + r * N) * b_lane, b_lane)
+            })
         };
-        let avv = F32Lanes::<N>::splat(av);
-        let row = p * b_cols + j;
-        acc0 = acc0 + avv * F32Lanes::<N>::load(&bdat[row..]);
-        acc1 = acc1 + avv * F32Lanes::<N>::load(&bdat[row + N..]);
+        for (r, &acc) in acc.iter().enumerate() {
+            let col = j + r * N;
+            let mut v = F32Lanes::<N>::splat(self.alpha) * acc;
+            if let Some((cd, si, sj)) = self.c {
+                let cv = F32Lanes::<N>::gather(cd, i * si + col * sj, sj);
+                v = v + F32Lanes::<N>::splat(self.beta) * cv;
+            }
+            v.store(&mut chunk[col..]);
+        }
     }
-    let alpha_v = F32Lanes::<N>::splat(alpha);
-    let mut v0 = alpha_v * acc0;
-    let mut v1 = alpha_v * acc1;
-    if let Some(cd) = c_dat {
-        let beta_v = F32Lanes::<N>::splat(beta);
-        let c_base = i * c_si + j * c_sj;
-        v0 = v0 + beta_v * F32Lanes::<N>::gather(cd, c_base, c_sj);
-        v1 = v1 + beta_v * F32Lanes::<N>::gather(cd, c_base + N * c_sj, c_sj);
-    }
-    v0.store(&mut chunk[j..]);
-    v1.store(&mut chunk[j + N..]);
 }
 
-/// `MaxPool` / `AveragePool` with the reference kernel's window order and
-/// padding-count semantics. Parallel over `(batch, channel)` output planes.
+/// `MaxPool` / `AveragePool` at any spatial rank, with the reference
+/// kernel's window order and padding-count semantics. Parallel over
+/// `(batch, channel)` output planes.
 fn fast_pool(
     op: OpKind,
     attrs: &Attrs,
@@ -1555,391 +852,74 @@ fn fast_pool(
     if out.is_empty() {
         return Ok(());
     }
-    let spatial_rank = x.shape().rank() - 2;
-    let kernel: Vec<usize> = attrs
-        .ints_or("kernel_shape", &vec![1; spatial_rank])
-        .iter()
-        .map(|&k| k.max(1) as usize)
-        .collect();
-    let (strides, _, pads) = spatial_attrs(attrs, spatial_rank);
-    let count_include_pad = attrs.int_or("count_include_pad", 0) != 0;
-    let kernel_total: usize = kernel.iter().product();
-    let is_max = op == OpKind::MaxPool;
-
-    let xd = x.shape().dims().to_vec();
-    let xs = x.shape().strides();
-    let xdat = x.data();
-    let channels = out_shape.dim(1);
-    let out_sp: Vec<usize> = out_shape.dims()[2..].to_vec();
-    let out_sp_count: usize = out_sp.iter().product();
-    let pool = pool.for_work(out.len().saturating_mul(kernel_total));
-
-    // Interior-column split on the innermost spatial axis, shared by the
-    // 2-D fast path and the generic-rank odometer path: columns in
-    // [x_lo, x_hi) have every innermost tap in bounds (pooling has no
-    // dilation, so the furthest tap is ox*sw + kw - 1).
-    let last = spatial_rank - 1;
-    let ow = out_sp[last];
-    let iw = xd[2 + last];
-    let (sw, pw, kw) = (strides[last], pads[last], kernel[last]);
-    let span = kw - 1;
-    let x_hi = if iw + pw > span {
-        ((iw + pw - span - 1) / sw + 1).min(ow)
-    } else {
-        0
+    let xd = x.shape().dims();
+    let window = Window::parse(op, attrs, xd.len() - 2, None)?;
+    let rows = WindowRows::new(&window, &xd[2..], &out_shape.dims()[2..]);
+    let launch = PoolLaunch {
+        rows: &rows,
+        xdat: x.data(),
+        is_max: op == OpKind::MaxPool,
+        count_include_pad: attrs.int_or("count_include_pad", 0) != 0,
     };
-    let x_lo = pw.div_ceil(sw).min(x_hi);
-    let simd = pool.use_simd();
-
-    if spatial_rank == 2 {
-        let (oh, _) = (out_sp[0], out_sp[1]);
-        let (xs0, xs1) = (xs[0], xs[1]);
-        let tile = Pool2d {
-            xdat,
-            ih: xd[2],
-            iw,
-            kh: kernel[0],
-            kw,
-            sh: strides[0],
-            sw,
-            ph: pads[0],
-            pw,
-            xs2: xs[2],
-            is_max,
-            count_include_pad,
-            kernel_total,
-        };
-        pool.run_chunks(out, oh * ow, |plane, chunk| {
-            let n = plane / channels;
-            let c = plane % channels;
-            let base = n * xs0 + c * xs1;
-            for (oy, row) in chunk.chunks_mut(ow).enumerate() {
-                if simd {
-                    tile.scalar_cols(row, base, oy, 0, x_lo);
-                    let mut ox = x_lo;
-                    while ox + LANES <= x_hi {
-                        tile.simd_cols::<LANES>(row, base, oy, ox);
-                        ox += LANES;
-                    }
-                    if ox + 4 <= x_hi {
-                        tile.simd_cols::<4>(row, base, oy, ox);
-                        ox += 4;
-                    }
-                    tile.scalar_cols(row, base, oy, ox, ow);
-                } else {
-                    tile.scalar_cols(row, base, oy, 0, ow);
-                }
-            }
-        });
-        return Ok(());
-    }
-
-    // Generic spatial rank (1-D and 3-D pooling): outer-axis taps keep
-    // per-tap bounds checks (uniform over a row), the innermost axis takes
-    // the border/interior split above.
-    let tile = PoolNd {
-        xdat,
-        xd_sp: &xd[2..],
-        xs_sp: &xs[2..],
-        kernel_sp: &kernel,
-        outer_count: kernel[..last].iter().product(),
-        strides: &strides,
-        pads: &pads,
-        is_max,
-        count_include_pad,
-        kernel_total,
-    };
-    let outer_sp = &out_sp[..last];
-    pool.run_chunks(out, out_sp_count, |plane, chunk| {
-        let n = plane / channels;
-        let c = plane % channels;
-        let base = n * xs[0] + c * xs[1];
-        let mut outer_pos = vec![0usize; last];
-        // One odometer scratch per plane, shared by every column kernel call
-        // — no allocation inside the row loop.
-        let mut k_pos = vec![0usize; spatial_rank];
-        for row in chunk.chunks_mut(ow) {
-            if simd {
-                tile.scalar_cols(row, base, &outer_pos, &mut k_pos, 0, x_lo);
-                let mut ox = x_lo;
-                while ox + LANES <= x_hi {
-                    tile.simd_cols::<LANES>(row, base, &outer_pos, &mut k_pos[..last], ox);
-                    ox += LANES;
-                }
-                if ox + 4 <= x_hi {
-                    tile.simd_cols::<4>(row, base, &outer_pos, &mut k_pos[..last], ox);
-                    ox += 4;
-                }
-                tile.scalar_cols(row, base, &outer_pos, &mut k_pos, ox, ow);
-            } else {
-                tile.scalar_cols(row, base, &outer_pos, &mut k_pos, 0, ow);
-            }
-            advance(&mut outer_pos, outer_sp);
+    let plane: usize = out_shape.dims()[2..].iter().product();
+    let x_plane: usize = xd[2..].iter().product();
+    let pool = pool.for_work(out.len().saturating_mul(rows.kernel_count));
+    let widths = lane_widths(pool);
+    // Output plane `p` is input plane `p`: pooling keeps (batch, channel).
+    pool.run_chunks(out, plane, |p, chunk| {
+        let x_base = p * x_plane;
+        for (r, row) in chunk.chunks_mut(rows.ow).enumerate() {
+            let taps = rows.taps(r);
+            rows.tiles(widths, |ox, width| match width {
+                LANES => launch.cols::<LANES>(row, taps, x_base, ox),
+                4 => launch.cols::<4>(row, taps, x_base, ox),
+                _ => launch.cols::<1>(row, taps, x_base, ox),
+            });
         }
     });
     Ok(())
 }
 
-/// Loop constants of one 2-D pooling launch, shared by the scalar and
-/// lane-blocked column kernels so both visit the identical tap sequence.
-struct Pool2d<'a> {
+/// Loop constants of one pooling launch.
+struct PoolLaunch<'a> {
+    rows: &'a WindowRows,
     xdat: &'a [f32],
-    ih: usize,
-    iw: usize,
-    kh: usize,
-    kw: usize,
-    sh: usize,
-    sw: usize,
-    ph: usize,
-    pw: usize,
-    xs2: usize,
     is_max: bool,
     count_include_pad: bool,
-    kernel_total: usize,
 }
 
-impl Pool2d<'_> {
-    /// Columns `[ox0, ox1)` of output row `oy`, one element at a time with
-    /// per-tap bounds checks — the reference kernel's window order, used for
-    /// padded borders, lane remainders and the full-scalar mode.
-    fn scalar_cols(&self, row: &mut [f32], base: usize, oy: usize, ox0: usize, ox1: usize) {
-        for (ox, slot) in row[..ox1].iter_mut().enumerate().skip(ox0) {
-            let mut acc = if self.is_max { f32::NEG_INFINITY } else { 0.0 };
-            let mut count = 0usize;
-            for ky in 0..self.kh {
-                let y = oy * self.sh + ky;
-                if y < self.ph || y - self.ph >= self.ih {
+impl PoolLaunch<'_> {
+    /// `N` consecutive output columns starting at `ox`, one element per
+    /// lane: the row's outer taps then `kx`, the reference window order,
+    /// applying the scalar operation per lane (`f32::max` / `+`, then one
+    /// IEEE division for averages). `N == 1` is the checked instance that
+    /// skips (and does not count) `kx` taps in the padding; wider instances
+    /// take interior columns only, so the in-bounds count is uniform across
+    /// the lanes.
+    fn cols<const N: usize>(&self, row: &mut [f32], taps: &[RowTap], x_base: usize, ox: usize) {
+        let g = self.rows;
+        let mut acc = F32Lanes::<N>::splat(if self.is_max { f32::NEG_INFINITY } else { 0.0 });
+        let mut count = 0usize;
+        for tap in taps {
+            let x_row = x_base + tap.x_off;
+            for kx in 0..g.kw {
+                let Some(xc) = g.input_col(ox, kx, N == 1) else {
                     continue;
-                }
-                let x_row = base + (y - self.ph) * self.xs2;
-                for kx in 0..self.kw {
-                    let xx = ox * self.sw + kx;
-                    if xx < self.pw || xx - self.pw >= self.iw {
-                        continue;
-                    }
-                    let v = self.xdat[x_row + (xx - self.pw)];
-                    if self.is_max {
-                        acc = acc.max(v);
-                    } else {
-                        acc += v;
-                    }
-                    count += 1;
-                }
-            }
-            *slot = pool_result(acc, count, self);
-        }
-    }
-
-    /// `N` consecutive interior columns starting at `ox`: one output element
-    /// per lane, every column tap in bounds by the caller's interior-range
-    /// computation. Row taps outside the input are skipped for the whole
-    /// bundle (the same taps the scalar loop skips); in-bounds taps apply
-    /// the scalar operation per lane (`f32::max` / `+`, then one division
-    /// for averages), so the two paths are bit-identical.
-    fn simd_cols<const N: usize>(&self, row: &mut [f32], base: usize, oy: usize, ox: usize) {
-        let mut acc = F32Lanes::<N>::splat(if self.is_max { f32::NEG_INFINITY } else { 0.0 });
-        let mut valid_rows = 0usize;
-        for ky in 0..self.kh {
-            let y = oy * self.sh + ky;
-            if y < self.ph || y - self.ph >= self.ih {
-                continue;
-            }
-            valid_rows += 1;
-            let x_row = base + (y - self.ph) * self.xs2;
-            for kx in 0..self.kw {
-                let x0 = x_row + ox * self.sw + kx - self.pw;
-                let xv = if self.sw == 1 {
-                    F32Lanes::<N>::load(&self.xdat[x0..])
-                } else {
-                    F32Lanes::<N>::gather(self.xdat, x0, self.sw)
                 };
+                let xv = lanes_at::<N>(self.xdat, x_row + xc, g.sw);
                 acc = if self.is_max { acc.max(xv) } else { acc + xv };
+                count += 1;
             }
         }
-        store_pool_lanes(acc, valid_rows * self.kw, self, row, ox);
-    }
-}
-
-impl<'a> PoolKernel for Pool2d<'a> {
-    fn is_max(&self) -> bool {
-        self.is_max
-    }
-    fn count_include_pad(&self) -> bool {
-        self.count_include_pad
-    }
-    fn kernel_total(&self) -> usize {
-        self.kernel_total
-    }
-}
-
-/// Loop constants of one generic-rank pooling launch (1-D / 3-D / higher),
-/// mirroring [`ConvNd`]: the innermost spatial axis is the vectorized one.
-struct PoolNd<'a> {
-    xdat: &'a [f32],
-    xd_sp: &'a [usize],
-    xs_sp: &'a [usize],
-    kernel_sp: &'a [usize],
-    /// Product of the outer (non-innermost) kernel extents.
-    outer_count: usize,
-    strides: &'a [usize],
-    pads: &'a [usize],
-    is_max: bool,
-    count_include_pad: bool,
-    kernel_total: usize,
-}
-
-impl PoolNd<'_> {
-    /// Columns `[ox0, ox1)` of the output row at `outer_pos`, one element at
-    /// a time with per-tap bounds checks on every axis — the reference
-    /// kernel's window order (kernel taps row-major).
-    fn scalar_cols(
-        &self,
-        row: &mut [f32],
-        base: usize,
-        outer_pos: &[usize],
-        k_pos: &mut [usize],
-        ox0: usize,
-        ox1: usize,
-    ) {
-        let rank = self.kernel_sp.len();
-        let last = rank - 1;
-        for (ox, slot) in row[..ox1].iter_mut().enumerate().skip(ox0) {
-            let mut acc = if self.is_max { f32::NEG_INFINITY } else { 0.0 };
-            let mut count = 0usize;
-            k_pos.iter_mut().for_each(|p| *p = 0);
-            for _ in 0..self.kernel_total {
-                let mut off = base;
-                let mut in_bounds = true;
-                for d in 0..rank {
-                    let out_coord = if d == last { ox } else { outer_pos[d] };
-                    let pos = out_coord * self.strides[d] + k_pos[d];
-                    if pos < self.pads[d] || pos - self.pads[d] >= self.xd_sp[d] {
-                        in_bounds = false;
-                        break;
-                    }
-                    off += (pos - self.pads[d]) * self.xs_sp[d];
-                }
-                if in_bounds {
-                    let v = self.xdat[off];
-                    if self.is_max {
-                        acc = acc.max(v);
-                    } else {
-                        acc += v;
-                    }
-                    count += 1;
-                }
-                advance(k_pos, self.kernel_sp);
-            }
-            *slot = pool_result(acc, count, self);
+        if !self.is_max {
+            let denom = if self.count_include_pad {
+                g.kernel_count
+            } else {
+                count.max(1)
+            };
+            acc = acc / F32Lanes::<N>::splat(denom as f32);
         }
-    }
-
-    /// `N` consecutive interior columns starting at `ox`: one output element
-    /// per lane. Outer-axis taps failing their bounds check are skipped for
-    /// the whole bundle; every innermost tap of a surviving outer tap is in
-    /// bounds by the caller's interior-range computation, and applies the
-    /// scalar operation per lane in the odometer order.
-    fn simd_cols<const N: usize>(
-        &self,
-        row: &mut [f32],
-        base: usize,
-        outer_pos: &[usize],
-        k_outer: &mut [usize],
-        ox: usize,
-    ) {
-        let rank = self.kernel_sp.len();
-        let last = rank - 1;
-        let (sw, pw) = (self.strides[last], self.pads[last]);
-        let xs_last = self.xs_sp[last];
-        let kw = self.kernel_sp[last];
-        let lane_stride = sw * xs_last;
-        k_outer.iter_mut().for_each(|p| *p = 0);
-        let mut acc = F32Lanes::<N>::splat(if self.is_max { f32::NEG_INFINITY } else { 0.0 });
-        let mut valid_outer = 0usize;
-        for _ in 0..self.outer_count {
-            let mut off = base;
-            let mut in_bounds = true;
-            for d in 0..last {
-                let pos = outer_pos[d] * self.strides[d] + k_outer[d];
-                if pos < self.pads[d] || pos - self.pads[d] >= self.xd_sp[d] {
-                    in_bounds = false;
-                    break;
-                }
-                off += (pos - self.pads[d]) * self.xs_sp[d];
-            }
-            if in_bounds {
-                valid_outer += 1;
-                for kx in 0..kw {
-                    let x0 = off + (ox * sw + kx - pw) * xs_last;
-                    let xv = if lane_stride == 1 {
-                        F32Lanes::<N>::load(&self.xdat[x0..])
-                    } else {
-                        F32Lanes::<N>::gather(self.xdat, x0, lane_stride)
-                    };
-                    acc = if self.is_max { acc.max(xv) } else { acc + xv };
-                }
-            }
-            advance(k_outer, &self.kernel_sp[..last]);
-        }
-        store_pool_lanes(acc, valid_outer * kw, self, row, ox);
-    }
-}
-
-impl<'a> PoolKernel for PoolNd<'a> {
-    fn is_max(&self) -> bool {
-        self.is_max
-    }
-    fn count_include_pad(&self) -> bool {
-        self.count_include_pad
-    }
-    fn kernel_total(&self) -> usize {
-        self.kernel_total
-    }
-}
-
-/// The pooling-mode constants [`pool_result`] and [`store_pool_lanes`] need,
-/// shared by [`Pool2d`] and [`PoolNd`].
-trait PoolKernel {
-    fn is_max(&self) -> bool;
-    fn count_include_pad(&self) -> bool;
-    fn kernel_total(&self) -> usize;
-}
-
-/// Finishes one pooled element: the max as-is, or the average via the
-/// reference kernel's padding-count semantics.
-fn pool_result(acc: f32, count: usize, k: &impl PoolKernel) -> f32 {
-    if k.is_max() {
-        acc
-    } else {
-        let denom = if k.count_include_pad() {
-            k.kernel_total()
-        } else {
-            count.max(1)
-        };
-        acc / denom as f32
-    }
-}
-
-/// Finishes `N` pooled interior columns: `count` (in-bounds taps) is uniform
-/// across the lanes, and the average divides per lane — one IEEE division,
-/// exactly [`pool_result`]'s operation.
-fn store_pool_lanes<const N: usize>(
-    acc: F32Lanes<N>,
-    count: usize,
-    k: &impl PoolKernel,
-    row: &mut [f32],
-    ox: usize,
-) {
-    if k.is_max() {
         acc.store(&mut row[ox..]);
-    } else {
-        let denom = if k.count_include_pad() {
-            k.kernel_total()
-        } else {
-            count.max(1)
-        };
-        let avg = acc / F32Lanes::<N>::splat(denom as f32);
-        avg.store(&mut row[ox..]);
     }
 }
 
@@ -2029,11 +1009,25 @@ mod tests {
     use super::*;
     use crate::{execute, infer_shapes};
 
-    /// Shape-infers a `Conv` output for explicit packed-vs-unpacked runs.
-    fn infer_conv_shape(attrs: &Attrs, x: &Tensor, w: &Tensor) -> Shape {
-        infer_shapes(OpKind::Conv, attrs, &[x.shape().clone(), w.shape().clone()])
-            .unwrap()
-            .remove(0)
+    fn infer(op: OpKind, attrs: &Attrs, inputs: &[&Tensor]) -> Shape {
+        let shapes: Vec<Shape> = inputs.iter().map(|t| t.shape().clone()).collect();
+        infer_shapes(op, attrs, &shapes).unwrap().remove(0)
+    }
+
+    /// One launch of the fast kernel into a fresh buffer.
+    fn run_fast(
+        op: OpKind,
+        attrs: &Attrs,
+        inputs: &[&Tensor],
+        packed: Option<&Tensor>,
+        out_shape: &Shape,
+        pool: WorkPool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; out_shape.numel()];
+        assert!(
+            execute_fast_into_packed(op, attrs, inputs, packed, out_shape, &mut out, pool).unwrap()
+        );
+        out
     }
 
     /// Runs `op` through both the fast and reference kernels and checks the
@@ -2042,26 +1036,16 @@ mod tests {
     /// default — so every case here also pins SIMD == reference; the
     /// explicit scalar mode is checked against it bit for bit as well.
     fn assert_fast_matches_reference(op: OpKind, attrs: &Attrs, inputs: &[&Tensor]) {
-        let shapes: Vec<Shape> = inputs.iter().map(|t| t.shape().clone()).collect();
-        let out_shape = infer_shapes(op, attrs, &shapes).unwrap().remove(0);
-        let mut fast = vec![0.0f32; out_shape.numel()];
-        assert!(execute_fast_into(op, attrs, inputs, &out_shape, &mut fast).unwrap());
+        let out_shape = infer(op, attrs, inputs);
+        let fast = run_fast(op, attrs, inputs, None, &out_shape, WorkPool::serial());
         let reference = execute(op, attrs, inputs).unwrap().remove(0);
         assert_eq!(
             fast.as_slice(),
             reference.data(),
             "{op} diverged from reference"
         );
-        let mut scalar = vec![0.0f32; out_shape.numel()];
-        assert!(execute_fast_into_threaded(
-            op,
-            attrs,
-            inputs,
-            &out_shape,
-            &mut scalar,
-            WorkPool::serial().with_simd(false),
-        )
-        .unwrap());
+        let scalar_pool = WorkPool::serial().with_simd(false);
+        let scalar = run_fast(op, attrs, inputs, None, &out_shape, scalar_pool);
         assert_eq!(scalar, fast, "{op} scalar mode diverged from the SIMD path");
         assert_threaded_matches_serial(op, attrs, inputs, &out_shape, &fast);
     }
@@ -2078,11 +1062,7 @@ mod tests {
     ) {
         for threads in [2, 3, 8] {
             let pool = WorkPool::with_min_work(threads, 0);
-            let mut threaded = vec![0.0f32; out_shape.numel()];
-            assert!(
-                execute_fast_into_threaded(op, attrs, inputs, out_shape, &mut threaded, pool)
-                    .unwrap()
-            );
+            let threaded = run_fast(op, attrs, inputs, None, out_shape, pool);
             assert_eq!(
                 threaded.as_slice(),
                 serial,
@@ -2099,12 +1079,14 @@ mod tests {
                 let x = Tensor::scalar(1.0);
                 // Elementwise ops get Ok(false); the registry is authoritative.
                 if op.is_elementwise_unary() {
-                    assert!(!execute_fast_into(
+                    assert!(!execute_fast_into_packed(
                         op,
                         &Attrs::new(),
                         &[&x],
+                        None,
                         &Shape::scalar(),
-                        &mut out
+                        &mut out,
+                        WorkPool::serial(),
                     )
                     .unwrap());
                 }
@@ -2199,52 +1181,36 @@ mod tests {
                 .with_float("alpha", 0.75)
                 .with_float("beta", 1.5);
             let out_shape = Shape::new(vec![4, n]);
-            let mut unpacked = vec![0.0f32; out_shape.numel()];
-            assert!(execute_fast_into(
-                OpKind::Gemm,
-                &attrs,
-                &[&a, &bt, &c],
-                &out_shape,
-                &mut unpacked
-            )
-            .unwrap());
+            let inputs = [&a, &bt, &c];
+            let serial = WorkPool::serial();
+            let unpacked = run_fast(OpKind::Gemm, &attrs, &inputs, None, &out_shape, serial);
             for pool in [
                 WorkPool::serial(),
                 WorkPool::serial().with_simd(false),
                 WorkPool::with_min_work(3, 0),
             ] {
-                let mut packed = vec![0.0f32; out_shape.numel()];
-                assert!(execute_fast_into_packed(
+                let packed = run_fast(
                     OpKind::Gemm,
                     &attrs,
-                    &[&a, &bt, &c],
+                    &inputs,
                     Some(&panel),
                     &out_shape,
-                    &mut packed,
                     pool,
-                )
-                .unwrap());
+                );
                 assert_eq!(packed, unpacked, "packed Gemm diverged at n = {n}");
             }
             // An untransposed Gemm ignores the panel entirely.
             let b = Tensor::random(Shape::new(vec![6, n]), 140 + n as u64);
             let plain = Attrs::new();
-            let mut without = vec![0.0f32; out_shape.numel()];
-            assert!(
-                execute_fast_into(OpKind::Gemm, &plain, &[&a, &b], &out_shape, &mut without)
-                    .unwrap()
-            );
-            let mut with = vec![0.0f32; out_shape.numel()];
-            assert!(execute_fast_into_packed(
+            let without = run_fast(OpKind::Gemm, &plain, &[&a, &b], None, &out_shape, serial);
+            let with = run_fast(
                 OpKind::Gemm,
                 &plain,
                 &[&a, &b],
                 Some(&panel),
                 &out_shape,
-                &mut with,
-                WorkPool::serial(),
-            )
-            .unwrap());
+                serial,
+            );
             assert_eq!(with, without);
         }
     }
@@ -2255,7 +1221,7 @@ mod tests {
         // lane loads, but every tap value and the per-element accumulation
         // order are the scalar kernel's, so outputs must match bit for bit —
         // across the border/interior split, strides, dilations, bias, every
-        // pool configuration, and both the 2-D and odometer (3-D) paths.
+        // pool configuration, and at spatial rank 2 and 3.
         let x = Tensor::random(Shape::new(vec![2, 3, 7, 13]), 200);
         let w = Tensor::random(Shape::new(vec![CONV_PANEL_LANES * 2, 3, 3, 3]), 201);
         let b = Tensor::random(Shape::new(vec![CONV_PANEL_LANES * 2]), 202);
@@ -2291,29 +1257,23 @@ mod tests {
                 Some(b) => vec![x, w, b],
                 None => vec![x, w],
             };
-            let out_shape = infer_conv_shape(&attrs, x, w);
-            let mut unpacked = vec![0.0f32; out_shape.numel()];
-            assert!(
-                execute_fast_into(OpKind::Conv, &attrs, &inputs, &out_shape, &mut unpacked)
-                    .unwrap()
-            );
+            let out_shape = infer(OpKind::Conv, &attrs, &[x, w]);
+            let serial = WorkPool::serial();
+            let unpacked = run_fast(OpKind::Conv, &attrs, &inputs, None, &out_shape, serial);
             for pool in [
                 WorkPool::serial(),
                 WorkPool::serial().with_simd(false),
                 WorkPool::with_min_work(3, 0),
                 WorkPool::with_min_work(7, 0),
             ] {
-                let mut packed = vec![0.0f32; out_shape.numel()];
-                assert!(execute_fast_into_packed(
+                let packed = run_fast(
                     OpKind::Conv,
                     &attrs,
                     &inputs,
                     Some(&panel),
                     &out_shape,
-                    &mut packed,
                     pool,
-                )
-                .unwrap());
+                );
                 assert_eq!(packed, unpacked, "packed conv diverged for {attrs:?}");
             }
         }
@@ -2335,22 +1295,17 @@ mod tests {
         let attrs = Attrs::new()
             .with_int("group", CONV_PANEL_LANES as i64)
             .with_ints("pads", vec![1, 1, 1, 1]);
-        let out_shape = infer_conv_shape(&attrs, &x, &w);
-        let mut unpacked = vec![0.0f32; out_shape.numel()];
-        assert!(
-            execute_fast_into(OpKind::Conv, &attrs, &[&x, &w], &out_shape, &mut unpacked).unwrap()
-        );
-        let mut packed = vec![0.0f32; out_shape.numel()];
-        assert!(execute_fast_into_packed(
+        let out_shape = infer(OpKind::Conv, &attrs, &[&x, &w]);
+        let serial = WorkPool::serial();
+        let unpacked = run_fast(OpKind::Conv, &attrs, &[&x, &w], None, &out_shape, serial);
+        let packed = run_fast(
             OpKind::Conv,
             &attrs,
             &[&x, &w],
             Some(&panel),
             &out_shape,
-            &mut packed,
-            WorkPool::serial(),
-        )
-        .unwrap());
+            serial,
+        );
         assert_eq!(packed, unpacked);
     }
 
@@ -2365,7 +1320,6 @@ mod tests {
         assert_fast_matches_reference(OpKind::AveragePool, &attrs, &[&x]);
         let include = attrs.clone().with_int("count_include_pad", 1);
         assert_fast_matches_reference(OpKind::AveragePool, &include, &[&x]);
-        // 3-D pooling takes the generic odometer path.
         let x3 = Tensor::random(Shape::new(vec![1, 2, 4, 4, 4]), 21);
         let attrs3 = Attrs::new()
             .with_ints("kernel_shape", vec![2, 2, 2])
@@ -2375,27 +1329,89 @@ mod tests {
     }
 
     #[test]
-    fn simd_interiors_cover_every_lane_width_and_stride_form() {
-        // Output widths chosen to force each lane split: 8-lane bundles
-        // (ow >= 8 + borders), the 4-lane remainder pass, and scalar tails;
-        // strides > 1 take the gather load, stride 1 the contiguous load.
-        let x = Tensor::random(Shape::new(vec![1, 2, 5, 23]), 50);
-        let w = Tensor::random(Shape::new(vec![3, 2, 3, 3]), 51);
-        for attrs in [
-            Attrs::new(),
-            Attrs::new().with_ints("pads", vec![1, 1, 1, 1]),
-            Attrs::new()
-                .with_ints("strides", vec![1, 2])
-                .with_ints("pads", vec![1, 1, 1, 1]),
-            Attrs::new().with_ints("dilations", vec![1, 2]),
-            Attrs::new().with_ints("pads", vec![0, 9, 0, 9]),
-        ] {
-            assert_fast_matches_reference(OpKind::Conv, &attrs, &[&x, &w]);
+    fn conv_interiors_cover_every_lane_width_and_stride_form_at_every_rank() {
+        // One table over spatial ranks 1–3. Innermost widths (23, 17) force
+        // each lane split: 8-lane bundles, the 4-lane pass and scalar tails;
+        // pads exercise the border columns (and, at rank 3, outer taps that
+        // fall outside the input, so rows really lose taps), strides > 1 the
+        // gather load, a pad of 9 a row that is mostly border.
+        type Case = (Vec<usize>, Vec<usize>, bool, Vec<Attrs>);
+        let cases: Vec<Case> = vec![
+            (
+                vec![2, 3, 23],
+                vec![4, 3, 3],
+                true,
+                vec![
+                    Attrs::new(),
+                    Attrs::new().with_ints("pads", vec![1, 1]),
+                    Attrs::new()
+                        .with_ints("strides", vec![2])
+                        .with_ints("pads", vec![2, 2]),
+                    Attrs::new().with_ints("dilations", vec![2]),
+                    Attrs::new().with_ints("pads", vec![9, 9]),
+                ],
+            ),
+            (
+                vec![1, 2, 5, 23],
+                vec![3, 2, 3, 3],
+                false,
+                vec![
+                    Attrs::new(),
+                    Attrs::new().with_ints("pads", vec![1, 1, 1, 1]),
+                    Attrs::new()
+                        .with_ints("strides", vec![1, 2])
+                        .with_ints("pads", vec![1, 1, 1, 1]),
+                    Attrs::new().with_ints("dilations", vec![1, 2]),
+                    Attrs::new().with_ints("pads", vec![0, 9, 0, 9]),
+                ],
+            ),
+            // 1x1 kernel: the whole row is interior.
+            (
+                vec![1, 2, 5, 23],
+                vec![3, 2, 1, 1],
+                false,
+                vec![Attrs::new()],
+            ),
+            (
+                vec![1, 2, 3, 4, 23],
+                vec![3, 2, 2, 3, 3],
+                false,
+                vec![
+                    Attrs::new().with_ints("pads", vec![1, 1, 1, 1, 1, 1]),
+                    Attrs::new()
+                        .with_ints("strides", vec![1, 1, 2])
+                        .with_ints("pads", vec![1, 2, 1, 1, 2, 1]),
+                    Attrs::new().with_ints("dilations", vec![2, 1, 2]),
+                ],
+            ),
+            // Grouped 3-D conv: per-group input offsets.
+            (
+                vec![1, 4, 3, 3, 17],
+                vec![4, 2, 2, 2, 3],
+                false,
+                vec![Attrs::new()
+                    .with_int("group", 2)
+                    .with_ints("pads", vec![0, 1, 1, 0, 1, 1])],
+            ),
+        ];
+        for (seed, (x_dims, w_dims, with_bias, attr_sets)) in cases.into_iter().enumerate() {
+            let seed = 90 + 3 * seed as u64;
+            let b = Tensor::random(Shape::new(vec![w_dims[0]]), seed + 2);
+            let x = Tensor::random(Shape::new(x_dims), seed);
+            let w = Tensor::random(Shape::new(w_dims), seed + 1);
+            for attrs in attr_sets {
+                if with_bias {
+                    assert_fast_matches_reference(OpKind::Conv, &attrs, &[&x, &w, &b]);
+                } else {
+                    assert_fast_matches_reference(OpKind::Conv, &attrs, &[&x, &w]);
+                }
+            }
         }
-        // 1x1 kernel: the whole row is interior.
-        let w1 = Tensor::random(Shape::new(vec![3, 2, 1, 1]), 52);
-        assert_fast_matches_reference(OpKind::Conv, &Attrs::new(), &[&x, &w1]);
-        // MatMul/Gemm columns across the 8/4/scalar splits (n = 4, 7, 8, 21).
+    }
+
+    #[test]
+    fn matmul_and_gemm_columns_cover_every_lane_split() {
+        // Columns across the 16/8/4/scalar splits (n = 4, 7, 8, 21).
         for n in [4usize, 7, 8, 21] {
             let a = Tensor::random(Shape::new(vec![3, 5]), 53 + n as u64);
             let b = Tensor::random(Shape::new(vec![5, n]), 60 + n as u64);
@@ -2405,47 +1421,6 @@ mod tests {
             let attrs = Attrs::new().with_int("transB", 1).with_float("beta", 0.5);
             assert_fast_matches_reference(OpKind::Gemm, &attrs, &[&a, &bt, &c]);
         }
-    }
-
-    #[test]
-    fn generic_rank_conv_interiors_cover_every_lane_width_and_stride_form() {
-        // 1-D conv: width 23 forces 8-lane bundles, the 4-lane pass and a
-        // scalar tail; pads exercise the border columns, strides > 1 the
-        // gather load.
-        let x1 = Tensor::random(Shape::new(vec![2, 3, 23]), 90);
-        let w1 = Tensor::random(Shape::new(vec![4, 3, 3]), 91);
-        let b1 = Tensor::random(Shape::new(vec![4]), 92);
-        for attrs in [
-            Attrs::new(),
-            Attrs::new().with_ints("pads", vec![1, 1]),
-            Attrs::new()
-                .with_ints("strides", vec![2])
-                .with_ints("pads", vec![2, 2]),
-            Attrs::new().with_ints("dilations", vec![2]),
-            Attrs::new().with_ints("pads", vec![9, 9]),
-        ] {
-            assert_fast_matches_reference(OpKind::Conv, &attrs, &[&x1, &w1, &b1]);
-        }
-        // 3-D conv wide enough for full bundles, with out-of-bounds outer
-        // (depth/height) taps so the uniform row-skip path really fires.
-        let x3 = Tensor::random(Shape::new(vec![1, 2, 3, 4, 23]), 93);
-        let w3 = Tensor::random(Shape::new(vec![3, 2, 2, 3, 3]), 94);
-        for attrs in [
-            Attrs::new().with_ints("pads", vec![1, 1, 1, 1, 1, 1]),
-            Attrs::new()
-                .with_ints("strides", vec![1, 1, 2])
-                .with_ints("pads", vec![1, 2, 1, 1, 2, 1]),
-            Attrs::new().with_ints("dilations", vec![2, 1, 2]),
-        ] {
-            assert_fast_matches_reference(OpKind::Conv, &attrs, &[&x3, &w3]);
-        }
-        // Grouped 3-D conv takes the generic path with group offsets.
-        let xg = Tensor::random(Shape::new(vec![1, 4, 3, 3, 17]), 95);
-        let wg = Tensor::random(Shape::new(vec![4, 2, 2, 2, 3]), 96);
-        let attrs = Attrs::new()
-            .with_int("group", 2)
-            .with_ints("pads", vec![0, 1, 1, 0, 1, 1]);
-        assert_fast_matches_reference(OpKind::Conv, &attrs, &[&xg, &wg]);
     }
 
     #[test]
@@ -2462,14 +1437,19 @@ mod tests {
                 .with_ints("kernel_shape", vec![2, 4])
                 .with_ints("strides", vec![1, 2])
                 .with_ints("pads", vec![1, 2, 1, 2]),
+            // Dilated windows: the kernels honour what shape inference does.
+            Attrs::new()
+                .with_ints("kernel_shape", vec![2, 3])
+                .with_ints("dilations", vec![2, 2])
+                .with_ints("pads", vec![1, 1, 1, 1]),
         ] {
             assert_fast_matches_reference(OpKind::MaxPool, &attrs, &[&x]);
             assert_fast_matches_reference(OpKind::AveragePool, &attrs, &[&x]);
             let include = attrs.clone().with_int("count_include_pad", 1);
             assert_fast_matches_reference(OpKind::AveragePool, &include, &[&x]);
         }
-        // 3-D pools through the generic odometer path, with padding so
-        // outer-axis taps go out of bounds (the uniform row-skip).
+        // 3-D pools, with padding so outer-axis taps go out of bounds and
+        // rows lose taps.
         let x3 = Tensor::random(Shape::new(vec![1, 2, 3, 4, 21]), 98);
         for attrs in [
             Attrs::new().with_ints("kernel_shape", vec![2, 2, 3]),
@@ -2486,7 +1466,7 @@ mod tests {
             let include = attrs.clone().with_int("count_include_pad", 1);
             assert_fast_matches_reference(OpKind::AveragePool, &include, &[&x3]);
         }
-        // 1-D pooling also runs the generic path.
+        // 1-D pooling: a single output row.
         let x1 = Tensor::random(Shape::new(vec![2, 3, 19]), 99);
         let attrs1 = Attrs::new()
             .with_ints("kernel_shape", vec![4])
@@ -2516,42 +1496,54 @@ mod tests {
         let x = Tensor::random(Shape::new(vec![1, 8, 20, 20]), 26);
         let w = Tensor::random(Shape::new(vec![16, 8, 3, 3]), 27);
         let attrs = Attrs::new().with_ints("pads", vec![1, 1, 1, 1]);
-        let out_shape = infer_shapes(
+        let out_shape = infer(OpKind::Conv, &attrs, &[&x, &w]);
+        let inputs = [&x, &w];
+        let serial = run_fast(
             OpKind::Conv,
             &attrs,
-            &[x.shape().clone(), w.shape().clone()],
-        )
-        .unwrap()
-        .remove(0);
-        let mut serial = vec![0.0f32; out_shape.numel()];
-        execute_fast_into(OpKind::Conv, &attrs, &[&x, &w], &out_shape, &mut serial).unwrap();
-        let mut threaded = vec![0.0f32; out_shape.numel()];
-        execute_fast_into_threaded(
-            OpKind::Conv,
-            &attrs,
-            &[&x, &w],
+            &inputs,
+            None,
             &out_shape,
-            &mut threaded,
+            WorkPool::serial(),
+        );
+        let threaded = run_fast(
+            OpKind::Conv,
+            &attrs,
+            &inputs,
+            None,
+            &out_shape,
             WorkPool::new(4),
-        )
-        .unwrap();
+        );
         assert_eq!(serial, threaded);
     }
 
     #[test]
-    fn invalid_ranks_are_rejected_not_panicked() {
+    fn invalid_ranks_and_window_attributes_are_rejected_not_panicked() {
         let x = Tensor::random(Shape::new(vec![4]), 22);
         let w = Tensor::random(Shape::new(vec![4]), 23);
         let mut out = vec![0.0f32; 4];
         let shape = Shape::new(vec![4]);
-        assert!(
-            execute_fast_into(OpKind::Conv, &Attrs::new(), &[&x, &w], &shape, &mut out).is_err()
-        );
-        assert!(
-            execute_fast_into(OpKind::MatMul, &Attrs::new(), &[&x, &w], &shape, &mut out).is_err()
-        );
-        assert!(
-            execute_fast_into(OpKind::MaxPool, &Attrs::new(), &[&x], &shape, &mut out).is_err()
-        );
+        let mut run = |op, attrs: &Attrs, inputs: &[&Tensor]| {
+            execute_fast_into_packed(
+                op,
+                attrs,
+                inputs,
+                None,
+                &shape,
+                &mut out,
+                WorkPool::serial(),
+            )
+        };
+        assert!(run(OpKind::Conv, &Attrs::new(), &[&x, &w]).is_err());
+        assert!(run(OpKind::MatMul, &Attrs::new(), &[&x, &w]).is_err());
+        assert!(run(OpKind::MaxPool, &Attrs::new(), &[&x]).is_err());
+        // A 2-D window given 1-D strides, and an empty pooling window.
+        let x = Tensor::random(Shape::new(vec![1, 1, 2, 2]), 28);
+        let w = Tensor::random(Shape::new(vec![1, 1, 1, 1]), 29);
+        let short = Attrs::new().with_ints("strides", vec![2]);
+        let invalid = |r| matches!(r, Err(OpError::InvalidAttribute { .. }));
+        assert!(invalid(run(OpKind::Conv, &short, &[&x, &w])));
+        let empty = Attrs::new().with_ints("kernel_shape", vec![0, 0]);
+        assert!(invalid(run(OpKind::MaxPool, &empty, &[&x])));
     }
 }

@@ -2,26 +2,18 @@
 
 use dnnf_tensor::{IndexIter, Shape, Tensor};
 
+use crate::shape_infer::Window;
 use crate::{Attrs, OpError, OpKind};
 
 /// `MaxPool` / `AveragePool` over an `(N, C, spatial...)` input.
 pub fn pool(op: OpKind, attrs: &Attrs, x: &Tensor, out_shape: &Shape) -> Result<Tensor, OpError> {
     let spatial_rank = x.shape().rank() - 2;
-    let kernel: Vec<usize> = attrs
-        .ints_or("kernel_shape", &vec![1; spatial_rank])
-        .iter()
-        .map(|&k| k.max(1) as usize)
-        .collect();
-    let strides: Vec<usize> = attrs
-        .ints_or("strides", &vec![1; spatial_rank])
-        .iter()
-        .map(|&s| s.max(1) as usize)
-        .collect();
-    let pads: Vec<usize> = attrs
-        .ints_or("pads", &vec![0; spatial_rank * 2])
-        .iter()
-        .map(|&p| p.max(0) as usize)
-        .collect();
+    let Window {
+        kernel,
+        strides,
+        dilations,
+        pads,
+    } = Window::parse(op, attrs, spatial_rank, None)?;
     let count_include_pad = attrs.int_or("count_include_pad", 0) != 0;
 
     let batch = x.shape().dim(0);
@@ -44,7 +36,7 @@ pub fn pool(op: OpKind, attrs: &Attrs, x: &Tensor, out_shape: &Shape) -> Result<
                     let mut idx = vec![n, c];
                     let mut in_bounds = true;
                     for d in 0..spatial_rank {
-                        let pos = out_pos[d] * strides[d] + k_pos[d];
+                        let pos = out_pos[d] * strides[d] + k_pos[d] * dilations[d];
                         if pos < pads[d] || pos - pads[d] >= x.shape().dim(2 + d) {
                             in_bounds = false;
                             break;

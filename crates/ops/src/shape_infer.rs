@@ -263,53 +263,69 @@ fn infer_tile(attrs: &Attrs, input: &Shape) -> Result<Shape, OpError> {
     Ok(Shape::new(dims))
 }
 
-/// Spatial output extent for a conv/pool window.
-fn window_out(
-    input: usize,
-    kernel: usize,
-    pad_begin: usize,
-    pad_end: usize,
-    stride: usize,
-    dilation: usize,
-) -> usize {
-    let effective = dilation * (kernel - 1) + 1;
-    let padded = input + pad_begin + pad_end;
-    if padded < effective {
-        0
-    } else {
-        (padded - effective) / stride + 1
-    }
+/// The window attributes of a `Conv`, `ConvTranspose` or pooling node, parsed
+/// and validated once for shape inference, the reference kernels and the
+/// fast kernels alike. All four vectors have one entry per spatial axis,
+/// except `pads` (begin pads, then end pads).
+pub(crate) struct Window {
+    pub(crate) kernel: Vec<usize>,
+    pub(crate) strides: Vec<usize>,
+    pub(crate) dilations: Vec<usize>,
+    pub(crate) pads: Vec<usize>,
 }
 
-fn conv_like_params(
-    attrs: &Attrs,
-    spatial_rank: usize,
-    kernel_from_weight: Option<&[usize]>,
-) -> (Vec<usize>, Vec<usize>, Vec<usize>, Vec<usize>) {
-    let kernel: Vec<usize> = match kernel_from_weight {
-        Some(k) => k.to_vec(),
-        None => attrs
-            .ints_or("kernel_shape", &vec![1; spatial_rank])
-            .iter()
-            .map(|&x| x as usize)
-            .collect(),
-    };
-    let strides: Vec<usize> = attrs
-        .ints_or("strides", &vec![1; spatial_rank])
-        .iter()
-        .map(|&x| x.max(1) as usize)
-        .collect();
-    let dilations: Vec<usize> = attrs
-        .ints_or("dilations", &vec![1; spatial_rank])
-        .iter()
-        .map(|&x| x.max(1) as usize)
-        .collect();
-    let pads: Vec<usize> = attrs
-        .ints_or("pads", &vec![0; spatial_rank * 2])
-        .iter()
-        .map(|&x| x.max(0) as usize)
-        .collect();
-    (kernel, strides, dilations, pads)
+impl Window {
+    /// Parses the window of `op` over `spatial_rank` axes; the kernel extents
+    /// come from the weight's trailing dims when the operator has one, from
+    /// `kernel_shape` otherwise. Absent attributes take the ONNX defaults and
+    /// non-positive strides / dilations / negative pads clamp to them.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidAttribute` when an attribute's length does not match the
+    /// spatial rank or a kernel extent (from either source) is not positive.
+    pub(crate) fn parse(
+        op: OpKind,
+        attrs: &Attrs,
+        spatial_rank: usize,
+        kernel_from_weight: Option<&[usize]>,
+    ) -> Result<Self, OpError> {
+        let ints =
+            |name: &str, default: i64, floor: i64, len: usize| -> Result<Vec<usize>, OpError> {
+                let values = attrs.ints_or(name, &vec![default; len]);
+                if values.len() != len {
+                    return Err(invalid_attr(op, name, "length does not match spatial rank"));
+                }
+                Ok(values.iter().map(|&v| v.max(floor) as usize).collect())
+            };
+        let kernel = match kernel_from_weight {
+            Some(k) => k.to_vec(),
+            None => ints("kernel_shape", 1, 0, spatial_rank)?,
+        };
+        if kernel.contains(&0) {
+            return Err(invalid_attr(op, "kernel_shape", "extents must be positive"));
+        }
+        Ok(Window {
+            kernel,
+            strides: ints("strides", 1, 1, spatial_rank)?,
+            dilations: ints("dilations", 1, 1, spatial_rank)?,
+            pads: ints("pads", 0, 0, spatial_rank * 2)?,
+        })
+    }
+
+    /// Output extent of every spatial axis for the input extents `input`.
+    fn out_extents<'a>(&'a self, input: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+        let rank = self.kernel.len();
+        (0..rank).map(move |i| {
+            let effective = self.dilations[i] * (self.kernel[i] - 1) + 1;
+            let padded = input[i] + self.pads[i] + self.pads[rank + i];
+            if padded < effective {
+                0
+            } else {
+                (padded - effective) / self.strides[i] + 1
+            }
+        })
+    }
 }
 
 fn infer_conv(attrs: &Attrs, inputs: &[Shape]) -> Result<Shape, OpError> {
@@ -322,7 +338,6 @@ fn infer_conv(attrs: &Attrs, inputs: &[Shape]) -> Result<Shape, OpError> {
             reason: format!("expected N+2-D input and weight, got {x} and {w}"),
         });
     }
-    let spatial_rank = x.rank() - 2;
     let group = attrs.int_or("group", 1).max(1) as usize;
     if x.dim(1) != w.dim(1) * group {
         return Err(OpError::InvalidShape {
@@ -334,19 +349,9 @@ fn infer_conv(attrs: &Attrs, inputs: &[Shape]) -> Result<Shape, OpError> {
             ),
         });
     }
-    let (kernel, strides, dilations, pads) =
-        conv_like_params(attrs, spatial_rank, Some(&w.dims()[2..]));
+    let window = Window::parse(op, attrs, x.rank() - 2, Some(&w.dims()[2..]))?;
     let mut dims = vec![x.dim(0), w.dim(0)];
-    for i in 0..spatial_rank {
-        dims.push(window_out(
-            x.dim(2 + i),
-            kernel[i],
-            pads[i],
-            pads[spatial_rank + i],
-            strides[i],
-            dilations[i],
-        ));
-    }
+    dims.extend(window.out_extents(&x.dims()[2..]));
     Ok(Shape::new(dims))
 }
 
@@ -362,8 +367,12 @@ fn infer_conv_transpose(attrs: &Attrs, inputs: &[Shape]) -> Result<Shape, OpErro
     }
     let spatial_rank = x.rank() - 2;
     let group = attrs.int_or("group", 1).max(1) as usize;
-    let (kernel, strides, dilations, pads) =
-        conv_like_params(attrs, spatial_rank, Some(&w.dims()[2..]));
+    let Window {
+        kernel,
+        strides,
+        dilations,
+        pads,
+    } = Window::parse(op, attrs, spatial_rank, Some(&w.dims()[2..]))?;
     // Weight layout is (C_in, C_out/group, k...).
     let mut dims = vec![x.dim(0), w.dim(1) * group];
     for i in 0..spatial_rank {
@@ -381,19 +390,9 @@ fn infer_pool(op: OpKind, attrs: &Attrs, x: &Shape) -> Result<Shape, OpError> {
             reason: "expected N+2-D input".into(),
         });
     }
-    let spatial_rank = x.rank() - 2;
-    let (kernel, strides, dilations, pads) = conv_like_params(attrs, spatial_rank, None);
+    let window = Window::parse(op, attrs, x.rank() - 2, None)?;
     let mut dims = vec![x.dim(0), x.dim(1)];
-    for i in 0..spatial_rank {
-        dims.push(window_out(
-            x.dim(2 + i),
-            kernel[i],
-            pads[i],
-            pads[spatial_rank + i],
-            strides[i],
-            dilations[i],
-        ));
-    }
+    dims.extend(window.out_extents(&x.dims()[2..]));
     Ok(Shape::new(dims))
 }
 

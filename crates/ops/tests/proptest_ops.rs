@@ -1,6 +1,8 @@
 //! Property-based tests for operator kernels and shape inference.
 
-use dnnf_ops::{execute, infer_shapes, Attrs, OpKind};
+use dnnf_ops::{
+    execute, execute_fast_into_packed, infer_shapes, pack_conv_oc_panel, Attrs, OpKind, WorkPool,
+};
 use dnnf_tensor::{Shape, Tensor};
 use proptest::prelude::*;
 
@@ -8,7 +10,99 @@ fn small_dims() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..5, 1..4)
 }
 
+/// Asserts the fast kernel reproduces the reference kernel bit for bit with
+/// SIMD on, SIMD off and three threads with the work gate open — and, for a
+/// convolution the OC panel fits, through the panel as well.
+fn assert_fast_is_reference(op: OpKind, attrs: &Attrs, inputs: &[&Tensor]) {
+    let bits = |data: &[f32]| data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let reference = execute(op, attrs, inputs).unwrap().remove(0);
+    let expected = bits(reference.data());
+    let panel = (op == OpKind::Conv && attrs.int_or("group", 1) == 1)
+        .then(|| pack_conv_oc_panel(inputs[1]))
+        .flatten();
+    let serial = WorkPool::serial();
+    let pools = [
+        serial,
+        serial.with_simd(false),
+        WorkPool::with_min_work(3, 0),
+    ];
+    let mut runs: Vec<(Option<&Tensor>, WorkPool)> = pools.iter().map(|&p| (None, p)).collect();
+    if let Some(panel) = &panel {
+        runs.extend(pools.iter().map(|&p| (Some(panel), p)));
+    }
+    for (packed, pool) in runs {
+        let mut out = vec![0.0f32; reference.numel()];
+        assert!(execute_fast_into_packed(
+            op,
+            attrs,
+            inputs,
+            packed,
+            reference.shape(),
+            &mut out,
+            pool
+        )
+        .unwrap());
+        assert_eq!(
+            bits(&out),
+            expected,
+            "{op} {attrs:?} on {} diverged (panel: {}, {pool:?})",
+            inputs[0].shape(),
+            packed.is_some()
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn windowed_fast_kernels_match_reference_at_random_geometry(
+        rank in 1usize..4,
+        outer in prop::collection::vec(1usize..6, 2..3),
+        width in 1usize..21,
+        kernel in prop::collection::vec(1i64..4, 3..4),
+        strides in prop::collection::vec(1i64..3, 3..4),
+        dilations in prop::collection::vec(1i64..3, 3..4),
+        pads in prop::collection::vec(0i64..3, 6..7),
+        oc_index in 0usize..3,
+        cin in 1usize..4,
+        depthwise in any::<bool>(),
+        with_bias in any::<bool>(),
+        seed in 0u64..10_000,
+    ) {
+        // Spatial extents: `rank - 1` small outer axes and an innermost axis
+        // from narrower than the kernel span (no interior column) to wide
+        // enough for 8-lane bundles. A window larger than its padded input
+        // yields an empty output, which must be handled too.
+        let mut spatial = outer[..rank - 1].to_vec();
+        spatial.push(width);
+        let oc = [3usize, 8, 16][oc_index];
+        // group is 1 or C_in; the depthwise C_in divides OC.
+        let (cin, group) = if depthwise {
+            let cin = [3usize, 4, 4][oc_index];
+            (cin, cin)
+        } else {
+            (cin, 1)
+        };
+        let pads: Vec<i64> = pads[..rank].iter().chain(&pads[3..3 + rank]).copied().collect();
+        let window = Attrs::new()
+            .with_ints("strides", strides[..rank].to_vec())
+            .with_ints("dilations", dilations[..rank].to_vec())
+            .with_ints("pads", pads);
+
+        let x = Tensor::random(Shape::new([vec![2, cin], spatial].concat()), seed);
+        let k_dims: Vec<usize> = kernel[..rank].iter().map(|&k| k as usize).collect();
+        let w = Tensor::random(Shape::new([vec![oc, cin / group], k_dims].concat()), seed + 1);
+        let b = Tensor::random(Shape::new(vec![oc]), seed + 2);
+        let conv = window.clone().with_int("group", group as i64);
+        let inputs: &[&Tensor] = if with_bias { &[&x, &w, &b] } else { &[&x, &w] };
+        assert_fast_is_reference(OpKind::Conv, &conv, inputs);
+
+        let pool = window.with_ints("kernel_shape", kernel[..rank].to_vec());
+        assert_fast_is_reference(OpKind::MaxPool, &pool, &[&x]);
+        assert_fast_is_reference(OpKind::AveragePool, &pool, &[&x]);
+        let include = pool.with_int("count_include_pad", 1);
+        assert_fast_is_reference(OpKind::AveragePool, &include, &[&x]);
+    }
+
     #[test]
     fn kernel_outputs_match_inferred_shapes_for_unary(dims in small_dims(), seed in 0u64..500) {
         let x = Tensor::random(Shape::new(dims), seed);
