@@ -383,7 +383,6 @@ mod tests {
         let plan = PatternFuser::for_framework(BaselineFramework::Tvm)
             .plan(&ecg)
             .unwrap();
-        plan.validate(&g).unwrap();
         // 9 layers shrink, but not as far as DNNFusion would.
         assert!(plan.fused_layer_count() < g.node_count());
         // Conv and its bias/relu epilogue share a block.
@@ -466,7 +465,6 @@ mod tests {
         let conv_block = plan.block_of(g.nodes().find(|n| n.op == OpKind::Conv).unwrap().id);
         let sig_block = plan.block_of(g.nodes().find(|n| n.op == OpKind::Sigmoid).unwrap().id);
         assert_ne!(conv_block, sig_block);
-        plan.validate(&g).unwrap();
     }
 
     #[test]

@@ -19,9 +19,9 @@ use std::collections::HashMap;
 use std::fmt;
 
 use dnnf_core::{Compiler, CompilerOptions, Ecg, FusionPlan};
-use dnnf_graph::{Graph, ValueId};
+use dnnf_graph::{Graph, NodeId, ValueId};
 use dnnf_ops::{Attrs, OpKind};
-use dnnf_runtime::{ExecOptions, Executor};
+use dnnf_runtime::{ExecOptions, Executor, MemoryPlan};
 use dnnf_simdev::DeviceSpec;
 use dnnf_tensor::{Shape, Tensor};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -380,12 +380,134 @@ fn disagreement(reference: &Tensor, engine: &Tensor, tol: f32) -> Option<String>
     })
 }
 
+/// Brute-force oracle for the facts a [`FusionPlan`] stores about its
+/// quotient graph, each recomputed here the slow, obvious way from `graph`
+/// and the plan's grouping alone: the blocks partition the nodes; the stored
+/// order is a topological order of the quotient graph; every block's
+/// boundary reads and writes, the per-value escape bit, each boundary
+/// value's birth and death position and the per-position death lists are
+/// what a naive walk finds; and [`MemoryPlan`] reports those same positions.
+/// `graph` may be any rebinding of the graph the plan was built on.
+///
+/// # Errors
+///
+/// Returns a description of the first stored fact that disagrees.
+pub fn check_plan_facts(graph: &Graph, plan: &FusionPlan) -> Result<(), String> {
+    let blocks = plan.blocks();
+    let mut owner: Vec<Option<usize>> = vec![None; graph.node_count()];
+    for (id, block) in blocks.iter().enumerate() {
+        if block.id != id || block.is_empty() {
+            return Err(format!("block {id} is empty or carries id {}", block.id));
+        }
+        for &n in &block.nodes {
+            if owner[n.index()].replace(id).is_some() || plan.block_of(n) != id {
+                return Err(format!("node {} is not in exactly one block", n.index()));
+            }
+        }
+    }
+    if owner.contains(&None) {
+        return Err("some node is in no block".into());
+    }
+
+    let order = plan.order();
+    let mut position = vec![usize::MAX; blocks.len()];
+    for (pos, &block) in order.iter().enumerate() {
+        position[block] = pos;
+    }
+    if order.len() != blocks.len() || position.contains(&usize::MAX) {
+        return Err("the order is not a permutation of the block ids".into());
+    }
+    for node in graph.nodes() {
+        for succ in graph.successors(node.id) {
+            let (from, to) = (plan.block_of(node.id), plan.block_of(succ));
+            if from != to && position[from] >= position[to] {
+                return Err(format!(
+                    "block {to} runs before block {from}, which feeds it"
+                ));
+            }
+        }
+    }
+
+    let is_output = |v: ValueId| graph.outputs().contains(&v);
+    let escapes = |v: ValueId| {
+        let value = graph.value(v);
+        value.producer.is_some_and(|p| {
+            let elsewhere = |&c: &NodeId| plan.block_of(c) != plan.block_of(p);
+            is_output(v) || value.consumers.is_empty() || value.consumers.iter().any(elsewhere)
+        })
+    };
+    for block in blocks {
+        let (mut reads, mut writes, mut touched) = (Vec::new(), Vec::new(), Vec::new());
+        for &n in &block.nodes {
+            let node = graph.node(n);
+            for &input in &node.inputs {
+                let producer = graph.value(input).producer;
+                let outside = producer.is_none_or(|p| plan.block_of(p) != block.id);
+                if outside && !reads.contains(&input) {
+                    reads.push(input);
+                    touched.push(input);
+                }
+            }
+            for &output in node.outputs.iter().filter(|&&v| escapes(v)) {
+                writes.push(output);
+                touched.push(output);
+            }
+        }
+        let stored = &block.boundary;
+        if stored.reads().collect::<Vec<_>>() != reads
+            || stored.writes().collect::<Vec<_>>() != writes
+            || stored.values().collect::<Vec<_>>() != touched
+        {
+            return Err(format!("block {}: boundary {stored:?}", block.id));
+        }
+    }
+
+    let last = order.len().saturating_sub(1);
+    let mut deaths = vec![Vec::new(); order.len()];
+    let mut lifetimes = Vec::new();
+    for value in graph.values() {
+        let expected = escapes(value.id).then(|| {
+            let birth = position[plan.block_of(value.producer.expect("escapes"))];
+            let readers = value.consumers.iter().map(|&c| position[plan.block_of(c)]);
+            let death = match readers.max() {
+                Some(reader) if !is_output(value.id) => reader,
+                _ => last,
+            };
+            (birth, death)
+        });
+        if plan.lifetime(value.id) != expected || plan.value_escapes(value.id) != escapes(value.id)
+        {
+            return Err(format!(
+                "value `{}`: stored lifetime {:?}, expected {expected:?}",
+                value.name,
+                plan.lifetime(value.id)
+            ));
+        }
+        if let Some((birth, death)) = expected {
+            lifetimes.push((value.id, birth, death));
+            if !is_output(value.id) {
+                deaths[death].push(value.id);
+            }
+        }
+    }
+    if plan.deaths() != deaths {
+        return Err(format!("deaths {:?}, expected {deaths:?}", plan.deaths()));
+    }
+    let memory = MemoryPlan::build(graph, plan, &plan.execution_order(graph), 4);
+    let planned = memory.lifetimes.iter().map(|l| (l.value, l.birth, l.death));
+    if planned.collect::<Vec<_>>() != lifetimes {
+        return Err("the memory plan's lifetimes are not the plan's".into());
+    }
+    Ok(())
+}
+
 /// Checks one seed: generates the model, runs the reference interpreter as
 /// the oracle, then the fused engine at `num_threads ∈ {1, 2, 8}`, each
 /// with and without `force_scalar`. Engine runs must match the reference
 /// within [`FUZZ_TOLERANCE`] and each other bit for bit. A compile with the
 /// default options (graph rewriting on) must match the reference within
-/// [`FUZZ_TOLERANCE`] as well.
+/// [`FUZZ_TOLERANCE`] as well. Both compilations' fusion plans must pass
+/// [`check_plan_facts`].
 ///
 /// Every seed also exercises the `.dnnfg` serialization round-trip: the
 /// graph is exported and re-imported, the import must fingerprint
@@ -433,6 +555,8 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
     let compiled = compiler
         .compile(&graph)
         .map_err(|e| fail(format!("compile failed: {e}")))?;
+    check_plan_facts(compiled.graph(), &compiled.plan)
+        .map_err(|e| fail(format!("plan facts: {e}")))?;
 
     let mut baseline: Option<Vec<Tensor>> = None;
     for threads in [1usize, 2, 8] {
@@ -466,6 +590,8 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
     let rewritten = Compiler::new(CompilerOptions::default())
         .compile(&graph)
         .map_err(|e| fail(format!("rewriting on: compile failed: {e}")))?;
+    check_plan_facts(rewritten.graph(), &rewritten.plan)
+        .map_err(|e| fail(format!("rewriting on: plan facts: {e}")))?;
     let run = base
         .clone()
         .with_options(ExecOptions::serial())

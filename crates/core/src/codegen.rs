@@ -4,11 +4,12 @@
 //! (DFT) whose leaves are the block's external inputs and whose internal
 //! nodes are the block's operators, with common sub-trees identified and
 //! reused. The DFT plus the per-pair mapping-type code-generation rules fully
-//! determine the fused kernel. In this reproduction the "generated code" has
-//! two artefacts:
+//! determine the fused kernel. Both artefacts generated here are
+//! **descriptive** — what the engine runs is [`crate::exec`]'s
+//! [`FusedKernel`](crate::FusedKernel), compiled from the same block:
 //!
-//! * a [`FusedOp`] description that the runtime's fused-kernel interpreter
-//!   executes directly (the DFT *is* the kernel), and
+//! * a [`FusedOp`] description (DFT, rules invoked, chosen layout) that the
+//!   statistics, examples and paper tables read, and
 //! * a pseudo-C listing (for inspection, examples and documentation), in the
 //!   spirit of the C++/OpenCL emitted by the paper's implementation.
 
@@ -18,6 +19,7 @@ use dnnf_graph::{NodeId, ValueId};
 use dnnf_ops::{Attrs, MappingType, OpKind};
 use dnnf_tensor::Layout;
 
+use crate::inter::select_layout;
 use crate::{analyze_pair, Ecg, FusionBlock, FusionPlan};
 
 /// One node of a data-flow tree.
@@ -125,18 +127,7 @@ pub fn generate_fused_op(ecg: &Ecg, plan: &FusionPlan, block: &FusionBlock) -> F
     let in_block = |n: NodeId| plan.block_of(n) == block.id;
 
     // Block outputs: values produced inside, visible outside.
-    let mut outputs: Vec<ValueId> = Vec::new();
-    for &n in &block.nodes {
-        for &out in &graph.node(n).outputs {
-            let v = graph.value(out);
-            let escapes = graph.outputs().contains(&out)
-                || v.consumers.is_empty()
-                || v.consumers.iter().any(|&c| !in_block(c));
-            if escapes {
-                outputs.push(out);
-            }
-        }
-    }
+    let outputs: Vec<ValueId> = block.boundary.writes().collect();
 
     // Build the DFT bottom-up from each block output, memoizing values so
     // shared sub-trees are built exactly once.
@@ -199,9 +190,8 @@ pub fn generate_fused_op(ecg: &Ecg, plan: &FusionPlan, block: &FusionBlock) -> F
 /// Generates fused operators for every block of a plan, in execution order.
 #[must_use]
 pub fn generate_all(ecg: &Ecg, plan: &FusionPlan) -> Vec<FusedOp> {
-    let order = plan.execution_order(ecg.graph());
+    let order = plan.order().iter();
     order
-        .iter()
         .map(|&b| generate_fused_op(ecg, plan, &plan.blocks()[b]))
         .collect()
 }
@@ -249,27 +239,6 @@ fn build_dft(
     };
     memo.insert(value, idx);
     idx
-}
-
-/// The inter-block layout heuristic applied per block: use the dominant
-/// operator's preferred layout (paper §4.4.2).
-fn select_layout(ecg: &Ecg, block: &FusionBlock) -> Layout {
-    let graph = ecg.graph();
-    // Dominant operator: the layout-sensitive operator with most output bytes
-    // (a cheap proxy for "performance impacted the most").
-    block
-        .nodes
-        .iter()
-        .filter(|&&n| graph.node(n).op.is_layout_dominant())
-        .max_by_key(|&&n| ecg.node_info(n).output_bytes)
-        .and_then(|&n| graph.node(n).op.preferred_layout())
-        .or_else(|| {
-            block
-                .nodes
-                .iter()
-                .find_map(|&n| graph.node(n).op.preferred_layout())
-        })
-        .unwrap_or_default()
 }
 
 fn emit_pseudo_code(
@@ -369,7 +338,7 @@ mod tests {
         let model = AnalyticLatencyModel::default();
         let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
         let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db);
+        let plan = planner.plan(&mut db).unwrap();
         let fused = generate_all(&ecg, &plan);
         (ecg, plan, fused)
     }

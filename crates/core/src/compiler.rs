@@ -368,10 +368,10 @@ impl<L: LatencyModel> Compiler<L> {
     /// rewrite phase address the same operators after the next.
     ///
     /// Correctness never depends on the groups being *good*:
-    /// `from_blocks` validates that they form a partition and that the
-    /// fused block graph stays acyclic, and rejects them otherwise — a
-    /// stale or corrupted plan produces an error (and a cold recompile at
-    /// the caller), never a wrong program.
+    /// `from_blocks` checks that they name nodes of the rewritten graph,
+    /// each at most once, and that the fused block graph stays acyclic, and
+    /// rejects them otherwise — a stale or corrupted plan produces an error
+    /// (and a cold recompile at the caller), never a wrong program.
     ///
     /// # Errors
     ///
@@ -423,11 +423,10 @@ impl<L: LatencyModel> Compiler<L> {
             Some(groups) => FusionPlan::from_blocks(&ecg, groups)?,
             None if self.options.enable_fusion => {
                 let planner = FusionPlanner::new(&ecg, &self.latency, self.options.plan);
-                planner.plan(&mut self.database)
+                planner.plan(&mut self.database)?
             }
             None => FusionPlan::singletons(&ecg),
         };
-        plan.validate(ecg.graph())?;
         stats.time_planning = t.elapsed();
         stats.fused_layers = plan.fused_layer_count();
         stats.fused_irs_bytes = plan.fused_irs_bytes(ecg.graph());

@@ -711,50 +711,11 @@ impl FusedKernel {
     }
 }
 
-/// What a run's block loop needs besides the kernels and does not depend on
-/// the inputs — or on shapes: it is a function of node/value ids and the
-/// plan's grouping alone, so every rebinding of a graph shares it.
-#[derive(Debug, PartialEq)]
-pub struct RunSchedule {
-    /// Block ids in execution order ([`FusionPlan::execution_order`]).
-    pub order: Vec<usize>,
-    /// Per position of `order`, the boundary values no later block reads:
-    /// their buffers can be recycled once that block has run. Graph outputs
-    /// never die.
-    pub deaths: Vec<Vec<ValueId>>,
-    /// The weight values, whose slots are filled before the first block.
-    pub weights: Vec<ValueId>,
-}
-
-impl RunSchedule {
-    fn build(graph: &Graph, plan: &FusionPlan) -> RunSchedule {
-        let order = plan.execution_order(graph);
-        let mut position = vec![0usize; plan.fused_layer_count()];
-        for (pos, &block) in order.iter().enumerate() {
-            position[block] = pos;
-        }
-        let mut deaths = vec![Vec::new(); order.len()];
-        for value in graph.values() {
-            if plan.value_escapes(graph, value.id) && !graph.outputs().contains(&value.id) {
-                let last_reader = value.consumers.iter().map(|&c| position[plan.block_of(c)]);
-                deaths[last_reader.max().unwrap_or(order.len() - 1)].push(value.id);
-            }
-        }
-        let weights = graph.values().filter(|v| v.is_weight()).map(|v| v.id);
-        RunSchedule {
-            order,
-            deaths,
-            weights: weights.collect(),
-        }
-    }
-}
-
-/// An entire fusion plan compiled to executable kernels, indexed by block id,
-/// plus the [`RunSchedule`] they run under.
+/// An entire fusion plan compiled to executable kernels, indexed by block
+/// id. They run in the plan's own [`FusionPlan::order`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledPlan {
     kernels: Vec<FusedKernel>,
-    schedule: Arc<RunSchedule>,
 }
 
 impl CompiledPlan {
@@ -769,53 +730,22 @@ impl CompiledPlan {
     pub fn kernels(&self) -> &[FusedKernel] {
         &self.kernels
     }
-
-    /// The schedule built with the kernels (shared by [`Self::rebound`] plans).
-    #[must_use]
-    pub fn schedule(&self) -> &Arc<RunSchedule> {
-        &self.schedule
-    }
-
-    /// Recompiles the kernels against `graph` — a [`Graph::rebind`] of the
-    /// graph this plan was compiled for, so ids and therefore the schedule
-    /// are unchanged and shared rather than rebuilt.
-    #[must_use]
-    pub fn rebound(&self, graph: &Graph, plan: &FusionPlan) -> CompiledPlan {
-        CompiledPlan {
-            kernels: compile_kernels(graph, plan),
-            schedule: Arc::clone(&self.schedule),
-        }
-    }
 }
 
-/// Compiles every block of a plan into a [`FusedKernel`] and builds the
-/// plan's [`RunSchedule`].
+/// Compiles every block of a plan into a [`FusedKernel`] against `graph` —
+/// the graph the plan was built on or any [`Graph::rebind`] of it.
 #[must_use]
 pub fn compile_plan(graph: &Graph, plan: &FusionPlan) -> CompiledPlan {
-    CompiledPlan {
-        kernels: compile_kernels(graph, plan),
-        schedule: Arc::new(RunSchedule::build(graph, plan)),
-    }
-}
-
-fn compile_kernels(graph: &Graph, plan: &FusionPlan) -> Vec<FusedKernel> {
     let blocks = plan.blocks().iter();
-    blocks.map(|b| compile_block(graph, plan, b)).collect()
+    CompiledPlan {
+        kernels: blocks.map(|b| compile_block(graph, plan, b)).collect(),
+    }
 }
 
 /// Compiles one fusion block: maximal runs of tape-compatible operators
 /// become [`ScalarTape`]s, everything else becomes an anchor/reference step.
 #[must_use]
 pub fn compile_block(graph: &Graph, plan: &FusionPlan, block: &FusionBlock) -> FusedKernel {
-    let mut escaping: Vec<ValueId> = Vec::new();
-    for &n in &block.nodes {
-        for &out in &graph.node(n).outputs {
-            if plan.value_escapes(graph, out) {
-                escaping.push(out);
-            }
-        }
-    }
-
     let mut steps = Vec::new();
     let mut i = 0;
     while i < block.nodes.len() {
@@ -874,7 +804,7 @@ pub fn compile_block(graph: &Graph, plan: &FusionPlan, block: &FusionBlock) -> F
     FusedKernel {
         block_id: block.id,
         steps,
-        escaping,
+        escaping: block.boundary.writes().collect(),
     }
 }
 
@@ -1115,8 +1045,8 @@ fn build_tape(
     for &nid in segment {
         let out_id = graph.node(nid).outputs[0];
         let v = graph.value(out_id);
-        let needed = plan.value_escapes(graph, out_id)
-            || v.consumers.iter().any(|&c| !seg_set.contains_key(&c));
+        let needed =
+            plan.value_escapes(out_id) || v.consumers.iter().any(|&c| !seg_set.contains_key(&c));
         if needed {
             outputs.push(TapeOutput {
                 value: out_id,

@@ -4,15 +4,15 @@
 //! which operators fuse into which block is decided by operator kinds,
 //! mapping types and data-flow topology, none of which change when a
 //! symbolic dimension — the batch size or a marked sequence length (see
-//! [`DimBinding`]) — does; neither does the run schedule (execution order,
-//! buffer deaths, weight slots), which is built from ids alone. Fused code
-//! generation on the other hand bakes loop shapes into its scalar tapes —
-//! cheap and deterministic per-shape work.
+//! [`DimBinding`]) — does; neither do the execution order and buffer deaths
+//! the plan carries, which are built from ids alone. Fused code generation on
+//! the other hand bakes loop shapes into its scalar tapes — cheap and
+//! deterministic per-shape work.
 //!
 //! [`CompiledModel::instance_for`] exploits that split: it reuses the
 //! expensive profile-driven plan verbatim and re-runs only the cheap codegen
-//! ([`CompiledPlan::rebound`], which shares the model's schedule) against the
-//! model's graph rebound to the requested dimensions. The result
+//! ([`compile_plan`]) against the model's graph rebound to the requested
+//! dimensions; the instance runs under the model's own plan. The result
 //! is one compiled plan (one plan-cache entry) serving *any* batch size and
 //! KV-cache length — the engine-side unlock for dynamic request batching in
 //! `dnnf-serve` and for a decode loop whose cache grows token by token.
@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use dnnf_graph::{DimBinding, Graph};
 
-use crate::exec::CompiledPlan;
+use crate::exec::{compile_plan, CompiledPlan};
 use crate::{CompiledModel, CoreError};
 
 /// How many distinct bindings a model caches executable instances for.
@@ -38,8 +38,9 @@ const MAX_CACHED_INSTANCES: usize = 32;
 /// recompiled to kernels against those shapes.
 ///
 /// Node and value ids are identical to the parent model's graph, so the
-/// parent's fusion plan, run schedule, weight store and layout decisions all
-/// apply unchanged; only shapes (and therefore loop extents) differ.
+/// parent's fusion plan (with the execution order and buffer deaths it
+/// carries), weight store and layout decisions all apply unchanged; only
+/// shapes (and therefore loop extents) differ.
 #[derive(Debug)]
 pub struct PlanInstance {
     binding: DimBinding,
@@ -85,16 +86,14 @@ impl CompiledModel {
     ///
     /// Building an instance reuses this model's fusion plan verbatim —
     /// no plan search, no profiling — and re-runs only shape inference
-    /// ([`Graph::rebind`]) and fused code generation, after revalidating the
-    /// plan against the rebound graph.
+    /// ([`Graph::rebind`]) and fused code generation. The rebound graph has
+    /// the model's node and value ids, which is all the plan was built from.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Graph`] when the graph cannot be rebound (a
     /// value of 0, a dimension the graph's inputs do not share, or an
-    /// operator whose attributes bake in the native value) and
-    /// [`CoreError::Plan`] if the plan does not validate against the rebound
-    /// graph.
+    /// operator whose attributes bake in the native value).
     pub fn instance_for(&self, binding: DimBinding) -> Result<Arc<PlanInstance>, CoreError> {
         let cache = self
             .runtime_cache()
@@ -113,8 +112,7 @@ impl CompiledModel {
         // threads racing the same new binding must not serialize every
         // other binding behind it. The race loser's instance is dropped.
         let graph = self.graph().rebind(binding)?;
-        self.plan.validate(&graph)?;
-        let engine = self.engine.rebound(&graph, &self.plan);
+        let engine = compile_plan(&graph, &self.plan);
         let instance = Arc::new(PlanInstance {
             binding,
             graph,

@@ -9,7 +9,7 @@
 use dnnf_ops::MappingType;
 use dnnf_tensor::Layout;
 
-use crate::{Ecg, FusionPlan};
+use crate::{Ecg, FusionBlock, FusionPlan};
 
 /// Result of the inter-block layout selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,32 +33,33 @@ impl LayoutDecision {
     }
 }
 
+/// The layout heuristic applied per block: the preferred layout of the
+/// dominant operator — the layout-sensitive member with the most output
+/// bytes, a cheap proxy for "performance impacted the most" (paper §4.4.2).
+pub(crate) fn select_layout(ecg: &Ecg, block: &FusionBlock) -> Layout {
+    let graph = ecg.graph();
+    block
+        .nodes
+        .iter()
+        .filter(|&&n| graph.node(n).op.is_layout_dominant())
+        .max_by_key(|&&n| ecg.node_info(n).output_bytes)
+        .and_then(|&n| graph.node(n).op.preferred_layout())
+        .or_else(|| {
+            block
+                .nodes
+                .iter()
+                .find_map(|&n| graph.node(n).op.preferred_layout())
+        })
+        .unwrap_or_default()
+}
+
 /// Selects a layout for every block and counts the conversions required with
 /// and without fusion-aware layout selection.
 #[must_use]
 pub fn select_block_layouts(ecg: &Ecg, plan: &FusionPlan) -> LayoutDecision {
     let graph = ecg.graph();
-
-    // Per-block layout: dominant operator's preference.
-    let block_layouts: Vec<Layout> = plan
-        .blocks()
-        .iter()
-        .map(|block| {
-            block
-                .nodes
-                .iter()
-                .filter(|&&n| graph.node(n).op.is_layout_dominant())
-                .max_by_key(|&&n| ecg.node_info(n).output_bytes)
-                .and_then(|&n| graph.node(n).op.preferred_layout())
-                .or_else(|| {
-                    block
-                        .nodes
-                        .iter()
-                        .find_map(|&n| graph.node(n).op.preferred_layout())
-                })
-                .unwrap_or_default()
-        })
-        .collect();
+    let blocks = plan.blocks().iter();
+    let block_layouts: Vec<Layout> = blocks.map(|block| select_layout(ecg, block)).collect();
 
     // Conversions after fusion: block-boundary edges with differing layouts,
     // ignoring edges into blocks that are layout-agnostic (pure One-to-One).
@@ -127,7 +128,7 @@ mod tests {
         let model = AnalyticLatencyModel::default();
         let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
         let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db);
+        let plan = planner.plan(&mut db).unwrap();
         (ecg, plan)
     }
 

@@ -80,7 +80,7 @@ mod tests {
         let model = AnalyticLatencyModel::default();
         let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
         let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db);
+        let plan = planner.plan(&mut db).unwrap();
         (ecg, plan)
     }
 

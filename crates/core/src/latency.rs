@@ -10,7 +10,8 @@
 use dnnf_graph::{Graph, NodeId};
 use dnnf_ops::{cost, MappingType};
 use dnnf_tensor::Shape;
-use std::collections::BTreeSet;
+
+use crate::plan::boundary_of;
 
 /// Estimates the latency of executing a set of graph nodes, either as one
 /// fused kernel or as separate kernels.
@@ -70,29 +71,9 @@ impl AnalyticLatencyModel {
     /// (or marked as graph outputs).
     #[must_use]
     pub fn boundary_bytes(&self, graph: &Graph, nodes: &[NodeId]) -> u64 {
-        let set: BTreeSet<NodeId> = nodes.iter().copied().collect();
-        let mut bytes = 0u64;
-        let mut counted = BTreeSet::new();
-        for &n in nodes {
-            let node = graph.node(n);
-            for &input in &node.inputs {
-                let v = graph.value(input);
-                let produced_inside = v.producer.map(|p| set.contains(&p)).unwrap_or(false);
-                if !produced_inside && counted.insert(input) {
-                    bytes += v.size_bytes() as u64 / 4 * self.elem_bytes;
-                }
-            }
-            for &output in &node.outputs {
-                let v = graph.value(output);
-                let consumed_outside = v.consumers.iter().any(|c| !set.contains(c))
-                    || graph.outputs().contains(&output)
-                    || v.consumers.is_empty();
-                if consumed_outside && counted.insert(output) {
-                    bytes += v.size_bytes() as u64 / 4 * self.elem_bytes;
-                }
-            }
-        }
-        bytes
+        let crossing = boundary_of(graph, nodes);
+        let bytes = |v| graph.value(v).size_bytes() as u64 / 4 * self.elem_bytes;
+        crossing.values().map(bytes).sum()
     }
 
     /// Total FLOPs of the node set, with the access-disruption penalty

@@ -65,12 +65,13 @@ pub use compiler::{CompilationStats, CompiledModel, Compiler, CompilerOptions, R
 pub use ecg::{Ecg, EcgNodeInfo};
 pub use error::CoreError;
 pub use exec::{
-    compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, RunSchedule,
-    ScalarTape,
+    compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, ScalarTape,
 };
 pub use instance::PlanInstance;
 pub use inter::{select_block_layouts, LayoutDecision};
 pub use intra::{eliminate_data_movement, DataMovementElimination};
 pub use latency::{AnalyticLatencyModel, LatencyModel};
 pub use mapping::{analyze_pair, fusable_cell_count, FusionDecision, FusionVerdict};
-pub use plan::{block_profile_key, FusionBlock, FusionPlan, FusionPlanner, PlanOptions};
+pub use plan::{
+    block_profile_key, boundary_of, Boundary, FusionBlock, FusionPlan, FusionPlanner, PlanOptions,
+};

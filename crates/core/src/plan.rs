@@ -68,6 +68,64 @@ impl Default for PlanOptions {
     }
 }
 
+/// The values crossing the boundary of a set of nodes run as one kernel.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Boundary {
+    /// Each crossing value once, in the order the nodes touch them — a
+    /// node's outside inputs, then its escaping outputs; `true` marks a write.
+    crossings: Vec<(ValueId, bool)>,
+}
+
+impl Boundary {
+    /// Values read from outside the set: graph inputs, weights, and other
+    /// kernels' outputs.
+    pub fn reads(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.crossings.iter().filter(|c| !c.1).map(|c| c.0)
+    }
+
+    /// Values produced inside the set and visible outside it: graph
+    /// outputs, dead ends, and values some node outside the set consumes.
+    pub fn writes(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.crossings.iter().filter(|c| c.1).map(|c| c.0)
+    }
+
+    /// Reads and writes together, in the order the nodes touch them.
+    pub fn values(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.crossings.iter().map(|c| c.0)
+    }
+}
+
+/// The boundary of executing `nodes` as one kernel. This is the one place
+/// the "escapes its kernel" rule is written: the plan constructor calls it
+/// per block, and the latency models and the planner's constraint check call
+/// it on candidate sets that are not blocks yet.
+#[must_use]
+pub fn boundary_of(graph: &Graph, nodes: &[NodeId]) -> Boundary {
+    let inside: BTreeSet<NodeId> = nodes.iter().copied().collect();
+    let mut read: BTreeSet<ValueId> = BTreeSet::new();
+    let mut crossings = Vec::new();
+    for &n in nodes {
+        let node = graph.node(n);
+        for &input in &node.inputs {
+            let producer = graph.value(input).producer;
+            let internal = producer.is_some_and(|p| inside.contains(&p));
+            if !internal && read.insert(input) {
+                crossings.push((input, false));
+            }
+        }
+        for &output in &node.outputs {
+            let v = graph.value(output);
+            if graph.outputs().contains(&output)
+                || v.consumers.is_empty()
+                || v.consumers.iter().any(|c| !inside.contains(c))
+            {
+                crossings.push((output, true));
+            }
+        }
+    }
+    Boundary { crossings }
+}
+
 /// One fusion block: a set of operators compiled into a single fused kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionBlock {
@@ -80,6 +138,8 @@ pub struct FusionBlock {
     pub nodes: Vec<NodeId>,
     /// Mapping type of the fused operator.
     pub mapping_type: MappingType,
+    /// What the block reads from and writes to the rest of the graph.
+    pub boundary: Boundary,
 }
 
 impl FusionBlock {
@@ -96,92 +156,181 @@ impl FusionBlock {
     }
 }
 
-/// A complete fusion plan: a partition of the graph's nodes into blocks.
+/// A group of nodes on its way to becoming a block: the members in any
+/// order and, for a block the planner grew, its seed and the mapping type
+/// the exploration arrived at (`None`: no seed, fold the members' types).
+type Group = (Vec<NodeId>, Option<(NodeId, MappingType)>);
+
+/// A complete fusion plan: a partition of the graph's nodes into convex
+/// blocks, together with the facts of its quotient graph every later layer
+/// consumes — the order blocks run in, what crosses each block's boundary,
+/// and when each boundary value is born and dies. All of it is derived once,
+/// by the one constructor, from node and value ids alone: a plan that exists
+/// is valid, and it fits every [`Graph::rebind`] of the graph it was built
+/// on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionPlan {
     blocks: Vec<FusionBlock>,
     node_block: Vec<usize>,
+    order: Vec<usize>,
+    lifetimes: Vec<Option<(usize, usize)>>,
+    deaths: Vec<Vec<ValueId>>,
 }
 
 impl FusionPlan {
     /// Builds the trivial plan in which every operator is its own block —
     /// the "no fusion" baseline (`OurB` in the paper's evaluation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is cyclic (it failed [`Graph::validate`]).
     #[must_use]
     pub fn singletons(ecg: &Ecg) -> FusionPlan {
-        let graph = ecg.graph();
-        let mut blocks = Vec::with_capacity(graph.node_count());
-        let mut node_block = vec![0usize; graph.node_count()];
-        for (i, n) in graph.topo_order().into_iter().enumerate() {
-            node_block[n.index()] = i;
-            blocks.push(FusionBlock {
-                id: i,
-                seed: None,
-                nodes: vec![n],
-                mapping_type: ecg.mapping_type(n),
-            });
-        }
-        FusionPlan { blocks, node_block }
+        FusionPlan::assemble(ecg, Vec::new()).expect("singleton blocks of an acyclic graph")
     }
 
     /// Builds a plan from an explicit grouping of nodes into blocks — used by
     /// the fixed-pattern fusion baselines (`OurB+`, TVM/MNN/TFLite-style) so
-    /// they can be executed and measured by the same runtime.
+    /// they can be executed and measured by the same runtime, and by the
+    /// plan cache to replay a persisted partition.
     ///
     /// Nodes not mentioned in `groups` become singleton blocks.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Plan`] if a node appears in more than one group
-    /// or the resulting block graph is cyclic.
+    /// Returns [`CoreError::Plan`] if a group names a node the graph does not
+    /// have, a node appears in more than one group, or the resulting block
+    /// graph is cyclic.
     pub fn from_blocks(ecg: &Ecg, groups: Vec<Vec<NodeId>>) -> Result<FusionPlan, CoreError> {
+        FusionPlan::assemble(ecg, groups.into_iter().map(|g| (g, None)).collect())
+    }
+
+    /// The one constructor. Ranks the graph topologically once, orders each
+    /// group by that rank, checks that the groups are disjoint and in range
+    /// (unmentioned nodes become singleton blocks, in topological order,
+    /// after the groups), sorts the quotient graph, and stores what falls
+    /// out of that.
+    fn assemble(ecg: &Ecg, groups: Vec<Group>) -> Result<FusionPlan, CoreError> {
         let graph = ecg.graph();
-        let mut node_block = vec![usize::MAX; graph.node_count()];
-        let mut blocks = Vec::new();
-        for group in groups {
-            if group.is_empty() {
+        let plan_error = |reason: String| Err(CoreError::Plan { reason });
+        let topo = graph.topo_order();
+        if topo.len() != graph.node_count() {
+            return plan_error("the graph is cyclic".into());
+        }
+        let mut rank = vec![0usize; topo.len()];
+        for (i, n) in topo.iter().enumerate() {
+            rank[n.index()] = i;
+        }
+
+        let mut grouped = vec![false; topo.len()];
+        for &n in groups.iter().flat_map(|(nodes, _)| nodes) {
+            match grouped.get_mut(n.index()) {
+                None => return plan_error(format!("node {} is not in the graph", n.index())),
+                Some(true) => {
+                    return plan_error(format!(
+                        "node {} assigned to more than one group",
+                        n.index()
+                    ))
+                }
+                Some(slot) => *slot = true,
+            }
+        }
+        let leftovers = topo.iter().filter(|n| !grouped[n.index()]);
+        let leftovers = leftovers.map(|&n| (vec![n], None));
+
+        let mut node_block = vec![0usize; topo.len()];
+        let mut blocks: Vec<FusionBlock> = Vec::new();
+        for (mut nodes, grown) in groups.into_iter().chain(leftovers) {
+            if nodes.is_empty() {
                 continue;
             }
             let id = blocks.len();
-            for &n in &group {
-                if node_block[n.index()] != usize::MAX {
-                    return Err(CoreError::Plan {
-                        reason: format!("node {} assigned to more than one group", n.index()),
-                    });
-                }
+            for &n in &nodes {
                 node_block[n.index()] = id;
             }
-            let nodes: Vec<NodeId> = graph
-                .topo_order()
-                .into_iter()
-                .filter(|n| group.contains(n))
-                .collect();
-            // Fold the members' mapping types pairwise to get the block type.
-            let mut mapping = ecg.mapping_type(nodes[0]);
-            for &n in nodes.iter().skip(1) {
-                mapping = analyze_pair(mapping, ecg.mapping_type(n)).fused_type;
-            }
+            nodes.sort_unstable_by_key(|n| rank[n.index()]);
+            let (seed, mapping_type) = match grown {
+                Some((seed, mapping_type)) => (Some(seed), mapping_type),
+                // Fold the members' mapping types pairwise, in block order.
+                None => {
+                    let first = ecg.mapping_type(nodes[0]);
+                    let fold = nodes[1..].iter().fold(first, |folded, &n| {
+                        analyze_pair(folded, ecg.mapping_type(n)).fused_type
+                    });
+                    (None, fold)
+                }
+            };
             blocks.push(FusionBlock {
                 id,
-                seed: None,
+                seed,
+                mapping_type,
+                boundary: boundary_of(graph, &nodes),
                 nodes,
-                mapping_type: mapping,
             });
         }
-        for n in graph.topo_order() {
-            if node_block[n.index()] == usize::MAX {
-                let id = blocks.len();
-                node_block[n.index()] = id;
-                blocks.push(FusionBlock {
-                    id,
-                    seed: None,
-                    nodes: vec![n],
-                    mapping_type: ecg.mapping_type(n),
-                });
+
+        // Kahn's algorithm over the quotient graph, last-in first-out.
+        let n = blocks.len();
+        let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        let mut in_degree = vec![0usize; n];
+        for node in graph.nodes() {
+            let from = node_block[node.id.index()];
+            for succ in graph.successors(node.id) {
+                let to = node_block[succ.index()];
+                if from != to && succs[from].insert(to) {
+                    in_degree[to] += 1;
+                }
             }
         }
-        let plan = FusionPlan { blocks, node_block };
-        plan.validate(graph)?;
-        Ok(plan)
+        let mut ready: Vec<usize> = (0..n).filter(|&b| in_degree[b] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(b) = ready.pop() {
+            order.push(b);
+            for &next in &succs[b] {
+                in_degree[next] -= 1;
+                if in_degree[next] == 0 {
+                    ready.push(next);
+                }
+            }
+        }
+        if order.len() != n {
+            return plan_error("fused block graph contains a cycle".into());
+        }
+
+        // A boundary value is born where its block runs and dies with its
+        // last reading block; graph outputs and values nobody reads live to
+        // the end.
+        let mut position = vec![0usize; n];
+        for (pos, &block) in order.iter().enumerate() {
+            position[block] = pos;
+        }
+        let last = n.saturating_sub(1);
+        let mut lifetimes = vec![None; graph.value_count()];
+        for block in &blocks {
+            for value in block.boundary.writes() {
+                lifetimes[value.index()] = Some((position[block.id], last));
+            }
+        }
+        let mut deaths = vec![Vec::new(); n];
+        for value in graph.values() {
+            let Some((_, death)) = &mut lifetimes[value.id.index()] else {
+                continue;
+            };
+            if !graph.outputs().contains(&value.id) {
+                let readers = value.consumers.iter();
+                let readers = readers.map(|c| position[node_block[c.index()]]);
+                *death = readers.max().unwrap_or(last);
+                deaths[*death].push(value.id);
+            }
+        }
+
+        Ok(FusionPlan {
+            blocks,
+            node_block,
+            order,
+            lifetimes,
+            deaths,
+        })
     }
 
     /// The fusion blocks.
@@ -222,26 +371,44 @@ impl FusionPlan {
         self.blocks.iter().filter(|b| b.len() > 1).count()
     }
 
-    /// Whether a produced value is visible outside its producer's block — a
-    /// graph output, a dead end, or consumed by another block. This single
-    /// predicate decides what the fused engine materializes, what the memory
-    /// planner tracks, and what the cache simulation touches; every layer
-    /// must agree on it, so they all call here.
-    ///
-    /// Values without a producer (graph inputs, weights) return `false`:
-    /// they are not block outputs.
+    /// Block ids in execution order: a topological order of the quotient
+    /// graph.
     #[must_use]
-    pub fn value_escapes(&self, graph: &Graph, value: ValueId) -> bool {
-        let v = graph.value(value);
-        let Some(producer) = v.producer else {
-            return false;
-        };
-        let producer_block = self.block_of(producer);
-        graph.outputs().contains(&value)
-            || v.consumers.is_empty()
-            || v.consumers
-                .iter()
-                .any(|&c| self.block_of(c) != producer_block)
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// [`FusionPlan::order`], owned. The graph is not consulted.
+    #[must_use]
+    pub fn execution_order(&self, _graph: &Graph) -> Vec<usize> {
+        self.order.clone()
+    }
+
+    /// The `(birth, death)` positions in [`FusionPlan::order`] of a value
+    /// that escapes its block: where its producing block runs and where its
+    /// last reading block does — the last position for a graph output or a
+    /// value nobody reads. `None` for everything that is never materialized
+    /// between blocks: block-internal values, graph inputs and weights.
+    #[must_use]
+    pub fn lifetime(&self, value: ValueId) -> Option<(usize, usize)> {
+        self.lifetimes.get(value.index()).copied().flatten()
+    }
+
+    /// Whether a produced value is visible outside its producer's block — a
+    /// graph output, a dead end, or consumed by another block. What the
+    /// fused engine materializes, what the memory planner tracks and what
+    /// the cache simulation touches is exactly these values.
+    #[must_use]
+    pub fn value_escapes(&self, value: ValueId) -> bool {
+        self.lifetime(value).is_some()
+    }
+
+    /// Per position of [`FusionPlan::order`], the boundary values whose
+    /// lifetime ends there, graph outputs excepted: a run recycles their
+    /// buffers once that block has finished.
+    #[must_use]
+    pub fn deaths(&self) -> &[Vec<ValueId>] {
+        &self.deaths
     }
 
     /// Total bytes of intermediate results that still have to be
@@ -249,95 +416,17 @@ impl FusionPlan {
     /// as graph outputs. This is the paper's post-fusion "IRS size".
     #[must_use]
     pub fn fused_irs_bytes(&self, graph: &Graph) -> u64 {
-        graph
-            .values()
-            .filter(|v| v.is_intermediate() && self.value_escapes(graph, v.id))
-            .map(|v| v.size_bytes() as u64)
-            .sum()
+        let writes = self.blocks.iter().flat_map(|b| b.boundary.writes());
+        writes.map(|v| graph.value(v).size_bytes() as u64).sum()
     }
 
     /// Values that no longer need to be materialized at all (every consumer
     /// lives in the producer's block) — the ECG's `IR_removable` set.
     #[must_use]
     pub fn removable_values(&self, graph: &Graph) -> Vec<ValueId> {
-        graph
-            .values()
-            .filter(|v| {
-                v.is_intermediate()
-                    && !graph.outputs().contains(&v.id)
-                    && !v.consumers.is_empty()
-                    && v.producer.is_some_and(|p| {
-                        let pb = self.block_of(p);
-                        v.consumers.iter().all(|&c| self.block_of(c) == pb)
-                    })
-            })
-            .map(|v| v.id)
-            .collect()
-    }
-
-    /// Blocks in an execution (topological) order over the quotient graph.
-    #[must_use]
-    pub fn execution_order(&self, graph: &Graph) -> Vec<usize> {
-        let n = self.blocks.len();
-        let mut succs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        let mut in_degree = vec![0usize; n];
-        for node in graph.nodes() {
-            let from = self.block_of(node.id);
-            for succ in graph.successors(node.id) {
-                let to = self.block_of(succ);
-                if from != to && succs[from].insert(to) {
-                    in_degree[to] += 1;
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&b| in_degree[b] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(b) = queue.pop() {
-            order.push(b);
-            for &next in &succs[b] {
-                in_degree[next] -= 1;
-                if in_degree[next] == 0 {
-                    queue.push(next);
-                }
-            }
-        }
-        order
-    }
-
-    /// Validates the plan: every node in exactly one block and the quotient
-    /// graph acyclic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Plan`] describing the violated invariant.
-    pub fn validate(&self, graph: &Graph) -> Result<(), CoreError> {
-        let mut seen = vec![false; graph.node_count()];
-        for block in &self.blocks {
-            for &n in &block.nodes {
-                if seen[n.index()] {
-                    return Err(CoreError::Plan {
-                        reason: format!("node {} assigned to more than one block", n.index()),
-                    });
-                }
-                seen[n.index()] = true;
-                if self.node_block[n.index()] != block.id {
-                    return Err(CoreError::Plan {
-                        reason: format!("node {} block index is inconsistent", n.index()),
-                    });
-                }
-            }
-        }
-        if seen.iter().any(|&s| !s) {
-            return Err(CoreError::Plan {
-                reason: "some nodes are not assigned to a block".into(),
-            });
-        }
-        if self.execution_order(graph).len() != self.blocks.len() {
-            return Err(CoreError::Plan {
-                reason: "fused block graph contains a cycle".into(),
-            });
-        }
-        Ok(())
+        let produced = graph.values().filter(|v| v.producer.is_some());
+        let internal = produced.filter(|v| !self.value_escapes(v.id));
+        internal.map(|v| v.id).collect()
     }
 }
 
@@ -369,12 +458,16 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
 
     /// Generates the fusion plan, consulting (and extending) the profiling
     /// database for yellow-cell decisions.
-    #[must_use]
-    pub fn plan(&self, db: &mut ProfileDatabase) -> FusionPlan {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Plan`] if the blocks the exploration grew do not
+    /// form an acyclic partition — a planner bug the convexity check exists
+    /// to prevent, reported rather than executed.
+    pub fn plan(&self, db: &mut ProfileDatabase) -> Result<FusionPlan, CoreError> {
         let graph = self.ecg.graph();
-        let node_count = graph.node_count();
-        let mut assigned: Vec<Option<usize>> = vec![None; node_count];
-        let mut blocks: Vec<FusionBlock> = Vec::new();
+        let mut assigned = vec![false; graph.node_count()];
+        let mut groups: Vec<Group> = Vec::new();
 
         // Step 1 (iterated): pick seeds in order of increasing IRS size.
         // One-to-One operators are preferred (lowest transformation
@@ -388,19 +481,18 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
                 .ecg
                 .one_to_one_nodes()
                 .into_iter()
-                .filter(|n| assigned[n.index()].is_none())
+                .filter(|n| !assigned[n.index()])
                 .min_by_key(|&n| (self.ecg.node_info(n).output_bytes, n.index()))
                 .or_else(|| {
                     graph_nodes
                         .filter(|n| {
-                            assigned[n.index()].is_none()
+                            !assigned[n.index()]
                                 && self.ecg.mapping_type(*n) != MappingType::ManyToMany
                         })
                         .min_by_key(|&n| (self.ecg.node_info(n).output_bytes, n.index()))
                 });
             let Some(seed) = seed else { break };
 
-            let block_id = blocks.len();
             let mut members: BTreeSet<NodeId> = BTreeSet::new();
             members.insert(seed);
             let mut mapping = self.ecg.mapping_type(seed);
@@ -432,35 +524,13 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
             }
 
             for &n in &members {
-                assigned[n.index()] = Some(block_id);
+                assigned[n.index()] = true;
             }
-            blocks.push(FusionBlock {
-                id: block_id,
-                seed: Some(seed),
-                nodes: sort_topo(graph, &members),
-                mapping_type: mapping,
-            });
+            groups.push((members.into_iter().collect(), Some((seed, mapping))));
         }
 
         // Remaining operators become singleton blocks, in topological order.
-        for n in graph.topo_order() {
-            if assigned[n.index()].is_none() {
-                let block_id = blocks.len();
-                assigned[n.index()] = Some(block_id);
-                blocks.push(FusionBlock {
-                    id: block_id,
-                    seed: None,
-                    nodes: vec![n],
-                    mapping_type: self.ecg.mapping_type(n),
-                });
-            }
-        }
-
-        let node_block = assigned
-            .into_iter()
-            .map(|b| b.expect("every node assigned"))
-            .collect();
-        FusionPlan { blocks, node_block }
+        FusionPlan::assemble(self.ecg, groups)
     }
 
     /// Recursive candidate exploration (Listing 1, `fuse_successor` /
@@ -471,10 +541,10 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
         mapping: &mut MappingType,
         candidate: NodeId,
         direction: Direction,
-        assigned: &[Option<usize>],
+        assigned: &[bool],
         db: &mut ProfileDatabase,
     ) {
-        if members.contains(&candidate) || assigned[candidate.index()].is_some() {
+        if members.contains(&candidate) || assigned[candidate.index()] {
             return;
         }
         let graph = self.ecg.graph();
@@ -556,23 +626,10 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
         }
         // Register-pressure proxy: count distinct external inputs after the
         // candidate joins.
-        let graph = self.ecg.graph();
-        let mut extended: BTreeSet<NodeId> = members.clone();
-        extended.insert(candidate);
-        let mut external_inputs: BTreeSet<ValueId> = BTreeSet::new();
-        for &n in &extended {
-            for &input in &graph.node(n).inputs {
-                let produced_inside = graph
-                    .value(input)
-                    .producer
-                    .map(|p| extended.contains(&p))
-                    .unwrap_or(false);
-                if !produced_inside {
-                    external_inputs.insert(input);
-                }
-            }
-        }
-        external_inputs.len() <= self.options.max_external_inputs
+        let mut extended: Vec<NodeId> = members.iter().copied().collect();
+        extended.push(candidate);
+        let external_inputs = boundary_of(self.ecg.graph(), &extended).reads().count();
+        external_inputs <= self.options.max_external_inputs
     }
 
     fn profile_key(&self, nodes: &[NodeId]) -> ProfileKey {
@@ -599,15 +656,6 @@ pub fn block_profile_key(graph: &Graph, nodes: &[NodeId]) -> ProfileKey {
         .map(|v| graph.value(v).shape.to_string())
         .collect();
     ProfileKey::new(ops, shapes.join(";"))
-}
-
-/// Sorts a node set into the graph's topological order.
-fn sort_topo(graph: &Graph, members: &BTreeSet<NodeId>) -> Vec<NodeId> {
-    graph
-        .topo_order()
-        .into_iter()
-        .filter(|n| members.contains(n))
-        .collect()
 }
 
 /// Returns `true` if adding `candidate` to the convex set `members` would
@@ -662,9 +710,7 @@ mod tests {
         let model = AnalyticLatencyModel::default();
         let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
         let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db);
-        plan.validate(graph).unwrap();
-        plan
+        planner.plan(&mut db).unwrap()
     }
 
     /// Conv -> Add(bias) -> Relu -> Mul -> Sub, plus a separate GEMM joining
@@ -967,10 +1013,10 @@ mod tests {
             .unwrap()[0];
         g.mark_output(b);
         let plan = plan_graph(&g);
-        plan.validate(&g).unwrap();
         // Either the conv joined the same block (fine) or a/b are split; in
-        // both cases the quotient graph must be acyclic, which validate()
-        // already asserts. Additionally the plan must cover all 3 nodes.
+        // both cases the quotient graph must be acyclic, or the constructor
+        // would have refused the plan. Additionally the plan must cover all
+        // 3 nodes.
         let covered: usize = plan.blocks().iter().map(FusionBlock::len).sum();
         assert_eq!(covered, 3);
     }
@@ -993,8 +1039,7 @@ mod tests {
         };
         let planner = FusionPlanner::new(&ecg, &model, opts);
         let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db);
-        plan.validate(&g).unwrap();
+        let plan = planner.plan(&mut db).unwrap();
         assert!(plan.blocks().iter().all(|b| b.len() <= 5));
         assert!(plan.fused_layer_count() >= 4);
     }
@@ -1027,8 +1072,7 @@ mod tests {
         let model = AnalyticLatencyModel::default();
         let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
         let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db);
-        plan.validate(&g).unwrap();
+        planner.plan(&mut db).unwrap();
         assert!(
             !db.is_empty(),
             "yellow decision should have recorded profile entries"

@@ -82,8 +82,37 @@ impl fmt::Display for ProfileDbError {
 
 impl std::error::Error for ProfileDbError {}
 
-/// 64-bit FNV-1a over a byte stream — the integrity checksum of the
-/// versioned format (dependency-free, stable across platforms).
+impl From<Damage> for ProfileDbError {
+    fn from(damage: Damage) -> Self {
+        match damage {
+            Damage::BadHeader(found) => ProfileDbError::BadHeader { found },
+            Damage::BadCount => ProfileDbError::BadCount,
+            Damage::Truncated { expected, found } => ProfileDbError::Truncated { expected, found },
+            Damage::BadChecksum => ProfileDbError::BadChecksum,
+        }
+    }
+}
+
+/// Why [`open`] rejected a sealed text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Damage {
+    /// The first line is not the expected header (carried here).
+    BadHeader(String),
+    /// The `entries <n>` count line is missing or malformed.
+    BadCount,
+    /// The declared and the present number of entry lines differ.
+    Truncated {
+        /// Entries the count line promised.
+        expected: usize,
+        /// Entry lines actually present.
+        found: usize,
+    },
+    /// The trailing checksum line is missing, malformed, or does not match.
+    BadChecksum,
+}
+
+/// 64-bit FNV-1a over a byte stream — the integrity checksum of the sealed
+/// framing (dependency-free, stable across platforms).
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -91,6 +120,83 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Seals entry lines into the checksummed line framing this crate's store
+/// and `dnnf-runtime`'s plan cache persist in:
+///
+/// ```text
+/// <header>
+/// entries <n>
+/// <entry line>                      (n of them)
+/// checksum <16-hex fnv64 of everything above>
+/// ```
+///
+/// Entry lines must not contain a newline or start with `checksum `.
+#[must_use]
+pub fn seal<I>(header: &str, entries: I) -> String
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut lines = String::new();
+    let mut count = 0usize;
+    for entry in entries {
+        lines.push_str(entry.as_ref());
+        lines.push('\n');
+        count += 1;
+    }
+    let mut text = format!("{header}\nentries {count}\n{lines}");
+    let sum = fnv64(text.as_bytes());
+    text.push_str(&format!("checksum {sum:016x}\n"));
+    text
+}
+
+/// Strictly opens text produced by [`seal`]: the header, the entry count and
+/// the trailing checksum must all be intact, and the entry lines come back
+/// verbatim (the first is line 3 of the text). Any damage — truncation, a
+/// flipped bit, a partial write — is an error, never a shorter list.
+///
+/// # Errors
+///
+/// Returns the first [`Damage`] found.
+pub fn open<'a>(header: &str, text: &'a str) -> Result<Vec<&'a str>, Damage> {
+    let mut lines = text.lines();
+    let first = lines.next().unwrap_or("");
+    if first != header {
+        return Err(Damage::BadHeader(first.to_string()));
+    }
+    let expected: usize = lines
+        .next()
+        .and_then(|l| l.strip_prefix("entries "))
+        .and_then(|n| n.parse().ok())
+        .ok_or(Damage::BadCount)?;
+    let mut entries = Vec::new();
+    let mut stated = None;
+    for line in lines {
+        if let Some(sum) = line.strip_prefix("checksum ") {
+            stated = Some(sum);
+            break;
+        }
+        entries.push(line);
+    }
+    if entries.len() != expected {
+        return Err(Damage::Truncated {
+            expected,
+            found: entries.len(),
+        });
+    }
+    let stated = stated.and_then(|sum| u64::from_str_radix(sum, 16).ok());
+    // Recompute over everything before the checksum line.
+    let body: String = text
+        .lines()
+        .take(2 + entries.len())
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    if stated != Some(fnv64(body.as_bytes())) {
+        return Err(Damage::BadChecksum);
+    }
+    Ok(entries)
 }
 
 /// Key identifying one profiled operator combination.
@@ -239,14 +345,12 @@ impl ProfileDatabase {
     /// Serializes the database to its line-based text format.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        for (k, v) in &self.entries {
-            s.push_str(&k.encode());
-            s.push('\t');
-            s.push_str(&v.to_string());
-            s.push('\n');
-        }
-        s
+        self.entry_lines().map(|line| line + "\n").collect()
+    }
+
+    fn entry_lines(&self) -> impl Iterator<Item = String> + '_ {
+        let entries = self.entries.iter();
+        entries.map(|(k, v)| format!("{}\t{v}", k.encode()))
     }
 
     /// Parses a database from the text format produced by
@@ -280,11 +384,7 @@ impl ProfileDatabase {
     /// formatting, so a save/load cycle reproduces the exact bits.
     #[must_use]
     pub fn to_versioned_text(&self) -> String {
-        let mut body = format!("{FORMAT_HEADER}\nentries {}\n", self.entries.len());
-        body.push_str(&self.to_text());
-        let sum = fnv64(body.as_bytes());
-        body.push_str(&format!("checksum {sum:016x}\n"));
-        body
+        seal(FORMAT_HEADER, self.entry_lines())
     }
 
     /// Strictly parses the versioned format produced by
@@ -297,50 +397,21 @@ impl ProfileDatabase {
     ///
     /// Returns a [`ProfileDbError`] describing the first problem found.
     pub fn try_from_text(text: &str) -> Result<Self, ProfileDbError> {
-        let mut lines = text.lines().enumerate();
-        let header = lines.next().map(|(_, l)| l).unwrap_or("");
-        if header != FORMAT_HEADER {
-            return Err(ProfileDbError::BadHeader {
-                found: header.to_string(),
-            });
-        }
-        let expected: usize = lines
-            .next()
-            .and_then(|(_, l)| l.strip_prefix("entries "))
-            .and_then(|n| n.parse().ok())
-            .ok_or(ProfileDbError::BadCount)?;
-
+        let lines = open(FORMAT_HEADER, text)?;
         let mut db = ProfileDatabase::new();
-        let mut checksum_line = None;
-        for (i, line) in lines {
-            if let Some(sum) = line.strip_prefix("checksum ") {
-                checksum_line = Some((i, sum));
-                break;
-            }
-            let parsed = line
+        for (i, line) in lines.iter().enumerate() {
+            let (key, val) = line
                 .split_once('\t')
-                .and_then(|(key, val)| Some((ProfileKey::decode(key)?, val.parse::<f64>().ok()?)));
-            match parsed {
-                Some((key, val)) => db.entries.insert(key, val),
-                None => return Err(ProfileDbError::BadEntry { line: i + 1 }),
-            };
+                .and_then(|(key, val)| Some((ProfileKey::decode(key)?, val.parse::<f64>().ok()?)))
+                .ok_or(ProfileDbError::BadEntry { line: i + 3 })?;
+            db.entries.insert(key, val);
         }
-        if db.entries.len() != expected {
+        // Two lines under one key would silently read as a smaller database.
+        if db.entries.len() != lines.len() {
             return Err(ProfileDbError::Truncated {
-                expected,
+                expected: lines.len(),
                 found: db.entries.len(),
             });
-        }
-        let (checksum_idx, stated) = checksum_line.ok_or(ProfileDbError::BadChecksum)?;
-        let stated = u64::from_str_radix(stated, 16).map_err(|_| ProfileDbError::BadChecksum)?;
-        // Recompute over everything before the checksum line.
-        let body: String = text
-            .lines()
-            .take(checksum_idx)
-            .flat_map(|l| [l, "\n"])
-            .collect();
-        if fnv64(body.as_bytes()) != stated {
-            return Err(ProfileDbError::BadChecksum);
         }
         Ok(db)
     }
@@ -497,11 +568,21 @@ mod tests {
             ProfileDatabase::try_from_text(&corrupted),
             Err(ProfileDbError::BadChecksum)
         );
-        // Garbage entry line.
+        // Garbage entry line: caught by the checksum when written over a
+        // sealed file, and as a malformed entry when sealed in.
         let garbled = good.replacen("Conv+Relu|1x8x16x16\t101.625", "garbage", 1);
-        assert!(matches!(
+        assert_eq!(
             ProfileDatabase::try_from_text(&garbled),
-            Err(ProfileDbError::BadEntry { .. })
+            Err(ProfileDbError::BadChecksum)
+        );
+        assert_eq!(
+            ProfileDatabase::try_from_text(&seal(FORMAT_HEADER, ["Add|2x2\t5.0", "garbage"])),
+            Err(ProfileDbError::BadEntry { line: 4 })
+        );
+        // The same key sealed in twice is not a two-entry database.
+        assert!(matches!(
+            ProfileDatabase::try_from_text(&seal(FORMAT_HEADER, ["Add|2x2\t5.0", "Add|2x2\t6.0"])),
+            Err(ProfileDbError::Truncated { .. })
         ));
         // Checksum line chopped off entirely.
         let no_sum: String = good

@@ -9,10 +9,10 @@
 //!   compiled [`dnnf_core::FusedKernel`] (single-pass scalar tapes for
 //!   element-wise runs, optimized anchor kernels for Conv/MatMul/pooling),
 //!   boundary tensors are stored behind `Arc` in slot-indexed storage and
-//!   their buffers recycled through a [`TensorArena`] as the compiled plan's
-//!   [`dnnf_core::RunSchedule`] says they die. Its block loop launches
-//!   kernels and moves buffers; everything input-independent was decided when
-//!   the plan was compiled. [`Executor::run_plan_reference`] is the
+//!   their buffers recycled through a [`TensorArena`] where the plan
+//!   ([`FusionPlan::deaths`]) says they die. Its block loop launches kernels
+//!   and moves buffers; everything input-independent was decided when the
+//!   plan was built. [`Executor::run_plan_reference`] is the
 //!   **reference interpreter**: every operator runs its reference kernel and
 //!   every boundary tensor is materialized — the semantic oracle the
 //!   differential test harness pins the engine against, and the baseline the
@@ -25,7 +25,7 @@
 //!   [`MemoryPlan`] are produced.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dnnf_core::{compile_plan, BufferPool, CompiledModel, CompiledPlan, Ecg, FusionPlan};
@@ -133,9 +133,10 @@ impl Executor {
     /// Runs a compiled model at whatever symbolic dimensions the inputs
     /// carry: their leading (batch) dimension and their marked sequence axes
     /// ([`Graph::mark_seq_axis`]) may differ from what the model was
-    /// compiled at. When they do, the model's expensive fusion plan and its
-    /// run schedule are reused verbatim and only cheap shape inference + code
-    /// generation re-run for the requested [`DimBinding`]
+    /// compiled at. When they do, the model's expensive fusion plan — and the
+    /// execution order and buffer deaths it carries — is reused verbatim and
+    /// only cheap shape inference + code generation re-run for the requested
+    /// [`DimBinding`]
     /// ([`CompiledModel::instance_for`], cached on the model), so one
     /// compiled plan — one plan-cache entry — serves every batch size of a
     /// request mix and every step of a decode loop whose KV cache grows token
@@ -249,8 +250,8 @@ impl Executor {
     pub fn estimate_plan(&self, graph: &Graph, plan: &FusionPlan) -> (Counters, MemoryPlan) {
         let elem_bytes = self.device.elem_bytes;
         let scale = |bytes: usize| bytes as u64 / 4 * elem_bytes;
-        let order = plan.execution_order(graph);
-        let memory = MemoryPlan::build(graph, plan, &order, elem_bytes);
+        let order = plan.order();
+        let memory = MemoryPlan::build(graph, plan, order, elem_bytes);
         // Virtual addresses for the cache simulation: each value gets a
         // 64-byte-aligned region of a flat address space.
         let mut addresses: Vec<u64> = Vec::with_capacity(graph.value_count());
@@ -264,7 +265,7 @@ impl Executor {
         let mut cache = CacheHierarchy::new(&self.device.cache);
         let mut counters = Counters::default();
         let mut works = Vec::with_capacity(order.len());
-        for &block_idx in &order {
+        for &block_idx in order {
             let block = &plan.blocks()[block_idx];
             let work = work_model.block_work(graph, &block.nodes);
             counters.kernel_launches += 1;
@@ -276,23 +277,11 @@ impl Executor {
                 continue;
             }
             // The block's boundary reads and writes go through the cache
-            // simulator, each value once (internal values never touch memory).
-            let mut seen: BTreeSet<ValueId> = BTreeSet::new();
-            for &node_id in &block.nodes {
-                let node = graph.node(node_id);
-                for &input in &node.inputs {
-                    let v = graph.value(input);
-                    let internal = v.producer.is_some_and(|p| plan.block_of(p) == block.id);
-                    if !internal && seen.insert(input) {
-                        cache.access(addresses[input.index()], scale(v.size_bytes()));
-                    }
-                }
-                for &output in &node.outputs {
-                    if plan.value_escapes(graph, output) && seen.insert(output) {
-                        let bytes = scale(graph.value(output).size_bytes());
-                        cache.access(addresses[output.index()], bytes);
-                    }
-                }
+            // simulator, each value once, in the order its nodes touch them
+            // (internal values never touch memory).
+            for value in block.boundary.values() {
+                let bytes = scale(graph.value(value).size_bytes());
+                cache.access(addresses[value.index()], bytes);
             }
         }
         counters.peak_memory_bytes = memory.peak_bytes();
@@ -336,11 +325,11 @@ impl Executor {
 
     /// The one engine path, from explicit parts: each block of `plan`
     /// executes as one kernel of `engine` (its compilation against `graph`)
-    /// in the engine's schedule order; boundary tensors live in `Arc`-backed
-    /// slot storage keyed by value id, weights are handed out of `store` by
-    /// `Arc` clone with its prepacked panels forwarded to the kernels, and
-    /// output buffers return to an arena at the position the schedule lists
-    /// them dead. With `profile`, each block's measured wall-clock µs is
+    /// in the plan's order; boundary tensors live in `Arc`-backed slot
+    /// storage keyed by value id, weights are handed out of `store` by `Arc`
+    /// clone with its prepacked panels forwarded to the kernels, and output
+    /// buffers return to an arena at the position the plan lists them dead.
+    /// With `profile`, each block's measured wall-clock µs is
     /// recorded under its [`dnnf_core::block_profile_key`].
     ///
     /// Every other engine entry point is this one with its parts looked up:
@@ -367,20 +356,18 @@ impl Executor {
     where
         T: Borrow<Tensor> + Clone + Into<Arc<Tensor>>,
     {
-        let schedule = engine.schedule();
-        // Slot-indexed boundary storage: inputs, weights, block outputs.
-        let mut env: Vec<Option<Arc<Tensor>>> = vec![None; graph.value_count()];
+        // Slot-indexed boundary storage: weights (the store holds exactly
+        // those slots), inputs, block outputs.
+        let mut env: Vec<Option<Arc<Tensor>>> = store.slots().to_vec();
+        env.resize(graph.value_count(), None);
         for &input_id in graph.inputs() {
             let tensor = checked_input(graph, input_id, inputs)?;
             env[input_id.index()] = Some(tensor.clone().into());
         }
-        for &weight in &schedule.weights {
-            env[weight.index()] = store.get(weight).cloned();
-        }
         let mut arena = TensorArena::new();
         let workers = self.options.pool();
 
-        for (&block_idx, dead) in schedule.order.iter().zip(&schedule.deaths) {
+        for (&block_idx, dead) in plan.order().iter().zip(plan.deaths()) {
             let started = profile.as_ref().map(|_| std::time::Instant::now());
             let produced = engine
                 .kernel(block_idx)
@@ -409,8 +396,8 @@ impl Executor {
             }
         }
 
-        // Graph outputs are never scheduled dead, so each slot holds the
-        // only reference and unwraps without copying the tensor.
+        // Graph outputs are never listed dead, so each slot holds the only
+        // reference and unwraps without copying the tensor.
         let outputs = collect_outputs(graph, |id| {
             env[id.index()]
                 .take()
@@ -445,7 +432,7 @@ impl Executor {
             env.insert(id, tensor);
         }
 
-        for block_idx in plan.execution_order(graph) {
+        for &block_idx in plan.order() {
             let block = &plan.blocks()[block_idx];
             let mut scratch: HashMap<ValueId, Tensor> = HashMap::new();
             for &node_id in &block.nodes {
@@ -472,13 +459,9 @@ impl Executor {
             }
             // Promote escaping outputs to the environment; everything else in
             // `scratch` is dropped — it was never "materialized".
-            for &node_id in &block.nodes {
-                for &out_id in &graph.node(node_id).outputs {
-                    if plan.value_escapes(graph, out_id) {
-                        if let Some(t) = scratch.get(&out_id) {
-                            env.insert(out_id, t.clone());
-                        }
-                    }
+            for out_id in block.boundary.writes() {
+                if let Some(t) = scratch.get(&out_id) {
+                    env.insert(out_id, t.clone());
                 }
             }
         }

@@ -2,9 +2,7 @@
 //! latency model, so fusion-plan exploration profiles candidate blocks
 //! against the same device the evaluation later measures.
 
-use std::collections::BTreeSet;
-
-use dnnf_core::LatencyModel;
+use dnnf_core::{boundary_of, LatencyModel};
 use dnnf_graph::{Graph, NodeId};
 use dnnf_ops::{cost, MappingType};
 use dnnf_simdev::{BlockWork, DeviceCostModel, DeviceSpec};
@@ -47,9 +45,7 @@ impl DeviceLatencyModel {
             // output for it below.
             return BlockWork::default();
         }
-        let set: BTreeSet<NodeId> = nodes.iter().copied().collect();
         let mut work = BlockWork::default();
-        let mut counted = BTreeSet::new();
         // Widest member step, by first-output element count. The engine
         // executes a fused block step by step, parallelizing each step over
         // its *own* output, so the block's achievable parallelism is set by
@@ -93,25 +89,12 @@ impl DeviceLatencyModel {
                 }
                 _ => {}
             }
-            for &input in &node.inputs {
-                let v = graph.value(input);
-                let internal = v.producer.map(|p| set.contains(&p)).unwrap_or(false);
-                if !internal && counted.insert(input) {
-                    work.boundary_elems += v.shape.numel() as u64;
-                }
-            }
-            for &output in &node.outputs {
-                let v = graph.value(output);
-                let escapes = graph.outputs().contains(&output)
-                    || v.consumers.is_empty()
-                    || v.consumers.iter().any(|c| !set.contains(c));
-                if escapes && counted.insert(output) {
-                    let elems = v.shape.numel() as u64;
-                    work.boundary_elems += elems;
-                    work.output_elems += elems;
-                }
-            }
         }
+        // Boundary traffic: each value crossing the kernel's edge, once.
+        let crossing = boundary_of(graph, nodes);
+        let elems = |v| graph.value(v).shape.numel() as u64;
+        work.boundary_elems = crossing.values().map(elems).sum();
+        work.output_elems = crossing.writes().map(elems).sum();
         if work.output_elems == 0 {
             // Internal-only probe: every output is consumed inside the
             // block, so nothing "escaped" above. Real plans never produce

@@ -18,9 +18,9 @@
 //!   without a compiled form fall back to the reference kernels.
 //! * **Memory** — boundary tensors live in `Arc`-backed slot storage keyed
 //!   by value id (no cloning between blocks), and output buffers are
-//!   recycled through a [`TensorArena`] at the positions the compiled plan's
-//!   [`dnnf_core::RunSchedule`] lists them dead, bounding allocation near
-//!   the plan's peak working set.
+//!   recycled through a [`TensorArena`] at the positions the fusion plan
+//!   ([`dnnf_core::FusionPlan::deaths`]) lists them dead, bounding
+//!   allocation near the plan's peak working set.
 //! * **Threads** — anchor kernels and scalar tapes are data-parallel over a
 //!   scoped-thread [`WorkPool`] ([`ExecOptions::num_threads`], default =
 //!   host parallelism, overridable via the `DNNF_NUM_THREADS` environment

@@ -7,10 +7,10 @@
 //! estimation path ([`Executor::estimate_plan`](crate::Executor::estimate_plan));
 //! a real run builds no memory plan. Its [`TensorArena`] recycles a boundary
 //! tensor's buffer the moment its last consuming block has run, as listed in
-//! the compiled plan's [`dnnf_core::RunSchedule`] — the same deaths these
-//! lifetimes describe, derived once at compile time from ids alone.
+//! [`FusionPlan::deaths`] — the same deaths these lifetimes describe, both
+//! read off the plan, which derived them once from ids alone.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use dnnf_core::{BufferPool, FusionPlan};
 use dnnf_graph::{Graph, ValueId};
@@ -51,98 +51,65 @@ impl MemoryPlan {
         self.resident_bytes + self.peak_intermediate_bytes
     }
 
-    /// Builds the memory plan for executing `plan` over `graph` in the given
-    /// block order, assuming `elem_bytes`-byte elements.
+    /// Builds the memory plan for executing `plan` over `graph`, assuming
+    /// `elem_bytes`-byte elements. Births and deaths are the plan's own
+    /// ([`FusionPlan::lifetime`]), so they cover exactly the tensors the
+    /// engine materializes and end exactly where it recycles them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not the plan's [`FusionPlan::order`]: the
+    /// lifetimes are positions in that order and no other.
     #[must_use]
     pub fn build(graph: &Graph, plan: &FusionPlan, order: &[usize], elem_bytes: u64) -> MemoryPlan {
+        assert_eq!(
+            order,
+            plan.order(),
+            "a memory plan follows its plan's order"
+        );
         let scale = |bytes: usize| bytes as u64 / 4 * elem_bytes;
         let mut result = MemoryPlan::default();
+        // Live bytes per position: a value's bytes come alive at its birth
+        // and go away after its death.
+        let mut born = vec![0u64; order.len()];
+        let mut freed = vec![0u64; order.len() + 1];
         for value in graph.values() {
             if value.is_weight() || value.kind == dnnf_graph::ValueKind::Input {
                 result.resident_bytes += scale(value.size_bytes());
             }
-        }
-
-        // Position of each block in the execution order.
-        let mut position = vec![0usize; plan.fused_layer_count()];
-        for (pos, &block) in order.iter().enumerate() {
-            position[block] = pos;
-        }
-        let last = order.len().saturating_sub(1);
-        let mut is_output = vec![false; graph.value_count()];
-        for &output in graph.outputs() {
-            is_output[output.index()] = true;
-        }
-
-        // Boundary values: produced in one block, consumed in another (or a
-        // graph output). Record their birth and death positions. The escape
-        // predicate is the plan's own — the same one the fused engine and
-        // the cache simulation use, so lifetimes cover exactly the tensors
-        // the executor materializes.
-        let mut live_at: BTreeMap<ValueId, (usize, usize, u64)> = BTreeMap::new();
-        for value in graph.values() {
-            if !value.is_intermediate() {
-                continue;
-            }
-            let Some(producer) = value.producer else {
+            let Some((birth, death)) = plan.lifetime(value.id) else {
                 continue;
             };
-            let producer_block = plan.block_of(producer);
-            if !plan.value_escapes(graph, value.id) {
-                continue;
-            }
-            let birth = position[producer_block];
-            let death = value
-                .consumers
-                .iter()
-                .map(|&c| position[plan.block_of(c)])
-                .max()
-                .unwrap_or(last)
-                .max(if is_output[value.id.index()] { last } else { 0 });
             let bytes = scale(value.size_bytes());
-            live_at.insert(value.id, (birth, death, bytes));
-            result.materialized_values += 1;
             // Written once by the producer, read by each consuming block.
-            let reads = value
-                .consumers
-                .iter()
-                .map(|&c| plan.block_of(c))
-                .collect::<std::collections::BTreeSet<_>>()
-                .len() as u64;
-            result.boundary_traffic_bytes += bytes * (1 + reads);
-        }
-
-        // Sweep the execution order accumulating live bytes: a value's bytes
-        // come alive at its birth and go away after its death.
-        let mut born = vec![0u64; order.len()];
-        let mut freed = vec![0u64; order.len() + 1];
-        for &(birth, death, bytes) in live_at.values() {
+            let readers: BTreeSet<usize> =
+                value.consumers.iter().map(|&c| plan.block_of(c)).collect();
+            result.boundary_traffic_bytes += bytes * (1 + readers.len() as u64);
             born[birth] += bytes;
             freed[death + 1] += bytes;
+            result.lifetimes.push(ValueLifetime {
+                value: value.id,
+                birth,
+                death,
+                bytes,
+            });
         }
+        result.materialized_values = result.lifetimes.len();
+
         let mut live = 0u64;
         for (born, freed) in born.iter().zip(&freed) {
             live = live + born - freed;
             result.peak_intermediate_bytes = result.peak_intermediate_bytes.max(live);
         }
-        result.lifetimes = live_at
-            .into_iter()
-            .map(|(value, (birth, death, bytes))| ValueLifetime {
-                value,
-                birth,
-                death,
-                bytes,
-            })
-            .collect();
         result
     }
 }
 
 /// A recycling pool of `f32` buffers backing boundary and scratch tensors.
 ///
-/// The executor returns each boundary buffer here as soon as the compiled
-/// plan's schedule lists the value dead, so a fused run allocates roughly its
-/// peak working set once instead of one fresh allocation per tensor.
+/// The executor returns each boundary buffer here as soon as the fusion
+/// plan lists the value dead, so a fused run allocates roughly its peak
+/// working set once instead of one fresh allocation per tensor.
 #[derive(Debug, Default)]
 pub struct TensorArena {
     free: Vec<Vec<f32>>,

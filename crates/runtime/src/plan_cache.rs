@@ -32,9 +32,9 @@
 //! binary's rewrite phase actually produced (so a seed recorded by an older
 //! build with different rewrite rules is discarded). Either failure falls
 //! back to a cold compile; a damaged cache can cost time, not correctness.
-//! The on-disk format is versioned and checksummed like the profile store's
-//! (`dnnf-profiledb`), and a corrupted or truncated file fails the load —
-//! callers start cold.
+//! The on-disk format is the profile store's versioned, checksummed framing
+//! ([`dnnf_profiledb::seal`] / [`dnnf_profiledb::open`]), and a corrupted or
+//! truncated file fails the load — callers start cold.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -44,6 +44,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions, CoreError, LatencyModel};
 use dnnf_graph::{DimBinding, Fingerprint, Graph, NodeId, SymbolicAxes};
+use dnnf_profiledb::Damage;
 
 /// Header line of the on-disk plan-cache format.
 pub const PLAN_CACHE_HEADER: &str = "dnnf-plancache/v1";
@@ -144,6 +145,17 @@ impl fmt::Display for PlanCacheError {
 }
 
 impl std::error::Error for PlanCacheError {}
+
+impl From<Damage> for PlanCacheError {
+    fn from(damage: Damage) -> Self {
+        match damage {
+            Damage::BadHeader(found) => PlanCacheError::BadHeader { found },
+            Damage::BadCount => PlanCacheError::BadCount,
+            Damage::Truncated { expected, found } => PlanCacheError::Truncated { expected, found },
+            Damage::BadChecksum => PlanCacheError::BadChecksum,
+        }
+    }
+}
 
 /// Counter snapshot of a [`PlanCache`] (see [`PlanCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -476,8 +488,7 @@ impl PlanCache {
     #[must_use]
     pub fn to_text(&self) -> String {
         let inner = self.inner.lock().expect("plan cache lock");
-        let mut body = format!("{PLAN_CACHE_HEADER}\nentries {}\n", inner.seeds.len());
-        for (key, seed) in &inner.seeds {
+        let lines = inner.seeds.iter().map(|(key, seed)| {
             let groups = seed
                 .groups
                 .iter()
@@ -489,18 +500,16 @@ impl PlanCache {
                 })
                 .collect::<Vec<_>>()
                 .join(";");
-            body.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\n",
+            format!(
+                "{}\t{}\t{}\t{}\t{}",
                 key.fingerprint,
                 key.shape_signature,
                 key.options,
                 seed.rewritten_fingerprint,
                 groups
-            ));
-        }
-        let sum = fnv64(body.as_bytes());
-        body.push_str(&format!("checksum {sum:016x}\n"));
-        body
+            )
+        });
+        dnnf_profiledb::seal(PLAN_CACHE_HEADER, lines)
     }
 
     /// Strictly parses text produced by [`PlanCache::to_text`] and merges
@@ -513,45 +522,11 @@ impl PlanCache {
     /// Returns a [`PlanCacheError`] on any damage — wrong header, malformed
     /// entry, truncation, checksum mismatch. Nothing is merged on error.
     pub fn merge_text(&self, text: &str) -> Result<usize, PlanCacheError> {
-        let mut lines = text.lines().enumerate();
-        let header = lines.next().map(|(_, l)| l).unwrap_or("");
-        if header != PLAN_CACHE_HEADER {
-            return Err(PlanCacheError::BadHeader {
-                found: header.to_string(),
-            });
-        }
-        let expected: usize = lines
-            .next()
-            .and_then(|(_, l)| l.strip_prefix("entries "))
-            .and_then(|n| n.parse().ok())
-            .ok_or(PlanCacheError::BadCount)?;
-
-        let mut parsed: Vec<(PlanKey, PlanSeed)> = Vec::new();
-        let mut checksum_line = None;
-        for (i, line) in lines {
-            if let Some(sum) = line.strip_prefix("checksum ") {
-                checksum_line = Some((i, sum));
-                break;
-            }
-            let entry = parse_seed_line(line).ok_or(PlanCacheError::BadEntry { line: i + 1 })?;
-            parsed.push(entry);
-        }
-        if parsed.len() != expected {
-            return Err(PlanCacheError::Truncated {
-                expected,
-                found: parsed.len(),
-            });
-        }
-        let (checksum_idx, stated) = checksum_line.ok_or(PlanCacheError::BadChecksum)?;
-        let stated = u64::from_str_radix(stated, 16).map_err(|_| PlanCacheError::BadChecksum)?;
-        let body: String = text
-            .lines()
-            .take(checksum_idx)
-            .flat_map(|l| [l, "\n"])
-            .collect();
-        if fnv64(body.as_bytes()) != stated {
-            return Err(PlanCacheError::BadChecksum);
-        }
+        let lines = dnnf_profiledb::open(PLAN_CACHE_HEADER, text)?;
+        let entries = lines.iter().enumerate();
+        let parsed = entries
+            .map(|(i, line)| parse_seed_line(line).ok_or(PlanCacheError::BadEntry { line: i + 3 }))
+            .collect::<Result<Vec<(PlanKey, PlanSeed)>, _>>()?;
 
         let count = parsed.len();
         let mut inner = self.inner.lock().expect("plan cache lock");
@@ -626,17 +601,6 @@ fn parse_seed_line(line: &str) -> Option<(PlanKey, PlanSeed)> {
             groups,
         },
     ))
-}
-
-/// 64-bit FNV-1a — integrity checksum of the on-disk format (kept local so
-/// the format is self-contained; matches `dnnf-profiledb`'s).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

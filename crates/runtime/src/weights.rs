@@ -182,6 +182,11 @@ impl WeightStore {
         self.tensors.get(id.index()).and_then(Option::as_ref)
     }
 
+    /// Every value slot of the graph: `Some` at the weights, `None` elsewhere.
+    pub(crate) fn slots(&self) -> &[Option<Arc<Tensor>>] {
+        &self.tensors
+    }
+
     /// The prepacked kernel layouts.
     #[must_use]
     pub fn packed(&self) -> &PackedWeights {

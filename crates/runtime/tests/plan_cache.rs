@@ -172,6 +172,36 @@ fn corrupted_cache_files_mean_cold_compiles_not_wrong_answers() {
     std::fs::remove_file(profile_path).ok();
 }
 
+/// A persisted seed whose file is intact — header, count and checksum
+/// trailer, the right key and rewritten fingerprint — but whose groups name a
+/// node the rewritten graph does not have, or one node twice, is refused by
+/// the plan constructor: it costs a cold compile, not the process.
+#[test]
+fn a_seed_naming_a_missing_or_repeated_node_compiles_cold() {
+    let graph = cnn();
+    let inputs = inputs_for(&graph, 31);
+    let exec = executor();
+    let cache = PlanCache::new();
+    let mut compiler = Compiler::new(CompilerOptions::default());
+    let (cold, _) = cache.compile_cached(&mut compiler, &graph).unwrap();
+    let expected = exec.run_compiled(&cold, &inputs).unwrap().outputs;
+
+    let saved = cache.to_text();
+    let header = saved.lines().next().unwrap();
+    let entry = saved.lines().nth(2).unwrap();
+    let (key_and_fingerprint, _groups) = entry.rsplit_once('\t').unwrap();
+    for groups in ["0,99999", "0;1,0"] {
+        let stale = dnnf_profiledb::seal(header, [format!("{key_and_fingerprint}\t{groups}")]);
+        let fresh = PlanCache::new();
+        assert_eq!(fresh.merge_text(&stale), Ok(1));
+        let mut fresh_compiler = Compiler::new(CompilerOptions::default());
+        let (model, outcome) = fresh.compile_cached(&mut fresh_compiler, &graph).unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss, "groups `{groups}`");
+        let outputs = exec.run_compiled(&model, &inputs).unwrap().outputs;
+        assert_eq!(outputs, expected, "groups `{groups}`");
+    }
+}
+
 #[test]
 fn measured_block_latencies_persist_and_reach_the_next_compilation() {
     let graph = cnn();

@@ -85,19 +85,21 @@ fn main() -> Result<(), Box<dyn Error>> {
     let latency = AnalyticLatencyModel::default();
     let planner = FusionPlanner::new(&ecg, &latency, PlanOptions::default());
     let mut db = ProfileDatabase::new();
-    let plan = planner.plan(&mut db);
+    let plan = planner.plan(&mut db)?;
     println!("\nfusion plan: {} blocks", plan.fused_layer_count());
 
     // Phase 3: fused code generation.
     for block in plan.blocks() {
         let fused = codegen::generate_fused_op(&ecg, &plan, block);
         println!(
-            "\nblock {} -> `{}` ({} ops, {} mapping, layout {})",
+            "\nblock {} -> `{}` ({} ops, {} mapping, layout {}, reads {} / writes {} values)",
             block.id,
             fused.name,
             fused.fused_op_count(),
             fused.mapping_type,
-            fused.layout
+            fused.layout,
+            block.boundary.reads().count(),
+            block.boundary.writes().count()
         );
         print!("{}", fused.source);
     }

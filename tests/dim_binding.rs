@@ -7,11 +7,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dnnfusion::core::{CompiledModel, CompiledPlan, Compiler, CompilerOptions, FusionPlan};
-use dnnfusion::graph::{DimBinding, Graph, SymbolicAxes};
+use dnnf_bench::fuzz::check_plan_facts;
+use dnnfusion::baselines::{BaselineFramework, PatternFuser};
+use dnnfusion::core::{CompiledModel, Compiler, CompilerOptions, CoreError, Ecg, FusionPlan};
+use dnnfusion::graph::{DimBinding, Graph, NodeId, SymbolicAxes};
 use dnnfusion::models::{decoder_prefill, decoder_step, DecoderConfig, ModelKind, ModelScale};
 use dnnfusion::ops::{Attrs, OpKind};
-use dnnfusion::runtime::{ExecOptions, Executor, MemoryPlan, PlanCache, RuntimeError};
+use dnnfusion::runtime::{ExecOptions, Executor, PlanCache, RuntimeError, WeightStore};
 use dnnfusion::simdev::DeviceSpec;
 use dnnfusion::tensor::{Shape, Tensor};
 
@@ -175,35 +177,13 @@ fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
     }
 }
 
-/// What the compile-time schedule must say about `graph` under `plan`: the
-/// order `execution_order` derives and, per position, the non-output
-/// boundary values whose `MemoryPlan` lifetime ends there — what every run
-/// used to recompute.
-fn assert_schedule_matches(graph: &Graph, plan: &FusionPlan, engine: &CompiledPlan) {
-    let name = graph.name();
-    let order = plan.execution_order(graph);
-    let mut deaths = vec![Vec::new(); order.len()];
-    for lifetime in &MemoryPlan::build(graph, plan, &order, 4).lifetimes {
-        if !graph.outputs().contains(&lifetime.value) {
-            deaths[lifetime.death].push(lifetime.value);
-        }
-    }
-    let weights = graph.values().filter(|v| v.is_weight()).map(|v| v.id);
-    let schedule = engine.schedule();
-    assert_eq!(schedule.order, order, "{name}");
-    assert_eq!(schedule.deaths, deaths, "{name}");
-    assert_eq!(schedule.weights, weights.collect::<Vec<_>>(), "{name}");
-    assert!(
-        deaths.iter().any(|d| !d.is_empty()) || order.len() == 1,
-        "{name}"
-    );
-}
-
-/// The run schedule is built once, where the kernels are compiled, from ids
-/// alone — so a rebound instance shares its parent's (`Arc::ptr_eq`) and it
-/// still describes the instance's own graph.
+/// The plan carries its schedule: what it stores about its quotient graph is
+/// what the brute-force oracle recomputes, for every compiled model and for
+/// the fixed-pattern baselines' plans over the same graphs; and a rebound
+/// instance holds a graph and kernels only — it runs under the model's plan,
+/// whose facts come from ids alone and so describe the rebound graph too.
 #[test]
-fn the_run_schedule_is_hoisted_and_shared_by_rebound_instances() {
+fn stored_plan_facts_match_the_brute_force_oracle() {
     let config = DecoderConfig::test_tiny();
     let mut graphs: Vec<Graph> = ModelKind::all()
         .iter()
@@ -212,8 +192,19 @@ fn the_run_schedule_is_hoisted_and_shared_by_rebound_instances() {
     graphs.push(decoder_prefill(&config, 4).unwrap());
     graphs.push(decoder_step(&config, 4).unwrap());
     for graph in &graphs {
+        let name = graph.name();
         let model = compile(graph);
-        assert_schedule_matches(model.graph(), &model.plan, &model.engine);
+        check_plan_facts(model.graph(), &model.plan).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let deaths = model.plan.deaths();
+        assert!(
+            deaths.iter().any(|d| !d.is_empty()) || deaths.len() == 1,
+            "{name}: no buffer is ever recycled"
+        );
+        let ecg = Ecg::new(graph.clone());
+        for &framework in BaselineFramework::all() {
+            let plan = PatternFuser::for_framework(framework).plan(&ecg).unwrap();
+            check_plan_facts(graph, &plan).unwrap_or_else(|e| panic!("{name} {framework}: {e}"));
+        }
     }
 
     let rebound = [
@@ -227,15 +218,53 @@ fn the_run_schedule_is_hoisted_and_shared_by_rebound_instances() {
             },
         ),
     ];
+    let executor = executor_with(1, false);
     for (model, binding) in rebound {
         let instance = model.instance_for(binding).unwrap();
         assert_ne!(instance.graph().binding(), model.graph().binding());
-        assert!(Arc::ptr_eq(
-            instance.engine().schedule(),
-            model.engine.schedule()
-        ));
-        assert_schedule_matches(instance.graph(), &model.plan, instance.engine());
+        check_plan_facts(instance.graph(), &model.plan).unwrap();
+        let inputs = native_inputs(instance.graph());
+        let store = WeightStore::of_model(&model);
+        let (graph, engine) = (instance.graph(), instance.engine());
+        let explicit = executor.run_engine(graph, &model.plan, engine, &store, &inputs, None);
+        assert_eq!(explicit.unwrap(), executor.run(&model, &inputs).unwrap());
     }
+}
+
+/// What the plan constructor refuses and accepts, one condition each, on
+/// `a → conv → b` with a skip edge `a → b`.
+#[test]
+fn the_plan_constructor_rejects_bad_partitions_with_typed_errors() {
+    let mut g = Graph::new("skip");
+    let x = g.add_input("x", Shape::new(vec![1, 4, 8, 8]));
+    let a = g.add_op(OpKind::Relu, Attrs::new(), &[x], "a").unwrap()[0];
+    let w = g.add_weight("w", Shape::new(vec![4, 4, 1, 1]));
+    let conv = g
+        .add_op(OpKind::Conv, Attrs::new(), &[a, w], "conv")
+        .unwrap()[0];
+    let b = g
+        .add_op(OpKind::Add, Attrs::new(), &[a, conv], "b")
+        .unwrap()[0];
+    g.mark_output(b);
+    let node = |name: &str| g.nodes().find(|n| n.name == name).unwrap().id;
+    let (a, conv, b) = (node("a"), node("conv"), node("b"));
+    let ecg = Ecg::new(g.clone());
+    let from_blocks = |groups: Vec<Vec<NodeId>>| FusionPlan::from_blocks(&ecg, groups);
+
+    // {a, b} without conv: the quotient graph has a cycle through conv.
+    let cyclic = from_blocks(vec![vec![a, b]]);
+    assert!(matches!(cyclic, Err(CoreError::Plan { .. })), "{cyclic:?}");
+    // A node in two groups.
+    let twice = from_blocks(vec![vec![a], vec![a, conv]]);
+    assert!(matches!(twice, Err(CoreError::Plan { .. })), "{twice:?}");
+    // A node the graph does not have (what a stale persisted seed names).
+    let stale = from_blocks(vec![vec![NodeId::from_index(99_999)]]);
+    assert!(matches!(stale, Err(CoreError::Plan { .. })), "{stale:?}");
+    // A node no group mentions becomes a singleton block after the groups.
+    let plan = from_blocks(vec![vec![conv, a]]).unwrap();
+    assert_eq!(plan.blocks()[0].nodes, [a, conv]);
+    assert_eq!(plan.blocks()[1].nodes, [b]);
+    check_plan_facts(&g, &plan).unwrap();
 }
 
 /// Persisted `plans.cache` files are keyed by these strings; they must not

@@ -77,7 +77,6 @@ proptest! {
         let unfused = executor.run_unfused(&graph, &inputs).unwrap();
         let mut compiler = Compiler::new(CompilerOptions::default());
         let compiled = compiler.compile(&graph).unwrap();
-        compiled.plan.validate(compiled.graph()).unwrap();
         let fused = executor.run_compiled(&compiled, &inputs).unwrap();
         prop_assert!(unfused.outputs[0].allclose(&fused.outputs[0], 1e-3));
         // Fusion must never increase the number of kernels.
