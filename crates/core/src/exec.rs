@@ -738,14 +738,15 @@ impl CompiledPlan {
 pub fn compile_plan(graph: &Graph, plan: &FusionPlan) -> CompiledPlan {
     let blocks = plan.blocks().iter();
     CompiledPlan {
-        kernels: blocks.map(|b| compile_block(graph, plan, b)).collect(),
+        kernels: blocks.map(|b| compile_block(graph, b)).collect(),
     }
 }
 
 /// Compiles one fusion block: maximal runs of tape-compatible operators
 /// become [`ScalarTape`]s, everything else becomes an anchor/reference step.
 #[must_use]
-pub fn compile_block(graph: &Graph, plan: &FusionPlan, block: &FusionBlock) -> FusedKernel {
+pub fn compile_block(graph: &Graph, block: &FusionBlock) -> FusedKernel {
+    let escaping: Vec<ValueId> = block.boundary.writes().collect();
     let mut steps = Vec::new();
     let mut i = 0;
     while i < block.nodes.len() {
@@ -798,13 +799,15 @@ pub fn compile_block(graph: &Graph, plan: &FusionPlan, block: &FusionBlock) -> F
                 Err(_) => break,
             }
         }
-        steps.push(Step::Tape(build_tape(graph, plan, &segment, loop_shape)));
+        steps.push(Step::Tape(build_tape(
+            graph, &escaping, &segment, loop_shape,
+        )));
         i = j;
     }
     FusedKernel {
         block_id: block.id,
         steps,
-        escaping: block.boundary.writes().collect(),
+        escaping,
     }
 }
 
@@ -853,7 +856,7 @@ fn broadcast_strides(shape: &Shape, loop_shape: &Shape) -> Vec<usize> {
 
 fn build_tape(
     graph: &Graph,
-    plan: &FusionPlan,
+    escaping: &[ValueId],
     segment: &[NodeId],
     loop_shape: Shape,
 ) -> ScalarTape {
@@ -1046,7 +1049,7 @@ fn build_tape(
         let out_id = graph.node(nid).outputs[0];
         let v = graph.value(out_id);
         let needed =
-            plan.value_escapes(out_id) || v.consumers.iter().any(|&c| !seg_set.contains_key(&c));
+            escaping.contains(&out_id) || v.consumers.iter().any(|&c| !seg_set.contains_key(&c));
         if needed {
             outputs.push(TapeOutput {
                 value: out_id,

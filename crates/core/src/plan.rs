@@ -161,6 +161,22 @@ impl FusionBlock {
 /// the exploration arrived at (`None`: no seed, fold the members' types).
 type Group = (Vec<NodeId>, Option<(NodeId, MappingType)>);
 
+/// A topological order of a graph and each node's position in it.
+type Ranked = (Vec<NodeId>, Vec<usize>);
+
+fn topo_rank(graph: &Graph) -> Result<Ranked, CoreError> {
+    let topo = graph.topo_order();
+    if topo.len() != graph.node_count() {
+        let reason = "the graph is cyclic".into();
+        return Err(CoreError::Plan { reason });
+    }
+    let mut rank = vec![0usize; topo.len()];
+    for (i, n) in topo.iter().enumerate() {
+        rank[n.index()] = i;
+    }
+    Ok((topo, rank))
+}
+
 /// A complete fusion plan: a partition of the graph's nodes into convex
 /// blocks, together with the facts of its quotient graph every later layer
 /// consumes — the order blocks run in, what crosses each block's boundary,
@@ -186,7 +202,7 @@ impl FusionPlan {
     /// Panics if the graph is cyclic (it failed [`Graph::validate`]).
     #[must_use]
     pub fn singletons(ecg: &Ecg) -> FusionPlan {
-        FusionPlan::assemble(ecg, Vec::new()).expect("singleton blocks of an acyclic graph")
+        FusionPlan::from_blocks(ecg, Vec::new()).expect("singleton blocks of an acyclic graph")
     }
 
     /// Builds a plan from an explicit grouping of nodes into blocks — used by
@@ -202,26 +218,18 @@ impl FusionPlan {
     /// have, a node appears in more than one group, or the resulting block
     /// graph is cyclic.
     pub fn from_blocks(ecg: &Ecg, groups: Vec<Vec<NodeId>>) -> Result<FusionPlan, CoreError> {
-        FusionPlan::assemble(ecg, groups.into_iter().map(|g| (g, None)).collect())
+        let groups = groups.into_iter().map(|g| (g, None)).collect();
+        FusionPlan::assemble(ecg, topo_rank(ecg.graph())?, groups)
     }
 
-    /// The one constructor. Ranks the graph topologically once, orders each
-    /// group by that rank, checks that the groups are disjoint and in range
+    /// The one constructor. Orders each group by the graph's topological
+    /// rank ([`topo_rank`]), checks that the groups are disjoint and in range
     /// (unmentioned nodes become singleton blocks, in topological order,
     /// after the groups), sorts the quotient graph, and stores what falls
     /// out of that.
-    fn assemble(ecg: &Ecg, groups: Vec<Group>) -> Result<FusionPlan, CoreError> {
-        let graph = ecg.graph();
+    fn assemble(ecg: &Ecg, ranked: Ranked, groups: Vec<Group>) -> Result<FusionPlan, CoreError> {
+        let (graph, (topo, rank)) = (ecg.graph(), ranked);
         let plan_error = |reason: String| Err(CoreError::Plan { reason });
-        let topo = graph.topo_order();
-        if topo.len() != graph.node_count() {
-            return plan_error("the graph is cyclic".into());
-        }
-        let mut rank = vec![0usize; topo.len()];
-        for (i, n) in topo.iter().enumerate() {
-            rank[n.index()] = i;
-        }
-
         let mut grouped = vec![false; topo.len()];
         for &n in groups.iter().flat_map(|(nodes, _)| nodes) {
             match grouped.get_mut(n.index()) {
@@ -437,6 +445,20 @@ enum Direction {
     Predecessor,
 }
 
+impl Direction {
+    /// The successors or predecessors of `node`, without collecting them.
+    fn neighbours(self, graph: &Graph, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let node = graph.node(node);
+        let (outputs, inputs) = match self {
+            Direction::Successor => (&node.outputs[..], &[][..]),
+            Direction::Predecessor => (&[][..], &node.inputs[..]),
+        };
+        let consumers = outputs.iter().flat_map(|&v| &graph.value(v).consumers);
+        let producers = inputs.iter().filter_map(|&v| graph.value(v).producer);
+        consumers.copied().chain(producers)
+    }
+}
+
 /// The fusion planner (Listing 1 of the paper).
 #[derive(Debug)]
 pub struct FusionPlanner<'a, L: LatencyModel> {
@@ -466,7 +488,8 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
     /// to prevent, reported rather than executed.
     pub fn plan(&self, db: &mut ProfileDatabase) -> Result<FusionPlan, CoreError> {
         let graph = self.ecg.graph();
-        let mut assigned = vec![false; graph.node_count()];
+        let (topo, rank) = topo_rank(graph)?;
+        let mut search = Search::new(rank);
         let mut groups: Vec<Group> = Vec::new();
 
         // Step 1 (iterated): pick seeds in order of increasing IRS size.
@@ -474,28 +497,20 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
         // impedance, paper §4.3.1); once they are exhausted, the remaining
         // light-weight mapping types (Reorganize, Shuffle, One-to-Many — e.g.
         // a broadcasted bias Add with no activation after it) may also seed a
-        // block so their producers are not stranded unfused.
-        loop {
-            let graph_nodes = graph.nodes().map(|n| n.id);
-            let seed = self
-                .ecg
-                .one_to_one_nodes()
-                .into_iter()
-                .filter(|n| !assigned[n.index()])
-                .min_by_key(|&n| (self.ecg.node_info(n).output_bytes, n.index()))
-                .or_else(|| {
-                    graph_nodes
-                        .filter(|n| {
-                            !assigned[n.index()]
-                                && self.ecg.mapping_type(*n) != MappingType::ManyToMany
-                        })
-                        .min_by_key(|&n| (self.ecg.node_info(n).output_bytes, n.index()))
-                });
-            let Some(seed) = seed else { break };
-
-            let mut members: BTreeSet<NodeId> = BTreeSet::new();
-            members.insert(seed);
-            let mut mapping = self.ecg.mapping_type(seed);
+        // block so their producers are not stranded unfused. Sorted once:
+        // the next seed is the first candidate no block has taken yet.
+        let by_size = |n: &NodeId| (self.ecg.node_info(*n).output_bytes, n.index());
+        let mut one_to_one = self.ecg.one_to_one_nodes();
+        one_to_one.sort_unstable_by_key(by_size);
+        let mut light: Vec<NodeId> = graph.nodes().map(|n| n.id).collect();
+        light.retain(|&n| self.ecg.mapping_type(n) != MappingType::ManyToMany);
+        light.sort_unstable_by_key(by_size);
+        for seed in one_to_one.into_iter().chain(light) {
+            if search.assigned[seed.index()] {
+                continue;
+            }
+            search.members = BTreeSet::from([seed]);
+            search.mapping = self.ecg.mapping_type(seed);
 
             // Steps 2 and 3: propagate along the seed's predecessors and then
             // its successors. The paper notes the two steps can be swapped;
@@ -503,56 +518,41 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
             // Conv feeding a bias/activation seed) join the block before a
             // downstream Many-to-Many operator locks the block's mapping type.
             for pred in graph.predecessors(seed) {
-                self.explore(
-                    &mut members,
-                    &mut mapping,
-                    pred,
-                    Direction::Predecessor,
-                    &assigned,
-                    db,
-                );
+                self.explore(pred, Direction::Predecessor, &mut search, db);
             }
             for succ in graph.successors(seed) {
-                self.explore(
-                    &mut members,
-                    &mut mapping,
-                    succ,
-                    Direction::Successor,
-                    &assigned,
-                    db,
-                );
+                self.explore(succ, Direction::Successor, &mut search, db);
             }
 
+            let members = std::mem::take(&mut search.members);
             for &n in &members {
-                assigned[n.index()] = true;
+                search.assigned[n.index()] = true;
             }
-            groups.push((members.into_iter().collect(), Some((seed, mapping))));
+            groups.push((members.into_iter().collect(), Some((seed, search.mapping))));
         }
 
         // Remaining operators become singleton blocks, in topological order.
-        FusionPlan::assemble(self.ecg, groups)
+        FusionPlan::assemble(self.ecg, (topo, search.rank), groups)
     }
 
     /// Recursive candidate exploration (Listing 1, `fuse_successor` /
     /// `fuse_predecessor`).
     fn explore(
         &self,
-        members: &mut BTreeSet<NodeId>,
-        mapping: &mut MappingType,
         candidate: NodeId,
         direction: Direction,
-        assigned: &[bool],
+        search: &mut Search,
         db: &mut ProfileDatabase,
     ) {
-        if members.contains(&candidate) || assigned[candidate.index()] {
+        if search.members.contains(&candidate) || search.assigned[candidate.index()] {
             return;
         }
         let graph = self.ecg.graph();
         let candidate_type = self.ecg.mapping_type(candidate);
         // Step 2.1: mapping type analysis (Table 3).
         let decision = match direction {
-            Direction::Successor => analyze_pair(*mapping, candidate_type),
-            Direction::Predecessor => analyze_pair(candidate_type, *mapping),
+            Direction::Successor => analyze_pair(search.mapping, candidate_type),
+            Direction::Predecessor => analyze_pair(candidate_type, search.mapping),
         };
         if decision.verdict == FusionVerdict::Break
             && !(direction == Direction::Successor
@@ -573,26 +573,26 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
         // the paper's "MatMul + Reshape + Transpose + Add" GPT-2 example —
         // are still absorbed.
         if direction == Direction::Predecessor
-            && *mapping == MappingType::ManyToMany
+            && search.mapping == MappingType::ManyToMany
             && candidate_type == MappingType::OneToOne
         {
             return;
         }
         // Step 2.2: constraint check (block size, register proxy, convexity).
-        if !self.constraints_allow(members, candidate) {
+        if !self.constraints_allow(&search.members, candidate) {
             return;
         }
-        if would_break_convexity(graph, members, candidate) {
+        if search.breaks_convexity(graph, candidate) {
             return;
         }
         // Step 2.3: profile-based selection for yellow cells.
         if decision.verdict == FusionVerdict::Profile && self.options.use_profile {
-            let mut fused: Vec<NodeId> = members.iter().copied().collect();
+            let mut fused: Vec<NodeId> = search.members.iter().copied().collect();
             fused.push(candidate);
             let fused_latency = db.lookup_or_measure(self.profile_key(&fused), || {
                 self.latency.fused_latency_us(graph, &fused)
             });
-            let current: Vec<NodeId> = members.iter().copied().collect();
+            let current: Vec<NodeId> = search.members.iter().copied().collect();
             let block_latency = db.lookup_or_measure(self.profile_key(&current), || {
                 self.latency.fused_latency_us(graph, &current)
             });
@@ -604,19 +604,14 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
             }
         }
         // Fuse and recurse (Step 2.4).
-        members.insert(candidate);
-        *mapping = decision.fused_type;
-        match direction {
-            Direction::Successor => {
-                for succ in graph.successors(candidate) {
-                    self.explore(members, mapping, succ, Direction::Successor, assigned, db);
-                }
-            }
-            Direction::Predecessor => {
-                for pred in graph.predecessors(candidate) {
-                    self.explore(members, mapping, pred, Direction::Predecessor, assigned, db);
-                }
-            }
+        search.members.insert(candidate);
+        search.mapping = decision.fused_type;
+        let next = match direction {
+            Direction::Successor => graph.successors(candidate),
+            Direction::Predecessor => graph.predecessors(candidate),
+        };
+        for n in next {
+            self.explore(n, direction, search, db);
         }
     }
 
@@ -658,44 +653,69 @@ pub fn block_profile_key(graph: &Graph, nodes: &[NodeId]) -> ProfileKey {
     ProfileKey::new(ops, shapes.join(";"))
 }
 
-/// Returns `true` if adding `candidate` to the convex set `members` would
-/// break convexity, i.e. some path between the set and the candidate passes
-/// through an outside node — which would make the fused block graph cyclic.
-fn would_break_convexity(graph: &Graph, members: &BTreeSet<NodeId>, candidate: NodeId) -> bool {
-    let mut extended: BTreeSet<NodeId> = members.clone();
-    extended.insert(candidate);
-    // Paths from the set to the candidate.
-    let desc_of_set = reachable(graph, members.iter().copied(), |g, n| g.successors(n));
-    let anc_of_candidate = reachable(graph, [candidate], |g, n| g.predecessors(n));
-    if desc_of_set
-        .intersection(&anc_of_candidate)
-        .any(|n| !extended.contains(n))
-    {
-        return true;
-    }
-    // Paths from the candidate to the set.
-    let desc_of_candidate = reachable(graph, [candidate], |g, n| g.successors(n));
-    let anc_of_set = reachable(graph, members.iter().copied(), |g, n| g.predecessors(n));
-    desc_of_candidate
-        .intersection(&anc_of_set)
-        .any(|n| !extended.contains(n))
+/// The state of one plan search: the nodes earlier blocks took, the block
+/// being grown and its mapping type, and what the convexity check reuses
+/// across queries — a topological rank per node, an epoch-stamped visited
+/// array and a stack.
+struct Search {
+    assigned: Vec<bool>,
+    members: BTreeSet<NodeId>,
+    mapping: MappingType,
+    rank: Vec<usize>,
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
 }
 
-fn reachable(
-    graph: &Graph,
-    start: impl IntoIterator<Item = NodeId>,
-    next: impl Fn(&Graph, NodeId) -> Vec<NodeId>,
-) -> BTreeSet<NodeId> {
-    let mut stack: Vec<NodeId> = start.into_iter().collect();
-    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-    while let Some(n) = stack.pop() {
-        for m in next(graph, n) {
-            if seen.insert(m) {
-                stack.push(m);
-            }
+impl Search {
+    fn new(rank: Vec<usize>) -> Search {
+        Search {
+            assigned: vec![false; rank.len()],
+            members: BTreeSet::new(),
+            mapping: MappingType::OneToOne,
+            seen: vec![0; rank.len()],
+            rank,
+            epoch: 0,
+            stack: Vec::new(),
         }
     }
-    seen
+
+    /// Whether adding `candidate` to the convex block `members` would make
+    /// the block graph cyclic: whether an outside node lies on a path between
+    /// the block and the candidate, either way. Ranks strictly increase along
+    /// a path, so the forward walk from the block needs only nodes ranked
+    /// below the candidate, the backward walk only those ranked above it; a
+    /// walk that has left a convex block never re-enters it.
+    fn breaks_convexity(&mut self, graph: &Graph, candidate: NodeId) -> bool {
+        // One query per explored edge end, so the epoch cannot wrap; the two
+        // windows are disjoint, so one epoch serves both walks.
+        self.epoch += 1;
+        let bound = self.rank[candidate.index()];
+        for direction in [Direction::Successor, Direction::Predecessor] {
+            self.stack.clear();
+            for &m in &self.members {
+                self.seen[m.index()] = self.epoch;
+                self.stack.push(m);
+            }
+            while let Some(n) = self.stack.pop() {
+                for next in direction.neighbours(graph, n) {
+                    if next == candidate && !self.members.contains(&n) {
+                        return true;
+                    }
+                    let rank = self.rank[next.index()];
+                    let in_window = match direction {
+                        Direction::Successor => rank < bound,
+                        Direction::Predecessor => rank > bound,
+                    };
+                    if in_window && self.seen[next.index()] != self.epoch {
+                        self.seen[next.index()] = self.epoch;
+                        self.stack.push(next);
+                    }
+                }
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -704,6 +724,46 @@ mod tests {
     use crate::AnalyticLatencyModel;
     use dnnf_ops::{Attrs, OpKind};
     use dnnf_tensor::Shape;
+
+    /// Returns `true` if adding `candidate` to the convex set `members` would
+    /// break convexity, i.e. some path between the set and the candidate passes
+    /// through an outside node — which would make the fused block graph cyclic.
+    fn would_break_convexity(graph: &Graph, members: &BTreeSet<NodeId>, candidate: NodeId) -> bool {
+        let mut extended: BTreeSet<NodeId> = members.clone();
+        extended.insert(candidate);
+        // Paths from the set to the candidate.
+        let desc_of_set = reachable(graph, members.iter().copied(), |g, n| g.successors(n));
+        let anc_of_candidate = reachable(graph, [candidate], |g, n| g.predecessors(n));
+        if desc_of_set
+            .intersection(&anc_of_candidate)
+            .any(|n| !extended.contains(n))
+        {
+            return true;
+        }
+        // Paths from the candidate to the set.
+        let desc_of_candidate = reachable(graph, [candidate], |g, n| g.successors(n));
+        let anc_of_set = reachable(graph, members.iter().copied(), |g, n| g.predecessors(n));
+        desc_of_candidate
+            .intersection(&anc_of_set)
+            .any(|n| !extended.contains(n))
+    }
+
+    fn reachable(
+        graph: &Graph,
+        start: impl IntoIterator<Item = NodeId>,
+        next: impl Fn(&Graph, NodeId) -> Vec<NodeId>,
+    ) -> BTreeSet<NodeId> {
+        let mut stack: Vec<NodeId> = start.into_iter().collect();
+        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
+        while let Some(n) = stack.pop() {
+            for m in next(graph, n) {
+                if seen.insert(m) {
+                    stack.push(m);
+                }
+            }
+        }
+        seen
+    }
 
     fn plan_graph(graph: &Graph) -> FusionPlan {
         let ecg = Ecg::new(graph.clone());
@@ -1092,5 +1152,124 @@ mod tests {
         let plan = plan_graph(&g);
         assert_eq!(plan.fused_layer_count(), 2);
         assert!(plan.blocks().iter().all(|b| b.seed.is_none()));
+    }
+
+    /// One-to-One operators seed first, whatever their size; the lighter
+    /// mapping types seed only once those are exhausted, smallest first; a
+    /// Many-to-Many operator never seeds.
+    #[test]
+    fn seeds_are_one_to_one_first_then_by_output_size() {
+        // Two disconnected chains: x -> Conv -> Add(bias broadcast) -> Relu,
+        // and a smaller y -> Transpose.
+        let mut g = Graph::new("seeds");
+        let x = g.add_input("x", Shape::new(vec![1, 4, 8, 8]));
+        let w = g.add_weight("w", Shape::new(vec![4, 4, 3, 3]));
+        let pads = Attrs::new().with_ints("pads", vec![1, 1, 1, 1]);
+        let conv = g.add_op(OpKind::Conv, pads, &[x, w], "conv").unwrap()[0];
+        let b = g.add_weight("b", Shape::new(vec![1, 4, 1, 1]));
+        let add = g
+            .add_op(OpKind::Add, Attrs::new(), &[conv, b], "bias")
+            .unwrap()[0];
+        let relu = g
+            .add_op(OpKind::Relu, Attrs::new(), &[add], "relu")
+            .unwrap()[0];
+        let y = g.add_input("y", Shape::new(vec![2, 3]));
+        let perm = Attrs::new().with_ints("perm", vec![1, 0]);
+        let t = g.add_op(OpKind::Transpose, perm, &[y], "t").unwrap()[0];
+        g.mark_output(relu);
+        g.mark_output(t);
+        let producer = |v: ValueId| g.value(v).producer.unwrap();
+
+        let plan = plan_graph(&g);
+        let seeds: Vec<NodeId> = plan.blocks().iter().filter_map(|b| b.seed).collect();
+        assert_eq!(seeds, vec![producer(relu), producer(t)]);
+        assert_eq!(plan.block_of(producer(conv)), plan.block_of(producer(relu)));
+    }
+
+    /// xorshift64: a seeded stream without a dev-dependency behind it.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Mostly one of the last few values (long chains), otherwise any
+    /// earlier one (skip edges, diamonds).
+    fn pick(rng: &mut XorShift, values: &[ValueId]) -> ValueId {
+        let back = if rng.below(2) == 0 {
+            rng.below(4)
+        } else {
+            rng.below(values.len())
+        };
+        values[values.len() - 1 - back.min(values.len() - 1)]
+    }
+
+    /// A random DAG of `nodes` operators: unary and binary element-wise
+    /// operators and two-output `Split`s.
+    fn random_dag(rng: &mut XorShift, nodes: usize) -> Graph {
+        let mut g = Graph::new("random-dag");
+        let mut values = vec![g.add_input("x", Shape::new(vec![2, 4]))];
+        while g.node_count() < nodes {
+            let a = pick(rng, &values);
+            let name = format!("n{}", g.node_count());
+            let outputs = match rng.below(5) {
+                0 if g.value(a).shape.dim(0) == 2 => {
+                    let axis = Attrs::new().with_int("axis", 0);
+                    g.add_op(OpKind::Split, axis, &[a], name)
+                }
+                0 | 1 => g.add_op(OpKind::Relu, Attrs::new(), &[a], name),
+                _ => {
+                    let b = pick(rng, &values);
+                    g.add_op(OpKind::Add, Attrs::new(), &[a, b], name)
+                }
+            };
+            values.extend(outputs.unwrap());
+        }
+        g
+    }
+
+    /// The rank-windowed check answers what the whole-graph walks answer:
+    /// on random DAGs of 8–300 nodes, for every candidate tried while a
+    /// random convex set grows through its neighbours, and then for every
+    /// node left outside it.
+    #[test]
+    fn windowed_convexity_check_matches_the_brute_force_oracle() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut verdicts = [0usize; 2];
+        for _ in 0..200 {
+            let nodes = 8 + rng.below(293);
+            let g = random_dag(&mut rng, nodes);
+            let mut search = Search::new(topo_rank(&g).unwrap().1);
+            let mut check = |members: &BTreeSet<NodeId>, candidate: NodeId| {
+                search.members.clone_from(members);
+                let windowed = search.breaks_convexity(&g, candidate);
+                let oracle = would_break_convexity(&g, members, candidate);
+                assert_eq!(windowed, oracle, "{members:?} + {candidate:?}");
+                verdicts[usize::from(windowed)] += 1;
+                windowed
+            };
+            let mut members = BTreeSet::from([NodeId::from_index(rng.below(nodes))]);
+            for _ in 0..rng.below(40) {
+                let from = *members.iter().nth(rng.below(members.len())).unwrap();
+                let mut around = g.successors(from);
+                around.extend(g.predecessors(from));
+                around.retain(|n| !members.contains(n));
+                if !around.is_empty() {
+                    let next = around[rng.below(around.len())];
+                    if !check(&members, next) {
+                        members.insert(next);
+                    }
+                }
+            }
+            for n in g.nodes().map(|n| n.id).filter(|n| !members.contains(n)) {
+                check(&members, n);
+            }
+        }
+        assert!(verdicts.iter().all(|&v| v > 1000), "{verdicts:?}");
     }
 }
