@@ -2,8 +2,8 @@
 //! without fusion, plus the counter-estimation path used by the table
 //! harness. The wall-clock ratio between `fused` and `unfused` reflects the
 //! interpreter's elimination of intermediate materialization; the modeled
-//! latency ratios for the full models are produced by the `table6_latency`
-//! binary instead.
+//! latency ratios for the full models are produced by `paper table6`
+//! instead.
 
 use std::collections::HashMap;
 

@@ -2,7 +2,7 @@
 //!
 //! Times the configurations below per model and writes the medians to
 //! `BENCH_exec.json` (schema `dnnf-bench-exec/v6`), so future PRs can track
-//! the execution-engine trajectory the same way the `table*`/`fig*` binaries
+//! the execution-engine trajectory the same way the `paper` binary's fixtures
 //! track the paper's counter metrics:
 //!
 //! * `unfused_ms` — the unfused baseline: every operator through its

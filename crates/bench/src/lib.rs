@@ -1,502 +1,16 @@
 //! Benchmark harness regenerating every table and figure of the DNNFusion
 //! paper's evaluation (§5).
 //!
-//! Each binary under `src/bin/` prints one table or figure; the shared
-//! machinery here builds the models, produces fusion plans for every
-//! compared configuration (the four framework baselines, the paper's own
-//! `OurB`/`OurB+` baselines and DNNFusion), and evaluates them on the
-//! simulated devices.
-//!
-//! Run with `cargo run --release -p dnnf-bench --bin <experiment>`; the
-//! Criterion benches under `benches/` additionally measure compilation and
-//! execution wall-clock on this machine.
+//! [`paper::EXPERIMENTS`] holds one row per table or figure; the `paper`
+//! binary prints them (`cargo run --release -p dnnf-bench --bin paper --
+//! [--reduced] [name ...]`, all twelve in the paper's order by default).
+//! The other binaries under `src/bin/` are the engine's wall-clock harnesses
+//! (`bench_exec`, `serve_load`, `bench_decode`), the `random_model`
+//! differential fuzzer built on [`fuzz`], and graph-file tools; the Criterion
+//! benches under `benches/` measure compilation and execution wall-clock on
+//! this machine.
 
 #![warn(missing_docs)]
 
 pub mod fuzz;
-
-use std::fmt;
-
-use dnnf_baselines::{taso_optimize, BaselineFramework, PatternFuser};
-use dnnf_core::{CompilationStats, Compiler, CompilerOptions, Ecg, FusionPlan};
-use dnnf_graph::Graph;
-use dnnf_models::{ModelFamily, ModelKind, ModelScale};
-use dnnf_profiledb::ProfileDatabase;
-use dnnf_runtime::{DeviceLatencyModel, Executor, MemoryPlan};
-use dnnf_simdev::{Counters, DeviceKind, DeviceSpec};
-
-/// One execution configuration of the paper's comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecutionConfig {
-    /// MNN-style fixed-pattern fusion.
-    Mnn,
-    /// TVM-style fixed-pattern fusion.
-    Tvm,
-    /// TFLite-style fixed-pattern fusion.
-    TfLite,
-    /// PyTorch-Mobile-style fixed-pattern fusion.
-    Pytorch,
-    /// The paper's `OurB` baseline: no fusion at all.
-    OurBaseline,
-    /// The paper's `OurB+` baseline: fixed-pattern (TVM-style) fusion on the
-    /// paper's own runtime.
-    OurBaselinePlus,
-    /// Full DNNFusion.
-    DnnFusion,
-}
-
-impl ExecutionConfig {
-    /// All configurations in the order of Table 6's columns.
-    #[must_use]
-    pub fn all() -> &'static [ExecutionConfig] {
-        use ExecutionConfig::*;
-        &[
-            Mnn,
-            Tvm,
-            TfLite,
-            Pytorch,
-            OurBaseline,
-            OurBaselinePlus,
-            DnnFusion,
-        ]
-    }
-
-    /// The framework columns of Table 5 (everything but the OurB variants).
-    #[must_use]
-    pub fn frameworks() -> &'static [ExecutionConfig] {
-        use ExecutionConfig::*;
-        &[Mnn, Tvm, TfLite, Pytorch, DnnFusion]
-    }
-
-    /// Short display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutionConfig::Mnn => "MNN",
-            ExecutionConfig::Tvm => "TVM",
-            ExecutionConfig::TfLite => "TFLite",
-            ExecutionConfig::Pytorch => "PyTorch",
-            ExecutionConfig::OurBaseline => "OurB",
-            ExecutionConfig::OurBaselinePlus => "OurB+",
-            ExecutionConfig::DnnFusion => "DNNF",
-        }
-    }
-}
-
-impl fmt::Display for ExecutionConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Whether a framework supports running a model on a device kind, per the
-/// "-" entries of the paper's Tables 5 and 6 (e.g. no competitor runs the
-/// R-CNNs at all, only TFLite runs transformers and only on the CPU).
-#[must_use]
-pub fn supports(config: ExecutionConfig, model: ModelKind, device: DeviceKind) -> bool {
-    use ExecutionConfig::*;
-    use ModelFamily::*;
-    let family = model.family();
-    match config {
-        OurBaseline | OurBaselinePlus | DnnFusion => true,
-        Mnn => match family {
-            Cnn2d => true,
-            Cnn3d => model == ModelKind::C3d && device == DeviceKind::MobileCpu,
-            _ => false,
-        },
-        Tvm => match family {
-            Cnn2d => true,
-            Cnn3d => model == ModelKind::C3d && device == DeviceKind::MobileCpu,
-            _ => false,
-        },
-        TfLite => match family {
-            Cnn2d => true,
-            Transformer => device == DeviceKind::MobileCpu,
-            _ => false,
-        },
-        Pytorch => {
-            device == DeviceKind::MobileCpu
-                && matches!(family, Cnn2d | Cnn3d)
-                && model != ModelKind::UNet
-        }
-    }
-}
-
-/// A planned (graph, fusion plan) pair ready for execution or estimation.
-#[derive(Debug, Clone)]
-pub struct PlannedModel {
-    /// The configuration that produced the plan.
-    pub config: ExecutionConfig,
-    /// The graph the plan refers to (rewritten for DNNFusion, original
-    /// otherwise).
-    pub graph: Graph,
-    /// The fusion plan.
-    pub plan: FusionPlan,
-    /// Full compilation statistics (DNNFusion only).
-    pub compilation: Option<CompilationStats>,
-}
-
-impl PlannedModel {
-    /// Fused layer count of the plan.
-    #[must_use]
-    pub fn fused_layers(&self) -> usize {
-        self.plan.fused_layer_count()
-    }
-
-    /// Post-fusion intermediate-result bytes.
-    #[must_use]
-    pub fn fused_irs_bytes(&self) -> u64 {
-        self.plan.fused_irs_bytes(&self.graph)
-    }
-}
-
-/// Produces the fusion plan a configuration would use for a graph.
-///
-/// # Panics
-///
-/// Panics if the graph is invalid (model builders guarantee validity).
-#[must_use]
-pub fn plan_model(config: ExecutionConfig, graph: &Graph, device: &DeviceSpec) -> PlannedModel {
-    match config {
-        ExecutionConfig::OurBaseline => {
-            let ecg = Ecg::new(graph.clone());
-            let plan = FusionPlan::singletons(&ecg);
-            PlannedModel {
-                config,
-                graph: graph.clone(),
-                plan,
-                compilation: None,
-            }
-        }
-        ExecutionConfig::Mnn
-        | ExecutionConfig::Tvm
-        | ExecutionConfig::TfLite
-        | ExecutionConfig::Pytorch
-        | ExecutionConfig::OurBaselinePlus => {
-            let fuser = match config {
-                ExecutionConfig::Mnn => PatternFuser::for_framework(BaselineFramework::Mnn),
-                ExecutionConfig::TfLite => PatternFuser::for_framework(BaselineFramework::TfLite),
-                ExecutionConfig::Pytorch => {
-                    PatternFuser::for_framework(BaselineFramework::PytorchMobile)
-                }
-                // TVM and the paper's OurB+ share the TVM-style pattern set.
-                _ => PatternFuser::for_framework(BaselineFramework::Tvm),
-            };
-            let ecg = Ecg::new(graph.clone());
-            let plan = fuser.plan(&ecg).expect("pattern fusion plan");
-            PlannedModel {
-                config,
-                graph: graph.clone(),
-                plan,
-                compilation: None,
-            }
-        }
-        ExecutionConfig::DnnFusion => {
-            let latency = DeviceLatencyModel::new(device.clone());
-            let mut compiler = Compiler::with_latency_model(CompilerOptions::default(), latency);
-            let compiled = compiler.compile(graph).expect("DNNFusion compilation");
-            PlannedModel {
-                config,
-                graph: compiled.ecg.graph().clone(),
-                plan: compiled.plan.clone(),
-                compilation: Some(compiled.stats),
-            }
-        }
-    }
-}
-
-/// The result of evaluating one (model, configuration, device) cell.
-#[derive(Debug, Clone)]
-pub struct EvalResult {
-    /// Fused layer count.
-    pub fused_layers: usize,
-    /// Post-fusion intermediate-result bytes.
-    pub fused_irs_bytes: u64,
-    /// Simulated counters (latency, traffic, cache, utilization).
-    pub counters: Counters,
-    /// Memory plan (peak memory, boundary traffic).
-    pub memory: MemoryPlan,
-    /// Compilation statistics (DNNFusion only).
-    pub compilation: Option<CompilationStats>,
-}
-
-/// Evaluates one model under one configuration on one device, using the
-/// estimation path (no reference-kernel execution). Returns `None` when the
-/// framework does not support the model/device combination.
-#[must_use]
-pub fn evaluate(
-    kind: ModelKind,
-    scale: ModelScale,
-    config: ExecutionConfig,
-    device: &DeviceSpec,
-) -> Option<EvalResult> {
-    if !supports(config, kind, device.kind) {
-        return None;
-    }
-    let graph = kind.build(scale).expect("model builds");
-    Some(evaluate_graph(&graph, config, device))
-}
-
-/// Evaluates an already-built graph under one configuration on one device.
-#[must_use]
-pub fn evaluate_graph(graph: &Graph, config: ExecutionConfig, device: &DeviceSpec) -> EvalResult {
-    let planned = plan_model(config, graph, device);
-    let executor = Executor::new(device.clone());
-    let (counters, memory) = executor.estimate_plan(&planned.graph, &planned.plan);
-    EvalResult {
-        fused_layers: planned.fused_layers(),
-        fused_irs_bytes: planned.fused_irs_bytes(),
-        counters,
-        memory,
-        compilation: planned.compilation,
-    }
-}
-
-/// Evaluates the Figure 6 TASO comparison for one model: the TASO-optimized
-/// graph executed with TFLite-style fusion vs the full DNNFusion pipeline.
-/// Returns the speedup of DNNFusion over TASO+TFLite.
-#[must_use]
-pub fn taso_speedup(kind: ModelKind, scale: ModelScale, device: &DeviceSpec) -> f64 {
-    let graph = kind.build(scale).expect("model builds");
-    let (taso_graph, _) = taso_optimize(&graph);
-    let taso_result = evaluate_graph(&taso_graph, ExecutionConfig::TfLite, device);
-    let dnnf_result = evaluate_graph(&graph, ExecutionConfig::DnnFusion, device);
-    taso_result.counters.latency_us / dnnf_result.counters.latency_us
-}
-
-/// Ablation configurations of Figure 7 (speedups are reported over `OurB`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AblationConfig {
-    /// Graph rewriting only.
-    RewritingOnly,
-    /// Graph rewriting + fusion.
-    RewritingAndFusion,
-    /// Graph rewriting + fusion + other fusion-related optimizations.
-    Full,
-    /// Fusion + other optimizations, but no graph rewriting.
-    FusionWithoutRewriting,
-}
-
-impl AblationConfig {
-    /// All ablation configurations, in Figure 7's bar order.
-    #[must_use]
-    pub fn all() -> &'static [AblationConfig] {
-        use AblationConfig::*;
-        &[
-            RewritingOnly,
-            RewritingAndFusion,
-            Full,
-            FusionWithoutRewriting,
-        ]
-    }
-
-    /// Display label used in Figure 7.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            AblationConfig::RewritingOnly => "GR",
-            AblationConfig::RewritingAndFusion => "GR + Fuse",
-            AblationConfig::Full => "GR + Fuse + Other",
-            AblationConfig::FusionWithoutRewriting => "Fuse + Other",
-        }
-    }
-
-    /// The compiler options implementing this ablation point.
-    #[must_use]
-    pub fn options(self) -> CompilerOptions {
-        match self {
-            AblationConfig::RewritingOnly => CompilerOptions::rewriting_only(),
-            AblationConfig::RewritingAndFusion => CompilerOptions::rewriting_and_fusion(),
-            AblationConfig::Full => CompilerOptions::default(),
-            AblationConfig::FusionWithoutRewriting => CompilerOptions::without_rewriting(),
-        }
-    }
-}
-
-/// Latency of a model compiled with specific compiler options, on a device.
-#[must_use]
-pub fn ablation_latency(graph: &Graph, ablation: AblationConfig, device: &DeviceSpec) -> f64 {
-    let latency = DeviceLatencyModel::new(device.clone());
-    let mut compiler = Compiler::with_latency_model(ablation.options(), latency);
-    let compiled = compiler.compile(graph).expect("ablation compilation");
-    let executor = Executor::new(device.clone()).without_cache_simulation();
-    let (counters, _) = executor.estimate_plan(compiled.ecg.graph(), &compiled.plan);
-    counters.latency_us
-}
-
-/// Compiles a model twice — without and with a pre-computed profiling
-/// database — and reports `(misses_cold, misses_warm, stats_warm)` for the
-/// Figure 9b compilation-time experiment.
-#[must_use]
-pub fn compilation_with_database(
-    graph: &Graph,
-    device: &DeviceSpec,
-) -> (u64, u64, CompilationStats) {
-    let latency = DeviceLatencyModel::new(device.clone());
-    let mut cold = Compiler::with_latency_model(CompilerOptions::default(), latency.clone());
-    let cold_stats = cold.compile(graph).expect("cold compilation").stats;
-    let database: ProfileDatabase = cold.into_database();
-    let mut warm =
-        Compiler::with_latency_model(CompilerOptions::default(), latency).with_database(database);
-    let warm_stats = warm.compile(graph).expect("warm compilation").stats;
-    (
-        cold_stats.profile_db_misses,
-        warm_stats.profile_db_misses,
-        warm_stats,
-    )
-}
-
-/// Simple fixed-width table printer used by the experiment binaries.
-#[must_use]
-pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let header_cells: Vec<String> = headers.iter().map(|h| (*h).to_string()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
-    }
-    out
-}
-
-/// Formats an optional measurement, printing `-` for unsupported cells just
-/// like the paper's tables.
-#[must_use]
-pub fn cell(value: Option<f64>, precision: usize) -> String {
-    match value {
-        Some(v) => format!("{v:.precision$}"),
-        None => "-".to_string(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn support_matrix_matches_the_papers_dashes() {
-        // No competitor supports the R-CNNs.
-        for &cfg in ExecutionConfig::frameworks() {
-            if cfg == ExecutionConfig::DnnFusion {
-                continue;
-            }
-            assert!(!supports(cfg, ModelKind::FasterRcnn, DeviceKind::MobileCpu));
-        }
-        // Transformers: TFLite CPU only.
-        assert!(supports(
-            ExecutionConfig::TfLite,
-            ModelKind::Gpt2,
-            DeviceKind::MobileCpu
-        ));
-        assert!(!supports(
-            ExecutionConfig::TfLite,
-            ModelKind::Gpt2,
-            DeviceKind::MobileGpu
-        ));
-        assert!(!supports(
-            ExecutionConfig::Tvm,
-            ModelKind::Gpt2,
-            DeviceKind::MobileCpu
-        ));
-        // PyTorch has no mobile-GPU support in the paper's runs.
-        assert!(!supports(
-            ExecutionConfig::Pytorch,
-            ModelKind::Vgg16,
-            DeviceKind::MobileGpu
-        ));
-        // DNNFusion supports everything.
-        for &m in ModelKind::all() {
-            assert!(supports(
-                ExecutionConfig::DnnFusion,
-                m,
-                DeviceKind::MobileGpu
-            ));
-        }
-    }
-
-    #[test]
-    fn dnnfusion_wins_fusion_rate_and_latency_on_a_small_model() {
-        let device = DeviceSpec::snapdragon_865_cpu();
-        let scale = ModelScale::tiny();
-        let dnnf = evaluate(ModelKind::Vgg16, scale, ExecutionConfig::DnnFusion, &device).unwrap();
-        let ourb = evaluate(
-            ModelKind::Vgg16,
-            scale,
-            ExecutionConfig::OurBaseline,
-            &device,
-        )
-        .unwrap();
-        let tvm = evaluate(ModelKind::Vgg16, scale, ExecutionConfig::Tvm, &device).unwrap();
-        assert!(dnnf.fused_layers < tvm.fused_layers);
-        assert!(tvm.fused_layers < ourb.fused_layers);
-        assert!(dnnf.counters.latency_us < ourb.counters.latency_us);
-        assert!(dnnf.counters.latency_us <= tvm.counters.latency_us);
-        assert!(dnnf.fused_irs_bytes < ourb.fused_irs_bytes);
-    }
-
-    #[test]
-    fn ablation_configs_cover_figure7_bars() {
-        assert_eq!(AblationConfig::all().len(), 4);
-        let graph = ModelKind::EfficientNetB0.build(ModelScale::tiny()).unwrap();
-        let device = DeviceSpec::snapdragon_865_cpu();
-        let full = ablation_latency(&graph, AblationConfig::Full, &device);
-        let gr_only = ablation_latency(&graph, AblationConfig::RewritingOnly, &device);
-        assert!(
-            full <= gr_only,
-            "full pipeline must not be slower than rewriting alone"
-        );
-    }
-
-    #[test]
-    fn table_formatting_pads_columns() {
-        let text = format_table(
-            &["Model", "ms"],
-            &[
-                vec!["VGG-16".into(), "171".into()],
-                vec!["GPT-2".into(), "394".into()],
-            ],
-        );
-        assert!(text.contains("VGG-16"));
-        assert!(text.lines().count() >= 4);
-        assert_eq!(cell(None, 1), "-");
-        assert_eq!(cell(Some(1.25), 1), "1.2");
-    }
-
-    #[test]
-    fn taso_comparison_reports_a_speedup_greater_than_one() {
-        let device = DeviceSpec::snapdragon_865_cpu();
-        let speedup = taso_speedup(ModelKind::TinyBert, ModelScale::tiny(), &device);
-        assert!(
-            speedup > 1.0,
-            "DNNFusion should outperform TASO+TFLite, got {speedup}"
-        );
-    }
-
-    #[test]
-    fn profile_database_reduces_profiling_misses() {
-        let graph = ModelKind::MobileNetV1Ssd.build(ModelScale::tiny()).unwrap();
-        let device = DeviceSpec::snapdragon_865_cpu();
-        let (cold, warm, stats) = compilation_with_database(&graph, &device);
-        assert!(warm <= cold);
-        assert!(stats.profile_db_hits > 0 || cold == 0);
-    }
-}
+pub mod paper;

@@ -328,7 +328,7 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnalyticLatencyModel, FusionPlanner, PlanOptions};
+    use crate::{AnalyticLatencyModel, FusionPlanner};
     use dnnf_graph::Graph;
     use dnnf_profiledb::ProfileDatabase;
     use dnnf_tensor::Shape;
@@ -336,7 +336,7 @@ mod tests {
     fn compile_blocks(graph: &Graph) -> (Ecg, FusionPlan, Vec<FusedOp>) {
         let ecg = Ecg::new(graph.clone());
         let model = AnalyticLatencyModel::default();
-        let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
+        let planner = FusionPlanner::new(&ecg, &model);
         let mut db = ProfileDatabase::new();
         let plan = planner.plan(&mut db).unwrap();
         let fused = generate_all(&ecg, &plan);

@@ -18,11 +18,11 @@ use dnnf_profiledb::ProfileDatabase;
 
 use crate::codegen::{generate_all, FusedOp};
 use crate::exec::{compile_plan, CompiledPlan};
+use crate::plan::{MAX_BLOCK_OPS, MAX_EXTERNAL_INPUTS, USE_PROFILE};
 use crate::rewrite::{AppliedRewrite, RewriteEngine};
 use crate::{
     eliminate_data_movement, select_block_layouts, AnalyticLatencyModel, CoreError,
     DataMovementElimination, Ecg, FusionPlan, FusionPlanner, LatencyModel, LayoutDecision,
-    PlanOptions,
 };
 
 /// Which optimizations the compiler runs (the knobs of Figure 7's ablation).
@@ -36,8 +36,6 @@ pub struct CompilerOptions {
     pub enable_intra_block_opt: bool,
     /// Inter-block data-format selection (part of "Other").
     pub enable_inter_block_opt: bool,
-    /// Fusion-plan exploration knobs.
-    pub plan: PlanOptions,
 }
 
 impl Default for CompilerOptions {
@@ -47,7 +45,6 @@ impl Default for CompilerOptions {
             enable_fusion: true,
             enable_intra_block_opt: true,
             enable_inter_block_opt: true,
-            plan: PlanOptions::default(),
         }
     }
 }
@@ -61,7 +58,6 @@ impl CompilerOptions {
             enable_fusion: false,
             enable_intra_block_opt: false,
             enable_inter_block_opt: false,
-            plan: PlanOptions::default(),
         }
     }
 
@@ -97,22 +93,21 @@ impl CompilerOptions {
         }
     }
 
-    /// A stable, human-readable encoding of every option that can change
-    /// what [`Compiler::compile`] produces. Two option sets with equal cache
-    /// keys compile any given graph to the same plan; the runtime's
-    /// compilation cache uses this string as the options component of its
-    /// `(fingerprint, shape signature, options)` key.
+    /// A stable, human-readable encoding of every option — and every
+    /// plan-search constant — that can change what [`Compiler::compile`]
+    /// produces. Two option sets with equal cache keys compile any given
+    /// graph to the same plan; the runtime's compilation cache uses this
+    /// string as the options component of its `(fingerprint, shape
+    /// signature, options)` key.
     #[must_use]
     pub fn cache_key(&self) -> String {
         format!(
-            "gr={};fuse={};intra={};inter={};max_block_ops={};max_external_inputs={};use_profile={}",
+            "gr={};fuse={};intra={};inter={};max_block_ops={MAX_BLOCK_OPS};max_external_inputs={MAX_EXTERNAL_INPUTS};use_profile={}",
             u8::from(self.enable_graph_rewriting),
             u8::from(self.enable_fusion),
             u8::from(self.enable_intra_block_opt),
             u8::from(self.enable_inter_block_opt),
-            self.plan.max_block_ops,
-            self.plan.max_external_inputs,
-            u8::from(self.plan.use_profile),
+            u8::from(USE_PROFILE),
         )
     }
 }
@@ -422,7 +417,7 @@ impl<L: LatencyModel> Compiler<L> {
         let plan = match replay {
             Some(groups) => FusionPlan::from_blocks(&ecg, groups)?,
             None if self.options.enable_fusion => {
-                let planner = FusionPlanner::new(&ecg, &self.latency, self.options.plan);
+                let planner = FusionPlanner::new(&ecg, &self.latency);
                 planner.plan(&mut self.database)?
             }
             None => FusionPlan::singletons(&ecg),
@@ -658,8 +653,10 @@ mod tests {
         let a = CompilerOptions::default().cache_key();
         assert_eq!(a, CompilerOptions::default().cache_key());
         assert_ne!(a, CompilerOptions::baseline().cache_key());
-        let mut tweaked = CompilerOptions::default();
-        tweaked.plan.max_block_ops = 7;
+        let tweaked = CompilerOptions {
+            enable_inter_block_opt: false,
+            ..CompilerOptions::default()
+        };
         assert_ne!(a, tweaked.cache_key());
     }
 

@@ -69,7 +69,7 @@ pub fn eliminate_data_movement(ecg: &Ecg, plan: &FusionPlan) -> DataMovementElim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnalyticLatencyModel, FusionPlanner, PlanOptions};
+    use crate::{AnalyticLatencyModel, FusionPlanner};
     use dnnf_graph::Graph;
     use dnnf_ops::{Attrs, OpKind};
     use dnnf_profiledb::ProfileDatabase;
@@ -78,7 +78,7 @@ mod tests {
     fn plan_for(graph: &Graph) -> (Ecg, FusionPlan) {
         let ecg = Ecg::new(graph.clone());
         let model = AnalyticLatencyModel::default();
-        let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
+        let planner = FusionPlanner::new(&ecg, &model);
         let mut db = ProfileDatabase::new();
         let plan = planner.plan(&mut db).unwrap();
         (ecg, plan)

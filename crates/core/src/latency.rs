@@ -7,7 +7,7 @@
 //! tests; `dnnf-runtime` provides a device-calibrated implementation backed
 //! by the `dnnf-simdev` device models.
 
-use dnnf_graph::{Graph, NodeId};
+use dnnf_graph::{Graph, NodeId, ValueId};
 use dnnf_ops::{cost, MappingType};
 use dnnf_tensor::Shape;
 
@@ -80,40 +80,57 @@ impl AnalyticLatencyModel {
     /// applied when relevant.
     #[must_use]
     pub fn effective_flops(&self, graph: &Graph, nodes: &[NodeId]) -> f64 {
-        let mut flops = 0u64;
-        let mut has_anchor = false;
-        let mut disruptive = 0usize;
-        for &n in nodes {
-            let node = graph.node(n);
-            let input_shapes: Vec<Shape> = node
-                .inputs
-                .iter()
-                .map(|&id| graph.value(id).shape.clone())
-                .collect();
-            let output_shapes: Vec<Shape> = node
-                .outputs
-                .iter()
-                .map(|&id| graph.value(id).shape.clone())
-                .collect();
-            flops += cost::flops(node.op, &node.attrs, &input_shapes, &output_shapes);
-            match node.op.mapping_type() {
-                MappingType::ManyToMany => has_anchor = true,
-                // Only data-movement operators (Transpose, Expand, Resize, …)
-                // disrupt the anchor's access pattern; a broadcasted bias Add
-                // is One-to-Many by classification but reads contiguously.
-                MappingType::Shuffle | MappingType::OneToMany if node.op.is_data_movement() => {
-                    disruptive += 1;
-                }
-                _ => {}
-            }
-        }
-        let penalty = if has_anchor && nodes.len() > 1 {
-            1.0 + self.access_disruption_penalty * disruptive as f64
+        let work = member_work(graph, nodes);
+        let penalty = if work.has_anchor && nodes.len() > 1 {
+            1.0 + self.access_disruption_penalty * work.disruptive as f64
         } else {
             1.0
         };
-        flops as f64 * penalty
+        work.flops as f64 * penalty
     }
+}
+
+/// What both latency models read off a block's members, one node at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemberWork {
+    /// FLOPs of every member.
+    pub flops: u64,
+    /// Whether a member is a Many-to-Many (compute-intensive) anchor.
+    pub has_anchor: bool,
+    /// Members whose access pattern disrupts an anchor's.
+    pub disruptive: usize,
+}
+
+/// Walks `nodes` once for their FLOPs, compute anchor and access-disrupting
+/// operators. Operators are classified without shapes: shapes only turn a
+/// broadcasting element-wise *binary* operator from One-to-One into
+/// One-to-Many, and that class counts only data-movement operators, which
+/// no element-wise binary operator is.
+#[must_use]
+pub fn member_work(graph: &Graph, nodes: &[NodeId]) -> MemberWork {
+    let mut work = MemberWork::default();
+    let shapes = |values: &[ValueId]| -> Vec<Shape> {
+        values
+            .iter()
+            .map(|&v| graph.value(v).shape.clone())
+            .collect()
+    };
+    for &n in nodes {
+        let node = graph.node(n);
+        let (inputs, outputs) = (shapes(&node.inputs), shapes(&node.outputs));
+        work.flops += cost::flops(node.op, &node.attrs, &inputs, &outputs);
+        match node.op.mapping_type() {
+            MappingType::ManyToMany => work.has_anchor = true,
+            // Only data-movement operators (Transpose, Expand, Resize, …)
+            // disrupt the anchor's access pattern; a broadcasted bias Add
+            // is One-to-Many by classification but reads contiguously.
+            MappingType::Shuffle | MappingType::OneToMany if node.op.is_data_movement() => {
+                work.disruptive += 1;
+            }
+            _ => {}
+        }
+    }
+    work
 }
 
 impl LatencyModel for AnalyticLatencyModel {

@@ -70,8 +70,6 @@ pub use exec::{
 pub use instance::PlanInstance;
 pub use inter::{select_block_layouts, LayoutDecision};
 pub use intra::{eliminate_data_movement, DataMovementElimination};
-pub use latency::{AnalyticLatencyModel, LatencyModel};
+pub use latency::{member_work, AnalyticLatencyModel, LatencyModel, MemberWork};
 pub use mapping::{analyze_pair, fusable_cell_count, FusionDecision, FusionVerdict};
-pub use plan::{
-    block_profile_key, boundary_of, Boundary, FusionBlock, FusionPlan, FusionPlanner, PlanOptions,
-};
+pub use plan::{block_profile_key, boundary_of, Boundary, FusionBlock, FusionPlan, FusionPlanner};

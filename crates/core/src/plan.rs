@@ -42,31 +42,17 @@ fn fuses_through_anchor(op: OpKind) -> bool {
     )
 }
 
-/// Tunable knobs of the fusion plan exploration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanOptions {
-    /// Maximum number of operators in one fusion block (constraint check —
-    /// the paper's "empirically determined threshold" against register
-    /// spills).
-    pub max_block_ops: usize,
-    /// Maximum number of distinct external input tensors a block may read
-    /// (register-pressure proxy).
-    pub max_external_inputs: usize,
-    /// Whether yellow cells consult the profiling database / latency model.
-    /// When `false`, yellow cells are fused optimistically (used by ablation
-    /// benches).
-    pub use_profile: bool,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            max_block_ops: 40,
-            max_external_inputs: 14,
-            use_profile: true,
-        }
-    }
-}
+/// Maximum number of operators in one fusion block (constraint check — the
+/// paper's "empirically determined threshold" against register spills).
+/// The three exploration constants decide plans, so
+/// [`CompilerOptions::cache_key`](crate::CompilerOptions::cache_key) emits
+/// them: persisted plan keys name the values they were searched with.
+pub(crate) const MAX_BLOCK_OPS: usize = 40;
+/// Maximum number of distinct external input tensors a block may read
+/// (register-pressure proxy).
+pub(crate) const MAX_EXTERNAL_INPUTS: usize = 14;
+/// Whether yellow cells consult the profiling database / latency model.
+pub(crate) const USE_PROFILE: bool = true;
 
 /// The values crossing the boundary of a set of nodes run as one kernel.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -464,18 +450,13 @@ impl Direction {
 pub struct FusionPlanner<'a, L: LatencyModel> {
     ecg: &'a Ecg,
     latency: &'a L,
-    options: PlanOptions,
 }
 
 impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
     /// Creates a planner over an ECG with a latency model for yellow cells.
     #[must_use]
-    pub fn new(ecg: &'a Ecg, latency: &'a L, options: PlanOptions) -> Self {
-        FusionPlanner {
-            ecg,
-            latency,
-            options,
-        }
+    pub fn new(ecg: &'a Ecg, latency: &'a L) -> Self {
+        FusionPlanner { ecg, latency }
     }
 
     /// Generates the fusion plan, consulting (and extending) the profiling
@@ -586,7 +567,7 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
             return;
         }
         // Step 2.3: profile-based selection for yellow cells.
-        if decision.verdict == FusionVerdict::Profile && self.options.use_profile {
+        if decision.verdict == FusionVerdict::Profile && USE_PROFILE {
             let mut fused: Vec<NodeId> = search.members.iter().copied().collect();
             fused.push(candidate);
             let fused_latency = db.lookup_or_measure(self.profile_key(&fused), || {
@@ -616,7 +597,7 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
     }
 
     fn constraints_allow(&self, members: &BTreeSet<NodeId>, candidate: NodeId) -> bool {
-        if members.len() + 1 > self.options.max_block_ops {
+        if members.len() + 1 > MAX_BLOCK_OPS {
             return false;
         }
         // Register-pressure proxy: count distinct external inputs after the
@@ -624,7 +605,7 @@ impl<'a, L: LatencyModel> FusionPlanner<'a, L> {
         let mut extended: Vec<NodeId> = members.iter().copied().collect();
         extended.push(candidate);
         let external_inputs = boundary_of(self.ecg.graph(), &extended).reads().count();
-        external_inputs <= self.options.max_external_inputs
+        external_inputs <= MAX_EXTERNAL_INPUTS
     }
 
     fn profile_key(&self, nodes: &[NodeId]) -> ProfileKey {
@@ -768,7 +749,7 @@ mod tests {
     fn plan_graph(graph: &Graph) -> FusionPlan {
         let ecg = Ecg::new(graph.clone());
         let model = AnalyticLatencyModel::default();
-        let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
+        let planner = FusionPlanner::new(&ecg, &model);
         let mut db = ProfileDatabase::new();
         planner.plan(&mut db).unwrap()
     }
@@ -1085,23 +1066,16 @@ mod tests {
     fn max_block_ops_constraint_is_respected() {
         let mut g = Graph::new("long-chain");
         let mut v = g.add_input("x", Shape::new(vec![64]));
-        for i in 0..20 {
+        for i in 0..100 {
             v = g
                 .add_op(OpKind::Relu, Attrs::new(), &[v], format!("r{i}"))
                 .unwrap()[0];
         }
         g.mark_output(v);
-        let ecg = Ecg::new(g.clone());
-        let model = AnalyticLatencyModel::default();
-        let opts = PlanOptions {
-            max_block_ops: 5,
-            ..PlanOptions::default()
-        };
-        let planner = FusionPlanner::new(&ecg, &model, opts);
-        let mut db = ProfileDatabase::new();
-        let plan = planner.plan(&mut db).unwrap();
-        assert!(plan.blocks().iter().all(|b| b.len() <= 5));
-        assert!(plan.fused_layer_count() >= 4);
+        let plan = plan_graph(&g);
+        assert!(plan.blocks().iter().all(|b| b.len() <= MAX_BLOCK_OPS));
+        assert!(plan.blocks().iter().any(|b| b.len() == MAX_BLOCK_OPS));
+        assert!(plan.fused_layer_count() >= 100usize.div_ceil(MAX_BLOCK_OPS));
     }
 
     #[test]
@@ -1130,7 +1104,7 @@ mod tests {
         g.mark_output(up);
         let ecg = Ecg::new(g.clone());
         let model = AnalyticLatencyModel::default();
-        let planner = FusionPlanner::new(&ecg, &model, PlanOptions::default());
+        let planner = FusionPlanner::new(&ecg, &model);
         let mut db = ProfileDatabase::new();
         planner.plan(&mut db).unwrap();
         assert!(

@@ -267,7 +267,7 @@ impl Executor {
         let mut works = Vec::with_capacity(order.len());
         for &block_idx in order {
             let block = &plan.blocks()[block_idx];
-            let work = work_model.block_work(graph, &block.nodes);
+            let work = work_model.block_work(graph, &block.nodes, &block.boundary);
             counters.kernel_launches += 1;
             counters.flops += work.flops;
             counters.memory_access_bytes += work.boundary_elems * elem_bytes;

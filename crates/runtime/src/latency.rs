@@ -2,11 +2,9 @@
 //! latency model, so fusion-plan exploration profiles candidate blocks
 //! against the same device the evaluation later measures.
 
-use dnnf_core::{boundary_of, LatencyModel};
-use dnnf_graph::{Graph, NodeId};
-use dnnf_ops::{cost, MappingType};
+use dnnf_core::{boundary_of, member_work, Boundary, LatencyModel};
+use dnnf_graph::{Graph, NodeId, ValueId};
 use dnnf_simdev::{BlockWork, DeviceCostModel, DeviceSpec};
-use dnnf_tensor::Shape;
 
 /// A [`LatencyModel`] backed by a simulated device.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,72 +27,32 @@ impl DeviceLatencyModel {
         &self.cost_model
     }
 
-    /// Describes the work of executing `nodes` as one fused kernel.
+    /// Describes the work of executing `nodes`, whose boundary is
+    /// `boundary`, as one fused kernel.
     ///
     /// Malformed blocks are costed conservatively, never panicked on — a
     /// long-lived serving process must survive a planner probing a bad
     /// candidate. Concretely: an empty block is zero work, and a node
     /// without outputs (impossible through [`Graph::add_op`], which always
     /// materializes the inferred output values, but representable in a
-    /// hand-built block) contributes its FLOPs and boundary reads but is
-    /// never classified as a compute anchor from a fabricated shape.
+    /// hand-built block) contributes its FLOPs and boundary reads and is
+    /// classified by its operator alone.
     #[must_use]
-    pub fn block_work(&self, graph: &Graph, nodes: &[NodeId]) -> BlockWork {
+    pub fn block_work(&self, graph: &Graph, nodes: &[NodeId], boundary: &Boundary) -> BlockWork {
         if nodes.is_empty() {
             // An empty probe does no work; don't fabricate a 1-element
             // output for it below.
             return BlockWork::default();
         }
-        let mut work = BlockWork::default();
-        // Widest member step, by first-output element count. The engine
-        // executes a fused block step by step, parallelizing each step over
-        // its *own* output, so the block's achievable parallelism is set by
-        // its widest step — not by what escapes. A block whose tail
-        // contracts (Conv + epilogue fused through a pool, Gemm behind a
-        // wide Flatten) still parallelizes its anchor over the anchor's full
-        // output.
-        let mut widest_step: u64 = 0;
-        for &n in nodes {
-            let node = graph.node(n);
-            if let Some(&out) = node.outputs.first() {
-                widest_step = widest_step.max(graph.value(out).shape.numel() as u64);
-            }
-            let input_shapes: Vec<Shape> = node
-                .inputs
-                .iter()
-                .map(|&id| graph.value(id).shape.clone())
-                .collect();
-            let output_shapes: Vec<Shape> = node
-                .outputs
-                .iter()
-                .map(|&id| graph.value(id).shape.clone())
-                .collect();
-            work.flops += cost::flops(node.op, &node.attrs, &input_shapes, &output_shapes);
-            // Invariant: every node built by `Graph::add_op` has at least
-            // one output (shape inference creates them). Classify an
-            // outputless node as plain element-wise work instead of
-            // inventing a scalar output shape for it.
-            let Some(output_shape) = output_shapes.first() else {
-                continue;
-            };
-            match node
-                .op
-                .mapping_type_with_shapes(&input_shapes, output_shape)
-            {
-                MappingType::ManyToMany => work.has_compute_anchor = true,
-                // Only data-movement operators disrupt the anchor's access
-                // pattern; broadcasted element-wise operators do not.
-                MappingType::Shuffle | MappingType::OneToMany if node.op.is_data_movement() => {
-                    work.access_disrupting_ops += 1;
-                }
-                _ => {}
-            }
-        }
-        // Boundary traffic: each value crossing the kernel's edge, once.
-        let crossing = boundary_of(graph, nodes);
-        let elems = |v| graph.value(v).shape.numel() as u64;
-        work.boundary_elems = crossing.values().map(elems).sum();
-        work.output_elems = crossing.writes().map(elems).sum();
+        let members = member_work(graph, nodes);
+        let elems = |v: ValueId| graph.value(v).shape.numel() as u64;
+        let mut work = BlockWork {
+            flops: members.flops,
+            boundary_elems: boundary.values().map(elems).sum(),
+            access_disrupting_ops: members.disruptive,
+            has_compute_anchor: members.has_anchor,
+            output_elems: boundary.writes().map(elems).sum(),
+        };
         if work.output_elems == 0 {
             // Internal-only probe: every output is consumed inside the
             // block, so nothing "escaped" above. Real plans never produce
@@ -103,10 +61,23 @@ impl DeviceLatencyModel {
             // downstream per-element math never divides by zero; a
             // malformed last node without outputs costs one element.
             work.output_elems = match nodes.last().and_then(|&n| graph.node(n).outputs.first()) {
-                Some(&v) => (graph.value(v).shape.numel() as u64).max(1),
+                Some(&v) => elems(v).max(1),
                 None => 1,
             };
         }
+        // Widest member step, by first-output element count. The engine
+        // executes a fused block step by step, parallelizing each step over
+        // its *own* output, so the block's achievable parallelism is set by
+        // its widest step — not by what escapes. A block whose tail
+        // contracts (Conv + epilogue fused through a pool, Gemm behind a
+        // wide Flatten) still parallelizes its anchor over the anchor's full
+        // output.
+        let widest_step = nodes
+            .iter()
+            .filter_map(|&n| graph.node(n).outputs.first())
+            .map(|&v| elems(v))
+            .max()
+            .unwrap_or(0);
         work.output_elems = work.output_elems.max(widest_step);
         work
     }
@@ -117,8 +88,8 @@ impl LatencyModel for DeviceLatencyModel {
         if nodes.is_empty() {
             return 0.0;
         }
-        self.cost_model
-            .kernel_latency_us(&self.block_work(graph, nodes))
+        let work = self.block_work(graph, nodes, &boundary_of(graph, nodes));
+        self.cost_model.kernel_latency_us(&work)
     }
 }
 
@@ -127,6 +98,11 @@ mod tests {
     use super::*;
     use dnnf_graph::Graph;
     use dnnf_ops::{Attrs, OpKind};
+    use dnnf_tensor::Shape;
+
+    fn work_of(model: &DeviceLatencyModel, g: &Graph, nodes: &[NodeId]) -> BlockWork {
+        model.block_work(g, nodes, &boundary_of(g, nodes))
+    }
 
     fn chain() -> Graph {
         let mut g = Graph::new("chain");
@@ -159,7 +135,7 @@ mod tests {
         let g = chain();
         let nodes: Vec<NodeId> = g.nodes().map(|n| n.id).collect();
         let model = DeviceLatencyModel::new(DeviceSpec::snapdragon_865_cpu());
-        let work = model.block_work(&g, &nodes);
+        let work = work_of(&model, &g, &nodes);
         // One read of the input plus one write of the output.
         assert_eq!(work.boundary_elems, 2 * 16 * 32 * 32);
         assert_eq!(work.output_elems, 16 * 32 * 32);
@@ -182,7 +158,7 @@ mod tests {
         g.mark_output(c);
         let model = DeviceLatencyModel::new(DeviceSpec::snapdragon_865_cpu());
         let nodes: Vec<NodeId> = g.nodes().map(|n| n.id).collect();
-        let work = model.block_work(&g, &nodes);
+        let work = work_of(&model, &g, &nodes);
         assert!(work.has_compute_anchor);
         assert!(work.flops > 0);
     }
@@ -193,7 +169,7 @@ mod tests {
         let model = DeviceLatencyModel::new(DeviceSpec::snapdragon_865_cpu());
         assert_eq!(model.fused_latency_us(&g, &[]), 0.0);
         // And zero work — no fabricated output elements.
-        assert_eq!(model.block_work(&g, &[]), BlockWork::default());
+        assert_eq!(work_of(&model, &g, &[]), BlockWork::default());
     }
 
     #[test]
@@ -204,7 +180,7 @@ mod tests {
         let g = chain();
         let model = DeviceLatencyModel::new(DeviceSpec::snapdragon_865_cpu());
         let mid = g.nodes().nth(2).unwrap().id;
-        let work = model.block_work(&g, &[mid]);
+        let work = work_of(&model, &g, &[mid]);
         assert_eq!(work.output_elems, 16 * 32 * 32);
         assert_eq!(work.boundary_elems, 2 * 16 * 32 * 32);
         assert!(model.fused_latency_us(&g, &[mid]) > 0.0);

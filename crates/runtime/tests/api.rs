@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use dnnf_core::{Compiler, CompilerOptions, Ecg, FusionPlan};
+use dnnf_core::{boundary_of, Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnf_graph::Graph;
 use dnnf_ops::{Attrs, OpKind};
 use dnnf_runtime::{materialize_weights, DeviceLatencyModel, Executor, MemoryPlan};
@@ -212,7 +212,7 @@ fn device_latency_model_describes_block_work_faithfully() {
     assert!(model.cost_model().spec().flops_per_us() > 0.0);
 
     let all_nodes: Vec<_> = graph.nodes().map(|n| n.id).collect();
-    let fused_work = model.block_work(&graph, &all_nodes);
+    let fused_work = model.block_work(&graph, &all_nodes, &boundary_of(&graph, &all_nodes));
     assert!(
         fused_work.has_compute_anchor,
         "the conv is a Many-to-Many anchor"
@@ -224,7 +224,11 @@ fn device_latency_model_describes_block_work_faithfully() {
     // fusion keeps internal, so the fused block must touch less memory.
     let per_node: u64 = all_nodes
         .iter()
-        .map(|&n| model.block_work(&graph, &[n]).boundary_elems)
+        .map(|&n| {
+            model
+                .block_work(&graph, &[n], &boundary_of(&graph, &[n]))
+                .boundary_elems
+        })
         .sum();
     assert!(fused_work.boundary_elems < per_node);
 }

@@ -9,7 +9,7 @@ use std::error::Error;
 
 use dnnfusion::core::rewrite::RewriteEngine;
 use dnnfusion::core::{
-    analyze_pair, codegen, AnalyticLatencyModel, Ecg, FusionPlanner, FusionVerdict, PlanOptions,
+    analyze_pair, codegen, AnalyticLatencyModel, Ecg, FusionPlanner, FusionVerdict,
 };
 use dnnfusion::graph::Graph;
 use dnnfusion::ops::{Attrs, MappingType, OpKind};
@@ -83,7 +83,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
     let latency = AnalyticLatencyModel::default();
-    let planner = FusionPlanner::new(&ecg, &latency, PlanOptions::default());
+    let planner = FusionPlanner::new(&ecg, &latency);
     let mut db = ProfileDatabase::new();
     let plan = planner.plan(&mut db)?;
     println!("\nfusion plan: {} blocks", plan.fused_layer_count());

@@ -41,8 +41,8 @@
 //! ```
 //!
 //! See the `examples/` directory for end-to-end walkthroughs and the
-//! `dnnf-bench` crate for the binaries regenerating every table and figure
-//! of the paper.
+//! `dnnf-bench` crate's `paper` binary for regenerating every table and
+//! figure of the paper.
 
 #![warn(missing_docs)]
 
