@@ -4,12 +4,13 @@
 //! (DFT) whose leaves are the block's external inputs and whose internal
 //! nodes are the block's operators, with common sub-trees identified and
 //! reused. The DFT plus the per-pair mapping-type code-generation rules fully
-//! determine the fused kernel. Both artefacts generated here are
-//! **descriptive** — what the engine runs is [`crate::exec`]'s
-//! [`FusedKernel`](crate::FusedKernel), compiled from the same block:
+//! determine the fused kernel. Everything generated here is **descriptive**
+//! and built only when asked for — [`crate::Compiler`] never calls it; what
+//! the engine runs is [`crate::exec`]'s [`FusedKernel`](crate::FusedKernel),
+//! compiled from the same block. A [`FusedOp`] carries:
 //!
-//! * a [`FusedOp`] description (DFT, rules invoked, chosen layout) that the
-//!   statistics, examples and paper tables read, and
+//! * the DFT, the rules invoked and the block's preferred layout, which the
+//!   examples and tests read, and
 //! * a pseudo-C listing (for inspection, examples and documentation), in the
 //!   spirit of the C++/OpenCL emitted by the paper's implementation.
 
@@ -19,7 +20,6 @@ use dnnf_graph::{NodeId, ValueId};
 use dnnf_ops::{Attrs, MappingType, OpKind};
 use dnnf_tensor::Layout;
 
-use crate::inter::select_layout;
 use crate::{analyze_pair, Ecg, FusionBlock, FusionPlan};
 
 /// One node of a data-flow tree.
@@ -100,7 +100,7 @@ pub struct FusedOp {
     pub mapping_type: MappingType,
     /// The data-flow tree driving execution.
     pub dft: DataFlowTree,
-    /// Data layout selected for the block by the inter-block optimization.
+    /// Preferred data layout of the block's dominant operator (paper §4.4.2).
     pub layout: Layout,
     /// Mapping-type pairs whose code-generation rule was invoked, in fusion
     /// order.
@@ -194,6 +194,26 @@ pub fn generate_all(ecg: &Ecg, plan: &FusionPlan) -> Vec<FusedOp> {
     order
         .map(|&b| generate_fused_op(ecg, plan, &plan.blocks()[b]))
         .collect()
+}
+
+/// The block's layout: the preferred layout of its dominant operator — the
+/// layout-sensitive member with the most output bytes, a cheap proxy for
+/// "performance impacted the most" (paper §4.4.2).
+fn select_layout(ecg: &Ecg, block: &FusionBlock) -> Layout {
+    let graph = ecg.graph();
+    block
+        .nodes
+        .iter()
+        .filter(|&&n| graph.node(n).op.is_layout_dominant())
+        .max_by_key(|&&n| ecg.node_info(n).output_bytes)
+        .and_then(|&n| graph.node(n).op.preferred_layout())
+        .or_else(|| {
+            block
+                .nodes
+                .iter()
+                .find_map(|&n| graph.node(n).op.preferred_layout())
+        })
+        .unwrap_or_default()
 }
 
 fn build_dft(
@@ -501,5 +521,35 @@ mod tests {
         g.mark_output(r);
         let (_, _, fused) = compile_blocks(&g);
         assert_eq!(fused[0].layout, Layout::Nchw);
+    }
+
+    #[test]
+    fn block_layouts_follow_dominant_operators() {
+        // Conv -> Relu -> Reshape -> MatMul -> Softmax: the conv prefers NCHW
+        // and the matmul/softmax prefer row-major.
+        let mut g = Graph::new("mixed");
+        let x = g.add_input("x", Shape::new(vec![1, 8, 8, 8]));
+        let w = g.add_weight("w", Shape::new(vec![8, 8, 3, 3]));
+        let pads = Attrs::new().with_ints("pads", vec![1, 1, 1, 1]);
+        let c = g.add_op(OpKind::Conv, pads, &[x, w], "conv").unwrap()[0];
+        let r = g.add_op(OpKind::Relu, Attrs::new(), &[c], "relu").unwrap()[0];
+        let flat = Attrs::new().with_ints("shape", vec![1, -1]);
+        let f = g.add_op(OpKind::Reshape, flat, &[r], "reshape").unwrap()[0];
+        let fcw = g.add_weight("fc", Shape::new(vec![512, 16]));
+        let m = g
+            .add_op(OpKind::MatMul, Attrs::new(), &[f, fcw], "fc")
+            .unwrap()[0];
+        let s = g
+            .add_op(OpKind::Softmax, Attrs::new(), &[m], "softmax")
+            .unwrap()[0];
+        g.mark_output(s);
+        let (_, plan, fused) = compile_blocks(&g);
+        let layout_of = |kind: OpKind| {
+            let node = g.nodes().find(|n| n.op == kind).unwrap().id;
+            let block = plan.block_of(node);
+            fused.iter().find(|f| f.block_id == block).unwrap().layout
+        };
+        assert_eq!(layout_of(OpKind::Conv), Layout::Nchw);
+        assert_eq!(layout_of(OpKind::MatMul), Layout::RowMajor);
     }
 }

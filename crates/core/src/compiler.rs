@@ -1,11 +1,13 @@
 //! The end-to-end DNNFusion compiler driver.
 //!
-//! [`Compiler::compile`] runs the full pipeline — graph rewriting, fusion
-//! plan generation, intra-/inter-block optimization and fused code
-//! generation — and records per-phase statistics and timings. Every phase can
-//! be switched off individually, which is how the evaluation harness
-//! reproduces the optimization-breakdown experiment (Figure 7) and the
-//! compilation-time experiment (Figure 9b).
+//! [`Compiler::compile`] runs the pipeline that produces what executes —
+//! graph rewriting, fusion plan generation and kernel compilation — and
+//! records per-phase statistics and timings. Rewriting and fusion can each
+//! be switched off, which is how the evaluation harness reproduces the
+//! optimization-breakdown experiment (Figure 7) and the compilation-time
+//! experiment (Figure 9b). The descriptive per-block artefacts of the paper's
+//! code generation (data-flow trees, pseudo-C) are not built here;
+//! [`crate::codegen::generate_all`] renders them on demand.
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
@@ -16,35 +18,31 @@ use std::time::{Duration, Instant};
 use dnnf_graph::Graph;
 use dnnf_profiledb::ProfileDatabase;
 
-use crate::codegen::{generate_all, FusedOp};
 use crate::exec::{compile_plan, CompiledPlan};
 use crate::plan::{MAX_BLOCK_OPS, MAX_EXTERNAL_INPUTS, USE_PROFILE};
 use crate::rewrite::{AppliedRewrite, RewriteEngine};
-use crate::{
-    eliminate_data_movement, select_block_layouts, AnalyticLatencyModel, CoreError,
-    DataMovementElimination, Ecg, FusionPlan, FusionPlanner, LatencyModel, LayoutDecision,
-};
+use crate::{AnalyticLatencyModel, CoreError, Ecg, FusionPlan, FusionPlanner, LatencyModel};
 
 /// Which optimizations the compiler runs (the knobs of Figure 7's ablation).
+///
+/// The paper's Figure 7 has a third knob, "Other" (§4.4.2: intra-block
+/// data-movement elimination and inter-block layout selection). Nothing
+/// here executes or costs it, so it is not an option.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompilerOptions {
     /// Mathematical-property-based graph rewriting (GR in Figure 7).
     pub enable_graph_rewriting: bool,
-    /// Fusion plan generation + fused code generation (Fuse in Figure 7).
+    /// Profile-driven fusion plan generation (Fuse in Figure 7); off, every
+    /// operator is its own block.
     pub enable_fusion: bool,
-    /// Intra-block data-movement elimination (part of "Other").
-    pub enable_intra_block_opt: bool,
-    /// Inter-block data-format selection (part of "Other").
-    pub enable_inter_block_opt: bool,
 }
 
 impl Default for CompilerOptions {
+    /// Rewriting and fusion both on (the `GR + Fuse` bar of Figure 7).
     fn default() -> Self {
         CompilerOptions {
             enable_graph_rewriting: true,
             enable_fusion: true,
-            enable_intra_block_opt: true,
-            enable_inter_block_opt: true,
         }
     }
 }
@@ -56,8 +54,6 @@ impl CompilerOptions {
         CompilerOptions {
             enable_graph_rewriting: false,
             enable_fusion: false,
-            enable_intra_block_opt: false,
-            enable_inter_block_opt: false,
         }
     }
 
@@ -66,25 +62,11 @@ impl CompilerOptions {
     pub fn rewriting_only() -> Self {
         CompilerOptions {
             enable_fusion: false,
-            enable_intra_block_opt: false,
-            enable_inter_block_opt: false,
             ..Default::default()
         }
     }
 
-    /// Rewriting + fusion, without the additional intra/inter-block
-    /// optimizations (the `GR + Fuse` bar of Figure 7).
-    #[must_use]
-    pub fn rewriting_and_fusion() -> Self {
-        CompilerOptions {
-            enable_intra_block_opt: false,
-            enable_inter_block_opt: false,
-            ..Default::default()
-        }
-    }
-
-    /// Fusion and the other optimizations but *no* graph rewriting (the
-    /// `Fuse + Other` bar of Figure 7).
+    /// Fusion but *no* graph rewriting (the `Fuse` bar of Figure 7).
     #[must_use]
     pub fn without_rewriting() -> Self {
         CompilerOptions {
@@ -98,15 +80,14 @@ impl CompilerOptions {
     /// produces. Two option sets with equal cache keys compile any given
     /// graph to the same plan; the runtime's compilation cache uses this
     /// string as the options component of its `(fingerprint, shape
-    /// signature, options)` key.
+    /// signature, options)` key, so changing these bytes means bumping the
+    /// cache's on-disk format version.
     #[must_use]
     pub fn cache_key(&self) -> String {
         format!(
-            "gr={};fuse={};intra={};inter={};max_block_ops={MAX_BLOCK_OPS};max_external_inputs={MAX_EXTERNAL_INPUTS};use_profile={}",
+            "gr={};fuse={};max_block_ops={MAX_BLOCK_OPS};max_external_inputs={MAX_EXTERNAL_INPUTS};use_profile={}",
             u8::from(self.enable_graph_rewriting),
             u8::from(self.enable_fusion),
-            u8::from(self.enable_intra_block_opt),
-            u8::from(self.enable_inter_block_opt),
             u8::from(USE_PROFILE),
         )
     }
@@ -133,16 +114,6 @@ pub struct CompilationStats {
     pub fused_irs_bytes: u64,
     /// Rewrites applied, in order.
     pub rewrites: Vec<AppliedRewrite>,
-    /// Data-movement operators eliminated inside blocks.
-    pub data_movement_ops_eliminated: usize,
-    /// Bytes saved by the eliminated data-movement operators.
-    pub data_movement_bytes_saved: u64,
-    /// Layout conversions avoided by block-level format selection.
-    pub layout_conversions_avoided: usize,
-    /// How often each mapping-type-pair code-generation rule fired.
-    pub codegen_rules_used: BTreeMap<String, usize>,
-    /// Common sub-trees reused across all data-flow trees.
-    pub common_subtrees_reused: usize,
     /// Profiling-database hits during plan exploration.
     pub profile_db_hits: u64,
     /// Profiling-database misses (i.e. measurements performed).
@@ -153,7 +124,8 @@ pub struct CompilationStats {
     pub time_rewriting: Duration,
     /// Wall-clock time spent in fusion plan generation (including profiling).
     pub time_planning: Duration,
-    /// Wall-clock time spent generating fused operators.
+    /// Wall-clock time spent compiling the plan's blocks to executable
+    /// kernels ([`compile_plan`]).
     pub time_codegen: Duration,
 }
 
@@ -255,15 +227,9 @@ pub struct CompiledModel {
     pub ecg: Ecg,
     /// The fusion plan.
     pub plan: FusionPlan,
-    /// Fused operators in execution order.
-    pub fused_ops: Vec<FusedOp>,
     /// The plan compiled to executable kernels (see [`crate::exec`]), built
     /// once here so repeated inference never re-compiles on the hot path.
     pub engine: CompiledPlan,
-    /// Layout decisions per block.
-    pub layouts: LayoutDecision,
-    /// Intra-block data-movement elimination results.
-    pub elimination: DataMovementElimination,
     /// Compilation statistics.
     pub stats: CompilationStats,
     runtime_cache: RuntimeCacheSlot,
@@ -412,7 +378,7 @@ impl<L: LatencyModel> Compiler<L> {
 
         // Phase 2: fusion plan generation on the ECG.
         let t = Instant::now();
-        let mut ecg = Ecg::new(rewritten);
+        let ecg = Ecg::new(rewritten);
         self.database.reset_counters();
         let plan = match replay {
             Some(groups) => FusionPlan::from_blocks(&ecg, groups)?,
@@ -428,52 +394,16 @@ impl<L: LatencyModel> Compiler<L> {
         stats.profile_db_hits = self.database.hits();
         stats.profile_db_misses = self.database.misses();
         stats.profile_db_entries = self.database.len();
-        for value in plan.removable_values(ecg.graph()) {
-            ecg.set_ir_removable(value, true);
-        }
 
-        // Phase 3: intra-block and inter-block optimizations.
-        let elimination = if self.options.enable_intra_block_opt {
-            eliminate_data_movement(&ecg, &plan)
-        } else {
-            DataMovementElimination::default()
-        };
-        stats.data_movement_ops_eliminated = elimination.count();
-        stats.data_movement_bytes_saved = elimination.bytes_saved;
-        let layouts = if self.options.enable_inter_block_opt {
-            select_block_layouts(&ecg, &plan)
-        } else {
-            LayoutDecision {
-                block_layouts: vec![Default::default(); plan.fused_layer_count()],
-                conversions_with_fusion: 0,
-                conversions_without_fusion: 0,
-            }
-        };
-        stats.layout_conversions_avoided = layouts.conversions_avoided();
-
-        // Phase 4: fused code generation — the descriptive artefacts (DFTs,
-        // pseudo-C) and the executable kernels the runtime dispatches.
+        // Phase 3: the executable kernels the runtime dispatches.
         let t = Instant::now();
-        let fused_ops = generate_all(&ecg, &plan);
         let engine = compile_plan(ecg.graph(), &plan);
         stats.time_codegen = t.elapsed();
-        for op in &fused_ops {
-            stats.common_subtrees_reused += op.common_subtrees_reused;
-            for &(a, b) in &op.rules_used {
-                *stats
-                    .codegen_rules_used
-                    .entry(format!("{a} + {b}"))
-                    .or_insert(0) += 1;
-            }
-        }
 
         Ok(CompiledModel {
             ecg,
             plan,
-            fused_ops,
             engine,
-            layouts,
-            elimination,
             stats,
             runtime_cache: RuntimeCacheSlot::default(),
         })
@@ -557,7 +487,6 @@ mod tests {
         assert!(s.fused_irs_bytes < s.original_irs_bytes);
         assert!(s.fusion_rate() > 1.0);
         assert!(s.irs_reduction() > 1.0);
-        assert_eq!(compiled.fused_ops.len(), s.fused_layers);
     }
 
     #[test]
@@ -568,7 +497,6 @@ mod tests {
         assert_eq!(compiled.stats.fused_layers, g.node_count());
         assert_eq!(compiled.stats.layers_after_rewriting, g.node_count());
         assert!(compiled.stats.rewrites.is_empty());
-        assert_eq!(compiled.stats.data_movement_ops_eliminated, 0);
     }
 
     #[test]
@@ -612,14 +540,14 @@ mod tests {
     }
 
     #[test]
-    fn codegen_rules_and_timings_are_recorded() {
+    fn timings_are_recorded_and_fused_ops_render_on_demand() {
         let g = sample_model();
         let mut compiler = Compiler::new(CompilerOptions::default());
         let compiled = compiler.compile(&g).unwrap();
-        assert!(!compiled.stats.codegen_rules_used.is_empty());
         assert!(compiled.stats.total_time() >= compiled.stats.time_rewriting);
         // The fused operator names are concatenations, e.g. Conv_Mul_Add_...
-        assert!(compiled.fused_ops.iter().any(|f| f.name.contains('_')));
+        let fused_ops = crate::codegen::generate_all(&compiled.ecg, &compiled.plan);
+        assert!(fused_ops.iter().any(|f| f.name.contains('_')));
     }
 
     #[test]
@@ -654,7 +582,7 @@ mod tests {
         assert_eq!(a, CompilerOptions::default().cache_key());
         assert_ne!(a, CompilerOptions::baseline().cache_key());
         let tweaked = CompilerOptions {
-            enable_inter_block_opt: false,
+            enable_fusion: false,
             ..CompilerOptions::default()
         };
         assert_ne!(a, tweaked.cache_key());
@@ -674,7 +602,6 @@ mod tests {
             assert_eq!(r.nodes, c.nodes);
             assert_eq!(r.mapping_type, c.mapping_type);
         }
-        assert_eq!(replayed.fused_ops.len(), cold.fused_ops.len());
         assert_eq!(replayed.stats.fused_layers, cold.stats.fused_layers);
         // Garbage groups are rejected, not trusted.
         let bogus = vec![vec![dnnf_graph::NodeId::from_index(0); 2]];

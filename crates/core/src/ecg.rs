@@ -2,13 +2,14 @@
 //!
 //! The ECG is the paper's IR: the plain computational graph plus, per node,
 //! its mapping type (refined with shape information), its mathematical
-//! properties, whether it is compute-intensive, and, per value, whether the
-//! intermediate result can be removed entirely once its consumers are fused
-//! (`IR_removable`).
+//! properties and whether it is compute-intensive. The paper's per-value
+//! `IR_removable` flag depends on the fusion plan, so it lives there: a
+//! produced value is removable exactly when its
+//! [`FusionPlan::lifetime`](crate::FusionPlan::lifetime) is `None`.
 
 use std::collections::BTreeSet;
 
-use dnnf_graph::{Graph, NodeId, ValueId};
+use dnnf_graph::{Graph, NodeId};
 use dnnf_ops::{MappingType, MathProperties, OpKind};
 use dnnf_tensor::Shape;
 
@@ -32,7 +33,6 @@ pub struct EcgNodeInfo {
 pub struct Ecg {
     graph: Graph,
     info: Vec<EcgNodeInfo>,
-    ir_removable: Vec<bool>,
 }
 
 impl Ecg {
@@ -65,12 +65,7 @@ impl Ecg {
                 output_bytes,
             });
         }
-        let ir_removable = vec![false; graph.value_count()];
-        Ecg {
-            graph,
-            info,
-            ir_removable,
-        }
+        Ecg { graph, info }
     }
 
     /// The underlying computational graph.
@@ -99,20 +94,6 @@ impl Ecg {
     #[must_use]
     pub fn mapping_type(&self, id: NodeId) -> MappingType {
         self.info[id.index()].mapping_type
-    }
-
-    /// Marks whether an intermediate value can be removed entirely (all of
-    /// its consumers were fused with its producer). Computed during fusion.
-    pub fn set_ir_removable(&mut self, id: ValueId, removable: bool) {
-        if id.index() < self.ir_removable.len() {
-            self.ir_removable[id.index()] = removable;
-        }
-    }
-
-    /// Whether an intermediate value has been marked removable.
-    #[must_use]
-    pub fn ir_removable(&self, id: ValueId) -> bool {
-        self.ir_removable.get(id.index()).copied().unwrap_or(false)
     }
 
     /// Operators that participate in graph rewriting even though they carry
@@ -242,15 +223,6 @@ mod tests {
         assert!(ecg.node_info(NodeId_from(0)).compute_intensive);
         assert!(!ecg.node_info(NodeId_from(2)).compute_intensive);
         assert!(ecg.node_info(NodeId_from(2)).output_bytes > 0);
-    }
-
-    #[test]
-    fn ir_removable_flags_default_false_and_can_be_set() {
-        let mut ecg = Ecg::new(sample_graph());
-        let some_value = ecg.graph().node(NodeId_from(2)).outputs[0];
-        assert!(!ecg.ir_removable(some_value));
-        ecg.set_ir_removable(some_value, true);
-        assert!(ecg.ir_removable(some_value));
     }
 
     #[test]

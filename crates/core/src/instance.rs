@@ -39,8 +39,8 @@ const MAX_CACHED_INSTANCES: usize = 32;
 ///
 /// Node and value ids are identical to the parent model's graph, so the
 /// parent's fusion plan (with the execution order and buffer deaths it
-/// carries), weight store and layout decisions all apply unchanged; only
-/// shapes (and therefore loop extents) differ.
+/// carries) and weight store apply unchanged; only shapes (and therefore
+/// loop extents) differ.
 #[derive(Debug)]
 pub struct PlanInstance {
     binding: DimBinding,

@@ -3,9 +3,10 @@
 //! This crate implements the full DNNFusion compilation pipeline on top of
 //! the computational-graph IR from `dnnf-graph`:
 //!
-//! 1. the **Extended Computational Graph** ([`Ecg`]): mapping types,
-//!    mathematical properties and `IR_removable` flags attached to each node
-//!    and value (paper §3.2);
+//! 1. the **Extended Computational Graph** ([`Ecg`]): mapping types and
+//!    mathematical properties attached to each node (paper §3.2); the
+//!    paper's per-value `IR_removable` flag is [`FusionPlan::lifetime`]
+//!    being `None` for a produced value;
 //! 2. the **mapping type analysis** of Table 3 ([`analyze_pair`]): for every
 //!    ordered pair of mapping types, the fused mapping type and a
 //!    green/yellow/red profitability verdict;
@@ -15,13 +16,13 @@
 //! 4. **light-weight profile-driven fusion plan generation** ([`plan`]):
 //!    Listing 1 — seed selection, recursive successor/predecessor
 //!    exploration, constraint checks and profile-database lookups;
-//! 5. **fusion code generation** ([`codegen`]): per-block data-flow trees,
-//!    common-sub-tree elimination, and the 23 mapping-type-pair code
-//!    generation rules (paper §4.4.1, Figure 4);
-//! 6. **intra-block** data-movement elimination and **inter-block** layout
-//!    selection (paper §4.4.2);
-//! 7. an end-to-end [`Compiler`] driver with per-phase statistics used by the
-//!    evaluation harness (Figures 7 and 9b).
+//! 5. **fusion code generation** ([`codegen`]), on demand: per-block
+//!    data-flow trees, common-sub-tree elimination, and the 23
+//!    mapping-type-pair code generation rules (paper §4.4.1, Figure 4) —
+//!    descriptions for inspection, not what runs ([`exec`] is);
+//! 6. an end-to-end [`Compiler`] driver — rewriting, planning and kernel
+//!    compilation — with per-phase statistics used by the evaluation harness
+//!    (Figure 7's rewriting/fusion ablation and Figure 9b's compile times).
 //!
 //! # Example
 //!
@@ -54,8 +55,6 @@ mod ecg;
 mod error;
 pub mod exec;
 mod instance;
-mod inter;
-mod intra;
 mod latency;
 mod mapping;
 pub mod plan;
@@ -68,8 +67,6 @@ pub use exec::{
     compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, ScalarTape,
 };
 pub use instance::PlanInstance;
-pub use inter::{select_block_layouts, LayoutDecision};
-pub use intra::{eliminate_data_movement, DataMovementElimination};
 pub use latency::{member_work, AnalyticLatencyModel, LatencyModel, MemberWork};
 pub use mapping::{analyze_pair, fusable_cell_count, FusionDecision, FusionVerdict};
 pub use plan::{block_profile_key, boundary_of, Boundary, FusionBlock, FusionPlan, FusionPlanner};

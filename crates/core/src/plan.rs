@@ -340,15 +340,6 @@ impl FusionPlan {
         self.blocks.len()
     }
 
-    /// Fusion rate = original layer count / fused layer count.
-    #[must_use]
-    pub fn fusion_rate(&self, graph: &Graph) -> f64 {
-        if self.blocks.is_empty() {
-            return 1.0;
-        }
-        graph.node_count() as f64 / self.blocks.len() as f64
-    }
-
     /// Index of the block containing `node`.
     ///
     /// # Panics
@@ -412,15 +403,6 @@ impl FusionPlan {
     pub fn fused_irs_bytes(&self, graph: &Graph) -> u64 {
         let writes = self.blocks.iter().flat_map(|b| b.boundary.writes());
         writes.map(|v| graph.value(v).size_bytes() as u64).sum()
-    }
-
-    /// Values that no longer need to be materialized at all (every consumer
-    /// lives in the producer's block) — the ECG's `IR_removable` set.
-    #[must_use]
-    pub fn removable_values(&self, graph: &Graph) -> Vec<ValueId> {
-        let produced = graph.values().filter(|v| v.producer.is_some());
-        let internal = produced.filter(|v| !self.value_escapes(v.id));
-        internal.map(|v| v.id).collect()
     }
 }
 
@@ -824,7 +806,6 @@ mod tests {
         let plan = plan_graph(&g);
         assert_eq!(plan.fused_layer_count(), 1);
         assert_eq!(plan.blocks()[0].mapping_type, MappingType::ManyToMany);
-        assert!((plan.fusion_rate(&g) - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1019,7 +1000,9 @@ mod tests {
             .map(|v| v.size_bytes() as u64)
             .sum();
         assert!(plan.fused_irs_bytes(&g) < original);
-        assert!(!plan.removable_values(&g).is_empty());
+        // Some produced value never leaves its block (`IR_removable`).
+        let mut produced = g.values().filter(|v| v.producer.is_some());
+        assert!(produced.any(|v| !plan.value_escapes(v.id)));
     }
 
     #[test]

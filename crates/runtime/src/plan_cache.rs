@@ -23,8 +23,7 @@
 //!   fusion block partition (node-index groups on the rewritten graph) plus
 //!   the rewritten graph's fingerprint. A warm start replays the seed
 //!   through [`Compiler::compile_with_blocks`], skipping the profile-driven
-//!   plan exploration — the expensive phase — while code generation
-//!   (deterministic, fast) runs normally.
+//!   plan exploration; kernel compilation runs normally.
 //!
 //! Replayed plans are **validated, never trusted**: `compile_with_blocks`
 //! rejects groups that do not form an acyclic partition of the rewritten
@@ -33,8 +32,8 @@
 //! build with different rewrite rules is discarded). Either failure falls
 //! back to a cold compile; a damaged cache can cost time, not correctness.
 //! The on-disk format is the profile store's versioned, checksummed framing
-//! ([`dnnf_profiledb::seal`] / [`dnnf_profiledb::open`]), and a corrupted or
-//! truncated file fails the load — callers start cold.
+//! ([`dnnf_profiledb::seal`] / [`dnnf_profiledb::open`]); another version,
+//! a corrupted or a truncated file fails the load whole — callers start cold.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,8 +45,9 @@ use dnnf_core::{CompiledModel, Compiler, CompilerOptions, CoreError, LatencyMode
 use dnnf_graph::{DimBinding, Fingerprint, Graph, NodeId, SymbolicAxes};
 use dnnf_profiledb::Damage;
 
-/// Header line of the on-disk plan-cache format.
-pub const PLAN_CACHE_HEADER: &str = "dnnf-plancache/v1";
+/// Header line of the on-disk plan-cache format; the version moves whenever
+/// the bytes of [`CompilerOptions::cache_key`] do.
+pub const PLAN_CACHE_HEADER: &str = "dnnf-plancache/v2";
 
 /// The cache key of one compiled plan.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -479,7 +479,7 @@ impl PlanCache {
     /// checksummed text format:
     ///
     /// ```text
-    /// dnnf-plancache/v1
+    /// dnnf-plancache/v2
     /// entries <n>
     /// <fp>\t<shapes>\t<options>\t<rewritten-fp>\t<idx,idx;idx;…>
     /// …
@@ -607,7 +607,7 @@ fn parse_seed_line(line: &str) -> Option<(PlanKey, PlanSeed)> {
 mod tests {
     use super::*;
     use dnnf_ops::{Attrs, OpKind};
-    use dnnf_tensor::Shape;
+    use dnnf_tensor::{Shape, Tensor};
 
     fn model(name: &str, channels: usize) -> Graph {
         let mut g = Graph::new(name);
@@ -747,7 +747,7 @@ mod tests {
 
         let fresh = PlanCache::new();
         assert!(matches!(
-            fresh.merge_text("dnnf-plancache/v2\n"),
+            fresh.merge_text("dnnf-plancache/v3\n"),
             Err(PlanCacheError::BadHeader { .. })
         ));
         assert_eq!(
@@ -774,6 +774,43 @@ mod tests {
         assert_eq!(fresh.stats().seeds, 0);
         // The intact text still merges.
         assert_eq!(fresh.merge_text(&good), Ok(1));
+    }
+
+    #[test]
+    fn a_v1_store_is_rejected_whole_and_the_next_compile_runs_cold() {
+        // What an older build saved: the same seed, sealed under the v1
+        // header with that build's options key (two more option fields).
+        let g = model("m", 4);
+        let mut compiler = Compiler::new(CompilerOptions::default());
+        let old = PlanCache::new();
+        let (cold, _) = old.compile_cached(&mut compiler, &g).unwrap();
+        let text = old.to_text();
+        let lines = dnnf_profiledb::open(PLAN_CACHE_HEADER, &text).unwrap();
+        let v1_lines = lines
+            .iter()
+            .map(|line| line.replacen("\tgr=1;fuse=1;", "\tgr=1;fuse=1;intra=1;inter=1;", 1));
+        let v1 = dnnf_profiledb::seal("dnnf-plancache/v1", v1_lines);
+        assert!(v1.contains("\tgr=1;fuse=1;intra=1;inter=1;max_block_ops="));
+
+        let fresh = PlanCache::new();
+        assert_eq!(
+            fresh.merge_text(&v1),
+            Err(PlanCacheError::BadHeader {
+                found: "dnnf-plancache/v1".to_string()
+            })
+        );
+        assert_eq!(fresh.stats().seeds, 0);
+        let (model, outcome) = fresh.compile_cached(&mut compiler, &g).unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+
+        let executor = crate::Executor::new(dnnf_simdev::DeviceSpec::snapdragon_865_cpu());
+        let x = Tensor::random(Shape::new(vec![1, 4, 8, 8]), 7);
+        let inputs = std::collections::HashMap::from([("x".to_string(), x)]);
+        let expected = executor.run_compiled(&cold, &inputs).unwrap().outputs;
+        let outputs = executor.run_compiled(&model, &inputs).unwrap().outputs;
+        for (got, want) in outputs.iter().zip(&expected) {
+            assert_eq!(got.first_disagreement(want, 0.0), None);
+        }
     }
 
     #[test]

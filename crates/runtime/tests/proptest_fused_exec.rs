@@ -6,7 +6,9 @@
 //! unfused singleton plan — and every element must match the
 //! reference-kernel interpreter within 1e-5 (non-finite elements must be
 //! non-finite on both paths). This pins the scalar tapes, the broadcast
-//! stride walking and the anchor dispatch to the reference semantics.
+//! stride walking and the anchor dispatch to the reference semantics. Every
+//! DNNFusion plan here comes from `CompilerOptions::default()`, so graph
+//! rewriting runs under the same oracle.
 //!
 //! A second generator builds **anchored** DAGs — a random Conv / MatMul /
 //! Gemm / pooling anchor with a fused element-wise epilogue — and runs them
@@ -420,18 +422,21 @@ proptest! {
             assert_agrees(r, e, 1e-5, &format!("singleton engine (seed {seed})"));
         }
 
-        // Engine under the DNNFusion plan: multi-op tapes. Graph rewriting is
-        // off so the exact same dataflow runs on both sides.
-        let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
+        // Engine under the DNNFusion plan: multi-op tapes, after graph
+        // rewriting — the default compile, as a user would run it.
+        let mut compiler = Compiler::new(CompilerOptions::default());
         let compiled = compiler.compile(&graph).unwrap();
         let fused = executor.run_compiled(&compiled, &inputs).unwrap();
         for (r, e) in reference.outputs.iter().zip(&fused.outputs) {
             assert_agrees(r, e, 1e-5, &format!("fused engine (seed {seed})"));
         }
 
-        // Fusion must never launch more kernels than the singleton plan.
-        let launches = |plan: &FusionPlan| executor.estimate_plan(&graph, plan).0.kernel_launches;
-        prop_assert!(launches(&compiled.plan) <= launches(&singletons));
+        // Fusion must never launch more kernels than the singleton plan. The
+        // compiled plan indexes the rewritten graph, so it is costed there.
+        let launches = |graph: &Graph, plan: &FusionPlan| {
+            executor.estimate_plan(graph, plan).0.kernel_launches
+        };
+        prop_assert!(launches(compiled.graph(), &compiled.plan) <= launches(&graph, &singletons));
     }
 
     #[test]
@@ -559,7 +564,7 @@ proptest! {
             .run_plan_reference(&graph, &singletons, &inputs)
             .unwrap();
 
-        let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
+        let mut compiler = Compiler::new(CompilerOptions::default());
         let compiled = compiler.compile(&graph).unwrap();
 
         let mut fused_per_config: Vec<Vec<Tensor>> = Vec::new();
@@ -698,7 +703,7 @@ fn check_attention_seed(seed: u64) {
         .run_plan_reference(&graph, &singletons, &inputs)
         .unwrap();
 
-    let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
+    let mut compiler = Compiler::new(CompilerOptions::default());
     let compiled = compiler.compile(&graph).unwrap();
 
     let mut per_config: Vec<Vec<Tensor>> = Vec::new();

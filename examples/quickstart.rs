@@ -6,6 +6,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 
+use dnnfusion::core::codegen::generate_all;
 use dnnfusion::core::{Compiler, CompilerOptions};
 use dnnfusion::graph::Graph;
 use dnnfusion::ops::{Attrs, OpKind};
@@ -58,12 +59,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         compiled.stats.original_irs_bytes as f64 / 1024.0,
         compiled.stats.fused_irs_bytes as f64 / 1024.0,
     );
-    for fused in &compiled.fused_ops {
+    let fused_ops = generate_all(&compiled.ecg, &compiled.plan);
+    for fused in &fused_ops {
         println!("  block {} = {}", fused.block_id, fused.name);
     }
     println!(
         "\ngenerated pseudo-code for the first fused operator:\n{}",
-        compiled.fused_ops[0].source
+        fused_ops[0].source
     );
 
     // 3. Execute fused and unfused on this machine and check the outputs

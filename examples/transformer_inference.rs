@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::error::Error;
 
 use dnnfusion::baselines::{BaselineFramework, PatternFuser};
+use dnnfusion::core::codegen::generate_all;
 use dnnfusion::core::{Compiler, CompilerOptions, Ecg};
 use dnnfusion::models::{ModelKind, ModelScale};
 use dnnfusion::runtime::Executor;
@@ -52,9 +53,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // Show the largest fused operator DNNFusion created.
-    let biggest = compiled
-        .fused_ops
-        .iter()
+    let biggest = generate_all(&compiled.ecg, &compiled.plan)
+        .into_iter()
         .max_by_key(|f| f.fused_op_count())
         .expect("non-empty");
     println!(

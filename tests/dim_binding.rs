@@ -267,12 +267,12 @@ fn the_plan_constructor_rejects_bad_partitions_with_typed_errors() {
     check_plan_facts(&g, &plan).unwrap();
 }
 
-/// Persisted `plans.cache` files are keyed by these strings; they must not
-/// move, or stores saved by earlier builds stop disk-hitting.
+/// Persisted `plans.cache` files are keyed by these strings; moving one
+/// means bumping `PLAN_CACHE_HEADER`, or stores saved by earlier builds keep
+/// seeds that never disk-hit.
 #[test]
 fn polymorphic_plan_keys_print_the_pinned_strings() {
-    const OPTIONS: &str =
-        "gr=1;fuse=1;intra=1;inter=1;max_block_ops=40;max_external_inputs=14;use_profile=1";
+    const OPTIONS: &str = "gr=1;fuse=1;max_block_ops=40;max_external_inputs=14;use_profile=1";
     let mut compiler = Compiler::new(CompilerOptions::default());
     let mut key_of = |graph: &Graph, axes| {
         let cache = PlanCache::new();

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 
 use dnnfusion::baselines::{BaselineFramework, PatternFuser};
+use dnnfusion::core::codegen::generate_all;
 use dnnfusion::core::{Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnfusion::graph::Graph;
 use dnnfusion::models::{ModelKind, ModelScale};
@@ -216,12 +217,13 @@ fn compilation_statistics_are_internally_consistent() {
         let stats = &compiled.stats;
         assert_eq!(stats.original_layers, graph.node_count());
         assert_eq!(stats.fused_layers, compiled.plan.fused_layer_count());
-        assert_eq!(compiled.fused_ops.len(), stats.fused_layers);
+        let fused_ops = generate_all(&compiled.ecg, &compiled.plan);
+        assert_eq!(fused_ops.len(), stats.fused_layers);
         assert!(stats.optimized_flops <= stats.original_flops);
         assert!(stats.layers_after_rewriting <= stats.original_layers);
         // Every fused operator's members exist in the optimized graph.
         let node_count = compiled.graph().node_count();
-        for fused in &compiled.fused_ops {
+        for fused in &fused_ops {
             assert!(fused.nodes.iter().all(|n| n.index() < node_count));
         }
     }
