@@ -6,13 +6,16 @@
 //! which decomposes into per-channel affine arithmetic) are compiled into a
 //! [`ScalarTape`]: a topologically ordered scalar-expression program that is
 //! evaluated **once per output element** in a single pass — intermediate
-//! tensors inside the run are never materialized, they live in scalar
-//! registers. The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling)
-//! execute through the optimized kernels of `dnnf-ops` (bit-identical to the
-//! reference kernels), and every operator without a compiled form falls back
-//! to the reference kernel [`dnnf_ops::execute`] — so the engine covers the
-//! full operator vocabulary while the differential test harness pins it to
-//! the reference semantics.
+//! tensors inside the run are never materialized, they live in registers.
+//! One evaluator, generic over its lane width, runs every tape: each
+//! innermost-axis row is tiled into 8- / 4-element bundles (one element per
+//! lane) and width-1 remainders, and the scalar mode is width 1 throughout.
+//! The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling) execute
+//! through the optimized kernels of `dnnf-ops` (bit-identical to the
+//! reference kernels), and every operator without a compiled form falls
+//! back to the reference kernel [`dnnf_ops::execute`] — so the engine
+//! covers the full operator vocabulary while the differential test harness
+//! pins it to the reference semantics.
 //!
 //! Output buffers are drawn from a [`BufferPool`] so the runtime can recycle
 //! allocations across blocks (see `dnnf-runtime`'s arena).
@@ -21,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dnnf_graph::{Graph, NodeId, ValueId};
-use dnnf_ops::simd::{F32Lanes, LANES};
+use dnnf_ops::simd::{col_tiles, F32Lanes, LANES};
 use dnnf_ops::{
     execute, execute_fast_into_packed, has_fast_kernel, OpKind, ScalarUnaryFn, WorkPool,
 };
@@ -136,12 +139,6 @@ impl ScalarTape {
         &self.nodes
     }
 
-    /// Number of scalar instructions evaluated per output element.
-    #[must_use]
-    pub fn instr_count(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// The external values the tape reads.
     #[must_use]
     pub fn input_values(&self) -> Vec<ValueId> {
@@ -182,22 +179,25 @@ impl ScalarTape {
             .map(|o| pool.take(o.shape.numel()))
             .collect();
 
-        let total = if self.loop_shape.is_empty() {
-            0
-        } else {
-            self.loop_shape.numel()
-        };
+        let total = self.loop_shape.numel();
         let workers = workers.for_work(total.saturating_mul(self.instrs.len().max(1)));
         // Writes are contiguous in the flat loop order only when every output
         // spans the whole loop; a smaller (broadcast-strided) output would be
         // written several times per element and must stay on one thread.
         let splittable = self.outputs.iter().all(|o| o.shape.numel() == total);
+        // A lane bundle needs each lane to own its write slot: every output
+        // must advance densely along the innermost axis.
+        let dense = self.outputs.iter().all(|o| o.strides.last() == Some(&1));
+        let widths: &[usize] = if workers.use_simd() && dense {
+            &[LANES, 4]
+        } else {
+            &[]
+        };
 
-        let simd = workers.use_simd();
         if workers.is_serial() || !splittable || total < 2 {
             let mut outs: Vec<(usize, &mut [f32])> =
                 out_bufs.iter_mut().map(|b| (0, b.as_mut_slice())).collect();
-            self.run_span(&in_slices, &mut outs, 0, total, simd);
+            self.run_span(&in_slices, &mut outs, 0, total, widths);
         } else {
             // Balanced contiguous ranges; since every output covers the full
             // loop, range [start, start + count) writes exactly the slice
@@ -224,7 +224,7 @@ impl ScalarTape {
             workers.run_parts(parts, |(start, count, mut slices)| {
                 let mut outs: Vec<(usize, &mut [f32])> =
                     slices.iter_mut().map(|s| (start, &mut **s)).collect();
-                self.run_span(&in_slices, &mut outs, start, count, simd);
+                self.run_span(&in_slices, &mut outs, start, count, widths);
             });
         }
 
@@ -245,149 +245,67 @@ impl ScalarTape {
     /// `outs` pairs each output with the flat offset its slice starts at
     /// (`0` for whole buffers, the range start for parallel sub-slices).
     ///
-    /// With `simd` set the range is **lane-blocked**: each row of the loop's
-    /// innermost axis evaluates in bundles of 8 / 4 independent elements
-    /// (one per lane, see `dnnf_ops::simd`), each lane running the exact
-    /// per-element instruction sequence, with a scalar pass for row
-    /// remainders — so results are bit-identical to `simd = false`.
-    /// Lane-blocking requires every output to advance densely along the
-    /// innermost axis (stride 1); spans whose outputs broadcast along it
-    /// fall back to the scalar sweep.
+    /// The range is walked one innermost-axis row segment at a time (rank 0
+    /// is one row of one element), and [`col_tiles`] tiles each segment
+    /// into `widths`-wide lane bundles of consecutive elements, then width
+    /// 1 — the scalar instance of the same evaluator — for the rest; with
+    /// `widths` empty (scalar mode, or an output broadcast along the
+    /// innermost axis) the whole segment runs at width 1. Every lane runs
+    /// the exact per-element instruction sequence, so the bits never depend
+    /// on `widths`.
     fn run_span(
         &self,
         in_slices: &[&[f32]],
         outs: &mut [(usize, &mut [f32])],
         start: usize,
         count: usize,
-        simd: bool,
+        widths: &[usize],
     ) {
-        let dims = self.loop_shape.dims();
-        let rank = dims.len();
-        let mut regs = vec![0.0f32; self.instrs.len()];
+        let row = self.loop_shape.dims().last().copied().unwrap_or(1);
         let mut idx = self.loop_shape.multi_index(start);
-        let mut in_off: Vec<usize> = self
-            .inputs
-            .iter()
-            .map(|input| idx.iter().zip(&input.strides).map(|(&i, &s)| i * s).sum())
-            .collect();
-        let mut out_off: Vec<usize> = self
-            .outputs
-            .iter()
-            .map(|out| idx.iter().zip(&out.strides).map(|(&i, &s)| i * s).sum())
-            .collect();
-
-        let lane_blockable = simd
-            && rank > 0
-            && dims[rank - 1] >= 4
-            && self.outputs.iter().all(|o| o.strides[rank - 1] == 1);
-        if lane_blockable {
-            let width = dims[rank - 1];
-            let in_last: Vec<usize> = self
-                .inputs
-                .iter()
-                .map(|input| input.strides[rank - 1])
-                .collect();
-            let mut regs8 = vec![F32Lanes::<LANES>::splat(0.0); self.instrs.len()];
-            let mut regs4 = vec![F32Lanes::<4>::splat(0.0); self.instrs.len()];
-            let mut remaining = count;
-            while remaining > 0 {
-                // One contiguous run inside the current innermost-axis row.
-                let seg = (width - idx[rank - 1]).min(remaining);
-                let mut done = 0usize;
-                while done + LANES <= seg {
-                    self.eval_lanes::<LANES>(
-                        in_slices, &in_off, &in_last, outs, &out_off, &mut regs8,
-                    );
-                    self.advance_in_row(LANES, &mut in_off, &mut out_off);
-                    done += LANES;
+        let offset = |strides: &[usize]| idx.iter().zip(strides).map(|(&i, &s)| i * s).sum();
+        let mut in_off: Vec<usize> = self.inputs.iter().map(|i| offset(&i.strides)).collect();
+        let mut out_off: Vec<usize> = self.outputs.iter().map(|o| offset(&o.strides)).collect();
+        let last = |strides: &[usize]| strides.last().copied().unwrap_or(0);
+        let in_last: Vec<usize> = self.inputs.iter().map(|i| last(&i.strides)).collect();
+        let out_last: Vec<usize> = self.outputs.iter().map(|o| last(&o.strides)).collect();
+        let mut regs8 = vec![F32Lanes::<LANES>::splat(0.0); self.instrs.len()];
+        let mut regs4 = vec![F32Lanes::<4>::splat(0.0); self.instrs.len()];
+        let mut regs1 = vec![F32Lanes::<1>::splat(0.0); self.instrs.len()];
+        let mut remaining = count;
+        while remaining > 0 {
+            let seg = (row - idx.last().copied().unwrap_or(0)).min(remaining);
+            col_tiles(seg, 0, seg, widths, |_, width| {
+                let (ins, outs_at) = (&in_off[..], &out_off[..]);
+                match width {
+                    LANES => self.eval_lanes(in_slices, ins, &in_last, outs, outs_at, &mut regs8),
+                    4 => self.eval_lanes(in_slices, ins, &in_last, outs, outs_at, &mut regs4),
+                    _ => self.eval_lanes(in_slices, ins, &in_last, outs, outs_at, &mut regs1),
                 }
-                if done + 4 <= seg {
-                    self.eval_lanes::<4>(in_slices, &in_off, &in_last, outs, &out_off, &mut regs4);
-                    self.advance_in_row(4, &mut in_off, &mut out_off);
-                    done += 4;
-                }
-                for _ in done..seg {
-                    self.eval_element(in_slices, &in_off, outs, &out_off, &mut regs);
-                    self.advance_in_row(1, &mut in_off, &mut out_off);
-                }
-                idx[rank - 1] += seg;
-                remaining -= seg;
-                if remaining > 0 {
-                    self.carry_odometer(&mut idx, &mut in_off, &mut out_off);
-                }
+                in_off
+                    .iter_mut()
+                    .zip(&in_last)
+                    .for_each(|(o, s)| *o += width * s);
+                out_off
+                    .iter_mut()
+                    .zip(&out_last)
+                    .for_each(|(o, s)| *o += width * s);
+            });
+            remaining -= seg;
+            if remaining > 0 {
+                *idx.last_mut().expect("a rank-0 loop is one element") += seg;
+                self.carry_odometer(&mut idx, &mut in_off, &mut out_off);
             }
-            return;
-        }
-
-        for _ in 0..count {
-            self.eval_element(in_slices, &in_off, outs, &out_off, &mut regs);
-            // Odometer increment with incremental offset updates.
-            for axis in (0..rank).rev() {
-                idx[axis] += 1;
-                for (i, input) in self.inputs.iter().enumerate() {
-                    in_off[i] += input.strides[axis];
-                }
-                for (o, out) in self.outputs.iter().enumerate() {
-                    out_off[o] += out.strides[axis];
-                }
-                if idx[axis] < dims[axis] {
-                    break;
-                }
-                idx[axis] = 0;
-                for (i, input) in self.inputs.iter().enumerate() {
-                    in_off[i] -= input.strides[axis] * dims[axis];
-                }
-                for (o, out) in self.outputs.iter().enumerate() {
-                    out_off[o] -= out.strides[axis] * dims[axis];
-                }
-            }
-        }
-    }
-
-    /// Evaluates the tape once at the current offsets and stores each output
-    /// element.
-    fn eval_element(
-        &self,
-        in_slices: &[&[f32]],
-        in_off: &[usize],
-        outs: &mut [(usize, &mut [f32])],
-        out_off: &[usize],
-        regs: &mut [f32],
-    ) {
-        for (r, instr) in self.instrs.iter().enumerate() {
-            regs[r] = match *instr {
-                TapeInstr::Load { input } => in_slices[input][in_off[input]],
-                TapeInstr::Unary { ref f, src } => f.apply(regs[src]),
-                TapeInstr::Binary { op, lhs, rhs } => op
-                    .scalar_binary(regs[lhs], regs[rhs])
-                    .expect("tape compilation only emits scalar binary ops"),
-                TapeInstr::Select {
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    if regs[cond] != 0.0 {
-                        regs[on_true]
-                    } else {
-                        regs[on_false]
-                    }
-                }
-                TapeInstr::Affine { src, mul, add } => regs[src] * mul + add,
-            };
-        }
-        for (o, out) in self.outputs.iter().enumerate() {
-            let (bias, buf) = &mut outs[o];
-            buf[out_off[o] - *bias] = regs[out.reg];
         }
     }
 
     /// Evaluates the tape for `N` consecutive elements of one innermost-axis
     /// row, one element per lane. Lane `l` reads input `i` at
     /// `in_off[i] + l * in_last[i]` (`0` splats a broadcast operand) and
-    /// every instruction applies per lane in the scalar order, so the lanes
-    /// are bit-identical to `N` calls of [`ScalarTape::eval_element`].
-    /// Outputs store as contiguous `N`-slices (innermost stride 1, checked
-    /// by the caller).
+    /// every instruction applies per lane in the tape's order, so lane `l`
+    /// computes exactly what the `N = 1` instance computes at its element.
+    /// Outputs store as contiguous `N`-slices (innermost stride 1 whenever
+    /// `N > 1`, checked by the caller).
     fn eval_lanes<const N: usize>(
         &self,
         in_slices: &[&[f32]],
@@ -439,21 +357,8 @@ impl ScalarTape {
         }
     }
 
-    /// Advances all offsets by `n` elements along the innermost axis (the
-    /// caller guarantees the run stays inside the current row).
-    fn advance_in_row(&self, n: usize, in_off: &mut [usize], out_off: &mut [usize]) {
-        let rank = self.loop_shape.rank();
-        for (i, input) in self.inputs.iter().enumerate() {
-            in_off[i] += n * input.strides[rank - 1];
-        }
-        for (o, out) in self.outputs.iter().enumerate() {
-            out_off[o] += n * out.strides[rank - 1];
-        }
-    }
-
     /// Propagates an innermost-axis overflow up the odometer: rewinds each
-    /// saturated axis and steps the next-outer one, exactly like the
-    /// per-element advance's carry chain.
+    /// saturated axis and steps the next-outer one.
     fn carry_odometer(&self, idx: &mut [usize], in_off: &mut [usize], out_off: &mut [usize]) {
         let dims = self.loop_shape.dims();
         let mut axis = dims.len() - 1;
@@ -577,13 +482,6 @@ impl FusedKernel {
     #[must_use]
     pub fn steps(&self) -> &[Step] {
         &self.steps
-    }
-
-    /// Values this kernel must hand back to the caller (consumed by other
-    /// blocks or graph outputs).
-    #[must_use]
-    pub fn escaping(&self) -> &[ValueId] {
-        &self.escaping
     }
 
     /// Number of fused element-wise runs in this kernel.
@@ -724,12 +622,6 @@ impl CompiledPlan {
     pub fn kernel(&self, block_id: usize) -> &FusedKernel {
         &self.kernels[block_id]
     }
-
-    /// All kernels, indexed by block id.
-    #[must_use]
-    pub fn kernels(&self) -> &[FusedKernel] {
-        &self.kernels
-    }
 }
 
 /// Compiles every block of a plan into a [`FusedKernel`] against `graph` —
@@ -854,216 +746,159 @@ fn broadcast_strides(shape: &Shape, loop_shape: &Shape) -> Vec<usize> {
         .collect()
 }
 
+/// The tables of one tape under construction; [`build_tape`] walks its
+/// segment through [`TapeBuilder::push`], [`TapeBuilder::load`] and
+/// [`TapeBuilder::operand`].
+struct TapeBuilder {
+    loop_shape: Shape,
+    inputs: Vec<TapeInput>,
+    instrs: Vec<TapeInstr>,
+    /// Register produced for each value: either a node output computed in the
+    /// segment or a memoized Load (keyed by its stride pattern so the same
+    /// value can be read both element-wise and per-channel).
+    value_reg: BTreeMap<ValueId, usize>,
+    load_reg: BTreeMap<(ValueId, Vec<usize>), usize>,
+}
+
+impl TapeBuilder {
+    /// Appends `instr` and returns the register it writes.
+    fn push(&mut self, instr: TapeInstr) -> usize {
+        self.instrs.push(instr);
+        self.instrs.len() - 1
+    }
+
+    /// The register holding `value` read through `strides`: its in-segment
+    /// register if it has one, else a Load memoized per stride pattern.
+    fn load(&mut self, value: ValueId, strides: Vec<usize>) -> usize {
+        if let Some(&r) = self.value_reg.get(&value) {
+            return r;
+        }
+        let key = (value, strides);
+        if let Some(&r) = self.load_reg.get(&key) {
+            return r;
+        }
+        let input = self.inputs.len();
+        let strides = key.1.clone();
+        self.inputs.push(TapeInput { value, strides });
+        let reg = self.push(TapeInstr::Load { input });
+        self.load_reg.insert(key, reg);
+        reg
+    }
+
+    /// The register holding operand `value`, broadcast over the loop.
+    fn operand(&mut self, graph: &Graph, value: ValueId) -> usize {
+        let strides = broadcast_strides(&graph.value(value).shape, &self.loop_shape);
+        self.load(value, strides)
+    }
+}
+
 fn build_tape(
     graph: &Graph,
     escaping: &[ValueId],
     segment: &[NodeId],
     loop_shape: Shape,
 ) -> ScalarTape {
-    let seg_set: BTreeMap<NodeId, ()> = segment.iter().map(|&n| (n, ())).collect();
-    let mut inputs: Vec<TapeInput> = Vec::new();
-    let mut instrs: Vec<TapeInstr> = Vec::new();
-    // Register produced for each value: either a node output computed in the
-    // segment or a memoized Load (keyed by its stride pattern so the same
-    // value can be read both element-wise and per-channel).
-    let mut value_reg: BTreeMap<ValueId, usize> = BTreeMap::new();
-    let mut load_reg: BTreeMap<(ValueId, Vec<usize>), usize> = BTreeMap::new();
-
-    let load = |value: ValueId,
-                strides: Vec<usize>,
-                inputs: &mut Vec<TapeInput>,
-                instrs: &mut Vec<TapeInstr>,
-                value_reg: &BTreeMap<ValueId, usize>,
-                load_reg: &mut BTreeMap<(ValueId, Vec<usize>), usize>|
-     -> usize {
-        if let Some(&r) = value_reg.get(&value) {
-            return r;
-        }
-        if let Some(&r) = load_reg.get(&(value, strides.clone())) {
-            return r;
-        }
-        let input_idx = inputs.len();
-        inputs.push(TapeInput {
-            value,
-            strides: strides.clone(),
-        });
-        instrs.push(TapeInstr::Load { input: input_idx });
-        let reg = instrs.len() - 1;
-        load_reg.insert((value, strides), reg);
-        reg
+    let mut b = TapeBuilder {
+        loop_shape,
+        inputs: Vec::new(),
+        instrs: Vec::new(),
+        value_reg: BTreeMap::new(),
+        load_reg: BTreeMap::new(),
     };
-
     for &nid in segment {
         let node = graph.node(nid);
-        let operand = |value: ValueId,
-                       inputs: &mut Vec<TapeInput>,
-                       instrs: &mut Vec<TapeInstr>,
-                       value_reg: &BTreeMap<ValueId, usize>,
-                       load_reg: &mut BTreeMap<(ValueId, Vec<usize>), usize>|
-         -> usize {
-            let strides = broadcast_strides(&graph.value(value).shape, &loop_shape);
-            load(value, strides, inputs, instrs, value_reg, load_reg)
-        };
         let out_reg = match node.op {
             op if op.is_elementwise_unary() => {
-                let src = operand(
-                    node.inputs[0],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
+                let src = b.operand(graph, node.inputs[0]);
                 let f = ScalarUnaryFn::compile(op, &node.attrs)
                     .expect("tape_compatible guarantees a unary kernel");
-                instrs.push(TapeInstr::Unary { f, src });
-                instrs.len() - 1
+                b.push(TapeInstr::Unary { f, src })
             }
             op if op.is_elementwise_binary() => {
-                let lhs = operand(
-                    node.inputs[0],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
-                let rhs = operand(
-                    node.inputs[1],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
-                instrs.push(TapeInstr::Binary { op, lhs, rhs });
-                instrs.len() - 1
+                let lhs = b.operand(graph, node.inputs[0]);
+                let rhs = b.operand(graph, node.inputs[1]);
+                b.push(TapeInstr::Binary { op, lhs, rhs })
             }
             OpKind::Where => {
-                let cond = operand(
-                    node.inputs[0],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
-                let on_true = operand(
-                    node.inputs[1],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
-                let on_false = operand(
-                    node.inputs[2],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
-                instrs.push(TapeInstr::Select {
+                let cond = b.operand(graph, node.inputs[0]);
+                let on_true = b.operand(graph, node.inputs[1]);
+                let on_false = b.operand(graph, node.inputs[2]);
+                b.push(TapeInstr::Select {
                     cond,
                     on_true,
                     on_false,
-                });
-                instrs.len() - 1
+                })
             }
             OpKind::BatchNormalization => {
                 // y = scale * (x - mean) / sqrt(var + eps) + bias, with the
                 // per-channel parameters walked along the input's channel
                 // axis — the reference kernel's exact evaluation order.
                 let x_shape = &graph.value(node.inputs[0]).shape;
-                let channel_axis = loop_shape.rank() - x_shape.rank() + 1;
-                let mut param_strides = vec![0usize; loop_shape.rank()];
-                param_strides[channel_axis] = usize::from(x_shape.dim(1) != 1);
+                let channel_axis = b.loop_shape.rank() - x_shape.rank() + 1;
+                let mut per_channel = vec![0usize; b.loop_shape.rank()];
+                per_channel[channel_axis] = usize::from(x_shape.dim(1) != 1);
                 let eps = node.attrs.float_or("epsilon", 1e-5);
-                let x = operand(
-                    node.inputs[0],
-                    &mut inputs,
-                    &mut instrs,
-                    &value_reg,
-                    &mut load_reg,
-                );
-                let param = |value: ValueId,
-                             inputs: &mut Vec<TapeInput>,
-                             instrs: &mut Vec<TapeInstr>,
-                             load_reg: &mut BTreeMap<(ValueId, Vec<usize>), usize>|
-                 -> usize {
-                    load(
-                        value,
-                        param_strides.clone(),
-                        inputs,
-                        instrs,
-                        &value_reg,
-                        load_reg,
-                    )
-                };
-                let scale = param(node.inputs[1], &mut inputs, &mut instrs, &mut load_reg);
-                let bias = param(node.inputs[2], &mut inputs, &mut instrs, &mut load_reg);
-                let mean = param(node.inputs[3], &mut inputs, &mut instrs, &mut load_reg);
-                let var = param(node.inputs[4], &mut inputs, &mut instrs, &mut load_reg);
-                instrs.push(TapeInstr::Binary {
+                let x = b.operand(graph, node.inputs[0]);
+                let [scale, bias, mean, var] =
+                    [1, 2, 3, 4].map(|i| b.load(node.inputs[i], per_channel.clone()));
+                let sqrt = ScalarUnaryFn::compile(OpKind::Sqrt, &dnnf_ops::Attrs::new())
+                    .expect("Sqrt is unary");
+                let centered = b.push(TapeInstr::Binary {
                     op: OpKind::Sub,
                     lhs: x,
                     rhs: mean,
                 });
-                let centered = instrs.len() - 1;
-                instrs.push(TapeInstr::Binary {
+                let numerator = b.push(TapeInstr::Binary {
                     op: OpKind::Mul,
                     lhs: scale,
                     rhs: centered,
                 });
-                let numerator = instrs.len() - 1;
-                instrs.push(TapeInstr::Affine {
+                let shifted = b.push(TapeInstr::Affine {
                     src: var,
                     mul: 1.0,
                     add: eps,
                 });
-                let shifted = instrs.len() - 1;
-                let sqrt = ScalarUnaryFn::compile(OpKind::Sqrt, &dnnf_ops::Attrs::new())
-                    .expect("Sqrt is unary");
-                instrs.push(TapeInstr::Unary {
+                let denominator = b.push(TapeInstr::Unary {
                     f: sqrt,
                     src: shifted,
                 });
-                let denominator = instrs.len() - 1;
-                instrs.push(TapeInstr::Binary {
+                let ratio = b.push(TapeInstr::Binary {
                     op: OpKind::Div,
                     lhs: numerator,
                     rhs: denominator,
                 });
-                let ratio = instrs.len() - 1;
-                instrs.push(TapeInstr::Binary {
+                b.push(TapeInstr::Binary {
                     op: OpKind::Add,
                     lhs: ratio,
                     rhs: bias,
-                });
-                instrs.len() - 1
+                })
             }
             _ => unreachable!("tape_compatible admitted an unsupported operator"),
         };
-        value_reg.insert(node.outputs[0], out_reg);
+        b.value_reg.insert(node.outputs[0], out_reg);
     }
 
     // Tape outputs: values visible beyond the segment — escaping the block
     // entirely, or consumed by a later step of the same kernel.
+    let seg_set: BTreeSet<NodeId> = segment.iter().copied().collect();
     let mut outputs = Vec::new();
     for &nid in segment {
         let out_id = graph.node(nid).outputs[0];
         let v = graph.value(out_id);
-        let needed =
-            escaping.contains(&out_id) || v.consumers.iter().any(|&c| !seg_set.contains_key(&c));
-        if needed {
+        if escaping.contains(&out_id) || v.consumers.iter().any(|c| !seg_set.contains(c)) {
             outputs.push(TapeOutput {
                 value: out_id,
-                reg: value_reg[&out_id],
-                strides: broadcast_strides(&v.shape, &loop_shape),
+                reg: b.value_reg[&out_id],
+                strides: broadcast_strides(&v.shape, &b.loop_shape),
                 shape: v.shape.clone(),
             });
         }
     }
 
     ScalarTape {
-        loop_shape,
-        inputs,
-        instrs,
+        loop_shape: b.loop_shape,
+        inputs: b.inputs,
+        instrs: b.instrs,
         outputs,
         nodes: segment.to_vec(),
     }
@@ -1265,6 +1100,58 @@ mod tests {
                     compiled[&out].first_disagreement(&reference[&out], 0.0),
                     None
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_geometry_matches_the_reference_in_every_mode() {
+        // Loop rank 0–3 × innermost extents around the 4- and 8-lane widths,
+        // with and without an escaping innermost-broadcast output (stride 0),
+        // under SIMD, scalar and thread splits that start mid-row.
+        let pools = [
+            WorkPool::serial(),
+            WorkPool::serial().with_simd(false),
+            WorkPool::with_min_work(3, 0),
+            WorkPool::with_min_work(8, 0),
+        ];
+        for rank in 0..=3usize {
+            for width in [1, 3, 4, 5, 8, 9, 17] {
+                for sig_escapes in [false, true] {
+                    let outer = &[2usize, 3][3 - rank.max(1)..];
+                    let with_last = |last| match rank {
+                        0 => Shape::new(vec![]),
+                        _ => Shape::new([outer, &[last]].concat()),
+                    };
+                    let mut g = Graph::new("row-geometry");
+                    let x = g.add_input("x", with_last(width));
+                    let b = g.add_input("b", with_last(1));
+                    let sig = g.add_op(OpKind::Sigmoid, Attrs::new(), &[b], "sig");
+                    let sig = sig.unwrap()[0];
+                    let add = g.add_op(OpKind::Add, Attrs::new(), &[x, sig], "add");
+                    let add = add.unwrap()[0];
+                    let relu = g.add_op(OpKind::Relu, Attrs::new(), &[add], "relu");
+                    let relu = relu.unwrap()[0];
+                    let mut outs = vec![add, relu];
+                    if sig_escapes {
+                        outs.push(sig);
+                    }
+                    outs.iter().for_each(|&v| g.mark_output(v));
+                    let mut env = HashMap::new();
+                    env.insert(x, Tensor::random(with_last(width), 70));
+                    env.insert(b, Tensor::random(with_last(1), 71));
+                    let reference = run_reference(&g, &env);
+                    for (p, &pool) in pools.iter().enumerate() {
+                        let compiled = run_compiled_with(&g, &env, pool);
+                        for out in &outs {
+                            assert_eq!(
+                                compiled[out].first_disagreement(&reference[out], 0.0),
+                                None,
+                                "rank {rank}, width {width}, sig escapes {sig_escapes}, pool {p}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -49,7 +49,7 @@ use dnnf_tensor::{broadcast_index, Shape, Tensor};
 
 use crate::parallel::WorkPool;
 use crate::shape_infer::Window;
-use crate::simd::{F32Lanes, LANES};
+use crate::simd::{col_tiles, F32Lanes, LANES};
 use crate::{Attrs, OpError, OpKind};
 
 /// Whether `op` has an optimized kernel in this module. The fused engine
@@ -191,31 +191,6 @@ fn lane_widths(pool: WorkPool) -> &'static [usize] {
     } else {
         &[]
     }
-}
-
-/// Tiles the columns `[0, total)` of one output row and calls
-/// `tile(start, width)` on each: single columns outside the interior
-/// `[lo, hi)`; inside it as many `widths[0]`-wide tiles as fit, then
-/// `widths[1]`-wide ones and so on, then single columns again. Width 1 is
-/// every kernel's checked instance, so borders, lane remainders and the
-/// scalar mode (`widths` empty) take the same path.
-#[inline]
-fn col_tiles(
-    total: usize,
-    lo: usize,
-    hi: usize,
-    widths: &[usize],
-    mut tile: impl FnMut(usize, usize),
-) {
-    (0..lo).for_each(|at| tile(at, 1));
-    let mut at = lo;
-    for &width in widths {
-        while at + width <= hi {
-            tile(at, width);
-            at += width;
-        }
-    }
-    (at..total).for_each(|at| tile(at, 1));
 }
 
 /// `N` elements `data[base + l * stride]`, one per lane: a contiguous load

@@ -174,6 +174,31 @@ impl<const N: usize> Div for F32Lanes<N> {
     }
 }
 
+/// Tiles the columns `[0, total)` of one row and calls `tile(start, width)`
+/// on each: single columns outside the interior `[lo, hi)`; inside it as
+/// many `widths[0]`-wide tiles as fit, then `widths[1]`-wide ones and so on,
+/// then single columns again. Width 1 is every lane kernel's scalar instance,
+/// so borders, lane remainders and the scalar mode (`widths` empty) take the
+/// same path.
+#[inline]
+pub fn col_tiles(
+    total: usize,
+    lo: usize,
+    hi: usize,
+    widths: &[usize],
+    mut tile: impl FnMut(usize, usize),
+) {
+    (0..lo).for_each(|at| tile(at, 1));
+    let mut at = lo;
+    for &width in widths {
+        while at + width <= hi {
+            tile(at, width);
+            at += width;
+        }
+    }
+    (at..total).for_each(|at| tile(at, 1));
+}
+
 /// The widest `f32` lane count the compilation target's instruction set can
 /// execute as one vector operation (compile-time: this reflects the enabled
 /// `target_feature`s, not runtime CPU detection).

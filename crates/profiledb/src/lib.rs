@@ -32,29 +32,33 @@ use std::path::Path;
 /// [`ProfileDatabase::to_versioned_text`]).
 pub const FORMAT_HEADER: &str = "dnnf-profiledb/v1";
 
-/// Why a persisted profile database was rejected by the strict parser.
+/// Why a sealed text (a profile store or a plan cache, see [`seal`]) was
+/// rejected by the strict parser.
 ///
-/// The store is an input to plan *search*, so a wrong latency silently read
+/// The stores are inputs to plan *search*, so a wrong entry silently read
 /// from a damaged file would not crash anything — it would just quietly
 /// produce worse plans forever. The strict format therefore fails loudly on
-/// any damage and callers fall back to measuring afresh.
+/// any damage and callers fall back to measuring or searching afresh.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProfileDbError {
+pub enum Damage {
     /// The first line is not the expected format header.
     BadHeader {
+        /// The header the reader expected.
+        expected: String,
         /// What the first line actually was.
         found: String,
     },
     /// The `entries <n>` count line is missing or malformed.
     BadCount,
-    /// An entry line failed to parse.
+    /// An entry line failed to parse (reported by the reader of the lines
+    /// [`open`] returns).
     BadEntry {
         /// 1-based line number of the offending line.
         line: usize,
     },
-    /// The file ended before the declared number of entries (truncation).
+    /// The declared and the present number of entries differ (truncation).
     Truncated {
-        /// Entries the header promised.
+        /// Entries the count line promised.
         expected: usize,
         /// Entries actually present.
         found: usize,
@@ -64,52 +68,23 @@ pub enum ProfileDbError {
     BadChecksum,
 }
 
-impl fmt::Display for ProfileDbError {
+impl fmt::Display for Damage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProfileDbError::BadHeader { found } => {
-                write!(f, "expected header `{FORMAT_HEADER}`, found `{found}`")
+            Damage::BadHeader { expected, found } => {
+                write!(f, "expected header `{expected}`, found `{found}`")
             }
-            ProfileDbError::BadCount => write!(f, "missing or malformed `entries <n>` line"),
-            ProfileDbError::BadEntry { line } => write!(f, "malformed entry at line {line}"),
-            ProfileDbError::Truncated { expected, found } => {
+            Damage::BadCount => write!(f, "missing or malformed `entries <n>` line"),
+            Damage::BadEntry { line } => write!(f, "malformed entry at line {line}"),
+            Damage::Truncated { expected, found } => {
                 write!(f, "truncated: expected {expected} entries, found {found}")
             }
-            ProfileDbError::BadChecksum => write!(f, "checksum mismatch or missing"),
+            Damage::BadChecksum => write!(f, "checksum mismatch or missing"),
         }
     }
 }
 
-impl std::error::Error for ProfileDbError {}
-
-impl From<Damage> for ProfileDbError {
-    fn from(damage: Damage) -> Self {
-        match damage {
-            Damage::BadHeader(found) => ProfileDbError::BadHeader { found },
-            Damage::BadCount => ProfileDbError::BadCount,
-            Damage::Truncated { expected, found } => ProfileDbError::Truncated { expected, found },
-            Damage::BadChecksum => ProfileDbError::BadChecksum,
-        }
-    }
-}
-
-/// Why [`open`] rejected a sealed text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Damage {
-    /// The first line is not the expected header (carried here).
-    BadHeader(String),
-    /// The `entries <n>` count line is missing or malformed.
-    BadCount,
-    /// The declared and the present number of entry lines differ.
-    Truncated {
-        /// Entries the count line promised.
-        expected: usize,
-        /// Entry lines actually present.
-        found: usize,
-    },
-    /// The trailing checksum line is missing, malformed, or does not match.
-    BadChecksum,
-}
+impl std::error::Error for Damage {}
 
 /// 64-bit FNV-1a over a byte stream — the integrity checksum of the sealed
 /// framing (dependency-free, stable across platforms).
@@ -164,7 +139,10 @@ pub fn open<'a>(header: &str, text: &'a str) -> Result<Vec<&'a str>, Damage> {
     let mut lines = text.lines();
     let first = lines.next().unwrap_or("");
     if first != header {
-        return Err(Damage::BadHeader(first.to_string()));
+        return Err(Damage::BadHeader {
+            expected: header.to_string(),
+            found: first.to_string(),
+        });
     }
     let expected: usize = lines
         .next()
@@ -342,32 +320,9 @@ impl ProfileDatabase {
         self.entries.iter().map(|(k, &v)| (k, v))
     }
 
-    /// Serializes the database to its line-based text format.
-    #[must_use]
-    pub fn to_text(&self) -> String {
-        self.entry_lines().map(|line| line + "\n").collect()
-    }
-
     fn entry_lines(&self) -> impl Iterator<Item = String> + '_ {
         let entries = self.entries.iter();
         entries.map(|(k, v)| format!("{}\t{v}", k.encode()))
-    }
-
-    /// Parses a database from the text format produced by
-    /// [`ProfileDatabase::to_text`]. Malformed lines are skipped — this is
-    /// the *lenient* legacy parser; persistence goes through the strict
-    /// versioned format ([`ProfileDatabase::try_from_text`]).
-    #[must_use]
-    pub fn from_text(text: &str) -> Self {
-        let mut db = ProfileDatabase::new();
-        for line in text.lines() {
-            if let Some((key, val)) = line.split_once('\t') {
-                if let (Some(key), Ok(val)) = (ProfileKey::decode(key), val.parse::<f64>()) {
-                    db.record(key, val);
-                }
-            }
-        }
-        db
     }
 
     /// Serializes the database to the versioned, checksummed on-disk format:
@@ -395,20 +350,20 @@ impl ProfileDatabase {
     ///
     /// # Errors
     ///
-    /// Returns a [`ProfileDbError`] describing the first problem found.
-    pub fn try_from_text(text: &str) -> Result<Self, ProfileDbError> {
+    /// Returns the first [`Damage`] found.
+    pub fn try_from_text(text: &str) -> Result<Self, Damage> {
         let lines = open(FORMAT_HEADER, text)?;
         let mut db = ProfileDatabase::new();
         for (i, line) in lines.iter().enumerate() {
             let (key, val) = line
                 .split_once('\t')
                 .and_then(|(key, val)| Some((ProfileKey::decode(key)?, val.parse::<f64>().ok()?)))
-                .ok_or(ProfileDbError::BadEntry { line: i + 3 })?;
+                .ok_or(Damage::BadEntry { line: i + 3 })?;
             db.entries.insert(key, val);
         }
         // Two lines under one key would silently read as a smaller database.
         if db.entries.len() != lines.len() {
-            return Err(ProfileDbError::Truncated {
+            return Err(Damage::Truncated {
                 expected: lines.len(),
                 found: db.entries.len(),
             });
@@ -479,32 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip_preserves_entries() {
-        let mut db = ProfileDatabase::new();
-        db.record(
-            ProfileKey::new(["Conv", "Relu", "Add"], "1x64x56x56"),
-            101.25,
-        );
-        db.record(ProfileKey::new(["MatMul"], "128x768;768x768"), 930.0);
-        let text = db.to_text();
-        let restored = ProfileDatabase::from_text(&text);
-        assert_eq!(restored.len(), 2);
-        assert_eq!(
-            restored.peek(&ProfileKey::new(["MatMul"], "128x768;768x768")),
-            Some(930.0)
-        );
-        // Counters are not part of the persisted state.
-        assert_eq!(restored.hits(), 0);
-    }
-
-    #[test]
-    fn from_text_skips_malformed_lines() {
-        let db = ProfileDatabase::from_text("garbage\nConv+Relu|1x1\tnot_a_number\nAdd|2x2\t5.0\n");
-        assert_eq!(db.len(), 1);
-        assert_eq!(db.peek(&ProfileKey::new(["Add"], "2x2")), Some(5.0));
-    }
-
-    #[test]
     fn save_and_load_roundtrip() {
         let mut db = ProfileDatabase::new();
         db.record(ProfileKey::new(["Relu"], "1x10"), 1.5);
@@ -513,7 +442,7 @@ mod tests {
         let path = dir.join("db.tsv");
         db.save(&path).unwrap();
         let loaded = ProfileDatabase::load(&path).unwrap();
-        assert_eq!(loaded, ProfileDatabase::from_text(&db.to_text()));
+        assert_eq!(loaded, db);
         std::fs::remove_file(path).ok();
     }
 
@@ -544,12 +473,12 @@ mod tests {
         // Wrong header.
         assert!(matches!(
             ProfileDatabase::try_from_text("dnnf-profiledb/v9\nentries 0\nchecksum 0\n"),
-            Err(ProfileDbError::BadHeader { .. })
+            Err(Damage::BadHeader { .. })
         ));
         // Missing count line.
         assert_eq!(
             ProfileDatabase::try_from_text("dnnf-profiledb/v1\n"),
-            Err(ProfileDbError::BadCount)
+            Err(Damage::BadCount)
         );
         // Truncation: drop one entry line but keep count + checksum lines.
         let mut lines: Vec<&str> = good.lines().collect();
@@ -557,7 +486,7 @@ mod tests {
         let truncated = lines.join("\n") + "\n";
         assert!(matches!(
             ProfileDatabase::try_from_text(&truncated),
-            Err(ProfileDbError::Truncated {
+            Err(Damage::Truncated {
                 expected: 2,
                 found: 1
             })
@@ -566,23 +495,23 @@ mod tests {
         let corrupted = good.replacen("101.625", "201.625", 1);
         assert_eq!(
             ProfileDatabase::try_from_text(&corrupted),
-            Err(ProfileDbError::BadChecksum)
+            Err(Damage::BadChecksum)
         );
         // Garbage entry line: caught by the checksum when written over a
         // sealed file, and as a malformed entry when sealed in.
         let garbled = good.replacen("Conv+Relu|1x8x16x16\t101.625", "garbage", 1);
         assert_eq!(
             ProfileDatabase::try_from_text(&garbled),
-            Err(ProfileDbError::BadChecksum)
+            Err(Damage::BadChecksum)
         );
         assert_eq!(
             ProfileDatabase::try_from_text(&seal(FORMAT_HEADER, ["Add|2x2\t5.0", "garbage"])),
-            Err(ProfileDbError::BadEntry { line: 4 })
+            Err(Damage::BadEntry { line: 4 })
         );
         // The same key sealed in twice is not a two-entry database.
         assert!(matches!(
             ProfileDatabase::try_from_text(&seal(FORMAT_HEADER, ["Add|2x2\t5.0", "Add|2x2\t6.0"])),
-            Err(ProfileDbError::Truncated { .. })
+            Err(Damage::Truncated { .. })
         ));
         // Checksum line chopped off entirely.
         let no_sum: String = good
@@ -592,7 +521,7 @@ mod tests {
             .collect();
         assert_eq!(
             ProfileDatabase::try_from_text(&no_sum),
-            Err(ProfileDbError::BadChecksum)
+            Err(Damage::BadChecksum)
         );
         // And the untouched text still parses.
         assert!(ProfileDatabase::try_from_text(&good).is_ok());

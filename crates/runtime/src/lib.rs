@@ -40,9 +40,12 @@
 //!   and the scalar tapes are lane-blocked over portable 4/8-wide `f32`
 //!   bundles (`dnnf_ops::simd`): each lane owns one output element and runs
 //!   the scalar operation sequence, extending the ownership rule down to
-//!   the instruction level, so SIMD results are also bit-identical to the
-//!   scalar path ([`ExecOptions::force_scalar`] disables the lane-blocked
-//!   paths for differential testing and benchmarking).
+//!   the instruction level. Each of these kernels and the tape evaluator is
+//!   written once, generic over its lane width; width 1 is its scalar
+//!   instance, serving row remainders and the scalar mode alike, so SIMD
+//!   results are also bit-identical to the scalar path
+//!   ([`ExecOptions::force_scalar`] runs width 1 everywhere, for
+//!   differential testing and benchmarking).
 //!
 //! [`Executor::run_plan_reference`] keeps the original per-operator
 //! reference interpreter alive as the semantic oracle: the differential
@@ -76,7 +79,6 @@ pub use latency::DeviceLatencyModel;
 pub use memory::{MemoryPlan, TensorArena, ValueLifetime};
 pub use options::{ExecOptions, FORCE_SCALAR_ENV, NUM_THREADS_ENV};
 pub use plan_cache::{
-    CacheOutcome, PlanCache, PlanCacheError, PlanCacheStats, PlanKey, DEFAULT_MODEL_CAPACITY,
-    PLAN_CACHE_HEADER,
+    CacheOutcome, PlanCache, PlanCacheStats, PlanKey, DEFAULT_MODEL_CAPACITY, PLAN_CACHE_HEADER,
 };
 pub use weights::{materialize_weights, WeightStore};

@@ -102,61 +102,6 @@ struct PlanSeed {
     groups: Vec<Vec<usize>>,
 }
 
-/// Why a persisted plan-cache file was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanCacheError {
-    /// The first line is not the expected format header.
-    BadHeader {
-        /// What the first line actually was.
-        found: String,
-    },
-    /// The `entries <n>` count line is missing or malformed.
-    BadCount,
-    /// An entry line failed to parse.
-    BadEntry {
-        /// 1-based line number of the offending line.
-        line: usize,
-    },
-    /// The file ended before the declared number of entries.
-    Truncated {
-        /// Entries the header promised.
-        expected: usize,
-        /// Entries actually present.
-        found: usize,
-    },
-    /// The trailing checksum is missing, malformed, or does not match.
-    BadChecksum,
-}
-
-impl fmt::Display for PlanCacheError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanCacheError::BadHeader { found } => {
-                write!(f, "expected header `{PLAN_CACHE_HEADER}`, found `{found}`")
-            }
-            PlanCacheError::BadCount => write!(f, "missing or malformed `entries <n>` line"),
-            PlanCacheError::BadEntry { line } => write!(f, "malformed entry at line {line}"),
-            PlanCacheError::Truncated { expected, found } => {
-                write!(f, "truncated: expected {expected} entries, found {found}")
-            }
-            PlanCacheError::BadChecksum => write!(f, "checksum mismatch or missing"),
-        }
-    }
-}
-
-impl std::error::Error for PlanCacheError {}
-
-impl From<Damage> for PlanCacheError {
-    fn from(damage: Damage) -> Self {
-        match damage {
-            Damage::BadHeader(found) => PlanCacheError::BadHeader { found },
-            Damage::BadCount => PlanCacheError::BadCount,
-            Damage::Truncated { expected, found } => PlanCacheError::Truncated { expected, found },
-            Damage::BadChecksum => PlanCacheError::BadChecksum,
-        }
-    }
-}
-
 /// Counter snapshot of a [`PlanCache`] (see [`PlanCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
@@ -519,13 +464,13 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`PlanCacheError`] on any damage — wrong header, malformed
-    /// entry, truncation, checksum mismatch. Nothing is merged on error.
-    pub fn merge_text(&self, text: &str) -> Result<usize, PlanCacheError> {
+    /// Returns the [`Damage`] found — wrong header, malformed entry,
+    /// truncation, checksum mismatch. Nothing is merged on error.
+    pub fn merge_text(&self, text: &str) -> Result<usize, Damage> {
         let lines = dnnf_profiledb::open(PLAN_CACHE_HEADER, text)?;
         let entries = lines.iter().enumerate();
         let parsed = entries
-            .map(|(i, line)| parse_seed_line(line).ok_or(PlanCacheError::BadEntry { line: i + 3 }))
+            .map(|(i, line)| parse_seed_line(line).ok_or(Damage::BadEntry { line: i + 3 }))
             .collect::<Result<Vec<(PlanKey, PlanSeed)>, _>>()?;
 
         let count = parsed.len();
@@ -748,19 +693,13 @@ mod tests {
         let fresh = PlanCache::new();
         assert!(matches!(
             fresh.merge_text("dnnf-plancache/v3\n"),
-            Err(PlanCacheError::BadHeader { .. })
+            Err(Damage::BadHeader { .. })
         ));
-        assert_eq!(
-            fresh.merge_text(PLAN_CACHE_HEADER),
-            Err(PlanCacheError::BadCount)
-        );
+        assert_eq!(fresh.merge_text(PLAN_CACHE_HEADER), Err(Damage::BadCount));
         // Flip a digit inside the groups field: checksum catches it.
         let corrupted = good.replacen("\t0,", "\t1,", 1);
         if corrupted != good {
-            assert_eq!(
-                fresh.merge_text(&corrupted),
-                Err(PlanCacheError::BadChecksum)
-            );
+            assert_eq!(fresh.merge_text(&corrupted), Err(Damage::BadChecksum));
         }
         // Truncate the entry lines.
         let mut lines: Vec<&str> = good.lines().collect();
@@ -768,7 +707,7 @@ mod tests {
         let truncated = lines.join("\n") + "\n";
         assert!(matches!(
             fresh.merge_text(&truncated),
-            Err(PlanCacheError::Truncated { .. })
+            Err(Damage::Truncated { .. })
         ));
         // Nothing was merged by any failed attempt.
         assert_eq!(fresh.stats().seeds, 0);
@@ -795,7 +734,8 @@ mod tests {
         let fresh = PlanCache::new();
         assert_eq!(
             fresh.merge_text(&v1),
-            Err(PlanCacheError::BadHeader {
+            Err(Damage::BadHeader {
+                expected: PLAN_CACHE_HEADER.to_string(),
                 found: "dnnf-plancache/v1".to_string()
             })
         );
