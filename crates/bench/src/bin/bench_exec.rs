@@ -1,7 +1,9 @@
-//! Wall-clock regression harness for the fused-block execution engine.
+//! Wall-clock regression harness for the fused-block execution engine and
+//! the KV-cached decode loop.
 //!
 //! Times the configurations below per model and writes the medians to
-//! `BENCH_exec.json` (schema `dnnf-bench-exec/v6`), so future PRs can track
+//! `BENCH_exec.json` (schema `dnnf-bench-exec/v7`: a `models` array, a
+//! `decode` array and a `floors` array), so future PRs can track
 //! the execution-engine trajectory the same way the `paper` binary's fixtures
 //! track the paper's counter metrics:
 //!
@@ -51,28 +53,42 @@
 //!   replay: plan search skipped, codegen re-run) is exercised and timed
 //!   by the `warm_start` binary in CI instead.
 //!
-//! Regression gates are **data-driven** per model and per metric (see
-//! [`SPEEDUP_FLOORS`] / [`FUSION_ONLY_FLOORS`] / [`CONV_PACK_FLOORS`] /
-//! [`PARALLEL_FLOORS`] / [`SIMD_FLOORS`] /
-//! [`WARM_COMPILE_FLOORS`]). Every floor
-//! is explicitly reported as **armed** or **skipped** (with the host-side
-//! reason — core count for the parallel floors, compile-target vector width
-//! for the SIMD floors), and the armed/skipped status is recorded in the
-//! JSON's `floors` array so CI's `bench_diff` step can compare armed
-//! columns against the checked-in baseline. See `docs/benchmarks.md`.
+//! Per decoder size, the `decode` rows time two ways of producing the same
+//! [`GENERATE`]-token greedy completion, compiled without graph rewriting so
+//! both are the same float expression:
+//!
+//! * `cached_decode_ms` — a `DecodeSession`: one prefill, then single-token
+//!   steps against the KV cache through the seq-polymorphic step plan;
+//!   `tokens_per_sec` derives from it.
+//! * `recompute_decode_ms` — every token recomputes its full prefix through
+//!   a prompt-length prefill model, compiled **outside** the timed region,
+//!   so the ratio isolates quadratic recompute against linear stepping.
+//!
+//! The run asserts the two paths decode identical tokens before timing, and
+//! that the timed decodes trigger **zero** plan searches
+//! (`plan_searches_decode`): T tokens cost the two compile-time searches
+//! (`plan_searches_compile`: prefill + step), whatever T is.
+//!
+//! Every regression gate is a row of [`FLOORS`], judged by
+//! [`dnnf_bench::floors::report`]: printed as armed or skipped, recorded in
+//! the JSON, and enforced after the file is written. See
+//! `docs/benchmarks.md`.
 //!
 //! Run with `cargo run --release -p dnnf-bench --bin bench_exec`.
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::Instant;
 
+use dnnf_bench::floors::{self, Arm::*, Floor, Host};
 use dnnf_core::{compile_plan, Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnf_graph::Graph;
-use dnnf_models::{ModelKind, ModelScale};
-use dnnf_ops::simd::detected_simd_width;
-use dnnf_runtime::{CacheOutcome, ExecOptions, Executor, PlanCache, WeightStore, WorkPool};
+use dnnf_models::{decoder_prefill, decoder_step, DecoderConfig, ModelKind, ModelScale};
+use dnnf_runtime::{
+    greedy_argmax, CacheOutcome, DecodeSession, ExecOptions, Executor, PlanCache, WeightStore,
+};
 use dnnf_simdev::DeviceSpec;
-use dnnf_tensor::Tensor;
+use dnnf_tensor::{Shape, Tensor};
 
 /// Runs per configuration; the median is reported.
 const RUNS: usize = 7;
@@ -80,50 +96,73 @@ const RUNS: usize = 7;
 /// Thread counts the fused configuration is re-timed at.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Minimum fused-vs-unfused speedup at one thread, per model. Always armed.
-const SPEEDUP_FLOORS: [(&str, f64); 3] = [("VGG-16", 8.0), ("TinyBERT", 4.0), ("C3D", 3.0)];
-
-/// Minimum fused-plan-vs-singleton-plan speedup on the same engine, per
-/// model. Always armed: both sides run the same kernels on the same host,
-/// so the ratio is structural (launches saved, intermediates elided, and —
-/// since the planner learned to fuse scalar epilogues through pool/softmax
-/// anchors — the blocks those anchors used to split). C3D's floor is the
-/// ISSUE's ≥ 1.15x acceptance bar for the through-anchor fusion win.
-const FUSION_ONLY_FLOORS: [(&str, f64); 3] = [("VGG-16", 1.5), ("TinyBERT", 1.15), ("C3D", 1.15)];
-
-/// Minimum prepacked-weight speedup (unpacked store vs the model's packed
-/// one), per conv model. Always armed: packing is a pure layout change —
-/// the blocked OC panels turn the conv kernels' per-tap weight gathers
-/// into contiguous lane loads on every target, scalar-width or wide.
-/// TinyBERT carries no conv and no floor; its ratio is informational.
-const CONV_PACK_FLOORS: [(&str, f64); 2] = [("VGG-16", 1.3), ("C3D", 1.3)];
-
-/// Minimum speedup at the top thread count vs one thread, per model. Armed
-/// only when the host has at least [`THREAD_COUNTS`]'s maximum cores —
-/// oversubscribing a smaller host measures spawn overhead, not kernel
-/// scaling. TinyBERT's floor is deliberately below 1: its tiny-scale
-/// kernels sit under the parallelism work gate and must simply not regress.
-const PARALLEL_FLOORS: [(&str, f64); 3] = [("VGG-16", 2.5), ("TinyBERT", 0.75), ("C3D", 1.5)];
-
-/// Minimum single-thread `simd_speedup`, per model. Armed only when the
-/// compile target's vector width covers the 8-lane bundles
-/// (`detected_simd_width() >= 8`, e.g. AVX2 / `-C target-cpu=native`
-/// builds); narrower targets still run the lane-blocked code but measure
-/// mostly its restructuring, not vector issue width. C3D's floor matches
-/// VGG-16's now that the generic-rank (3-D) conv and pooling kernels are
-/// lane-blocked; TinyBERT is MatMul-dominated with small rows, so its floor
-/// only guards against regression.
-const SIMD_FLOORS: [(&str, f64); 3] = [("VGG-16", 1.3), ("TinyBERT", 1.05), ("C3D", 1.3)];
+/// The `parallel_speedup` floors arm on hosts with this many cores:
+/// oversubscribing a smaller host measures spawn overhead, not scaling.
+const TOP_THREADS: usize = THREAD_COUNTS[THREAD_COUNTS.len() - 1];
 
 /// Per-sample inner iterations for `warm_compile_ms`: a memory hit is a
 /// microsecond-scale lookup, far below one `Instant` quantum of noise.
 const WARM_COMPILE_ITERS: usize = 16;
 
-/// Minimum `warm_compile_speedup` (cold compile vs primed-cache hit), per
-/// model. Always armed: the hit path does no rewriting, no plan search and
-/// no code generation, a structural saving that does not depend on host
-/// core count or vector width.
-const WARM_COMPILE_FLOORS: [(&str, f64); 3] = [("VGG-16", 5.0), ("TinyBERT", 5.0), ("C3D", 5.0)];
+/// Prompt length each decoder is prefilled with.
+const PROMPT_LEN: usize = 8;
+
+/// Tokens generated per decode (1 from prefill + the rest from steps).
+const GENERATE: usize = 16;
+
+const SPEEDUP: &str = "a fused single-thread engine slower against the reference interpreter";
+const FUSION_ONLY: &str = "a fused plan losing its win over the singleton plan on equal kernels";
+const CONV_PACK: &str = "prepacked OC-blocked conv panels no longer beating strided gathers";
+const PARALLEL: &str = "threaded anchor kernels that stop scaling to four cores";
+/// TinyBERT's kernels sit under the parallelism work gate: its floor is < 1.
+const PARALLEL_GATED: &str = "threads slowing down kernels that the work gate keeps serial";
+const SIMD: &str = "lane-blocked kernels losing their win over the scalar engine at 8 lanes";
+/// No baseline: a faster cold compile legitimately lowers this ratio.
+const WARM_COMPILE: &str = "a plan-cache hit that re-runs rewriting, plan search or codegen";
+const CACHED_DECODE: &str = "KV-cached decoding losing its win over full-prefix recompute";
+
+/// Every gate this binary enforces; baselines are the values recorded on the
+/// 2-core, 4-wide-SIMD reference host.
+#[rustfmt::skip]
+const FLOORS: [Floor; 19] = [
+    Floor { model: "VGG-16", metric: "speedup", floor: 8.0, baseline: Some(221.70), arm: Always, catches: SPEEDUP },
+    Floor { model: "TinyBERT", metric: "speedup", floor: 4.0, baseline: Some(21.78), arm: Always, catches: SPEEDUP },
+    Floor { model: "C3D", metric: "speedup", floor: 3.0, baseline: Some(359.88), arm: Always, catches: SPEEDUP },
+    Floor { model: "VGG-16", metric: "fusion_only_speedup", floor: 1.5, baseline: Some(2.91), arm: Always, catches: FUSION_ONLY },
+    Floor { model: "TinyBERT", metric: "fusion_only_speedup", floor: 1.15, baseline: Some(1.23), arm: Always, catches: FUSION_ONLY },
+    Floor { model: "C3D", metric: "fusion_only_speedup", floor: 1.15, baseline: Some(3.10), arm: Always, catches: FUSION_ONLY },
+    Floor { model: "VGG-16", metric: "conv_pack_speedup", floor: 1.3, baseline: Some(3.43), arm: Always, catches: CONV_PACK },
+    Floor { model: "C3D", metric: "conv_pack_speedup", floor: 1.3, baseline: Some(5.25), arm: Always, catches: CONV_PACK },
+    Floor { model: "VGG-16", metric: "parallel_speedup", floor: 2.5, baseline: Some(1.04), arm: Cores(TOP_THREADS), catches: PARALLEL },
+    Floor { model: "TinyBERT", metric: "parallel_speedup", floor: 0.75, baseline: Some(1.01), arm: Cores(TOP_THREADS), catches: PARALLEL_GATED },
+    Floor { model: "C3D", metric: "parallel_speedup", floor: 1.5, baseline: Some(0.92), arm: Cores(TOP_THREADS), catches: PARALLEL },
+    Floor { model: "VGG-16", metric: "simd_speedup", floor: 1.3, baseline: Some(5.76), arm: SimdWidth(8), catches: SIMD },
+    Floor { model: "TinyBERT", metric: "simd_speedup", floor: 1.05, baseline: Some(1.31), arm: SimdWidth(8), catches: SIMD },
+    Floor { model: "C3D", metric: "simd_speedup", floor: 1.3, baseline: Some(7.10), arm: SimdWidth(8), catches: SIMD },
+    Floor { model: "VGG-16", metric: "warm_compile_speedup", floor: 5.0, baseline: None, arm: Always, catches: WARM_COMPILE },
+    Floor { model: "TinyBERT", metric: "warm_compile_speedup", floor: 5.0, baseline: None, arm: Always, catches: WARM_COMPILE },
+    Floor { model: "C3D", metric: "warm_compile_speedup", floor: 5.0, baseline: None, arm: Always, catches: WARM_COMPILE },
+    Floor { model: "decoder-tiny", metric: "cached_vs_recompute_speedup", floor: 2.0, baseline: Some(4.33), arm: Always, catches: CACHED_DECODE },
+    Floor { model: "decoder-small", metric: "cached_vs_recompute_speedup", floor: 2.0, baseline: Some(3.28), arm: Always, catches: CACHED_DECODE },
+];
+
+/// The decoder sizes benchmarked.
+fn decoder_configs() -> [(&'static str, DecoderConfig); 2] {
+    [
+        ("decoder-tiny", DecoderConfig::test_tiny()),
+        (
+            "decoder-small",
+            DecoderConfig {
+                layers: 4,
+                hidden: 32,
+                heads: 4,
+                vocab: 64,
+                max_seq: 64,
+                ffn_mult: 2,
+            },
+        ),
+    ]
+}
 
 fn inputs_for(graph: &Graph) -> HashMap<String, Tensor> {
     graph
@@ -174,7 +213,7 @@ struct Row {
     thread_scaling: Vec<(usize, f64)>,
     /// Full cold compilation: fresh compiler, no cache.
     compile_ms: f64,
-    /// Warm-start compilation: plan-seed replay through the [`PlanCache`].
+    /// Warm-start compilation: an in-memory hit in a primed [`PlanCache`].
     warm_compile_ms: f64,
     kernel_launches_unfused: u64,
     kernel_launches_fused: u64,
@@ -217,28 +256,134 @@ impl Row {
         self.nopack_fused_ms / self.fused_ms
     }
 
-    /// Cold compilation vs the plan-cache warm start (seed replay).
+    /// Cold compilation vs the plan-cache warm start (an in-memory hit).
     fn warm_compile_speedup(&self) -> f64 {
         self.compile_ms / self.warm_compile_ms
     }
+
+    /// The speedup column a [`FLOORS`] row names.
+    fn metric(&self, name: &str) -> f64 {
+        match name {
+            "speedup" => self.speedup(),
+            "fusion_only_speedup" => self.fusion_only_speedup(),
+            "conv_pack_speedup" => self.conv_pack_speedup(),
+            "parallel_speedup" => self.parallel_speedup(),
+            "simd_speedup" => self.simd_speedup(),
+            "warm_compile_speedup" => self.warm_compile_speedup(),
+            other => panic!("no model metric `{other}`"),
+        }
+    }
 }
 
-/// One regression gate, with its measured value and armed/skipped status.
-struct FloorReport {
+struct DecodeRow {
     model: &'static str,
-    metric: &'static str,
-    floor: f64,
-    value: f64,
-    /// `None` when armed; the skip reason otherwise.
-    skipped: Option<String>,
+    prefill_ms: f64,
+    cached_decode_ms: f64,
+    recompute_decode_ms: f64,
+    /// Plan searches (cache misses) to compile the session: prefill + step.
+    plan_searches_compile: u64,
+    /// Plan searches triggered by the timed decodes. Must be 0.
+    plan_searches_decode: u64,
 }
 
-fn main() {
+impl DecodeRow {
+    fn tokens_per_sec(&self) -> f64 {
+        GENERATE as f64 / (self.cached_decode_ms / 1e3)
+    }
+
+    fn cached_vs_recompute_speedup(&self) -> f64 {
+        self.recompute_decode_ms / self.cached_decode_ms
+    }
+}
+
+/// Times cached stepping against full-prefix recompute for one decoder,
+/// after asserting both decode the same tokens.
+fn time_decode(executor: &Executor, model: &'static str, cfg: &DecoderConfig) -> DecodeRow {
+    let prompt: Vec<u32> = (0..PROMPT_LEN as u32).collect();
+    // Rewriting stays off so cached stepping and full-prefix recompute are
+    // the same float expression — the token-identity assertion below is
+    // then exact, not approximate.
+    let cache = PlanCache::new();
+    let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
+    let prefill_graph = decoder_prefill(cfg, PROMPT_LEN).expect("valid decoder config");
+    let step_graph = decoder_step(cfg, PROMPT_LEN).expect("valid decoder config");
+    let mut session = DecodeSession::compile(
+        executor.clone(),
+        &cache,
+        &mut compiler,
+        &prefill_graph,
+        &step_graph,
+    )
+    .expect("decoder compiles");
+    let plan_searches_compile = cache.stats().misses;
+
+    let recompute_models: Vec<_> = (PROMPT_LEN..PROMPT_LEN + GENERATE)
+        .map(|len| {
+            let graph = decoder_prefill(cfg, len).expect("valid decoder config");
+            cache
+                .compile_cached(&mut compiler, &graph)
+                .expect("decoder compiles")
+                .0
+        })
+        .collect();
+    let recompute_decode = || -> Vec<u32> {
+        let mut seq = prompt.clone();
+        let mut out = Vec::with_capacity(GENERATE);
+        for model in &recompute_models {
+            let len = seq.len();
+            let make = |values: Vec<f32>| {
+                Tensor::from_vec(Shape::new(vec![len]), values).expect("length matches shape")
+            };
+            let mut inputs = HashMap::new();
+            inputs.insert(
+                "token_ids".to_string(),
+                make(seq.iter().map(|&t| t as f32).collect()),
+            );
+            inputs.insert(
+                "positions".to_string(),
+                make((0..len).map(|p| p as f32).collect()),
+            );
+            let report = executor.run_compiled(model, &inputs).expect("prefill runs");
+            let logits = report.outputs.last().expect("logits output");
+            let data = logits.data();
+            let token = greedy_argmax(&data[data.len() - cfg.vocab..]) as u32;
+            seq.push(token);
+            out.push(token);
+        }
+        out
+    };
+
+    let cached_tokens = session.decode(&prompt, GENERATE).expect("decode runs");
+    assert_eq!(
+        cached_tokens,
+        recompute_decode(),
+        "{model}: KV-cached decode diverged from full-prefix recompute"
+    );
+
+    let searches_before_timing = cache.stats().misses;
+    let prefill_ms = median_ms(time_ms(|| {
+        session.prefill(&prompt).expect("prefill runs");
+    }));
+    let cached_decode_ms = median_ms(time_ms(|| {
+        session.decode(&prompt, GENERATE).expect("decode runs");
+    }));
+    let recompute_decode_ms = median_ms(time_ms(|| {
+        recompute_decode();
+    }));
+    DecodeRow {
+        model,
+        prefill_ms,
+        cached_decode_ms,
+        recompute_decode_ms,
+        plan_searches_compile,
+        plan_searches_decode: cache.stats().misses - searches_before_timing,
+    }
+}
+
+fn main() -> ExitCode {
     let device = DeviceSpec::snapdragon_865_cpu();
     let executor = Executor::new(device).with_options(ExecOptions::serial());
-    // The same detection the executor's default options use.
-    let host_parallelism = WorkPool::host().threads();
-    let simd_width = detected_simd_width();
+    let host = Host::detect();
     let mut rows = Vec::new();
 
     for kind in [ModelKind::Vgg16, ModelKind::TinyBert, ModelKind::C3d] {
@@ -365,9 +510,15 @@ fn main() {
         });
     }
 
+    let decode: Vec<DecodeRow> = decoder_configs()
+        .into_iter()
+        .map(|(model, cfg)| time_decode(&executor, model, &cfg))
+        .collect();
+
     println!(
-        "Execution wall-clock, median of {RUNS} runs (host parallelism: {host_parallelism}, \
-         target SIMD width: {simd_width})"
+        "Execution wall-clock, median of {RUNS} runs (host parallelism: {}, \
+         target SIMD width: {})",
+        host.cores, host.simd_width
     );
     println!(
         "{:<16} {:>12} {:>15} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>12} {:>7} {:>7} {:>9} {:>10} {:>10} {:>9}",
@@ -424,99 +575,43 @@ fn main() {
         );
     }
 
-    // Assemble every floor with its measured value and armed/skipped status
-    // — printed, recorded in the JSON, and only then asserted, so a failing
-    // run still reports the full picture.
-    let row_of = |model: &str| {
-        rows.iter()
-            .find(|r| r.model == model)
-            .expect("floor model timed")
-    };
-    let top_threads = THREAD_COUNTS[THREAD_COUNTS.len() - 1];
-    let mut floors: Vec<FloorReport> = Vec::new();
-    for (model, floor) in SPEEDUP_FLOORS {
-        floors.push(FloorReport {
-            model,
-            metric: "speedup",
-            floor,
-            value: row_of(model).speedup(),
-            skipped: None,
-        });
-    }
-    for (model, floor) in FUSION_ONLY_FLOORS {
-        floors.push(FloorReport {
-            model,
-            metric: "fusion_only_speedup",
-            floor,
-            value: row_of(model).fusion_only_speedup(),
-            skipped: None,
-        });
-    }
-    for (model, floor) in CONV_PACK_FLOORS {
-        floors.push(FloorReport {
-            model,
-            metric: "conv_pack_speedup",
-            floor,
-            value: row_of(model).conv_pack_speedup(),
-            skipped: None,
-        });
-    }
-    for (model, floor) in PARALLEL_FLOORS {
-        let skipped = (host_parallelism < top_threads)
-            .then(|| format!("host has {host_parallelism} core(s), floor needs {top_threads}"));
-        floors.push(FloorReport {
-            model,
-            metric: "parallel_speedup",
-            floor,
-            value: row_of(model).parallel_speedup(),
-            skipped,
-        });
-    }
-    for (model, floor) in SIMD_FLOORS {
-        let skipped = (simd_width < 8).then(|| {
-            format!(
-                "target SIMD width is {simd_width}, floor needs 8 \
-                 (build with RUSTFLAGS=\"-C target-cpu=native\" on an AVX2 host)"
-            )
-        });
-        floors.push(FloorReport {
-            model,
-            metric: "simd_speedup",
-            floor,
-            value: row_of(model).simd_speedup(),
-            skipped,
-        });
-    }
-    for (model, floor) in WARM_COMPILE_FLOORS {
-        floors.push(FloorReport {
-            model,
-            metric: "warm_compile_speedup",
-            floor,
-            value: row_of(model).warm_compile_speedup(),
-            skipped: None,
-        });
-    }
-
-    println!("\nRegression floors:");
-    for f in &floors {
-        match &f.skipped {
-            None => println!(
-                "  armed   {:<10} {:<17} {:>6.2}x measured vs {:.2}x floor",
-                f.model, f.metric, f.value, f.floor
-            ),
-            Some(reason) => println!(
-                "  skipped {:<10} {:<17} {:>6.2}x measured vs {:.2}x floor — {reason}",
-                f.model, f.metric, f.value, f.floor
-            ),
-        }
+    println!(
+        "\nKV-cached decode, {GENERATE} tokens from a {PROMPT_LEN}-token prompt, median of \
+         {RUNS} runs"
+    );
+    println!(
+        "{:<14} {:>11} {:>17} {:>20} {:>14} {:>9} {:>13} {:>12}",
+        "model",
+        "prefill_ms",
+        "cached_decode_ms",
+        "recompute_decode_ms",
+        "tokens_per_sec",
+        "speedup",
+        "plan_compile",
+        "plan_decode"
+    );
+    for row in &decode {
+        println!(
+            "{:<14} {:>11.3} {:>17.3} {:>20.3} {:>14.1} {:>8.2}x {:>13} {:>12}",
+            row.model,
+            row.prefill_ms,
+            row.cached_decode_ms,
+            row.recompute_decode_ms,
+            row.tokens_per_sec(),
+            row.cached_vs_recompute_speedup(),
+            row.plan_searches_compile,
+            row.plan_searches_decode
+        );
     }
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"dnnf-bench-exec/v6\",\n");
+    json.push_str("  \"schema\": \"dnnf-bench-exec/v7\",\n");
     json.push_str(&format!("  \"runs_per_config\": {RUNS},\n"));
     json.push_str("  \"scale\": \"tiny\",\n");
-    json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    json.push_str(&format!("  \"target_simd_width\": {simd_width},\n"));
+    json.push_str(&format!("  \"host_parallelism\": {},\n", host.cores));
+    json.push_str(&format!("  \"target_simd_width\": {},\n", host.simd_width));
+    json.push_str(&format!("  \"prompt_len\": {PROMPT_LEN},\n"));
+    json.push_str(&format!("  \"generate\": {GENERATE},\n"));
     json.push_str("  \"models\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let scaling: Vec<String> = row
@@ -558,34 +653,63 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"floors\": [\n");
-    for (i, f) in floors.iter().enumerate() {
+    json.push_str("  \"decode\": [\n");
+    for (i, row) in decode.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"metric\": \"{}\", \"floor\": {:.2}, \"armed\": {}, \
-             \"value\": {:.2}}}{}\n",
-            f.model,
-            f.metric,
-            f.floor,
-            f.skipped.is_none(),
-            f.value,
-            if i + 1 == floors.len() { "" } else { "," }
+            "    {{\"model\": \"{}\", \"prefill_ms\": {:.3}, \"cached_decode_ms\": {:.3}, \
+             \"recompute_decode_ms\": {:.3}, \"tokens_per_sec\": {:.1}, \
+             \"cached_vs_recompute_speedup\": {:.2}, \"plan_searches_compile\": {}, \
+             \"plan_searches_decode\": {}}}{}\n",
+            row.model,
+            row.prefill_ms,
+            row.cached_decode_ms,
+            row.recompute_decode_ms,
+            row.tokens_per_sec(),
+            row.cached_vs_recompute_speedup(),
+            row.plan_searches_compile,
+            row.plan_searches_decode,
+            if i + 1 == decode.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_exec.json", &json).expect("write BENCH_exec.json");
-    println!("\nwrote BENCH_exec.json");
+    json.push_str("  ],\n");
 
-    // Enforce the armed floors (after the JSON is on disk, so a regression
-    // still leaves the measurements inspectable).
-    for f in &floors {
-        if f.skipped.is_none() {
+    let value = |f: &Floor| match f.metric {
+        "cached_vs_recompute_speedup" => decode
+            .iter()
+            .find(|r| r.model == f.model)
+            .expect("floor decoder timed")
+            .cached_vs_recompute_speedup(),
+        metric => rows
+            .iter()
+            .find(|r| r.model == f.model)
+            .expect("floor model timed")
+            .metric(metric),
+    };
+    let status = floors::report(&FLOORS, value, &host, json, "BENCH_exec.json");
+    for row in &decode {
+        assert_eq!(
+            row.plan_searches_decode, 0,
+            "{}: decoding triggered {} plan searches — per-step dispatch must be codegen-only",
+            row.model, row.plan_searches_decode
+        );
+    }
+    status
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FLOORS;
+
+    #[test]
+    fn no_model_metric_pair_is_gated_twice() {
+        for (i, a) in FLOORS.iter().enumerate() {
             assert!(
-                f.value >= f.floor,
-                "regression: {} {} is {:.2}x, below the {:.2}x floor",
-                f.model,
-                f.metric,
-                f.value,
-                f.floor
+                FLOORS[i + 1..]
+                    .iter()
+                    .all(|b| (a.model, a.metric) != (b.model, b.metric)),
+                "{} {} has two floor rows",
+                a.model,
+                a.metric
             );
         }
     }

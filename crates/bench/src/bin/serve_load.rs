@@ -2,8 +2,10 @@
 //!
 //! Drives a synthetic two-tenant request mix through `dnnf-serve` and writes
 //! throughput and latency percentiles to `BENCH_serve.json` (schema
-//! `dnnf-bench-serve/v1`), the serving counterpart of `bench_exec`'s
-//! `BENCH_exec.json`:
+//! `dnnf-bench-serve/v2`), the serving counterpart of `bench_exec`'s
+//! `BENCH_exec.json`. Both phases interleave the tenants, so throughput is
+//! measured for the whole mix only; each tenant's row carries what is
+//! measured per request — latency percentiles and coalescing:
 //!
 //! * **Baseline** — every request executed one-at-a-time, serially, straight
 //!   through `Executor::run` (no queue, no coalescing).
@@ -36,22 +38,24 @@
 //! and the ratio measured 3.3x. Runs now only run kernels: the serial
 //! baseline is ~3.3x faster for it, and what coalescing still saves in
 //! launches the queue hand-off and reply channel cost back — 0.9–1.2x on one
-//! core, so this binary exits non-zero at [`THROUGHPUT_FLOOR`] after writing
+//! core, so this binary exits non-zero at the [`FLOOR`] after writing
 //! `BENCH_serve.json`. The floor stays where it was on purpose: the tenants
-//! have to change (ROADMAP item 3(e): a VGG-16 and a decoder-step tenant,
+//! have to change (ROADMAP item 1: a VGG-16 and a decoder-step tenant,
 //! per-model phases, latency at throughput), not the bar. See
 //! `docs/serving.md`.
 //!
 //! Run with `cargo run --release -p dnnf-bench --bin serve_load`.
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dnnf_bench::floors::{self, Arm, Floor, Host};
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions};
 use dnnf_graph::{Graph, SymbolicAxes};
 use dnnf_ops::{Attrs, OpKind};
-use dnnf_runtime::{ExecOptions, Executor, PlanCache, WorkPool};
+use dnnf_runtime::{ExecOptions, Executor, PlanCache};
 use dnnf_serve::{ServeConfig, Server};
 use dnnf_simdev::DeviceSpec;
 use dnnf_tensor::{Shape, Tensor};
@@ -73,8 +77,16 @@ const MAX_BATCH: usize = 64;
 /// to the burst phase.
 const WORKERS: usize = 1;
 
-/// Minimum served-vs-baseline throughput ratio for the combined mix.
-const THROUGHPUT_FLOOR: f64 = 2.0;
+/// The served-vs-baseline throughput gate on the combined mix; its baseline
+/// is the value recorded on the 2-core reference host.
+const FLOOR: Floor = Floor {
+    model: "mix",
+    metric: "serve_throughput_speedup",
+    floor: 2.0,
+    baseline: Some(0.90),
+    arm: Arm::Always,
+    catches: "coalescing that no longer amortizes per-dispatch fixed costs over a batch",
+};
 
 /// Baseline/served measurement pairs; each phase reports its fastest trial
 /// (see the module docs for why best-of-N is the right estimator here).
@@ -160,49 +172,27 @@ fn build_mix(tenants: &[(&'static str, &Graph)]) -> Vec<Request> {
     mix
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
-/// Per-model (and combined) measurements for one phase.
-struct PhaseStats {
-    total_s: f64,
-    latencies_ms: Vec<f64>,
-}
-
-impl PhaseStats {
-    fn rps(&self) -> f64 {
-        self.latencies_ms.len() as f64 / self.total_s
-    }
-
-    fn p50(&self) -> f64 {
-        let mut s = self.latencies_ms.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        percentile(&s, 0.50)
-    }
-
-    fn p99(&self) -> f64 {
-        let mut s = self.latencies_ms.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        percentile(&s, 0.99)
-    }
+/// The p50 and p99 of a phase's request latencies.
+fn p50_p99<'a>(latencies_ms: impl IntoIterator<Item = &'a f64>) -> (f64, f64) {
+    let mut s: Vec<f64> = latencies_ms.into_iter().copied().collect();
+    s.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let at = |p: f64| s[((s.len() as f64 - 1.0) * p).round() as usize];
+    (at(0.50), at(0.99))
 }
 
 struct Row {
-    model: String,
+    model: &'static str,
     requests: usize,
     rows: usize,
-    baseline: PhaseStats,
-    served: PhaseStats,
+    /// Baseline (p50, p99) request latency.
+    baseline_ms: (f64, f64),
+    /// Served (p50, p99) submit-to-response latency.
+    served_ms: (f64, f64),
     mean_coalesced: f64,
     max_coalesced: u64,
-}
-
-impl Row {
-    fn serve_throughput_speedup(&self) -> f64 {
-        self.served.rps() / self.baseline.rps()
-    }
+    /// Baseline and served requests per second: the mix row only, since
+    /// both phases interleave the tenants.
+    rps: Option<(f64, f64)>,
 }
 
 /// One baseline+served measurement pair over the full mix.
@@ -222,8 +212,8 @@ impl Trial {
     }
 }
 
-fn main() {
-    let host_parallelism = WorkPool::host().threads();
+fn main() -> ExitCode {
+    let host = Host::detect();
 
     let convnet = convnet_graph();
     let mlp = mlp_graph();
@@ -389,48 +379,38 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for (name, _) in tenants {
-        let requests: usize = REQUESTS_PER_MODEL;
-        let total_rows: usize = mix.iter().filter(|r| r.model == name).map(|r| r.rows).sum();
         let (mean_coalesced, max_coalesced) = model_coalesced(name);
         rows.push(Row {
-            model: name.to_string(),
-            requests,
-            rows: total_rows,
-            // Per-model wall-clock shares one phase: attribute by request
-            // count (the phases interleave tenants uniformly).
-            baseline: PhaseStats {
-                total_s: base_trial.base_total_s * requests as f64 / mix.len() as f64,
-                latencies_ms: base_trial.base_lat[name].clone(),
-            },
-            served: PhaseStats {
-                total_s: serve_trial.serve_total_s * requests as f64 / mix.len() as f64,
-                latencies_ms: serve_trial.serve_lat[name].clone(),
-            },
+            model: name,
+            requests: REQUESTS_PER_MODEL,
+            rows: mix.iter().filter(|r| r.model == name).map(|r| r.rows).sum(),
+            baseline_ms: p50_p99(&base_trial.base_lat[name]),
+            served_ms: p50_p99(&serve_trial.serve_lat[name]),
             mean_coalesced,
             max_coalesced,
+            rps: None,
         });
     }
+    let requests = mix.len() as f64;
     rows.push(Row {
-        model: "mix".to_string(),
+        model: "mix",
         requests: mix.len(),
         rows: mix.iter().map(|r| r.rows).sum(),
-        baseline: PhaseStats {
-            total_s: base_trial.base_total_s,
-            latencies_ms: base_trial.base_lat.values().flatten().copied().collect(),
-        },
-        served: PhaseStats {
-            total_s: serve_trial.serve_total_s,
-            latencies_ms: serve_trial.serve_lat.values().flatten().copied().collect(),
-        },
+        baseline_ms: p50_p99(base_trial.base_lat.values().flatten()),
+        served_ms: p50_p99(serve_trial.serve_lat.values().flatten()),
         mean_coalesced: serve_trial.coalesced.iter().sum::<usize>() as f64
             / serve_trial.coalesced.len() as f64,
         max_coalesced: rows.iter().map(|r| r.max_coalesced).max().unwrap_or(0),
+        rps: Some((
+            requests / base_trial.base_total_s,
+            requests / serve_trial.serve_total_s,
+        )),
     });
 
     println!(
         "Serving load: {} requests x 2 tenants, rows cycling {ROWS_CYCLE:?}, max_batch \
-         {MAX_BATCH}, {WORKERS} worker(s), host parallelism {host_parallelism}",
-        REQUESTS_PER_MODEL
+         {MAX_BATCH}, {WORKERS} worker(s), host parallelism {}",
+        REQUESTS_PER_MODEL, host.cores
     );
     println!(
         "trial mix speedups: [{}] -> best-of-{TRIALS} per phase reported below",
@@ -456,19 +436,24 @@ fn main() {
         "max"
     );
     for row in &rows {
+        let (base_rps, served_rps, speedup) = match row.rps {
+            Some((base, served)) => (
+                format!("{base:.1}"),
+                format!("{served:.1}"),
+                format!("{:.2}x", served / base),
+            ),
+            None => ("-".into(), "-".into(), "-".into()),
+        };
         println!(
-            "{:<10} {:>9} {:>7} {:>12.1} {:>12.1} {:>8.2}x {:>8.3}ms {:>8.3}ms {:>8.3}ms \
-             {:>8.3}ms {:>9.2} {:>9}",
+            "{:<10} {:>9} {:>7} {base_rps:>12} {served_rps:>12} {speedup:>9} {:>8.3}ms {:>8.3}ms \
+             {:>8.3}ms {:>8.3}ms {:>9.2} {:>9}",
             row.model,
             row.requests,
             row.rows,
-            row.baseline.rps(),
-            row.served.rps(),
-            row.serve_throughput_speedup(),
-            row.baseline.p50(),
-            row.baseline.p99(),
-            row.served.p50(),
-            row.served.p99(),
+            row.baseline_ms.0,
+            row.baseline_ms.1,
+            row.served_ms.0,
+            row.served_ms.1,
             row.mean_coalesced,
             row.max_coalesced
         );
@@ -481,54 +466,48 @@ fn main() {
         mix.len()
     );
 
-    let mix_row = rows.last().expect("mix row");
-    let floor_value = mix_row.serve_throughput_speedup();
-
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"dnnf-bench-serve/v1\",\n");
+    json.push_str("  \"schema\": \"dnnf-bench-serve/v2\",\n");
     json.push_str(&format!(
         "  \"requests_per_model\": {REQUESTS_PER_MODEL},\n"
     ));
     json.push_str(&format!("  \"max_batch\": {MAX_BATCH},\n"));
     json.push_str(&format!("  \"workers\": {WORKERS},\n"));
-    json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
+    json.push_str(&format!("  \"host_parallelism\": {},\n", host.cores));
     json.push_str("  \"models\": [\n");
     for (i, row) in rows.iter().enumerate() {
+        let throughput = row.rps.map_or(String::new(), |(base, served)| {
+            format!(
+                "\"baseline_rps\": {base:.1}, \"served_rps\": {served:.1}, \
+                 \"serve_throughput_speedup\": {:.2}, ",
+                served / base
+            )
+        });
         json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"requests\": {}, \"rows\": {}, \
-             \"baseline_rps\": {:.1}, \"served_rps\": {:.1}, \
-             \"serve_throughput_speedup\": {:.2}, \
+            "    {{\"model\": \"{}\", \"requests\": {}, \"rows\": {}, {throughput}\
              \"baseline_p50_ms\": {:.3}, \"baseline_p99_ms\": {:.3}, \
              \"served_p50_ms\": {:.3}, \"served_p99_ms\": {:.3}, \
              \"mean_coalesced\": {:.2}, \"max_coalesced\": {}}}{}\n",
             row.model,
             row.requests,
             row.rows,
-            row.baseline.rps(),
-            row.served.rps(),
-            row.serve_throughput_speedup(),
-            row.baseline.p50(),
-            row.baseline.p99(),
-            row.served.p50(),
-            row.served.p99(),
+            row.baseline_ms.0,
+            row.baseline_ms.1,
+            row.served_ms.0,
+            row.served_ms.1,
             row.mean_coalesced,
             row.max_coalesced,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"floors\": [\n");
-    json.push_str(&format!(
-        "    {{\"model\": \"mix\", \"metric\": \"serve_throughput_speedup\", \
-         \"floor\": {THROUGHPUT_FLOOR:.2}, \"armed\": true, \"value\": {floor_value:.2}}}\n"
-    ));
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
 
-    assert!(
-        floor_value >= THROUGHPUT_FLOOR,
-        "regression: mix serve_throughput_speedup is {floor_value:.2}x, below the \
-         {THROUGHPUT_FLOOR:.2}x floor"
-    );
+    let (base_rps, served_rps) = rows.last().and_then(|r| r.rps).expect("mix throughput");
+    floors::report(
+        &[FLOOR],
+        |_| served_rps / base_rps,
+        &host,
+        json,
+        "BENCH_serve.json",
+    )
 }

@@ -462,8 +462,9 @@ impl OpKind {
     }
 
     /// Whether the operator only moves data (no arithmetic): the Reorganize
-    /// and Shuffle classes plus pure data-selection operators. These are the
-    /// candidates of the intra-block data-movement elimination (Figure 5).
+    /// and Shuffle classes plus pure data-selection operators. The latency
+    /// models' `member_work` counts these as disrupting a fused anchor's
+    /// access pattern.
     #[must_use]
     pub fn is_data_movement(self) -> bool {
         use OpKind::*;
@@ -476,9 +477,10 @@ impl OpKind {
         )
     }
 
-    /// The data layout this operator prefers, used by the inter-block
-    /// data-format selection (paper §4.4.2). `None` means the operator is
-    /// layout-agnostic (most One-to-One operators).
+    /// The data layout this operator prefers, read by code generation's
+    /// on-demand `select_layout` when it renders a fused block (paper
+    /// §4.4.2). `None` means the operator is layout-agnostic (most
+    /// One-to-One operators).
     #[must_use]
     pub fn preferred_layout(self) -> Option<Layout> {
         use OpKind::*;

@@ -50,9 +50,9 @@
 //! [`Executor::run_plan_reference`] keeps the original per-operator
 //! reference interpreter alive as the semantic oracle: the differential
 //! test harness (property tests plus per-model golden tests) pins the
-//! engine's outputs to it within 1e-5, and the `BENCH_exec` harness tracks
-//! the wall-clock ratio between the two (the engine is >10x faster on
-//! VGG-16-class models; see `ROADMAP.md`).
+//! engine's outputs to it within 1e-5, and `dnnf-bench`'s `bench_exec`
+//! binary gates the wall-clock ratio between the two (`speedup` in
+//! `BENCH_exec.json`; the engine is >10x faster on VGG-16-class models).
 //!
 //! A run returns outputs and nothing else. The latency / memory / cache /
 //! utilization counters the paper reads from real hardware come from
