@@ -2,10 +2,10 @@
 //! the KV-cached decode loop.
 //!
 //! Times the configurations below per model and writes the medians to
-//! `BENCH_exec.json` (schema `dnnf-bench-exec/v7`: a `models` array, a
-//! `decode` array and a `floors` array), so future PRs can track
-//! the execution-engine trajectory the same way the `paper` binary's fixtures
-//! track the paper's counter metrics:
+//! `BENCH_exec.json` (schema `dnnf-bench-exec/v8`: a `models` array, a
+//! `decode` array, a `ref_steps` array and a `floors` array), so future PRs
+//! can track the execution-engine trajectory the same way the `paper`
+//! binary's fixtures track the paper's counter metrics:
 //!
 //! * `unfused_ms` — the unfused baseline: every operator through its
 //!   reference kernel via the interpreter (`Executor::run_unfused`). This
@@ -69,6 +69,12 @@
 //! (`plan_searches_decode`): T tokens cost the two compile-time searches
 //! (`plan_searches_compile`: prefill + step), whatever T is.
 //!
+//! `ref_steps` shows what still runs in the reference interpreter: per
+//! compiled model, the kernel steps that are `Step::Op { fast: false }`.
+//! It covers every model builder at tiny scale, compiled like the `models`
+//! rows, and both decoders' step graphs, compiled like the `decode` rows.
+//! It is a static count of the compiled kernels, so it repeats exactly.
+//!
 //! Every regression gate is a row of [`FLOORS`], judged by
 //! [`dnnf_bench::floors::report`]: printed as armed or skipped, recorded in
 //! the JSON, and enforced after the file is written. See
@@ -81,7 +87,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dnnf_bench::floors::{self, Arm::*, Floor, Host};
-use dnnf_core::{compile_plan, Compiler, CompilerOptions, Ecg, FusionPlan};
+use dnnf_core::exec::Step;
+use dnnf_core::{compile_plan, CompiledModel, Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnf_graph::Graph;
 use dnnf_models::{decoder_prefill, decoder_step, DecoderConfig, ModelKind, ModelScale};
 use dnnf_runtime::{
@@ -129,7 +136,7 @@ const FLOORS: [Floor; 19] = [
     Floor { model: "TinyBERT", metric: "speedup", floor: 4.0, baseline: Some(21.78), arm: Always, catches: SPEEDUP },
     Floor { model: "C3D", metric: "speedup", floor: 3.0, baseline: Some(359.88), arm: Always, catches: SPEEDUP },
     Floor { model: "VGG-16", metric: "fusion_only_speedup", floor: 1.5, baseline: Some(2.91), arm: Always, catches: FUSION_ONLY },
-    Floor { model: "TinyBERT", metric: "fusion_only_speedup", floor: 1.15, baseline: Some(1.23), arm: Always, catches: FUSION_ONLY },
+    Floor { model: "TinyBERT", metric: "fusion_only_speedup", floor: 1.5, baseline: Some(1.90), arm: Always, catches: FUSION_ONLY },
     Floor { model: "C3D", metric: "fusion_only_speedup", floor: 1.15, baseline: Some(3.10), arm: Always, catches: FUSION_ONLY },
     Floor { model: "VGG-16", metric: "conv_pack_speedup", floor: 1.3, baseline: Some(3.43), arm: Always, catches: CONV_PACK },
     Floor { model: "C3D", metric: "conv_pack_speedup", floor: 1.3, baseline: Some(5.25), arm: Always, catches: CONV_PACK },
@@ -142,7 +149,7 @@ const FLOORS: [Floor; 19] = [
     Floor { model: "VGG-16", metric: "warm_compile_speedup", floor: 5.0, baseline: None, arm: Always, catches: WARM_COMPILE },
     Floor { model: "TinyBERT", metric: "warm_compile_speedup", floor: 5.0, baseline: None, arm: Always, catches: WARM_COMPILE },
     Floor { model: "C3D", metric: "warm_compile_speedup", floor: 5.0, baseline: None, arm: Always, catches: WARM_COMPILE },
-    Floor { model: "decoder-tiny", metric: "cached_vs_recompute_speedup", floor: 2.0, baseline: Some(4.33), arm: Always, catches: CACHED_DECODE },
+    Floor { model: "decoder-tiny", metric: "cached_vs_recompute_speedup", floor: 2.0, baseline: Some(2.65), arm: Always, catches: CACHED_DECODE },
     Floor { model: "decoder-small", metric: "cached_vs_recompute_speedup", floor: 2.0, baseline: Some(3.28), arm: Always, catches: CACHED_DECODE },
 ];
 
@@ -178,6 +185,36 @@ fn inputs_for(graph: &Graph) -> HashMap<String, Tensor> {
             (v.name.clone(), tensor)
         })
         .collect()
+}
+
+/// Kernel steps of `model` that run the reference interpreter.
+fn ref_steps(model: &CompiledModel) -> usize {
+    let kernels = model
+        .plan
+        .blocks()
+        .iter()
+        .map(|b| model.engine.kernel(b.id));
+    kernels
+        .flat_map(|k| k.steps())
+        .filter(|s| matches!(s, Step::Op { fast: false, .. }))
+        .count()
+}
+
+/// `(model, ref_steps)` for every model builder and both decoder steps.
+fn ref_steps_per_model() -> Vec<(String, usize)> {
+    let builders = ModelKind::all().iter().map(|&kind| {
+        let graph = kind.build(ModelScale::tiny()).expect("model builds");
+        let mut compiler = Compiler::new(CompilerOptions::default());
+        let compiled = compiler.compile(&graph).expect("model compiles");
+        (kind.name().to_string(), ref_steps(&compiled))
+    });
+    let steps = decoder_configs().into_iter().map(|(model, cfg)| {
+        let graph = decoder_step(&cfg, PROMPT_LEN).expect("valid decoder config");
+        let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
+        let compiled = compiler.compile(&graph).expect("decoder compiles");
+        (format!("{model} step"), ref_steps(&compiled))
+    });
+    builders.chain(steps).collect()
 }
 
 fn median_ms(mut samples: Vec<f64>) -> f64 {
@@ -604,8 +641,15 @@ fn main() -> ExitCode {
         );
     }
 
+    let ref_steps = ref_steps_per_model();
+    println!("\nReference-interpreter steps per compiled model (static count)");
+    println!("{:<22} {:>9}", "model", "ref_steps");
+    for (model, count) in &ref_steps {
+        println!("{model:<22} {count:>9}");
+    }
+
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"dnnf-bench-exec/v7\",\n");
+    json.push_str("  \"schema\": \"dnnf-bench-exec/v8\",\n");
     json.push_str(&format!("  \"runs_per_config\": {RUNS},\n"));
     json.push_str("  \"scale\": \"tiny\",\n");
     json.push_str(&format!("  \"host_parallelism\": {},\n", host.cores));
@@ -672,6 +716,14 @@ fn main() -> ExitCode {
         ));
     }
     json.push_str("  ],\n");
+    let entries: Vec<String> = ref_steps
+        .iter()
+        .map(|(model, count)| format!("    {{\"model\": \"{model}\", \"ref_steps\": {count}}}"))
+        .collect();
+    json.push_str(&format!(
+        "  \"ref_steps\": [\n{}\n  ],\n",
+        entries.join(",\n")
+    ));
 
     let value = |f: &Floor| match f.metric {
         "cached_vs_recompute_speedup" => decode

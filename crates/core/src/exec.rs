@@ -10,12 +10,17 @@
 //! One evaluator, generic over its lane width, runs every tape: each
 //! innermost-axis row is tiled into 8- / 4-element bundles (one element per
 //! lane) and width-1 remainders, and the scalar mode is width 1 throughout.
-//! The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling) execute
-//! through the optimized kernels of `dnnf-ops` (bit-identical to the
-//! reference kernels), and every operator without a compiled form falls
-//! back to the reference kernel [`dnnf_ops::execute`] — so the engine
-//! covers the full operator vocabulary while the differential test harness
-//! pins it to the reference semantics.
+//! The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling), the
+//! data-movement operators (`Transpose`, `Concat`, `Slice`, `Gather`,
+//! nearest `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`)
+//! and the `Reduce*` family execute through the optimized kernels of
+//! `dnnf-ops` (bit-identical to the reference kernels; see
+//! [`dnnf_ops::has_fast_kernel`]). Every other operator a tape cannot hold
+//! — `Softmax`/`LogSoftmax`, `Pad`, `Expand`/`Tile`, multi-output `Split`,
+//! `DepthToSpace`/`SpaceToDepth`, `ArgMax`, `CumSum`, `ConvTranspose` and
+//! the non-decomposed normalizations — falls back to the reference kernel
+//! [`dnnf_ops::execute`], so the engine covers the full operator vocabulary
+//! while the differential test harness pins it to the reference semantics.
 //!
 //! Output buffers are drawn from a [`BufferPool`] so the runtime can recycle
 //! allocations across blocks (see `dnnf-runtime`'s arena).

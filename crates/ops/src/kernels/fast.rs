@@ -1,5 +1,6 @@
-//! Optimized kernels for the compute-heavy anchor operators, used by the
-//! fused-block execution engine.
+//! Optimized kernels used by the fused-block execution engine: the
+//! compute-heavy anchors, one copy kernel for data movement and one
+//! reduction kernel.
 //!
 //! The reference kernels in this crate define the semantics; they index every
 //! element through bounds-checked multi-dimensional lookups and allocate
@@ -40,6 +41,17 @@
 //! the same source and produce the same bytes at every lane width.
 //! `GlobalAveragePool` lanes own whole `(n, c)` outputs.
 //!
+//! **Data movement and reductions.** The Reorganize/Shuffle and One-to-Many
+//! operators share one copy kernel, [`AxisMap`]: per-axis source-offset
+//! tables walked by one row-major odometer, where an innermost run of unit
+//! steps is one slice copy and threads own runs of whole output rows.
+//! `Transpose`, `Slice`, `Gather`, nearest `Upsample`/`Resize` and the
+//! reshape family only build tables; `Concat` copies each input's
+//! contiguous slab into its columns of every output row. The `Reduce*`
+//! kernel gives each output element (a lane, within a thread's rows) the
+//! reference's initial value and folds its inputs in the reference's
+//! row-major order, so its bits are the reference's by construction.
+//!
 //! Inputs are expected to be shape-consistent with `out_shape`, exactly as
 //! produced by graph construction / shape inference (the fused engine always
 //! calls with graph-derived shapes). The differential test harness pins
@@ -55,12 +67,40 @@ use crate::{Attrs, OpError, OpKind};
 /// Whether `op` has an optimized kernel in this module. The fused engine
 /// uses this registry to decide between the fast path and the reference
 /// fallback ([`crate::execute`]).
+///
+/// The rows: the anchors (`Conv`, `MatMul`, `Gemm`, the three pools); the
+/// axis-map copy kernel (`Transpose`, `Concat`, `Slice`, `Gather`,
+/// `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`); and the
+/// reduce kernel (`ReduceSum`/`Mean`/`Prod`/`Max`/`Min`). Everything else
+/// that a scalar tape cannot hold runs the reference kernel: `Pad`,
+/// `Expand`/`Tile`, `Split`, `DepthToSpace`/`SpaceToDepth`,
+/// `Softmax`/`LogSoftmax`, `ArgMax`, `CumSum`, `ConvTranspose` and the
+/// non-decomposed normalizations.
 #[must_use]
 pub fn has_fast_kernel(op: OpKind) -> bool {
     use OpKind::*;
     matches!(
         op,
-        Conv | MatMul | Gemm | MaxPool | AveragePool | GlobalAveragePool
+        Conv | MatMul
+            | Gemm
+            | MaxPool
+            | AveragePool
+            | GlobalAveragePool
+            | Transpose
+            | Concat
+            | Slice
+            | Gather
+            | Upsample
+            | Resize
+            | Reshape
+            | Flatten
+            | Squeeze
+            | Unsqueeze
+            | ReduceSum
+            | ReduceMean
+            | ReduceProd
+            | ReduceMax
+            | ReduceMin
     )
 }
 
@@ -141,7 +181,8 @@ pub fn pack_conv_oc_panel(w: &Tensor) -> Option<Tensor> {
 /// # Errors
 ///
 /// Returns an [`OpError`] when the inputs are structurally invalid for the
-/// operator (wrong arity or rank, malformed window attributes).
+/// operator (wrong arity or rank, malformed window attributes), and the
+/// reference kernel's error when a `Gather` index is out of range.
 ///
 /// # Panics
 ///
@@ -167,6 +208,37 @@ pub fn execute_fast_into_packed(
             fast_pool(op, attrs, inputs, out_shape, out, pool)?
         }
         OpKind::GlobalAveragePool => fast_global_average_pool(inputs, out_shape, out, pool)?,
+        OpKind::Concat => fast_concat(attrs, inputs, out_shape, out, pool)?,
+        OpKind::Gather => {
+            arity(op, inputs, 2)?;
+            if !out.is_empty() {
+                let map = gather_map(attrs, inputs[0].shape(), inputs[1])?;
+                map.run(op, inputs[0].data(), out, pool)?;
+            }
+        }
+        OpKind::ReduceSum
+        | OpKind::ReduceMean
+        | OpKind::ReduceProd
+        | OpKind::ReduceMax
+        | OpKind::ReduceMin => fast_reduce(op, attrs, inputs, out, pool)?,
+        OpKind::Transpose
+        | OpKind::Slice
+        | OpKind::Upsample
+        | OpKind::Resize
+        | OpKind::Reshape
+        | OpKind::Flatten
+        | OpKind::Squeeze
+        | OpKind::Unsqueeze => {
+            arity(op, inputs, 1)?;
+            let x = inputs[0];
+            let map = match op {
+                OpKind::Transpose => transpose_map(attrs, x.shape())?,
+                OpKind::Slice => slice_map(attrs, x.shape(), out_shape)?,
+                OpKind::Upsample | OpKind::Resize => resize_map(op, x.shape(), out_shape)?,
+                _ => AxisMap::run_of(x.numel()),
+            };
+            map.run(op, x.data(), out, pool)?;
+        }
         _ => return Ok(false),
     }
     Ok(true)
@@ -979,6 +1051,438 @@ fn gap_lanes<const N: usize>(
     avg.store(out);
 }
 
+/// Splits `out`, `row` elements per row, into at most one run of whole rows
+/// per thread of `pool` and calls `f(first_row, run)` on each.
+fn row_parts(pool: WorkPool, out: &mut [f32], row: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+    let per_part = (out.len() / row).div_ceil(pool.threads());
+    pool.run_chunks(out, per_part * row, |part, run| f(part * per_part, run));
+}
+
+fn shape_error(op: OpKind, reason: String) -> OpError {
+    OpError::InvalidShape { op, reason }
+}
+
+/// One axis of a copy walk: source index → offset `index · stride`, each
+/// index checked against the source `extent`.
+fn axis_table(
+    op: OpKind,
+    indices: impl Iterator<Item = usize>,
+    extent: usize,
+    stride: usize,
+) -> Result<Vec<usize>, OpError> {
+    indices
+        .map(|i| match i < extent {
+            true => Ok(i * stride),
+            false => Err(shape_error(
+                op,
+                format!("source index {i} outside axis extent {extent}"),
+            )),
+        })
+        .collect()
+}
+
+/// Whether consecutive entries of `table` differ by exactly `step`.
+fn steps_by(table: &[usize], step: usize) -> bool {
+    table.windows(2).all(|w| w[1] == w[0] + step)
+}
+
+/// The innermost axis of an [`AxisMap`].
+enum Inner {
+    /// Offsets `base, base + 1, …, base + len − 1`: one slice copy per row.
+    Run { base: usize, len: usize },
+    /// Any other offsets, read one by one.
+    Table(Vec<usize>),
+}
+
+/// The copy kernel's walk: output element `o`, whose row-major multi-index
+/// is `i`, reads `src[Σ_d table_d[i_d]]`. Each data-movement operator only
+/// builds the per-axis tables; one odometer walks them all. Innermost axes
+/// whose offsets form one contiguous run merge into an [`Inner::Run`], so a
+/// walk that moves whole rows is a sequence of slice copies.
+struct AxisMap {
+    /// Tables of the outer axes, outermost first.
+    outer: Vec<Vec<usize>>,
+    inner: Inner,
+}
+
+impl AxisMap {
+    fn new(mut tables: Vec<Vec<usize>>) -> Self {
+        let mut inner = match tables.pop() {
+            None => Inner::Run { base: 0, len: 1 },
+            Some(t) if steps_by(&t, 1) => Inner::Run {
+                base: t.first().copied().unwrap_or(0),
+                len: t.len(),
+            },
+            Some(t) => Inner::Table(t),
+        };
+        while let (Inner::Run { base, len }, Some(outer)) = (&inner, tables.last()) {
+            if !steps_by(outer, *len) {
+                break;
+            }
+            let merged = Inner::Run {
+                base: base + outer.first().copied().unwrap_or(0),
+                len: len * outer.len(),
+            };
+            tables.pop();
+            inner = merged;
+        }
+        AxisMap {
+            outer: tables,
+            inner,
+        }
+    }
+
+    /// A plain copy of `len` elements.
+    fn run_of(len: usize) -> Self {
+        AxisMap {
+            outer: Vec::new(),
+            inner: Inner::Run { base: 0, len },
+        }
+    }
+
+    fn row_len(&self) -> usize {
+        match &self.inner {
+            Inner::Run { len, .. } => *len,
+            Inner::Table(t) => t.len(),
+        }
+    }
+
+    /// Fills `out` from `src`; threads own runs of whole output rows.
+    fn run(&self, op: OpKind, src: &[f32], out: &mut [f32], pool: WorkPool) -> Result<(), OpError> {
+        let numel = self.outer.iter().map(Vec::len).product::<usize>() * self.row_len();
+        if numel != out.len() {
+            return Err(shape_error(
+                op,
+                format!("walk of {numel} elements for an output of {}", out.len()),
+            ));
+        }
+        if !out.is_empty() {
+            let pool = pool.for_work(out.len());
+            row_parts(pool, out, self.row_len(), |first, rows| {
+                self.copy_rows(src, first, rows)
+            });
+        }
+        Ok(())
+    }
+
+    /// Copies the whole rows `dst` holds, the first of them row `first`.
+    fn copy_rows(&self, src: &[f32], first: usize, dst: &mut [f32]) {
+        let dims: Vec<usize> = self.outer.iter().map(Vec::len).collect();
+        let mut idx = Shape::new(dims.clone()).multi_index(first);
+        for row in dst.chunks_mut(self.row_len()) {
+            let base: usize = self.outer.iter().zip(&idx).map(|(t, &i)| t[i]).sum();
+            match &self.inner {
+                Inner::Run { base: at, len } => {
+                    row.copy_from_slice(&src[base + at..base + at + len]);
+                }
+                Inner::Table(t) => {
+                    for (o, &off) in row.iter_mut().zip(t) {
+                        *o = src[base + off];
+                    }
+                }
+            }
+            advance(&mut idx, &dims);
+        }
+    }
+}
+
+/// `Transpose`: output axis `d` walks input axis `perm[d]` at its stride.
+fn transpose_map(attrs: &Attrs, x: &Shape) -> Result<AxisMap, OpError> {
+    let default: Vec<i64> = (0..x.rank() as i64).rev().collect();
+    let perm: Vec<usize> = attrs
+        .ints_or("perm", &default)
+        .iter()
+        .map(|&p| p as usize)
+        .collect();
+    x.permute(&perm)?;
+    let strides = x.strides();
+    let tables = perm.iter().map(|&p| {
+        let extent = x.dim(p);
+        axis_table(OpKind::Transpose, 0..extent, extent, strides[p])
+    });
+    Ok(AxisMap::new(tables.collect::<Result<_, _>>()?))
+}
+
+/// `Slice`: axis `d` reads `(start_d + i) · stride_d`, with the reference's
+/// negative wrap and clamping of `starts`.
+fn slice_map(attrs: &Attrs, x: &Shape, out_shape: &Shape) -> Result<AxisMap, OpError> {
+    let starts = attrs.ints_or("starts", &[]);
+    let axes = attrs.ints_or("axes", &(0..starts.len() as i64).collect::<Vec<_>>());
+    let mut offsets = vec![0usize; x.rank()];
+    for (&s, &ax) in starts.iter().zip(&axes) {
+        let axis = x.normalize_axis(ax)?;
+        let extent = x.dim(axis) as i64;
+        let s = if s < 0 { s + extent } else { s };
+        offsets[axis] = s.clamp(0, extent) as usize;
+    }
+    same_rank(OpKind::Slice, x, out_shape)?;
+    let strides = x.strides();
+    let tables = (0..x.rank()).map(|d| {
+        let indices = (0..out_shape.dim(d)).map(|i| offsets[d] + i);
+        axis_table(OpKind::Slice, indices, x.dim(d), strides[d])
+    });
+    Ok(AxisMap::new(tables.collect::<Result<_, _>>()?))
+}
+
+/// `Gather` on any axis: the data's outer axes, then the flattened index
+/// tensor read at run time (negative indices wrap once, as in the
+/// reference), then the data's inner axes. An out-of-range index is the
+/// reference's error, reported for the first offending index in output
+/// order. The caller skips an empty output, for which the reference reads
+/// no index.
+fn gather_map(attrs: &Attrs, data: &Shape, indices: &Tensor) -> Result<AxisMap, OpError> {
+    const OP: OpKind = OpKind::Gather;
+    let axis = data.normalize_axis(attrs.int_or("axis", 0))?;
+    let strides = data.strides();
+    let full = |d: usize| axis_table(OP, 0..data.dim(d), data.dim(d), strides[d]);
+    let extent = data.dim(axis) as i64;
+    let mut tables = (0..axis).map(full).collect::<Result<Vec<_>, _>>()?;
+    let picked = indices.data().iter().map(|&v| {
+        let g = v as i64;
+        let g = if g < 0 { g + extent } else { g };
+        match (0..extent).contains(&g) {
+            true => Ok(g as usize * strides[axis]),
+            false => Err(shape_error(
+                OP,
+                format!("index {g} out of range for axis extent {extent}"),
+            )),
+        }
+    });
+    tables.push(picked.collect::<Result<_, _>>()?);
+    for d in axis + 1..data.rank() {
+        tables.push(full(d)?);
+    }
+    Ok(AxisMap::new(tables))
+}
+
+/// Nearest `Upsample`/`Resize`: axis `d` reads the reference's
+/// `min(floor(i / scale), extent − 1)`, the same f32 expression evaluated
+/// once per index.
+fn resize_map(op: OpKind, x: &Shape, out_shape: &Shape) -> Result<AxisMap, OpError> {
+    same_rank(op, x, out_shape)?;
+    let strides = x.strides();
+    let tables = (0..x.rank()).map(|d| {
+        let (extent, out_extent) = (x.dim(d), out_shape.dim(d));
+        let scale = out_extent as f32 / extent as f32;
+        let indices = (0..out_extent)
+            .map(|i| ((i as f32 / scale).floor() as usize).min(extent.saturating_sub(1)));
+        axis_table(op, indices, extent, strides[d])
+    });
+    Ok(AxisMap::new(tables.collect::<Result<_, _>>()?))
+}
+
+fn same_rank(op: OpKind, x: &Shape, out_shape: &Shape) -> Result<(), OpError> {
+    match x.rank() == out_shape.rank() {
+        true => Ok(()),
+        false => Err(shape_error(op, format!("input {x} for output {out_shape}"))),
+    }
+}
+
+/// `Concat`: every output row (one position of the axes before `axis`) is
+/// the inputs' matching rows side by side, so each input is one walk of
+/// contiguous slabs into its columns of the output.
+fn fast_concat(
+    attrs: &Attrs,
+    inputs: &[&Tensor],
+    out_shape: &Shape,
+    out: &mut [f32],
+    pool: WorkPool,
+) -> Result<(), OpError> {
+    arity(OpKind::Concat, inputs, 1)?;
+    let axis = out_shape.normalize_axis(attrs.int_or("axis", 0))?;
+    if out.is_empty() {
+        return Ok(());
+    }
+    let rows: usize = out_shape.dims()[..axis].iter().product();
+    let row = out.len() / rows;
+    let slabs: Vec<(&[f32], usize)> = inputs
+        .iter()
+        .map(|t| (t.data(), t.numel() / rows))
+        .collect();
+    let widths: usize = slabs.iter().map(|s| s.1).sum();
+    if widths != row || inputs.iter().any(|t| t.numel() % rows != 0) {
+        return Err(shape_error(
+            OpKind::Concat,
+            format!("inputs do not tile an output of {out_shape}"),
+        ));
+    }
+    row_parts(pool.for_work(out.len()), out, row, |first, run| {
+        for (r, dst) in run.chunks_mut(row).enumerate() {
+            let mut at = 0;
+            for &(src, width) in &slabs {
+                let o = first + r;
+                dst[at..at + width].copy_from_slice(&src[o * width..(o + 1) * width]);
+                at += width;
+            }
+        }
+    });
+    Ok(())
+}
+
+/// The fold a `Reduce*` applies to each input in turn.
+#[derive(Clone, Copy)]
+enum Fold {
+    Sum,
+    Prod,
+    Max,
+    Min,
+}
+
+impl Fold {
+    #[inline]
+    fn apply<const N: usize>(self, acc: F32Lanes<N>, v: F32Lanes<N>) -> F32Lanes<N> {
+        match self {
+            Fold::Sum => acc + v,
+            Fold::Prod => acc * v,
+            Fold::Max => acc.max(v),
+            Fold::Min => acc.min(v),
+        }
+    }
+}
+
+/// Drops unit axes from a row-major `(extent, stride)` walk and merges
+/// neighbours that step as one axis: the walk visits the same offsets in
+/// the same order.
+fn coalesce(axes: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+    let mut merged: Vec<(usize, usize)> = Vec::new();
+    for (extent, stride) in axes.into_iter().filter(|&(e, _)| e != 1) {
+        match merged.last_mut() {
+            Some(last) if last.1 == extent * stride => *last = (last.0 * extent, stride),
+            _ => merged.push((extent, stride)),
+        }
+    }
+    merged
+}
+
+/// Source offsets of a row-major walk over `(extent, stride)` axes.
+fn walk_offsets(axes: &[(usize, usize)]) -> Vec<usize> {
+    axes.iter().fold(vec![0], |offsets, &(extent, stride)| {
+        offsets
+            .iter()
+            .flat_map(|&base| (0..extent).map(move |i| base + i * stride))
+            .collect()
+    })
+}
+
+/// `ReduceSum` / `Mean` / `Prod` / `Max` / `Min` over any `axes`. Output
+/// element `o` starts at the reference's initial value and folds its inputs
+/// in the reference's row-major input order; `ReduceMean` then divides by
+/// the reduced count, as the reference does, so the bits are the
+/// reference's. Threads own runs of output rows, and lanes own consecutive
+/// outputs of one row (the innermost kept axis).
+fn fast_reduce(
+    op: OpKind,
+    attrs: &Attrs,
+    inputs: &[&Tensor],
+    out: &mut [f32],
+    pool: WorkPool,
+) -> Result<(), OpError> {
+    arity(op, inputs, 1)?;
+    let x = inputs[0];
+    let (fold, init) = match op {
+        OpKind::ReduceSum | OpKind::ReduceMean => (Fold::Sum, 0.0),
+        OpKind::ReduceProd => (Fold::Prod, 1.0),
+        OpKind::ReduceMax => (Fold::Max, f32::NEG_INFINITY),
+        _ => (Fold::Min, f32::INFINITY),
+    };
+    let (dims, strides) = (x.shape().dims(), x.shape().strides());
+    let axes = attrs.ints_or("axes", &[]);
+    let mut reduced = vec![axes.is_empty(); dims.len()];
+    for &a in &axes {
+        if let Some(flag) = reduced.get_mut(x.shape().normalize_axis(a)?) {
+            *flag = true;
+        }
+    }
+    let (mut kept, mut folded) = (Vec::new(), Vec::new());
+    for (d, &is_reduced) in reduced.iter().enumerate() {
+        let list = if is_reduced { &mut folded } else { &mut kept };
+        list.push((dims[d], strides[d]));
+    }
+    let count: u64 = folded.iter().map(|&(e, _)| e as u64).product();
+    let (kept, folded) = (coalesce(kept), coalesce(folded));
+    let outputs: usize = kept.iter().map(|&(e, _)| e).product();
+    if outputs != out.len() {
+        return Err(shape_error(
+            op,
+            format!("{outputs} reduced outputs for an output of {}", out.len()),
+        ));
+    }
+    if out.is_empty() {
+        return Ok(());
+    }
+    let ((row, col_stride), outer_kept) = match kept.split_last() {
+        Some((&inner, outer)) => (inner, outer),
+        None => ((1, 0), &[][..]),
+    };
+    let (inner, outer_folded) = match folded.split_last() {
+        Some((&inner, outer)) => (inner, outer),
+        None => ((1, 0), &[][..]),
+    };
+    let launch = ReduceLaunch {
+        src: x.data(),
+        fold,
+        init,
+        outer: walk_offsets(outer_folded),
+        inner,
+        col_stride,
+        mean: (op == OpKind::ReduceMean).then(|| count.max(1) as f32),
+    };
+    let row_base = walk_offsets(outer_kept);
+    let pool = pool.for_work(x.numel());
+    let widths = lane_widths(pool);
+    row_parts(pool, out, row, |first, run| {
+        for (r, dst) in run.chunks_mut(row).enumerate() {
+            let base = row_base[first + r];
+            col_tiles(row, 0, row, widths, |col, width| match width {
+                LANES => launch.cols::<LANES>(dst, base, col),
+                4 => launch.cols::<4>(dst, base, col),
+                _ => launch.cols::<1>(dst, base, col),
+            });
+        }
+    });
+    Ok(())
+}
+
+/// Loop constants of one reduction launch.
+struct ReduceLaunch<'a> {
+    src: &'a [f32],
+    fold: Fold,
+    init: f32,
+    /// Offsets of the outer reduced axes' walk, in row-major order…
+    outer: Vec<usize>,
+    /// …each followed by `inner.0` steps of `inner.1` along the innermost
+    /// reduced axis.
+    inner: (usize, usize),
+    /// Source distance between consecutive outputs of one row.
+    col_stride: usize,
+    /// The `ReduceMean` divisor.
+    mean: Option<f32>,
+}
+
+impl ReduceLaunch<'_> {
+    /// `N` consecutive outputs of one row starting at column `col`, the row
+    /// starting at source offset `base`: lane `l` folds its own inputs in
+    /// row-major order.
+    fn cols<const N: usize>(&self, row: &mut [f32], base: usize, col: usize) {
+        let (steps, step) = self.inner;
+        let base = base + col * self.col_stride;
+        let mut acc = F32Lanes::<N>::splat(self.init);
+        for &outer in &self.outer {
+            let mut at = base + outer;
+            for _ in 0..steps {
+                acc = self
+                    .fold
+                    .apply(acc, lanes_at::<N>(self.src, at, self.col_stride));
+                at += step;
+            }
+        }
+        if let Some(count) = self.mean {
+            acc = acc / F32Lanes::<N>::splat(count);
+        }
+        acc.store(&mut row[col..]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1048,7 +1552,32 @@ mod tests {
 
     #[test]
     fn registry_matches_dispatch() {
+        use OpKind::*;
+        let rows = [
+            Conv,
+            MatMul,
+            Gemm,
+            MaxPool,
+            AveragePool,
+            GlobalAveragePool,
+            Transpose,
+            Concat,
+            Slice,
+            Gather,
+            Upsample,
+            Resize,
+            Reshape,
+            Flatten,
+            Squeeze,
+            Unsqueeze,
+            ReduceSum,
+            ReduceMean,
+            ReduceProd,
+            ReduceMax,
+            ReduceMin,
+        ];
         for op in OpKind::all() {
+            assert_eq!(has_fast_kernel(op), rows.contains(&op), "{op}");
             if !has_fast_kernel(op) {
                 let mut out = [0.0f32];
                 let x = Tensor::scalar(1.0);
@@ -1067,8 +1596,36 @@ mod tests {
                 }
             }
         }
-        assert!(has_fast_kernel(OpKind::Conv));
-        assert!(!has_fast_kernel(OpKind::Softmax));
+    }
+
+    #[test]
+    fn out_of_range_gather_fails_like_the_reference() {
+        // On the first and a non-zero axis, past either end: the fast kernel
+        // reports the reference's error for the first offending index.
+        let table = Tensor::arange(Shape::new(vec![4, 3]));
+        for (axis, ids) in [
+            (0, vec![1.0, 9.0, -7.0]),
+            (1, vec![-4.0, 0.0]),
+            (1, vec![3.0]),
+        ] {
+            let ids = Tensor::from_vec(Shape::new(vec![ids.len()]), ids).unwrap();
+            let attrs = Attrs::new().with_int("axis", axis);
+            let expected = execute(OpKind::Gather, &attrs, &[&table, &ids]).unwrap_err();
+            let out_shape = infer(OpKind::Gather, &attrs, &[&table, &ids]);
+            for pool in [WorkPool::serial(), WorkPool::with_min_work(3, 0)] {
+                let mut out = vec![0.0f32; out_shape.numel()];
+                let fast = execute_fast_into_packed(
+                    OpKind::Gather,
+                    &attrs,
+                    &[&table, &ids],
+                    None,
+                    &out_shape,
+                    &mut out,
+                    pool,
+                );
+                assert_eq!(fast, Err(expected.clone()), "axis {axis}");
+            }
+        }
     }
 
     #[test]

@@ -130,6 +130,18 @@ impl<const N: usize> F32Lanes<N> {
         }
         F32Lanes(lanes)
     }
+
+    /// Lane-wise minimum via [`f32::min`] — the `ReduceMin` fold step, the
+    /// mirror of [`F32Lanes::max`].
+    #[inline]
+    #[must_use]
+    pub fn min(self, rhs: Self) -> Self {
+        let mut lanes = self.0;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane = lane.min(rhs.0[l]);
+        }
+        F32Lanes(lanes)
+    }
 }
 
 impl<const N: usize> Add for F32Lanes<N> {
@@ -280,6 +292,7 @@ mod tests {
         let a = F32x4::load(&[1.0, -2.0, f32::NEG_INFINITY, 0.3]);
         let b = F32x4::load(&[0.5, -1.5, 7.0, 0.3]);
         let m = a.max(b).to_array();
+        let n = a.min(b).to_array();
         let d = (a / b).to_array();
         for (l, (&av, &bv)) in [1.0f32, -2.0, f32::NEG_INFINITY, 0.3]
             .iter()
@@ -287,6 +300,7 @@ mod tests {
             .enumerate()
         {
             assert_eq!(m[l].to_bits(), av.max(bv).to_bits());
+            assert_eq!(n[l].to_bits(), av.min(bv).to_bits());
             assert_eq!(d[l].to_bits(), (av / bv).to_bits());
         }
         // NaN taps follow f32::max (the other operand wins), as in MaxPool.

@@ -104,6 +104,84 @@ proptest! {
     }
 
     #[test]
+    fn reorganize_and_reduce_fast_kernels_match_reference_at_random_geometry(
+        outer in prop::collection::vec(1usize..5, 0..4),
+        width in 1usize..20,
+        keys in prop::collection::vec(0u64..1_000_000, 8..9),
+        concat_widths in prop::collection::vec(1usize..4, 1..4),
+        bounds in prop::collection::vec(-7i64..10, 8..9),
+        ids in prop::collection::vec(0u64..1_000, 1..6),
+        halves in prop::collection::vec(1u32..8, 4..5),
+        reduce_mask in 0usize..16,
+        seed in 0u64..10_000,
+    ) {
+        // Rank 1–4: small outer axes and an innermost axis from 1 to wider
+        // than two 8-lane bundles. `keys` drives every discrete choice.
+        let dims = [outer, vec![width]].concat();
+        let rank = dims.len();
+        let x = Tensor::random(Shape::new(dims.clone()), seed);
+        // An axis attribute written negative on odd keys.
+        let signed = |axis: usize, key: u64| axis as i64 - if key % 2 == 1 { rank as i64 } else { 0 };
+
+        let mut perm: Vec<usize> = (0..rank).collect();
+        perm.sort_by_key(|&d| keys[d]);
+        let perm: Vec<i64> = perm.iter().map(|&p| p as i64).collect();
+        assert_fast_is_reference(OpKind::Transpose, &Attrs::new().with_ints("perm", perm), &[&x]);
+        assert_fast_is_reference(OpKind::Transpose, &Attrs::new(), &[&x]);
+
+        let cat_axis = keys[4] as usize % rank;
+        let parts: Vec<Tensor> = concat_widths.iter().enumerate().map(|(i, &w)| {
+            let mut d = dims.clone();
+            d[cat_axis] = w;
+            Tensor::random(Shape::new(d), seed + 1 + i as u64)
+        }).collect();
+        let cat = Attrs::new().with_int("axis", signed(cat_axis, keys[5]));
+        assert_fast_is_reference(OpKind::Concat, &cat, &parts.iter().collect::<Vec<_>>());
+
+        // Negative and past-the-end starts and ends on every axis.
+        let axes: Vec<i64> = (0..rank).map(|d| signed(d, keys[d])).collect();
+        let slice = Attrs::new()
+            .with_ints("starts", bounds[..rank].to_vec())
+            .with_ints("ends", bounds[4..4 + rank].to_vec())
+            .with_ints("axes", axes);
+        assert_fast_is_reference(OpKind::Slice, &slice, &[&x]);
+
+        // In-range indices, negative ones included, on axis 0 and on a
+        // non-zero axis when there is one.
+        for axis in [0, rank - 1] {
+            let extent = dims[axis] as i64;
+            let picked: Vec<f32> = ids.iter().map(|&k| ((k as i64) % (2 * extent) - extent) as f32).collect();
+            let index = Tensor::from_vec(Shape::new(vec![picked.len()]), picked).unwrap();
+            let gather = Attrs::new().with_int("axis", signed(axis, keys[6]));
+            assert_fast_is_reference(OpKind::Gather, &gather, &[&x, &index]);
+        }
+
+        // Scales from 0.5 to 3.5 in halves: integer and fractional.
+        let scales: Vec<f32> = halves[..rank].iter().map(|&h| h as f32 / 2.0).collect();
+        let up = Attrs::new().with_floats("scales", scales);
+        assert_fast_is_reference(OpKind::Upsample, &up, &[&x]);
+        assert_fast_is_reference(OpKind::Resize, &up, &[&x]);
+
+        // Every reduction over a random axis set (none listed = all axes).
+        let axes: Vec<i64> = (0..rank).filter(|d| reduce_mask >> d & 1 == 1).map(|d| signed(d, keys[7] >> d)).collect();
+        for keepdims in [0, 1] {
+            let mut attrs = Attrs::new().with_int("keepdims", keepdims);
+            if !axes.is_empty() {
+                attrs = attrs.with_ints("axes", axes.clone());
+            }
+            for op in [OpKind::ReduceSum, OpKind::ReduceMean, OpKind::ReduceProd, OpKind::ReduceMax, OpKind::ReduceMin] {
+                assert_fast_is_reference(op, &attrs, &[&x]);
+            }
+        }
+
+        let at = keys[0] as usize % (rank + 1);
+        assert_fast_is_reference(OpKind::Reshape, &Attrs::new().with_ints("shape", vec![-1]), &[&x]);
+        assert_fast_is_reference(OpKind::Flatten, &Attrs::new().with_int("axis", at as i64), &[&x]);
+        assert_fast_is_reference(OpKind::Unsqueeze, &Attrs::new().with_ints("axes", vec![at as i64]), &[&x]);
+        assert_fast_is_reference(OpKind::Squeeze, &Attrs::new(), &[&x]);
+    }
+
+    #[test]
     fn kernel_outputs_match_inferred_shapes_for_unary(dims in small_dims(), seed in 0u64..500) {
         let x = Tensor::random(Shape::new(dims), seed);
         for op in [OpKind::Relu, OpKind::Sigmoid, OpKind::Exp, OpKind::Abs, OpKind::Square] {
