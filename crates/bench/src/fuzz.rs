@@ -22,7 +22,7 @@ use std::fmt;
 use dnnf_core::{Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnf_graph::{Graph, NodeId, ValueId};
 use dnnf_ops::{Attrs, OpKind};
-use dnnf_runtime::{ExecOptions, Executor, MemoryPlan};
+use dnnf_runtime::{ExecOptions, Executor, MemoryPlan, WeightStore};
 use dnnf_simdev::DeviceSpec;
 use dnnf_tensor::{Shape, Tensor};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -618,6 +618,11 @@ pub fn check_plan_facts(graph: &Graph, plan: &FusionPlan) -> Result<(), String> 
 /// [`FUZZ_TOLERANCE`] as well. Both compilations' fusion plans must pass
 /// [`check_plan_facts`].
 ///
+/// When the graph's inputs share a leading dimension, the compiled model
+/// also runs at batch 3 through `Executor::run` — its own kernels, at an
+/// extent they were not compiled at — and must match, bit for bit, the plan
+/// compiled against the graph rebound to batch 3 (`instance_for_batch`).
+///
 /// Every seed also exercises the `.dnnfg` serialization round-trip: the
 /// graph is exported and re-imported, the import must fingerprint
 /// identically (and re-export byte-identically), and a compile of the
@@ -694,6 +699,37 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
             }
         }
     }
+    // Batch 3 through the model's own kernels against kernels compiled for
+    // batch 3. A graph without a shared leading dimension (or one that
+    // bakes its batch into an attribute) has no batch-3 instance.
+    if let Ok(instance) = compiled.instance_for_batch(3) {
+        let batched = fuzz_inputs(instance.graph(), seed ^ 0xBA7C_4003);
+        let store = WeightStore::of_model(&compiled);
+        let (graph, engine) = (instance.graph(), instance.engine());
+        let oracle = base.run_engine(graph, &compiled.plan, engine, &store, &batched, None);
+        match (oracle, base.run(&compiled, &batched)) {
+            (Ok(oracle), Ok(run)) => {
+                for (i, (o, r)) in oracle.outputs.iter().zip(&run.outputs).enumerate() {
+                    if let Some(diff) = disagreement(o, r, 0.0) {
+                        return Err(fail(format!(
+                            "batch 3: output {i} not bit-identical to the instance's: {diff}"
+                        )));
+                    }
+                }
+            }
+            // Data the graph holds (gather indices, per-channel parameters)
+            // may not fit batch 3; then neither side runs.
+            (Err(_), Err(_)) => {}
+            (oracle, run) => {
+                return Err(fail(format!(
+                    "batch 3: the instance run {:?} but the engine run {:?}",
+                    oracle.map(|_| "succeeded"),
+                    run.map(|_| "succeeded")
+                )))
+            }
+        }
+    }
+
     // Rewriting on: whatever the rule table does to this graph, the
     // compiled model still computes the reference's outputs.
     let rewritten = Compiler::new(CompilerOptions::default())

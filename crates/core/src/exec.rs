@@ -25,15 +25,17 @@
 //! Output buffers are drawn from a [`BufferPool`] so the runtime can recycle
 //! allocations across blocks (see `dnnf-runtime`'s arena).
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dnnf_graph::{Graph, NodeId, ValueId};
+use dnnf_graph::{Graph, GraphError, NodeId, ValueId};
 use dnnf_ops::simd::{col_tiles, F32Lanes, LANES};
 use dnnf_ops::{
-    execute, execute_fast_into_packed, has_fast_kernel, OpKind, ScalarUnaryFn, WorkPool,
+    execute, execute_fast_into_packed, has_fast_kernel, infer_shapes, OpError, OpKind,
+    ScalarUnaryFn, WorkPool,
 };
-use dnnf_tensor::{broadcast_shapes, Shape, Tensor};
+use dnnf_tensor::{broadcast_shapes, Shape, Tensor, TensorError};
 
 use crate::{CoreError, FusionBlock, FusionPlan};
 
@@ -60,14 +62,26 @@ impl BufferPool for FreshBuffers {
     fn recycle(&mut self, _buf: Vec<f32>) {}
 }
 
+/// How a tape input is walked by the tape's loop. The strides follow from
+/// the rule and the shapes of the tensors a run is handed.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Broadcast {
+    /// Trailing-aligned broadcast: the value's axes align with the loop's
+    /// last axes, and axes of extent 1 or missing get stride 0.
+    Trailing,
+    /// `BatchNormalization`'s per-channel walk: a rank-1 parameter indexed
+    /// by loop axis `axis`, the channel axis (1) of the normalized input,
+    /// whose shape is the broadcast of tape inputs `x`.
+    PerChannel { axis: usize, x: Vec<usize> },
+}
+
 /// One value read by a tape from outside the tape (a block input, a weight,
 /// or the output of an earlier step in the same kernel).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TapeInput {
     /// The value read.
     pub value: ValueId,
-    /// Element stride per loop axis (0 on broadcast axes).
-    strides: Vec<usize>,
+    rule: Broadcast,
 }
 
 /// One instruction of a scalar tape. Instructions are stored in evaluation
@@ -122,19 +136,37 @@ pub enum TapeInstr {
 struct TapeOutput {
     value: ValueId,
     reg: usize,
-    strides: Vec<usize>,
-    shape: Shape,
+    /// The (trailing-broadcast) tape inputs whose broadcast is this
+    /// output's shape.
+    shape_of: Vec<usize>,
 }
 
 /// A compiled run of element-wise operators evaluated in a single pass per
 /// output element.
+///
+/// A tape holds no extents: its loop shape is the broadcast of its
+/// trailing-broadcast inputs, each output's shape the broadcast of the
+/// inputs listed for it, and every stride follows from those shapes — all
+/// derived from the tensors a run is handed, so one tape serves every
+/// binding of a graph's symbolic dimensions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalarTape {
-    loop_shape: Shape,
     inputs: Vec<TapeInput>,
     instrs: Vec<TapeInstr>,
     outputs: Vec<TapeOutput>,
     nodes: Vec<NodeId>,
+}
+
+/// A tape's extents at one run, derived from the shapes of its inputs.
+#[derive(Debug)]
+struct Geometry {
+    loop_shape: Shape,
+    /// Element stride per loop axis (0 on broadcast axes), one row per
+    /// input; a row is the loop's rank long, or one zero for a rank-0 loop.
+    in_strides: Vec<usize>,
+    /// The same per output.
+    out_strides: Vec<usize>,
+    out_shapes: Vec<Shape>,
 }
 
 impl ScalarTape {
@@ -150,8 +182,76 @@ impl ScalarTape {
         self.inputs.iter().map(|i| i.value).collect()
     }
 
-    /// Evaluates the tape: one pass over `loop_shape`, all outputs written
-    /// in the same sweep.
+    /// The tape's extents for inputs of the given shapes (in input-table
+    /// order): the loop shape is the broadcast of the trailing-broadcast
+    /// inputs, each output's shape the broadcast of its listed inputs, and
+    /// every stride follows from those.
+    ///
+    /// # Errors
+    ///
+    /// Returns the output whose shape failed (`None` for the loop as a
+    /// whole) with the operator error, when the shapes do not broadcast or
+    /// a per-channel parameter does not match its input's channel count.
+    fn geometry(&self, shapes: &[&Shape]) -> Result<Geometry, (Option<ValueId>, OpError)> {
+        let broadcast = |of: &[usize]| {
+            let mut dims = Vec::new();
+            for &i in of {
+                broadcast_into(&mut dims, shapes[i]).map_err(OpError::Tensor)?;
+            }
+            Ok(dims)
+        };
+        let mut out_shapes = Vec::with_capacity(self.outputs.len());
+        for o in &self.outputs {
+            let dims = broadcast(&o.shape_of).map_err(|e| (Some(o.value), e))?;
+            out_shapes.push(Shape::new(dims));
+        }
+        let mut loop_dims = Vec::new();
+        for (input, shape) in self.inputs.iter().zip(shapes) {
+            if input.rule == Broadcast::Trailing {
+                broadcast_into(&mut loop_dims, shape).map_err(|e| (None, OpError::Tensor(e)))?;
+            }
+        }
+        // A rank-0 loop keeps one (zero) stride slot per row, so every
+        // input and output still has its row.
+        let width = loop_dims.len().max(1);
+        let mut in_strides = vec![0; self.inputs.len() * width];
+        let rows = in_strides.chunks_mut(width);
+        for ((input, shape), row) in self.inputs.iter().zip(shapes).zip(rows) {
+            match &input.rule {
+                Broadcast::Trailing => broadcast_strides(shape, row),
+                Broadcast::PerChannel { axis, x } => {
+                    let x = broadcast(x).map_err(|e| (None, e))?;
+                    let channels = x[1];
+                    if shape.dims() != [channels] {
+                        return Err((
+                            None,
+                            OpError::InvalidShape {
+                                op: OpKind::BatchNormalization,
+                                reason: format!(
+                                    "parameter of shape {:?} for an input of shape {x:?}",
+                                    shape.dims()
+                                ),
+                            },
+                        ));
+                    }
+                    row[*axis] = usize::from(channels != 1);
+                }
+            }
+        }
+        let mut out_strides = vec![0; out_shapes.len() * width];
+        for (shape, row) in out_shapes.iter().zip(out_strides.chunks_mut(width)) {
+            broadcast_strides(shape, row);
+        }
+        Ok(Geometry {
+            loop_shape: Shape::new(loop_dims),
+            in_strides,
+            out_strides,
+            out_shapes,
+        })
+    }
+
+    /// Evaluates the tape: one pass over the loop, all outputs written in
+    /// the same sweep.
     ///
     /// With a parallel `workers` pool the loop is split into disjoint
     /// contiguous ranges of the flat iteration space, each evaluated by one
@@ -161,6 +261,7 @@ impl ScalarTape {
     /// broadcast-replicated writes); otherwise the sweep stays serial.
     fn run(
         &self,
+        graph: &Graph,
         fetch: &mut dyn FnMut(ValueId) -> Option<Arc<Tensor>>,
         pool: &mut dyn BufferPool,
         workers: WorkPool,
@@ -176,23 +277,31 @@ impl ScalarTape {
                 })
             })
             .collect::<Result<_, _>>()?;
+        let in_shapes: Vec<&Shape> = in_tensors.iter().map(|t| t.shape()).collect();
+        let geo = self.geometry(&in_shapes).map_err(|(value, source)| {
+            let node = value
+                .and_then(|v| graph.value(v).producer)
+                .or(self.nodes.last().copied())
+                .map_or_else(String::new, |n| graph.node(n).name.clone());
+            CoreError::Graph(GraphError::ShapeInference { node, source })
+        })?;
         let in_slices: Vec<&[f32]> = in_tensors.iter().map(|t| t.data()).collect();
 
-        let mut out_bufs: Vec<Vec<f32>> = self
-            .outputs
+        let mut out_bufs: Vec<Vec<f32>> = geo
+            .out_shapes
             .iter()
-            .map(|o| pool.take(o.shape.numel()))
+            .map(|s| pool.take(s.numel()))
             .collect();
 
-        let total = self.loop_shape.numel();
+        let total = geo.loop_shape.numel();
         let workers = workers.for_work(total.saturating_mul(self.instrs.len().max(1)));
         // Writes are contiguous in the flat loop order only when every output
         // spans the whole loop; a smaller (broadcast-strided) output would be
         // written several times per element and must stay on one thread.
-        let splittable = self.outputs.iter().all(|o| o.shape.numel() == total);
+        let splittable = geo.out_shapes.iter().all(|s| s.numel() == total);
         // A lane bundle needs each lane to own its write slot: every output
         // must advance densely along the innermost axis.
-        let dense = self.outputs.iter().all(|o| o.strides.last() == Some(&1));
+        let dense = geo.out_rows().all(|s| s.last() == Some(&1));
         let widths: &[usize] = if workers.use_simd() && dense {
             &[LANES, 4]
         } else {
@@ -202,7 +311,7 @@ impl ScalarTape {
         if workers.is_serial() || !splittable || total < 2 {
             let mut outs: Vec<(usize, &mut [f32])> =
                 out_bufs.iter_mut().map(|b| (0, b.as_mut_slice())).collect();
-            self.run_span(&in_slices, &mut outs, 0, total, widths);
+            self.run_span(&geo, &in_slices, &mut outs, 0, total, widths);
         } else {
             // Balanced contiguous ranges; since every output covers the full
             // loop, range [start, start + count) writes exactly the slice
@@ -229,17 +338,18 @@ impl ScalarTape {
             workers.run_parts(parts, |(start, count, mut slices)| {
                 let mut outs: Vec<(usize, &mut [f32])> =
                     slices.iter_mut().map(|s| (start, &mut **s)).collect();
-                self.run_span(&in_slices, &mut outs, start, count, widths);
+                self.run_span(&geo, &in_slices, &mut outs, start, count, widths);
             });
         }
 
         Ok(self
             .outputs
             .iter()
+            .zip(geo.out_shapes)
             .zip(out_bufs)
-            .map(|(o, buf)| {
-                let tensor = Tensor::from_vec(o.shape.clone(), buf)
-                    .expect("tape output buffer sized from its shape");
+            .map(|((o, shape), buf)| {
+                let tensor =
+                    Tensor::from_vec(shape, buf).expect("tape output buffer sized from its shape");
                 (o.value, tensor)
             })
             .collect())
@@ -260,20 +370,21 @@ impl ScalarTape {
     /// on `widths`.
     fn run_span(
         &self,
+        geo: &Geometry,
         in_slices: &[&[f32]],
         outs: &mut [(usize, &mut [f32])],
         start: usize,
         count: usize,
         widths: &[usize],
     ) {
-        let row = self.loop_shape.dims().last().copied().unwrap_or(1);
-        let mut idx = self.loop_shape.multi_index(start);
+        let row = geo.loop_shape.dims().last().copied().unwrap_or(1);
+        let mut idx = geo.loop_shape.multi_index(start);
         let offset = |strides: &[usize]| idx.iter().zip(strides).map(|(&i, &s)| i * s).sum();
-        let mut in_off: Vec<usize> = self.inputs.iter().map(|i| offset(&i.strides)).collect();
-        let mut out_off: Vec<usize> = self.outputs.iter().map(|o| offset(&o.strides)).collect();
+        let mut in_off: Vec<usize> = geo.in_rows().map(offset).collect();
+        let mut out_off: Vec<usize> = geo.out_rows().map(offset).collect();
         let last = |strides: &[usize]| strides.last().copied().unwrap_or(0);
-        let in_last: Vec<usize> = self.inputs.iter().map(|i| last(&i.strides)).collect();
-        let out_last: Vec<usize> = self.outputs.iter().map(|o| last(&o.strides)).collect();
+        let in_last: Vec<usize> = geo.in_rows().map(last).collect();
+        let out_last: Vec<usize> = geo.out_rows().map(last).collect();
         let mut regs8 = vec![F32Lanes::<LANES>::splat(0.0); self.instrs.len()];
         let mut regs4 = vec![F32Lanes::<4>::splat(0.0); self.instrs.len()];
         let mut regs1 = vec![F32Lanes::<1>::splat(0.0); self.instrs.len()];
@@ -299,7 +410,7 @@ impl ScalarTape {
             remaining -= seg;
             if remaining > 0 {
                 *idx.last_mut().expect("a rank-0 loop is one element") += seg;
-                self.carry_odometer(&mut idx, &mut in_off, &mut out_off);
+                geo.carry_odometer(&mut idx, &mut in_off, &mut out_off);
             }
         }
     }
@@ -361,6 +472,18 @@ impl ScalarTape {
             regs[out.reg].store(&mut buf[out_off[o] - *bias..]);
         }
     }
+}
+
+impl Geometry {
+    /// Each input's strides, in input-table order.
+    fn in_rows(&self) -> impl Iterator<Item = &[usize]> {
+        self.in_strides.chunks(self.loop_shape.rank().max(1))
+    }
+
+    /// Each output's strides, in output order.
+    fn out_rows(&self) -> impl Iterator<Item = &[usize]> {
+        self.out_strides.chunks(self.loop_shape.rank().max(1))
+    }
 
     /// Propagates an innermost-axis overflow up the odometer: rewinds each
     /// saturated axis and steps the next-outer one.
@@ -369,22 +492,22 @@ impl ScalarTape {
         let mut axis = dims.len() - 1;
         while idx[axis] >= dims[axis] {
             idx[axis] = 0;
-            for (i, input) in self.inputs.iter().enumerate() {
-                in_off[i] -= input.strides[axis] * dims[axis];
+            for (off, strides) in in_off.iter_mut().zip(self.in_rows()) {
+                *off -= strides[axis] * dims[axis];
             }
-            for (o, out) in self.outputs.iter().enumerate() {
-                out_off[o] -= out.strides[axis] * dims[axis];
+            for (off, strides) in out_off.iter_mut().zip(self.out_rows()) {
+                *off -= strides[axis] * dims[axis];
             }
             if axis == 0 {
                 break;
             }
             axis -= 1;
             idx[axis] += 1;
-            for (i, input) in self.inputs.iter().enumerate() {
-                in_off[i] += input.strides[axis];
+            for (off, strides) in in_off.iter_mut().zip(self.in_rows()) {
+                *off += strides[axis];
             }
-            for (o, out) in self.outputs.iter().enumerate() {
-                out_off[o] += out.strides[axis];
+            for (off, strides) in out_off.iter_mut().zip(self.out_rows()) {
+                *off += strides[axis];
             }
         }
     }
@@ -512,8 +635,12 @@ impl FusedKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Op`] when a kernel fails and [`CoreError::Plan`]
-    /// when a value the plan promised is unavailable (a planner bug).
+    /// Returns [`CoreError::Op`] when a kernel fails,
+    /// [`CoreError::Graph`] (a [`GraphError::ShapeInference`] naming the
+    /// node) when the tensors handed in do not fit a step — an operator not
+    /// polymorphic in a rebound dimension, or tape operands that no longer
+    /// broadcast — and [`CoreError::Plan`] when a value the plan promised is
+    /// unavailable (a planner bug).
     pub fn run(
         &self,
         graph: &Graph,
@@ -547,7 +674,29 @@ impl FusedKernel {
                     let input_refs: Vec<&Tensor> = inputs.iter().map(|t| t.as_ref()).collect();
                     if *fast {
                         let out_id = n.outputs[0];
-                        let shape = graph.value(out_id).shape.clone();
+                        // The output extent comes from the tensors handed
+                        // in, not from the graph: one kernel serves every
+                        // binding, and inference validates the inputs. The
+                        // graph's shapes are that inference over its own
+                        // input shapes, so inputs carrying exactly those
+                        // reuse its result instead of inferring it again.
+                        let native = n
+                            .inputs
+                            .iter()
+                            .zip(&inputs)
+                            .all(|(&v, t)| &graph.value(v).shape == t.shape());
+                        let shape = if native {
+                            graph.value(out_id).shape.clone()
+                        } else {
+                            let in_shapes: Vec<Shape> =
+                                inputs.iter().map(|t| t.shape().clone()).collect();
+                            infer_shapes(n.op, &n.attrs, &in_shapes)
+                                .map_err(|source| GraphError::ShapeInference {
+                                    node: n.name.clone(),
+                                    source,
+                                })?
+                                .swap_remove(0)
+                        };
                         let mut buf = pool.take(shape.numel());
                         // Gemm consumes transposed B panels, Conv consumes
                         // OC-blocked panels; each kernel re-validates the
@@ -586,6 +735,7 @@ impl FusedKernel {
                 }
                 Step::Tape(tape) => {
                     let produced = tape.run(
+                        graph,
                         &mut |v| scratch.get(&v).cloned().or_else(|| fetch(v)),
                         pool,
                         workers,
@@ -639,10 +789,27 @@ pub fn compile_plan(graph: &Graph, plan: &FusionPlan) -> CompiledPlan {
     }
 }
 
+thread_local! {
+    static KERNEL_COMPILES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many blocks [`compile_block`] has compiled on the calling thread.
+/// Per thread, so a caller can count what its own work compiled without
+/// interference from other threads.
+#[must_use]
+pub fn kernel_compiles() -> u64 {
+    KERNEL_COMPILES.with(Cell::get)
+}
+
 /// Compiles one fusion block: maximal runs of tape-compatible operators
 /// become [`ScalarTape`]s, everything else becomes an anchor/reference step.
+///
+/// Segmentation reads the graph's shapes, but the kernel does not keep
+/// them: every step takes its extents from the tensors it runs on, so the
+/// kernel serves any binding of the graph's symbolic dimensions.
 #[must_use]
 pub fn compile_block(graph: &Graph, block: &FusionBlock) -> FusedKernel {
+    KERNEL_COMPILES.with(|n| n.set(n.get() + 1));
     let escaping: Vec<ValueId> = block.boundary.writes().collect();
     let mut steps = Vec::new();
     let mut i = 0;
@@ -697,7 +864,10 @@ pub fn compile_block(graph: &Graph, block: &FusionBlock) -> FusedKernel {
             }
         }
         steps.push(Step::Tape(build_tape(
-            graph, &escaping, &segment, loop_shape,
+            graph,
+            &escaping,
+            &segment,
+            loop_shape.rank(),
         )));
         i = j;
     }
@@ -730,83 +900,128 @@ fn tape_compatible(graph: &Graph, node: &dnnf_graph::Node) -> bool {
     false
 }
 
-/// Broadcast strides of a value of shape `shape` iterated under `loop_shape`
-/// (trailing-aligned; broadcast axes get stride 0).
-fn broadcast_strides(shape: &Shape, loop_shape: &Shape) -> Vec<usize> {
-    let strides = shape.strides();
-    let offset = loop_shape.rank() - shape.rank();
-    (0..loop_shape.rank())
-        .map(|axis| {
-            if axis < offset {
-                0
-            } else {
-                let own = axis - offset;
-                if shape.dim(own) == 1 {
-                    0
-                } else {
-                    strides[own]
-                }
-            }
-        })
-        .collect()
+/// Broadcasts `dims` with `shape` in place (trailing-aligned; an empty
+/// `dims` is the rank-0 identity).
+fn broadcast_into(dims: &mut Vec<usize>, shape: &Shape) -> Result<(), TensorError> {
+    let extra = shape.rank().saturating_sub(dims.len());
+    dims.splice(0..0, std::iter::repeat_n(1, extra));
+    let offset = dims.len() - shape.rank();
+    let own = &mut dims[offset..];
+    if own
+        .iter()
+        .zip(shape.dims())
+        .any(|(&a, &b)| a != b && a != 1 && b != 1)
+    {
+        return Err(TensorError::BroadcastMismatch {
+            lhs: dims.clone(),
+            rhs: shape.dims().to_vec(),
+        });
+    }
+    for (a, &b) in own.iter_mut().zip(shape.dims()) {
+        if *a == 1 {
+            *a = b;
+        }
+    }
+    Ok(())
+}
+
+/// Writes into `row` (one slot per loop axis) the strides of a value of
+/// shape `shape` iterated under a loop it broadcasts to: trailing-aligned,
+/// with broadcast axes at stride 0.
+fn broadcast_strides(shape: &Shape, row: &mut [usize]) {
+    let offset = row.len() - shape.rank();
+    let mut stride = 1;
+    for (own, &dim) in shape.dims().iter().enumerate().rev() {
+        if dim != 1 {
+            row[offset + own] = stride;
+        }
+        stride *= dim;
+    }
 }
 
 /// The tables of one tape under construction; [`build_tape`] walks its
 /// segment through [`TapeBuilder::push`], [`TapeBuilder::load`] and
 /// [`TapeBuilder::operand`].
 struct TapeBuilder {
-    loop_shape: Shape,
     inputs: Vec<TapeInput>,
     instrs: Vec<TapeInstr>,
+    /// Per register, the trailing-broadcast inputs whose broadcast is the
+    /// shape of the value it holds (empty for a per-channel parameter).
+    reg_shape: Vec<Vec<usize>>,
     /// Register produced for each value: either a node output computed in the
-    /// segment or a memoized Load (keyed by its stride pattern so the same
+    /// segment or a memoized Load (keyed by its broadcast rule so the same
     /// value can be read both element-wise and per-channel).
     value_reg: BTreeMap<ValueId, usize>,
-    load_reg: BTreeMap<(ValueId, Vec<usize>), usize>,
+    load_reg: BTreeMap<(ValueId, Broadcast), usize>,
 }
 
 impl TapeBuilder {
     /// Appends `instr` and returns the register it writes.
     fn push(&mut self, instr: TapeInstr) -> usize {
+        let shape = match instr {
+            TapeInstr::Load { input } if self.inputs[input].rule == Broadcast::Trailing => {
+                vec![input]
+            }
+            TapeInstr::Load { .. } => Vec::new(),
+            TapeInstr::Unary { src, .. } | TapeInstr::Affine { src, .. } => self.union(&[src]),
+            TapeInstr::Binary { lhs, rhs, .. } => self.union(&[lhs, rhs]),
+            TapeInstr::Select {
+                cond,
+                on_true,
+                on_false,
+            } => self.union(&[cond, on_true, on_false]),
+        };
+        self.reg_shape.push(shape);
         self.instrs.push(instr);
         self.instrs.len() - 1
     }
 
-    /// The register holding `value` read through `strides`: its in-segment
-    /// register if it has one, else a Load memoized per stride pattern.
-    fn load(&mut self, value: ValueId, strides: Vec<usize>) -> usize {
+    /// The sorted union of the shape sources of `regs`.
+    fn union(&self, regs: &[usize]) -> Vec<usize> {
+        let mut shape: Vec<usize> = regs
+            .iter()
+            .flat_map(|&r| self.reg_shape[r].iter().copied())
+            .collect();
+        shape.sort_unstable();
+        shape.dedup();
+        shape
+    }
+
+    /// The register holding `value` read under `rule`: its in-segment
+    /// register if it has one, else a Load memoized per rule.
+    fn load(&mut self, value: ValueId, rule: Broadcast) -> usize {
         if let Some(&r) = self.value_reg.get(&value) {
             return r;
         }
-        let key = (value, strides);
+        let key = (value, rule);
         if let Some(&r) = self.load_reg.get(&key) {
             return r;
         }
         let input = self.inputs.len();
-        let strides = key.1.clone();
-        self.inputs.push(TapeInput { value, strides });
+        let rule = key.1.clone();
+        self.inputs.push(TapeInput { value, rule });
         let reg = self.push(TapeInstr::Load { input });
         self.load_reg.insert(key, reg);
         reg
     }
 
     /// The register holding operand `value`, broadcast over the loop.
-    fn operand(&mut self, graph: &Graph, value: ValueId) -> usize {
-        let strides = broadcast_strides(&graph.value(value).shape, &self.loop_shape);
-        self.load(value, strides)
+    fn operand(&mut self, value: ValueId) -> usize {
+        self.load(value, Broadcast::Trailing)
     }
 }
 
+/// Compiles a segment into a tape whose loop has rank `loop_rank`.
 fn build_tape(
     graph: &Graph,
     escaping: &[ValueId],
     segment: &[NodeId],
-    loop_shape: Shape,
+    loop_rank: usize,
 ) -> ScalarTape {
     let mut b = TapeBuilder {
-        loop_shape,
         inputs: Vec::new(),
         instrs: Vec::new(),
+        reg_shape: Vec::new(),
         value_reg: BTreeMap::new(),
         load_reg: BTreeMap::new(),
     };
@@ -814,20 +1029,20 @@ fn build_tape(
         let node = graph.node(nid);
         let out_reg = match node.op {
             op if op.is_elementwise_unary() => {
-                let src = b.operand(graph, node.inputs[0]);
+                let src = b.operand(node.inputs[0]);
                 let f = ScalarUnaryFn::compile(op, &node.attrs)
                     .expect("tape_compatible guarantees a unary kernel");
                 b.push(TapeInstr::Unary { f, src })
             }
             op if op.is_elementwise_binary() => {
-                let lhs = b.operand(graph, node.inputs[0]);
-                let rhs = b.operand(graph, node.inputs[1]);
+                let lhs = b.operand(node.inputs[0]);
+                let rhs = b.operand(node.inputs[1]);
                 b.push(TapeInstr::Binary { op, lhs, rhs })
             }
             OpKind::Where => {
-                let cond = b.operand(graph, node.inputs[0]);
-                let on_true = b.operand(graph, node.inputs[1]);
-                let on_false = b.operand(graph, node.inputs[2]);
+                let cond = b.operand(node.inputs[0]);
+                let on_true = b.operand(node.inputs[1]);
+                let on_false = b.operand(node.inputs[2]);
                 b.push(TapeInstr::Select {
                     cond,
                     on_true,
@@ -838,12 +1053,13 @@ fn build_tape(
                 // y = scale * (x - mean) / sqrt(var + eps) + bias, with the
                 // per-channel parameters walked along the input's channel
                 // axis — the reference kernel's exact evaluation order.
-                let x_shape = &graph.value(node.inputs[0]).shape;
-                let channel_axis = b.loop_shape.rank() - x_shape.rank() + 1;
-                let mut per_channel = vec![0usize; b.loop_shape.rank()];
-                per_channel[channel_axis] = usize::from(x_shape.dim(1) != 1);
+                let x_rank = graph.value(node.inputs[0]).shape.rank();
                 let eps = node.attrs.float_or("epsilon", 1e-5);
-                let x = b.operand(graph, node.inputs[0]);
+                let x = b.operand(node.inputs[0]);
+                let per_channel = Broadcast::PerChannel {
+                    axis: loop_rank - x_rank + 1,
+                    x: b.reg_shape[x].clone(),
+                };
                 let [scale, bias, mean, var] =
                     [1, 2, 3, 4].map(|i| b.load(node.inputs[i], per_channel.clone()));
                 let sqrt = ScalarUnaryFn::compile(OpKind::Sqrt, &dnnf_ops::Attrs::new())
@@ -891,17 +1107,16 @@ fn build_tape(
         let out_id = graph.node(nid).outputs[0];
         let v = graph.value(out_id);
         if escaping.contains(&out_id) || v.consumers.iter().any(|c| !seg_set.contains(c)) {
+            let reg = b.value_reg[&out_id];
             outputs.push(TapeOutput {
                 value: out_id,
-                reg: b.value_reg[&out_id],
-                strides: broadcast_strides(&v.shape, &b.loop_shape),
-                shape: v.shape.clone(),
+                reg,
+                shape_of: b.reg_shape[reg].clone(),
             });
         }
     }
 
     ScalarTape {
-        loop_shape: b.loop_shape,
         inputs: b.inputs,
         instrs: b.instrs,
         outputs,
@@ -1205,8 +1420,28 @@ mod tests {
         let Step::Tape(tape) = &engine.kernel(0).steps()[0] else {
             panic!("expected tape")
         };
-        let bias_input = tape.inputs.iter().find(|i| i.value == b).unwrap();
-        assert_eq!(bias_input.strides, vec![0, 1]);
+        let bias = tape.inputs.iter().position(|i| i.value == b).unwrap();
+        // The strides follow from the shapes a run is handed: the same tape
+        // walks a 5-row input with the same zero-stride bias.
+        for rows in [2, 5] {
+            let shapes: Vec<Shape> = tape
+                .input_values()
+                .iter()
+                .map(|&v| {
+                    if v == x {
+                        Shape::new(vec![rows, 3])
+                    } else {
+                        g.value(v).shape.clone()
+                    }
+                })
+                .collect();
+            let geo = tape.geometry(&shapes.iter().collect::<Vec<_>>()).unwrap();
+            assert_eq!(geo.loop_shape.dims(), &[rows, 3]);
+            assert_eq!(geo.in_rows().nth(bias), Some(&[0, 1][..]));
+        }
+        // A shape that does not broadcast is an error, not a panic.
+        let bad = [&Shape::new(vec![2, 4]), &Shape::new(vec![1, 3])];
+        assert!(tape.geometry(&bad).is_err());
 
         let mut env = HashMap::new();
         env.insert(x, Tensor::arange(Shape::new(vec![2, 3])));

@@ -64,7 +64,8 @@ pub use compiler::{CompilationStats, CompiledModel, Compiler, CompilerOptions, R
 pub use ecg::{Ecg, EcgNodeInfo};
 pub use error::CoreError;
 pub use exec::{
-    compile_plan, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, PackedWeights, ScalarTape,
+    compile_plan, kernel_compiles, BufferPool, CompiledPlan, FreshBuffers, FusedKernel,
+    PackedWeights, ScalarTape,
 };
 pub use instance::PlanInstance;
 pub use latency::{member_work, AnalyticLatencyModel, LatencyModel, MemberWork};

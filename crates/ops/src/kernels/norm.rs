@@ -13,6 +13,14 @@ pub fn batch_norm(attrs: &Attrs, inputs: &[&Tensor]) -> Result<Tensor, OpError> 
     let mean = inputs[3];
     let var = inputs[4];
     let eps = attrs.float_or("epsilon", 1e-5);
+    if let Some(&channels) = x.shape().dims().get(1) {
+        if let Some(p) = inputs[1..].iter().find(|p| p.numel() != channels) {
+            return Err(OpError::InvalidShape {
+                op: OpKind::BatchNormalization,
+                reason: format!("{} parameter values for {channels} channels", p.numel()),
+            });
+        }
+    }
     per_channel_affine(x, |c, v| {
         let s = scale.at_linear(c);
         let b = bias.at_linear(c);
@@ -171,6 +179,10 @@ mod tests {
         let attrs = Attrs::new().with_float("epsilon", 0.0);
         let y = batch_norm(&attrs, &[&x, &scale, &bias, &mean, &var]).unwrap();
         assert_eq!(y.data(), &[12.0, 12.0, 23.0, 23.0]);
+        // Fewer parameters than channels is an error, not an index panic.
+        let short = Tensor::full(Shape::new(vec![1]), 1.0);
+        let err = batch_norm(&attrs, &[&x, &short, &bias, &mean, &var]);
+        assert!(matches!(err, Err(OpError::InvalidShape { .. })), "{err:?}");
     }
 
     #[test]

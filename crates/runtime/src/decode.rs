@@ -15,9 +15,10 @@
 //! The step model is compiled **once** through
 //! [`PlanCache::compile_polymorphic`](crate::PlanCache::compile_polymorphic)
 //! with the sequence axes symbolic, so decoding `T` tokens costs exactly one
-//! plan search — per step only cheap shape inference + codegen run (cached
-//! per length on the model). Decoding is greedy argmax over raw logits,
-//! which keeps the whole loop deterministic:
+//! plan search and compiles no kernel per step: every step runs the step
+//! model's own kernels, which take their extents from the cache tensors
+//! they are handed. Decoding is greedy argmax over raw logits, which keeps
+//! the whole loop deterministic:
 //! the token sequence is bit-identical across thread counts, scalar mode,
 //! and — because prefill and step share every weight by name and masked
 //! softmax terms are exactly zero — identical to recomputing the full

@@ -103,22 +103,51 @@ impl Executor {
         &self.device
     }
 
-    /// Runs a compiled model through the fused-block engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] if inputs are missing/mismatched or a
-    /// kernel fails.
+    /// Runs a compiled model through the fused-block engine: [`Executor::run`]
+    /// over owned input tensors; same errors.
     pub fn run_compiled(
         &self,
         model: &CompiledModel,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<ExecutionReport, RuntimeError> {
-        // The model carries its compiled kernels and (after the first run)
-        // its materialized weight store: repeated inference never
-        // re-compiles the plan and never re-materializes or re-packs a
-        // weight — every run shares the same Arc-backed tensors, across
-        // executors and across threads.
+        self.run(model, inputs)
+    }
+
+    /// Runs a compiled model at whatever symbolic dimensions the inputs
+    /// carry: their leading (batch) dimension and their marked sequence axes
+    /// ([`Graph::mark_seq_axis`]) may differ from what the model was
+    /// compiled at. Every binding runs the model's own kernels: each step
+    /// takes its extents from the tensors it is handed, so nothing is
+    /// rebound or compiled per batch size or KV-cache length, and one
+    /// compiled plan — one plan-cache entry — serves every batch size of a
+    /// request mix and every step of a decode loop whose KV cache grows
+    /// token by token.
+    ///
+    /// The model carries its compiled kernels and (after the first run) its
+    /// materialized weight store, shared by every run across executors and
+    /// threads; weights are batch- and length-free. Inputs may be owned
+    /// tensors or `Arc<Tensor>`s; the latter are shared into the engine
+    /// without copying (the growing KV-cache tensors a `DecodeSession`
+    /// holds). Because every kernel partitions work so each thread/lane owns
+    /// whole output elements of independent batch items, outputs are
+    /// **bit-identical** to running each batch row separately, across thread
+    /// counts and scalar mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RuntimeError`] if inputs are missing, disagree with each
+    /// other on a symbolic dimension, or mismatch the model beyond them; and
+    /// [`RuntimeError::Core`] when an operator is not polymorphic in the
+    /// requested value (e.g. a `Reshape` whose target bakes in the native
+    /// batch size) or a kernel fails.
+    pub fn run<T>(
+        &self,
+        model: &CompiledModel,
+        inputs: &HashMap<String, T>,
+    ) -> Result<ExecutionReport, RuntimeError>
+    where
+        T: Borrow<Tensor> + Clone + Into<Arc<Tensor>>,
+    {
         let store = WeightStore::of_model(model);
         self.run_engine(
             model.graph(),
@@ -128,56 +157,6 @@ impl Executor {
             inputs,
             None,
         )
-    }
-
-    /// Runs a compiled model at whatever symbolic dimensions the inputs
-    /// carry: their leading (batch) dimension and their marked sequence axes
-    /// ([`Graph::mark_seq_axis`]) may differ from what the model was
-    /// compiled at. When they do, the model's expensive fusion plan — and the
-    /// execution order and buffer deaths it carries — is reused verbatim and
-    /// only cheap shape inference + code generation re-run for the requested
-    /// [`DimBinding`]
-    /// ([`CompiledModel::instance_for`], cached on the model), so one
-    /// compiled plan — one plan-cache entry — serves every batch size of a
-    /// request mix and every step of a decode loop whose KV cache grows token
-    /// by token. Inputs at the model's own dimensions go straight to its
-    /// precompiled engine.
-    ///
-    /// Inputs may be owned tensors or `Arc<Tensor>`s; the latter are shared
-    /// into the engine without copying (the growing KV-cache tensors a
-    /// `DecodeSession` holds). The weight store is shared with the native
-    /// path (weights are batch- and length-free and value ids are stable
-    /// under rebinding), and because every kernel partitions work so each
-    /// thread/lane owns whole output elements of independent batch items,
-    /// outputs are **bit-identical** to running each batch row through
-    /// [`Executor::run_compiled`] separately, across thread counts and
-    /// scalar mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RuntimeError`] if inputs are missing, disagree with each
-    /// other on a symbolic dimension, or mismatch the model beyond them; and
-    /// [`RuntimeError::Core`] when the model cannot be rebound (e.g. an
-    /// operator whose attributes bake in the native batch size).
-    pub fn run<T>(
-        &self,
-        model: &CompiledModel,
-        inputs: &HashMap<String, T>,
-    ) -> Result<ExecutionReport, RuntimeError>
-    where
-        T: Borrow<Tensor> + Clone + Into<Arc<Tensor>>,
-    {
-        let native = model.graph().binding();
-        let requested = requested_binding(model.graph(), native, inputs)?;
-        let instance;
-        let (graph, engine) = if requested == native {
-            (model.graph(), &model.engine)
-        } else {
-            instance = model.instance_for(requested)?;
-            (instance.graph(), instance.engine())
-        };
-        let store = WeightStore::of_model(model);
-        self.run_engine(graph, &model.plan, engine, &store, inputs, None)
     }
 
     /// [`Executor::run`] over owned input tensors; same errors.
@@ -325,7 +304,8 @@ impl Executor {
 
     /// The one engine path, from explicit parts: each block of `plan`
     /// executes as one kernel of `engine` (its compilation against `graph`)
-    /// in the plan's order; boundary tensors live in `Arc`-backed slot
+    /// in the plan's order, at whatever binding of `graph`'s symbolic
+    /// dimensions the inputs carry; boundary tensors live in `Arc`-backed slot
     /// storage keyed by value id, weights are handed out of `store` by `Arc`
     /// clone with its prepacked panels forwarded to the kernels, and output
     /// buffers return to an arena at the position the plan lists them dead.
@@ -334,7 +314,7 @@ impl Executor {
     ///
     /// Every other engine entry point is this one with its parts looked up:
     /// [`Executor::run_compiled`] and [`Executor::run`] take them from a
-    /// [`CompiledModel`] (kernels and weight store cached on the model),
+    /// [`CompiledModel`] (kernels and weight store carried by the model),
     /// [`Executor::run_plan`] builds them per call. Outputs are bit-identical
     /// for any store built from `graph`, packed or unpacked, cached or fresh.
     /// Each owned input is cloned into a shared handle once per run; `Arc`
@@ -360,8 +340,9 @@ impl Executor {
         // those slots), inputs, block outputs.
         let mut env: Vec<Option<Arc<Tensor>>> = store.slots().to_vec();
         env.resize(graph.value_count(), None);
+        let binding = requested_binding(graph, inputs)?;
         for &input_id in graph.inputs() {
-            let tensor = checked_input(graph, input_id, inputs)?;
+            let tensor = checked_input(graph, binding, input_id, inputs)?;
             env[input_id.index()] = Some(tensor.clone().into());
         }
         let mut arena = TensorArena::new();
@@ -424,8 +405,9 @@ impl Executor {
     ) -> Result<ExecutionReport, RuntimeError> {
         // Environment of boundary tensors: inputs, weights, block outputs.
         let mut env: HashMap<ValueId, Tensor> = HashMap::new();
+        let binding = requested_binding(graph, inputs)?;
         for &input_id in graph.inputs() {
-            let tensor = checked_input(graph, input_id, inputs)?;
+            let tensor = checked_input(graph, binding, input_id, inputs)?;
             env.insert(input_id, tensor.clone());
         }
         for (id, tensor) in materialize_weights(graph) {
@@ -490,9 +472,11 @@ fn collect_outputs(
 }
 
 /// The graph input `input_id` out of `inputs`, checked against the graph's
-/// shape for it.
+/// shape for it with the symbolic axes `binding` names substituted: the
+/// leading axis for `batch`, the input's marked axis for `seq`.
 fn checked_input<'a, T: Borrow<Tensor>>(
     graph: &Graph,
+    binding: DimBinding,
     input_id: ValueId,
     inputs: &'a HashMap<String, T>,
 ) -> Result<&'a T, RuntimeError> {
@@ -502,12 +486,19 @@ fn checked_input<'a, T: Borrow<Tensor>>(
         .ok_or_else(|| RuntimeError::MissingInput {
             name: value.name.clone(),
         })?;
-    let shape = tensor.borrow().shape();
-    if shape != &value.shape {
+    let seq_axis = graph.seq_axis(input_id);
+    let expected = |axis: usize| match (binding.batch, binding.seq) {
+        (Some(batch), _) if axis == 0 => batch,
+        (_, Some(seq)) if seq_axis == Some(axis) => seq,
+        _ => value.shape.dim(axis),
+    };
+    let actual = tensor.borrow().shape().dims();
+    let rank = value.shape.rank();
+    if actual.len() != rank || (0..rank).any(|axis| actual[axis] != expected(axis)) {
         return Err(RuntimeError::InputShapeMismatch {
             name: value.name.clone(),
-            expected: value.shape.dims().to_vec(),
-            actual: shape.dims().to_vec(),
+            expected: (0..rank).map(expected).collect(),
+            actual: actual.to_vec(),
         });
     }
     Ok(tensor)
@@ -515,16 +506,16 @@ fn checked_input<'a, T: Borrow<Tensor>>(
 
 /// The symbolic dimensions the provided inputs request of `graph`: the
 /// leading dimension for batch, the marked axes for sequence length. Only
-/// dimensions the graph itself is symbolic in (`native`, its
-/// [`Graph::binding`]) are read — a graph whose own inputs do not share a
-/// leading dimension has no batch to request. A missing input, or one whose rank disagrees with the graph,
-/// yields the graph's own binding, so the native path reports it precisely;
-/// two inputs disagreeing on a dimension is an error.
+/// dimensions the graph itself is symbolic in (its [`Graph::binding`]) are
+/// read — a graph whose own inputs do not share a leading dimension has no
+/// batch to request. A missing input, or one whose rank disagrees with the
+/// graph, yields the graph's own binding, so the input check reports it
+/// precisely; two inputs disagreeing on a dimension is an error.
 fn requested_binding<T: Borrow<Tensor>>(
     graph: &Graph,
-    native: DimBinding,
     inputs: &HashMap<String, T>,
 ) -> Result<DimBinding, RuntimeError> {
+    let native = graph.binding();
     let mut requested = DimBinding::default();
     for &input_id in graph.inputs() {
         let value = graph.value(input_id);

@@ -123,7 +123,7 @@ pub struct PlanCacheStats {
 
 /// Default bound on in-memory compiled models — generous (a server tenant
 /// set, not a per-request working set), because each entry pins compiled
-/// kernels, weight stores and plan instances via `Arc<CompiledModel>`.
+/// kernels and weight stores via `Arc<CompiledModel>`.
 /// [`PlanCache::global`] uses this; tune per cache with
 /// [`PlanCache::with_capacity`] / [`PlanCache::set_capacity`].
 pub const DEFAULT_MODEL_CAPACITY: usize = 64;
@@ -279,9 +279,9 @@ impl PlanCache {
     /// one model — or every KV-cache length of one decode-step graph — shares
     /// a single cache entry. The returned model is that canonical
     /// compilation; run it at any value of the symbolic dimensions with
-    /// `Executor::run`, which reuses the plan and re-runs only cheap codegen
-    /// per binding. This is what makes serving a request mix, or decoding
-    /// `T` tokens, cost exactly one plan search.
+    /// `Executor::run`, which runs the model's own kernels at every binding.
+    /// This is what makes serving a request mix, or decoding `T` tokens,
+    /// cost exactly one plan search and one kernel compilation.
     ///
     /// Graphs that are not symbolic in `axes` (see [`Graph::binding`]: inputs
     /// that do not share a leading dimension, rank-0 inputs, no seq-marked

@@ -14,12 +14,13 @@
 //! `num_threads ∈ {1, 2, 8}`, under `force_scalar`, and across two
 //! sessions concurrently sharing one compiled model pair; and a T-token
 //! decode must cost exactly one plan search per graph (the `PlanCache`
-//! miss count is independent of T) and one weight-store build per model.
+//! miss count is independent of T), one weight-store build per model, and
+//! no kernel compilation once the session is built.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dnnfusion::core::{Compiler, CompilerOptions};
+use dnnfusion::core::{kernel_compiles, Compiler, CompilerOptions};
 use dnnfusion::models::{decoder_prefill, decoder_step, DecoderConfig};
 use dnnfusion::runtime::{
     greedy_argmax, DecodeSession, ExecOptions, Executor, PlanCache, WeightStore,
@@ -52,15 +53,14 @@ fn session_with(executor: Executor, cache: &PlanCache) -> DecodeSession {
 /// The recompute-from-scratch oracle: greedily decodes `generate` tokens by
 /// compiling and running a fresh full-prompt prefill at every length —
 /// never a KV cache, never a step graph.
-fn recompute_reference(executor: &Executor, generate: usize) -> Vec<u32> {
-    let cfg = DecoderConfig::test_tiny();
+fn recompute_reference(executor: &Executor, cfg: &DecoderConfig, generate: usize) -> Vec<u32> {
     let cache = PlanCache::new();
     let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
     let mut seq: Vec<u32> = PROMPT.to_vec();
     let mut out = Vec::new();
     for _ in 0..generate {
         let len = seq.len();
-        let graph = decoder_prefill(&cfg, len).unwrap();
+        let graph = decoder_prefill(cfg, len).unwrap();
         let (model, _) = cache.compile_cached(&mut compiler, &graph).unwrap();
         let make = |values: Vec<f32>| Tensor::from_vec(Shape::new(vec![len]), values).unwrap();
         let mut inputs = HashMap::new();
@@ -89,7 +89,7 @@ fn cached_stepping_matches_full_prefix_recompute() {
     let cache = PlanCache::new();
     let mut session = session_with(executor.clone(), &cache);
     let cached = session.decode(&PROMPT, GENERATE).unwrap();
-    let recomputed = recompute_reference(&executor, GENERATE);
+    let recomputed = recompute_reference(&executor, &DecoderConfig::test_tiny(), GENERATE);
     assert_eq!(
         cached, recomputed,
         "KV-cached decode diverged from full-prefix recompute"
@@ -215,8 +215,8 @@ fn decode_costs_one_plan_search_per_graph_regardless_of_length() {
     );
 
     // A short decode, a restart, and a much longer decode: the plan cache
-    // must not be consulted again — per-step work is codegen-only, cached
-    // on the model itself.
+    // must not be consulted again — every step runs the step model's own
+    // kernels.
     session.decode(&PROMPT, 3).unwrap();
     let after_short = cache.stats();
     session.decode(&PROMPT, 12).unwrap();
@@ -274,4 +274,32 @@ fn decode_builds_one_weight_store_per_model_and_shares_weights_by_name() {
         compared += 1;
     }
     assert!(compared > 20, "expected a real weight set, saw {compared}");
+}
+
+/// A decode compiles every kernel before its first token: 128 tokens, each
+/// at a cache length the step model was not compiled at, compile no kernel
+/// on this thread once `DecodeSession::compile` has returned — and still
+/// decode the full-prefix recompute's tokens.
+#[test]
+fn a_long_decode_compiles_no_kernels_after_the_session_is_built() {
+    const LONG: usize = 128;
+    let cfg = DecoderConfig {
+        max_seq: 160,
+        ..DecoderConfig::test_tiny()
+    };
+    let executor = executor_with(1, false);
+    let prefill = decoder_prefill(&cfg, PROMPT.len()).unwrap();
+    let step = decoder_step(&cfg, PROMPT.len()).unwrap();
+    let mut compiler = Compiler::new(CompilerOptions::without_rewriting());
+    let cache = PlanCache::new();
+    let mut session =
+        DecodeSession::compile(executor.clone(), &cache, &mut compiler, &prefill, &step).unwrap();
+    let compiled = kernel_compiles();
+    let tokens = session.decode(&PROMPT, LONG).unwrap();
+    assert_eq!(
+        kernel_compiles() - compiled,
+        0,
+        "a decode step compiled kernels"
+    );
+    assert_eq!(tokens, recompute_reference(&executor, &cfg, LONG));
 }

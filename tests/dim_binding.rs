@@ -2,7 +2,9 @@
 //! `CompiledModel::instance_for` and `PlanCache::compile_polymorphic` treat
 //! the two symbolic dimensions as one mechanism, so a request may bind both
 //! at once, and a graph whose inputs do not share a leading dimension has no
-//! batch to bind.
+//! batch to bind. A model's own kernels run every binding: they equal the
+//! kernels compiled against the rebound graph, and they compute its outputs
+//! bit for bit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -10,7 +12,7 @@ use std::sync::Arc;
 use dnnf_bench::fuzz::check_plan_facts;
 use dnnfusion::baselines::{BaselineFramework, PatternFuser};
 use dnnfusion::core::{CompiledModel, Compiler, CompilerOptions, CoreError, Ecg, FusionPlan};
-use dnnfusion::graph::{DimBinding, Graph, NodeId, SymbolicAxes};
+use dnnfusion::graph::{DimBinding, Graph, GraphError, NodeId, SymbolicAxes};
 use dnnfusion::models::{decoder_prefill, decoder_step, DecoderConfig, ModelKind, ModelScale};
 use dnnfusion::ops::{Attrs, OpKind};
 use dnnfusion::runtime::{ExecOptions, Executor, PlanCache, RuntimeError, WeightStore};
@@ -32,16 +34,30 @@ fn compile(graph: &Graph) -> CompiledModel {
 }
 
 fn native_inputs(graph: &Graph) -> HashMap<String, Tensor> {
+    inputs_at(graph, DimBinding::default())
+}
+
+/// Seeded inputs for `graph` with the symbolic axes `binding` names set to
+/// its values.
+fn inputs_at(graph: &Graph, binding: DimBinding) -> HashMap<String, Tensor> {
     graph
         .inputs()
         .iter()
         .map(|&id| {
             let v = graph.value(id);
+            let mut dims = v.shape.dims().to_vec();
+            if let Some(batch) = binding.batch {
+                dims[0] = batch;
+            }
+            if let (Some(seq), Some(axis)) = (binding.seq, graph.seq_axis(id)) {
+                dims[axis] = seq;
+            }
+            let shape = Shape::new(dims);
             // Token and position ids stay zero so Gather indices are valid.
-            let tensor = if v.shape.dims() == [1] {
-                Tensor::zeros(v.shape.clone())
+            let tensor = if shape.dims() == [1] || v.name.contains("token") {
+                Tensor::zeros(shape)
             } else {
-                Tensor::random(v.shape.clone(), 11 + id.index() as u64)
+                Tensor::random(shape, 11 + id.index() as u64)
             };
             (v.name.clone(), tensor)
         })
@@ -127,8 +143,8 @@ fn tiny_seq_model() -> Graph {
 }
 
 /// The merge is a unification, not a rename: one request binds batch *and*
-/// sequence length, builds one instance for the pair, and every row is
-/// bit-identical to running that row alone at batch 1.
+/// sequence length, and every row is bit-identical to running that row
+/// alone at batch 1.
 #[test]
 fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
     const BATCH: usize = 3;
@@ -146,10 +162,6 @@ fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
     for (threads, force_scalar) in [(1, false), (4, false), (1, true)] {
         let executor = executor_with(threads, force_scalar);
         let model = compile(&tiny_seq_model());
-        let both = DimBinding {
-            batch: Some(BATCH),
-            seq: Some(SEQ),
-        };
         let inputs: HashMap<String, Arc<Tensor>> = [
             ("q".to_string(), Arc::new(q.clone())),
             ("past".to_string(), Arc::new(past.clone())),
@@ -157,9 +169,6 @@ fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
         .into();
         let together = executor.run(&model, &inputs).unwrap();
         assert_eq!(together.outputs[0].shape().dims(), &[BATCH, 1, SEQ]);
-        // The instance the run went through: one graph bound on both axes.
-        let instance = model.instance_for(both).unwrap();
-        assert_eq!(instance.graph().binding(), both);
 
         for i in 0..BATCH {
             let solo_inputs: HashMap<String, Tensor> = [
@@ -179,9 +188,8 @@ fn one_instance_binds_batch_and_seq_and_rows_match_solo_runs() {
 
 /// The plan carries its schedule: what it stores about its quotient graph is
 /// what the brute-force oracle recomputes, for every compiled model and for
-/// the fixed-pattern baselines' plans over the same graphs; and a rebound
-/// instance holds a graph and kernels only — it runs under the model's plan,
-/// whose facts come from ids alone and so describe the rebound graph too.
+/// the fixed-pattern baselines' plans over the same graphs; and the plan's
+/// facts come from ids alone, so they describe a rebound graph too.
 #[test]
 fn stored_plan_facts_match_the_brute_force_oracle() {
     let config = DecoderConfig::test_tiny();
@@ -218,17 +226,193 @@ fn stored_plan_facts_match_the_brute_force_oracle() {
             },
         ),
     ];
-    let executor = executor_with(1, false);
     for (model, binding) in rebound {
         let instance = model.instance_for(binding).unwrap();
         assert_ne!(instance.graph().binding(), model.graph().binding());
         check_plan_facts(instance.graph(), &model.plan).unwrap();
-        let inputs = native_inputs(instance.graph());
+    }
+}
+
+/// The decoder sizes `bench_exec` times.
+fn decoder_configs() -> [DecoderConfig; 2] {
+    let small = DecoderConfig {
+        layers: 4,
+        hidden: 32,
+        heads: 4,
+        vocab: 64,
+        max_seq: 64,
+        ffn_mult: 2,
+    };
+    [DecoderConfig::test_tiny(), small]
+}
+
+/// `(name, model, binding)`: every model builder at tiny scale at batch 2
+/// and 3; both decoder steps compiled as a `DecodeSession` compiles them
+/// (at the canonical past length 1) at three past lengths drawn from a
+/// fixed seed; and the tiny attention model bound on both axes at once.
+fn bound_cases() -> Vec<(String, CompiledModel, DimBinding)> {
+    let mut cases = Vec::new();
+    for &kind in ModelKind::all() {
+        let model = compile(&kind.build(ModelScale::tiny()).unwrap());
+        for batch in [2, 3] {
+            let name = kind.name().to_string();
+            cases.push((name, model.clone(), DimBinding::batch(batch)));
+        }
+    }
+    let mut state = 0x5EED_u64;
+    for cfg in decoder_configs() {
+        let step = decoder_step(&cfg, 4).unwrap();
+        let mut compiler = Compiler::new(CompilerOptions::default());
+        let cache = PlanCache::new();
+        let (model, _) = cache
+            .compile_polymorphic(&mut compiler, &step, SymbolicAxes::SEQ)
+            .unwrap();
+        for _ in 0..3 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let past = 2 + (state >> 33) as usize % (cfg.max_seq - 2);
+            let name = format!("{}-layer decoder step", cfg.layers);
+            cases.push((name, (*model).clone(), DimBinding::seq(past)));
+        }
+    }
+    let both = DimBinding {
+        batch: Some(3),
+        seq: Some(7),
+    };
+    cases.push(("tiny-seq".into(), compile(&tiny_seq_model()), both));
+    cases
+}
+
+/// Kernels keep no extents: the plan compiled against the model's own graph
+/// and against the graph rebound to another binding are the same kernels —
+/// step kinds, tape segmentation, instruction lists and broadcast rules. A
+/// segmentation that only held at the compiled shapes (unrelated chains
+/// merged because their extents coincide there) would show up here.
+#[test]
+fn kernels_compiled_at_any_binding_are_the_same_kernels() {
+    let mut rebound = 0;
+    for (name, model, binding) in bound_cases() {
+        let Ok(instance) = model.instance_for(binding) else {
+            continue;
+        };
+        for block in model.plan.blocks() {
+            assert_eq!(
+                instance.engine().kernel(block.id),
+                model.engine.kernel(block.id),
+                "{name} at {binding:?}: block {}",
+                block.id
+            );
+        }
+        rebound += 1;
+    }
+    // The other 12 of the 37 cases are the six transformer builders, whose
+    // attributes bake in their batch of 1.
+    assert_eq!(rebound, 25);
+}
+
+/// The differential oracle at tolerance 0: `Executor::run` on the model's
+/// own kernels computes, bit for bit, what the plan compiled against the
+/// rebound graph computes (`instance_for`, rebuilt per call), in the
+/// single-thread, threaded and scalar engine configurations. Where the
+/// graph cannot be rebound (an operator bakes in the native batch), the run
+/// fails with an error instead.
+#[test]
+fn shape_generic_runs_match_kernels_compiled_for_the_binding() {
+    let executors = [
+        executor_with(1, false),
+        executor_with(4, false),
+        executor_with(1, true),
+    ];
+    let mut compared = 0;
+    for (name, model, binding) in bound_cases() {
+        let inputs = inputs_at(model.graph(), binding);
+        let Ok(instance) = model.instance_for(binding) else {
+            for executor in &executors {
+                let run = executor.run(&model, &inputs);
+                assert!(
+                    run.is_err(),
+                    "{name} at {binding:?} ran but does not rebind"
+                );
+            }
+            continue;
+        };
         let store = WeightStore::of_model(&model);
         let (graph, engine) = (instance.graph(), instance.engine());
-        let explicit = executor.run_engine(graph, &model.plan, engine, &store, &inputs, None);
-        assert_eq!(explicit.unwrap(), executor.run(&model, &inputs).unwrap());
+        let oracle = executors[0]
+            .run_engine(graph, &model.plan, engine, &store, &inputs, None)
+            .unwrap_or_else(|e| panic!("{name} at {binding:?}: oracle failed: {e}"));
+        for executor in &executors {
+            let run = executor
+                .run(&model, &inputs)
+                .unwrap_or_else(|e| panic!("{name} at {binding:?}: {e}"));
+            assert_eq!(run.outputs.len(), oracle.outputs.len());
+            for (i, (a, b)) in run.outputs.iter().zip(&oracle.outputs).enumerate() {
+                assert_eq!(
+                    a.first_disagreement(b, 0.0),
+                    None,
+                    "{name} at {binding:?}, output {i}, {:?}",
+                    executor.options()
+                );
+            }
+        }
+        compared += 1;
     }
+    assert_eq!(compared, 25);
+}
+
+/// A binding the graph cannot take is a typed error from the run, never a
+/// panic: an operator whose attributes bake in the native batch fails its
+/// shape inference, and a tape whose operands stop broadcasting fails its
+/// geometry; each error names the node.
+#[test]
+fn runs_at_bindings_the_graph_cannot_take_fail_with_typed_errors() {
+    let executor = executor_with(1, false);
+    let shape_inference_node = |result| match result {
+        Err(RuntimeError::Core(CoreError::Graph(GraphError::ShapeInference { node, .. }))) => node,
+        other => panic!("expected a shape-inference error, got {other:?}"),
+    };
+
+    let mut baked = Graph::new("baked");
+    let x = baked.add_input("x", Shape::new(vec![1, 4, 4]));
+    let reshape = baked
+        .add_op(
+            OpKind::Reshape,
+            Attrs::new().with_ints("shape", vec![1, 16]),
+            &[x],
+            "baked.reshape",
+        )
+        .unwrap()[0];
+    let y = baked
+        .add_op(OpKind::Relu, Attrs::new(), &[reshape], "relu")
+        .unwrap()[0];
+    baked.mark_output(y);
+    let model = Compiler::new(CompilerOptions::without_rewriting())
+        .compile(&baked)
+        .unwrap();
+    let inputs: HashMap<String, Tensor> =
+        [("x".into(), Tensor::random(Shape::new(vec![3, 4, 4]), 1))].into();
+    let node = shape_inference_node(executor.run(&model, &inputs));
+    assert_eq!(node, "baked.reshape");
+
+    // `a` is seq-marked, `b` is not: at seq 5 the inputs pass their checks
+    // but no longer broadcast inside the `Add` tape.
+    let mut mismatch = Graph::new("mismatch");
+    let a = mismatch.add_input("a", Shape::new(vec![1, 4]));
+    mismatch.mark_seq_axis(a, 1).unwrap();
+    let b = mismatch.add_input("b", Shape::new(vec![1, 4]));
+    let sum = mismatch
+        .add_op(OpKind::Add, Attrs::new(), &[a, b], "sum")
+        .unwrap()[0];
+    mismatch.mark_output(sum);
+    let model = compile(&mismatch);
+    let inputs: HashMap<String, Tensor> = [
+        ("a".into(), Tensor::random(Shape::new(vec![1, 5]), 2)),
+        ("b".into(), Tensor::random(Shape::new(vec![1, 4]), 3)),
+    ]
+    .into();
+    let node = shape_inference_node(executor.run(&model, &inputs));
+    assert_eq!(node, "sum");
 }
 
 /// What the plan constructor refuses and accepts, one condition each, on
