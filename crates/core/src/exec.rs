@@ -420,8 +420,12 @@ impl ScalarTape {
     /// `in_off[i] + l * in_last[i]` (`0` splats a broadcast operand) and
     /// every instruction applies per lane in the tape's order, so lane `l`
     /// computes exactly what the `N = 1` instance computes at its element.
-    /// Outputs store as contiguous `N`-slices (innermost stride 1 whenever
-    /// `N > 1`, checked by the caller).
+    /// Each instruction picks its operation once for all lanes: the bundle
+    /// arithmetic for `Add`/`Sub`/`Mul`/`Div`/`Max`/`Min`/`Relu`/`Sqrt`
+    /// (the scalar kernels' own IEEE operations, lane-wise), the scalar
+    /// kernel per lane for every other operator. Outputs store as
+    /// contiguous `N`-slices (innermost stride 1 whenever `N > 1`, checked
+    /// by the caller).
     fn eval_lanes<const N: usize>(
         &self,
         in_slices: &[&[f32]],
@@ -436,17 +440,31 @@ impl ScalarTape {
                 TapeInstr::Load { input } => {
                     F32Lanes::gather(in_slices[input], in_off[input], in_last[input])
                 }
-                TapeInstr::Unary { ref f, src } => regs[src].map(|v| f.apply(v)),
+                TapeInstr::Unary { ref f, src } => match f.op() {
+                    OpKind::Relu => regs[src].max(F32Lanes::splat(0.0)),
+                    OpKind::Sqrt => regs[src].sqrt(),
+                    _ => regs[src].map(|v| f.apply(v)),
+                },
                 TapeInstr::Binary { op, lhs, rhs } => {
-                    let a = regs[lhs].to_array();
-                    let b = regs[rhs].to_array();
-                    let mut y = [0.0f32; N];
-                    for (l, slot) in y.iter_mut().enumerate() {
-                        *slot = op
-                            .scalar_binary(a[l], b[l])
-                            .expect("tape compilation only emits scalar binary ops");
+                    let (a, b) = (regs[lhs], regs[rhs]);
+                    match op {
+                        OpKind::Add => a + b,
+                        OpKind::Sub => a - b,
+                        OpKind::Mul => a * b,
+                        OpKind::Div => a / b,
+                        OpKind::Max => a.max(b),
+                        OpKind::Min => a.min(b),
+                        _ => {
+                            let (a, b) = (a.to_array(), b.to_array());
+                            let mut y = [0.0f32; N];
+                            for (l, slot) in y.iter_mut().enumerate() {
+                                *slot = op
+                                    .scalar_binary(a[l], b[l])
+                                    .expect("tape compilation only emits scalar binary ops");
+                            }
+                            F32Lanes::from_array(y)
+                        }
                     }
-                    F32Lanes::from_array(y)
                 }
                 TapeInstr::Select {
                     cond,
@@ -1247,7 +1265,7 @@ mod tests {
             let parallel = run_compiled_with(&g, &env, WorkPool::with_min_work(threads, 0));
             for &out in g.outputs() {
                 assert_eq!(
-                    serial[&out].first_disagreement(&parallel[&out], 0.0),
+                    serial[&out].first_bit_difference(&parallel[&out]),
                     None,
                     "parallel engine diverged from serial at {threads} threads"
                 );
@@ -1284,11 +1302,101 @@ mod tests {
         for out in [add, mul] {
             assert_eq!(scalar[&out].first_disagreement(&reference[&out], 0.0), None);
             assert_eq!(
-                simd[&out].first_disagreement(&scalar[&out], 0.0),
+                simd[&out].first_bit_difference(&scalar[&out]),
                 None,
                 "lane-blocked tape diverged from the scalar sweep"
             );
-            assert_eq!(parallel[&out].first_disagreement(&scalar[&out], 0.0), None);
+            assert_eq!(parallel[&out].first_bit_difference(&scalar[&out]), None);
+        }
+    }
+
+    #[test]
+    fn vector_lowered_tape_ops_are_bit_identical_on_special_values() {
+        // Every pair of special values — ±0, ±1, ±inf, two NaN payloads,
+        // the extreme subnormals, f32::MAX, 1 ± ulp — through one block of
+        // the operators the tape lowers to bundle arithmetic. Rows of 13
+        // run as an 8-lane bundle, a 4-lane pass and a scalar tail; every
+        // chain step escapes, so each operator's result is compared.
+        let special = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc1_2345),
+            f32::from_bits(0x0000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::from_bits(0x3f80_0001),
+            f32::from_bits(0x3f7f_ffff),
+        ];
+        let n = special.len();
+        let shape = Shape::new(vec![n, n]);
+        let mut g = Graph::new("special-values");
+        let x = g.add_input("x", shape.clone());
+        let y = g.add_input("y", shape.clone());
+        let mut prev = x;
+        let mut outs = Vec::new();
+        for (i, op) in [
+            OpKind::Add,
+            OpKind::Sub,
+            OpKind::Mul,
+            OpKind::Div,
+            OpKind::Max,
+            OpKind::Min,
+            OpKind::Relu,
+            OpKind::Sqrt,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let inputs = if op.is_elementwise_unary() {
+                vec![prev]
+            } else if i % 2 == 0 {
+                vec![prev, y]
+            } else {
+                vec![x, prev]
+            };
+            prev = g.add_op(op, Attrs::new(), &inputs, "step").unwrap()[0];
+            g.mark_output(prev);
+            outs.push(prev);
+        }
+        let mut env = HashMap::new();
+        let rows = special
+            .iter()
+            .flat_map(|&a| std::iter::repeat_n(a, n))
+            .collect();
+        let cols = special.iter().cycle().take(n * n).copied().collect();
+        env.insert(x, Tensor::from_vec(shape.clone(), rows).unwrap());
+        env.insert(y, Tensor::from_vec(shape, cols).unwrap());
+        let plan = Compiler::new(CompilerOptions::without_rewriting())
+            .compile(&g)
+            .unwrap()
+            .plan;
+        assert_eq!(plan.blocks().len(), 1, "the chain must fuse into one tape");
+
+        let reference = run_reference(&g, &env);
+        let simd = run_compiled_with(&g, &env, WorkPool::serial());
+        let scalar = run_compiled_with(&g, &env, WorkPool::serial().with_simd(false));
+        let parallel = run_compiled_with(&g, &env, WorkPool::with_min_work(3, 0));
+        // Bit for bit, signed zeros included, except the payload of a NaN
+        // computed from two NaNs, which Rust leaves open (`dnnf_ops::simd`).
+        let same_bits = |a: &Tensor, b: &Tensor| {
+            a.shape() == b.shape()
+                && a.data()
+                    .iter()
+                    .zip(b.data())
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        for out in outs {
+            assert_eq!(scalar[&out].first_disagreement(&reference[&out], 0.0), None);
+            assert!(same_bits(&simd[&out], &scalar[&out]), "SIMD vs scalar");
+            assert!(
+                same_bits(&parallel[&out], &scalar[&out]),
+                "threads vs scalar"
+            );
         }
     }
 

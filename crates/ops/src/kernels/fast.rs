@@ -175,8 +175,10 @@ pub fn pack_conv_oc_panel(w: &Tensor) -> Option<Tensor> {
 /// Packing never changes results — a panel supplies the same operand values
 /// in the same accumulation order, so outputs are bit-identical to the
 /// unpacked call (pinned by the kernel tests). `packed_b` is ignored for
-/// every other operator, for untransposed `Gemm`, and for convs the panel
-/// layout does not fit (grouped, remainder channels, or the scalar mode).
+/// every other operator, for untransposed `Gemm`, for convs the panel
+/// layout does not fit (grouped, remainder channels, or the scalar mode),
+/// and wherever its shape is not the one the launch expects — each kernel
+/// checks it and falls back to the plain operand.
 ///
 /// # Errors
 ///
@@ -186,10 +188,8 @@ pub fn pack_conv_oc_panel(w: &Tensor) -> Option<Tensor> {
 ///
 /// # Panics
 ///
-/// May panic on inputs whose shapes are inconsistent with `out_shape`, or a
-/// `packed_b` whose shape is not the transposed B; callers are expected to
-/// pass shapes produced by shape inference and panels produced from the
-/// actual operand.
+/// May panic on inputs whose shapes are inconsistent with `out_shape`;
+/// callers are expected to pass shapes produced by shape inference.
 pub fn execute_fast_into_packed(
     op: OpKind,
     attrs: &Attrs,
@@ -781,17 +781,12 @@ fn fast_gemm(
     // A prepacked (already transposed, `(K, N)` row-major) B panel replaces
     // the transposed operand: reads become contiguous, while every element
     // value — `packed[p][j] == b[j][p]` — and the accumulation order stay
-    // exactly those of the strided loop, so results are bit-identical.
-    let (bdat, b_cols, trans_b) = match packed_b {
-        Some(panel) if trans_b => {
-            debug_assert_eq!(
-                panel.shape().dims(),
-                &[k, n],
-                "packed B panel must be (K, N)"
-            );
-            (panel.data(), n, false)
-        }
-        _ => (b.data(), b.shape().dim(1), trans_b),
+    // exactly those of the strided loop, so results are bit-identical. A
+    // panel of any other shape is ignored, as in `fast_conv`.
+    let panel = packed_b.filter(|p| trans_b && p.shape().dims() == [k, n]);
+    let (bdat, b_cols, trans_b) = match panel {
+        Some(panel) => (panel.data(), n, false),
+        None => (b.data(), b.shape().dim(1), trans_b),
     };
     // Broadcast strides of the optional bias over the (m, n) output.
     let c = inputs.get(2).map(|c| {
@@ -1744,6 +1739,33 @@ mod tests {
                 serial,
             );
             assert_eq!(with, without);
+        }
+    }
+
+    #[test]
+    fn a_mis_shaped_gemm_panel_is_ignored() {
+        // A panel of any shape but (K, N) — the untransposed operand, a
+        // wider one, a shorter one — falls back to the plain operand: the
+        // result is the unpacked one bit for bit, never a misread panel.
+        let a = Tensor::random(Shape::new(vec![4, 6]), 150);
+        let bt = Tensor::random(Shape::new(vec![9, 6]), 151);
+        let attrs = Attrs::new().with_int("transB", 1);
+        let out_shape = Shape::new(vec![4, 9]);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        for pool in [WorkPool::serial(), WorkPool::serial().with_simd(false)] {
+            let unpacked = run_fast(OpKind::Gemm, &attrs, &[&a, &bt], None, &out_shape, pool);
+            for dims in [vec![9, 6], vec![6, 10], vec![5, 9], vec![54]] {
+                let panel = Tensor::random(Shape::new(dims.clone()), 152);
+                let packed = run_fast(
+                    OpKind::Gemm,
+                    &attrs,
+                    &[&a, &bt],
+                    Some(&panel),
+                    &out_shape,
+                    pool,
+                );
+                assert_eq!(bits(packed), bits(unpacked.clone()), "panel {dims:?}");
+            }
         }
     }
 

@@ -1,29 +1,37 @@
-//! Portable fixed-width SIMD lane bundles for the optimized kernels.
+//! Fixed-width SIMD lane bundles for the optimized kernels.
 //!
 //! The build environment has no registry access and the workspace targets
 //! stable Rust, so this module provides the `std::simd` subset the kernels
-//! need as plain `[f32; N]` wrappers: every operation is a fixed-trip-count
-//! lane loop that LLVM reliably auto-vectorizes at `opt-level >= 2` into
-//! SSE/AVX/NEON instructions when the target has them, and compiles to the
-//! identical scalar sequence when it does not. [`F32x8`] and [`F32x4`] are
-//! the two widths the microkernels use ([`LANES`] elements per bundle for
-//! the main loop, a 4-wide pass plus a scalar tail for remainders).
+//! need as `[f32; N]` wrappers. On `x86_64` (where SSE2 is part of every
+//! target) the lane-wise `+ - * /` and [`F32Lanes::sqrt`] of any width that
+//! is a multiple of 4 are explicit `_mm_*_ps` instructions on 4-lane chunks;
+//! everywhere else, and at width 1, they are fixed-trip-count lane loops.
+//! Auto-vectorization alone is not enough here: the packed conv's inner
+//! loop kept lane shuffles and stack spills at the default target and went
+//! fully scalar under `-C target-cpu=x86-64-v3`. [`F32x8`] and [`F32x4`]
+//! are the two widths the microkernels use ([`LANES`] elements per bundle
+//! for the main loop, a 4-wide pass plus a scalar tail for remainders).
 //!
 //! # The determinism contract
 //!
 //! Lanes always map to **independent output elements** — never to partial
 //! sums of one reduction. Each lane executes exactly the scalar kernel's
-//! operation sequence on its own element (`acc = acc + x * w` is two
-//! distinct float ops per lane; nothing here emits a fused multiply-add, a
-//! reassociated sum or a masked skip), so results are bit-identical between
-//! the SIMD and scalar paths, at every lane width and every thread count.
+//! operation sequence on its own element: `acc = acc + x * w` is two
+//! distinct float ops per lane, and nothing here emits a fused
+//! multiply-add, a reassociated sum, a reciprocal approximation or a masked
+//! skip. The SSE instructions round like their scalar operators (nothing
+//! touches the MXCSR rounding or flush-to-zero modes), so results are
+//! bit-identical between the SIMD and scalar paths, at every lane width and
+//! every thread count. The one bit pattern neither path fixes is the
+//! payload of a NaN computed from two NaN operands: Rust leaves open whose
+//! payload propagates, and LLVM may commute the operands of either form.
 //! This extends the thread-level output-ownership rule of
 //! [`crate::parallel`] down to the instruction level. The engine-wide
 //! escape hatch (`ExecOptions::force_scalar` in `dnnf-runtime`) exists so
 //! the differential suites can assert that equivalence at tolerance zero,
 //! not because the paths are expected to differ.
 
-use std::ops::{Add, Div, Mul};
+use std::ops::{Add, Div, Mul, Sub};
 
 /// Lane count of the wide bundle ([`F32x8`]) — the unit the microkernels'
 /// main loops advance by.
@@ -37,12 +45,56 @@ pub const LANES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F32Lanes<const N: usize>([f32; N]);
 
-/// Eight-lane `f32` bundle (one AVX register, two NEON/SSE registers).
+/// Eight-lane `f32` bundle; on `x86_64` two SSE registers, each operation
+/// two 4-lane instructions.
 pub type F32x8 = F32Lanes<8>;
-/// Four-lane `f32` bundle (one NEON/SSE register); used for remainders.
+/// Four-lane `f32` bundle (one SSE register); used for remainders.
 pub type F32x4 = F32Lanes<4>;
 
+/// The lane-wise arithmetic of [`F32Lanes`], as one IEEE single-precision
+/// operation per lane.
+#[derive(Clone, Copy)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    /// Unary: reads only the first operand.
+    Sqrt,
+}
+
+impl Arith {
+    /// The scalar operator on one lane.
+    #[inline(always)]
+    fn scalar(self, x: f32, y: f32) -> f32 {
+        match self {
+            Arith::Add => x + y,
+            Arith::Sub => x - y,
+            Arith::Mul => x * y,
+            Arith::Div => x / y,
+            Arith::Sqrt => x.sqrt(),
+        }
+    }
+}
+
 impl<const N: usize> F32Lanes<N> {
+    /// `op` on every lane: an SSE instruction per 4-lane chunk where the
+    /// target has SSE2 and `N % 4 == 0` (a compile-time branch), the scalar
+    /// operator per lane otherwise. Both round the same way, so the bits
+    /// agree.
+    #[inline(always)]
+    fn lane_wise(self, op: Arith, rhs: Self) -> Self {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        if N.is_multiple_of(4) {
+            return F32Lanes(sse::zip(op, self.0, rhs.0));
+        }
+        let mut lanes = self.0;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            *lane = op.scalar(*lane, rhs.0[l]);
+        }
+        F32Lanes(lanes)
+    }
+
     /// All lanes set to `v`.
     #[inline]
     #[must_use]
@@ -142,6 +194,14 @@ impl<const N: usize> F32Lanes<N> {
         }
         F32Lanes(lanes)
     }
+
+    /// Lane-wise IEEE square root — the scalar kernel's [`f32::sqrt`],
+    /// correctly rounded per lane.
+    #[inline]
+    #[must_use]
+    pub fn sqrt(self) -> Self {
+        self.lane_wise(Arith::Sqrt, self)
+    }
 }
 
 impl<const N: usize> Add for F32Lanes<N> {
@@ -149,11 +209,16 @@ impl<const N: usize> Add for F32Lanes<N> {
 
     #[inline]
     fn add(self, rhs: Self) -> Self {
-        let mut lanes = self.0;
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            *lane += rhs.0[l];
-        }
-        F32Lanes(lanes)
+        self.lane_wise(Arith::Add, rhs)
+    }
+}
+
+impl<const N: usize> Sub for F32Lanes<N> {
+    type Output = Self;
+
+    #[inline]
+    fn sub(self, rhs: Self) -> Self {
+        self.lane_wise(Arith::Sub, rhs)
     }
 }
 
@@ -162,11 +227,7 @@ impl<const N: usize> Mul for F32Lanes<N> {
 
     #[inline]
     fn mul(self, rhs: Self) -> Self {
-        let mut lanes = self.0;
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            *lane *= rhs.0[l];
-        }
-        F32Lanes(lanes)
+        self.lane_wise(Arith::Mul, rhs)
     }
 }
 
@@ -178,11 +239,40 @@ impl<const N: usize> Div for F32Lanes<N> {
     /// reciprocal-multiply would round differently and break bit-identity).
     #[inline]
     fn div(self, rhs: Self) -> Self {
-        let mut lanes = self.0;
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            *lane /= rhs.0[l];
+        self.lane_wise(Arith::Div, rhs)
+    }
+}
+
+/// The SSE lowering of [`Arith`]. SSE2 is part of every `x86_64` target,
+/// so this needs no runtime detection.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod sse {
+    use std::arch::x86_64::{
+        _mm_add_ps, _mm_div_ps, _mm_loadu_ps, _mm_mul_ps, _mm_sqrt_ps, _mm_storeu_ps, _mm_sub_ps,
+    };
+
+    use super::Arith;
+
+    /// `a[c] = op(a[c], b[c])` for each 4-lane chunk `c` (`N % 4 == 0`).
+    #[inline(always)]
+    pub(super) fn zip<const N: usize>(op: Arith, mut a: [f32; N], b: [f32; N]) -> [f32; N] {
+        for (x, y) in a.chunks_exact_mut(4).zip(b.chunks_exact(4)) {
+            // SAFETY: this module only compiles where SSE2 (and so SSE) is
+            // enabled, and `chunks_exact(4)` yields four `f32`s per chunk,
+            // so the unaligned 16-byte loads and the store stay in bounds.
+            unsafe {
+                let (v, w) = (_mm_loadu_ps(x.as_ptr()), _mm_loadu_ps(y.as_ptr()));
+                let r = match op {
+                    Arith::Add => _mm_add_ps(v, w),
+                    Arith::Sub => _mm_sub_ps(v, w),
+                    Arith::Mul => _mm_mul_ps(v, w),
+                    Arith::Div => _mm_div_ps(v, w),
+                    Arith::Sqrt => _mm_sqrt_ps(v),
+                };
+                _mm_storeu_ps(x.as_mut_ptr(), r);
+            }
         }
-        F32Lanes(lanes)
+        a
     }
 }
 
@@ -306,6 +396,103 @@ mod tests {
         // NaN taps follow f32::max (the other operand wins), as in MaxPool.
         let n = F32x4::splat(f32::NAN).max(F32x4::splat(2.0)).to_array();
         assert_eq!(n, [2.0; 4]);
+    }
+
+    /// ±0, ±1, ±inf, two quiet NaN payloads, the smallest and largest
+    /// subnormals, `f32::MAX` and `1 ± ulp`.
+    const SPECIAL: [f32; 13] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc1_2345),
+        f32::from_bits(0x0000_0001),
+        f32::from_bits(0x007f_ffff),
+        f32::MAX,
+        f32::from_bits(0x3f80_0001),
+        f32::from_bits(0x3f7f_ffff),
+    ];
+
+    /// Every `(a, b)` pair of [`SPECIAL`] values, as two flat lane arrays
+    /// padded with `1.0` to whole 8-lane bundles.
+    fn special_pairs() -> (Vec<f32>, Vec<f32>) {
+        let (mut a, mut b): (Vec<f32>, Vec<f32>) = SPECIAL
+            .iter()
+            .flat_map(|&x| SPECIAL.iter().map(move |&y| (x, y)))
+            .unzip();
+        while a.len() % 8 != 0 {
+            a.push(1.0);
+            b.push(1.0);
+        }
+        (std::hint::black_box(a), std::hint::black_box(b))
+    }
+
+    /// Every bundle operation at width `N` against the scalar operator, bit
+    /// for bit, over every special-value pair.
+    fn special_values_match_the_scalar_operators<const N: usize>() {
+        type Op<const N: usize> = (
+            &'static str,
+            fn(F32Lanes<N>, F32Lanes<N>) -> F32Lanes<N>,
+            fn(f32, f32) -> f32,
+        );
+        let ops: [Op<N>; 7] = [
+            ("add", |x, y| x + y, |x, y| x + y),
+            ("sub", |x, y| x - y, |x, y| x - y),
+            ("mul", |x, y| x * y, |x, y| x * y),
+            ("div", |x, y| x / y, |x, y| x / y),
+            ("max", F32Lanes::max, f32::max),
+            ("min", F32Lanes::min, f32::min),
+            ("sqrt", |x, _| x.sqrt(), |x, _| x.sqrt()),
+        ];
+        let (a, b) = special_pairs();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for at in (0..a.len()).step_by(N) {
+            let (x, y) = (F32Lanes::<N>::load(&a[at..]), F32Lanes::<N>::load(&b[at..]));
+            assert_eq!(bits(&x.to_array()), bits(&a[at..at + N]), "load");
+            assert_eq!(
+                bits(&F32Lanes::<N>::gather(&b, at, 1).to_array()),
+                bits(&b[at..at + N]),
+                "gather"
+            );
+            let mut stored = vec![0.0f32; N];
+            y.store(&mut stored);
+            assert_eq!(bits(&stored), bits(&b[at..at + N]), "store");
+            for (name, vector, scalar) in &ops {
+                let got = vector(x, y).to_array();
+                for l in 0..N {
+                    let (xv, yv) = (a[at + l], b[at + l]);
+                    let want = scalar(xv, yv).to_bits();
+                    // When both operands are NaN, Rust leaves open whose
+                    // payload propagates (LLVM may commute the operands of
+                    // either form), so either operand's NaN is the answer.
+                    let either = xv.is_nan() && yv.is_nan() && *name != "sqrt";
+                    let ok = if either {
+                        [xv.to_bits(), yv.to_bits()].contains(&got[l].to_bits())
+                    } else {
+                        got[l].to_bits() == want
+                    };
+                    assert!(
+                        ok,
+                        "{name}({xv:e}, {yv:e}) at width {N}: {:#x} vs {want:#x}",
+                        got[l].to_bits()
+                    );
+                }
+            }
+        }
+        for v in SPECIAL {
+            let splat = F32Lanes::<N>::splat(v).to_array();
+            assert!(splat.iter().all(|s| s.to_bits() == v.to_bits()), "splat");
+        }
+    }
+
+    #[test]
+    fn special_values_are_bit_identical_to_scalar_at_every_width() {
+        special_values_match_the_scalar_operators::<8>();
+        special_values_match_the_scalar_operators::<4>();
+        special_values_match_the_scalar_operators::<1>();
     }
 
     #[test]

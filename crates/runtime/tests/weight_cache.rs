@@ -122,7 +122,7 @@ fn repeated_runs_reuse_the_same_store_and_tensor_allocations() {
 
     for (a, b) in first.outputs.iter().zip(&second.outputs) {
         assert_eq!(
-            a.first_disagreement(b, 0.0),
+            a.first_bit_difference(b),
             None,
             "cached repeat run changed outputs"
         );
@@ -149,7 +149,7 @@ fn concurrent_executors_share_one_store() {
                     .with_options(ExecOptions::with_threads(threads));
                 let outputs = exec.run_compiled(model, inputs).unwrap().outputs;
                 for (a, b) in expected.iter().zip(&outputs) {
-                    assert_eq!(a.first_disagreement(b, 0.0), None);
+                    assert_eq!(a.first_bit_difference(b), None);
                 }
             });
         }
@@ -182,7 +182,7 @@ fn cached_path_is_bit_identical_to_the_uncached_path() {
     assert_eq!(uncached.outputs.len(), cached.outputs.len());
     for (a, b) in uncached.outputs.iter().zip(&cached.outputs) {
         assert_eq!(
-            a.first_disagreement(b, 0.0),
+            a.first_bit_difference(b),
             None,
             "weight cache changed outputs"
         );
@@ -294,12 +294,12 @@ fn packed_conv_panels_are_bit_identical_to_unpacked_across_threads_and_scalar_mo
             .zip(&baseline)
         {
             assert_eq!(
-                p.first_disagreement(u, 0.0),
+                p.first_bit_difference(u),
                 None,
                 "packed vs unpacked diverged under {opts:?}"
             );
             assert_eq!(
-                p.first_disagreement(b, 0.0),
+                p.first_bit_difference(b),
                 None,
                 "run under {opts:?} diverged from the serial baseline"
             );

@@ -314,6 +314,22 @@ impl Tensor {
         })
     }
 
+    /// Bit-level agreement, for engine-vs-engine determinism checks: the
+    /// linear offset of the first element whose `to_bits` differ (offset 0
+    /// when the shapes differ), or `None` when every bit agrees. Unlike
+    /// [`Tensor::first_disagreement`] at tolerance 0, `+0` differs from
+    /// `-0` and NaNs must carry the same payload.
+    #[must_use]
+    pub fn first_bit_difference(&self, other: &Tensor) -> Option<usize> {
+        if self.shape != other.shape {
+            return Some(0);
+        }
+        self.data
+            .iter()
+            .zip(&other.data)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
+    }
+
     /// Size in bytes as seen by the memory model (depends on the dtype tag).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
@@ -468,6 +484,24 @@ mod tests {
         // Shape mismatch reports offset 0.
         assert_eq!(
             a.first_disagreement(&Tensor::zeros(Shape::new(vec![2])), 1e-5),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn first_bit_difference_separates_signed_zeros_and_nan_payloads() {
+        let shape = Shape::new(vec![3]);
+        let quiet = f32::from_bits(0x7fc0_0001);
+        let a = Tensor::from_vec(shape.clone(), vec![1.0, 0.0, quiet]).unwrap();
+        assert_eq!(a.first_bit_difference(&a.clone()), None);
+        let neg_zero = Tensor::from_vec(shape.clone(), vec![1.0, -0.0, quiet]).unwrap();
+        assert_eq!(a.first_disagreement(&neg_zero, 0.0), None);
+        assert_eq!(a.first_bit_difference(&neg_zero), Some(1));
+        let other_nan = Tensor::from_vec(shape, vec![1.0, 0.0, f32::NAN]).unwrap();
+        assert_eq!(a.first_disagreement(&other_nan, 0.0), None);
+        assert_eq!(a.first_bit_difference(&other_nan), Some(2));
+        assert_eq!(
+            a.first_bit_difference(&Tensor::zeros(Shape::new(vec![2]))),
             Some(0)
         );
     }

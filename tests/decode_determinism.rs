@@ -266,7 +266,7 @@ fn decode_builds_one_weight_store_per_model_and_shares_weights_by_name() {
             .get(twin.id)
             .expect("prefill weight materialized");
         assert_eq!(
-            a.first_disagreement(b, 0.0),
+            a.first_bit_difference(b),
             None,
             "weight `{}` differs between prefill and step stores",
             value.name

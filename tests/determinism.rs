@@ -8,7 +8,7 @@
 //!
 //! * every one of the 15 model builders, executed twice at each
 //!   `num_threads ∈ {1, 2, 8}`, produces bit-identical outputs
-//!   ([`Tensor::first_disagreement`] with tolerance 0),
+//!   ([`Tensor::first_bit_difference`]),
 //! * at each of those thread counts, a `force_scalar` run (all lane-blocked
 //!   kernel and tape paths disabled) reproduces the same bytes — the
 //!   SIMD-vs-scalar differential at tolerance 0, and
@@ -61,7 +61,7 @@ fn assert_bit_identical(kind: ModelKind, context: &str, baseline: &[Tensor], run
     );
     for (i, (a, b)) in baseline.iter().zip(run).enumerate() {
         assert_eq!(
-            a.first_disagreement(b, 0.0),
+            a.first_bit_difference(b),
             None,
             "{kind}: output {i} not bit-identical ({context})"
         );

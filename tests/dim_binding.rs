@@ -349,7 +349,7 @@ fn shape_generic_runs_match_kernels_compiled_for_the_binding() {
             assert_eq!(run.outputs.len(), oracle.outputs.len());
             for (i, (a, b)) in run.outputs.iter().zip(&oracle.outputs).enumerate() {
                 assert_eq!(
-                    a.first_disagreement(b, 0.0),
+                    a.first_bit_difference(b),
                     None,
                     "{name} at {binding:?}, output {i}, {:?}",
                     executor.options()
