@@ -2,7 +2,7 @@
 //! the KV-cached decode loop.
 //!
 //! Times the configurations below per model and writes the medians to
-//! `BENCH_exec.json` (schema `dnnf-bench-exec/v9`: a `models` array, a
+//! `BENCH_exec.json` (schema `dnnf-bench-exec/v10`: a `models` array, a
 //! `decode` array, a `ref_steps` array and a `floors` array), so future PRs
 //! can track the execution-engine trajectory the same way the `paper`
 //! binary's fixtures track the paper's counter metrics:
@@ -52,6 +52,9 @@
 //!   of [`WARM_COMPILE_ITERS`] hits. The cross-process disk tier (seed
 //!   replay: plan search skipped, codegen re-run) is exercised and timed
 //!   by the `warm_start` binary in CI instead.
+//! * `rewrite_ms` / `plan_ms` / `codegen_ms` — where the cold compile's time
+//!   goes: the medians over the `compile_ms` samples of the compiler's own
+//!   `CompilationStats::{time_rewriting, time_planning, time_codegen}`.
 //!
 //! Per decoder size, the `decode` rows time two ways of producing the same
 //! [`GENERATE`]-token greedy completion, compiled without graph rewriting so
@@ -255,6 +258,9 @@ struct Row {
     thread_scaling: Vec<(usize, f64)>,
     /// Full cold compilation: fresh compiler, no cache.
     compile_ms: f64,
+    /// The cold compile's phases, each the median of the compiler's own
+    /// clock: rewriting, plan search, code generation.
+    compile_phases_ms: [f64; 3],
     /// Warm-start compilation: an in-memory hit in a primed [`PlanCache`].
     warm_compile_ms: f64,
     kernel_launches_unfused: u64,
@@ -520,10 +526,20 @@ fn main() -> ExitCode {
         // the same request through a primed cache — every sample must be a
         // memory hit (key computation + lookup + `Arc` clone), averaged
         // over an inner loop because one hit sits below timer noise.
+        let mut phases: [Vec<f64>; 3] = Default::default();
         let compile_ms = median_ms(time_ms(|| {
             let mut cold = Compiler::new(CompilerOptions::default());
-            cold.compile(&graph).expect("model compiles");
+            let stats = cold.compile(&graph).expect("model compiles").stats;
+            let clocks = [
+                stats.time_rewriting,
+                stats.time_planning,
+                stats.time_codegen,
+            ];
+            for (samples, clock) in phases.iter_mut().zip(clocks) {
+                samples.push(clock.as_secs_f64() * 1e3);
+            }
         }));
+        let compile_phases_ms = phases.map(median_ms);
         let plan_cache = PlanCache::new();
         let mut cached_compiler = Compiler::new(CompilerOptions::default());
         let (_, outcome) = plan_cache
@@ -550,6 +566,7 @@ fn main() -> ExitCode {
             nopack_fused_ms,
             thread_scaling,
             compile_ms,
+            compile_phases_ms,
             warm_compile_ms,
             kernel_launches_unfused: singletons.fused_layer_count() as u64,
             kernel_launches_fused: compiled.plan.fused_layer_count() as u64,
@@ -612,8 +629,10 @@ fn main() -> ExitCode {
             .map(|(t, ms)| format!("{t}t: {ms:.3} ms"))
             .collect();
         println!("{:<16} {}", "", scaling.join("  "));
+        let [rewrite, plan, codegen] = row.compile_phases_ms;
         println!(
-            "{:<16} compile: {:.3} ms  warm start: {:.3} ms  ({:.1}x)",
+            "{:<16} compile: {:.3} ms (rewrite {rewrite:.3}, plan {plan:.3}, codegen {codegen:.3})  \
+             warm start: {:.3} ms  ({:.1}x)",
             "",
             row.compile_ms,
             row.warm_compile_ms,
@@ -660,7 +679,7 @@ fn main() -> ExitCode {
     }
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"dnnf-bench-exec/v9\",\n");
+    json.push_str("  \"schema\": \"dnnf-bench-exec/v10\",\n");
     json.push_str(&format!("  \"runs_per_config\": {RUNS},\n"));
     json.push_str("  \"scale\": \"tiny\",\n");
     json.push_str(&format!("  \"host_parallelism\": {},\n", host.cores));
@@ -678,7 +697,8 @@ fn main() -> ExitCode {
             "    {{\"model\": \"{}\", \"unfused_ms\": {:.3}, \"engine_unfused_ms\": {:.3}, \
              \"fused_ms\": {:.3}, \"scalar_fused_ms\": {:.3}, \"uncached_run_ms\": {:.3}, \
              \"repeat_run_ms\": {:.3}, \"nopack_fused_ms\": {:.3}, \
-             \"compile_ms\": {:.3}, \"warm_compile_ms\": {:.3}, \
+             \"compile_ms\": {:.3}, \"rewrite_ms\": {:.3}, \"plan_ms\": {:.3}, \
+             \"codegen_ms\": {:.3}, \"warm_compile_ms\": {:.3}, \
              \"speedup\": {:.2}, \"fusion_only_speedup\": {:.2}, \
              \"simd_speedup\": {:.2}, \"weight_cache_speedup\": {:.2}, \
              \"conv_pack_speedup\": {:.2}, \"warm_compile_speedup\": {:.2}, \
@@ -693,6 +713,9 @@ fn main() -> ExitCode {
             row.repeat_run_ms,
             row.nopack_fused_ms,
             row.compile_ms,
+            row.compile_phases_ms[0],
+            row.compile_phases_ms[1],
+            row.compile_phases_ms[2],
             row.warm_compile_ms,
             row.speedup(),
             row.fusion_only_speedup(),

@@ -2,8 +2,9 @@
 //!
 //! One seed deterministically generates one model (an element-wise /
 //! broadcast DAG, an anchored Conv/MatMul/Gemm/pool DAG with a fused
-//! epilogue, an attention-shaped MatMul chain, or a chain of data-movement
-//! operators and a reduction between element-wise ones), which is then
+//! epilogue, an attention-shaped MatMul chain, a chain of data-movement
+//! operators and a reduction between element-wise ones, or a chain of
+//! planted rewrite-rule motifs and near-misses), which is then
 //! compiled without graph rewriting and executed through the fused engine at
 //! `num_threads ∈ {1, 2, 8}` and again with every SIMD path disabled
 //! (`force_scalar`). Every configuration must agree with the
@@ -11,7 +12,9 @@
 //! agree with each other **bit for bit** (the engine's ownership-split
 //! determinism invariant). The same model compiled with the default options
 //! (graph rewriting on) must agree with the reference within `1e-5` too;
-//! rewrites reassociate float arithmetic, so that leg is not bit-exact.
+//! rewrites reassociate float arithmetic, so that leg is not bit-exact. In
+//! the planted-motif family, that compile must rewrite exactly the planted
+//! motifs and leave the near-misses alone.
 //!
 //! The `random_model` binary drives this over a seed range; any failure
 //! prints its seed, which replays the exact graph and inputs.
@@ -19,6 +22,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use dnnf_core::rewrite::{AppliedRewrite, RULES};
 use dnnf_core::{Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnf_graph::{Graph, NodeId, ValueId};
 use dnnf_ops::{Attrs, OpKind};
@@ -73,20 +77,24 @@ fn pick(rng: &mut StdRng, ops: &[OpKind]) -> OpKind {
     ops[below(rng, ops.len())]
 }
 
+fn unary_attrs(op: OpKind) -> Attrs {
+    match op {
+        OpKind::LeakyRelu => Attrs::new().with_float("alpha", 0.125),
+        OpKind::Clip => Attrs::new()
+            .with_float("min", -0.75)
+            .with_float("max", 0.75),
+        _ => Attrs::new(),
+    }
+}
+
 /// Appends a random element-wise operator after `src`.
 fn random_elementwise(g: &mut Graph, rng: &mut StdRng, src: ValueId, tag: &str) -> ValueId {
     let shape = g.value(src).shape.clone();
     let choice = below(rng, 8);
     if choice < 4 {
         let op = pick(rng, UNARY_OPS);
-        let attrs = match op {
-            OpKind::LeakyRelu => Attrs::new().with_float("alpha", 0.125),
-            OpKind::Clip => Attrs::new()
-                .with_float("min", -0.75)
-                .with_float("max", 0.75),
-            _ => Attrs::new(),
-        };
-        g.add_op(op, attrs, &[src], format!("{tag}.u")).unwrap()[0]
+        g.add_op(op, unary_attrs(op), &[src], format!("{tag}.u"))
+            .unwrap()[0]
     } else if choice < 7 || shape.rank() < 2 {
         // Binary against a broadcast-shaped weight.
         let op = pick(rng, BINARY_OPS);
@@ -415,18 +423,316 @@ fn reorganize_chain(rng: &mut StdRng, _max_nodes: usize) -> Graph {
     g
 }
 
+/// A rewrite motif planted in a `fuzz-rewrite` graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Motif {
+    /// The [`RULES`] row it was built for.
+    pub rule: &'static str,
+    /// `true` for the row's pattern, which the rule rewrites; `false` for
+    /// its near-miss, which differs by one side-condition and is left alone.
+    pub fires: bool,
+}
+
+/// A random permutation of `0..rank`.
+fn permutation(rng: &mut StdRng, rank: usize) -> Vec<i64> {
+    let mut perm: Vec<i64> = (0..rank as i64).collect();
+    for j in (1..rank).rev() {
+        perm.swap(j, below(rng, j + 1));
+    }
+    perm
+}
+
+/// Adds one motif's operators and weights, each named `<tag>.<part>`.
+struct MotifBuilder<'g> {
+    g: &'g mut Graph,
+    tag: &'g str,
+}
+
+impl MotifBuilder<'_> {
+    fn op(&mut self, op: OpKind, attrs: Attrs, inputs: &[ValueId], part: &str) -> ValueId {
+        let name = format!("{}.{part}", self.tag);
+        self.g.add_op(op, attrs, inputs, name).unwrap()[0]
+    }
+    fn un(&mut self, op: OpKind, x: ValueId, part: &str) -> ValueId {
+        self.op(op, Attrs::new(), &[x], part)
+    }
+    fn bin(&mut self, op: OpKind, x: ValueId, y: ValueId, part: &str) -> ValueId {
+        self.op(op, Attrs::new(), &[x, y], part)
+    }
+    /// A weight of `shape` holding data drawn uniformly from `[lo, hi)`.
+    fn weight(&mut self, rng: &mut StdRng, part: &str, shape: Shape, lo: f32, hi: f32) -> ValueId {
+        let data = Tensor::random(shape, rng.next_u64()).map(|v| lo + (hi - lo) * (v + 1.0) / 2.0);
+        self.g
+            .add_weight_with_data(format!("{}.{part}", self.tag), data)
+    }
+    /// A weight of `shape` holding `value` everywhere.
+    fn constant(&mut self, part: &str, shape: Shape, value: f32) -> ValueId {
+        let data = Tensor::full(shape, value);
+        self.g
+            .add_weight_with_data(format!("{}.{part}", self.tag), data)
+    }
+    /// `Sigmoid(x) + 0.5`, in `(0.5, 1.5)`.
+    fn positive(&mut self, x: ValueId) -> ValueId {
+        let s = self.un(OpKind::Sigmoid, x, "sigmoid");
+        let half = self.constant("half", Shape::new(vec![1]), 0.5);
+        self.bin(OpKind::Add, s, half, "positive")
+    }
+    /// `op` over `x`'s widest axis (the last of the widest), so the
+    /// reduction shrinks the tensor; dimensions are kept.
+    fn reduce_widest(&mut self, op: OpKind, x: ValueId, part: &str) -> ValueId {
+        let dims = self.g.value(x).shape.dims().to_vec();
+        let axis = (0..dims.len()).rev().max_by_key(|&a| dims[a]).unwrap_or(0);
+        let attrs = Attrs::new().with_ints("axes", vec![axis as i64]);
+        self.op(op, attrs, &[x], part)
+    }
+}
+
+/// Plants `rule`'s motif (or, unless `fires`, its near-miss) on `x` and
+/// returns the motif's result. Each motif opens with a `Tanh` that bounds
+/// its operands, so a reassociating rewrite stays well within
+/// [`FUZZ_TOLERANCE`] of the reference and the operator before it cannot
+/// amplify an earlier motif's rounding; weights carry data, so
+/// `Reciprocal` and `Sqrt` see positive operands. Each near-miss differs
+/// from its motif by the one side-condition the rule's own test case
+/// varies, or by a second reader where the chain's shapes rule that out.
+fn plant_motif(
+    g: &mut Graph,
+    rng: &mut StdRng,
+    rule: &str,
+    fires: bool,
+    x: ValueId,
+    tag: &str,
+) -> ValueId {
+    use OpKind::*;
+    let mut m = MotifBuilder { g, tag };
+    let x = m.un(Tanh, x, "tanh");
+    let shape = m.g.value(x).shape.clone();
+    let last = shape.rank() - 1;
+    match rule {
+        "assoc.recip-mul" => {
+            let a = m.positive(x);
+            let b = m.weight(rng, "b", shape, 0.5, 1.5);
+            let recip_a = m.un(Reciprocal, a, "recip_a");
+            let ab = m.bin(Mul, a, b, "ab");
+            let recip_ab = m.un(Reciprocal, ab, "recip_ab");
+            if !fires {
+                let extra = m.un(Relu, ab, "extra");
+                m.g.mark_output(extra);
+            }
+            m.bin(Mul, recip_a, recip_ab, "out")
+        }
+        "assoc.sqrt-pair" => {
+            let a = m.positive(x);
+            let b = m.weight(rng, "b", shape.clone(), 0.5, 1.5);
+            let c = m.weight(rng, "c", shape, 0.5, 1.5);
+            let sqrt = m.un(Sqrt, b, "sqrt");
+            let p = m.bin(Mul, a, sqrt, "p");
+            let q = m.bin(Mul, sqrt, c, "q");
+            if !fires {
+                m.g.mark_output(sqrt);
+            }
+            m.bin(Mul, p, q, "out")
+        }
+        "assoc.abs-mul" => {
+            let b = m.weight(rng, "b", shape.clone(), -1.0, 1.0);
+            let c = m.weight(rng, "c", shape, -1.0, 1.0);
+            let abs_a = m.un(Abs, x, "abs_a");
+            let inner = m.bin(Mul, abs_a, b, "inner");
+            let abs_c = m.un(Abs, c, "abs_c");
+            if !fires {
+                let extra = m.un(Relu, abs_c, "extra");
+                m.g.mark_output(extra);
+            }
+            m.bin(Mul, inner, abs_c, "out")
+        }
+        "assoc.reducesum-square" => {
+            let a = m.positive(x);
+            let b = m.weight(rng, "b", shape.clone(), 0.1, 0.4);
+            let c = m.weight(rng, "c", shape, 0.5, 1.5);
+            let sum = m.reduce_widest(ReduceSum, b, "sum");
+            let p = m.bin(Mul, a, sum, "p");
+            let q = m.bin(Mul, sum, c, "q");
+            if !fires {
+                m.g.mark_output(sum);
+            }
+            m.bin(Mul, p, q, "out")
+        }
+        "dist.mul-add-factor" => {
+            let a = m.positive(x);
+            let mut narrow = shape.dims().to_vec();
+            narrow[last] = 1;
+            let b = m.weight(rng, "b", shape.clone(), 0.5, 1.5);
+            let c = m.weight(rng, "c", Shape::new(narrow), 0.5, 1.5);
+            let ac = m.bin(Mul, a, c, "ac");
+            // Near-miss: the two products share no operand.
+            let left = if fires {
+                a
+            } else {
+                m.weight(rng, "d", shape, 0.5, 1.5)
+            };
+            let xb = m.bin(Mul, left, b, "xb");
+            m.bin(Add, ac, xb, "out")
+        }
+        "dist.matmul-factor" => {
+            let a = m.positive(x);
+            let k = shape.dim(last);
+            let b = m.weight(rng, "b", Shape::new(vec![k, k]), 0.1, 0.3);
+            // Near-miss: the right operands differ in shape.
+            let columns = match (fires, k) {
+                (true, _) => k,
+                (false, 1) => 2,
+                (false, _) => 1,
+            };
+            let c = m.weight(rng, "c", Shape::new(vec![k, columns]), 0.1, 0.3);
+            let ab = m.bin(MatMul, a, b, "ab");
+            let ac = m.bin(MatMul, a, c, "ac");
+            m.bin(Add, ab, ac, "out")
+        }
+        "dist.square-sub" => {
+            let a = m.positive(x);
+            let c = m.weight(rng, "c", shape, 0.5, 1.5);
+            let square = m.un(Square, a, "square");
+            let ac = m.bin(Mul, a, c, "ac");
+            if !fires {
+                m.g.mark_output(square);
+            }
+            m.bin(Sub, square, ac, "out")
+        }
+        "comm.bitshift-reducesum" => {
+            // Small integers: the rule is exact only on integral data.
+            let four = m.constant("four", Shape::new(vec![1]), 4.0);
+            let scaled = m.bin(Mul, x, four, "scaled");
+            let a = m.un(Round, scaled, "round");
+            // Near-miss: a per-column shift amount instead of a scalar.
+            let columns = if fires { 1 } else { shape.dim(last).max(2) };
+            let s = m.constant("s", Shape::new(vec![columns]), 2.0);
+            let left = Attrs::new().with_str("direction", "LEFT");
+            let shifted = m.op(BitShift, left, &[a, s], "shift");
+            m.reduce_widest(ReduceSum, shifted, "out")
+        }
+        "comm.exp-reduceprod" => {
+            let quarter = m.constant("quarter", Shape::new(vec![1]), 0.25);
+            let a = m.bin(Mul, x, quarter, "small");
+            let e = m.un(Exp, a, "exp");
+            if !fires {
+                let extra = m.un(Relu, e, "extra");
+                m.g.mark_output(extra);
+            }
+            m.reduce_widest(ReduceProd, e, "out")
+        }
+        "simplify.reorganize-chain" => {
+            let flat = m.op(Flatten, Attrs::new().with_int("axis", 1), &[x], "flatten");
+            if !fires {
+                m.g.mark_output(flat);
+            }
+            let dims = shape.dims().iter().map(|&d| d as i64).collect();
+            m.op(
+                Reshape,
+                Attrs::new().with_ints("shape", dims),
+                &[flat],
+                "out",
+            )
+        }
+        "simplify.transpose-pair" => {
+            let p1 = permutation(rng, shape.rank());
+            // Half the time the pair composes to the identity and vanishes.
+            let p2 = if below(rng, 2) == 0 {
+                let mut inverse = vec![0; p1.len()];
+                for (i, &p) in p1.iter().enumerate() {
+                    inverse[p as usize] = i as i64;
+                }
+                inverse
+            } else {
+                permutation(rng, shape.rank())
+            };
+            let t1 = m.op(Transpose, Attrs::new().with_ints("perm", p1), &[x], "t1");
+            if !fires {
+                let extra = m.un(Sigmoid, t1, "extra");
+                m.g.mark_output(extra);
+            }
+            m.op(Transpose, Attrs::new().with_ints("perm", p2), &[t1], "out")
+        }
+        "simplify.identity" => {
+            let relu = m.un(Relu, x, "relu");
+            let out = m.un(Identity, relu, "out");
+            // Near-miss: both ends are graph outputs, which rewiring would
+            // merge into one.
+            if !fires {
+                m.g.mark_output(relu);
+                m.g.mark_output(out);
+            }
+            out
+        }
+        other => panic!("no motif for rule `{other}`"),
+    }
+}
+
+/// 2–4 [`RULES`] rows' motifs or near-misses (each row at most once),
+/// chained through random unary element-wise operators; the last motif's
+/// result is the graph output, so its rewrite splices at the end of the
+/// graph and may replace a graph output. The size is set by the motif
+/// count, not by `max_nodes`.
+fn rewrite_motifs(rng: &mut StdRng) -> (Graph, Vec<Motif>) {
+    let rank = 2 + below(rng, 3);
+    // Extents of at least 2, so a reduction motif saves work.
+    let dims: Vec<usize> = (0..rank).map(|_| 2 + below(rng, 3)).collect();
+    let mut g = Graph::new("fuzz-rewrite");
+    let mut x = g.add_input("x", Shape::new(dims));
+    let mut rows: Vec<usize> = (0..RULES.len()).collect();
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, below(rng, i + 1));
+    }
+    // `Identity` between motifs would let `simplify.identity` fire where
+    // no motif planted it.
+    let gaps: Vec<OpKind> = UNARY_OPS
+        .iter()
+        .copied()
+        .filter(|&op| op != OpKind::Identity)
+        .collect();
+    let mut motifs = Vec::new();
+    for (i, &row) in rows.iter().take(2 + below(rng, 3)).enumerate() {
+        let gap = pick(rng, &gaps);
+        x = g
+            .add_op(gap, unary_attrs(gap), &[x], format!("m{i}.gap"))
+            .unwrap()[0];
+        let motif = Motif {
+            rule: RULES[row].name,
+            fires: below(rng, 2) == 0,
+        };
+        x = plant_motif(&mut g, rng, motif.rule, motif.fires, x, &format!("m{i}"));
+        motifs.push(motif);
+    }
+    g.mark_output(x);
+    (g, motifs)
+}
+
 /// Deterministically generates the model for `seed`: the seed fully
-/// determines the family (element-wise, anchored, attention-shaped or
-/// data-movement) and every structural choice inside it.
+/// determines the family (element-wise, anchored, attention-shaped,
+/// data-movement or planted rewrite motifs) and every structural choice
+/// inside it.
 #[must_use]
 pub fn random_fuzz_graph(seed: u64, max_nodes: usize) -> Graph {
+    planted_fuzz_graph(seed, max_nodes).0
+}
+
+/// [`random_fuzz_graph`] with the rewrite motifs it planted (none outside
+/// the `fuzz-rewrite` family).
+#[must_use]
+pub fn planted_fuzz_graph(seed: u64, max_nodes: usize) -> (Graph, Vec<Motif>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    match below(&mut rng, 4) {
+    // One fifth of the seeds go to the motif family, chosen by the high half
+    // of the first draw so every other seed keeps the graph it always drew.
+    let draw = rng.next_u64();
+    if (draw >> 32) % 5 == 4 {
+        return rewrite_motifs(&mut rng);
+    }
+    let graph = match draw % 4 {
         0 => elementwise_dag(&mut rng, max_nodes),
         1 => anchored_dag(&mut rng, max_nodes),
         2 => attention_chain(&mut rng, max_nodes),
         _ => reorganize_chain(&mut rng, max_nodes),
-    }
+    };
+    (graph, Vec::new())
 }
 
 /// Random inputs for every graph input, seeded so a failing case replays.
@@ -443,7 +749,7 @@ pub fn fuzz_inputs(graph: &Graph, seed: u64) -> HashMap<String, Tensor> {
 }
 
 /// A passing seed's summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzOutcome {
     /// The seed checked.
     pub seed: u64,
@@ -451,6 +757,99 @@ pub struct FuzzOutcome {
     pub nodes: usize,
     /// Fused blocks the compiler produced for it.
     pub fused_blocks: usize,
+    /// The rewrite motifs planted in the graph, each with whether its rule
+    /// fired.
+    pub motifs: Vec<(Motif, bool)>,
+}
+
+/// Each of `motifs` with whether its rule is among `applied` (a graph
+/// plants each rule at most once).
+#[must_use]
+pub fn motif_outcomes(motifs: &[Motif], applied: &[AppliedRewrite]) -> Vec<(Motif, bool)> {
+    motifs
+        .iter()
+        .map(|&m| (m, applied.iter().any(|a| a.rule == m.rule)))
+        .collect()
+}
+
+/// One [`RULES`] row's planted motifs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MotifCounts {
+    /// Motifs planted.
+    pub motifs: usize,
+    /// Of those, motifs the rule rewrote.
+    pub fired: usize,
+    /// Near-misses planted.
+    pub near_misses: usize,
+    /// Of those, near-misses the rule left alone.
+    pub refused: usize,
+}
+
+/// Per-[`RULES`]-row counts of planted motifs, in table order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MotifTally {
+    /// Each row's name and counts.
+    pub rows: Vec<(&'static str, MotifCounts)>,
+}
+
+impl MotifTally {
+    /// An empty tally over every row of [`RULES`].
+    #[must_use]
+    pub fn new() -> Self {
+        MotifTally {
+            rows: RULES
+                .iter()
+                .map(|r| (r.name, MotifCounts::default()))
+                .collect(),
+        }
+    }
+
+    /// Counts one planted motif and whether its rule fired.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the motif names no row of [`RULES`].
+    pub fn add(&mut self, (motif, fired): (Motif, bool)) {
+        let (_, counts) = self
+            .rows
+            .iter_mut()
+            .find(|(rule, _)| *rule == motif.rule)
+            .expect("motifs are planted for rows of RULES");
+        if motif.fires {
+            counts.motifs += 1;
+            counts.fired += usize::from(fired);
+        } else {
+            counts.near_misses += 1;
+            counts.refused += usize::from(!fired);
+        }
+    }
+
+    /// Rows that never fired or were never refused.
+    #[must_use]
+    pub fn unexercised(&self) -> Vec<&'static str> {
+        self.rows
+            .iter()
+            .filter(|(_, c)| c.fired == 0 || c.refused == 0)
+            .map(|(rule, _)| *rule)
+            .collect()
+    }
+}
+
+impl fmt::Display for MotifTally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "planted rewrite motifs (fired/planted, refused/planted near-misses):"
+        )?;
+        for (rule, c) in &self.rows {
+            writeln!(
+                f,
+                "  {rule:<26} fired {}/{}  refused {}/{}",
+                c.fired, c.motifs, c.refused, c.near_misses
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// A failing seed: `seed` replays it, `context` says what disagreed.
@@ -635,7 +1034,7 @@ pub fn check_plan_facts(graph: &Graph, plan: &FusionPlan) -> Result<(), String> 
 /// compile/execution/serialization error).
 pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailure> {
     let fail = |context: String| FuzzFailure { seed, context };
-    let graph = random_fuzz_graph(seed, max_nodes);
+    let (graph, motifs) = planted_fuzz_graph(seed, max_nodes);
     let inputs = fuzz_inputs(&graph, seed ^ 0xF00D_5EED);
     let base = Executor::new(DeviceSpec::snapdragon_865_cpu());
 
@@ -743,6 +1142,15 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
         .run_compiled(&rewritten, &inputs)
         .map_err(|e| fail(format!("rewriting on: engine run failed: {e}")))?;
     against_reference("rewriting on", &run.outputs)?;
+    let motifs = motif_outcomes(&motifs, &rewritten.stats.rewrites);
+    if let Some((motif, fired)) = motifs.iter().find(|(m, fired)| m.fires != *fired) {
+        let what = if motif.fires { "motif" } else { "near-miss" };
+        let verb = if *fired { "fired" } else { "did not fire" };
+        return Err(fail(format!(
+            "rewriting on: `{}` {verb} on its planted {what}",
+            motif.rule
+        )));
+    }
 
     // Serialization round-trip. Fingerprint identity means the imported
     // graph would hit the same PlanCache entry; compiling it from scratch
@@ -788,6 +1196,7 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
         seed,
         nodes: graph.node_count(),
         fused_blocks: compiled.stats.fused_layers,
+        motifs,
     })
 }
 
@@ -806,6 +1215,7 @@ mod tests {
             "fuzz-anchor",
             "fuzz-attention",
             "fuzz-reorganize",
+            "fuzz-rewrite",
         ] {
             assert!(
                 names.contains(family),
@@ -844,6 +1254,29 @@ mod tests {
                 panic!("{failure}");
             }
         }
+    }
+
+    /// The seeds CI's fuzz smoke steps run (`random_model` at the default
+    /// 12 nodes over 0..400, and at 64 nodes over 1000..1200) plant every
+    /// rule's motif and its near-miss, and the engine rewrites exactly the
+    /// motifs.
+    #[test]
+    fn the_smoke_seeds_fire_and_refuse_every_rule() {
+        use dnnf_core::rewrite::RewriteEngine;
+        let engine = RewriteEngine::with_default_rules();
+        let mut tally = MotifTally::new();
+        let smoke = (0..400u64)
+            .map(|s| (s, 12))
+            .chain((1000..1200).map(|s| (s, 64)));
+        for (seed, max_nodes) in smoke {
+            let (graph, motifs) = planted_fuzz_graph(seed, max_nodes);
+            let (_, applied) = engine.run(&graph);
+            for outcome in motif_outcomes(&motifs, &applied) {
+                assert_eq!(outcome.0.fires, outcome.1, "seed {seed}: {:?}", outcome.0);
+                tally.add(outcome);
+            }
+        }
+        assert_eq!(tally.unexercised(), Vec::<&str>::new(), "{tally}");
     }
 
     #[test]

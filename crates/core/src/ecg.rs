@@ -7,8 +7,6 @@
 //! produced value is removable exactly when its
 //! [`FusionPlan::lifetime`](crate::FusionPlan::lifetime) is `None`.
 
-use std::collections::BTreeSet;
-
 use dnnf_graph::{Graph, NodeId};
 use dnnf_ops::{MappingType, MathProperties, OpKind};
 use dnnf_tensor::Shape;
@@ -128,36 +126,35 @@ impl Ecg {
     /// nodes inside which rule matching is exhaustive.
     #[must_use]
     pub fn rewrite_partitions(graph: &Graph) -> Vec<Vec<NodeId>> {
-        let participates: Vec<bool> = graph
+        // Non-participants start out visited, so no fill enters them.
+        let mut visited: Vec<bool> = graph
             .nodes()
-            .map(|n| Self::is_rewrite_participant(n.op))
+            .map(|n| !Self::is_rewrite_participant(n.op))
             .collect();
-        let mut visited = vec![false; graph.node_count()];
         let mut partitions = Vec::new();
+        let mut stack = Vec::new();
         for node in graph.nodes() {
-            let idx = node.id.index();
-            if visited[idx] || !participates[idx] {
+            if visited[node.id.index()] {
                 continue;
             }
-            // Flood fill across participating neighbours.
-            let mut stack = vec![node.id];
-            let mut component = BTreeSet::new();
-            visited[idx] = true;
+            // Flood fill across participating neighbours: the producers of a
+            // node's inputs and the consumers of its outputs.
+            visited[node.id.index()] = true;
+            stack.push(node.id);
+            let mut component = Vec::new();
             while let Some(cur) = stack.pop() {
-                component.insert(cur);
-                for next in graph
-                    .predecessors(cur)
-                    .into_iter()
-                    .chain(graph.successors(cur))
-                {
-                    let nidx = next.index();
-                    if !visited[nidx] && participates[nidx] {
-                        visited[nidx] = true;
+                component.push(cur);
+                let cur = graph.node(cur);
+                let producers = cur.inputs.iter().filter_map(|&v| graph.value(v).producer);
+                let consumers = cur.outputs.iter().flat_map(|&v| &graph.value(v).consumers);
+                for next in producers.chain(consumers.copied()) {
+                    if !std::mem::replace(&mut visited[next.index()], true) {
                         stack.push(next);
                     }
                 }
             }
-            partitions.push(component.into_iter().collect());
+            component.sort_unstable();
+            partitions.push(component);
         }
         partitions
     }
@@ -255,6 +252,61 @@ mod tests {
         let sizes: Vec<usize> = parts.iter().map(Vec::len).collect();
         assert!(sizes.contains(&2)); // {Recip, Mul1}
         assert!(sizes.contains(&1)); // {Mul2}
+    }
+
+    /// The flood fill as it was written first — per-node neighbour lists
+    /// and a sorted set per component — as the oracle for the index-based
+    /// pass.
+    fn reference_partitions(graph: &Graph) -> Vec<Vec<NodeId>> {
+        let participates: Vec<bool> = graph
+            .nodes()
+            .map(|n| Ecg::is_rewrite_participant(n.op))
+            .collect();
+        let mut visited = vec![false; graph.node_count()];
+        let mut partitions = Vec::new();
+        for node in graph.nodes() {
+            let idx = node.id.index();
+            if visited[idx] || !participates[idx] {
+                continue;
+            }
+            let mut stack = vec![node.id];
+            let mut component = std::collections::BTreeSet::new();
+            visited[idx] = true;
+            while let Some(cur) = stack.pop() {
+                component.insert(cur);
+                for next in graph
+                    .predecessors(cur)
+                    .into_iter()
+                    .chain(graph.successors(cur))
+                {
+                    let nidx = next.index();
+                    if !visited[nidx] && participates[nidx] {
+                        visited[nidx] = true;
+                        stack.push(next);
+                    }
+                }
+            }
+            partitions.push(component.into_iter().collect());
+        }
+        partitions
+    }
+
+    #[test]
+    fn rewrite_partitions_match_the_reference_flood_fill_on_every_model() {
+        for &kind in dnnf_models::ModelKind::all() {
+            let graph = kind.build(dnnf_models::ModelScale::tiny()).unwrap();
+            let parts = Ecg::rewrite_partitions(&graph);
+            assert_eq!(parts, reference_partitions(&graph), "{}", kind.name());
+        }
+        for seed in 0..200 {
+            let graph = dnnf_bench::fuzz::random_fuzz_graph(seed, 12);
+            let parts = Ecg::rewrite_partitions(&graph);
+            assert_eq!(parts, reference_partitions(&graph), "fuzz seed {seed}");
+        }
+        assert_eq!(
+            Ecg::rewrite_partitions(&sample_graph()),
+            reference_partitions(&sample_graph())
+        );
     }
 
     #[test]

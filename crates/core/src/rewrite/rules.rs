@@ -3,7 +3,7 @@
 //!
 //! A matcher looks at one anchor node and either declines or returns the
 //! `Match` it proposes; shape compatibility of the replacement, scoring and
-//! the graph rebuild are the driver's job (see the module docs of
+//! the graph edit are the driver's job (see the module docs of
 //! [`super`]). To add a rule, write its matcher, add a row to [`RULES`] and
 //! an entry to the `cases()` table in this file's tests.
 
@@ -303,7 +303,7 @@ fn identity(_graph: &Graph, node: &Node) -> Option<Match> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::rewrite::RewriteEngine;
     use dnnf_graph::ValueKind;
@@ -404,20 +404,20 @@ mod tests {
 
     /// One rule's evidence: a graph it fires on, and a near-miss that differs
     /// from it by exactly one side-condition and must be left alone.
-    struct Case {
-        rule: &'static str,
+    pub(crate) struct Case {
+        pub(crate) rule: &'static str,
         /// Largest output difference the rewrite may introduce, relative to
         /// the largest output magnitude: [`EXACT`] or [`REASSOCIATED`].
         tolerance: f32,
         input: fn(Shape) -> Tensor,
         /// `build(true)` is the firing graph, `build(false)` the near-miss.
-        build: fn(bool) -> Graph,
+        pub(crate) build: fn(bool) -> Graph,
         /// Rule-specific expectations on (original, rewritten) of the firing
         /// graph.
         check: fn(&Graph, &Graph),
     }
 
-    fn cases() -> Vec<Case> {
+    pub(crate) fn cases() -> Vec<Case> {
         vec![
             Case {
                 rule: "assoc.recip-mul",

@@ -1,5 +1,7 @@
 //! The computational graph container and builder.
 
+mod splice;
+
 use std::collections::{BTreeMap, VecDeque};
 
 use dnnf_ops::{cost, infer_shapes, Attrs, OpKind};
@@ -9,11 +11,24 @@ use crate::{
     DimBinding, GraphError, GraphStats, Node, NodeId, SymbolicAxes, Value, ValueId, ValueKind,
 };
 
+pub use splice::{Splice, SpliceArg, SpliceOp};
+
+/// Name of output `i` of the node called `node`: `<node>:out`, then
+/// `<node>:out1`, `<node>:out2`, ….
+fn output_name(node: &str, i: usize) -> String {
+    if i == 0 {
+        format!("{node}:out")
+    } else {
+        format!("{node}:out{i}")
+    }
+}
+
 /// A computational graph: operator nodes connected through tensor values.
 ///
 /// Graphs are built incrementally with [`Graph::add_input`],
 /// [`Graph::add_weight`] and [`Graph::add_op`]; shape inference runs at
-/// `add_op` time so every value always carries a static shape.
+/// `add_op` time so every value always carries a static shape. Graph
+/// rewriting edits a graph with [`Graph::splice`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     name: String,
@@ -160,13 +175,8 @@ impl Graph {
         let node_id = NodeId(self.nodes.len());
         let mut output_ids = Vec::with_capacity(output_shapes.len());
         for (i, shape) in output_shapes.into_iter().enumerate() {
-            let vname = if i == 0 {
-                format!("{name}:out")
-            } else {
-                format!("{name}:out{i}")
-            };
             let vid = self.push_value(
-                vname,
+                output_name(&name, i),
                 shape,
                 DataType::F32,
                 ValueKind::Intermediate,
@@ -277,11 +287,22 @@ impl Graph {
     /// sort so the invariant survives graph rewriting.
     #[must_use]
     pub fn topo_order(&self) -> Vec<NodeId> {
-        let mut in_degree: Vec<usize> = self
-            .nodes
-            .iter()
-            .map(|n| self.predecessors(n.id).len())
-            .collect();
+        // `seen[n] == id` marks node `n` as already counted for node `id`, so
+        // a producer or consumer met twice counts once, as in
+        // `predecessors` / `successors`.
+        let mut seen = vec![usize::MAX; self.nodes.len()];
+        let mut in_degree = vec![0usize; self.nodes.len()];
+        for node in &self.nodes {
+            for &input in &node.inputs {
+                if let Some(p) = self.values[input.0].producer {
+                    if seen[p.0] != node.id.0 {
+                        seen[p.0] = node.id.0;
+                        in_degree[node.id.0] += 1;
+                    }
+                }
+            }
+        }
+        seen.fill(usize::MAX);
         let mut queue: VecDeque<NodeId> = self
             .nodes
             .iter()
@@ -291,10 +312,16 @@ impl Graph {
         let mut order = Vec::with_capacity(self.nodes.len());
         while let Some(id) = queue.pop_front() {
             order.push(id);
-            for succ in self.successors(id) {
-                in_degree[succ.0] -= 1;
-                if in_degree[succ.0] == 0 {
-                    queue.push_back(succ);
+            for &output in &self.nodes[id.0].outputs {
+                for &succ in &self.values[output.0].consumers {
+                    if seen[succ.0] == id.0 {
+                        continue;
+                    }
+                    seen[succ.0] = id.0;
+                    in_degree[succ.0] -= 1;
+                    if in_degree[succ.0] == 0 {
+                        queue.push_back(succ);
+                    }
                 }
             }
         }

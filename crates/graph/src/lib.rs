@@ -40,7 +40,7 @@ mod value;
 pub use binding::{DimBinding, SymbolicAxes};
 pub use error::GraphError;
 pub use fingerprint::Fingerprint;
-pub use graph::Graph;
+pub use graph::{Graph, Splice, SpliceArg, SpliceOp};
 pub use node::{Node, NodeId};
 pub use stats::GraphStats;
 pub use value::{Value, ValueId, ValueKind};
