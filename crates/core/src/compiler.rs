@@ -5,9 +5,8 @@
 //! records per-phase statistics and timings. Rewriting and fusion can each
 //! be switched off, which is how the evaluation harness reproduces the
 //! optimization-breakdown experiment (Figure 7) and the compilation-time
-//! experiment (Figure 9b). The descriptive per-block artefacts of the paper's
-//! code generation (data-flow trees, pseudo-C) are not built here;
-//! [`crate::codegen::generate_all`] renders them on demand.
+//! experiment (Figure 9b). The compiled kernels are the paper's generated
+//! code; [`crate::FusedKernel::listing`] prints one.
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
@@ -540,14 +539,22 @@ mod tests {
     }
 
     #[test]
-    fn timings_are_recorded_and_fused_ops_render_on_demand() {
+    fn timings_are_recorded_and_kernels_list_what_they_run() {
         let g = sample_model();
         let mut compiler = Compiler::new(CompilerOptions::default());
         let compiled = compiler.compile(&g).unwrap();
         assert!(compiled.stats.total_time() >= compiled.stats.time_rewriting);
-        // The fused operator names are concatenations, e.g. Conv_Mul_Add_...
-        let fused_ops = crate::codegen::generate_all(&compiled.ecg, &compiled.plan);
-        assert!(fused_ops.iter().any(|f| f.name.contains('_')));
+        // The conv and its epilogue share a kernel: the listing runs the
+        // conv through the fast kernel and the epilogue as one tape.
+        let conv = compiled.graph().nodes().find(|n| n.name == "conv").unwrap();
+        let block = compiled.plan.block_of(conv.id);
+        let listing = compiled
+            .engine
+            .kernel(block)
+            .listing(compiled.graph())
+            .to_string();
+        assert!(listing.contains("Conv `conv` (fast kernel)"), "{listing}");
+        assert!(listing.contains("tape of Mul `bn.mul`"), "{listing}");
     }
 
     #[test]

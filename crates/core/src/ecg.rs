@@ -72,12 +72,6 @@ impl Ecg {
         &self.graph
     }
 
-    /// Consumes the ECG, returning the underlying graph.
-    #[must_use]
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// Per-node annotations.
     ///
     /// # Panics

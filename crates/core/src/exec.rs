@@ -27,6 +27,7 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 use dnnf_graph::{Graph, GraphError, NodeId, ValueId};
@@ -174,6 +175,12 @@ impl ScalarTape {
     #[must_use]
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
+    }
+
+    /// The tape's instructions; instruction `i` writes register `i`.
+    #[must_use]
+    pub fn instrs(&self) -> &[TapeInstr] {
+        &self.instrs
     }
 
     /// The external values the tape reads.
@@ -779,6 +786,93 @@ impl FusedKernel {
             }
         }
         Ok(result)
+    }
+
+    /// A read-only rendering of the kernel against the graph it was compiled
+    /// on: one line per step in execution order naming its nodes (in
+    /// backticks) and operators, whether an operator step runs the fast or
+    /// the reference kernel, and for each tape its inputs, one line per
+    /// instruction in register order, and its outputs.
+    #[must_use]
+    pub fn listing<'a>(&'a self, graph: &'a Graph) -> impl fmt::Display + 'a {
+        Listing {
+            kernel: self,
+            graph,
+        }
+    }
+}
+
+/// The [`fmt::Display`] behind [`FusedKernel::listing`].
+struct Listing<'a> {
+    kernel: &'a FusedKernel,
+    graph: &'a Graph,
+}
+
+impl fmt::Display for Listing<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let graph = self.graph;
+        let value = |v: ValueId| &graph.value(v).name;
+        let node = |n: NodeId| {
+            let n = graph.node(n);
+            format!("{} `{}`", n.op, n.name)
+        };
+        let escaping: Vec<&str> = self
+            .kernel
+            .escaping
+            .iter()
+            .map(|&v| value(v).as_str())
+            .collect();
+        writeln!(
+            f,
+            "kernel {} -> {}",
+            self.kernel.block_id,
+            escaping.join(", ")
+        )?;
+        for (i, step) in self.kernel.steps.iter().enumerate() {
+            let tape = match step {
+                Step::Op { node: n, fast } => {
+                    let kind = if *fast { "fast" } else { "reference" };
+                    writeln!(f, "  step {i}: {} ({kind} kernel)", node(*n))?;
+                    continue;
+                }
+                Step::Tape(tape) => tape,
+            };
+            let nodes: Vec<String> = tape.nodes.iter().map(|&n| node(n)).collect();
+            writeln!(f, "  step {i}: tape of {}", nodes.join(", "))?;
+            for (k, input) in tape.inputs.iter().enumerate() {
+                match input.rule {
+                    Broadcast::Trailing => writeln!(f, "    in{k} {}", value(input.value))?,
+                    Broadcast::PerChannel { axis, .. } => writeln!(
+                        f,
+                        "    in{k} {} per channel of axis {axis}",
+                        value(input.value)
+                    )?,
+                }
+            }
+            for (r, instr) in tape.instrs.iter().enumerate() {
+                match instr {
+                    TapeInstr::Load { input } => writeln!(f, "    r{r} = load in{input}")?,
+                    TapeInstr::Unary { f: op, src } => {
+                        writeln!(f, "    r{r} = {} r{src}", op.op())?;
+                    }
+                    TapeInstr::Binary { op, lhs, rhs } => {
+                        writeln!(f, "    r{r} = {op} r{lhs} r{rhs}")?;
+                    }
+                    TapeInstr::Select {
+                        cond,
+                        on_true,
+                        on_false,
+                    } => writeln!(f, "    r{r} = Where r{cond} r{on_true} r{on_false}")?,
+                    TapeInstr::Affine { src, mul, add } => {
+                        writeln!(f, "    r{r} = r{src} * {mul} + {add}")?;
+                    }
+                }
+            }
+            for out in &tape.outputs {
+                writeln!(f, "    out {} = r{}", value(out.value), out.reg)?;
+            }
+        }
+        Ok(())
     }
 }
 

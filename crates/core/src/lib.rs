@@ -16,10 +16,11 @@
 //! 4. **light-weight profile-driven fusion plan generation** ([`plan`]):
 //!    Listing 1 — seed selection, recursive successor/predecessor
 //!    exploration, constraint checks and profile-database lookups;
-//! 5. **fusion code generation** ([`codegen`]), on demand: per-block
-//!    data-flow trees, common-sub-tree elimination, and the 23
-//!    mapping-type-pair code generation rules (paper §4.4.1, Figure 4) —
-//!    descriptions for inspection, not what runs ([`exec`] is);
+//! 5. **fusion code generation** ([`exec`]): every block compiles to a
+//!    [`FusedKernel`] — anchor, data-movement and reduce steps plus
+//!    [`ScalarTape`]s that evaluate element-wise runs in one pass per output
+//!    element (paper §4.4.1, Figure 4); [`FusedKernel::listing`] prints
+//!    exactly what runs;
 //! 6. an end-to-end [`Compiler`] driver — rewriting, planning and kernel
 //!    compilation — with per-phase statistics used by the evaluation harness
 //!    (Figure 7's rewriting/fusion ablation and Figure 9b's compile times).
@@ -49,7 +50,6 @@
 
 #![warn(missing_docs)]
 
-pub mod codegen;
 mod compiler;
 mod ecg;
 mod error;

@@ -1005,6 +1005,87 @@ mod tests {
         assert!(produced.any(|v| !plan.value_escapes(v.id)));
     }
 
+    /// Figure 4's example: a GEMM feeding two Muls whose Reciprocal and
+    /// Square branches meet at an Add.
+    fn figure4_graph() -> Graph {
+        let mut g = Graph::new("figure4");
+        let a = g.add_input("A", Shape::new(vec![4, 4]));
+        let b = g.add_weight("B", Shape::new(vec![4, 4]));
+        let c = g.add_weight("C", Shape::new(vec![4, 4]));
+        let d = g.add_weight("D", Shape::new(vec![4, 4]));
+        let gemm = g
+            .add_op(OpKind::Gemm, Attrs::new(), &[a, b], "gemm")
+            .unwrap()[0];
+        let m1 = g
+            .add_op(OpKind::Mul, Attrs::new(), &[gemm, c], "mul1")
+            .unwrap()[0];
+        let m2 = g
+            .add_op(OpKind::Mul, Attrs::new(), &[gemm, d], "mul2")
+            .unwrap()[0];
+        let r = g
+            .add_op(OpKind::Reciprocal, Attrs::new(), &[m1], "recip")
+            .unwrap()[0];
+        let s = g
+            .add_op(OpKind::Square, Attrs::new(), &[m2], "square")
+            .unwrap()[0];
+        let add = g.add_op(OpKind::Add, Attrs::new(), &[r, s], "add").unwrap()[0];
+        g.mark_output(add);
+        g
+    }
+
+    /// Asserts that no block folds a pair Table 3 marks red, folding each
+    /// block's members pairwise in order.
+    fn assert_no_red_pair(graph: &Graph, plan: &FusionPlan) {
+        let ecg = Ecg::new(graph.clone());
+        for block in plan.blocks() {
+            let mut members = block.nodes.iter().map(|&n| ecg.mapping_type(n));
+            let mut running = members.next().unwrap();
+            for next in members {
+                let decision = crate::analyze_pair(running, next);
+                assert_ne!(decision.verdict, crate::FusionVerdict::Break);
+                running = decision.fused_type;
+            }
+        }
+    }
+
+    #[test]
+    fn figure4_diamond_splits_after_the_gemm_and_one_mul() {
+        // The one-directional seed exploration of Listing 1 yields two
+        // blocks for the Figure 4 diamond: one anchored at the GEMM with
+        // one of its Muls, one for the remaining element-wise chain.
+        let g = figure4_graph();
+        let plan = plan_graph(&g);
+        assert_eq!(plan.fused_layer_count(), 2);
+        let gemm = g.nodes().find(|n| n.op == OpKind::Gemm).unwrap().id;
+        let block = &plan.blocks()[plan.block_of(gemm)];
+        assert!(block.nodes.iter().any(|&n| g.node(n).op == OpKind::Mul));
+        assert_no_red_pair(&g, &plan);
+    }
+
+    #[test]
+    fn elementwise_diamond_fuses_into_one_block() {
+        // A Relu feeding two Muls that meet at an Add: every pair is
+        // One-to-One, so the whole diamond is one block.
+        let mut g = Graph::new("cse");
+        let a = g.add_input("A", Shape::new(vec![4, 4]));
+        let c = g.add_weight("C", Shape::new(vec![4, 4]));
+        let d = g.add_weight("D", Shape::new(vec![4, 4]));
+        let r = g.add_op(OpKind::Relu, Attrs::new(), &[a], "relu").unwrap()[0];
+        let m1 = g
+            .add_op(OpKind::Mul, Attrs::new(), &[r, c], "mul1")
+            .unwrap()[0];
+        let m2 = g
+            .add_op(OpKind::Mul, Attrs::new(), &[r, d], "mul2")
+            .unwrap()[0];
+        let add = g
+            .add_op(OpKind::Add, Attrs::new(), &[m1, m2], "add")
+            .unwrap()[0];
+        g.mark_output(add);
+        let plan = plan_graph(&g);
+        assert_eq!(plan.fused_layer_count(), 1);
+        assert_no_red_pair(&g, &plan);
+    }
+
     #[test]
     fn execution_order_respects_dependencies() {
         let g = figure3_graph();

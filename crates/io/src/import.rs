@@ -453,6 +453,21 @@ fn parse_values(lines: &mut Lines<'_>) -> Result<Vec<ValueRecord>, IoError> {
             line,
             token: tokens[4].to_string(),
         })?;
+        // Reject sizes `Shape::numel` / `size_bytes` would wrap (or panic on
+        // in debug builds): the product is taken in `numel`'s order.
+        let numel = shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d));
+        if numel
+            .and_then(|n| n.checked_mul(dtype.size_bytes()))
+            .is_none()
+        {
+            return Err(malformed(
+                line,
+                format!("shape `{}` is too large to address", tokens[3]),
+            ));
+        }
         let (role, producer, has_data) = match (tokens[1], &tokens[5..]) {
             ("input", []) => (ValueKind::Input, None, false),
             ("weight", ["seeded"]) => (ValueKind::Weight, None, false),

@@ -294,3 +294,28 @@ fn load_of_missing_file_is_a_read_error() {
     let err = dnnf_io::load("/nonexistent/definitely/not/here.dnnfg");
     assert!(matches!(err.unwrap_err(), IoError::Read { .. }));
 }
+
+#[test]
+fn shapes_whose_size_overflows_are_malformed() {
+    // 2^32 x 2^32 x 2 elements: the element count wraps a 64-bit `usize`.
+    let body = "dnnfusion-graph/v1\n\
+                graph overflow\n\
+                values 2\n\
+                value 0 input x 4294967296x4294967296x2 f32\n\
+                value 1 output relu:out 4294967296x4294967296x2 f32 from 0\n\
+                nodes 1\n\
+                node 0 Relu relu in 0 out 1 attrs -\n\
+                outputs 1\n\
+                output 1\n\
+                seq_axes 0\n\
+                weights 0\n";
+    let err = from_text(&restamp(body)).unwrap_err();
+    assert!(matches!(err, IoError::Malformed { line: 4, .. }), "{err}");
+    // An element count that fits but whose f32 byte size does not.
+    let bytes = body.replace("4294967296x4294967296x2", "4611686018427387904");
+    let err = from_text(&restamp(&bytes)).unwrap_err();
+    assert!(matches!(err, IoError::Malformed { line: 4, .. }), "{err}");
+    // The same graph at a size that fits imports.
+    let small = body.replace("4294967296x4294967296x2", "2x2x2");
+    assert!(from_text(&restamp(&small)).is_ok());
+}

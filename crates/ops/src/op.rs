@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use dnnf_tensor::{Layout, Shape};
+use dnnf_tensor::Shape;
 
 use crate::{Attrs, MappingType, MathProperties};
 
@@ -451,16 +451,6 @@ impl OpKind {
         )
     }
 
-    /// Whether this operator reduces one or more axes (`Reduce*`, `ArgMax`).
-    #[must_use]
-    pub fn is_reduction(self) -> bool {
-        use OpKind::*;
-        matches!(
-            self,
-            ReduceSum | ReduceMean | ReduceProd | ReduceMax | ReduceMin | ArgMax
-        )
-    }
-
     /// Whether the operator only moves data (no arithmetic): the Reorganize
     /// and Shuffle classes plus pure data-selection operators. The latency
     /// models' `member_work` counts these as disrupting a fused anchor's
@@ -474,41 +464,6 @@ impl OpKind {
         ) || matches!(
             self,
             Slice | Split | Concat | Identity | Gather | Expand | Tile | Pad
-        )
-    }
-
-    /// The data layout this operator prefers, read by code generation's
-    /// on-demand `select_layout` when it renders a fused block (paper
-    /// §4.4.2). `None` means the operator is layout-agnostic (most
-    /// One-to-One operators).
-    #[must_use]
-    pub fn preferred_layout(self) -> Option<Layout> {
-        use OpKind::*;
-        match self {
-            Conv
-            | ConvTranspose
-            | MaxPool
-            | AveragePool
-            | GlobalAveragePool
-            | BatchNormalization
-            | InstanceNormalization => Some(Layout::Nchw),
-            Resize | Upsample | DepthToSpace | SpaceToDepth => Some(Layout::Nhwc),
-            Gemm | MatMul | Einsum | Softmax | LogSoftmax | LayerNormalization => {
-                Some(Layout::RowMajor)
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether this operator is a *dominant* operator for layout selection:
-    /// its performance is significantly affected by the data format (the
-    /// paper names CONV, GEMM and Softmax as examples).
-    #[must_use]
-    pub fn is_layout_dominant(self) -> bool {
-        use OpKind::*;
-        matches!(
-            self,
-            Conv | ConvTranspose | Gemm | MatMul | Einsum | Softmax | AveragePool | MaxPool
         )
     }
 
@@ -704,15 +659,6 @@ mod tests {
         assert!(OpKind::Concat.is_data_movement());
         assert!(!OpKind::Conv.is_data_movement());
         assert!(!OpKind::Relu.is_data_movement());
-    }
-
-    #[test]
-    fn layout_preferences() {
-        assert_eq!(OpKind::Conv.preferred_layout(), Some(Layout::Nchw));
-        assert_eq!(OpKind::Gemm.preferred_layout(), Some(Layout::RowMajor));
-        assert_eq!(OpKind::Relu.preferred_layout(), None);
-        assert!(OpKind::Conv.is_layout_dominant());
-        assert!(!OpKind::Relu.is_layout_dominant());
     }
 
     #[test]

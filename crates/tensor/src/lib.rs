@@ -1,11 +1,9 @@
 //! Dense tensor substrate for the DNNFusion reproduction.
 //!
 //! This crate provides the minimal-but-complete tensor machinery the rest of
-//! the workspace is built on: [`Shape`] with stride/broadcast logic,
-//! [`Layout`] descriptors for the data formats the inter-block optimization
-//! chooses between, a dense row-major [`Tensor`] of `f32` elements, and
-//! multi-dimensional index iteration used by the reference kernels and the
-//! fused-kernel interpreter.
+//! the workspace is built on: [`Shape`] with stride/broadcast logic, a dense
+//! row-major [`Tensor`] of `f32` elements, and multi-dimensional index
+//! iteration used by the reference kernels and the fused-kernel interpreter.
 //!
 //! # Example
 //!
@@ -27,7 +25,6 @@ mod broadcast;
 mod dtype;
 mod error;
 mod index;
-mod layout;
 mod shape;
 mod tensor;
 
@@ -35,6 +32,5 @@ pub use broadcast::{broadcast_index, broadcast_shapes};
 pub use dtype::DataType;
 pub use error::TensorError;
 pub use index::IndexIter;
-pub use layout::Layout;
 pub use shape::Shape;
 pub use tensor::Tensor;

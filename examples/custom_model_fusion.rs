@@ -7,10 +7,9 @@
 
 use std::error::Error;
 
+use dnnfusion::core::exec::compile_block;
 use dnnfusion::core::rewrite::RewriteEngine;
-use dnnfusion::core::{
-    analyze_pair, codegen, AnalyticLatencyModel, Ecg, FusionPlanner, FusionVerdict,
-};
+use dnnfusion::core::{analyze_pair, AnalyticLatencyModel, Ecg, FusionPlanner, FusionVerdict};
 use dnnfusion::graph::Graph;
 use dnnfusion::ops::{Attrs, MappingType, OpKind};
 use dnnfusion::profiledb::ProfileDatabase;
@@ -88,20 +87,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     let plan = planner.plan(&mut db)?;
     println!("\nfusion plan: {} blocks", plan.fused_layer_count());
 
-    // Phase 3: fused code generation.
-    for block in plan.blocks() {
-        let fused = codegen::generate_fused_op(&ecg, &plan, block);
+    // Phase 3: fused code generation — each block compiles to the kernel
+    // the engine runs.
+    for &id in plan.order() {
+        let block = &plan.blocks()[id];
         println!(
-            "\nblock {} -> `{}` ({} ops, {} mapping, layout {}, reads {} / writes {} values)",
-            block.id,
-            fused.name,
-            fused.fused_op_count(),
-            fused.mapping_type,
-            fused.layout,
+            "\nblock {id} ({} ops, {} mapping, reads {} / writes {} values)",
+            block.nodes.len(),
+            block.mapping_type,
             block.boundary.reads().count(),
             block.boundary.writes().count()
         );
-        print!("{}", fused.source);
+        print!("{}", compile_block(ecg.graph(), block).listing(ecg.graph()));
     }
     println!(
         "\nprofiling database now holds {} entries for future compilations",

@@ -6,7 +6,6 @@
 use std::collections::HashMap;
 use std::error::Error;
 
-use dnnfusion::core::codegen::generate_all;
 use dnnfusion::core::{Compiler, CompilerOptions};
 use dnnfusion::graph::Graph;
 use dnnfusion::ops::{Attrs, OpKind};
@@ -59,14 +58,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         compiled.stats.original_irs_bytes as f64 / 1024.0,
         compiled.stats.fused_irs_bytes as f64 / 1024.0,
     );
-    let fused_ops = generate_all(&compiled.ecg, &compiled.plan);
-    for fused in &fused_ops {
-        println!("  block {} = {}", fused.block_id, fused.name);
+    println!("\nthe compiled kernels, in execution order:");
+    for &block in compiled.plan.order() {
+        print!(
+            "{}",
+            compiled.engine.kernel(block).listing(compiled.graph())
+        );
     }
-    println!(
-        "\ngenerated pseudo-code for the first fused operator:\n{}",
-        fused_ops[0].source
-    );
+    println!();
 
     // 3. Execute fused and unfused on this machine and check the outputs
     //    agree.

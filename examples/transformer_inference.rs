@@ -9,7 +9,6 @@ use std::collections::HashMap;
 use std::error::Error;
 
 use dnnfusion::baselines::{BaselineFramework, PatternFuser};
-use dnnfusion::core::codegen::generate_all;
 use dnnfusion::core::{Compiler, CompilerOptions, Ecg};
 use dnnfusion::models::{ModelKind, ModelScale};
 use dnnfusion::runtime::Executor;
@@ -52,16 +51,18 @@ fn main() -> Result<(), Box<dyn Error>> {
             .saturating_sub(compiled.stats.optimized_flops),
     );
 
-    // Show the largest fused operator DNNFusion created.
-    let biggest = generate_all(&compiled.ecg, &compiled.plan)
-        .into_iter()
-        .max_by_key(|f| f.fused_op_count())
+    // Show the kernel of the largest fused operator DNNFusion created.
+    let biggest = compiled
+        .plan
+        .blocks()
+        .iter()
+        .max_by_key(|b| b.nodes.len())
         .expect("non-empty");
-    println!(
-        "\nlargest fused operator folds {} operators ({} mapping): {}",
-        biggest.fused_op_count(),
+    print!(
+        "\nlargest fused operator folds {} operators ({} mapping):\n{}",
+        biggest.nodes.len(),
         biggest.mapping_type,
-        biggest.name
+        compiled.engine.kernel(biggest.id).listing(compiled.graph())
     );
 
     // Run both ways on the host and check the outputs agree; then ask the

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use dnnfusion::baselines::{BaselineFramework, PatternFuser};
-use dnnfusion::core::codegen::generate_all;
+use dnnfusion::core::exec::Step;
 use dnnfusion::core::{Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnfusion::graph::Graph;
 use dnnfusion::models::{ModelKind, ModelScale};
@@ -217,14 +217,64 @@ fn compilation_statistics_are_internally_consistent() {
         let stats = &compiled.stats;
         assert_eq!(stats.original_layers, graph.node_count());
         assert_eq!(stats.fused_layers, compiled.plan.fused_layer_count());
-        let fused_ops = generate_all(&compiled.ecg, &compiled.plan);
-        assert_eq!(fused_ops.len(), stats.fused_layers);
+        assert_eq!(compiled.plan.blocks().len(), stats.fused_layers);
         assert!(stats.optimized_flops <= stats.original_flops);
         assert!(stats.layers_after_rewriting <= stats.original_layers);
-        // Every fused operator's members exist in the optimized graph.
+        // Every fused operator's members exist in the optimized graph, and
+        // every block has the kernel compiled from it.
         let node_count = compiled.graph().node_count();
-        for fused in &fused_ops {
-            assert!(fused.nodes.iter().all(|n| n.index() < node_count));
+        for block in compiled.plan.blocks() {
+            assert!(block.nodes.iter().all(|n| n.index() < node_count));
+            assert_eq!(compiled.engine.kernel(block.id).block_id, block.id);
+        }
+    }
+}
+
+#[test]
+fn every_kernel_listing_shows_each_node_step_and_instruction_once() {
+    for kind in ModelKind::all() {
+        let graph = kind.build(ModelScale::tiny()).unwrap();
+        let mut compiler = Compiler::new(CompilerOptions::default());
+        let compiled = compiler.compile(&graph).unwrap();
+        let g = compiled.graph();
+        for block in compiled.plan.blocks() {
+            let kernel = compiled.engine.kernel(block.id);
+            let listing = kernel.listing(g).to_string();
+            let lines: Vec<&str> = listing.lines().map(str::trim_start).collect();
+            // Node names are the backticked tokens; values are never quoted.
+            let mut named: Vec<&str> = listing.split('`').skip(1).step_by(2).collect();
+            let mut members: Vec<&str> = block
+                .nodes
+                .iter()
+                .map(|&n| g.node(n).name.as_str())
+                .collect();
+            named.sort_unstable();
+            members.sort_unstable();
+            assert_eq!(named, members, "{kind} block {}:\n{listing}", block.id);
+            let steps = lines.iter().filter(|l| l.starts_with("step ")).count();
+            assert_eq!(
+                steps,
+                kernel.steps().len(),
+                "{kind} block {}:\n{listing}",
+                block.id
+            );
+            let instrs = lines
+                .iter()
+                .filter(|l| {
+                    l.strip_prefix('r')
+                        .and_then(|rest| rest.split_once(" = "))
+                        .is_some_and(|(reg, _)| reg.parse::<usize>().is_ok())
+                })
+                .count();
+            let tape_instrs: usize = kernel
+                .steps()
+                .iter()
+                .map(|step| match step {
+                    Step::Tape(tape) => tape.instrs().len(),
+                    Step::Op { .. } => 0,
+                })
+                .sum();
+            assert_eq!(instrs, tape_instrs, "{kind} block {}:\n{listing}", block.id);
         }
     }
 }
