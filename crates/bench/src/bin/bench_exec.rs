@@ -2,17 +2,14 @@
 //! the KV-cached decode loop.
 //!
 //! Times the configurations below per model and writes the medians to
-//! `BENCH_exec.json` (schema `dnnf-bench-exec/v10`: a `models` array, a
+//! `BENCH_exec.json` (schema `dnnf-bench-exec/v11`: a `models` array, a
 //! `decode` array, a `ref_steps` array and a `floors` array), so future PRs
 //! can track the execution-engine trajectory the same way the `paper`
 //! binary's fixtures track the paper's counter metrics:
 //!
-//! * `unfused_ms` — the unfused baseline: every operator through its
-//!   reference kernel via the interpreter (`Executor::run_unfused`). This
-//!   is the paper's `OurB` role and the ISSUE's "unfused" side.
-//! * `engine_unfused_ms` — the *same singleton plan* through the compiled
-//!   engine, isolating how much of the win comes from the optimized anchor
-//!   kernels alone.
+//! * `engine_unfused_ms` — the unfused baseline: the singleton plan (every
+//!   operator its own block, the paper's `OurB` role) through the compiled
+//!   engine's kernels.
 //! * `fused_ms` — the DNNFusion plan through the compiled engine at
 //!   `num_threads = 1`; the gap to `engine_unfused_ms` is the fusion-only
 //!   benefit (fewer launches, no intermediate materialization).
@@ -125,7 +122,6 @@ const PROMPT_LEN: usize = 8;
 /// Tokens generated per decode (1 from prefill + the rest from steps).
 const GENERATE: usize = 16;
 
-const SPEEDUP: &str = "a fused single-thread engine slower against the reference interpreter";
 const FUSION_ONLY: &str = "a fused plan losing its win over the singleton plan on equal kernels";
 const CONV_PACK: &str = "prepacked OC-blocked conv panels no longer beating strided gathers";
 const PARALLEL: &str = "threaded anchor kernels that stop scaling to four cores";
@@ -139,10 +135,7 @@ const CACHED_DECODE: &str = "KV-cached decoding losing its win over full-prefix 
 /// Every gate this binary enforces; baselines are the values recorded on the
 /// 2-core, 4-wide-SIMD reference host.
 #[rustfmt::skip]
-const FLOORS: [Floor; 19] = [
-    Floor { model: "VGG-16", metric: "speedup", floor: 8.0, baseline: Some(221.70), arm: Always, catches: SPEEDUP },
-    Floor { model: "TinyBERT", metric: "speedup", floor: 4.0, baseline: Some(21.78), arm: Always, catches: SPEEDUP },
-    Floor { model: "C3D", metric: "speedup", floor: 3.0, baseline: Some(359.88), arm: Always, catches: SPEEDUP },
+const FLOORS: [Floor; 16] = [
     Floor { model: "VGG-16", metric: "fusion_only_speedup", floor: 1.5, baseline: Some(2.91), arm: Always, catches: FUSION_ONLY },
     Floor { model: "TinyBERT", metric: "fusion_only_speedup", floor: 1.5, baseline: Some(1.90), arm: Always, catches: FUSION_ONLY },
     Floor { model: "C3D", metric: "fusion_only_speedup", floor: 1.15, baseline: Some(3.10), arm: Always, catches: FUSION_ONLY },
@@ -242,7 +235,6 @@ fn time_ms(mut run: impl FnMut()) -> Vec<f64> {
 
 struct Row {
     model: &'static str,
-    unfused_ms: f64,
     engine_unfused_ms: f64,
     fused_ms: f64,
     /// The fused single-thread configuration with `force_scalar` set.
@@ -268,11 +260,6 @@ struct Row {
 }
 
 impl Row {
-    /// Fused engine (one thread) vs the unfused reference interpreter.
-    fn speedup(&self) -> f64 {
-        self.unfused_ms / self.fused_ms
-    }
-
     /// Fused plan vs the singleton plan on the same engine: fusion only.
     fn fusion_only_speedup(&self) -> f64 {
         self.engine_unfused_ms / self.fused_ms
@@ -312,7 +299,6 @@ impl Row {
     /// The speedup column a [`FLOORS`] row names.
     fn metric(&self, name: &str) -> f64 {
         match name {
-            "speedup" => self.speedup(),
             "fusion_only_speedup" => self.fusion_only_speedup(),
             "conv_pack_speedup" => self.conv_pack_speedup(),
             "parallel_speedup" => self.parallel_speedup(),
@@ -450,16 +436,12 @@ fn main() -> ExitCode {
         // fused one, times dispatch only — not per-run plan compilation.
         let singleton_engine = compile_plan(&graph, &singletons);
 
-        executor.run_unfused(&graph, &inputs).expect("unfused runs");
         // This first run also builds the model's cached weight store, so
         // every timed `run_compiled` below measures the warm steady state.
         executor
             .run_compiled(&compiled, &inputs)
             .expect("fused runs");
 
-        let unfused_ms = median_ms(time_ms(|| {
-            executor.run_unfused(&graph, &inputs).expect("unfused runs");
-        }));
         let engine_unfused_ms = median_ms(time_ms(|| {
             let store = WeightStore::build(&graph);
             executor
@@ -557,7 +539,6 @@ fn main() -> ExitCode {
 
         rows.push(Row {
             model: kind.name(),
-            unfused_ms,
             engine_unfused_ms,
             fused_ms,
             scalar_fused_ms,
@@ -584,16 +565,14 @@ fn main() -> ExitCode {
         host.cores, host.simd_width
     );
     println!(
-        "{:<16} {:>12} {:>15} {:>10} {:>11} {:>11} {:>10} {:>10} {:>9} {:>12} {:>7} {:>7} {:>9} {:>10} {:>10} {:>9}",
+        "{:<16} {:>15} {:>10} {:>11} {:>11} {:>10} {:>10} {:>12} {:>7} {:>7} {:>9} {:>10} {:>10} {:>9}",
         "model",
-        "unfused ms",
         "engine-unf ms",
         "fused ms",
         "scalar ms",
         "uncached ms",
         "repeat ms",
         "nopack ms",
-        "speedup",
         "fusion-only",
         "simd",
         "wcache",
@@ -604,17 +583,15 @@ fn main() -> ExitCode {
     );
     for row in &rows {
         println!(
-            "{:<16} {:>12.3} {:>15.3} {:>10.3} {:>11.3} {:>11.3} {:>10.3} {:>10.3} {:>8.1}x {:>11.2}x \
+            "{:<16} {:>15.3} {:>10.3} {:>11.3} {:>11.3} {:>10.3} {:>10.3} {:>11.2}x \
              {:>6.2}x {:>6.2}x {:>8.2}x {:>10} {:>10} {:>8.2}x",
             row.model,
-            row.unfused_ms,
             row.engine_unfused_ms,
             row.fused_ms,
             row.scalar_fused_ms,
             row.uncached_run_ms,
             row.repeat_run_ms,
             row.nopack_fused_ms,
-            row.speedup(),
             row.fusion_only_speedup(),
             row.simd_speedup(),
             row.weight_cache_speedup(),
@@ -679,7 +656,7 @@ fn main() -> ExitCode {
     }
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"dnnf-bench-exec/v10\",\n");
+    json.push_str("  \"schema\": \"dnnf-bench-exec/v11\",\n");
     json.push_str(&format!("  \"runs_per_config\": {RUNS},\n"));
     json.push_str("  \"scale\": \"tiny\",\n");
     json.push_str(&format!("  \"host_parallelism\": {},\n", host.cores));
@@ -694,18 +671,17 @@ fn main() -> ExitCode {
             .map(|(t, ms)| format!("{{\"threads\": {t}, \"fused_ms\": {ms:.3}}}"))
             .collect();
         json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"unfused_ms\": {:.3}, \"engine_unfused_ms\": {:.3}, \
+            "    {{\"model\": \"{}\", \"engine_unfused_ms\": {:.3}, \
              \"fused_ms\": {:.3}, \"scalar_fused_ms\": {:.3}, \"uncached_run_ms\": {:.3}, \
              \"repeat_run_ms\": {:.3}, \"nopack_fused_ms\": {:.3}, \
              \"compile_ms\": {:.3}, \"rewrite_ms\": {:.3}, \"plan_ms\": {:.3}, \
              \"codegen_ms\": {:.3}, \"warm_compile_ms\": {:.3}, \
-             \"speedup\": {:.2}, \"fusion_only_speedup\": {:.2}, \
+             \"fusion_only_speedup\": {:.2}, \
              \"simd_speedup\": {:.2}, \"weight_cache_speedup\": {:.2}, \
              \"conv_pack_speedup\": {:.2}, \"warm_compile_speedup\": {:.2}, \
              \"parallel_speedup\": {:.2}, \"thread_scaling\": [{}], \
              \"kernel_launches_unfused\": {}, \"kernel_launches_fused\": {}}}{}\n",
             row.model,
-            row.unfused_ms,
             row.engine_unfused_ms,
             row.fused_ms,
             row.scalar_fused_ms,
@@ -717,7 +693,6 @@ fn main() -> ExitCode {
             row.compile_phases_ms[1],
             row.compile_phases_ms[2],
             row.warm_compile_ms,
-            row.speedup(),
             row.fusion_only_speedup(),
             row.simd_speedup(),
             row.weight_cache_speedup(),

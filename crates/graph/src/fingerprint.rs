@@ -50,12 +50,6 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 pub struct Fingerprint(u128);
 
 impl Fingerprint {
-    /// The raw 128-bit value.
-    #[must_use]
-    pub fn as_u128(self) -> u128 {
-        self.0
-    }
-
     /// Parses the 32-hex-digit form produced by `Display`.
     #[must_use]
     pub fn from_hex(text: &str) -> Option<Self> {

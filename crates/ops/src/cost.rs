@@ -32,28 +32,6 @@ impl OpCost {
     pub fn bytes(&self, elem_bytes: u64) -> u64 {
         self.total_elems() * elem_bytes
     }
-
-    /// Arithmetic intensity in FLOPs per byte (with `elem_bytes`-byte
-    /// elements); 0 when no bytes are moved.
-    #[must_use]
-    pub fn arithmetic_intensity(&self, elem_bytes: u64) -> f64 {
-        let bytes = self.bytes(elem_bytes);
-        if bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / bytes as f64
-        }
-    }
-
-    /// Adds two costs together (used to cost fusion blocks).
-    #[must_use]
-    pub fn combine(self, other: OpCost) -> OpCost {
-        OpCost {
-            flops: self.flops + other.flops,
-            input_elems: self.input_elems + other.input_elems,
-            output_elems: self.output_elems + other.output_elems,
-        }
-    }
 }
 
 /// Computes the full cost of one operator invocation.
@@ -286,16 +264,12 @@ mod tests {
     }
 
     #[test]
-    fn op_cost_combines_and_computes_intensity() {
+    fn op_cost_counts_flops_elements_and_bytes() {
         let a = op_cost(OpKind::Add, &Attrs::new(), &[s(&[4]), s(&[4])], &[s(&[4])]);
         assert_eq!(a.flops, 4);
         assert_eq!(a.input_elems, 8);
         assert_eq!(a.output_elems, 4);
         assert_eq!(a.bytes(4), 48);
-        let b = a.combine(a);
-        assert_eq!(b.flops, 8);
-        assert!(a.arithmetic_intensity(4) > 0.0);
-        assert_eq!(OpCost::default().arithmetic_intensity(4), 0.0);
     }
 
     #[test]

@@ -39,7 +39,6 @@
 //! against the padding, and serves border columns, lane remainders and the
 //! scalar mode ([`WorkPool::with_simd`]) alike — so SIMD-on and SIMD-off run
 //! the same source and produce the same bytes at every lane width.
-//! `GlobalAveragePool` lanes own whole `(n, c)` outputs.
 //!
 //! **Data movement and reductions.** The Reorganize/Shuffle and One-to-Many
 //! operators share one copy kernel, [`AxisMap`]: per-axis source-offset
@@ -51,6 +50,9 @@
 //! kernel gives each output element (a lane, within a thread's rows) the
 //! reference's initial value and folds its inputs in the reference's
 //! row-major order, so its bits are the reference's by construction.
+//! `GlobalAveragePool` is that kernel's `ReduceMean` over the spatial axes.
+//! Every additive fold here starts where the reference's does, at `+0.0`
+//! (or a conv's bias); none is an `Iterator::sum`, which starts at `-0.0`.
 //!
 //! Inputs are expected to be shape-consistent with `out_shape`, exactly as
 //! produced by graph construction / shape inference (the fused engine always
@@ -68,11 +70,12 @@ use crate::{Attrs, OpError, OpKind};
 /// uses this registry to decide between the fast path and the reference
 /// fallback ([`crate::execute`]).
 ///
-/// The rows: the anchors (`Conv`, `MatMul`, `Gemm`, the three pools); the
-/// axis-map copy kernel (`Transpose`, `Concat`, `Slice`, `Gather`,
-/// `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`); and the
-/// reduce kernel (`ReduceSum`/`Mean`/`Prod`/`Max`/`Min`). Everything else
-/// that a scalar tape cannot hold runs the reference kernel: `Pad`,
+/// The rows: the anchors (`Conv`, `MatMul`, `Gemm`, `MaxPool`,
+/// `AveragePool`); the axis-map copy kernel (`Transpose`, `Concat`, `Slice`,
+/// `Gather`, `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`);
+/// and the reduce kernel (`ReduceSum`/`Mean`/`Prod`/`Max`/`Min`, and
+/// `GlobalAveragePool` as a `ReduceMean` over its spatial axes). Everything
+/// else that a scalar tape cannot hold runs the reference kernel: `Pad`,
 /// `Expand`/`Tile`, `Split`, `DepthToSpace`/`SpaceToDepth`,
 /// `Softmax`/`LogSoftmax`, `ArgMax`, `CumSum`, `ConvTranspose` and the
 /// non-decomposed normalizations.
@@ -207,7 +210,24 @@ pub fn execute_fast_into_packed(
         OpKind::MaxPool | OpKind::AveragePool => {
             fast_pool(op, attrs, inputs, out_shape, out, pool)?
         }
-        OpKind::GlobalAveragePool => fast_global_average_pool(inputs, out_shape, out, pool)?,
+        OpKind::GlobalAveragePool
+        | OpKind::ReduceSum
+        | OpKind::ReduceMean
+        | OpKind::ReduceProd
+        | OpKind::ReduceMax
+        | OpKind::ReduceMin => {
+            arity(op, inputs, 1)?;
+            let x = inputs[0].shape();
+            let reduced = if op == OpKind::GlobalAveragePool {
+                if x.rank() < 3 {
+                    return Err(shape_error(op, "expected (N, C, spatial...) input".into()));
+                }
+                (0..x.rank()).map(|d| d >= 2).collect()
+            } else {
+                reduced_axes(attrs, x)?
+            };
+            fast_reduce(op, &reduced, inputs[0], out, pool)?
+        }
         OpKind::Concat => fast_concat(attrs, inputs, out_shape, out, pool)?,
         OpKind::Gather => {
             arity(op, inputs, 2)?;
@@ -216,11 +236,6 @@ pub fn execute_fast_into_packed(
                 map.run(op, inputs[0].data(), out, pool)?;
             }
         }
-        OpKind::ReduceSum
-        | OpKind::ReduceMean
-        | OpKind::ReduceProd
-        | OpKind::ReduceMax
-        | OpKind::ReduceMin => fast_reduce(op, attrs, inputs, out, pool)?,
         OpKind::Transpose
         | OpKind::Slice
         | OpKind::Upsample
@@ -965,87 +980,6 @@ impl PoolLaunch<'_> {
     }
 }
 
-/// `GlobalAveragePool` over contiguous per-channel spatial slices, parallel
-/// over groups of `(batch, channel)` output elements. With SIMD enabled the
-/// groups are lane-blocked: each lane owns one whole `(n, c)` output and
-/// runs the scalar summation order over its own channel plane (gather loads
-/// with the plane stride), so the lane path is bit-identical to the scalar
-/// fold.
-fn fast_global_average_pool(
-    inputs: &[&Tensor],
-    out_shape: &Shape,
-    out: &mut [f32],
-    pool: WorkPool,
-) -> Result<(), OpError> {
-    arity(OpKind::GlobalAveragePool, inputs, 1)?;
-    let x = inputs[0];
-    if x.shape().rank() < 3 {
-        return Err(OpError::InvalidShape {
-            op: OpKind::GlobalAveragePool,
-            reason: "expected (N, C, spatial...) input".into(),
-        });
-    }
-    if out.is_empty() {
-        return Ok(());
-    }
-    let channels = out_shape.dim(1);
-    debug_assert_eq!(out.len(), out_shape.dim(0) * channels);
-    let spatial: usize = x.shape().dims()[2..].iter().product();
-    let xdat = x.data();
-    let pool = pool.for_work(xdat.len());
-    let simd = pool.use_simd();
-    let denom = spatial.max(1) as f32;
-    pool.run_chunks(out, LANES, |group, chunk| {
-        let mut o = 0usize;
-        if simd && spatial > 0 {
-            while o + LANES <= chunk.len() {
-                gap_lanes::<LANES>(
-                    xdat,
-                    (group * LANES + o) * spatial,
-                    spatial,
-                    denom,
-                    &mut chunk[o..],
-                );
-                o += LANES;
-            }
-            if o + 4 <= chunk.len() {
-                gap_lanes::<4>(
-                    xdat,
-                    (group * LANES + o) * spatial,
-                    spatial,
-                    denom,
-                    &mut chunk[o..],
-                );
-                o += 4;
-            }
-        }
-        for (i, slot) in chunk.iter_mut().enumerate().skip(o) {
-            let base = (group * LANES + i) * spatial;
-            let sum: f32 = xdat[base..base + spatial].iter().sum();
-            *slot = sum / denom;
-        }
-    });
-    Ok(())
-}
-
-/// Sums `N` consecutive channel planes in lockstep, one plane per lane: step
-/// `s` adds element `s` of every plane (`acc = acc + x`, the scalar fold's
-/// exact order per lane), then divides once per lane.
-fn gap_lanes<const N: usize>(
-    xdat: &[f32],
-    base: usize,
-    spatial: usize,
-    denom: f32,
-    out: &mut [f32],
-) {
-    let mut acc = F32Lanes::<N>::splat(0.0);
-    for s in 0..spatial {
-        acc = acc + F32Lanes::<N>::gather(xdat, base + s, spatial);
-    }
-    let avg = acc / F32Lanes::<N>::splat(denom);
-    avg.store(out);
-}
-
 /// Splits `out`, `row` elements per row, into at most one run of whole rows
 /// per thread of `pool` and calls `f(first_row, run)` on each.
 fn row_parts(pool: WorkPool, out: &mut [f32], row: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
@@ -1359,35 +1293,40 @@ fn walk_offsets(axes: &[(usize, usize)]) -> Vec<usize> {
     })
 }
 
-/// `ReduceSum` / `Mean` / `Prod` / `Max` / `Min` over any `axes`. Output
-/// element `o` starts at the reference's initial value and folds its inputs
-/// in the reference's row-major input order; `ReduceMean` then divides by
-/// the reduced count, as the reference does, so the bits are the
-/// reference's. Threads own runs of output rows, and lanes own consecutive
-/// outputs of one row (the innermost kept axis).
-fn fast_reduce(
-    op: OpKind,
-    attrs: &Attrs,
-    inputs: &[&Tensor],
-    out: &mut [f32],
-    pool: WorkPool,
-) -> Result<(), OpError> {
-    arity(op, inputs, 1)?;
-    let x = inputs[0];
-    let (fold, init) = match op {
-        OpKind::ReduceSum | OpKind::ReduceMean => (Fold::Sum, 0.0),
-        OpKind::ReduceProd => (Fold::Prod, 1.0),
-        OpKind::ReduceMax => (Fold::Max, f32::NEG_INFINITY),
-        _ => (Fold::Min, f32::INFINITY),
-    };
-    let (dims, strides) = (x.shape().dims(), x.shape().strides());
+/// Per axis of `x`, whether a `Reduce*` with these `axes` folds it (no
+/// `axes`: every axis).
+fn reduced_axes(attrs: &Attrs, x: &Shape) -> Result<Vec<bool>, OpError> {
     let axes = attrs.ints_or("axes", &[]);
-    let mut reduced = vec![axes.is_empty(); dims.len()];
+    let mut reduced = vec![axes.is_empty(); x.rank()];
     for &a in &axes {
-        if let Some(flag) = reduced.get_mut(x.shape().normalize_axis(a)?) {
+        if let Some(flag) = reduced.get_mut(x.normalize_axis(a)?) {
             *flag = true;
         }
     }
+    Ok(reduced)
+}
+
+/// `ReduceSum` / `Mean` / `Prod` / `Max` / `Min` over the axes `reduced`
+/// flags, and `GlobalAveragePool` as the `ReduceMean` over its spatial axes.
+/// Output element `o` starts at the reference's initial value (`+0.0` for
+/// the sums) and folds its inputs in the reference's row-major input order;
+/// a mean then divides by the reduced count, as the reference does, so the
+/// bits are the reference's. Threads own runs of output rows, and lanes own
+/// consecutive outputs of one row (the innermost kept axis).
+fn fast_reduce(
+    op: OpKind,
+    reduced: &[bool],
+    x: &Tensor,
+    out: &mut [f32],
+    pool: WorkPool,
+) -> Result<(), OpError> {
+    let (fold, init) = match op {
+        OpKind::ReduceProd => (Fold::Prod, 1.0),
+        OpKind::ReduceMax => (Fold::Max, f32::NEG_INFINITY),
+        OpKind::ReduceMin => (Fold::Min, f32::INFINITY),
+        _ => (Fold::Sum, 0.0),
+    };
+    let (dims, strides) = (x.shape().dims(), x.shape().strides());
     let (mut kept, mut folded) = (Vec::new(), Vec::new());
     for (d, &is_reduced) in reduced.iter().enumerate() {
         let list = if is_reduced { &mut folded } else { &mut kept };
@@ -1420,7 +1359,8 @@ fn fast_reduce(
         outer: walk_offsets(outer_folded),
         inner,
         col_stride,
-        mean: (op == OpKind::ReduceMean).then(|| count.max(1) as f32),
+        mean: matches!(op, OpKind::ReduceMean | OpKind::GlobalAveragePool)
+            .then(|| count.max(1) as f32),
     };
     let row_base = walk_offsets(outer_kept);
     let pool = pool.for_work(x.numel());
@@ -2041,6 +1981,151 @@ mod tests {
         // 5-D input: the spatial product covers all trailing axes.
         let x5 = Tensor::random(Shape::new(vec![2, 5, 2, 3, 4]), 102);
         assert_fast_matches_reference(OpKind::GlobalAveragePool, &Attrs::new(), &[&x5]);
+    }
+
+    /// The pools a special-value case runs under: SIMD, scalar, and two
+    /// threads with the work gate off.
+    fn mode_pools() -> [(&'static str, WorkPool); 3] {
+        [
+            ("SIMD", WorkPool::serial()),
+            ("scalar", WorkPool::serial().with_simd(false)),
+            ("threaded", WorkPool::with_min_work(2, 0)),
+        ]
+    }
+
+    /// [`Tensor::first_bit_difference`], signed zeros included, except the
+    /// payload of a NaN computed from two NaNs, which Rust leaves open
+    /// (`crate::simd`).
+    fn bit_difference(a: &Tensor, b: &Tensor) -> Option<usize> {
+        let first = a.first_bit_difference(b)?;
+        if a.shape() != b.shape() {
+            return Some(first);
+        }
+        (first..a.numel()).find(|&i| {
+            let (x, y) = (a.data()[i], b.data()[i]);
+            x.to_bits() != y.to_bits() && !(x.is_nan() && y.is_nan())
+        })
+    }
+
+    #[test]
+    fn global_average_pool_is_reduce_mean_over_the_spatial_axes_on_negative_zero() {
+        // An all −0.0 plane sums to +0.0: every additive fold starts at +0.0,
+        // in the lanes, the scalar remainder and the reference alike.
+        let x = Tensor::full(Shape::new(vec![1, 16, 2, 2]), -0.0);
+        let mean = Attrs::new().with_ints("axes", vec![2, 3]);
+        let reference = execute(OpKind::GlobalAveragePool, &Attrs::new(), &[&x]).unwrap();
+        let reference_mean = execute(OpKind::ReduceMean, &mean, &[&x]).unwrap();
+        assert!(reference[0].iter().all(|v| v.to_bits() == 0), "+0.0");
+        assert_eq!(reference[0].first_bit_difference(&reference_mean[0]), None);
+        let out_shape = reference[0].shape();
+        for (mode, pool) in mode_pools() {
+            for (op, attrs) in [
+                (OpKind::GlobalAveragePool, &Attrs::new()),
+                (OpKind::ReduceMean, &mean),
+            ] {
+                let fast = run_fast(op, attrs, &[&x], None, out_shape, pool);
+                let fast = Tensor::from_vec(out_shape.clone(), fast).unwrap();
+                let at = fast.first_bit_difference(&reference[0]);
+                assert_eq!(at, None, "{op} {mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_fast_kernel_is_bit_identical_on_special_values() {
+        // Two fills of a [1, 13, 5, 13] input: signed zeros with subnormals
+        // (finite, so conv and matmul sums keep their signs and denormals),
+        // and the full special set (±inf and two NaN payloads too). Channel
+        // 5, inside the 8-lane bundle of a per-channel reduction, is all
+        // −0.0. Thirteen channels and columns run 8-lane, 4-lane and scalar
+        // tails. Each kernel runs under SIMD, scalar and two threads, and
+        // every run must match the reference and the SIMD run bit for bit.
+        const SPECIAL: [f32; 13] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc1_2345),
+            f32::from_bits(0x0000_0001),
+            f32::from_bits(0x807f_ffff),
+            f32::MAX,
+            f32::from_bits(0x3f80_0001),
+            f32::from_bits(0x3f7f_ffff),
+        ];
+        const TINY: [f32; 6] = [
+            0.0,
+            -0.0,
+            f32::from_bits(0x0000_0001),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+        ];
+        let planes = |values: &[f32]| {
+            let shape = Shape::new(vec![1, 13, 5, 13]);
+            let data = (0..shape.numel())
+                .map(|i| match i / 65 {
+                    5 => -0.0,
+                    _ => values[(i * 5 + i / 13) % values.len()],
+                })
+                .collect();
+            Tensor::from_vec(shape, data).unwrap()
+        };
+        let w = Tensor::random(Shape::new(vec![16, 13, 3, 3]), 300);
+        let bias = Tensor::random(Shape::new(vec![16]), 301);
+        let b = Tensor::random(Shape::new(vec![13, 13]), 302);
+        let c = Tensor::random(Shape::new(vec![13]), 303);
+        let conv_panel = pack_conv_oc_panel(&w).unwrap();
+        let gemm_panel = b.transpose(&[1, 0]).unwrap();
+        let pad = Attrs::new().with_ints("pads", vec![1, 1, 1, 1]);
+        let window = pad.clone().with_ints("kernel_shape", vec![3, 3]);
+        let include = window.clone().with_int("count_include_pad", 1);
+        let gemm = Attrs::new().with_int("transB", 1).with_float("beta", 0.5);
+        let concat = Attrs::new().with_int("axis", 3);
+        let (none, reductions) = (Attrs::new(), [vec![2, 3], vec![1], vec![3], vec![]]);
+        let reductions = reductions.map(|axes| Attrs::new().with_ints("axes", axes));
+        for x in [planes(&TINY), planes(&SPECIAL)] {
+            // The planes as five 13×13 matrices and as one 65×13 matrix.
+            let x3 = x.reshape(Shape::new(vec![5, 13, 13])).unwrap();
+            let a = x.reshape(Shape::new(vec![65, 13])).unwrap();
+            let mut cases: Vec<(OpKind, &Attrs, Vec<&Tensor>, Option<&Tensor>)> = vec![
+                (OpKind::Conv, &pad, vec![&x, &w, &bias], None),
+                (OpKind::Conv, &pad, vec![&x, &w, &bias], Some(&conv_panel)),
+                (OpKind::MatMul, &none, vec![&x3, &b], None),
+                (OpKind::Gemm, &gemm, vec![&a, &b, &c], None),
+                (OpKind::Gemm, &gemm, vec![&a, &b, &c], Some(&gemm_panel)),
+                (OpKind::MaxPool, &window, vec![&x], None),
+                (OpKind::AveragePool, &window, vec![&x], None),
+                (OpKind::AveragePool, &include, vec![&x], None),
+                (OpKind::GlobalAveragePool, &none, vec![&x], None),
+                (OpKind::Transpose, &none, vec![&x], None),
+                (OpKind::Concat, &concat, vec![&x, &x], None),
+            ];
+            for op in [
+                OpKind::ReduceSum,
+                OpKind::ReduceMean,
+                OpKind::ReduceProd,
+                OpKind::ReduceMax,
+                OpKind::ReduceMin,
+            ] {
+                cases.extend(reductions.iter().map(|axes| (op, axes, vec![&x], None)));
+            }
+            for (op, attrs, inputs, packed) in cases {
+                let reference = execute(op, attrs, &inputs).unwrap().remove(0);
+                let out_shape = reference.shape();
+                let mut simd = None;
+                for (mode, pool) in mode_pools() {
+                    let fast = run_fast(op, attrs, &inputs, packed, out_shape, pool);
+                    let fast = Tensor::from_vec(out_shape.clone(), fast).unwrap();
+                    let at = bit_difference(&fast, &reference);
+                    assert_eq!(at, None, "{op} {attrs:?} {mode} vs the reference");
+                    let simd = simd.get_or_insert_with(|| fast.clone());
+                    assert_eq!(bit_difference(&fast, simd), None, "{op} {attrs:?} {mode}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@ use dnnf_tensor::Tensor;
 
 use crate::{infer_shapes, Attrs, OpError, OpKind};
 
+/// The sum of `values`, folded in order from `+0.0` like every additive
+/// kernel fold here. (`Iterator::sum` starts at `-0.0`, so it turns an empty
+/// or all-`-0.0` sum into `-0.0` where the fast kernels give `+0.0`.)
+fn sum(values: impl Iterator<Item = f32>) -> f32 {
+    values.fold(0.0, |acc, v| acc + v)
+}
+
 /// Executes one operator on concrete tensors, returning its output(s).
 ///
 /// # Errors

@@ -1,7 +1,8 @@
 //! Normalization and softmax kernels.
 
-use dnnf_tensor::{Shape, Tensor};
+use dnnf_tensor::Tensor;
 
+use super::sum;
 use crate::{Attrs, OpError, OpKind};
 
 /// Inference-form `BatchNormalization`:
@@ -50,12 +51,9 @@ pub fn instance_norm(attrs: &Attrs, inputs: &[&Tensor]) -> Result<Tensor, OpErro
     for n in 0..batch {
         for c in 0..channels {
             let base = (n * channels + c) * spatial;
-            let mean: f32 =
-                (0..spatial).map(|s| x.at_linear(base + s)).sum::<f32>() / spatial as f32;
-            let var: f32 = (0..spatial)
-                .map(|s| (x.at_linear(base + s) - mean).powi(2))
-                .sum::<f32>()
-                / spatial as f32;
+            let mean = sum((0..spatial).map(|s| x.at_linear(base + s))) / spatial as f32;
+            let var =
+                sum((0..spatial).map(|s| (x.at_linear(base + s) - mean).powi(2))) / spatial as f32;
             let denom = (var + eps).sqrt();
             for s in 0..spatial {
                 out.data_mut()[base + s] =
@@ -85,11 +83,8 @@ pub fn layer_norm(attrs: &Attrs, inputs: &[&Tensor]) -> Result<Tensor, OpError> 
     let mut out = Tensor::zeros(x.shape().clone());
     for o in 0..outer {
         let base = o * inner;
-        let mean: f32 = (0..inner).map(|i| x.at_linear(base + i)).sum::<f32>() / inner as f32;
-        let var: f32 = (0..inner)
-            .map(|i| (x.at_linear(base + i) - mean).powi(2))
-            .sum::<f32>()
-            / inner as f32;
+        let mean = sum((0..inner).map(|i| x.at_linear(base + i))) / inner as f32;
+        let var = sum((0..inner).map(|i| (x.at_linear(base + i) - mean).powi(2))) / inner as f32;
         let denom = (var + eps).sqrt();
         for i in 0..inner {
             out.data_mut()[base + i] =
@@ -115,9 +110,7 @@ pub fn softmax(attrs: &Attrs, x: &Tensor, log: bool) -> Result<Tensor, OpError> 
             let max = (0..axis_len)
                 .map(|a| x.at_linear(offset(a)))
                 .fold(f32::NEG_INFINITY, f32::max);
-            let sum: f32 = (0..axis_len)
-                .map(|a| (x.at_linear(offset(a)) - max).exp())
-                .sum();
+            let sum = sum((0..axis_len).map(|a| (x.at_linear(offset(a)) - max).exp()));
             for a in 0..axis_len {
                 let e = (x.at_linear(offset(a)) - max).exp();
                 out.data_mut()[offset(a)] = if log { (e / sum).ln() } else { e / sum };
@@ -150,12 +143,10 @@ fn per_channel_affine(x: &Tensor, f: impl Fn(usize, f32) -> f32) -> Result<Tenso
     Ok(out)
 }
 
-#[allow(dead_code)]
-fn unused_shape(_: &Shape) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnnf_tensor::Shape;
 
     #[test]
     fn batch_norm_standardizes_with_unit_scale() {

@@ -2,6 +2,7 @@
 
 use dnnf_tensor::{IndexIter, Shape, Tensor};
 
+use super::sum;
 use crate::shape_infer::Window;
 use crate::{Attrs, OpError, OpKind};
 
@@ -80,8 +81,8 @@ pub fn global_average_pool(x: &Tensor, out_shape: &Shape) -> Result<Tensor, OpEr
     for n in 0..batch {
         for c in 0..channels {
             let base = (n * channels + c) * spatial;
-            let sum: f32 = (0..spatial).map(|s| x.at_linear(base + s)).sum();
-            out.data_mut()[n * channels + c] = sum / spatial.max(1) as f32;
+            let total = sum((0..spatial).map(|s| x.at_linear(base + s)));
+            out.data_mut()[n * channels + c] = total / spatial.max(1) as f32;
         }
     }
     Ok(out)

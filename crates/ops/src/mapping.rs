@@ -56,31 +56,6 @@ impl MappingType {
         }
     }
 
-    /// Complexity used when an operator has several input/output pairs with
-    /// different mapping types: the most complex one wins (paper footnote 1:
-    /// One-to-One < Reorganize < Shuffle < One-to-Many < Many-to-Many).
-    #[must_use]
-    pub fn complexity(self) -> u8 {
-        match self {
-            MappingType::OneToOne => 0,
-            MappingType::Reorganize => 1,
-            MappingType::Shuffle => 2,
-            MappingType::OneToMany => 3,
-            MappingType::ManyToMany => 4,
-        }
-    }
-
-    /// Picks the more complex of two mapping types (used when an operator has
-    /// multiple heterogeneous input/output pairs).
-    #[must_use]
-    pub fn max_complexity(self, other: MappingType) -> MappingType {
-        if self.complexity() >= other.complexity() {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Whether this type preserves a 1-1 correspondence between input and
     /// output elements (One-to-One, Reorganize and Shuffle all do).
     #[must_use]
@@ -125,32 +100,6 @@ mod tests {
         assert_eq!(
             MappingType::OneToMany.impedance(),
             MappingType::ManyToMany.impedance()
-        );
-    }
-
-    #[test]
-    fn complexity_ordering_matches_footnote() {
-        let order = [
-            MappingType::OneToOne,
-            MappingType::Reorganize,
-            MappingType::Shuffle,
-            MappingType::OneToMany,
-            MappingType::ManyToMany,
-        ];
-        for w in order.windows(2) {
-            assert!(w[0].complexity() < w[1].complexity());
-        }
-    }
-
-    #[test]
-    fn max_complexity_selects_more_complex() {
-        assert_eq!(
-            MappingType::OneToOne.max_complexity(MappingType::ManyToMany),
-            MappingType::ManyToMany
-        );
-        assert_eq!(
-            MappingType::Shuffle.max_complexity(MappingType::Reorganize),
-            MappingType::Shuffle
         );
     }
 

@@ -83,14 +83,6 @@ impl Executor {
         self
     }
 
-    /// Caps kernel launches at `num_threads` threads; `1` recovers the
-    /// fully serial engine. Results are bit-identical either way.
-    #[must_use]
-    pub fn with_num_threads(mut self, num_threads: usize) -> Self {
-        self.options.num_threads = num_threads.max(1);
-        self
-    }
-
     /// The execution options in effect.
     #[must_use]
     pub fn options(&self) -> &ExecOptions {

@@ -463,19 +463,19 @@ fn extract_batch(queue: &mut VecDeque<Pending>, max_batch: usize) -> Vec<Pending
     batch
 }
 
-/// Whether any queue currently satisfies a dispatch condition (batching
-/// window expired, waiting rows filling a batch, or shutdown drain). Used
-/// by a worker that just claimed a batch to decide whether to pass its
-/// wakeup on to a sleeping peer.
-fn any_dispatchable(state: &State, shared: &Shared, now: Instant) -> bool {
-    state.queues.iter().any(|queue| {
-        let Some(front) = queue.front() else {
-            return false;
-        };
-        state.shutdown
-            || now >= front.enqueued + shared.config.batch_window
-            || queue.iter().map(|p| p.rows).sum::<usize>() >= shared.config.max_batch
-    })
+/// When queue `idx` may dispatch, judged at `now`: `None` while it is empty;
+/// `now` once its waiting rows fill a batch or the server is draining for
+/// shutdown; otherwise when its oldest request's batching window expires.
+/// The queue is ready when this is not after `now`.
+fn ready_at(state: &State, config: &ServeConfig, idx: usize, now: Instant) -> Option<Instant> {
+    let queue = &state.queues[idx];
+    let front = queue.front()?;
+    let rows_waiting: usize = queue.iter().map(|p| p.rows).sum();
+    if state.shutdown || rows_waiting >= config.max_batch {
+        Some(now)
+    } else {
+        Some(front.enqueued + config.batch_window)
+    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -489,19 +489,16 @@ fn worker_loop(shared: &Shared) {
     let mut scan_start = 0usize;
     loop {
         let now = Instant::now();
-        // A model is dispatchable once its oldest request's batching window
-        // expired, its waiting rows already fill a batch, or the server is
-        // draining for shutdown. Otherwise remember the earliest deadline
-        // to sleep until.
+        // Dispatch the first ready model; otherwise remember the earliest
+        // deadline to sleep until.
         let mut dispatchable = None;
         let mut earliest_deadline: Option<Instant> = None;
         for k in 0..queue_count {
             let idx = (scan_start + k) % queue_count;
-            let queue = &state.queues[idx];
-            let Some(front) = queue.front() else { continue };
-            let deadline = front.enqueued + shared.config.batch_window;
-            let rows_waiting: usize = queue.iter().map(|p| p.rows).sum();
-            if state.shutdown || now >= deadline || rows_waiting >= shared.config.max_batch {
+            let Some(deadline) = ready_at(&state, &shared.config, idx, now) else {
+                continue;
+            };
+            if deadline <= now {
                 dispatchable = Some(idx);
                 break;
             }
@@ -518,7 +515,8 @@ fn worker_loop(shared: &Shared) {
             // hand the wakeup on before going off to execute — otherwise a
             // sleeping peer stays parked until its batch-window timeout and
             // ready tenants drain serially instead of concurrently.
-            if any_dispatchable(&state, shared, now) {
+            let ready = |i| ready_at(&state, &shared.config, i, now).is_some_and(|t| t <= now);
+            if (0..queue_count).any(ready) {
                 shared.cvar.notify_one();
             }
             drop(state);
@@ -578,10 +576,25 @@ fn dispatch(registered: &Registered, batch: Vec<Pending>, executor: &Executor) {
         inputs.insert(name.clone(), Arc::new(tensor));
     }
 
-    let report = match executor.run(&registered.model, &inputs) {
+    // An engine error, or an output that cannot be split back into
+    // per-request row ranges, fails every request of the batch.
+    let separable = |t: &Tensor| t.shape().rank() > 0 && t.shape().dim(0) == total_rows;
+    let report = executor
+        .run(&registered.model, &inputs)
+        .map_err(|e| e.to_string());
+    let report = report.and_then(|report| {
+        let Some(output) = report.outputs.iter().find(|t| !separable(t)) else {
+            return Ok(report);
+        };
+        Err(format!(
+            "model `{}` output of shape {} is not batch-separable",
+            registered.name,
+            output.shape()
+        ))
+    });
+    let report = match report {
         Ok(report) => report,
-        Err(e) => {
-            let message = e.to_string();
+        Err(message) => {
             registered
                 .failed
                 .fetch_add(coalesced as u64, Ordering::Relaxed);
@@ -594,25 +607,6 @@ fn dispatch(registered: &Registered, batch: Vec<Pending>, executor: &Executor) {
         }
     };
 
-    // Split every output back into per-request row ranges.
-    for output in &report.outputs {
-        if output.shape().rank() == 0 || output.shape().dim(0) != total_rows {
-            let message = format!(
-                "model `{}` output of shape {} is not batch-separable",
-                registered.name,
-                output.shape()
-            );
-            registered
-                .failed
-                .fetch_add(coalesced as u64, Ordering::Relaxed);
-            for pending in batch {
-                let _ = pending.reply.send(Err(ServeError::Engine {
-                    message: message.clone(),
-                }));
-            }
-            return;
-        }
-    }
     let mut offset = 0usize;
     for pending in batch {
         let outputs: Vec<Tensor> = report

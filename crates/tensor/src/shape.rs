@@ -141,23 +141,6 @@ impl Shape {
         Ok(adjusted as usize)
     }
 
-    /// Returns the shape obtained by removing dimension `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] if `axis >= rank`.
-    pub fn remove_axis(&self, axis: usize) -> Result<Shape, TensorError> {
-        if axis >= self.rank() {
-            return Err(TensorError::InvalidAxis {
-                axis,
-                rank: self.rank(),
-            });
-        }
-        let mut dims = self.dims.clone();
-        dims.remove(axis);
-        Ok(Shape::new(dims))
-    }
-
     /// Returns the shape obtained by permuting dimensions with `perm`.
     ///
     /// # Errors
@@ -284,13 +267,6 @@ mod tests {
         assert!(s.permute(&[0, 0, 1]).is_err());
         assert!(s.permute(&[0, 1]).is_err());
         assert!(s.permute(&[0, 1, 3]).is_err());
-    }
-
-    #[test]
-    fn remove_axis() {
-        let s = Shape::new(vec![2, 3, 4]);
-        assert_eq!(s.remove_axis(1).unwrap(), Shape::new(vec![2, 4]));
-        assert!(s.remove_axis(3).is_err());
     }
 
     #[test]
