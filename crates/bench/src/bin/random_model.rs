@@ -6,7 +6,8 @@
 //! rewrite-rule motifs), compiles each through the fused engine, and
 //! checks every case against the reference interpreter at
 //! `num_threads ∈ {1, 2, 8}` with and without `force_scalar` — within
-//! `1e-5` of the reference and bit-identical across configurations. At the
+//! `1e-5` of the reference and bit-identical across configurations (all in
+//! the SSE instance of the dot micro-kernel under `DNNF_FORCE_SSE=1`). At the
 //! end it prints, per rewrite rule, how many planted motifs fired and how
 //! many planted near-misses were refused.
 //!

@@ -1011,7 +1011,9 @@ pub fn check_plan_facts(graph: &Graph, plan: &FusionPlan) -> Result<(), String> 
 
 /// Checks one seed: generates the model, runs the reference interpreter as
 /// the oracle, then the fused engine at `num_threads ∈ {1, 2, 8}`, each
-/// with and without `force_scalar`. Engine runs must match the reference
+/// with and without `force_scalar` (and with the defaulted options'
+/// `force_sse`, so `DNNF_FORCE_SSE=1` pins every run to the SSE instance of
+/// the dot micro-kernel). Engine runs must match the reference
 /// within [`FUZZ_TOLERANCE`] and each other bit for bit. A compile with the
 /// default options (graph rewriting on) must match the reference within
 /// [`FUZZ_TOLERANCE`] as well. Both compilations' fusion plans must pass
@@ -1079,6 +1081,7 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
                 num_threads: threads,
                 force_scalar,
                 min_parallel_work: 0,
+                ..*base.options()
             });
             let run = executor
                 .run_compiled(&compiled, &inputs)
@@ -1180,6 +1183,7 @@ pub fn check_seed(seed: u64, max_nodes: usize) -> Result<FuzzOutcome, FuzzFailur
             num_threads: 1,
             force_scalar: false,
             min_parallel_work: 0,
+            ..*base.options()
         })
         .run_compiled(&recompiled, &inputs)
         .map_err(|e| fail(format!("dnnfg round-trip: run of import failed: {e}")))?;

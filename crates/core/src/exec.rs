@@ -31,7 +31,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use dnnf_graph::{Graph, GraphError, NodeId, ValueId};
-use dnnf_ops::simd::{col_tiles, F32Lanes, LANES};
+use dnnf_ops::simd::{col_tiles, F32Lanes, Isa, Sse2, LANES};
 use dnnf_ops::{
     execute, execute_fast_into_packed, has_fast_kernel, infer_shapes, OpError, OpKind,
     ScalarUnaryFn, WorkPool,
@@ -392,9 +392,9 @@ impl ScalarTape {
         let last = |strides: &[usize]| strides.last().copied().unwrap_or(0);
         let in_last: Vec<usize> = geo.in_rows().map(last).collect();
         let out_last: Vec<usize> = geo.out_rows().map(last).collect();
-        let mut regs8 = vec![F32Lanes::<LANES>::splat(0.0); self.instrs.len()];
-        let mut regs4 = vec![F32Lanes::<4>::splat(0.0); self.instrs.len()];
-        let mut regs1 = vec![F32Lanes::<1>::splat(0.0); self.instrs.len()];
+        let mut regs8 = vec![Sse2.splat::<LANES>(0.0); self.instrs.len()];
+        let mut regs4 = vec![Sse2.splat::<4>(0.0); self.instrs.len()];
+        let mut regs1 = vec![Sse2.splat::<1>(0.0); self.instrs.len()];
         let mut remaining = count;
         while remaining > 0 {
             let seg = (row - idx.last().copied().unwrap_or(0)).min(remaining);
@@ -445,10 +445,10 @@ impl ScalarTape {
         for (r, instr) in self.instrs.iter().enumerate() {
             regs[r] = match *instr {
                 TapeInstr::Load { input } => {
-                    F32Lanes::gather(in_slices[input], in_off[input], in_last[input])
+                    Sse2.gather(in_slices[input], in_off[input], in_last[input])
                 }
                 TapeInstr::Unary { ref f, src } => match f.op() {
-                    OpKind::Relu => regs[src].max(F32Lanes::splat(0.0)),
+                    OpKind::Relu => regs[src].max(Sse2.splat(0.0)),
                     OpKind::Sqrt => regs[src].sqrt(),
                     _ => regs[src].map(|v| f.apply(v)),
                 },
@@ -469,7 +469,7 @@ impl ScalarTape {
                                     .scalar_binary(a[l], b[l])
                                     .expect("tape compilation only emits scalar binary ops");
                             }
-                            F32Lanes::from_array(y)
+                            Sse2.bundle(y)
                         }
                     }
                 }
@@ -485,10 +485,10 @@ impl ScalarTape {
                     for (l, slot) in y.iter_mut().enumerate() {
                         *slot = if c[l] != 0.0 { t[l] } else { e[l] };
                     }
-                    F32Lanes::from_array(y)
+                    Sse2.bundle(y)
                 }
                 TapeInstr::Affine { src, mul, add } => {
-                    regs[src] * F32Lanes::splat(mul) + F32Lanes::splat(add)
+                    regs[src] * Sse2.splat(mul) + Sse2.splat(add)
                 }
             };
         }

@@ -38,7 +38,12 @@
 //! width; width 1 is the *checked* instance that tests every innermost tap
 //! against the padding, and serves border columns, lane remainders and the
 //! scalar mode ([`WorkPool::with_simd`]) alike — so SIMD-on and SIMD-off run
-//! the same source and produce the same bytes at every lane width.
+//! the same source and produce the same bytes at every lane width. The
+//! packed conv, `MatMul` and `Gemm` share one register-blocked dot
+//! micro-kernel, [`dot_step`], generic over its instruction set ([`Isa`]):
+//! a launch runs the 256-bit AVX instance where the CPU has it and the SSE
+//! one elsewhere ([`WorkPool::avx`]), entering it per chunk through
+//! [`Isa::enter`]. The other lane kernels run the SSE instance.
 //!
 //! **Data movement and reductions.** The Reorganize/Shuffle and One-to-Many
 //! operators share one copy kernel, [`AxisMap`]: per-axis source-offset
@@ -63,7 +68,7 @@ use dnnf_tensor::{broadcast_index, Shape, Tensor};
 
 use crate::parallel::WorkPool;
 use crate::shape_infer::Window;
-use crate::simd::{col_tiles, F32Lanes, LANES};
+use crate::simd::{col_tiles, F32Lanes, Isa, Sse2, LANES};
 use crate::{Attrs, OpError, OpKind};
 
 /// Whether `op` has an optimized kernel in this module. The fused engine
@@ -280,14 +285,14 @@ fn lane_widths(pool: WorkPool) -> &'static [usize] {
     }
 }
 
-/// `N` elements `data[base + l * stride]`, one per lane: a contiguous load
-/// at stride 1, a gather otherwise (a single lane is one indexed read).
-#[inline]
-fn lanes_at<const N: usize>(data: &[f32], base: usize, stride: usize) -> F32Lanes<N> {
-    if stride == 1 && N > 1 {
-        F32Lanes::load(&data[base..])
+/// `N` elements `d[at + l * step]`, one per lane: a contiguous load at step
+/// 1, a gather otherwise (a single lane is one indexed read).
+#[inline(always)]
+fn lanes_at<const N: usize, I: Isa>(isa: I, d: &[f32], at: usize, step: usize) -> F32Lanes<N, I> {
+    if step == 1 && N > 1 {
+        isa.load(&d[at..])
     } else {
-        F32Lanes::gather(data, base, stride)
+        isa.gather(d, at, step)
     }
 }
 
@@ -414,7 +419,7 @@ impl WindowRows {
     }
 
     /// [`col_tiles`] over one output row of this launch.
-    #[inline]
+    #[inline(always)]
     fn tiles(&self, widths: &[usize], tile: impl FnMut(usize, usize)) {
         col_tiles(self.ow, self.x_lo, self.x_hi, widths, tile);
     }
@@ -433,21 +438,57 @@ impl WindowRows {
     }
 }
 
-/// Columns per register-blocked interior tile of the packed conv path: four
-/// independent lane-bundle accumulators share each tap's panel load.
-const CONV_PACK_COLS: usize = 4;
+/// The dot micro-kernel shared by the packed conv, `MatMul` and `Gemm`: an
+/// `MR × NR` tile of `N`-lane accumulators. One step folds one term into
+/// each, `acc[r][c] = acc[r][c] + splat(a(r)) * b(c)`: the rows share each
+/// column's load, the columns share each row's splat, and the `MR · NR`
+/// accumulators are independent add chains. Per element this is the scalar
+/// kernel's `acc = acc + a * b` in the caller's step order, so the bits
+/// depend on neither the tile shape nor the ISA.
+#[inline(always)]
+fn dot_step<const MR: usize, const NR: usize, const N: usize, I: Isa>(
+    mut acc: [[F32Lanes<N, I>; NR]; MR],
+    isa: I,
+    a: impl Fn(usize) -> f32,
+    b: impl Fn(usize) -> F32Lanes<N, I>,
+) -> [[F32Lanes<N, I>; NR]; MR] {
+    let mut bs = [isa.splat(0.0); NR];
+    for (c, v) in bs.iter_mut().enumerate() {
+        *v = b(c);
+    }
+    for (r, row) in acc.iter_mut().enumerate() {
+        let a = isa.splat(a(r));
+        for (acc, &b) in row.iter_mut().zip(&bs) {
+            *acc = *acc + a * b;
+        }
+    }
+    acc
+}
+
+/// The run `[first, first + len)` of a row-major index space with inner
+/// extent `period`, split where the outer index changes: `(outer, inner,
+/// count, at)` per piece, `count` indices from `(outer, inner)`, `at` into
+/// the run.
+fn pieces(first: usize, len: usize, period: usize) -> impl Iterator<Item = [usize; 4]> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let (outer, inner) = ((first + at) / period, (first + at) % period);
+        let count = (period - inner).min(len.saturating_sub(at));
+        at += count;
+        (count > 0).then_some([outer, inner, count, at - count])
+    })
+}
 
 /// Direct convolution at any spatial rank. Accumulates over input channels
 /// then kernel taps in row-major order — the reference kernel's exact
 /// summation sequence. Parallel over `(batch, out_channel)` output planes;
 /// each plane is owned by one thread. With a prepacked OC panel (`packed`,
 /// see [`pack_conv_oc_panel`]), an ungrouped conv whose channel count fills
-/// whole lane bundles, and SIMD on, the launch parallelizes over
-/// `(batch, channel-block)` super-planes of [`CONV_PANEL_LANES`] planes
-/// instead and lanes own whole output channels
-/// ([`ConvLaunch::panel_cols`]) — same elements, same per-element tap order,
-/// different loop nesting across *independent* elements, so results stay
-/// bit-identical.
+/// whole lane bundles, and SIMD on, lanes own output channels instead
+/// ([`ConvLaunch::panels`]): a chunk is a few panels of one batch element,
+/// register-blocked with [`dot_step`] over output columns × panels — same
+/// elements, same per-element tap order, different loop nesting across
+/// *independent* elements, so results stay bit-identical.
 fn fast_conv(
     attrs: &Attrs,
     inputs: &[&Tensor],
@@ -500,27 +541,14 @@ fn fast_conv(
         wdat: panel.unwrap_or(w).data(),
         in_per_group,
         x_plane,
+        plane,
     };
     if panel.is_some() {
         let blocks = out_channels / B;
-        // Exact chunks (OC % B == 0): one (n, channel-block) super-plane of
-        // B output planes each, written by exactly one thread.
-        pool.run_chunks(out, B * plane, |super_plane, chunk| {
-            let (n, ob) = (super_plane / blocks, super_plane % blocks);
-            let bias_v = bias.map_or_else(
-                || F32Lanes::<B>::splat(0.0),
-                |b| F32Lanes::<B>::load(&b[ob * B..]),
-            );
-            let (x_base, w_base) = (n * x_batch, ob * w_per_oc * B);
-            for r in 0..rows.count() {
-                let (taps, row) = (rows.taps(r), &mut chunk[r * rows.ow..]);
-                rows.tiles(&[CONV_PACK_COLS], |ox, width| match width {
-                    CONV_PACK_COLS => conv
-                        .panel_cols::<CONV_PACK_COLS>(row, plane, taps, x_base, w_base, bias_v, ox),
-                    _ => conv.panel_cols::<1>(row, plane, taps, x_base, w_base, bias_v, ox),
-                });
-            }
-        });
+        match pool.avx() {
+            Some(avx) => conv.panels(avx, out, bias, blocks, x_batch, pool),
+            None => conv.panels(Sse2, out, bias, blocks, x_batch, pool),
+        }
         return Ok(());
     }
     let widths = lane_widths(pool);
@@ -547,20 +575,51 @@ struct ConvLaunch<'a> {
     rows: &'a WindowRows,
     xdat: &'a [f32],
     /// The `(OC, ICpg, k…)` weights for [`ConvLaunch::cols`], the OC-blocked
-    /// panel for [`ConvLaunch::panel_cols`].
+    /// panel for [`ConvLaunch::panels`].
     wdat: &'a [f32],
     in_per_group: usize,
-    /// Elements per input channel plane.
+    /// Elements per input and per output channel plane.
     x_plane: usize,
+    plane: usize,
 }
 
 impl ConvLaunch<'_> {
+    /// Calls `step(x, w)` with the input and weight offsets of each tap of
+    /// output column `ox`, in the reference order: input channels, then the
+    /// row's outer taps, then `kx` — skipping the `kx` taps in the padding
+    /// when `checked`, exactly as the reference does (unchecked callers take
+    /// interior columns only). A weight tap is `w_tap` elements wide.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn taps(
+        &self,
+        taps: &[RowTap],
+        x_base: usize,
+        w_base: usize,
+        w_tap: usize,
+        ox: usize,
+        checked: bool,
+        mut step: impl FnMut(usize, usize),
+    ) {
+        let g = self.rows;
+        for ic in 0..self.in_per_group {
+            let x_ic = x_base + ic * self.x_plane;
+            let w_ic = w_base + ic * g.kernel_count * w_tap;
+            for tap in taps {
+                // Hoisted by hand: with these sums inside the `kx` loop the
+                // interior tile measured ~20% slower.
+                let (x_row, w_row) = (x_ic + tap.x_off, w_ic + tap.w_off * w_tap);
+                for kx in 0..g.kw {
+                    if let Some(xc) = g.input_col(ox, kx, checked) {
+                        step(x_row + xc, w_row + kx * w_tap);
+                    }
+                }
+            }
+        }
+    }
+
     /// `N` consecutive output columns of one output channel starting at
-    /// `ox`, one element per lane, accumulated tap by tap in the reference
-    /// order (`acc = acc + x * w` per lane: input channels, then the row's
-    /// outer taps, then `kx`). `N == 1` is the checked instance — it skips
-    /// the `kx` taps that fall in the padding, exactly as the reference
-    /// does; wider instances take interior columns only.
+    /// `ox`, one element per lane; `N == 1` is the checked instance.
     fn cols<const N: usize>(
         &self,
         row: &mut [f32],
@@ -570,109 +629,127 @@ impl ConvLaunch<'_> {
         b0: f32,
         ox: usize,
     ) {
-        let g = self.rows;
-        let mut acc = F32Lanes::<N>::splat(b0);
-        for ic in 0..self.in_per_group {
-            let x_ic = x_base + ic * self.x_plane;
-            let w_ic = w_base + ic * g.kernel_count;
-            for tap in taps {
-                let (x_row, w_row) = (x_ic + tap.x_off, w_ic + tap.w_off);
-                for kx in 0..g.kw {
-                    let Some(xc) = g.input_col(ox, kx, N == 1) else {
-                        continue;
-                    };
-                    let xv = lanes_at::<N>(self.xdat, x_row + xc, g.sw);
-                    acc = acc + xv * F32Lanes::<N>::splat(self.wdat[w_row + kx]);
-                }
-            }
-        }
+        let (x, w, sw) = (self.xdat, self.wdat, self.rows.sw);
+        let mut acc = Sse2.splat::<N>(b0);
+        self.taps(taps, x_base, w_base, 1, ox, N == 1, |xi, wi| {
+            acc = acc + lanes_at(Sse2, x, xi, sw) * Sse2.splat(w[wi]);
+        });
         acc.store(&mut row[ox..]);
     }
 
-    /// `R` consecutive output columns starting at `ox` for the
-    /// [`CONV_PANEL_LANES`] output channels of one panel block: lane `l` of
-    /// accumulator `c` owns output element `(oc0 + l, row, ox + c)`, each
-    /// tap's weights are one contiguous panel load shared by the `R`
-    /// accumulators (which also breaks the loop-carried dependence on a
-    /// single one) and the input value is a splat. Every element accumulates
-    /// in [`ConvLaunch::cols`]'s order, and `R == 1` is again the checked
-    /// instance — the padding test depends only on `(ox, kx)`, so it is
-    /// uniform across the channel lanes. `row` starts at the output row in
-    /// the block's first plane; the planes are `plane` elements apart.
-    #[allow(clippy::too_many_arguments)]
-    fn panel_cols<const R: usize>(
+    /// The packed launch, in the instruction set `isa`. A chunk is the
+    /// output planes of `NR` panels of one image (their first bias at
+    /// `bias[0]`), run as tiles of `MR = max(2, 4 / NR)` output columns ×
+    /// `NR` panels. `NR` is the largest divisor of the image's `blocks`
+    /// panels up to 4 under AVX and 2 under SSE (an accumulator is one of 16
+    /// `ymm` or two of 16 `xmm` registers), and smaller when a thread would
+    /// idle.
+    fn panels<I: Isa>(
         &self,
-        row: &mut [f32],
-        plane: usize,
-        taps: &[RowTap],
-        x_base: usize,
-        w_base: usize,
-        bias_v: F32Lanes<CONV_PANEL_LANES>,
-        ox: usize,
+        isa: I,
+        out: &mut [f32],
+        bias: Option<&[f32]>,
+        blocks: usize,
+        x_batch: usize,
+        pool: WorkPool,
+    ) {
+        const B: usize = CONV_PANEL_LANES;
+        let (per_panel, w_panel) = (
+            B * self.plane,
+            self.in_per_group * self.rows.kernel_count * B,
+        );
+        let most =
+            (if I::WIDE { 4 } else { 2 }).min((out.len() / per_panel).div_ceil(pool.threads()));
+        let nr = (1..=most)
+            .rev()
+            .find(|&p| blocks.is_multiple_of(p))
+            .unwrap_or(1);
+        pool.run_chunks(out, nr * per_panel, |c, dst| {
+            let (n, ob) = (c * nr / blocks, c * nr % blocks);
+            let (bias, base) = (bias.map(|b| &b[ob * B..]), (n * x_batch, ob * w_panel));
+            isa.enter(
+                #[inline(always)]
+                || match nr {
+                    1 => self.panel_rows::<4, 1, _>(isa, dst, bias, base),
+                    2 => self.panel_rows::<2, 2, _>(isa, dst, bias, base),
+                    3 => self.panel_rows::<2, 3, _>(isa, dst, bias, base),
+                    _ => self.panel_rows::<2, 4, _>(isa, dst, bias, base),
+                },
+            );
+        });
+    }
+
+    /// Every output row of `NR` panels: interior tiles of `MR` columns, and
+    /// the checked one-column instance elsewhere, which keeps all `NR`
+    /// panels, so border columns and rows narrower than a tile still run
+    /// `NR` independent chains.
+    #[inline(always)]
+    fn panel_rows<const MR: usize, const NR: usize, I: Isa>(
+        &self,
+        isa: I,
+        dst: &mut [f32],
+        bias: Option<&[f32]>,
+        base: (usize, usize),
     ) {
         const B: usize = CONV_PANEL_LANES;
         let g = self.rows;
-        let mut acc = [bias_v; R];
-        for ic in 0..self.in_per_group {
-            let x_ic = x_base + ic * self.x_plane;
-            let w_ic = w_base + ic * g.kernel_count * B;
-            for tap in taps {
-                // Hoisted by hand: with these sums inside the `kx` loop the
-                // interior tile measured ~20% slower.
-                let (x_row, w_row) = (x_ic + tap.x_off, w_ic + tap.w_off * B);
-                for kx in 0..g.kw {
-                    let Some(xc) = g.input_col(ox, kx, R == 1) else {
-                        continue;
-                    };
-                    let wv = F32Lanes::<B>::load(&self.wdat[w_row + kx * B..]);
-                    for (c, a) in acc.iter_mut().enumerate() {
-                        *a = *a + F32Lanes::<B>::splat(self.xdat[x_row + xc + c * g.sw]) * wv;
-                    }
+        let mut bias_v = [isa.splat(0.0); NR];
+        for (c, v) in bias_v.iter_mut().enumerate() {
+            *v = bias.map_or(*v, |b| isa.load(&b[c * B..]));
+        }
+        for r in 0..g.count() {
+            let (taps, row) = (g.taps(r), &mut dst[r * g.ow..]);
+            g.tiles(
+                &[MR],
+                #[inline(always)]
+                |ox, width| match width {
+                    1 => self.panel_tile::<1, NR, I>(isa, row, taps, base, bias_v, ox),
+                    _ => self.panel_tile::<MR, NR, I>(isa, row, taps, base, bias_v, ox),
+                },
+            );
+        }
+    }
+
+    /// `MR` output columns from `ox` × `NR` panels, into `out` (the output
+    /// row in the first panel's first plane; input and weights from `base`):
+    /// lane `l` of `acc[r][c]` owns column `ox + r` in plane `c · B + l`.
+    /// Rows are output columns (an input splat each), columns are panels (a
+    /// contiguous weight load each); `MR == 1` is the checked instance.
+    #[inline(always)]
+    fn panel_tile<const MR: usize, const NR: usize, I: Isa>(
+        &self,
+        isa: I,
+        out: &mut [f32],
+        taps: &[RowTap],
+        (x_base, w_base): (usize, usize),
+        bias: [F32Lanes<CONV_PANEL_LANES, I>; NR],
+        ox: usize,
+    ) {
+        const B: usize = CONV_PANEL_LANES;
+        let (x, w, sw) = (self.xdat, self.wdat, self.rows.sw);
+        let w_panel = self.in_per_group * self.rows.kernel_count * B;
+        let mut acc = [bias; MR];
+        self.taps(
+            taps,
+            x_base,
+            w_base,
+            B,
+            ox,
+            MR == 1,
+            #[inline(always)]
+            |xi, wi| {
+                let b = |c| isa.load(&w[wi + c * w_panel..]);
+                acc = dot_step(acc, isa, |r| x[xi + r * sw], b);
+            },
+        );
+        for (r, accs) in acc.iter().enumerate() {
+            for (c, a) in accs.iter().enumerate() {
+                for (l, &v) in a.to_array().iter().enumerate() {
+                    out[(c * B + l) * self.plane + ox + r] = v;
                 }
             }
         }
-        for (c, a) in acc.iter().enumerate() {
-            for (l, &v) in a.to_array().iter().enumerate() {
-                row[l * plane + ox + c] = v;
-            }
-        }
     }
-}
-
-/// Columns of the widest `MatMul` / `Gemm` tile: a register-blocked pair of
-/// [`LANES`]-wide bundles.
-const DOT_PAIR: usize = 2 * LANES;
-
-/// Lane widths of the `MatMul` / `Gemm` column tiles: the bundle pair, one
-/// bundle, one 4-wide pass; none in the scalar mode.
-fn dot_widths(pool: WorkPool) -> &'static [usize] {
-    if pool.use_simd() {
-        &[DOT_PAIR, LANES, 4]
-    } else {
-        &[]
-    }
-}
-
-/// `R` bundles of `N` consecutive output columns of one matrix-product row:
-/// lane `l` of bundle `r` accumulates `Σ_p a[p] · b(p, r)[l]` from zero in
-/// `p` order — the scalar dot-product sequence on its own column.
-/// The bundles share each step's `a` splat, and `R > 1` breaks the
-/// loop-carried dependence on a single accumulator; per column the result is
-/// the same for every `(N, R)`. `b` is a closure so that each caller's load
-/// form (contiguous or gather) is fixed outside the reduction loop.
-#[inline]
-fn dot_tile<const N: usize, const R: usize>(
-    a: impl Iterator<Item = f32>,
-    b: impl Fn(usize, usize) -> F32Lanes<N>,
-) -> [F32Lanes<N>; R] {
-    let mut acc = [F32Lanes::<N>::splat(0.0); R];
-    for (p, av) in a.enumerate() {
-        let av = F32Lanes::<N>::splat(av);
-        for (r, acc) in acc.iter_mut().enumerate() {
-            *acc = *acc + av * b(p, r);
-        }
-    }
-    acc
 }
 
 /// Batched matrix multiplication with broadcasting over batch dimensions.
@@ -698,24 +775,15 @@ fn fast_matmul(
     if out.is_empty() {
         return Ok(());
     }
-    let m = out_shape.dim(out_shape.rank() - 2);
-    let n = out_shape.dim(out_shape.rank() - 1);
-    let k = a.shape().dim(a.shape().rank() - 1);
     let batch_shape = Shape::new(out_shape.dims()[..out_shape.rank() - 2].to_vec());
     let a_batch = Shape::new(a.shape().dims()[..a.shape().rank() - 2].to_vec());
     let b_batch = Shape::new(b.shape().dims()[..b.shape().rank() - 2].to_vec());
     let a_strides = a.shape().strides();
     let b_strides = b.shape().strides();
-    let adat = a.data();
-    let bdat = b.data();
-    let a_row_stride = a_strides[a.shape().rank() - 2];
-    let b_row_stride = b_strides[b.shape().rank() - 2];
-    let batches = batch_shape.numel().max(1);
-    let pool = pool.for_work(out.len().saturating_mul(k));
 
     // Broadcast-resolved operand offsets, one entry per batch, computed once
     // so the per-row closure stays index-arithmetic only.
-    let bases: Vec<(usize, usize)> = (0..batches)
+    let bases: Vec<(usize, usize)> = (0..batch_shape.numel().max(1))
         .map(|batch| {
             let batch_idx = batch_shape.multi_index(batch);
             let a_prefix = broadcast_index(&batch_idx, &a_batch);
@@ -725,40 +793,19 @@ fn fast_matmul(
             (a_base, b_base)
         })
         .collect();
-
-    // One chunk per output row, across all batches. Lane-blocked over the
-    // output columns: `b`'s column stride is 1, so each reduction step loads
-    // one contiguous `N`-wide slice of `b`'s row `p` per bundle.
-    let widths = dot_widths(pool);
-    pool.run_chunks(out, n, |row, chunk| {
-        let (a_base, b_base) = bases[row / m];
-        let i = row % m;
-        let a_row = &adat[a_base + i * a_row_stride..a_base + i * a_row_stride + k];
-        let b_mat = &bdat[b_base..];
-        col_tiles(n, 0, n, widths, |j, width| match width {
-            DOT_PAIR => matmul_tile::<LANES, 2>(chunk, j, a_row, b_mat, b_row_stride),
-            LANES => matmul_tile::<LANES, 1>(chunk, j, a_row, b_mat, b_row_stride),
-            4 => matmul_tile::<4, 1>(chunk, j, a_row, b_mat, b_row_stride),
-            _ => matmul_tile::<1, 1>(chunk, j, a_row, b_mat, b_row_stride),
-        });
-    });
+    let dot = DotLaunch {
+        a: a.data(),
+        b: b.data(),
+        a_strides: (a_strides[a.shape().rank() - 2], 1),
+        b_strides: (b_strides[b.shape().rank() - 2], 1),
+        bases: &bases,
+        m: out_shape.dim(out_shape.rank() - 2),
+        n: out_shape.dim(out_shape.rank() - 1),
+        k: a.shape().dim(a.shape().rank() - 1),
+        gemm: None,
+    };
+    dot.run(out, pool);
     Ok(())
-}
-
-/// `R · N` consecutive output columns of one `MatMul` row starting at `j`.
-fn matmul_tile<const N: usize, const R: usize>(
-    chunk: &mut [f32],
-    j: usize,
-    a_row: &[f32],
-    b_mat: &[f32],
-    b_row_stride: usize,
-) {
-    let acc = dot_tile::<N, R>(a_row.iter().copied(), |p, r| {
-        lanes_at(b_mat, p * b_row_stride + j + r * N, 1)
-    });
-    for (r, acc) in acc.iter().enumerate() {
-        acc.store(&mut chunk[j + r * N..]);
-    }
 }
 
 /// ONNX `Gemm` with transpose flags, `alpha`/`beta` scaling and broadcast
@@ -786,7 +833,6 @@ fn fast_gemm(
     }
     let trans_a = attrs.int_or("transA", 0) != 0;
     let trans_b = attrs.int_or("transB", 0) != 0;
-    let m = out_shape.dim(0);
     let n = out_shape.dim(1);
     let k = if trans_a {
         a.shape().dim(0)
@@ -818,71 +864,167 @@ fn fast_gemm(
     });
     // `a[i][p]` and `b[p][j]` as strides, so a transposed operand is the same
     // walk with the two strides swapped.
-    let (a_cols, a) = (a.shape().dim(1), a.data());
-    let gemm = GemmLaunch {
-        a,
+    let a_cols = a.shape().dim(1);
+    let dot = DotLaunch {
+        a: a.data(),
         b: bdat,
         a_strides: if trans_a { (1, a_cols) } else { (a_cols, 1) },
         b_strides: if trans_b { (1, b_cols) } else { (b_cols, 1) },
+        bases: &[(0, 0)],
+        m: out_shape.dim(0),
+        n,
         k,
-        alpha: attrs.float_or("alpha", 1.0),
-        beta: attrs.float_or("beta", 1.0),
-        c,
+        gemm: Some(GemmEpilogue {
+            alpha: attrs.float_or("alpha", 1.0),
+            beta: attrs.float_or("beta", 1.0),
+            c,
+        }),
     };
-
-    let pool = pool.for_work(m.saturating_mul(n).saturating_mul(k));
-    let widths = dot_widths(pool);
-    pool.run_chunks(out, n, |i, chunk| {
-        col_tiles(n, 0, n, widths, |j, width| match width {
-            DOT_PAIR => gemm.tile::<LANES, 2>(chunk, i, j),
-            LANES => gemm.tile::<LANES, 1>(chunk, i, j),
-            4 => gemm.tile::<4, 1>(chunk, i, j),
-            _ => gemm.tile::<1, 1>(chunk, i, j),
-        });
-    });
+    dot.run(out, pool);
     Ok(())
 }
 
-/// Loop constants of one `Gemm` launch.
-struct GemmLaunch<'a> {
+/// Loop constants of one `MatMul` or `Gemm` launch: output `(batch, i, j)`
+/// is `Σ_p a[i, p] · b[p, j]` over the batch's operands, folded from zero
+/// in `p` order.
+struct DotLaunch<'a> {
     a: &'a [f32],
     b: &'a [f32],
     /// Element strides of `a` along `(i, p)` and of `b` along `(p, j)`.
     a_strides: (usize, usize),
     b_strides: (usize, usize),
+    /// Per batch, the offsets of its `a` and `b` matrices.
+    bases: &'a [(usize, usize)],
+    m: usize,
+    n: usize,
     k: usize,
+    gemm: Option<GemmEpilogue<'a>>,
+}
+
+/// What `Gemm` applies to each finished dot product, in the reference's
+/// order: `alpha · acc`, then `+ beta · c` with `c` broadcast.
+struct GemmEpilogue<'a> {
     alpha: f32,
     beta: f32,
     /// Bias data with its broadcast strides over the `(m, n)` output.
     c: Option<(&'a [f32], usize, usize)>,
 }
 
-impl GemmLaunch<'_> {
-    /// `R · N` consecutive output columns of row `i` starting at `j`: lane
-    /// `l` owns one column, accumulating `a[i,:] · b[:,col]` then applying
-    /// `alpha`/`beta` and the broadcast bias with the reference kernel's
-    /// operation sequence. `a`'s element is uniform per reduction step
-    /// (splat), `b` loads contiguously (or gathers with the row stride when
-    /// transposed), and the bias broadcast reuses its per-axis strides as
+impl DotLaunch<'_> {
+    /// Runs the launch in the instruction set the pool picks.
+    fn run(&self, out: &mut [f32], pool: WorkPool) {
+        match pool.avx() {
+            Some(avx) => self.run_on(avx, out, pool),
+            None => self.run_on(Sse2, out, pool),
+        }
+    }
+
+    /// A chunk is two output rows (one when that leaves a thread idle, and
+    /// in the scalar mode), split where a batch ends. Two rows of one batch
+    /// run tiles of 2 rows × 2 bundles, other rows one-row tiles of 4
+    /// bundles: the conv's `MR = max(2, 4 / NR)` rule.
+    fn run_on<I: Isa>(&self, isa: I, out: &mut [f32], pool: WorkPool) {
+        let n = self.n;
+        let pool = pool.for_work(out.len().saturating_mul(self.k));
+        let simd = pool.use_simd();
+        let rows = if simd { 2 } else { 1 }.min((out.len() / n).div_ceil(pool.threads()));
+        pool.run_chunks(out, rows * n, |c, chunk| {
+            isa.enter(
+                #[inline(always)]
+                || {
+                    for [batch, i, count, at] in pieces(c * rows, chunk.len() / n, self.m) {
+                        let dst = &mut chunk[at * n..(at + count) * n];
+                        if count == 2 {
+                            self.rows::<2, 2, I>(isa, simd, dst, batch, i);
+                        } else {
+                            self.rows::<1, 4, I>(isa, simd, dst, batch, i);
+                        }
+                    }
+                },
+            );
+        });
+    }
+
+    /// Output rows `i .. i + R` of one batch into `dst`: tiles of `NR`
+    /// bundles, then one bundle, a 4-lane pass and single columns (single
+    /// columns only in the scalar mode).
+    #[inline(always)]
+    fn rows<const R: usize, const NR: usize, I: Isa>(
+        &self,
+        isa: I,
+        simd: bool,
+        dst: &mut [f32],
+        b: usize,
+        i: usize,
+    ) {
+        let widths = [NR * LANES, LANES, 4];
+        let widths = if simd { &widths[..] } else { &[] };
+        col_tiles(
+            self.n,
+            0,
+            self.n,
+            widths,
+            #[inline(always)]
+            |j, width| match width {
+                w if w == NR * LANES => self.tile::<R, NR, LANES, I>(isa, dst, b, i, j),
+                LANES => self.tile::<R, 1, LANES, I>(isa, dst, b, i, j),
+                4 => self.tile::<R, 1, 4, I>(isa, dst, b, i, j),
+                _ => self.tile::<R, 1, 1, I>(isa, dst, b, i, j),
+            },
+        );
+    }
+
+    /// Rows `i .. i + R` × columns `j .. j + NR · N` of batch `batch`: lane
+    /// `l` of `acc[r][c]` owns output `(i + r, j + c · N + l)`. `a`'s element
+    /// is a splat per row, `b` loads contiguously (or gathers with the row
+    /// stride when transposed; the form is fixed outside the reduction
+    /// loop), and `Gemm`'s bias broadcast reuses its per-axis strides as
     /// gather strides.
-    fn tile<const N: usize, const R: usize>(&self, chunk: &mut [f32], i: usize, j: usize) {
+    #[inline(always)]
+    fn tile<const R: usize, const NR: usize, const N: usize, I: Isa>(
+        &self,
+        isa: I,
+        dst: &mut [f32],
+        batch: usize,
+        i: usize,
+        j: usize,
+    ) {
+        let (a_base, b_base) = self.bases[batch];
         let ((a_row, a_step), (b_step, b_lane)) = (self.a_strides, self.b_strides);
-        let a = (0..self.k).map(|p| self.a[i * a_row + p * a_step]);
-        let acc = if b_lane == 1 {
-            dot_tile::<N, R>(a, |p, r| lanes_at(self.b, p * b_step + j + r * N, 1))
-        } else {
-            dot_tile::<N, R>(a, |p, r| {
-                F32Lanes::gather(self.b, p * b_step + (j + r * N) * b_lane, b_lane)
-            })
-        };
-        for (r, &acc) in acc.iter().enumerate() {
-            let col = j + r * N;
-            let mut v = F32Lanes::<N>::splat(self.alpha) * acc;
-            if let Some((cd, si, sj)) = self.c {
-                let cv = F32Lanes::<N>::gather(cd, i * si + col * sj, sj);
-                v = v + F32Lanes::<N>::splat(self.beta) * cv;
+        // Each row's `k` steps of `a` and the tile's columns of `b`, cut once
+        // so that the reduction loop indexes within known lengths.
+        let span = self.k.saturating_sub(1) * a_step + usize::from(self.k > 0);
+        let mut a: [&[f32]; R] = [&[]; R];
+        for (r, a) in a.iter_mut().enumerate() {
+            *a = &self.a[a_base + (i + r) * a_row..][..span];
+        }
+        let b = &self.b[b_base + j * b_lane..];
+        let mut acc = [[isa.splat::<N>(0.0); NR]; R];
+        if a_step == 1 && b_lane == 1 {
+            // Every `MatMul`, and `Gemm` with a packed panel.
+            for p in 0..self.k {
+                let b = &b[p * b_step..][..NR * N];
+                acc = dot_step(acc, isa, |r| a[r][p], |c| isa.load(&b[c * N..]));
             }
-            v.store(&mut chunk[col..]);
+        } else {
+            for p in 0..self.k {
+                let b = |c| lanes_at(isa, b, p * b_step + c * N * b_lane, b_lane);
+                acc = dot_step(acc, isa, |r| a[r][p * a_step], b);
+            }
+        }
+        for (r, accs) in acc.iter().enumerate() {
+            for (c, &acc) in accs.iter().enumerate() {
+                let col = j + c * N;
+                let mut v = acc;
+                if let Some(gemm) = &self.gemm {
+                    v = isa.splat(gemm.alpha) * v;
+                    if let Some((cd, si, sj)) = gemm.c {
+                        let cv = isa.gather(cd, (i + r) * si + col * sj, sj);
+                        v = v + isa.splat(gemm.beta) * cv;
+                    }
+                }
+                v.store(&mut dst[r * self.n + col..]);
+            }
         }
     }
 }
@@ -955,7 +1097,7 @@ impl PoolLaunch<'_> {
     /// the lanes.
     fn cols<const N: usize>(&self, row: &mut [f32], taps: &[RowTap], x_base: usize, ox: usize) {
         let g = self.rows;
-        let mut acc = F32Lanes::<N>::splat(if self.is_max { f32::NEG_INFINITY } else { 0.0 });
+        let mut acc = Sse2.splat::<N>(if self.is_max { f32::NEG_INFINITY } else { 0.0 });
         let mut count = 0usize;
         for tap in taps {
             let x_row = x_base + tap.x_off;
@@ -963,7 +1105,7 @@ impl PoolLaunch<'_> {
                 let Some(xc) = g.input_col(ox, kx, N == 1) else {
                     continue;
                 };
-                let xv = lanes_at::<N>(self.xdat, x_row + xc, g.sw);
+                let xv = lanes_at(Sse2, self.xdat, x_row + xc, g.sw);
                 acc = if self.is_max { acc.max(xv) } else { acc + xv };
                 count += 1;
             }
@@ -974,7 +1116,7 @@ impl PoolLaunch<'_> {
             } else {
                 count.max(1)
             };
-            acc = acc / F32Lanes::<N>::splat(denom as f32);
+            acc = acc / Sse2.splat(denom as f32);
         }
         acc.store(&mut row[ox..]);
     }
@@ -1311,8 +1453,9 @@ fn reduced_axes(attrs: &Attrs, x: &Shape) -> Result<Vec<bool>, OpError> {
 /// Output element `o` starts at the reference's initial value (`+0.0` for
 /// the sums) and folds its inputs in the reference's row-major input order;
 /// a mean then divides by the reduced count, as the reference does, so the
-/// bits are the reference's. Threads own runs of output rows, and lanes own
-/// consecutive outputs of one row (the innermost kept axis).
+/// bits are the reference's. Threads own runs of outputs
+/// ([`reduce_span`]), and lanes own consecutive outputs of one row (the
+/// innermost kept axis).
 fn fast_reduce(
     op: OpKind,
     reduced: &[bool],
@@ -1365,17 +1508,31 @@ fn fast_reduce(
     let row_base = walk_offsets(outer_kept);
     let pool = pool.for_work(x.numel());
     let widths = lane_widths(pool);
-    row_parts(pool, out, row, |first, run| {
-        for (r, dst) in run.chunks_mut(row).enumerate() {
-            let base = row_base[first + r];
-            col_tiles(row, 0, row, widths, |col, width| match width {
-                LANES => launch.cols::<LANES>(dst, base, col),
-                4 => launch.cols::<4>(dst, base, col),
-                _ => launch.cols::<1>(dst, base, col),
+    let span = reduce_span(out.len(), row, pool.threads());
+    pool.run_chunks(out, span, |part, run| {
+        for [r, col, count, at] in pieces(part * span, run.len(), row) {
+            let (dst, base) = (&mut run[at..at + count], row_base[r] + col * col_stride);
+            col_tiles(count, 0, count, widths, |c, width| match width {
+                LANES => launch.cols::<LANES>(dst, base, c),
+                4 => launch.cols::<4>(dst, base, c),
+                _ => launch.cols::<1>(dst, base, c),
             });
         }
     });
     Ok(())
+}
+
+/// Outputs per thread's run of a reduction's output (`row` outputs per
+/// row): whole rows while there are at least as many rows as `threads`, and
+/// otherwise [`LANES`]-aligned column runs, so a reduction that keeps a
+/// single row (every last-axis reduce of one row, every `GlobalAveragePool`
+/// of one image) still splits. At most `threads` runs.
+fn reduce_span(outputs: usize, row: usize, threads: usize) -> usize {
+    let rows = outputs / row;
+    match rows >= threads {
+        true => rows.div_ceil(threads) * row,
+        false => row.div_ceil(threads / rows).next_multiple_of(LANES),
+    }
 }
 
 /// Loop constants of one reduction launch.
@@ -1401,18 +1558,18 @@ impl ReduceLaunch<'_> {
     fn cols<const N: usize>(&self, row: &mut [f32], base: usize, col: usize) {
         let (steps, step) = self.inner;
         let base = base + col * self.col_stride;
-        let mut acc = F32Lanes::<N>::splat(self.init);
+        let mut acc = Sse2.splat::<N>(self.init);
         for &outer in &self.outer {
             let mut at = base + outer;
             for _ in 0..steps {
                 acc = self
                     .fold
-                    .apply(acc, lanes_at::<N>(self.src, at, self.col_stride));
+                    .apply(acc, lanes_at(Sse2, self.src, at, self.col_stride));
                 at += step;
             }
         }
         if let Some(count) = self.mean {
-            acc = acc / F32Lanes::<N>::splat(count);
+            acc = acc / Sse2.splat(count);
         }
         acc.store(&mut row[col..]);
     }
@@ -1447,8 +1604,9 @@ mod tests {
     /// Runs `op` through both the fast and reference kernels and checks the
     /// outputs are bit-identical (same taps, same accumulation order). The
     /// fast kernel runs with its lane-blocked (SIMD) path enabled — the
-    /// default — so every case here also pins SIMD == reference; the
-    /// explicit scalar mode is checked against it bit for bit as well.
+    /// default, in the AVX instance where the host has AVX — so every case
+    /// here also pins SIMD == reference; the SSE instance and the explicit
+    /// scalar mode are checked against it bit for bit as well.
     fn assert_fast_matches_reference(op: OpKind, attrs: &Attrs, inputs: &[&Tensor]) {
         let out_shape = infer(op, attrs, inputs);
         let fast = run_fast(op, attrs, inputs, None, &out_shape, WorkPool::serial());
@@ -1458,6 +1616,9 @@ mod tests {
             reference.data(),
             "{op} diverged from reference"
         );
+        let sse_pool = WorkPool::serial().with_avx(false);
+        let sse = run_fast(op, attrs, inputs, None, &out_shape, sse_pool);
+        assert_eq!(sse, fast, "{op} SSE instance diverged from the SIMD path");
         let scalar_pool = WorkPool::serial().with_simd(false);
         let scalar = run_fast(op, attrs, inputs, None, &out_shape, scalar_pool);
         assert_eq!(scalar, fast, "{op} scalar mode diverged from the SIMD path");
@@ -1983,11 +2144,13 @@ mod tests {
         assert_fast_matches_reference(OpKind::GlobalAveragePool, &Attrs::new(), &[&x5]);
     }
 
-    /// The pools a special-value case runs under: SIMD, scalar, and two
-    /// threads with the work gate off.
-    fn mode_pools() -> [(&'static str, WorkPool); 3] {
+    /// The pools a special-value case runs under: SIMD (the AVX instance
+    /// where the host has AVX), the SSE instance, scalar, and two threads
+    /// with the work gate off.
+    fn mode_pools() -> [(&'static str, WorkPool); 4] {
         [
             ("SIMD", WorkPool::serial()),
+            ("SSE", WorkPool::serial().with_avx(false)),
             ("scalar", WorkPool::serial().with_simd(false)),
             ("threaded", WorkPool::with_min_work(2, 0)),
         ]
@@ -2038,8 +2201,9 @@ mod tests {
         // and the full special set (±inf and two NaN payloads too). Channel
         // 5, inside the 8-lane bundle of a per-channel reduction, is all
         // −0.0. Thirteen channels and columns run 8-lane, 4-lane and scalar
-        // tails. Each kernel runs under SIMD, scalar and two threads, and
-        // every run must match the reference and the SIMD run bit for bit.
+        // tails. Each kernel runs under SIMD (AVX where the host has it),
+        // SSE, scalar and two threads, and every run must match the
+        // reference and the SIMD run bit for bit.
         const SPECIAL: [f32; 13] = [
             0.0,
             -0.0,
@@ -2126,6 +2290,129 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_dot_micro_kernel_remainder_is_bit_identical_under_each_isa() {
+        // Shapes that reach every tile of the dot micro-kernel and every
+        // remainder form: packed convs of 1, 2, 3 and 4 panels (OC 8 / 16 /
+        // 24 / 32) on rows 1, 2, 4 and 9 wide at strides 1 and 2, in a
+        // batch of two; MatMuls with M = 1, odd M and a batched broadcast,
+        // 37 and 9 columns wide (32 / 16 / 8 / 4 / single); a transposed-B
+        // Gemm with and without its panel. Each runs under every mode pool
+        // and at 3 and 4 threads, against the reference bit for bit.
+        let mut pools = mode_pools().to_vec();
+        pools.push(("3 threads", WorkPool::with_min_work(3, 0)));
+        pools.push(("4 threads", WorkPool::with_min_work(4, 0)));
+        let check = |op: OpKind, attrs: &Attrs, inputs: &[&Tensor], packed: Option<&Tensor>| {
+            let reference = execute(op, attrs, inputs).unwrap().remove(0);
+            for (mode, pool) in &pools {
+                let fast = run_fast(op, attrs, inputs, packed, reference.shape(), *pool);
+                let fast = Tensor::from_vec(reference.shape().clone(), fast).unwrap();
+                let at = fast.first_bit_difference(&reference);
+                assert_eq!(at, None, "{op} {:?} {attrs:?} {mode}", reference.shape());
+            }
+        };
+        for (oc, width) in [
+            (8, 1),
+            (16, 2),
+            (24, 4),
+            (24, 9),
+            (16, 9),
+            (8, 4),
+            (32, 2),
+            (32, 9),
+        ] {
+            let x = Tensor::random(Shape::new(vec![2, 5, 3, width]), 400 + width as u64);
+            let w = Tensor::random(Shape::new(vec![oc, 5, 3, 3]), 410 + oc as u64);
+            let b = Tensor::random(Shape::new(vec![oc]), 420);
+            let panel = pack_conv_oc_panel(&w).unwrap();
+            for strides in [vec![1, 1], vec![1, 2]] {
+                let attrs = Attrs::new()
+                    .with_ints("pads", vec![1, 1, 1, 1])
+                    .with_ints("strides", strides);
+                check(OpKind::Conv, &attrs, &[&x, &w, &b], Some(&panel));
+                check(OpKind::Conv, &attrs, &[&x, &w], Some(&panel));
+            }
+        }
+        let none = Attrs::new();
+        for (a, b) in [
+            (vec![1, 6], vec![6, 37]),
+            (vec![7, 6], vec![6, 37]),
+            (vec![5, 6], vec![6, 37]),
+            (vec![2, 1, 7, 6], vec![3, 6, 37]),
+            (vec![3, 4, 6], vec![6, 9]),
+        ] {
+            let a = Tensor::random(Shape::new(a), 430);
+            let b = Tensor::random(Shape::new(b), 431);
+            check(OpKind::MatMul, &none, &[&a, &b], None);
+        }
+        for m in [1, 5, 8] {
+            let a = Tensor::random(Shape::new(vec![m, 6]), 440);
+            let bt = Tensor::random(Shape::new(vec![37, 6]), 441);
+            let c = Tensor::random(Shape::new(vec![37]), 442);
+            let panel = bt.transpose(&[1, 0]).unwrap();
+            let attrs = Attrs::new()
+                .with_int("transB", 1)
+                .with_float("alpha", 0.75)
+                .with_float("beta", 1.5);
+            check(OpKind::Gemm, &attrs, &[&a, &bt, &c], None);
+            check(OpKind::Gemm, &attrs, &[&a, &bt, &c], Some(&panel));
+        }
+    }
+
+    #[test]
+    fn a_reduction_that_keeps_one_row_splits_its_columns_across_threads() {
+        // A last-axis ReduceMean of [1, 4096, 128] keeps one row of 4096
+        // outputs; at 2^19 inputs it passes the default work gate, so a
+        // 2-thread pool stays parallel and the row splits into two
+        // LANES-aligned column runs — each output still folded whole by one
+        // thread, so the bits are the serial run's.
+        let x = Tensor::random(Shape::new(vec![1, 4096, 128]), 450);
+        let attrs = Attrs::new().with_ints("axes", vec![2]);
+        let pool = WorkPool::new(2).for_work(x.numel());
+        assert_eq!(pool.threads(), 2);
+        assert_eq!(reduce_span(4096, 4096, pool.threads()), 2048);
+        // Rows fewer than threads split into LANES-aligned runs that may
+        // cross rows; rows at least as many as threads stay whole.
+        assert_eq!(reduce_span(3 * 20, 20, 8), 16);
+        assert_eq!(reduce_span(3 * 20, 20, 2), 40);
+
+        let out_shape = infer(OpKind::ReduceMean, &attrs, &[&x]);
+        let serial = run_fast(
+            OpKind::ReduceMean,
+            &attrs,
+            &[&x],
+            None,
+            &out_shape,
+            WorkPool::serial(),
+        );
+        let threaded = run_fast(
+            OpKind::ReduceMean,
+            &attrs,
+            &[&x],
+            None,
+            &out_shape,
+            WorkPool::new(2),
+        );
+        let (serial, threaded) = (
+            Tensor::from_vec(out_shape.clone(), serial).unwrap(),
+            Tensor::from_vec(out_shape.clone(), threaded).unwrap(),
+        );
+        assert_eq!(serial.first_bit_difference(&threaded), None);
+        assert_fast_matches_reference(OpKind::ReduceMean, &attrs, &[&x]);
+
+        // Three rows of 20 outputs over 8 threads: runs of 16 that cross
+        // rows, bit-identical to the serial run.
+        let x = Tensor::random(Shape::new(vec![3, 5, 20]), 451);
+        let attrs = Attrs::new().with_ints("axes", vec![1]);
+        let out_shape = infer(OpKind::ReduceMean, &attrs, &[&x]);
+        let runs = [WorkPool::serial(), WorkPool::with_min_work(8, 0)]
+            .map(|pool| run_fast(OpKind::ReduceMean, &attrs, &[&x], None, &out_shape, pool));
+        assert_eq!(
+            runs[0].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            runs[1].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

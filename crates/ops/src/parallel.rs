@@ -8,12 +8,15 @@
 //! and every task-to-thread assignment — determinism is structural, not a
 //! property of scheduling.
 //!
-//! [`WorkPool`] is intentionally tiny: it carries a thread count and a
-//! minimum-work threshold, and parallel regions are realized with
+//! [`WorkPool`] is intentionally tiny: it carries a thread count, a
+//! minimum-work threshold and two switches for the lane kernels (SIMD on,
+//! AVX allowed), and parallel regions are realized with
 //! [`std::thread::scope`] (the build environment has no crate registry, so
 //! no rayon). Threads are spawned per parallel region; the
 //! [`WorkPool::for_work`] gate keeps small kernels serial so spawn latency
 //! is only ever paid where the region is large enough to amortize it.
+
+use crate::simd::Avx;
 
 /// Work (roughly: scalar multiply-accumulates) below which a parallel region
 /// is not worth its thread spawns. A region of this size runs in the low
@@ -31,6 +34,7 @@ pub struct WorkPool {
     threads: usize,
     min_work: usize,
     simd: bool,
+    avx: bool,
 }
 
 impl WorkPool {
@@ -41,6 +45,7 @@ impl WorkPool {
             threads: 1,
             min_work: DEFAULT_PARALLEL_WORK_GRAIN,
             simd: true,
+            avx: true,
         }
     }
 
@@ -62,7 +67,7 @@ impl WorkPool {
         WorkPool {
             threads: threads.max(1),
             min_work,
-            simd: true,
+            ..WorkPool::serial()
         }
     }
 
@@ -81,6 +86,30 @@ impl WorkPool {
     #[must_use]
     pub const fn use_simd(&self) -> bool {
         self.simd
+    }
+
+    /// Allows or forbids the 256-bit AVX instance of the dot micro-kernel
+    /// (allowed by default; it only runs where the CPU has AVX).
+    /// `avx = false` pins the SSE instance every other host runs, so a
+    /// differential suite on an AVX host covers it too
+    /// (`ExecOptions::force_sse` in `dnnf-runtime` maps here); both are
+    /// bit-identical by construction.
+    #[must_use]
+    pub const fn with_avx(mut self, avx: bool) -> Self {
+        self.avx = avx;
+        self
+    }
+
+    /// The AVX token when this pool's dot micro-kernel runs the 256-bit
+    /// instance: SIMD on, AVX allowed, and the CPU has it. A launch calls
+    /// this once and runs the SSE instance on `None`.
+    #[must_use]
+    pub fn avx(&self) -> Option<Avx> {
+        if self.simd && self.avx {
+            Avx::detect()
+        } else {
+            None
+        }
     }
 
     /// A pool sized to the host's available parallelism.

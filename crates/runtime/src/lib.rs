@@ -77,7 +77,7 @@ pub use error::RuntimeError;
 pub use executor::{ExecutionReport, Executor};
 pub use latency::DeviceLatencyModel;
 pub use memory::{MemoryPlan, TensorArena, ValueLifetime};
-pub use options::{ExecOptions, FORCE_SCALAR_ENV, NUM_THREADS_ENV};
+pub use options::{ExecOptions, FORCE_SCALAR_ENV, FORCE_SSE_ENV, NUM_THREADS_ENV};
 pub use plan_cache::{
     CacheOutcome, PlanCache, PlanCacheStats, PlanKey, DEFAULT_MODEL_CAPACITY, PLAN_CACHE_HEADER,
 };

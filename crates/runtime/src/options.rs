@@ -15,6 +15,13 @@ pub const NUM_THREADS_ENV: &str = "DNNF_NUM_THREADS";
 /// values set explicitly through the builders.
 pub const FORCE_SCALAR_ENV: &str = "DNNF_FORCE_SCALAR";
 
+/// Environment variable pinning the 128-bit SSE instance of the lane-blocked
+/// kernels in [`ExecOptions::default`]: `1` sets [`ExecOptions::force_sse`],
+/// `0` (or unset / empty) lets a launch run the 256-bit AVX instance where
+/// the CPU has AVX. Wired exactly like [`FORCE_SCALAR_ENV`]; on an AVX host
+/// it is how the suite covers the instance every other host runs.
+pub const FORCE_SSE_ENV: &str = "DNNF_FORCE_SSE";
+
 /// How the executor maps kernels onto host threads and vector lanes.
 ///
 /// The defaults come from the host: `num_threads` is
@@ -26,32 +33,37 @@ pub const FORCE_SCALAR_ENV: &str = "DNNF_FORCE_SCALAR";
 /// counts (the determinism suite pins this). The same contract holds one
 /// level down for [`ExecOptions::force_scalar`]: SIMD lanes own whole
 /// output elements, so the lane-blocked and scalar paths also produce the
-/// same bytes.
+/// same bytes — and so do the 256-bit and 128-bit instances of the lane
+/// paths ([`ExecOptions::force_sse`]).
 ///
 /// # Environment-override precedence
 ///
-/// [`ExecOptions::default`] consults `DNNF_NUM_THREADS` and
-/// `DNNF_FORCE_SCALAR`; values set explicitly through the builders are taken
-/// verbatim and are never overridden by the environment:
+/// [`ExecOptions::default`] consults `DNNF_NUM_THREADS`, `DNNF_FORCE_SCALAR`
+/// and `DNNF_FORCE_SSE`; values set explicitly through the builders are
+/// taken verbatim and are never overridden by the environment:
 ///
 /// ```
-/// use dnnf_runtime::{ExecOptions, FORCE_SCALAR_ENV, NUM_THREADS_ENV};
+/// use dnnf_runtime::{ExecOptions, FORCE_SCALAR_ENV, FORCE_SSE_ENV, NUM_THREADS_ENV};
 ///
 /// // Each doc-test runs in its own process, so mutating the environment
 /// // here cannot race another test.
 /// std::env::set_var(NUM_THREADS_ENV, "3");
 /// std::env::set_var(FORCE_SCALAR_ENV, "1");
+/// std::env::set_var(FORCE_SSE_ENV, "1");
 /// // `default()` reads the environment...
 /// assert_eq!(ExecOptions::default().num_threads, 3);
 /// assert!(ExecOptions::default().force_scalar);
+/// assert!(ExecOptions::default().force_sse);
 /// // ...but an explicit builder value wins over it,
 /// assert_eq!(ExecOptions::with_threads(2).num_threads, 2);
 /// assert!(!ExecOptions::with_threads(2).force_scalar);
+/// assert!(!ExecOptions::with_threads(2).force_sse);
 /// // and `serial()` is always exactly one SIMD-enabled thread.
 /// assert_eq!(ExecOptions::serial().num_threads, 1);
 /// assert!(!ExecOptions::serial().force_scalar);
 /// std::env::remove_var(NUM_THREADS_ENV);
 /// std::env::remove_var(FORCE_SCALAR_ENV);
+/// std::env::remove_var(FORCE_SSE_ENV);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
@@ -69,6 +81,14 @@ pub struct ExecOptions {
     /// testing and for measuring the vectorization win (`bench_exec`'s
     /// `simd_speedup` column), not a semantics switch.
     pub force_scalar: bool,
+    /// Test-only: pins the 128-bit SSE instance of the dot micro-kernel
+    /// (packed conv, `MatMul`, `Gemm`) where the CPU also has AVX, which a
+    /// launch otherwise picks at run time. Results are bit-identical either
+    /// way (`avx` is enabled alone, never `fma`); the switch exists so a
+    /// test run on an AVX host (CI's `DNNF_FORCE_SSE=1` leg) covers the
+    /// instance every host without AVX runs. It changes no result and no
+    /// workload needs it.
+    pub force_sse: bool,
 }
 
 impl ExecOptions {
@@ -79,6 +99,7 @@ impl ExecOptions {
             num_threads: 1,
             min_parallel_work: DEFAULT_PARALLEL_WORK_GRAIN,
             force_scalar: false,
+            force_sse: false,
         }
     }
 
@@ -104,6 +125,7 @@ impl ExecOptions {
     pub fn pool(&self) -> WorkPool {
         WorkPool::with_min_work(self.num_threads, self.min_parallel_work)
             .with_simd(!self.force_scalar)
+            .with_avx(!self.force_sse)
     }
 }
 
@@ -125,16 +147,17 @@ fn parse_num_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
     }
 }
 
-/// Parses a `DNNF_FORCE_SCALAR`-style value: `None`/empty means "unset"
-/// (SIMD stays on), otherwise the value must be exactly `0` or `1`.
-fn parse_force_scalar(raw: Option<&str>) -> Result<Option<bool>, String> {
+/// Parses the value of the switch variable `var` (`DNNF_FORCE_SCALAR`,
+/// `DNNF_FORCE_SSE`): `None`/empty means "unset" (the switch stays off),
+/// otherwise the value must be exactly `0` or `1`.
+fn parse_switch(var: &str, raw: Option<&str>) -> Result<Option<bool>, String> {
     match raw {
         None => Ok(None),
         Some(raw) if raw.trim().is_empty() => Ok(None),
         Some(raw) => match raw.trim() {
             "0" => Ok(Some(false)),
             "1" => Ok(Some(true)),
-            _ => Err(format!("{FORCE_SCALAR_ENV} must be 0 or 1, got `{raw}`")),
+            _ => Err(format!("{var} must be 0 or 1, got `{raw}`")),
         },
     }
 }
@@ -142,13 +165,14 @@ fn parse_force_scalar(raw: Option<&str>) -> Result<Option<bool>, String> {
 impl Default for ExecOptions {
     /// `DNNF_NUM_THREADS` when set to a positive integer, otherwise the
     /// host's available parallelism; `DNNF_FORCE_SCALAR=1` additionally
-    /// disables the lane-blocked kernel paths.
+    /// disables the lane-blocked kernel paths, and `DNNF_FORCE_SSE=1` pins
+    /// their SSE instance.
     ///
     /// # Panics
     ///
     /// Panics when `DNNF_NUM_THREADS` is set to anything but a positive
-    /// integer, or `DNNF_FORCE_SCALAR` to anything but `0`/`1` (the empty
-    /// string counts as unset for both). The variables exist so CI can pin
+    /// integer, or `DNNF_FORCE_SCALAR` / `DNNF_FORCE_SSE` to anything but
+    /// `0`/`1` (the empty string counts as unset for all three). The variables exist so CI can pin
     /// the engine's parallelism and vectorization; silently falling back to
     /// the host default on a typo would un-pin the very runs that rely on
     /// them.
@@ -157,12 +181,14 @@ impl Default for ExecOptions {
         let num_threads = parse_num_threads(threads_raw.as_deref())
             .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or_else(|| WorkPool::host().threads());
-        let scalar_raw = std::env::var(FORCE_SCALAR_ENV).ok();
-        let force_scalar = parse_force_scalar(scalar_raw.as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or(false);
+        let switch = |var| {
+            parse_switch(var, std::env::var(var).ok().as_deref())
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(false)
+        };
         ExecOptions {
-            force_scalar,
+            force_scalar: switch(FORCE_SCALAR_ENV),
+            force_sse: switch(FORCE_SSE_ENV),
             ..ExecOptions::with_threads(num_threads)
         }
     }
@@ -230,16 +256,35 @@ mod tests {
 
     #[test]
     fn force_scalar_parsing_accepts_zero_or_one_only() {
-        assert_eq!(parse_force_scalar(None), Ok(None));
-        assert_eq!(parse_force_scalar(Some("")), Ok(None));
-        assert_eq!(parse_force_scalar(Some("0")), Ok(Some(false)));
-        assert_eq!(parse_force_scalar(Some(" 1 ")), Ok(Some(true)));
-        for bad in ["2", "true", "yes", "on", "-1"] {
-            let err = parse_force_scalar(Some(bad)).unwrap_err();
-            assert!(
-                err.contains(FORCE_SCALAR_ENV) && err.contains(bad),
-                "error `{err}` must name the variable and the bad value"
-            );
+        for var in [FORCE_SCALAR_ENV, FORCE_SSE_ENV] {
+            assert_eq!(parse_switch(var, None), Ok(None));
+            assert_eq!(parse_switch(var, Some("")), Ok(None));
+            assert_eq!(parse_switch(var, Some("0")), Ok(Some(false)));
+            assert_eq!(parse_switch(var, Some(" 1 ")), Ok(Some(true)));
+            for bad in ["2", "true", "yes", "on", "-1"] {
+                let err = parse_switch(var, Some(bad)).unwrap_err();
+                assert!(
+                    err.contains(var) && err.contains(bad),
+                    "error `{err}` must name the variable and the bad value"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn force_sse_propagates_to_the_pool() {
+        let opts = ExecOptions::serial();
+        assert!(!opts.force_sse);
+        assert_eq!(opts.pool().avx(), dnnf_ops::simd::Avx::detect());
+        let sse = ExecOptions {
+            force_sse: true,
+            ..ExecOptions::with_threads(4)
+        };
+        assert!(sse.pool().use_simd() && sse.pool().avx().is_none());
+        assert!(ExecOptions::serial()
+            .scalar_kernels()
+            .pool()
+            .avx()
+            .is_none());
     }
 }

@@ -713,6 +713,7 @@ fn check_attention_seed(seed: u64) {
                 num_threads: threads,
                 force_scalar,
                 min_parallel_work: 0,
+                ..ExecOptions::default()
             };
             let run = base
                 .clone()

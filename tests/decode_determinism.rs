@@ -36,6 +36,7 @@ fn executor_with(threads: usize, force_scalar: bool) -> Executor {
         num_threads: threads,
         force_scalar,
         min_parallel_work: 0,
+        ..ExecOptions::default()
     })
 }
 

@@ -11,7 +11,10 @@
 //!   ([`Tensor::first_bit_difference`]),
 //! * at each of those thread counts, a `force_scalar` run (all lane-blocked
 //!   kernel and tape paths disabled) reproduces the same bytes — the
-//!   SIMD-vs-scalar differential at tolerance 0, and
+//!   SIMD-vs-scalar differential at tolerance 0,
+//! * every model's kernels produce the same bytes in the 256-bit AVX
+//!   instance the lane kernels pick where the CPU has AVX and in the SSE
+//!   instance `force_sse` pins, and
 //! * one `CompiledModel` shared across concurrently-inferring threads
 //!   produces the single-threaded result on every thread (guarding the
 //!   `Arc`-backed slot storage and the model's cached engine).
@@ -97,6 +100,35 @@ fn every_model_is_bit_deterministic_across_runs_and_thread_counts() {
                 .outputs;
             let context = format!("{threads} threads, force_scalar");
             assert_bit_identical(kind, &context, &baseline, &scalar);
+        }
+    }
+}
+
+#[test]
+fn every_model_is_bit_identical_under_the_avx_and_sse_instances() {
+    // `FusedKernel::run` over every model's tiny kernels, once in the
+    // instance the host picks (AVX where the CPU has it) and once with the
+    // SSE instance pinned, serially and at two threads. On a host without
+    // AVX both runs are the SSE instance and the test still pins them.
+    for &kind in ModelKind::all() {
+        let graph = kind.build(ModelScale::tiny()).unwrap();
+        let inputs = inputs_for(&graph, 11);
+        let compiled = Compiler::new(CompilerOptions::default())
+            .compile(&graph)
+            .unwrap();
+        let baseline = executor_with_threads(1)
+            .run_compiled(&compiled, &inputs)
+            .unwrap()
+            .outputs;
+        for threads in [1usize, 2] {
+            let executor = executor_with_threads(threads);
+            let sse = executor.clone().with_options(ExecOptions {
+                force_sse: true,
+                ..*executor.options()
+            });
+            let outputs = sse.run_compiled(&compiled, &inputs).unwrap().outputs;
+            let context = format!("{threads} threads, force_sse");
+            assert_bit_identical(kind, &context, &baseline, &outputs);
         }
     }
 }
