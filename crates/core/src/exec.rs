@@ -7,9 +7,16 @@
 //! [`ScalarTape`]: a topologically ordered scalar-expression program that is
 //! evaluated **once per output element** in a single pass — intermediate
 //! tensors inside the run are never materialized, they live in registers.
-//! One evaluator, generic over its lane width, runs every tape: each
-//! innermost-axis row is tiled into 8- / 4-element bundles (one element per
-//! lane) and width-1 remainders, and the scalar mode is width 1 throughout.
+//! One evaluator runs every tape, one instruction at a time over a strip of
+//! elements (vectorized interpretation): a run coalesces the loop (unit
+//! axes drop, and adjacent axes every operand steps as one merge, so a
+//! `BatchNormalization` over `[1, C, H, W]` walks `[C, H·W]`), cuts each
+//! innermost-axis row segment into strips of up to 64 elements, and runs
+//! each instruction over a strip as one plain loop with the operator chosen
+//! outside it, which the compiler vectorizes (so tapes run the same code in
+//! every SIMD mode). Values that are the same along a row, such as a
+//! `BatchNormalization`'s `sqrt(var + eps)`, are computed once per row
+//! segment.
 //! The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling), the
 //! data-movement operators (`Transpose`, `Concat`, `Slice`, `Gather`,
 //! nearest `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`)
@@ -31,7 +38,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use dnnf_graph::{Graph, GraphError, NodeId, ValueId};
-use dnnf_ops::simd::{col_tiles, F32Lanes, Isa, Sse2, LANES};
 use dnnf_ops::{
     execute, execute_fast_into_packed, has_fast_kernel, infer_shapes, OpError, OpKind,
     ScalarUnaryFn, WorkPool,
@@ -161,12 +167,14 @@ pub struct ScalarTape {
 /// A tape's extents at one run, derived from the shapes of its inputs.
 #[derive(Debug)]
 struct Geometry {
-    loop_shape: Shape,
-    /// Element stride per loop axis (0 on broadcast axes), one row per
-    /// input; a row is the loop's rank long, or one zero for a rank-0 loop.
-    in_strides: Vec<usize>,
-    /// The same per output.
-    out_strides: Vec<usize>,
+    /// The loop's rank, coalesced.
+    rank: usize,
+    /// The loop's extents, coalesced (same element count and flat order as
+    /// the broadcast shape, with unit axes dropped and merged runs of axes),
+    /// then the element stride per loop axis (0 on broadcast axes), one row
+    /// per input in input-table order and then one per output; a row is
+    /// `rank` long, or one zero for a rank-0 loop.
+    table: Vec<usize>,
     out_shapes: Vec<Shape>,
 }
 
@@ -191,8 +199,8 @@ impl ScalarTape {
 
     /// The tape's extents for inputs of the given shapes (in input-table
     /// order): the loop shape is the broadcast of the trailing-broadcast
-    /// inputs, each output's shape the broadcast of its listed inputs, and
-    /// every stride follows from those.
+    /// inputs, coalesced, each output's shape the broadcast of its listed
+    /// inputs, and every stride follows from those.
     ///
     /// # Errors
     ///
@@ -212,18 +220,28 @@ impl ScalarTape {
             let dims = broadcast(&o.shape_of).map_err(|e| (Some(o.value), e))?;
             out_shapes.push(Shape::new(dims));
         }
-        let mut loop_dims = Vec::new();
+        let rows = self.inputs.len() + out_shapes.len();
+        let axes = shapes.iter().map(|s| s.rank()).max().unwrap_or(0);
+        let mut table = Vec::with_capacity(axes + rows * axes.max(1));
         for (input, shape) in self.inputs.iter().zip(shapes) {
             if input.rule == Broadcast::Trailing {
-                broadcast_into(&mut loop_dims, shape).map_err(|e| (None, OpError::Tensor(e)))?;
+                broadcast_into(&mut table, shape).map_err(|e| (None, OpError::Tensor(e)))?;
             }
         }
-        // A rank-0 loop keeps one (zero) stride slot per row, so every
-        // input and output still has its row.
-        let width = loop_dims.len().max(1);
-        let mut in_strides = vec![0; self.inputs.len() * width];
-        let rows = in_strides.chunks_mut(width);
-        for ((input, shape), row) in self.inputs.iter().zip(shapes).zip(rows) {
+        // The broadcast loop's extents, then its stride rows; a rank-0 loop
+        // keeps one (zero) stride slot per row, so every input and output
+        // still has its row.
+        let axes = table.len();
+        let width = axes.max(1);
+        table.resize(axes + rows * width, 0);
+        let (loop_dims, strides) = table.split_at_mut(axes);
+        let (in_rows, out_rows) = strides.split_at_mut(self.inputs.len() * width);
+        for ((input, shape), row) in self
+            .inputs
+            .iter()
+            .zip(shapes)
+            .zip(in_rows.chunks_mut(width))
+        {
             match &input.rule {
                 Broadcast::Trailing => broadcast_strides(shape, row),
                 Broadcast::PerChannel { axis, x } => {
@@ -245,20 +263,49 @@ impl ScalarTape {
                 }
             }
         }
-        let mut out_strides = vec![0; out_shapes.len() * width];
-        for (shape, row) in out_shapes.iter().zip(out_strides.chunks_mut(width)) {
+        for (shape, row) in out_shapes.iter().zip(out_rows.chunks_mut(width)) {
             broadcast_strides(shape, row);
         }
+        // Coalesce in place: unit axes drop, and an axis merges into the
+        // kept axis outside it when every row steps the pair as one axis
+        // (`stride[outer] == stride[a] · dim[a]`). Merging adjacent axes keeps
+        // the flat iteration order, so thread splits do not move.
+        let mut rank = 0;
+        for a in 0..axes {
+            let dim = loop_dims[a];
+            if dim == 1 {
+                continue;
+            }
+            if rank > 0
+                && strides
+                    .chunks(width)
+                    .all(|row| row[rank - 1] == row[a] * dim)
+            {
+                loop_dims[rank - 1] *= dim;
+            } else {
+                loop_dims[rank] = dim;
+                rank += 1;
+            }
+            for row in strides.chunks_mut(width) {
+                row[rank - 1] = row[a];
+            }
+        }
+        // Close the gaps the dropped axes left: the extents, then each row.
+        let kept = rank.max(1);
+        for k in 0..rows {
+            let from = axes + k * width;
+            table.copy_within(from..from + kept, rank + k * kept);
+        }
+        table.truncate(rank + rows * kept);
         Ok(Geometry {
-            loop_shape: Shape::new(loop_dims),
-            in_strides,
-            out_strides,
+            rank,
+            table,
             out_shapes,
         })
     }
 
     /// Evaluates the tape: one pass over the loop, all outputs written in
-    /// the same sweep.
+    /// the same sweep, then yielded with their values.
     ///
     /// With a parallel `workers` pool the loop is split into disjoint
     /// contiguous ranges of the flat iteration space, each evaluated by one
@@ -272,7 +319,7 @@ impl ScalarTape {
         fetch: &mut dyn FnMut(ValueId) -> Option<Arc<Tensor>>,
         pool: &mut dyn BufferPool,
         workers: WorkPool,
-    ) -> Result<Vec<(ValueId, Tensor)>, CoreError> {
+    ) -> Result<impl Iterator<Item = (ValueId, Tensor)> + '_, CoreError> {
         // Resolve input handles up front (reference-counted, no data is
         // copied); the tape only reads the data slices.
         let in_tensors: Vec<Arc<Tensor>> = self
@@ -292,7 +339,6 @@ impl ScalarTape {
                 .map_or_else(String::new, |n| graph.node(n).name.clone());
             CoreError::Graph(GraphError::ShapeInference { node, source })
         })?;
-        let in_slices: Vec<&[f32]> = in_tensors.iter().map(|t| t.data()).collect();
 
         let mut out_bufs: Vec<Vec<f32>> = geo
             .out_shapes
@@ -300,25 +346,15 @@ impl ScalarTape {
             .map(|s| pool.take(s.numel()))
             .collect();
 
-        let total = geo.loop_shape.numel();
+        let total: usize = geo.dims().iter().product();
         let workers = workers.for_work(total.saturating_mul(self.instrs.len().max(1)));
         // Writes are contiguous in the flat loop order only when every output
         // spans the whole loop; a smaller (broadcast-strided) output would be
         // written several times per element and must stay on one thread.
         let splittable = geo.out_shapes.iter().all(|s| s.numel() == total);
-        // A lane bundle needs each lane to own its write slot: every output
-        // must advance densely along the innermost axis.
-        let dense = geo.out_rows().all(|s| s.last() == Some(&1));
-        let widths: &[usize] = if workers.use_simd() && dense {
-            &[LANES, 4]
-        } else {
-            &[]
-        };
 
         if workers.is_serial() || !splittable || total < 2 {
-            let mut outs: Vec<(usize, &mut [f32])> =
-                out_bufs.iter_mut().map(|b| (0, b.as_mut_slice())).collect();
-            self.run_span(&geo, &in_slices, &mut outs, 0, total, widths);
+            self.run_span(&geo, &in_tensors, &mut out_bufs, 0, total);
         } else {
             // Balanced contiguous ranges; since every output covers the full
             // loop, range [start, start + count) writes exactly the slice
@@ -343,9 +379,7 @@ impl ScalarTape {
                 start += count;
             }
             workers.run_parts(parts, |(start, count, mut slices)| {
-                let mut outs: Vec<(usize, &mut [f32])> =
-                    slices.iter_mut().map(|s| (start, &mut **s)).collect();
-                self.run_span(&geo, &in_slices, &mut outs, start, count, widths);
+                self.run_span(&geo, &in_tensors, &mut slices, start, count);
             });
         }
 
@@ -358,169 +392,225 @@ impl ScalarTape {
                 let tensor =
                     Tensor::from_vec(shape, buf).expect("tape output buffer sized from its shape");
                 (o.value, tensor)
-            })
-            .collect())
+            }))
     }
 
     /// Evaluates `count` consecutive elements of the flat loop space starting
-    /// at `start`, writing each output element through its stride pattern.
-    /// `outs` pairs each output with the flat offset its slice starts at
-    /// (`0` for whole buffers, the range start for parallel sub-slices).
+    /// at `start`, writing each output element through its stride pattern
+    /// into `outs`, whose slices start at flat offset `start` (whole buffers
+    /// when `start` is 0, a parallel range's sub-slices otherwise).
     ///
     /// The range is walked one innermost-axis row segment at a time (rank 0
-    /// is one row of one element), and [`col_tiles`] tiles each segment
-    /// into `widths`-wide lane bundles of consecutive elements, then width
-    /// 1 — the scalar instance of the same evaluator — for the rest; with
-    /// `widths` empty (scalar mode, or an output broadcast along the
-    /// innermost axis) the whole segment runs at width 1. Every lane runs
-    /// the exact per-element instruction sequence, so the bits never depend
-    /// on `widths`.
+    /// is one row of one element), each segment in strips of up to
+    /// [`STRIP`] elements, through which every instruction runs in tape
+    /// order. A row-uniform instruction ([`ScalarTape::row_uniform`]) runs
+    /// once per segment at width 1 and is splatted. Every element still gets
+    /// exactly its per-element instruction sequence, so the bits never
+    /// depend on the strips. The odometer, offsets and registers live in
+    /// this thread's [`SPARE`] vectors.
     fn run_span(
         &self,
         geo: &Geometry,
-        in_slices: &[&[f32]],
-        outs: &mut [(usize, &mut [f32])],
+        ins: &[Arc<Tensor>],
+        outs: &mut [impl AsMut<[f32]>],
         start: usize,
         count: usize,
-        widths: &[usize],
     ) {
-        let row = geo.loop_shape.dims().last().copied().unwrap_or(1);
-        let mut idx = geo.loop_shape.multi_index(start);
-        let offset = |strides: &[usize]| idx.iter().zip(strides).map(|(&i, &s)| i * s).sum();
-        let mut in_off: Vec<usize> = geo.in_rows().map(offset).collect();
-        let mut out_off: Vec<usize> = geo.out_rows().map(offset).collect();
-        let last = |strides: &[usize]| strides.last().copied().unwrap_or(0);
-        let in_last: Vec<usize> = geo.in_rows().map(last).collect();
-        let out_last: Vec<usize> = geo.out_rows().map(last).collect();
-        let mut regs8 = vec![Sse2.splat::<LANES>(0.0); self.instrs.len()];
-        let mut regs4 = vec![Sse2.splat::<4>(0.0); self.instrs.len()];
-        let mut regs1 = vec![Sse2.splat::<1>(0.0); self.instrs.len()];
+        if count == 0 {
+            return;
+        }
+        let (mut table, mut uniform, mut regs) = SPARE.take();
+        self.row_uniform(geo, &mut uniform);
+        let strip = STRIP.min(count);
+        regs.clear();
+        regs.resize(self.instrs.len() * strip, 0.0);
+        // The odometer at `start`, then each input's and output's offset.
+        let dims = geo.dims();
+        table.clear();
+        table.resize(dims.len(), 0);
+        let mut rest = start;
+        for (i, &d) in table.iter_mut().zip(dims).rev() {
+            *i = rest % d;
+            rest /= d;
+        }
+        for strides in geo.rows() {
+            let off = table.iter().zip(strides).map(|(&i, &s)| i * s).sum();
+            table.push(off);
+        }
+        let (idx, off) = table.split_at_mut(dims.len());
+        let inputs = self.inputs.len();
+        let row = dims.last().copied().unwrap_or(1);
         let mut remaining = count;
         while remaining > 0 {
             let seg = (row - idx.last().copied().unwrap_or(0)).min(remaining);
-            col_tiles(seg, 0, seg, widths, |_, width| {
-                let (ins, outs_at) = (&in_off[..], &out_off[..]);
-                match width {
-                    LANES => self.eval_lanes(in_slices, ins, &in_last, outs, outs_at, &mut regs8),
-                    4 => self.eval_lanes(in_slices, ins, &in_last, outs, outs_at, &mut regs4),
-                    _ => self.eval_lanes(in_slices, ins, &in_last, outs, outs_at, &mut regs1),
+            for r in (0..self.instrs.len()).filter(|&r| uniform[r]) {
+                self.eval(r, &mut regs, strip, (ins, off, geo), 1);
+                let reg = &mut regs[r * strip..][..seg.min(strip)];
+                reg.fill(reg[0]);
+            }
+            let mut done = 0;
+            while done < seg {
+                let n = (seg - done).min(strip);
+                for r in (0..self.instrs.len()).filter(|&r| !uniform[r]) {
+                    self.eval(r, &mut regs, strip, (ins, off, geo), n);
                 }
-                in_off
-                    .iter_mut()
-                    .zip(&in_last)
-                    .for_each(|(o, s)| *o += width * s);
-                out_off
-                    .iter_mut()
-                    .zip(&out_last)
-                    .for_each(|(o, s)| *o += width * s);
-            });
+                for (k, (out, buf)) in self.outputs.iter().zip(outs.iter_mut()).enumerate() {
+                    let (src, buf) = (&regs[out.reg * strip..][..n], buf.as_mut());
+                    let (at, step) = (off[inputs + k] - start, geo.last(inputs + k));
+                    match step {
+                        1 => buf[at..at + n].copy_from_slice(src),
+                        _ => src
+                            .iter()
+                            .enumerate()
+                            .for_each(|(i, &v)| buf[at + i * step] = v),
+                    }
+                }
+                for (k, off) in off.iter_mut().enumerate() {
+                    *off += n * geo.last(k);
+                }
+                done += n;
+            }
             remaining -= seg;
             if remaining > 0 {
                 *idx.last_mut().expect("a rank-0 loop is one element") += seg;
-                geo.carry_odometer(&mut idx, &mut in_off, &mut out_off);
+                geo.carry_odometer(idx, off);
             }
         }
+        SPARE.set((table, uniform, regs));
     }
 
-    /// Evaluates the tape for `N` consecutive elements of one innermost-axis
-    /// row, one element per lane. Lane `l` reads input `i` at
-    /// `in_off[i] + l * in_last[i]` (`0` splats a broadcast operand) and
-    /// every instruction applies per lane in the tape's order, so lane `l`
-    /// computes exactly what the `N = 1` instance computes at its element.
-    /// Each instruction picks its operation once for all lanes: the bundle
-    /// arithmetic for `Add`/`Sub`/`Mul`/`Div`/`Max`/`Min`/`Relu`/`Sqrt`
-    /// (the scalar kernels' own IEEE operations, lane-wise), the scalar
-    /// kernel per lane for every other operator. Outputs store as
-    /// contiguous `N`-slices (innermost stride 1 whenever `N > 1`, checked
-    /// by the caller).
-    fn eval_lanes<const N: usize>(
-        &self,
-        in_slices: &[&[f32]],
-        in_off: &[usize],
-        in_last: &[usize],
-        outs: &mut [(usize, &mut [f32])],
-        out_off: &[usize],
-        regs: &mut [F32Lanes<N>],
-    ) {
-        for (r, instr) in self.instrs.iter().enumerate() {
-            regs[r] = match *instr {
-                TapeInstr::Load { input } => {
-                    Sse2.gather(in_slices[input], in_off[input], in_last[input])
-                }
-                TapeInstr::Unary { ref f, src } => match f.op() {
-                    OpKind::Relu => regs[src].max(Sse2.splat(0.0)),
-                    OpKind::Sqrt => regs[src].sqrt(),
-                    _ => regs[src].map(|v| f.apply(v)),
-                },
-                TapeInstr::Binary { op, lhs, rhs } => {
-                    let (a, b) = (regs[lhs], regs[rhs]);
-                    match op {
-                        OpKind::Add => a + b,
-                        OpKind::Sub => a - b,
-                        OpKind::Mul => a * b,
-                        OpKind::Div => a / b,
-                        OpKind::Max => a.max(b),
-                        OpKind::Min => a.min(b),
-                        _ => {
-                            let (a, b) = (a.to_array(), b.to_array());
-                            let mut y = [0.0f32; N];
-                            for (l, slot) in y.iter_mut().enumerate() {
-                                *slot = op
-                                    .scalar_binary(a[l], b[l])
-                                    .expect("tape compilation only emits scalar binary ops");
-                            }
-                            Sse2.bundle(y)
-                        }
-                    }
-                }
+    /// Sets `uniform[r]` to whether register `r` holds one value along every
+    /// row segment: loads whose innermost stride is 0, and instructions that
+    /// read only such registers.
+    fn row_uniform(&self, geo: &Geometry, uniform: &mut Vec<bool>) {
+        uniform.clear();
+        for instr in &self.instrs {
+            let u = match *instr {
+                TapeInstr::Load { input } => geo.last(input) == 0,
+                TapeInstr::Unary { src, .. } | TapeInstr::Affine { src, .. } => uniform[src],
+                TapeInstr::Binary { lhs, rhs, .. } => uniform[lhs] && uniform[rhs],
                 TapeInstr::Select {
                     cond,
                     on_true,
                     on_false,
-                } => {
-                    let c = regs[cond].to_array();
-                    let t = regs[on_true].to_array();
-                    let e = regs[on_false].to_array();
-                    let mut y = [0.0f32; N];
-                    for (l, slot) in y.iter_mut().enumerate() {
-                        *slot = if c[l] != 0.0 { t[l] } else { e[l] };
-                    }
-                    Sse2.bundle(y)
-                }
-                TapeInstr::Affine { src, mul, add } => {
-                    regs[src] * Sse2.splat(mul) + Sse2.splat(add)
-                }
+                } => uniform[cond] && uniform[on_true] && uniform[on_false],
             };
+            uniform.push(u);
         }
-        for (o, out) in self.outputs.iter().enumerate() {
-            let (bias, buf) = &mut outs[o];
-            regs[out.reg].store(&mut buf[out_off[o] - *bias..]);
+    }
+
+    /// Runs instruction `r` over the first `n` elements of its register
+    /// (register `i` is `regs[i * strip..][..strip]`), reading inputs at
+    /// their offsets in `off` with their innermost strides in `geo`: a load
+    /// copies at stride 1, splats at stride 0 and gathers otherwise.
+    /// Each operation is one loop over the strip, with the operator chosen
+    /// outside it: `Add`/`Sub`/`Mul`/`Div`/`Max`/`Min`/`Relu`/`Sqrt`/
+    /// `Square`/`Affine` inline their scalar kernel's IEEE operation
+    /// (`max`/`min` stay [`f32::max`] / [`f32::min`], `Affine` multiplies and
+    /// then adds, never fused), every other operator calls its scalar kernel.
+    #[inline(always)]
+    fn eval(
+        &self,
+        r: usize,
+        regs: &mut [f32],
+        strip: usize,
+        (ins, off, geo): (&[Arc<Tensor>], &[usize], &Geometry),
+        n: usize,
+    ) {
+        let (done, rest) = regs.split_at_mut(r * strip);
+        let (dst, reg) = (&mut rest[..n], |i: usize| &done[i * strip..][..n]);
+        match self.instrs[r] {
+            TapeInstr::Load { input } => {
+                let (data, at, step) = (ins[input].data(), off[input], geo.last(input));
+                match step {
+                    0 => dst.fill(data[at]),
+                    1 => dst.copy_from_slice(&data[at..at + n]),
+                    _ => map_into(dst, 0..n, |i| data[at + i * step]),
+                }
+            }
+            TapeInstr::Unary { ref f, src } => {
+                let x = reg(src);
+                match f.op() {
+                    OpKind::Relu => map_into(dst, x, |&x| x.max(0.0)),
+                    OpKind::Sqrt => map_into(dst, x, |&x| x.sqrt()),
+                    OpKind::Square => map_into(dst, x, |&x| x * x),
+                    _ => map_into(dst, x, |&x| f.apply(x)),
+                }
+            }
+            TapeInstr::Binary { op, lhs, rhs } => {
+                let ab = reg(lhs).iter().zip(reg(rhs));
+                match op {
+                    OpKind::Add => map_into(dst, ab, |(&x, &y)| x + y),
+                    OpKind::Sub => map_into(dst, ab, |(&x, &y)| x - y),
+                    OpKind::Mul => map_into(dst, ab, |(&x, &y)| x * y),
+                    OpKind::Div => map_into(dst, ab, |(&x, &y)| x / y),
+                    OpKind::Max => map_into(dst, ab, |(&x, &y)| x.max(y)),
+                    OpKind::Min => map_into(dst, ab, |(&x, &y)| x.min(y)),
+                    _ => map_into(dst, ab, |(&x, &y)| {
+                        op.scalar_binary(x, y)
+                            .expect("tape compilation only emits scalar binary ops")
+                    }),
+                }
+            }
+            TapeInstr::Select {
+                cond,
+                on_true,
+                on_false,
+            } => {
+                let cte = reg(cond).iter().zip(reg(on_true)).zip(reg(on_false));
+                map_into(dst, cte, |((&c, &t), &e)| if c != 0.0 { t } else { e });
+            }
+            TapeInstr::Affine { src, mul, add } => map_into(dst, reg(src), |&x| x * mul + add),
         }
     }
 }
 
+/// Elements per strip: a tape runs each instruction over up to this many
+/// consecutive elements of a row segment per dispatch.
+const STRIP: usize = 64;
+
+thread_local! {
+    /// The index table, row-uniform flags and register file of this thread's
+    /// tape runs, kept between runs (a run takes them and puts them back) so
+    /// that running a small tape does not allocate them each time.
+    static SPARE: Cell<(Vec<usize>, Vec<bool>, Vec<f32>)> =
+        const { Cell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
+
+/// `dst[i] = f(src[i])` over a strip, where `src` walks the operands (or
+/// the strip's indices) in step with `dst`.
+#[inline(always)]
+fn map_into<S: IntoIterator>(dst: &mut [f32], src: S, f: impl Fn(S::Item) -> f32) {
+    for (d, x) in dst.iter_mut().zip(src) {
+        *d = f(x);
+    }
+}
+
 impl Geometry {
-    /// Each input's strides, in input-table order.
-    fn in_rows(&self) -> impl Iterator<Item = &[usize]> {
-        self.in_strides.chunks(self.loop_shape.rank().max(1))
+    /// The loop's extents.
+    fn dims(&self) -> &[usize] {
+        &self.table[..self.rank]
     }
 
-    /// Each output's strides, in output order.
-    fn out_rows(&self) -> impl Iterator<Item = &[usize]> {
-        self.out_strides.chunks(self.loop_shape.rank().max(1))
+    /// Each input's strides in input-table order, then each output's.
+    fn rows(&self) -> std::slice::Chunks<'_, usize> {
+        self.table[self.rank..].chunks(self.rank.max(1))
+    }
+
+    /// The innermost-axis stride of row `k` of [`Geometry::rows`].
+    fn last(&self, k: usize) -> usize {
+        self.table[self.rank + (k + 1) * self.rank.max(1) - 1]
     }
 
     /// Propagates an innermost-axis overflow up the odometer: rewinds each
-    /// saturated axis and steps the next-outer one.
-    fn carry_odometer(&self, idx: &mut [usize], in_off: &mut [usize], out_off: &mut [usize]) {
-        let dims = self.loop_shape.dims();
+    /// saturated axis and steps the next-outer one, moving every row's
+    /// offset in `off` with it.
+    fn carry_odometer(&self, idx: &mut [usize], off: &mut [usize]) {
+        let dims = self.dims();
         let mut axis = dims.len() - 1;
         while idx[axis] >= dims[axis] {
             idx[axis] = 0;
-            for (off, strides) in in_off.iter_mut().zip(self.in_rows()) {
-                *off -= strides[axis] * dims[axis];
-            }
-            for (off, strides) in out_off.iter_mut().zip(self.out_rows()) {
+            for (off, strides) in off.iter_mut().zip(self.rows()) {
                 *off -= strides[axis] * dims[axis];
             }
             if axis == 0 {
@@ -528,10 +618,7 @@ impl Geometry {
             }
             axis -= 1;
             idx[axis] += 1;
-            for (off, strides) in in_off.iter_mut().zip(self.in_rows()) {
-                *off += strides[axis];
-            }
-            for (off, strides) in out_off.iter_mut().zip(self.out_rows()) {
+            for (off, strides) in off.iter_mut().zip(self.rows()) {
                 *off += strides[axis];
             }
         }
@@ -1016,7 +1103,8 @@ fn tape_compatible(graph: &Graph, node: &dnnf_graph::Node) -> bool {
 /// `dims` is the rank-0 identity).
 fn broadcast_into(dims: &mut Vec<usize>, shape: &Shape) -> Result<(), TensorError> {
     let extra = shape.rank().saturating_sub(dims.len());
-    dims.splice(0..0, std::iter::repeat_n(1, extra));
+    dims.resize(dims.len() + extra, 1);
+    dims.rotate_right(extra);
     let offset = dims.len() - shape.rank();
     let own = &mut dims[offset..];
     if own
@@ -1369,10 +1457,11 @@ mod tests {
 
     #[test]
     fn lane_blocked_tapes_are_bit_identical_to_the_scalar_sweep() {
-        // Width 23 forces every lane split per row: two 8-lane bundles, one
-        // 4-lane pass, a 3-element scalar tail. The [4, 1] bias has
-        // innermost stride 0 (splat load) and outer stride 1, and the
-        // mid-chain escape keeps two outputs live in one sweep.
+        // Each row of 23 runs as one strip: the [4, 1] bias has innermost
+        // stride 0 (a splat load) and outer stride 1, so no axis merges, and
+        // the mid-chain escape keeps two outputs live in one sweep. Tapes run
+        // the same loops in every SIMD mode, so the comparison against the
+        // reference is the independent check.
         let mut g = Graph::new("lane-blocked");
         let x = g.add_input("x", Shape::new(vec![4, 23]));
         let b = g.add_weight("b", Shape::new(vec![4, 1]));
@@ -1398,7 +1487,7 @@ mod tests {
             assert_eq!(
                 simd[&out].first_bit_difference(&scalar[&out]),
                 None,
-                "lane-blocked tape diverged from the scalar sweep"
+                "SIMD-mode tape diverged from the scalar mode"
             );
             assert_eq!(parallel[&out].first_bit_difference(&scalar[&out]), None);
         }
@@ -1408,9 +1497,10 @@ mod tests {
     fn vector_lowered_tape_ops_are_bit_identical_on_special_values() {
         // Every pair of special values — ±0, ±1, ±inf, two NaN payloads,
         // the extreme subnormals, f32::MAX, 1 ± ulp — through one block of
-        // the operators the tape lowers to bundle arithmetic. Rows of 13
-        // run as an 8-lane bundle, a 4-lane pass and a scalar tail; every
-        // chain step escapes, so each operator's result is compared.
+        // the operators the tape inlines as IEEE operations. The 13 × 13
+        // loop coalesces into one row of 169: two full strips and a third
+        // of 41 elements; every chain step escapes, so each operator's
+        // result is compared.
         let special = [
             0.0,
             -0.0,
@@ -1442,6 +1532,7 @@ mod tests {
             OpKind::Min,
             OpKind::Relu,
             OpKind::Sqrt,
+            OpKind::Square,
         ]
         .into_iter()
         .enumerate()
@@ -1482,7 +1573,7 @@ mod tests {
                 && a.data()
                     .iter()
                     .zip(b.data())
-                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+                    .all(|(&x, &y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
         };
         for out in outs {
             assert_eq!(scalar[&out].first_disagreement(&reference[&out], 0.0), None);
@@ -1495,11 +1586,11 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_innermost_outputs_fall_back_to_the_scalar_sweep() {
+    fn broadcast_innermost_outputs_store_per_element() {
         // The first node's [3, 1] output escapes while a later node widens
-        // the loop to [3, 23]: its TapeOutput has innermost stride 0, so the
-        // span must not lane-block (each element would be written by every
-        // lane) — the fallback path has to reproduce the reference exactly.
+        // the loop to [3, 23]: its TapeOutput has innermost stride 0, so it
+        // stores element by element (every element of a row writes the one
+        // slot) while the other output stores whole strips.
         let mut g = Graph::new("broadcast-out");
         let b = g.add_input("b", Shape::new(vec![3, 1]));
         let x = g.add_input("x", Shape::new(vec![3, 23]));
@@ -1578,6 +1669,205 @@ mod tests {
         }
     }
 
+    /// The first tape of block 0 of `g` compiled as singletons, and its
+    /// geometry at the graph's own shapes.
+    fn first_tape_geometry(g: &Graph) -> (ScalarTape, Geometry) {
+        let plan = FusionPlan::singletons(&Ecg::new(g.clone()));
+        let engine = compile_plan(g, &plan);
+        let Step::Tape(tape) = &engine.kernel(0).steps()[0] else {
+            panic!("expected tape")
+        };
+        let shapes: Vec<&Shape> = tape
+            .inputs
+            .iter()
+            .map(|i| &g.value(i.value).shape)
+            .collect();
+        let geo = tape.geometry(&shapes).unwrap();
+        (tape.clone(), geo)
+    }
+
+    #[test]
+    fn geometry_coalesces_axes_every_operand_steps_as_one() {
+        // BN over [1, C, H, W] walks [C, H·W]: the unit batch axis drops, and
+        // H and W merge for x (stride W = 1 · W) and for every parameter
+        // (stride 0 on both). Its sqrt(var + eps) reads only stride-0 loads,
+        // so it is row-uniform; x - mean is not.
+        let mut g = Graph::new("bn");
+        let x = g.add_input("x", Shape::new(vec![1, 4, 3, 5]));
+        let params: Vec<ValueId> = ["scale", "bias", "mean", "var"]
+            .iter()
+            .map(|&n| g.add_weight(n, Shape::new(vec![4])))
+            .collect();
+        let bn = g.add_op(
+            OpKind::BatchNormalization,
+            Attrs::new(),
+            &[&[x][..], &params].concat(),
+            "bn",
+        );
+        g.mark_output(bn.unwrap()[0]);
+        let (tape, geo) = first_tape_geometry(&g);
+        assert_eq!(geo.dims(), &[4, 15]);
+        let rows: Vec<&[usize]> = geo.rows().collect();
+        let param = &[1, 0][..];
+        assert_eq!(rows, [&[15, 1][..], param, param, param, param, &[15, 1]]);
+        let mut uniform = Vec::new();
+        tape.row_uniform(&geo, &mut uniform);
+        let sqrt = tape
+            .instrs
+            .iter()
+            .position(|i| matches!(i, TapeInstr::Unary { f, .. } if f.op() == OpKind::Sqrt));
+        assert!(uniform[sqrt.unwrap()]);
+        assert_eq!(uniform.iter().filter(|&&u| !u).count(), 5, "x, -, ×, ÷, +");
+
+        // A [B, S, D] + [D] bias walks [B·S, D]; a contiguous Relu one row.
+        let mut g = Graph::new("bias");
+        let x = g.add_input("x", Shape::new(vec![2, 3, 8]));
+        let b = g.add_weight("b", Shape::new(vec![8]));
+        let add = g.add_op(OpKind::Add, Attrs::new(), &[x, b], "add").unwrap()[0];
+        g.mark_output(add);
+        let (_, geo) = first_tape_geometry(&g);
+        assert_eq!(geo.dims(), &[6, 8]);
+        assert_eq!(
+            geo.rows().collect::<Vec<_>>(),
+            [&[8, 1][..], &[0, 1], &[8, 1]]
+        );
+        let mut g = Graph::new("relu");
+        let x = g.add_input("x", Shape::new(vec![2, 3, 4]));
+        let relu = g.add_op(OpKind::Relu, Attrs::new(), &[x], "relu").unwrap()[0];
+        g.mark_output(relu);
+        let (_, geo) = first_tape_geometry(&g);
+        assert_eq!(geo.dims(), &[24]);
+        assert_eq!(geo.rows().collect::<Vec<_>>(), [&[1][..], &[1]]);
+
+        // A [C, 1, W] operand steps 0 along H, so neither H nor C merges.
+        let mut g = Graph::new("blocked");
+        let x = g.add_input("x", Shape::new(vec![4, 3, 5]));
+        let y = g.add_input("y", Shape::new(vec![4, 1, 5]));
+        let add = g.add_op(OpKind::Add, Attrs::new(), &[x, y], "add").unwrap()[0];
+        g.mark_output(add);
+        let (_, geo) = first_tape_geometry(&g);
+        assert_eq!(geo.dims(), &[4, 3, 5]);
+        assert_eq!(geo.rows().nth(1), Some(&[5, 0, 1][..]));
+    }
+
+    #[test]
+    fn tape_strips_are_bit_identical_at_every_boundary() {
+        // Rows of STRIP − 1, STRIP, STRIP + 1 and 2·STRIP + 3 elements; BN
+        // at ranks 3–5 with ±0, ±inf, NaN and subnormals in the per-channel
+        // parameters, so the hoisted sqrt and the divide see them; a Where
+        // whose operands are all row-uniform; an output broadcast along the
+        // innermost axis; and rank 0. Each runs under SIMD, pinned SSE,
+        // scalar and 3 threads (split mid-row and mid-strip), bit for bit
+        // against the scalar sweep except a NaN's payload, and against the
+        // reference.
+        let pools = [
+            ("simd", WorkPool::serial()),
+            ("sse", WorkPool::serial().with_avx(false)),
+            ("scalar", WorkPool::serial().with_simd(false)),
+            ("3 threads", WorkPool::with_min_work(3, 0)),
+        ];
+        let same_bits = |a: &Tensor, b: &Tensor| {
+            a.shape() == b.shape()
+                && a.data()
+                    .iter()
+                    .zip(b.data())
+                    .all(|(&x, &y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        let check = |g: &Graph, env: &HashMap<ValueId, Tensor>, case: &str| {
+            let reference = run_reference(g, env);
+            let runs: Vec<_> = pools
+                .iter()
+                .map(|(_, p)| run_compiled_with(g, env, *p))
+                .collect();
+            for &out in g.outputs() {
+                let scalar = &runs[2][&out];
+                assert_eq!(
+                    scalar.first_disagreement(&reference[&out], 0.0),
+                    None,
+                    "{case}"
+                );
+                for ((mode, _), run) in pools.iter().zip(&runs) {
+                    assert!(same_bits(&run[&out], scalar), "{case}: {mode}");
+                }
+            }
+        };
+        let special = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            1.5,
+            -2.0,
+        ];
+
+        for len in [STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 3] {
+            for escapes in [false, true] {
+                let mut g = Graph::new("strips");
+                let x = g.add_input("x", Shape::new(vec![2, len]));
+                let b = g.add_input("b", Shape::new(vec![2, 1]));
+                let c = g.add_input("c", Shape::new(vec![2, 1]));
+                let mut op = |kind, inputs: &[ValueId]| {
+                    g.add_op(kind, Attrs::new(), inputs, "op").unwrap()[0]
+                };
+                let sig = op(OpKind::Sigmoid, &[b]);
+                let pick = op(OpKind::Where, &[c, sig, b]);
+                let add = op(OpKind::Add, &[x, pick]);
+                let relu = op(OpKind::Relu, &[add]);
+                let mul = op(OpKind::Mul, &[relu, x]);
+                for v in [add, mul].into_iter().chain(escapes.then_some(sig)) {
+                    g.mark_output(v);
+                }
+                let mut env = HashMap::new();
+                env.insert(x, Tensor::random(Shape::new(vec![2, len]), 80));
+                env.insert(b, Tensor::random(Shape::new(vec![2, 1]), 81));
+                let cond = Tensor::from_vec(Shape::new(vec![2, 1]), vec![0.0, f32::NAN]);
+                env.insert(c, cond.unwrap());
+                check(&g, &env, &format!("row of {len}, sig escapes {escapes}"));
+            }
+        }
+
+        for (dims, eps) in [
+            (vec![2, 9, 11], 0.0),
+            (vec![1, 9, 3, 23], 1e-5),
+            (vec![2, 9, 2, 3, 13], 1e-5),
+        ] {
+            let mut g = Graph::new("bn-special");
+            let x = g.add_input("x", Shape::new(dims.clone()));
+            let params: Vec<ValueId> = ["scale", "bias", "mean", "var"]
+                .iter()
+                .map(|&n| g.add_weight(n, Shape::new(vec![9])))
+                .collect();
+            let attrs = Attrs::new().with_float("epsilon", eps);
+            let inputs = [&[x][..], &params].concat();
+            let bn = g.add_op(OpKind::BatchNormalization, attrs, &inputs, "bn");
+            let relu = g.add_op(OpKind::Relu, Attrs::new(), &bn.unwrap(), "relu");
+            g.mark_output(relu.unwrap()[0]);
+            let mut env = HashMap::new();
+            env.insert(x, Tensor::random(Shape::new(dims.clone()), 82));
+            for (k, &p) in params.iter().enumerate() {
+                let rotated = (0..9).map(|c| special[(c + 2 * k) % 9]).collect();
+                env.insert(p, Tensor::from_vec(Shape::new(vec![9]), rotated).unwrap());
+            }
+            check(&g, &env, &format!("BN over {dims:?}"));
+        }
+
+        let mut g = Graph::new("rank-0");
+        let x = g.add_input("x", Shape::new(vec![]));
+        let y = g.add_input("y", Shape::new(vec![]));
+        let add = g.add_op(OpKind::Add, Attrs::new(), &[x, y], "add").unwrap()[0];
+        let sqrt = g
+            .add_op(OpKind::Sqrt, Attrs::new(), &[add], "sqrt")
+            .unwrap()[0];
+        g.mark_output(sqrt);
+        let mut env = HashMap::new();
+        env.insert(x, Tensor::scalar(2.25));
+        env.insert(y, Tensor::scalar(-0.0));
+        check(&g, &env, "rank 0");
+    }
+
     #[test]
     fn elementwise_block_compiles_to_a_single_tape() {
         let mut g = Graph::new("tape-only");
@@ -1638,8 +1928,8 @@ mod tests {
                 })
                 .collect();
             let geo = tape.geometry(&shapes.iter().collect::<Vec<_>>()).unwrap();
-            assert_eq!(geo.loop_shape.dims(), &[rows, 3]);
-            assert_eq!(geo.in_rows().nth(bias), Some(&[0, 1][..]));
+            assert_eq!(geo.dims(), &[rows, 3]);
+            assert_eq!(geo.rows().nth(bias), Some(&[0, 1][..]));
         }
         // A shape that does not broadcast is an error, not a panic.
         let bad = [&Shape::new(vec![2, 4]), &Shape::new(vec![1, 3])];

@@ -679,10 +679,11 @@ impl ConvLaunch<'_> {
         });
     }
 
-    /// Every output row of `NR` panels: interior tiles of `MR` columns, and
-    /// the checked one-column instance elsewhere, which keeps all `NR`
-    /// panels, so border columns and rows narrower than a tile still run
-    /// `NR` independent chains.
+    /// Every output row of `NR` panels: interior tiles of `MR` columns, then
+    /// of 2 (so at most one interior column is left over), and the checked
+    /// one-column instance elsewhere, which keeps all `NR` panels, so border
+    /// columns and rows narrower than a tile still run `NR` independent
+    /// chains.
     #[inline(always)]
     fn panel_rows<const MR: usize, const NR: usize, I: Isa>(
         &self,
@@ -700,10 +701,11 @@ impl ConvLaunch<'_> {
         for r in 0..g.count() {
             let (taps, row) = (g.taps(r), &mut dst[r * g.ow..]);
             g.tiles(
-                &[MR],
+                if MR > 2 { &[MR, 2] } else { &[MR] },
                 #[inline(always)]
                 |ox, width| match width {
                     1 => self.panel_tile::<1, NR, I>(isa, row, taps, base, bias_v, ox),
+                    2 => self.panel_tile::<2, NR, I>(isa, row, taps, base, bias_v, ox),
                     _ => self.panel_tile::<MR, NR, I>(isa, row, taps, base, bias_v, ox),
                 },
             );
@@ -2297,8 +2299,11 @@ mod tests {
         // Shapes that reach every tile of the dot micro-kernel and every
         // remainder form: packed convs of 1, 2, 3 and 4 panels (OC 8 / 16 /
         // 24 / 32) on rows 1, 2, 4 and 9 wide at strides 1 and 2, in a
-        // batch of two; MatMuls with M = 1, odd M and a batched broadcast,
-        // 37 and 9 columns wide (32 / 16 / 8 / 4 / single); a transposed-B
+        // batch of two, and one-panel rows whose interior is ≡ 2 and ≡ 3
+        // (mod 4) wide (8 and 9 columns: a 2-column tile after the 4-column
+        // one, then one checked column); MatMuls with M = 1, odd M and a
+        // batched broadcast, 37 and 9 columns wide (32 / 16 / 8 / 4 /
+        // single); a transposed-B
         // Gemm with and without its panel. Each runs under every mode pool
         // and at 3 and 4 threads, against the reference bit for bit.
         let mut pools = mode_pools().to_vec();
@@ -2322,6 +2327,8 @@ mod tests {
             (8, 4),
             (32, 2),
             (32, 9),
+            (8, 8),
+            (8, 9),
         ] {
             let x = Tensor::random(Shape::new(vec![2, 5, 3, width]), 400 + width as u64);
             let w = Tensor::random(Shape::new(vec![oc, 5, 3, 3]), 410 + oc as u64);

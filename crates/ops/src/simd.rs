@@ -149,13 +149,6 @@ pub trait Isa: Copy + Send + Sync + PartialEq + std::fmt::Debug + lower::Lower {
         }
         F32Lanes(lanes, PhantomData)
     }
-
-    /// Builds a bundle from per-lane values (lane `l` from index `l`).
-    #[inline(always)]
-    #[must_use]
-    fn bundle<const N: usize>(self, lanes: [f32; N]) -> F32Lanes<N, Self> {
-        F32Lanes(lanes, PhantomData)
-    }
 }
 
 impl Isa for Sse2 {
@@ -268,20 +261,6 @@ impl<const N: usize, I: Isa> F32Lanes<N, I> {
     #[must_use]
     pub const fn to_array(self) -> [f32; N] {
         self.0
-    }
-
-    /// Applies a scalar function to every lane. The function is invoked
-    /// once per lane in lane order — this is the bridge for kernels (e.g.
-    /// transcendentals) that have no vector form but still benefit from the
-    /// surrounding loads/stores being lane-blocked.
-    #[inline]
-    #[must_use]
-    pub fn map(self, mut f: impl FnMut(f32) -> f32) -> Self {
-        let mut lanes = self.0;
-        for lane in &mut lanes {
-            *lane = f(*lane);
-        }
-        F32Lanes(lanes, PhantomData)
     }
 
     /// Lane-wise maximum via [`f32::max`] — exactly the scalar pooling
@@ -445,7 +424,9 @@ mod avx {
 /// many `widths[0]`-wide tiles as fit, then `widths[1]`-wide ones and so on,
 /// then single columns again. Width 1 is every lane kernel's scalar instance,
 /// so borders, lane remainders and the scalar mode (`widths` empty) take the
-/// same path. Callers inside [`Isa::enter`] mark `tile` `#[inline(always)]`.
+/// same path. Callers inside [`Isa::enter`] mark `tile` `#[inline(always)]`;
+/// the width-1 runs are plain `for` loops because LLVM left `for_each`'s
+/// `Iterator::fold` out of line (and so outside the caller's AVX body).
 #[inline(always)]
 pub fn col_tiles(
     total: usize,
@@ -454,7 +435,9 @@ pub fn col_tiles(
     widths: &[usize],
     mut tile: impl FnMut(usize, usize),
 ) {
-    (0..lo).for_each(|at| tile(at, 1));
+    for at in 0..lo {
+        tile(at, 1);
+    }
     let mut at = lo;
     for &width in widths {
         while at + width <= hi {
@@ -462,7 +445,9 @@ pub fn col_tiles(
             at += width;
         }
     }
-    (at..total).for_each(|at| tile(at, 1));
+    for at in at..total {
+        tile(at, 1);
+    }
 }
 
 /// The `f32` lane count of one vector register in the widest instruction
@@ -666,17 +651,6 @@ mod tests {
             special_values_match_the_scalar_operators::<4, _>(avx);
             special_values_match_the_scalar_operators::<1, _>(avx);
         }
-    }
-
-    #[test]
-    fn map_applies_in_lane_order() {
-        let mut order = Vec::new();
-        let v = Sse2.load::<4>(&[1.0, 2.0, 3.0, 4.0]).map(|x| {
-            order.push(x);
-            x * 2.0
-        });
-        assert_eq!(v.to_array(), [2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(order, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //! case: each configuration must match the reference within 1e-5 and all
 //! thread counts must agree **bit-for-bit** (the determinism invariant of
 //! the ownership-split partitioning). Each thread count additionally re-runs
-//! with `force_scalar` — every lane-blocked (SIMD) microkernel and tape path
+//! with `force_scalar` — every lane-blocked (SIMD) anchor microkernel
 //! disabled — and must reproduce the SIMD run's bytes exactly: SIMD lanes
 //! own whole output elements, so vectorization must never change a bit.
+//! Tapes run the same strip loops in every mode, so for them this
+//! comparison checks nothing; the reference comparisons are their
+//! independent check.
+//!
+//! A third generator builds element-wise DAGs whose rows are long: the
+//! innermost extent reaches past two tape strips, and every weight
+//! broadcasts on the middle axis, so rows stay rows instead of coalescing
+//! into one. Those run at tolerance 0 against the reference under SIMD,
+//! pinned SSE, scalar and three threads: this, not the SIMD-vs-scalar
+//! comparison, is what guards the tapes' strip, coalescing and
+//! row-uniform code.
 
 use std::collections::HashMap;
 
@@ -462,6 +473,105 @@ proptest! {
         // One simulated launch per block, however the nodes are grouped.
         let (counters, _) = executor.estimate_plan(&graph, &plan);
         prop_assert_eq!(counters.kernel_launches, plan.fused_layer_count() as u64);
+    }
+}
+
+/// The tape evaluator's strip length (`STRIP` in `dnnf_core::exec`).
+const STRIP: u64 = 64;
+
+/// An element-wise DAG over `[outer, middle, inner]` with `inner` drawn from
+/// `1..=2·STRIP+3`, so rows end before, at and past strip boundaries. Every
+/// weight and `Where` condition broadcasts on the middle axis (which keeps
+/// the loop from coalescing into one row) and `BatchNormalization`'s
+/// channels are that axis, so the per-row uniform values vary by row.
+fn random_strip_dag(rng: &mut TestRng) -> Graph {
+    let dims = [
+        1 + rng.below(3) as usize,
+        1 + rng.below(3) as usize,
+        1 + rng.below(2 * STRIP + 3) as usize,
+    ];
+    let mut g = Graph::new("proptest-strips");
+    let x = g.add_input("x", Shape::new(dims.to_vec()));
+    let mut values = vec![x];
+    for i in 0..2 + rng.below(8) {
+        let src = values[rng.below(values.len() as u64) as usize];
+        let squashed = |rng: &mut TestRng| {
+            let mut keep = |d: usize| if rng.below(2) == 0 { 1 } else { d };
+            Shape::new(vec![keep(dims[0]), 1, keep(dims[2])])
+        };
+        let out = match rng.below(5) {
+            0 => {
+                let op = UNARY_OPS[rng.below(UNARY_OPS.len() as u64) as usize];
+                g.add_op(op, Attrs::new(), &[src], format!("u{i}"))
+            }
+            1 | 2 => {
+                let ops = [BINARY_OPS, &[OpKind::Div]].concat();
+                let op = ops[rng.below(ops.len() as u64) as usize];
+                let w = g.add_weight(format!("w{i}"), squashed(rng));
+                let operands = if rng.below(2) == 0 {
+                    [src, w]
+                } else {
+                    [w, src]
+                };
+                g.add_op(op, Attrs::new(), &operands, format!("b{i}"))
+            }
+            3 => {
+                let cond = g.add_weight(format!("c{i}"), squashed(rng));
+                let other = g.add_weight(format!("o{i}"), squashed(rng));
+                g.add_op(
+                    OpKind::Where,
+                    Attrs::new(),
+                    &[cond, src, other],
+                    format!("w{i}"),
+                )
+            }
+            _ => {
+                let c = Shape::new(vec![dims[1]]);
+                let params = ["scale", "bias", "mean", "var"]
+                    .map(|p| g.add_weight(format!("{i}.bn.{p}"), c.clone()));
+                g.add_op(
+                    OpKind::BatchNormalization,
+                    Attrs::new().with_float("epsilon", 1e-5),
+                    &[&[src][..], &params].concat(),
+                    format!("{i}.bn"),
+                )
+            }
+        };
+        values.push(out.unwrap()[0]);
+    }
+    g.mark_output(*values.last().unwrap());
+    g.mark_output(values[1 + rng.below((values.len() - 1) as u64) as usize]);
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn long_row_tapes_match_the_reference_exactly_in_every_mode(seed in any::<u64>()) {
+        let graph = random_strip_dag(&mut TestRng::new(seed));
+        let inputs = inputs_for(&graph, seed ^ 0x57B1);
+        let base = Executor::new(DeviceSpec::snapdragon_865_cpu());
+        let singletons = FusionPlan::singletons(&Ecg::new(graph.clone()));
+        let reference = base
+            .clone()
+            .with_options(ExecOptions::serial())
+            .run_plan_reference(&graph, &singletons, &inputs)
+            .unwrap();
+        // No rewriting: a rewrite may reassociate, and this compares at 0.
+        let compiled = Compiler::new(CompilerOptions::without_rewriting()).compile(&graph).unwrap();
+        let serial = ExecOptions::serial();
+        for (mode, options) in [
+            ("simd", serial),
+            ("sse", ExecOptions { force_sse: true, ..serial }),
+            ("scalar", serial.scalar_kernels()),
+            ("3 threads", ExecOptions { num_threads: 3, min_parallel_work: 0, ..serial }),
+        ] {
+            let fused = base.clone().with_options(options).run_compiled(&compiled, &inputs).unwrap();
+            for (r, e) in reference.outputs.iter().zip(&fused.outputs) {
+                assert_agrees(r, e, 0.0, &format!("{mode} (seed {seed})"));
+            }
+        }
     }
 }
 
