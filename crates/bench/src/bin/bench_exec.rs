@@ -63,6 +63,10 @@
 //! * `recompute_decode_ms` — every token recomputes its full prefix through
 //!   a prompt-length prefill model, compiled **outside** the timed region,
 //!   so the ratio isolates quadratic recompute against linear stepping.
+//! * `cached_vs_recompute_speedup` — the two are timed in alternation, one
+//!   of each per pair, and this is the median of the per-pair ratios (not
+//!   the ratio of the two medians), so host load that drifts between pairs
+//!   cancels out of the gated figure.
 //!
 //! The run asserts the two paths decode identical tokens before timing, and
 //! that the timed decodes trigger **zero** plan searches
@@ -218,19 +222,19 @@ fn ref_steps_per_model() -> Vec<(String, usize)> {
     builders.chain(steps).collect()
 }
 
-fn median_ms(mut samples: Vec<f64>) -> f64 {
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
 
+fn once_ms(run: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    run();
+    t.elapsed().as_secs_f64() * 1e3
+}
+
 fn time_ms(mut run: impl FnMut()) -> Vec<f64> {
-    (0..RUNS)
-        .map(|_| {
-            let t = Instant::now();
-            run();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect()
+    (0..RUNS).map(|_| once_ms(&mut run)).collect()
 }
 
 struct Row {
@@ -314,6 +318,8 @@ struct DecodeRow {
     prefill_ms: f64,
     cached_decode_ms: f64,
     recompute_decode_ms: f64,
+    /// Median over the timed pairs of `recompute / cached`.
+    cached_vs_recompute_speedup: f64,
     /// Plan searches (cache misses) to compile the session: prefill + step.
     plan_searches_compile: u64,
     /// Plan searches triggered by the timed decodes. Must be 0.
@@ -325,10 +331,6 @@ struct DecodeRow {
 impl DecodeRow {
     fn tokens_per_sec(&self) -> f64 {
         GENERATE as f64 / (self.cached_decode_ms / 1e3)
-    }
-
-    fn cached_vs_recompute_speedup(&self) -> f64 {
-        self.recompute_decode_ms / self.cached_decode_ms
     }
 }
 
@@ -398,20 +400,29 @@ fn time_decode(executor: &Executor, model: &'static str, cfg: &DecoderConfig) ->
 
     let searches_before_timing = cache.stats().misses;
     let compiles_before_timing = kernel_compiles();
-    let prefill_ms = median_ms(time_ms(|| {
+    let prefill_ms = median(time_ms(|| {
         session.prefill(&prompt).expect("prefill runs");
     }));
-    let cached_decode_ms = median_ms(time_ms(|| {
-        session.decode(&prompt, GENERATE).expect("decode runs");
-    }));
-    let recompute_decode_ms = median_ms(time_ms(|| {
-        recompute_decode();
-    }));
+    // One cached and one recompute decode per pair, back to back, so a
+    // change in host load between pairs moves both sides of a ratio alike.
+    let (mut cached, mut recompute, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..RUNS {
+        let cached_ms = once_ms(|| {
+            session.decode(&prompt, GENERATE).expect("decode runs");
+        });
+        let recompute_ms = once_ms(|| {
+            recompute_decode();
+        });
+        cached.push(cached_ms);
+        recompute.push(recompute_ms);
+        ratios.push(recompute_ms / cached_ms);
+    }
     DecodeRow {
         model,
         prefill_ms,
-        cached_decode_ms,
-        recompute_decode_ms,
+        cached_decode_ms: median(cached),
+        recompute_decode_ms: median(recompute),
+        cached_vs_recompute_speedup: median(ratios),
         plan_searches_compile,
         plan_searches_decode: cache.stats().misses - searches_before_timing,
         kernel_compiles_decode: kernel_compiles() - compiles_before_timing,
@@ -442,7 +453,7 @@ fn main() -> ExitCode {
             .run_compiled(&compiled, &inputs)
             .expect("fused runs");
 
-        let engine_unfused_ms = median_ms(time_ms(|| {
+        let engine_unfused_ms = median(time_ms(|| {
             let store = WeightStore::build(&graph);
             executor
                 .run_engine(
@@ -461,7 +472,7 @@ fn main() -> ExitCode {
                 let threaded = executor
                     .clone()
                     .with_options(ExecOptions::with_threads(threads));
-                let ms = median_ms(time_ms(|| {
+                let ms = median(time_ms(|| {
                     threaded
                         .run_compiled(&compiled, &inputs)
                         .expect("fused runs");
@@ -473,7 +484,7 @@ fn main() -> ExitCode {
         let scalar = executor
             .clone()
             .with_options(ExecOptions::serial().scalar_kernels());
-        let scalar_fused_ms = median_ms(time_ms(|| {
+        let scalar_fused_ms = median(time_ms(|| {
             scalar
                 .run_compiled(&compiled, &inputs)
                 .expect("scalar fused runs");
@@ -485,11 +496,11 @@ fn main() -> ExitCode {
             let (graph, plan, engine) = (compiled.graph(), &compiled.plan, &compiled.engine);
             executor.run_engine(graph, plan, engine, store, &inputs, None)
         };
-        let uncached_run_ms = median_ms(time_ms(|| {
+        let uncached_run_ms = median(time_ms(|| {
             let store = WeightStore::build(compiled.graph());
             run_fused_with(&store).expect("uncached runs");
         }));
-        let repeat_run_ms = median_ms(time_ms(|| {
+        let repeat_run_ms = median(time_ms(|| {
             executor
                 .run_compiled(&compiled, &inputs)
                 .expect("cached repeat runs");
@@ -499,7 +510,7 @@ fn main() -> ExitCode {
         // the conv kernels read strided weights and the transposed Gemms
         // walk the untransposed tensor.
         let unpacked_store = WeightStore::build_unpacked(compiled.graph());
-        let nopack_fused_ms = median_ms(time_ms(|| {
+        let nopack_fused_ms = median(time_ms(|| {
             run_fused_with(&unpacked_store).expect("unpacked fused runs");
         }));
 
@@ -509,7 +520,7 @@ fn main() -> ExitCode {
         // memory hit (key computation + lookup + `Arc` clone), averaged
         // over an inner loop because one hit sits below timer noise.
         let mut phases: [Vec<f64>; 3] = Default::default();
-        let compile_ms = median_ms(time_ms(|| {
+        let compile_ms = median(time_ms(|| {
             let mut cold = Compiler::new(CompilerOptions::default());
             let stats = cold.compile(&graph).expect("model compiles").stats;
             let clocks = [
@@ -521,14 +532,14 @@ fn main() -> ExitCode {
                 samples.push(clock.as_secs_f64() * 1e3);
             }
         }));
-        let compile_phases_ms = phases.map(median_ms);
+        let compile_phases_ms = phases.map(median);
         let plan_cache = PlanCache::new();
         let mut cached_compiler = Compiler::new(CompilerOptions::default());
         let (_, outcome) = plan_cache
             .compile_cached(&mut cached_compiler, &graph)
             .expect("model compiles");
         assert_eq!(outcome, CacheOutcome::Miss);
-        let warm_compile_ms = median_ms(time_ms(|| {
+        let warm_compile_ms = median(time_ms(|| {
             for _ in 0..WARM_COMPILE_ITERS {
                 let (_, outcome) = plan_cache
                     .compile_cached(&mut cached_compiler, &graph)
@@ -641,7 +652,7 @@ fn main() -> ExitCode {
             row.cached_decode_ms,
             row.recompute_decode_ms,
             row.tokens_per_sec(),
-            row.cached_vs_recompute_speedup(),
+            row.cached_vs_recompute_speedup,
             row.plan_searches_compile,
             row.plan_searches_decode,
             row.kernel_compiles_decode
@@ -718,7 +729,7 @@ fn main() -> ExitCode {
             row.cached_decode_ms,
             row.recompute_decode_ms,
             row.tokens_per_sec(),
-            row.cached_vs_recompute_speedup(),
+            row.cached_vs_recompute_speedup,
             row.plan_searches_compile,
             row.plan_searches_decode,
             row.kernel_compiles_decode,
@@ -736,11 +747,13 @@ fn main() -> ExitCode {
     ));
 
     let value = |f: &Floor| match f.metric {
-        "cached_vs_recompute_speedup" => decode
-            .iter()
-            .find(|r| r.model == f.model)
-            .expect("floor decoder timed")
-            .cached_vs_recompute_speedup(),
+        "cached_vs_recompute_speedup" => {
+            decode
+                .iter()
+                .find(|r| r.model == f.model)
+                .expect("floor decoder timed")
+                .cached_vs_recompute_speedup
+        }
         metric => rows
             .iter()
             .find(|r| r.model == f.model)

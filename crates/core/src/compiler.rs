@@ -8,10 +8,7 @@
 //! experiment (Figure 9b). The compiled kernels are the paper's generated
 //! code; [`crate::FusedKernel::listing`] prints one.
 
-use std::any::{Any, TypeId};
-use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dnnf_graph::Graph;
@@ -20,7 +17,9 @@ use dnnf_profiledb::ProfileDatabase;
 use crate::exec::{compile_plan, CompiledPlan};
 use crate::plan::{MAX_BLOCK_OPS, MAX_EXTERNAL_INPUTS, USE_PROFILE};
 use crate::rewrite::{AppliedRewrite, RewriteEngine};
-use crate::{AnalyticLatencyModel, CoreError, Ecg, FusionPlan, FusionPlanner, LatencyModel};
+use crate::{
+    AnalyticLatencyModel, CoreError, Ecg, FusionPlan, FusionPlanner, LatencyModel, WeightStore,
+};
 
 /// Which optimizations the compiler runs (the knobs of Figure 7's ablation).
 ///
@@ -156,71 +155,9 @@ impl CompilationStats {
     }
 }
 
-/// An opaque, lazily initialized cache where the runtime attaches per-model
-/// derived state (the materialized weight store of `dnnf-runtime`, the plan
-/// cache's bookkeeping, …).
-///
-/// The slot lives on [`CompiledModel`] so the cached state has exactly the
-/// model's lifetime: it is shared by clones of the model and by concurrent
-/// executors (`Arc`), and dropped with the last model handle. It is
-/// deliberately untyped (`dyn Any`) so `dnnf-core` stays independent of the
-/// crates layered above it, and it holds one entry **per consumer type**
-/// (keyed by [`TypeId`]), so independent consumers — say a weight store and
-/// a serving layer's own state — can share one model without trampling each
-/// other. Equality ignores the slot — caches are derived state, not part of
-/// a model's semantic identity.
-#[derive(Clone, Default)]
-pub struct RuntimeCacheSlot(Arc<Mutex<BTreeMap<TypeId, Arc<dyn Any + Send + Sync>>>>);
-
-impl RuntimeCacheSlot {
-    /// Returns the cached value of type `T`, initializing it on first call.
-    /// Every later call for the same `T` — from any thread, on any clone of
-    /// the owning model — returns the same `Arc` (pointer-identical);
-    /// concurrent first calls race safely and exactly one `init` result is
-    /// kept. Calls for a *different* type get their own independent entry.
-    pub fn get_or_init<T: Send + Sync + 'static>(&self, init: impl FnOnce() -> T) -> Arc<T> {
-        let key = TypeId::of::<T>();
-        if let Some(existing) = self.0.lock().expect("cache slot lock").get(&key) {
-            return Arc::clone(existing)
-                .downcast::<T>()
-                .expect("cache entry is keyed by its own TypeId");
-        }
-        // Build the candidate outside the lock: a slow init must not block
-        // other consumer types, and an init that itself touches the slot
-        // must not deadlock. If another thread won the race meanwhile, its
-        // value is kept and ours is dropped (same "exactly one init result
-        // survives" semantics the old OnceLock gave a single type).
-        let candidate: Arc<dyn Any + Send + Sync> = Arc::new(init());
-        let mut map = self.0.lock().expect("cache slot lock");
-        let entry = map.entry(key).or_insert(candidate);
-        Arc::clone(entry)
-            .downcast::<T>()
-            .expect("cache entry is keyed by its own TypeId")
-    }
-
-    /// Whether any consumer has initialized an entry.
-    #[must_use]
-    pub fn is_initialized(&self) -> bool {
-        !self.0.lock().expect("cache slot lock").is_empty()
-    }
-}
-
-impl fmt::Debug for RuntimeCacheSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let entries = self.0.lock().expect("cache slot lock").len();
-        f.debug_tuple("RuntimeCacheSlot").field(&entries).finish()
-    }
-}
-
-impl PartialEq for RuntimeCacheSlot {
-    /// Always equal: the cache is derived, re-creatable state.
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-/// The result of compiling a model with DNNFusion.
-#[derive(Debug, Clone, PartialEq)]
+/// The result of compiling a model with DNNFusion: the fused kernels and,
+/// once the first run builds it, the weight store they read.
+#[derive(Debug, Clone)]
 pub struct CompiledModel {
     /// The (possibly rewritten) extended computational graph.
     pub ecg: Ecg,
@@ -231,7 +168,19 @@ pub struct CompiledModel {
     pub engine: CompiledPlan,
     /// Compilation statistics.
     pub stats: CompilationStats,
-    runtime_cache: RuntimeCacheSlot,
+    /// The materialized weights and their prepacked panels, built by the
+    /// first [`WeightStore::of_model`] and shared by every clone.
+    pub(crate) weights: Arc<OnceLock<Arc<WeightStore>>>,
+}
+
+impl PartialEq for CompiledModel {
+    /// The weight store is derived from the graph, so it is not compared.
+    fn eq(&self, other: &Self) -> bool {
+        self.ecg == other.ecg
+            && self.plan == other.plan
+            && self.engine == other.engine
+            && self.stats == other.stats
+    }
 }
 
 impl CompiledModel {
@@ -241,13 +190,11 @@ impl CompiledModel {
         self.ecg.graph()
     }
 
-    /// The runtime's per-model cache slot (see [`RuntimeCacheSlot`]). Clones
-    /// of this model share the slot, so whatever the runtime caches here —
-    /// the materialized weight store — is built once per compiled model, not
-    /// once per run or per executor.
+    /// The weight store, if a run (or [`WeightStore::of_model`]) has built
+    /// it yet; compilation never does.
     #[must_use]
-    pub fn runtime_cache(&self) -> &RuntimeCacheSlot {
-        &self.runtime_cache
+    pub fn built_weights(&self) -> Option<&Arc<WeightStore>> {
+        self.weights.get()
     }
 }
 
@@ -404,7 +351,7 @@ impl<L: LatencyModel> Compiler<L> {
             plan,
             engine,
             stats,
-            runtime_cache: RuntimeCacheSlot::default(),
+            weights: Arc::default(),
         })
     }
 }
@@ -555,32 +502,6 @@ mod tests {
             .to_string();
         assert!(listing.contains("Conv `conv` (fast kernel)"), "{listing}");
         assert!(listing.contains("tape of Mul `bn.mul`"), "{listing}");
-    }
-
-    #[test]
-    fn cache_slot_supports_multiple_consumer_types() {
-        // Regression: attaching a second cache type used to panic
-        // ("runtime cache slot holds one type per model").
-        struct WeightsLike(Vec<f32>);
-        struct PlanCacheLike(&'static str);
-
-        let slot = RuntimeCacheSlot::default();
-        assert!(!slot.is_initialized());
-        let w = slot.get_or_init(|| WeightsLike(vec![1.0, 2.0]));
-        let p = slot.get_or_init(|| PlanCacheLike("state"));
-        assert_eq!(w.0, vec![1.0, 2.0]);
-        assert_eq!(p.0, "state");
-        assert!(slot.is_initialized());
-        // Each type is built once; later calls return the same Arc and
-        // never run the init closure again.
-        let w2 = slot.get_or_init::<WeightsLike>(|| unreachable!("already cached"));
-        assert!(Arc::ptr_eq(&w, &w2));
-        let p2 = slot.get_or_init::<PlanCacheLike>(|| unreachable!("already cached"));
-        assert!(Arc::ptr_eq(&p, &p2));
-        // Clones of the slot (as clones of a model would hold) share entries.
-        let clone = slot.clone();
-        let w3 = clone.get_or_init::<WeightsLike>(|| unreachable!("shared with clone"));
-        assert!(Arc::ptr_eq(&w, &w3));
     }
 
     #[test]

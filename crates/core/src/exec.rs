@@ -44,7 +44,7 @@ use dnnf_ops::{
 };
 use dnnf_tensor::{broadcast_shapes, Shape, Tensor, TensorError};
 
-use crate::{CoreError, FusionBlock, FusionPlan};
+use crate::{CoreError, FusionBlock, FusionPlan, PackedWeights};
 
 /// A source of reusable `f32` buffers for kernel outputs.
 ///
@@ -622,74 +622,6 @@ impl Geometry {
                 *off += strides[axis];
             }
         }
-    }
-}
-
-/// Kernel-friendly prepacked weight layouts, keyed by graph value id.
-///
-/// Built once per model (the runtime's weight store does it alongside weight
-/// materialization) and passed to every [`FusedKernel::run`], so the packing
-/// cost is paid at compile/first-touch time, never on the inference hot
-/// path. It carries two layouts today:
-///
-/// * **transposed `Gemm` B panels** — a weight consumed by a `Gemm` with
-///   `transB = 1` is stored re-laid-out as `(K, N)` row-major, turning the
-///   kernel's strided column gathers into contiguous loads;
-/// * **OC-blocked `Conv` weight panels** — an ungrouped conv weight with a
-///   lane-aligned output-channel count is stored as
-///   `(OC / LANES, ICpg·∏k, LANES)`, so the OC-lane conv kernel reads each
-///   weight tap for all lanes with one contiguous load instead of a
-///   strided gather (see `dnnf_ops::pack_conv_oc_panel`).
-///
-/// Packing never changes results — a panel supplies the same operand
-/// values in the same accumulation order, so outputs are bit-identical with
-/// and without it (the kernel tests pin this). An empty
-/// (`PackedWeights::default()`) table is always valid: kernels simply read
-/// the original operands.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PackedWeights {
-    transposed_b: BTreeMap<ValueId, Arc<Tensor>>,
-    conv_oc: BTreeMap<ValueId, Arc<Tensor>>,
-}
-
-impl PackedWeights {
-    /// Registers the transposed `(K, N)` panel for a `transB = 1` `Gemm`
-    /// weight. The caller is responsible for `panel` actually being the
-    /// transpose of the operand tensor.
-    pub fn insert_transposed_b(&mut self, value: ValueId, panel: Arc<Tensor>) {
-        self.transposed_b.insert(value, panel);
-    }
-
-    /// The transposed panel packed for `value`, if one was registered.
-    #[must_use]
-    pub fn transposed_b(&self, value: ValueId) -> Option<&Arc<Tensor>> {
-        self.transposed_b.get(&value)
-    }
-
-    /// Registers the OC-blocked panel for a `Conv` weight. The caller is
-    /// responsible for `panel` being `dnnf_ops::pack_conv_oc_panel` of the
-    /// operand tensor (the conv kernel re-validates the panel dimensions
-    /// against its launch and falls back to the plain weights on mismatch).
-    pub fn insert_conv_oc(&mut self, value: ValueId, panel: Arc<Tensor>) {
-        self.conv_oc.insert(value, panel);
-    }
-
-    /// The OC-blocked conv panel packed for `value`, if one was registered.
-    #[must_use]
-    pub fn conv_oc(&self, value: ValueId) -> Option<&Arc<Tensor>> {
-        self.conv_oc.get(&value)
-    }
-
-    /// Number of packed panels (all layouts).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.transposed_b.len() + self.conv_oc.len()
-    }
-
-    /// Whether no panel has been packed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.transposed_b.is_empty() && self.conv_oc.is_empty()
     }
 }
 

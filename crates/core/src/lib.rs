@@ -59,15 +59,16 @@ mod latency;
 mod mapping;
 pub mod plan;
 pub mod rewrite;
+mod weights;
 
-pub use compiler::{CompilationStats, CompiledModel, Compiler, CompilerOptions, RuntimeCacheSlot};
+pub use compiler::{CompilationStats, CompiledModel, Compiler, CompilerOptions};
 pub use ecg::{Ecg, EcgNodeInfo};
 pub use error::CoreError;
 pub use exec::{
-    compile_plan, kernel_compiles, BufferPool, CompiledPlan, FreshBuffers, FusedKernel,
-    PackedWeights, ScalarTape,
+    compile_plan, kernel_compiles, BufferPool, CompiledPlan, FreshBuffers, FusedKernel, ScalarTape,
 };
 pub use instance::PlanInstance;
 pub use latency::{member_work, AnalyticLatencyModel, LatencyModel, MemberWork};
 pub use mapping::{analyze_pair, fusable_cell_count, FusionDecision, FusionVerdict};
 pub use plan::{block_profile_key, boundary_of, Boundary, FusionBlock, FusionPlan, FusionPlanner};
+pub use weights::{PackedWeights, WeightStore};

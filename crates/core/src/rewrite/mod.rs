@@ -345,7 +345,9 @@ mod tests {
                 }
                 ValueKind::Weight => {
                     let id = match graph.weight_data(value.id) {
-                        Some(data) => new.add_weight_with_data(value.name.clone(), data.clone()),
+                        Some(data) => {
+                            new.add_weight_with_data(value.name.clone(), data.as_ref().clone())
+                        }
                         None => new.add_weight(value.name.clone(), value.shape.clone()),
                     };
                     map.insert(value.id, id);

@@ -318,9 +318,10 @@ pub(super) mod tests {
         for value in graph.values() {
             match value.kind {
                 ValueKind::Input => env.insert(value.id, input(value.shape.clone())),
-                ValueKind::Weight => {
-                    env.insert(value.id, graph.weight_data(value.id).unwrap().clone())
-                }
+                ValueKind::Weight => env.insert(
+                    value.id,
+                    Tensor::clone(graph.weight_data(value.id).unwrap()),
+                ),
                 _ => None,
             };
         }

@@ -1,4 +1,5 @@
-//! Deterministic weight materialization and the cross-run weight store.
+//! A compiled model's weights: deterministic materialization, the prepacked
+//! kernel layouts, and the store a [`CompiledModel`] owns.
 //!
 //! The evaluation only needs structurally-faithful models, not trained
 //! weights (the paper notes accuracy is identical across frameworks and
@@ -6,37 +7,29 @@
 //! small random tensors seeded by the *name* of the weight, so the same
 //! logical weight gets identical data before and after graph rewriting —
 //! which is what makes the fused-vs-unfused and rewritten-vs-original
-//! numerical equivalence checks meaningful.
+//! numerical equivalence checks meaningful. A weight with explicit data
+//! shares the graph's payload (`Arc`), never a copy of it.
 //!
-//! [`WeightStore`] turns that materialization into a **reusable asset**: all
-//! of a graph's weights are materialized once into `Arc`-backed tensors
-//! (plus any kernel-friendly prepacked layouts, see
-//! [`dnnf_core::PackedWeights`]), and [`WeightStore::of_model`] caches the
-//! store on the [`CompiledModel`] itself so every run of every executor —
-//! including concurrent ones — shares the same allocations instead of
-//! re-materializing per run.
+//! [`WeightStore`] materializes all of a graph's weights once, plus the
+//! kernel-friendly prepacked layouts ([`PackedWeights`]), and
+//! [`WeightStore::of_model`] keeps the store on the [`CompiledModel`] itself,
+//! so every run of every executor — including concurrent ones — shares the
+//! same allocations instead of re-materializing per run.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
-use dnnf_core::{CompiledModel, PackedWeights};
-use dnnf_graph::{Graph, ValueId};
+use dnnf_graph::{Graph, Value, ValueId};
 use dnnf_ops::OpKind;
+use dnnf_profiledb::fnv64;
 use dnnf_tensor::Tensor;
+
+use crate::CompiledModel;
 
 /// Scale applied to randomly materialized weights to keep activations in a
 /// numerically comfortable range through deep models.
 const WEIGHT_SCALE: f32 = 0.05;
-
-/// FNV-1a hash of a name, used as the weight's RNG seed.
-fn name_seed(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Whether a weight must be non-negative for the model to stay finite:
 /// variance parameters feed a `sqrt` (BatchNormalization, decomposed
@@ -47,53 +40,109 @@ fn must_be_non_negative(name: &str) -> bool {
     name.ends_with(".var") || name.ends_with(".eps") || name.ends_with(".running_var")
 }
 
-/// Materializes every weight of a graph: explicit data when attached,
-/// otherwise deterministic (name-seeded) random data.
-#[must_use]
-pub fn materialize_weights(graph: &Graph) -> HashMap<ValueId, Tensor> {
-    let mut weights = HashMap::new();
-    for value in graph.values() {
-        if !value.is_weight() {
-            continue;
-        }
-        let tensor = match graph.weight_data(value.id) {
-            Some(data) => data.clone(),
-            None => {
-                let t = Tensor::random(value.shape.clone(), name_seed(&value.name))
-                    .map(|v| v * WEIGHT_SCALE);
-                if must_be_non_negative(&value.name) {
-                    t.map(f32::abs)
-                } else {
-                    t
-                }
-            }
-        };
-        weights.insert(value.id, tensor);
+/// The tensor of weight `value`: the graph's own payload when data is
+/// attached, otherwise deterministic random data seeded by the FNV-1a hash
+/// of its name.
+fn materialize(graph: &Graph, value: &Value) -> Arc<Tensor> {
+    if let Some(data) = graph.weight_data(value.id) {
+        return Arc::clone(data);
     }
-    weights
+    let t =
+        Tensor::random(value.shape.clone(), fnv64(value.name.as_bytes())).map(|v| v * WEIGHT_SCALE);
+    Arc::new(if must_be_non_negative(&value.name) {
+        t.map(f32::abs)
+    } else {
+        t
+    })
+}
+
+/// Kernel-friendly prepacked weight layouts, keyed by graph value id.
+///
+/// Built once per model (the [`WeightStore`] does it alongside weight
+/// materialization) and passed to every [`crate::FusedKernel::run`], so the
+/// packing cost is paid at compile/first-touch time, never on the inference hot
+/// path. It carries two layouts today:
+///
+/// * **transposed `Gemm` B panels** — a weight consumed by a `Gemm` with
+///   `transB = 1` is stored re-laid-out as `(K, N)` row-major, turning the
+///   kernel's strided column gathers into contiguous loads;
+/// * **OC-blocked `Conv` weight panels** — an ungrouped conv weight with a
+///   lane-aligned output-channel count is stored as
+///   `(OC / LANES, ICpg·∏k, LANES)`, so the OC-lane conv kernel reads each
+///   weight tap for all lanes with one contiguous load instead of a
+///   strided gather (see `dnnf_ops::pack_conv_oc_panel`).
+///
+/// Packing never changes results — a panel supplies the same operand
+/// values in the same accumulation order, so outputs are bit-identical with
+/// and without it (the kernel tests pin this). An empty
+/// (`PackedWeights::default()`) table is always valid: kernels simply read
+/// the original operands.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PackedWeights {
+    transposed_b: BTreeMap<ValueId, Arc<Tensor>>,
+    conv_oc: BTreeMap<ValueId, Arc<Tensor>>,
+}
+
+impl PackedWeights {
+    /// Registers the transposed `(K, N)` panel for a `transB = 1` `Gemm`
+    /// weight. The caller is responsible for `panel` actually being the
+    /// transpose of the operand tensor.
+    pub fn insert_transposed_b(&mut self, value: ValueId, panel: Arc<Tensor>) {
+        self.transposed_b.insert(value, panel);
+    }
+
+    /// The transposed panel packed for `value`, if one was registered.
+    #[must_use]
+    pub fn transposed_b(&self, value: ValueId) -> Option<&Arc<Tensor>> {
+        self.transposed_b.get(&value)
+    }
+
+    /// Registers the OC-blocked panel for a `Conv` weight. The caller is
+    /// responsible for `panel` being `dnnf_ops::pack_conv_oc_panel` of the
+    /// operand tensor (the conv kernel re-validates the panel dimensions
+    /// against its launch and falls back to the plain weights on mismatch).
+    pub fn insert_conv_oc(&mut self, value: ValueId, panel: Arc<Tensor>) {
+        self.conv_oc.insert(value, panel);
+    }
+
+    /// The OC-blocked conv panel packed for `value`, if one was registered.
+    #[must_use]
+    pub fn conv_oc(&self, value: ValueId) -> Option<&Arc<Tensor>> {
+        self.conv_oc.get(&value)
+    }
+
+    /// Number of packed panels (all layouts).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.transposed_b.len() + self.conv_oc.len()
+    }
+
+    /// Whether no panel has been packed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.transposed_b.is_empty() && self.conv_oc.is_empty()
+    }
 }
 
 /// A graph's weights, materialized once and shared across runs.
 ///
-/// Every weight tensor lives behind an `Arc`, so handing it to a run's
-/// environment is a reference-count bump, not a copy; the store also carries
-/// the prepacked kernel layouts ([`PackedWeights`] — transposed `Gemm` B
-/// panels and OC-blocked `Conv` panels) so repeat inference never re-packs
-/// either. The store is
-/// immutable after construction and `Send + Sync`: concurrent executors can
-/// read it freely.
+/// Every weight tensor lives behind an `Arc`, so handing it to a kernel is a
+/// reference-count bump, not a copy; the store also carries the prepacked
+/// kernel layouts ([`PackedWeights`] — transposed `Gemm` B panels and
+/// OC-blocked `Conv` panels) so repeat inference never re-packs either. The
+/// store is immutable after construction and `Send + Sync`: concurrent
+/// executors can read it freely.
 ///
 /// Two ways to obtain one:
 ///
 /// * [`WeightStore::of_model`] — the cached path: built at most once per
-///   [`CompiledModel`] (stored in the model's
-///   [`dnnf_core::RuntimeCacheSlot`]) and shared by clones of the model and
-///   by every executor. This is what [`crate::Executor::run_compiled`] uses.
-/// * [`WeightStore::build`] — an uncached store for ad-hoc graph/plan
-///   combinations (what [`crate::Executor::run_plan`] builds per call, and
-///   what a caller of [`crate::Executor::run_engine`] passes in). Outputs
-///   are bit-identical either way; only the materialization cost moves.
-#[derive(Debug, Clone)]
+///   [`CompiledModel`], which owns it, and shared by clones of the model and
+///   by every executor. This is what the runtime's real runs of a compiled
+///   model use.
+/// * [`WeightStore::build`] / [`WeightStore::build_unpacked`] — an uncached
+///   store for ad-hoc graph/plan combinations. Outputs are bit-identical
+///   either way; only the materialization cost moves.
+#[derive(Clone)]
 pub struct WeightStore {
     /// Weight tensors indexed by `ValueId::index()`; non-weight slots stay
     /// `None`.
@@ -121,10 +170,7 @@ impl WeightStore {
             let Some(&b) = node.inputs.get(1) else {
                 continue;
             };
-            if !graph.value(b).is_weight() {
-                continue;
-            }
-            let Some(tensor) = &store.tensors[b.index()] else {
+            let Some(tensor) = store.get(b) else {
                 continue;
             };
             match node.op {
@@ -152,39 +198,36 @@ impl WeightStore {
     /// Materializes every weight of `graph` into a store with **no**
     /// prepacked layouts. Kernels then read the original strided operands.
     /// Outputs are bit-identical to a packed store's; only access patterns
-    /// differ — this exists for packed-vs-unpacked differential tests and
-    /// the `conv_pack_speedup` benchmark column.
+    /// differ — this is what the reference interpreter reads, and what the
+    /// packed-vs-unpacked differential tests and benchmarks run against.
     #[must_use]
     pub fn build_unpacked(graph: &Graph) -> Self {
-        let mut tensors: Vec<Option<Arc<Tensor>>> = vec![None; graph.value_count()];
-        for (id, tensor) in materialize_weights(graph) {
-            tensors[id.index()] = Some(Arc::new(tensor));
-        }
         WeightStore {
-            tensors,
+            tensors: graph
+                .values()
+                .map(|value| value.is_weight().then(|| materialize(graph, value)))
+                .collect(),
             packed: PackedWeights::default(),
         }
     }
 
-    /// The store cached on `model` — built on first call, pointer-identical
+    /// The store `model` owns — built on first call, pointer-identical
     /// (`Arc::ptr_eq`) on every later call, shared across clones of the
-    /// model and across concurrent executors.
+    /// model (also clones taken before that first call) and across
+    /// concurrent executors. Only the first call takes a lock.
     #[must_use]
     pub fn of_model(model: &CompiledModel) -> Arc<Self> {
-        model
-            .runtime_cache()
-            .get_or_init(|| WeightStore::build(model.graph()))
+        Arc::clone(
+            model
+                .weights
+                .get_or_init(|| Arc::new(WeightStore::build(model.graph()))),
+        )
     }
 
     /// The materialized tensor of weight `id` (`None` for non-weights).
     #[must_use]
     pub fn get(&self, id: ValueId) -> Option<&Arc<Tensor>> {
         self.tensors.get(id.index()).and_then(Option::as_ref)
-    }
-
-    /// Every value slot of the graph: `Some` at the weights, `None` elsewhere.
-    pub(crate) fn slots(&self) -> &[Option<Arc<Tensor>>] {
-        &self.tensors
     }
 
     /// The prepacked kernel layouts.
@@ -206,11 +249,25 @@ impl WeightStore {
     }
 }
 
+impl fmt::Debug for WeightStore {
+    /// Counts, not tensors: a model's `Debug` prints its store.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WeightStore")
+            .field("weights", &self.len())
+            .field("panels", &self.packed.len())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnnf_ops::{Attrs, OpKind};
+    use dnnf_ops::Attrs;
     use dnnf_tensor::Shape;
+
+    fn tensor(store: &WeightStore, id: ValueId) -> &Tensor {
+        store.get(id).expect("weight materialized")
+    }
 
     #[test]
     fn weights_are_deterministic_in_name_not_id() {
@@ -220,18 +277,19 @@ mod tests {
         // Different id (an input precedes it) but the same name.
         let _x = g2.add_input("x", Shape::new(vec![1]));
         let w2 = g2.add_weight("layer.w", Shape::new(vec![4, 4]));
-        let m1 = materialize_weights(&g1);
-        let m2 = materialize_weights(&g2);
-        assert_eq!(m1[&w1], m2[&w2]);
+        let m1 = WeightStore::build_unpacked(&g1);
+        let m2 = WeightStore::build_unpacked(&g2);
+        assert_eq!(tensor(&m1, w1), tensor(&m2, w2));
     }
 
     #[test]
-    fn explicit_data_wins_over_random() {
+    fn explicit_data_wins_over_random_and_is_shared() {
         let mut g = Graph::new("explicit");
         let data = Tensor::full(Shape::new(vec![2]), 3.0);
         let w = g.add_weight_with_data("w", data.clone());
-        let m = materialize_weights(&g);
-        assert_eq!(m[&w], data);
+        let m = WeightStore::build_unpacked(&g);
+        assert_eq!(tensor(&m, w), &data);
+        assert!(Arc::ptr_eq(m.get(w).unwrap(), g.weight_data(w).unwrap()));
     }
 
     #[test]
@@ -241,17 +299,18 @@ mod tests {
         let w = g.add_weight("w", Shape::new(vec![2]));
         let y = g.add_op(OpKind::Add, Attrs::new(), &[x, w], "add").unwrap()[0];
         g.mark_output(y);
-        let m = materialize_weights(&g);
+        let m = WeightStore::build_unpacked(&g);
         assert_eq!(m.len(), 1);
-        assert!(m.contains_key(&w));
+        assert!(m.get(w).is_some());
+        assert!(m.get(x).is_none() && m.get(y).is_none());
     }
 
     #[test]
     fn random_weights_are_small() {
         let mut g = Graph::new("scale");
         let w = g.add_weight("w", Shape::new(vec![64]));
-        let m = materialize_weights(&g);
-        assert!(m[&w].iter().all(|v| v.abs() <= WEIGHT_SCALE));
+        let m = WeightStore::build_unpacked(&g);
+        assert!(tensor(&m, w).iter().all(|v| v.abs() <= WEIGHT_SCALE));
     }
 
     #[test]
@@ -274,14 +333,15 @@ mod tests {
         g.mark_output(out);
 
         let store = WeightStore::build(&g);
-        let reference = materialize_weights(&g);
+        let reference = WeightStore::build_unpacked(&g);
         assert_eq!(store.len(), reference.len());
         assert!(!store.is_empty());
-        for (&id, tensor) in &reference {
+        for value in g.values() {
             assert_eq!(
-                store.get(id).unwrap().as_ref(),
-                tensor,
-                "store diverged for value {id:?}"
+                store.get(value.id),
+                reference.get(value.id),
+                "store diverged for value {:?}",
+                value.id
             );
         }
         assert!(store.get(x).is_none(), "inputs are not weights");
@@ -294,7 +354,10 @@ mod tests {
             .packed()
             .transposed_b(w_t)
             .expect("transB weight packed");
-        assert_eq!(panel.as_ref(), &reference[&w_t].transpose(&[1, 0]).unwrap());
+        assert_eq!(
+            panel.as_ref(),
+            &tensor(&reference, w_t).transpose(&[1, 0]).unwrap()
+        );
     }
 
     #[test]
@@ -339,7 +402,7 @@ mod tests {
         );
         assert_eq!(
             panel.as_ref(),
-            &dnnf_ops::pack_conv_oc_panel(store.get(w_ok).unwrap()).unwrap()
+            &dnnf_ops::pack_conv_oc_panel(tensor(&store, w_ok)).unwrap()
         );
         assert!(store.packed().conv_oc(w_ragged).is_none());
         assert!(store.packed().conv_oc(w_grouped).is_none());
@@ -348,10 +411,7 @@ mod tests {
         let unpacked = WeightStore::build_unpacked(&g);
         assert!(unpacked.packed().is_empty());
         assert_eq!(unpacked.len(), store.len());
-        assert_eq!(
-            unpacked.get(w_ok).unwrap().as_ref(),
-            store.get(w_ok).unwrap().as_ref()
-        );
+        assert_eq!(tensor(&unpacked, w_ok), tensor(&store, w_ok));
     }
 
     #[test]
@@ -381,14 +441,14 @@ mod tests {
         let var = g.add_weight("layer.bn.var", Shape::new(vec![64]));
         let eps = g.add_weight("layer.eps", Shape::new(vec![1]));
         let plain = g.add_weight("layer.w", Shape::new(vec![64]));
-        let m = materialize_weights(&g);
+        let m = WeightStore::build_unpacked(&g);
         assert!(
-            m[&var].iter().all(|&v| v >= 0.0),
+            tensor(&m, var).iter().all(|&v| v >= 0.0),
             "variance must not feed sqrt a negative"
         );
-        assert!(m[&eps].iter().all(|&v| v >= 0.0));
+        assert!(tensor(&m, eps).iter().all(|&v| v >= 0.0));
         assert!(
-            m[&plain].iter().any(|&v| v < 0.0),
+            tensor(&m, plain).iter().any(|&v| v < 0.0),
             "ordinary weights stay signed"
         );
     }

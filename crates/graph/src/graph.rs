@@ -3,6 +3,7 @@
 mod splice;
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use dnnf_ops::{cost, infer_shapes, Attrs, OpKind};
 use dnnf_tensor::{DataType, Shape, Tensor};
@@ -36,7 +37,9 @@ pub struct Graph {
     values: Vec<Value>,
     inputs: Vec<ValueId>,
     outputs: Vec<ValueId>,
-    weight_data: BTreeMap<ValueId, Tensor>,
+    /// Explicit weight payloads, shared (not copied) by clones of the graph,
+    /// its rebound instances and the weight store.
+    weight_data: BTreeMap<ValueId, Arc<Tensor>>,
     /// Inputs whose marked axis is the symbolic sequence dimension, set with
     /// [`Graph::mark_seq_axis`]. Unlike the batch convention (always the
     /// leading axis of every input), sequence axes are opt-in and per-input:
@@ -100,7 +103,7 @@ impl Graph {
             ValueKind::Weight,
             None,
         );
-        self.weight_data.insert(id, data);
+        self.weight_data.insert(id, Arc::new(data));
         id
     }
 
@@ -131,13 +134,13 @@ impl Graph {
                 ),
             });
         }
-        self.weight_data.insert(id, data);
+        self.weight_data.insert(id, Arc::new(data));
         Ok(())
     }
 
     /// Returns the explicit data attached to a weight, if any.
     #[must_use]
-    pub fn weight_data(&self, id: ValueId) -> Option<&Tensor> {
+    pub fn weight_data(&self, id: ValueId) -> Option<&Arc<Tensor>> {
         self.weight_data.get(&id)
     }
 
@@ -749,7 +752,7 @@ mod tests {
         assert!(g.weight_data(w).is_none());
         let t = Tensor::arange(Shape::new(vec![2, 2]));
         g.set_weight_data(w, t.clone()).unwrap();
-        assert_eq!(g.weight_data(w), Some(&t));
+        assert_eq!(g.weight_data(w).map(|d| &**d), Some(&t));
         // Shape mismatch rejected.
         assert!(g
             .set_weight_data(w, Tensor::zeros(Shape::new(vec![3])))
@@ -760,6 +763,12 @@ mod tests {
         // Explicit-data constructor.
         let w2 = g.add_weight_with_data("w2", Tensor::full(Shape::new(vec![2]), 1.0));
         assert!(g.weight_data(w2).is_some());
+        // A clone shares the payload rather than copying it.
+        let copy = g.clone();
+        assert!(Arc::ptr_eq(
+            copy.weight_data(w2).unwrap(),
+            g.weight_data(w2).unwrap()
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::path::Path;
 use dnnf_graph::{Graph, ValueKind};
 
 use crate::error::IoError;
-use crate::text::{attrs_token, data_token, dtype_token, escape, fnv64, shape_token};
+use crate::text::{attrs_token, data_token, dtype_token, escape, shape_token};
 
 /// The v1 format header — the first line of every `.dnnfg` file.
 pub const FORMAT_HEADER: &str = "dnnfusion-graph/v1";
@@ -102,8 +102,7 @@ pub fn to_text(graph: &Graph) -> String {
         ));
     }
 
-    let checksum = fnv64(body.as_bytes());
-    body.push_str(&format!("checksum {checksum:016x}\n"));
+    dnnf_profiledb::append_checksum(&mut body);
     body
 }
 

@@ -17,7 +17,7 @@ use dnnf_tensor::{DataType, Shape, Tensor};
 
 use crate::error::IoError;
 use crate::export::FORMAT_HEADER;
-use crate::text::{fnv64, parse_attrs, parse_data, parse_dtype, parse_shape, unescape};
+use crate::text::{parse_attrs, parse_data, parse_dtype, parse_shape, unescape};
 
 /// One parsed `value` line.
 struct ValueRecord {
@@ -88,23 +88,11 @@ pub fn from_text(text: &str) -> Result<Graph, IoError> {
     // --- Checksum envelope -------------------------------------------------
     // A complete file ends with `checksum <16 hex>\n`; a file cut off
     // mid-write loses that line first.
-    let trimmed = text.strip_suffix('\n').ok_or(IoError::Truncated)?;
-    let (body, checksum_line) = match trimmed.rfind('\n') {
-        Some(idx) => (&text[..idx + 1], &trimmed[idx + 1..]),
-        None => ("", trimmed),
-    };
-    let stated = checksum_line
-        .strip_prefix("checksum ")
-        .ok_or(IoError::Truncated)?;
-    let computed = format!("{:016x}", fnv64(body.as_bytes()));
-    let canonical_hex = stated.len() == 16
-        && stated
-            .bytes()
-            .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase());
-    if !canonical_hex || stated != computed {
+    let (body, intact) = dnnf_profiledb::verify_checksum(text).ok_or(IoError::Truncated)?;
+    if !intact {
         return Err(IoError::BadChecksum {
-            stated: stated.to_string(),
-            computed,
+            stated: text[body.len() + "checksum ".len()..text.len() - 1].to_string(),
+            computed: format!("{:016x}", dnnf_profiledb::fnv64(body.as_bytes())),
         });
     }
 

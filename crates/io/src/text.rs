@@ -1,5 +1,5 @@
-//! Shared lexical helpers of the `.dnnfg` text format: the checksum hash,
-//! the name escaping scheme, and the shape / dtype / attribute token codecs.
+//! Shared lexical helpers of the `.dnnfg` text format: the name escaping
+//! scheme, and the shape / dtype / attribute token codecs.
 //!
 //! Everything here is byte-deterministic in both directions — the exporter
 //! and the strict importer use the same single implementation of each codec,
@@ -7,19 +7,6 @@
 
 use dnnf_ops::{AttrValue, Attrs};
 use dnnf_tensor::{DataType, Shape};
-
-/// FNV-1a/64 over raw bytes — the same hash (and constants) the
-/// profile-database and plan-cache file formats use for their trailing
-/// checksums.
-#[must_use]
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Percent-escapes a name so it is always exactly one whitespace-free,
 /// nonempty token. Escaped bytes: `%` itself, ASCII controls and space
@@ -396,12 +383,5 @@ mod tests {
         assert_eq!(parse_data(&token, 3), None); // wrong count
         assert_eq!(parse_data("zz", 0), None);
         assert_eq!(parse_data(&token.to_uppercase(), 4), None); // non-canonical
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a/64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

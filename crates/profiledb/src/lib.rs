@@ -63,8 +63,9 @@ pub enum Damage {
         /// Entries actually present.
         found: usize,
     },
-    /// The trailing checksum line is missing, malformed, or does not match
-    /// the content (bit-rot or a partial write).
+    /// The trailing checksum line is missing, malformed, not the last line,
+    /// or does not match the content (bit-rot or a partial write; see
+    /// [`verify_checksum`]).
     BadChecksum,
 }
 
@@ -86,15 +87,49 @@ impl fmt::Display for Damage {
 
 impl std::error::Error for Damage {}
 
-/// 64-bit FNV-1a over a byte stream — the integrity checksum of the sealed
-/// framing (dependency-free, stable across platforms).
-fn fnv64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte stream: the integrity sum of every checksummed
+/// text the workspace writes (the sealed stores here, `dnnf-io`'s `.dnnfg`
+/// graphs) and the seed of every name-derived weight. Dependency-free and
+/// stable across platforms.
+#[must_use]
+pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The line that closes a checksummed text whose every byte before it is
+/// `body`: `checksum ` and the 16 lowercase hex digits of its [`fnv64`].
+fn checksum_line(body: &str) -> String {
+    format!("checksum {:016x}\n", fnv64(body.as_bytes()))
+}
+
+/// Ends `text` with its checksum line, the envelope [`verify_checksum`]
+/// checks.
+pub fn append_checksum(text: &mut String) {
+    let line = checksum_line(text);
+    text.push_str(&line);
+}
+
+/// Checks the checksum envelope every checksummed text ends in (a sealed
+/// store, a `.dnnfg` graph): its last line is `checksum ` and the 16
+/// lowercase hex digits of the [`fnv64`] of every byte before that line,
+/// and ends in a newline.
+///
+/// Returns the body before that line and whether the line states exactly
+/// that sum (a different sum, or an uppercase, signed or short spelling of
+/// it, all fail). `None` when the text does not end in a newline-terminated
+/// `checksum ` line at all: a write cut short loses that line first, and
+/// lines appended after it push it out of last place.
+#[must_use]
+pub fn verify_checksum(text: &str) -> Option<(&str, bool)> {
+    let last = text.strip_suffix('\n')?.rfind('\n').map_or(0, |i| i + 1);
+    let (body, line) = text.split_at(last);
+    line.starts_with("checksum ")
+        .then(|| (body, line == checksum_line(body)))
 }
 
 /// Seals entry lines into the checksummed line framing this crate's store
@@ -122,14 +157,13 @@ where
         count += 1;
     }
     let mut text = format!("{header}\nentries {count}\n{lines}");
-    let sum = fnv64(text.as_bytes());
-    text.push_str(&format!("checksum {sum:016x}\n"));
+    append_checksum(&mut text);
     text
 }
 
 /// Strictly opens text produced by [`seal`]: the header, the entry count and
-/// the trailing checksum must all be intact, and the entry lines come back
-/// verbatim (the first is line 3 of the text). Any damage — truncation, a
+/// the trailing checksum ([`verify_checksum`]) must all be intact, and the
+/// entry lines come back verbatim (the first is line 3 of the text). Any damage — truncation, a
 /// flipped bit, a partial write — is an error, never a shorter list.
 ///
 /// # Errors
@@ -149,29 +183,15 @@ pub fn open<'a>(header: &str, text: &'a str) -> Result<Vec<&'a str>, Damage> {
         .and_then(|l| l.strip_prefix("entries "))
         .and_then(|n| n.parse().ok())
         .ok_or(Damage::BadCount)?;
-    let mut entries = Vec::new();
-    let mut stated = None;
-    for line in lines {
-        if let Some(sum) = line.strip_prefix("checksum ") {
-            stated = Some(sum);
-            break;
-        }
-        entries.push(line);
-    }
+    let (body, intact) = verify_checksum(text).ok_or(Damage::BadChecksum)?;
+    let entries: Vec<&str> = body.lines().skip(2).collect();
     if entries.len() != expected {
         return Err(Damage::Truncated {
             expected,
             found: entries.len(),
         });
     }
-    let stated = stated.and_then(|sum| u64::from_str_radix(sum, 16).ok());
-    // Recompute over everything before the checksum line.
-    let body: String = text
-        .lines()
-        .take(2 + entries.len())
-        .flat_map(|l| [l, "\n"])
-        .collect();
-    if stated != Some(fnv64(body.as_bytes())) {
+    if !intact {
         return Err(Damage::BadChecksum);
     }
     Ok(entries)
@@ -523,8 +543,36 @@ mod tests {
             ProfileDatabase::try_from_text(&no_sum),
             Err(Damage::BadChecksum)
         );
+        // The checksum must be the last line, in its one canonical spelling.
+        for damaged in not_last_or_not_canonical(&good) {
+            assert_eq!(
+                ProfileDatabase::try_from_text(&damaged),
+                Err(Damage::BadChecksum),
+                "{damaged}"
+            );
+        }
         // And the untouched text still parses.
         assert!(ProfileDatabase::try_from_text(&good).is_ok());
+    }
+
+    /// `sealed` with junk after its checksum line, with the checksum in
+    /// uppercase, and with the checksum signed.
+    fn not_last_or_not_canonical(sealed: &str) -> [String; 3] {
+        let (body, intact) = verify_checksum(sealed).expect("sealed");
+        assert!(intact);
+        let digits = &sealed[body.len() + "checksum ".len()..sealed.len() - 1];
+        [
+            format!("{sealed}junk\nmore junk\n"),
+            format!("{body}checksum {}\n", digits.to_uppercase()),
+            format!("{body}checksum +{digits}\n"),
+        ]
+    }
+
+    #[test]
+    fn fnv64_matches_reference_vectors() {
+        // Standard FNV-1a/64 test vectors.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -35,10 +35,7 @@ use dnnf_profiledb::ProfileDatabase;
 use dnnf_simdev::{CacheHierarchy, Counters, DeviceCostModel, DeviceSpec};
 use dnnf_tensor::Tensor;
 
-use crate::{
-    materialize_weights, DeviceLatencyModel, ExecOptions, MemoryPlan, RuntimeError, TensorArena,
-    WeightStore,
-};
+use crate::{DeviceLatencyModel, ExecOptions, MemoryPlan, RuntimeError, TensorArena, WeightStore};
 
 /// The result of one inference run.
 #[derive(Debug, Clone, PartialEq)]
@@ -328,10 +325,9 @@ impl Executor {
     where
         T: Borrow<Tensor> + Clone + Into<Arc<Tensor>>,
     {
-        // Slot-indexed boundary storage: weights (the store holds exactly
-        // those slots), inputs, block outputs.
-        let mut env: Vec<Option<Arc<Tensor>>> = store.slots().to_vec();
-        env.resize(graph.value_count(), None);
+        // Slot-indexed boundary storage for inputs and block outputs; weights
+        // stay in `store` and are looked up there.
+        let mut env: Vec<Option<Arc<Tensor>>> = vec![None; graph.value_count()];
         let binding = requested_binding(graph, inputs)?;
         for &input_id in graph.inputs() {
             let tensor = checked_input(graph, binding, input_id, inputs)?;
@@ -346,7 +342,7 @@ impl Executor {
                 .kernel(block_idx)
                 .run(
                     graph,
-                    &mut |v| env[v.index()].clone(),
+                    &mut |v| env[v.index()].clone().or_else(|| store.get(v).cloned()),
                     store.packed(),
                     &mut arena,
                     workers,
@@ -369,11 +365,13 @@ impl Executor {
             }
         }
 
-        // Graph outputs are never listed dead, so each slot holds the only
-        // reference and unwraps without copying the tensor.
+        // Graph outputs are never listed dead, so each produced slot holds
+        // the only reference and unwraps without copying the tensor; an
+        // output that is a weight (or an input) is copied out.
         let outputs = collect_outputs(graph, |id| {
             env[id.index()]
                 .take()
+                .or_else(|| store.get(id).cloned())
                 .map(|handle| Arc::try_unwrap(handle).unwrap_or_else(|rc| (*rc).clone()))
         })?;
         Ok(ExecutionReport { outputs })
@@ -395,15 +393,14 @@ impl Executor {
         plan: &FusionPlan,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<ExecutionReport, RuntimeError> {
-        // Environment of boundary tensors: inputs, weights, block outputs.
+        // Environment of boundary tensors: inputs and block outputs. Weights
+        // come from a fresh, unpacked store, uncached like everything here.
+        let store = WeightStore::build_unpacked(graph);
         let mut env: HashMap<ValueId, Tensor> = HashMap::new();
         let binding = requested_binding(graph, inputs)?;
         for &input_id in graph.inputs() {
             let tensor = checked_input(graph, binding, input_id, inputs)?;
             env.insert(input_id, tensor.clone());
-        }
-        for (id, tensor) in materialize_weights(graph) {
-            env.insert(id, tensor);
         }
 
         for &block_idx in plan.order() {
@@ -415,15 +412,20 @@ impl Executor {
                     .inputs
                     .iter()
                     .map(|v| {
-                        scratch.get(v).or_else(|| env.get(v)).ok_or_else(|| {
-                            RuntimeError::Graph(dnnf_graph::GraphError::Invalid {
-                                reason: format!(
-                                    "value `{}` not available for node `{}`",
-                                    graph.value(*v).name,
-                                    node.name
-                                ),
+                        let weight = || store.get(*v).map(AsRef::as_ref);
+                        scratch
+                            .get(v)
+                            .or_else(|| env.get(v))
+                            .or_else(weight)
+                            .ok_or_else(|| {
+                                RuntimeError::Graph(dnnf_graph::GraphError::Invalid {
+                                    reason: format!(
+                                        "value `{}` not available for node `{}`",
+                                        graph.value(*v).name,
+                                        node.name
+                                    ),
+                                })
                             })
-                        })
                     })
                     .collect::<Result<_, _>>()?;
                 let outputs = execute(node.op, &node.attrs, &input_tensors)?;
@@ -440,7 +442,11 @@ impl Executor {
             }
         }
 
-        let outputs = collect_outputs(graph, |id| env.get(&id).cloned())?;
+        let outputs = collect_outputs(graph, |id| {
+            env.get(&id)
+                .or_else(|| store.get(id).map(AsRef::as_ref))
+                .cloned()
+        })?;
         Ok(ExecutionReport { outputs })
     }
 }

@@ -69,9 +69,9 @@ mod latency;
 mod memory;
 mod options;
 mod plan_cache;
-mod weights;
 
 pub use decode::{greedy_argmax, DecodeSession};
+pub use dnnf_core::WeightStore;
 pub use dnnf_ops::WorkPool;
 pub use error::RuntimeError;
 pub use executor::{ExecutionReport, Executor};
@@ -81,4 +81,3 @@ pub use options::{ExecOptions, FORCE_SCALAR_ENV, FORCE_SSE_ENV, NUM_THREADS_ENV}
 pub use plan_cache::{
     CacheOutcome, PlanCache, PlanCacheStats, PlanKey, DEFAULT_MODEL_CAPACITY, PLAN_CACHE_HEADER,
 };
-pub use weights::{materialize_weights, WeightStore};

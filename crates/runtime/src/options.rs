@@ -74,12 +74,14 @@ pub struct ExecOptions {
     /// latency is only paid where it amortizes. `0` forces the parallel
     /// path everywhere — useful in tests, rarely in production.
     pub min_parallel_work: usize,
-    /// Disables the lane-blocked (SIMD) kernel paths, forcing every kernel
-    /// and scalar tape onto the one-element-at-a-time loops. Results are
-    /// bit-identical either way — lanes map to whole output elements, never
-    /// to partial sums — so this is an escape hatch for differential
-    /// testing and for measuring the vectorization win (`bench_exec`'s
-    /// `simd_speedup` column), not a semantics switch.
+    /// Runs the width-1 (scalar) instance of every lane-blocked (SIMD)
+    /// kernel — the dot micro-kernel of packed conv, `MatMul` and `Gemm`,
+    /// and the other anchor kernels — instead of its SSE or AVX one. Scalar
+    /// tapes ignore it: their strip loops are the same plain loops in every
+    /// mode. Results are bit-identical either way — lanes map to whole
+    /// output elements, never to partial sums — so this is an escape hatch
+    /// for differential testing and for measuring the vectorization win
+    /// (`bench_exec`'s `simd_speedup` column), not a semantics switch.
     pub force_scalar: bool,
     /// Test-only: pins the 128-bit SSE instance of the dot micro-kernel
     /// (packed conv, `MatMul`, `Gemm`) where the CPU also has AVX, which a

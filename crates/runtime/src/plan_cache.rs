@@ -16,8 +16,8 @@
 //!
 //! * **In-memory models** — the full [`CompiledModel`] behind an `Arc`. A
 //!   hit is a map lookup + `Arc` clone: no rewriting, no plan search, no
-//!   kernel compilation, and the weight store already materialized on the
-//!   model's [`dnnf_core::RuntimeCacheSlot`] comes along for free.
+//!   kernel compilation, and the weight store the model already holds
+//!   comes along for free.
 //! * **On-disk plan seeds** — compiled kernels hold closures and cannot be
 //!   serialized, so the persistent tier stores each plan's *seed*: the
 //!   fusion block partition (node-index groups on the rewritten graph) plus
@@ -709,6 +709,17 @@ mod tests {
             fresh.merge_text(&truncated),
             Err(Damage::Truncated { .. })
         ));
+        // The checksum must be the last line, in its one canonical spelling:
+        // junk after it, an uppercase and a signed checksum are all damage.
+        let (body, _) = dnnf_profiledb::verify_checksum(&good).unwrap();
+        let digits = &good[body.len() + "checksum ".len()..good.len() - 1];
+        for damaged in [
+            format!("{good}junk\nmore junk\n"),
+            format!("{body}checksum {}\n", digits.to_uppercase()),
+            format!("{body}checksum +{digits}\n"),
+        ] {
+            assert_eq!(fresh.merge_text(&damaged), Err(Damage::BadChecksum));
+        }
         // Nothing was merged by any failed attempt.
         assert_eq!(fresh.stats().seeds, 0);
         // The intact text still merges.

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use dnnf_core::{boundary_of, Compiler, CompilerOptions, Ecg, FusionPlan};
 use dnnf_graph::Graph;
 use dnnf_ops::{Attrs, OpKind};
-use dnnf_runtime::{materialize_weights, DeviceLatencyModel, Executor, MemoryPlan};
+use dnnf_runtime::{DeviceLatencyModel, Executor, MemoryPlan, WeightStore};
 use dnnf_simdev::DeviceSpec;
 use dnnf_tensor::{Shape, Tensor};
 
@@ -145,14 +145,16 @@ fn memory_plan_accounts_for_residents_and_intermediates() {
 #[test]
 fn materialize_weights_is_deterministic_and_covers_every_weight() {
     let graph = small_graph();
-    let first = materialize_weights(&graph);
-    let second = materialize_weights(&graph);
+    let first = WeightStore::build_unpacked(&graph);
+    let second = WeightStore::build_unpacked(&graph);
     let weight_count = graph.values().filter(|v| v.is_weight()).count();
     assert_eq!(first.len(), weight_count);
-    for (id, tensor) in &first {
-        assert_eq!(tensor.shape(), &graph.value(*id).shape);
+    for value in graph.values().filter(|v| v.is_weight()) {
+        let tensor = first.get(value.id).expect("every weight is materialized");
+        assert_eq!(tensor.shape(), &value.shape);
         assert_eq!(
-            tensor, &second[id],
+            tensor,
+            second.get(value.id).unwrap(),
             "weight data must be reproducible across calls"
         );
     }

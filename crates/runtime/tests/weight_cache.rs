@@ -3,7 +3,10 @@
 //! * [`WeightStore::of_model`] builds the store **once** per
 //!   [`CompiledModel`] — repeated runs hand out the same `Arc` allocations
 //!   (pointer identity, not just equality),
-//! * concurrent executors running the same model share that one store, and
+//! * concurrent executors running the same model share that one store, as
+//!   do clones of the model taken before the store was built,
+//! * a weight with explicit data is the graph's own payload in the store,
+//!   never a copy, and
 //! * the cached path ([`Executor::run_compiled`]) is bit-identical to
 //!   [`Executor::run_engine`] over a store materialized for that one run,
 //!   including the prepacked `Gemm` panels.
@@ -12,9 +15,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dnnf_core::{CompiledModel, Compiler, CompilerOptions};
-use dnnf_graph::Graph;
+use dnnf_graph::{Graph, SymbolicAxes};
 use dnnf_ops::{Attrs, OpKind};
-use dnnf_runtime::{ExecOptions, Executor, WeightStore};
+use dnnf_runtime::{ExecOptions, Executor, PlanCache, WeightStore};
 use dnnf_simdev::DeviceSpec;
 use dnnf_tensor::{Shape, Tensor};
 
@@ -84,7 +87,7 @@ fn repeated_runs_reuse_the_same_store_and_tensor_allocations() {
     let graph = gemm_cnn();
     let model = compile(&graph);
     assert!(
-        !model.runtime_cache().is_initialized(),
+        model.built_weights().is_none(),
         "compilation must not eagerly materialize weights"
     );
 
@@ -92,7 +95,7 @@ fn repeated_runs_reuse_the_same_store_and_tensor_allocations() {
     let inputs = inputs_for(&graph, 7);
     let first = exec.run_compiled(&model, &inputs).unwrap();
     assert!(
-        model.runtime_cache().is_initialized(),
+        model.built_weights().is_some(),
         "the first run builds the store"
     );
 
@@ -116,7 +119,7 @@ fn repeated_runs_reuse_the_same_store_and_tensor_allocations() {
             );
         }
     }
-    // And a clone of the model shares the slot (same Arc, not a rebuild).
+    // And a clone of the model shares the store (same Arc, not a rebuild).
     let clone = model.clone();
     assert!(Arc::ptr_eq(&store, &WeightStore::of_model(&clone)));
 
@@ -127,6 +130,84 @@ fn repeated_runs_reuse_the_same_store_and_tensor_allocations() {
             "cached repeat run changed outputs"
         );
     }
+}
+
+#[test]
+fn a_clone_taken_before_the_first_run_shares_the_store_that_run_builds() {
+    let graph = gemm_cnn();
+    let model = compile(&graph);
+    let clone = model.clone();
+    assert!(clone.built_weights().is_none());
+    executor()
+        .run_compiled(&model, &inputs_for(&graph, 3))
+        .unwrap();
+    let built = clone
+        .built_weights()
+        .expect("the run built the shared store");
+    assert!(Arc::ptr_eq(built, &WeightStore::of_model(&model)));
+    assert_eq!(clone, model, "the store is not part of a model's identity");
+}
+
+/// x[n, 8] -> MatMul by a weight with explicit data -> Relu.
+fn data_weight_mlp() -> Graph {
+    let mut g = Graph::new("data-weight-mlp");
+    let x = g.add_input("x", Shape::new(vec![2, 8]));
+    let w = g.add_weight_with_data("fc.w", Tensor::random(Shape::new(vec![8, 4]), 9));
+    let y = g
+        .add_op(OpKind::MatMul, Attrs::new(), &[x, w], "fc")
+        .unwrap()[0];
+    let r = g.add_op(OpKind::Relu, Attrs::new(), &[y], "relu").unwrap()[0];
+    g.mark_output(r);
+    g
+}
+
+#[test]
+fn a_data_weight_is_the_graphs_payload_not_a_copy() {
+    let graph = data_weight_mlp();
+    // By name: a compiled graph numbers its values anew.
+    let weight = |graph: &Graph| graph.values().find(|v| v.name == "fc.w").unwrap().id;
+    let payload = graph.weight_data(weight(&graph)).unwrap();
+    let store = WeightStore::build(&graph);
+    assert!(Arc::ptr_eq(store.get(weight(&graph)).unwrap(), payload));
+    let compiled = compile(&graph);
+    let cache = PlanCache::new();
+    let mut compiler = Compiler::new(CompilerOptions::default());
+    let (polymorphic, _) = cache
+        .compile_polymorphic(&mut compiler, &graph, SymbolicAxes::BATCH)
+        .unwrap();
+    for model in [&compiled, polymorphic.as_ref()] {
+        let store = WeightStore::of_model(model);
+        assert!(Arc::ptr_eq(
+            store.get(weight(model.graph())).unwrap(),
+            payload
+        ));
+    }
+}
+
+#[test]
+fn a_weight_that_is_a_graph_output_is_returned_by_every_path() {
+    let mut graph = Graph::new("weight-output");
+    let x = graph.add_input("x", Shape::new(vec![1, 4]));
+    let w = graph.add_weight("w", Shape::new(vec![1, 4]));
+    let y = graph
+        .add_op(OpKind::Add, Attrs::new(), &[x, w], "add")
+        .unwrap()[0];
+    graph.mark_output(y);
+    graph.mark_output(w);
+    let model = compile(&graph);
+    let inputs = inputs_for(&graph, 5);
+    let exec = executor();
+    let expected = WeightStore::build(&graph).get(w).unwrap().as_ref().clone();
+    let fused = exec.run_compiled(&model, &inputs).unwrap().outputs;
+    let planned = exec.run_plan(model.graph(), &model.plan, &inputs).unwrap();
+    let reference = exec
+        .run_plan_reference(model.graph(), &model.plan, &inputs)
+        .unwrap();
+    for outputs in [&fused, &planned.outputs, &reference.outputs] {
+        assert_eq!(outputs.len(), 2);
+        assert_eq!(outputs[1], expected, "the weight output is the weight");
+    }
+    assert_eq!(fused, reference.outputs);
 }
 
 #[test]
