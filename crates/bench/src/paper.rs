@@ -310,9 +310,9 @@ fn table2(_: ModelScale) -> String {
         .iter()
         .map(|&mapping| {
             let ops: Vec<&str> = OpKind::all()
-                .into_iter()
+                .iter()
                 .filter(|op| op.mapping_type() == mapping)
-                .map(OpKind::name)
+                .map(|op| op.name())
                 .collect();
             let representative = match mapping {
                 MappingType::OneToOne => "Add, Relu",

@@ -17,17 +17,13 @@
 //! every SIMD mode). Values that are the same along a row, such as a
 //! `BatchNormalization`'s `sqrt(var + eps)`, are computed once per row
 //! segment.
-//! The compute-heavy anchors (`Conv`, `MatMul`, `Gemm`, pooling), the
-//! data-movement operators (`Transpose`, `Concat`, `Slice`, `Gather`,
-//! nearest `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`)
-//! and the `Reduce*` family execute through the optimized kernels of
-//! `dnnf-ops` (bit-identical to the reference kernels; see
-//! [`dnnf_ops::has_fast_kernel`]). Every other operator a tape cannot hold
-//! — `Softmax`/`LogSoftmax`, `Pad`, `Expand`/`Tile`, multi-output `Split`,
-//! `DepthToSpace`/`SpaceToDepth`, `ArgMax`, `CumSum`, `ConvTranspose` and
-//! the non-decomposed normalizations — falls back to the reference kernel
-//! [`dnnf_ops::execute`], so the engine covers the full operator vocabulary
-//! while the differential test harness pins it to the reference semantics.
+//! An operator a tape cannot hold runs its optimized `dnnf-ops` kernel
+//! where the operator table flags one ([`OpKind::has_fast_kernel`]: the
+//! anchors, the copy kernel's data-movement rows and the reduce kernel, all
+//! bit-identical to the reference kernels), and otherwise falls back to the
+//! reference kernel [`dnnf_ops::execute`], so the engine covers the full
+//! operator vocabulary while the differential test harness pins it to the
+//! reference semantics.
 //!
 //! Output buffers are drawn from a [`BufferPool`] so the runtime can recycle
 //! allocations across blocks (see `dnnf-runtime`'s arena).
@@ -39,8 +35,7 @@ use std::sync::Arc;
 
 use dnnf_graph::{Graph, GraphError, NodeId, ValueId};
 use dnnf_ops::{
-    execute, execute_fast_into_packed, has_fast_kernel, infer_shapes, OpError, OpKind,
-    ScalarUnaryFn, WorkPool,
+    execute, execute_fast_into_packed, infer_shapes, OpError, OpKind, ScalarUnaryFn, WorkPool,
 };
 use dnnf_tensor::{broadcast_shapes, Shape, Tensor, TensorError};
 
@@ -949,7 +944,7 @@ pub fn compile_block(graph: &Graph, block: &FusionBlock) -> FusedKernel {
         if !tape_compatible(graph, node) {
             steps.push(Step::Op {
                 node: node.id,
-                fast: has_fast_kernel(node.op) && node.outputs.len() == 1,
+                fast: node.op.has_fast_kernel() && node.outputs.len() == 1,
             });
             i += 1;
             continue;

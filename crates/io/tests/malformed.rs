@@ -6,9 +6,9 @@
 //! the checksum, otherwise every case would collapse into `BadChecksum`
 //! (which is itself the first test).
 
-use dnnf_graph::Graph;
+use dnnf_graph::{Graph, GraphError};
 use dnnf_io::{from_text, to_text, IoError};
-use dnnf_ops::{Attrs, OpKind};
+use dnnf_ops::{Attrs, OpError, OpKind};
 use dnnf_tensor::{Shape, Tensor};
 
 /// A small valid graph exercising inputs, both weight flavors, attrs, an
@@ -245,6 +245,42 @@ fn shape_inference_rejection_is_a_graph_error() {
         assert!(
             matches!(err.unwrap_err(), IoError::Graph { .. }),
             "{damaged}"
+        );
+    }
+
+    // Surplus inputs that no kernel reads (`Max` of three, `Clip` with its
+    // bounds as inputs, ...): the replay refuses them by arity instead of
+    // ignoring them.
+    let mut g = Graph::new("surplus");
+    let x = g.add_input("x", Shape::new(vec![4]));
+    g.add_input("y", Shape::new(vec![4]));
+    g.add_input("z", Shape::new(vec![7]));
+    let r = g.add_op(OpKind::Relu, Attrs::new(), &[x], "r").unwrap()[0];
+    g.mark_output(r);
+    for (op, inputs) in [
+        ("Min", "0 1 2"),
+        ("Max", "0 1 2"),
+        ("Clip", "0 1 1"),
+        ("Slice", "0 1 1 1 1"),
+        ("Pad", "0 1 1"),
+        ("Resize", "0 1 1 1"),
+        ("Upsample", "0 1 1 1"),
+    ] {
+        let err = tamper_graph(&g, |body| {
+            assert!(body.contains("Relu r in 0 out"));
+            body.replacen("Relu r in 0 out", &format!("{op} r in {inputs} out"), 1)
+        });
+        assert!(
+            matches!(
+                err.unwrap_err(),
+                IoError::Graph {
+                    source: GraphError::ShapeInference {
+                        source: OpError::ArityMismatch { .. },
+                        ..
+                    }
+                }
+            ),
+            "{op}"
         );
     }
 }

@@ -71,47 +71,6 @@ use crate::shape_infer::Window;
 use crate::simd::{col_tiles, F32Lanes, Isa, Sse2, LANES};
 use crate::{Attrs, OpError, OpKind};
 
-/// Whether `op` has an optimized kernel in this module. The fused engine
-/// uses this registry to decide between the fast path and the reference
-/// fallback ([`crate::execute`]).
-///
-/// The rows: the anchors (`Conv`, `MatMul`, `Gemm`, `MaxPool`,
-/// `AveragePool`); the axis-map copy kernel (`Transpose`, `Concat`, `Slice`,
-/// `Gather`, `Upsample`/`Resize`, `Reshape`/`Flatten`/`Squeeze`/`Unsqueeze`);
-/// and the reduce kernel (`ReduceSum`/`Mean`/`Prod`/`Max`/`Min`, and
-/// `GlobalAveragePool` as a `ReduceMean` over its spatial axes). Everything
-/// else that a scalar tape cannot hold runs the reference kernel: `Pad`,
-/// `Expand`/`Tile`, `Split`, `DepthToSpace`/`SpaceToDepth`,
-/// `Softmax`/`LogSoftmax`, `ArgMax`, `CumSum`, `ConvTranspose` and the
-/// non-decomposed normalizations.
-#[must_use]
-pub fn has_fast_kernel(op: OpKind) -> bool {
-    use OpKind::*;
-    matches!(
-        op,
-        Conv | MatMul
-            | Gemm
-            | MaxPool
-            | AveragePool
-            | GlobalAveragePool
-            | Transpose
-            | Concat
-            | Slice
-            | Gather
-            | Upsample
-            | Resize
-            | Reshape
-            | Flatten
-            | Squeeze
-            | Unsqueeze
-            | ReduceSum
-            | ReduceMean
-            | ReduceProd
-            | ReduceMax
-            | ReduceMin
-    )
-}
-
 /// Output channels per block of a packed conv weight panel — one full
 /// [`LANES`]-wide bundle, so a panel tap feeds all lanes with a single
 /// contiguous load.
@@ -161,7 +120,8 @@ pub fn pack_conv_oc_panel(w: &Tensor) -> Option<Tensor> {
 /// Executes `op` with its optimized kernel, writing the single output into
 /// `out` (length `out_shape.numel()`), splitting the output space over
 /// `pool`'s threads. Returns `Ok(false)` without touching `out` when the
-/// operator has no fast kernel. Results are bit-identical for every pool
+/// operator has no fast kernel ([`OpKind::has_fast_kernel`], a column of the
+/// operator table). Results are bit-identical for every pool
 /// (per-element ownership split; the pool's [`WorkPool::for_work`] gate
 /// keeps small launches serial).
 ///
@@ -1650,48 +1610,26 @@ mod tests {
 
     #[test]
     fn registry_matches_dispatch() {
-        use OpKind::*;
-        let rows = [
-            Conv,
-            MatMul,
-            Gemm,
-            MaxPool,
-            AveragePool,
-            GlobalAveragePool,
-            Transpose,
-            Concat,
-            Slice,
-            Gather,
-            Upsample,
-            Resize,
-            Reshape,
-            Flatten,
-            Squeeze,
-            Unsqueeze,
-            ReduceSum,
-            ReduceMean,
-            ReduceProd,
-            ReduceMax,
-            ReduceMin,
-        ];
-        for op in OpKind::all() {
-            assert_eq!(has_fast_kernel(op), rows.contains(&op), "{op}");
-            if !has_fast_kernel(op) {
-                let mut out = [0.0f32];
-                let x = Tensor::scalar(1.0);
-                // Elementwise ops get Ok(false); the registry is authoritative.
-                if op.is_elementwise_unary() {
-                    assert!(!execute_fast_into_packed(
-                        op,
-                        &Attrs::new(),
-                        &[&x],
-                        None,
-                        &Shape::scalar(),
-                        &mut out,
-                        WorkPool::serial(),
-                    )
-                    .unwrap());
-                }
+        // Called with no inputs, an operator with a fast kernel reaches its
+        // arm and fails the arity check; every other operator is declined
+        // before any input is read.
+        for &op in OpKind::all() {
+            let got = execute_fast_into_packed(
+                op,
+                &Attrs::new(),
+                &[],
+                None,
+                &Shape::scalar(),
+                &mut [0.0],
+                WorkPool::serial(),
+            );
+            if op.has_fast_kernel() {
+                assert!(
+                    matches!(got, Err(OpError::ArityMismatch { .. })),
+                    "{op}: {got:?}"
+                );
+            } else {
+                assert_eq!(got, Ok(false), "{op}");
             }
         }
     }

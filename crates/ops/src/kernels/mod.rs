@@ -117,7 +117,7 @@ mod tests {
     fn every_non_einsum_op_with_simple_signature_runs() {
         // Smoke test: unary ops run on a small tensor.
         let x = Tensor::random(Shape::new(vec![2, 3]), 1);
-        for op in OpKind::all() {
+        for &op in OpKind::all() {
             if op.is_elementwise_unary() {
                 let out = execute(op, &Attrs::new(), &[&x]).unwrap();
                 assert_eq!(out[0].shape(), x.shape(), "{op}");

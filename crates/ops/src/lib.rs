@@ -47,9 +47,7 @@ pub use attrs::{AttrValue, Attrs};
 pub use cost::{bytes_accessed, flops, OpCost};
 pub use error::OpError;
 pub use kernels::execute;
-pub use kernels::fast::{
-    execute_fast_into_packed, has_fast_kernel, pack_conv_oc_panel, CONV_PANEL_LANES,
-};
+pub use kernels::fast::{execute_fast_into_packed, pack_conv_oc_panel, CONV_PANEL_LANES};
 pub use mapping::MappingType;
 pub use op::OpKind;
 pub use parallel::WorkPool;

@@ -1,4 +1,10 @@
-//! The operator vocabulary and its per-operator metadata.
+//! The operator vocabulary and its per-operator facts.
+//!
+//! Every operator is declared once, as one row of the `operators!` table
+//! below: its Table 2 mapping type, its input arity, its element-wise class
+//! and its flags. The enum, [`OpKind::all`] and every fact accessor are
+//! generated from, or read, that one row. Behaviour (shape inference,
+//! kernels, math properties) stays code, keyed by the enum.
 
 use std::fmt;
 
@@ -6,268 +12,180 @@ use dnnf_tensor::Shape;
 
 use crate::{Attrs, MappingType, MathProperties};
 
-/// Operator kinds supported by the reproduction.
-///
-/// The list covers the ONNX operators the paper's Table 2 classifies plus the
-/// operators needed to express the 15 evaluated models (e.g. `Mish` for
-/// YOLO-v4, `Gelu`/`LayerNormalization` for the transformer family).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
-pub enum OpKind {
+/// One operator's row of the table.
+struct Facts {
+    name: &'static str,
+    mapping: MappingType,
+    min_inputs: usize,
+    /// `None` for a variadic operator.
+    max_inputs: Option<usize>,
+    flags: Flags,
+}
+
+/// The yes/no columns of a row; a row names the ones it sets.
+struct Flags {
+    /// `y[i] = f(x[i])`.
+    unary: bool,
+    /// `y[i] = f(a[i], b[i])` with broadcasting.
+    binary: bool,
+    /// Moves data without arithmetic.
+    data_movement: bool,
+    /// A compute-intensive layer (CIL) in the paper's sense.
+    compute_intensive: bool,
+    /// `execute_fast_into_packed` has a kernel for it.
+    fast_kernel: bool,
+}
+
+impl Flags {
+    const NONE: Flags = Flags {
+        unary: false,
+        binary: false,
+        data_movement: false,
+        compute_intensive: false,
+        fast_kernel: false,
+    };
+}
+
+/// Builds [`OpKind`], [`OpKind::all`] and the fact table from one line per
+/// operator: `Variant MappingType min max flag*;`, where `max` is `_` for a
+/// variadic operator and each flag names a `Flags` field to set.
+macro_rules! operators {
+    (@max _) => { None };
+    (@max $max:literal) => { Some($max) };
+    ($($op:ident $mapping:ident $min:literal $max:tt $($flag:ident)*;)*) => {
+        /// Operator kinds supported by the reproduction.
+        ///
+        /// The list covers the ONNX operators the paper's Table 2 classifies
+        /// plus the operators needed to express the 15 evaluated models (e.g.
+        /// `Mish` for YOLO-v4, `Gelu`/`LayerNormalization` for the
+        /// transformer family).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[allow(missing_docs)]
+        pub enum OpKind {
+            $($op,)*
+        }
+
+        impl OpKind {
+            /// Every operator kind, in declaration order. Used to regenerate
+            /// the paper's Table 2.
+            #[must_use]
+            pub fn all() -> &'static [OpKind] {
+                &[$(OpKind::$op,)*]
+            }
+        }
+
+        /// The rows, indexed by the [`OpKind`] discriminant.
+        static FACTS: &[Facts] = &[$(Facts {
+            name: stringify!($op),
+            mapping: MappingType::$mapping,
+            min_inputs: $min,
+            max_inputs: operators!(@max $max),
+            flags: Flags { $($flag: true,)* ..Flags::NONE },
+        },)*];
+    };
+}
+
+// The declaration order is the order of `OpKind::all()`, which the paper's
+// Table 2 and graph fingerprints follow: append, never reorder. An arity is
+// the number of inputs the kernels read; an input no kernel reads is
+// rejected rather than ignored.
+operators! {
+    // Variant             Table 2     inputs  flags
     // --- One-to-One: arithmetic ---
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Pow,
-    Min,
-    Max,
-    Neg,
-    Abs,
-    Sqrt,
-    Square,
-    Reciprocal,
-    Exp,
-    Log,
-    Erf,
-    Sin,
-    Cos,
-    Asin,
-    BitShift,
+    Add                    OneToOne    2 2     binary;
+    Sub                    OneToOne    2 2     binary;
+    Mul                    OneToOne    2 2     binary;
+    Div                    OneToOne    2 2     binary;
+    Pow                    OneToOne    2 2     binary;
+    Min                    OneToOne    2 2     binary;
+    Max                    OneToOne    2 2     binary;
+    Neg                    OneToOne    1 1     unary;
+    Abs                    OneToOne    1 1     unary;
+    Sqrt                   OneToOne    1 1     unary;
+    Square                 OneToOne    1 1     unary;
+    Reciprocal             OneToOne    1 1     unary;
+    Exp                    OneToOne    1 1     unary;
+    Log                    OneToOne    1 1     unary;
+    Erf                    OneToOne    1 1     unary;
+    Sin                    OneToOne    1 1     unary;
+    Cos                    OneToOne    1 1     unary;
+    Asin                   OneToOne    1 1     unary;
+    BitShift               OneToOne    2 2     binary;
     // --- One-to-One: activations ---
-    Relu,
-    LeakyRelu,
-    PRelu,
-    Sigmoid,
-    HardSigmoid,
-    HardSwish,
-    Silu,
-    Mish,
-    Gelu,
-    Tanh,
-    Softplus,
-    Clip,
+    Relu                   OneToOne    1 1     unary;
+    LeakyRelu              OneToOne    1 1     unary;
+    PRelu                  OneToOne    2 2     binary;
+    Sigmoid                OneToOne    1 1     unary;
+    HardSigmoid            OneToOne    1 1     unary;
+    HardSwish              OneToOne    1 1     unary;
+    Silu                   OneToOne    1 1     unary;
+    Mish                   OneToOne    1 1     unary;
+    Gelu                   OneToOne    1 1     unary;
+    Tanh                   OneToOne    1 1     unary;
+    Softplus               OneToOne    1 1     unary;
+    Clip                   OneToOne    1 1     unary;
     // --- One-to-One: rounding / casting / logic ---
-    Ceil,
-    Floor,
-    Round,
-    Cast,
-    Greater,
-    Equal,
-    Not,
-    Where,
-    Identity,
+    Ceil                   OneToOne    1 1     unary;
+    Floor                  OneToOne    1 1     unary;
+    Round                  OneToOne    1 1     unary;
+    Cast                   OneToOne    1 1     unary;
+    Greater                OneToOne    2 2     binary;
+    Equal                  OneToOne    2 2     binary;
+    Not                    OneToOne    1 1     unary;
+    Where                  OneToOne    3 3;
+    Identity               OneToOne    1 1     unary data_movement;
     // --- One-to-One: normalization (inference form) and data selection ---
-    BatchNormalization,
-    Concat,
-    Slice,
-    Split,
-    Pad,
+    BatchNormalization     OneToOne    5 5;
+    Concat                 OneToOne    1 _     data_movement fast_kernel;
+    Slice                  OneToOne    1 1     data_movement fast_kernel;
+    Split                  OneToOne    1 1     data_movement;
+    Pad                    OneToOne    1 1     data_movement;
     // --- One-to-Many ---
-    Expand,
-    Gather,
-    Resize,
-    Upsample,
-    Tile,
+    Expand                 OneToMany   1 1     data_movement;
+    Gather                 OneToMany   2 2     data_movement fast_kernel;
+    Resize                 OneToMany   1 1     fast_kernel;
+    Upsample               OneToMany   1 1     fast_kernel;
+    Tile                   OneToMany   1 1     data_movement;
     // --- Many-to-Many ---
-    Conv,
-    ConvTranspose,
-    Gemm,
-    MatMul,
-    AveragePool,
-    MaxPool,
-    GlobalAveragePool,
-    Softmax,
-    LogSoftmax,
-    ReduceSum,
-    ReduceMean,
-    ReduceProd,
-    ReduceMax,
-    ReduceMin,
-    ArgMax,
-    CumSum,
-    Einsum,
-    InstanceNormalization,
-    LayerNormalization,
+    Conv                   ManyToMany  2 3     compute_intensive fast_kernel;
+    ConvTranspose          ManyToMany  2 3     compute_intensive;
+    Gemm                   ManyToMany  2 3     compute_intensive fast_kernel;
+    MatMul                 ManyToMany  2 2     compute_intensive fast_kernel;
+    AveragePool            ManyToMany  1 1     fast_kernel;
+    MaxPool                ManyToMany  1 1     fast_kernel;
+    GlobalAveragePool      ManyToMany  1 1     fast_kernel;
+    Softmax                ManyToMany  1 1;
+    LogSoftmax             ManyToMany  1 1;
+    ReduceSum              ManyToMany  1 1     fast_kernel;
+    ReduceMean             ManyToMany  1 1     fast_kernel;
+    ReduceProd             ManyToMany  1 1     fast_kernel;
+    ReduceMax              ManyToMany  1 1     fast_kernel;
+    ReduceMin              ManyToMany  1 1     fast_kernel;
+    ArgMax                 ManyToMany  1 1;
+    CumSum                 ManyToMany  1 1;
+    Einsum                 ManyToMany  1 _     compute_intensive;
+    InstanceNormalization  ManyToMany  3 3;
+    LayerNormalization     ManyToMany  3 3;
     // --- Reorganize ---
-    Reshape,
-    Flatten,
-    Squeeze,
-    Unsqueeze,
+    Reshape                Reorganize  1 1     data_movement fast_kernel;
+    Flatten                Reorganize  1 1     data_movement fast_kernel;
+    Squeeze                Reorganize  1 1     data_movement fast_kernel;
+    Unsqueeze              Reorganize  1 1     data_movement fast_kernel;
     // --- Shuffle ---
-    Transpose,
-    DepthToSpace,
-    SpaceToDepth,
+    Transpose              Shuffle     1 1     data_movement fast_kernel;
+    DepthToSpace           Shuffle     1 1     data_movement;
+    SpaceToDepth           Shuffle     1 1     data_movement;
 }
 
 impl OpKind {
-    /// Every operator kind, in declaration order. Used to regenerate the
-    /// paper's Table 2.
-    #[must_use]
-    pub fn all() -> Vec<OpKind> {
-        use OpKind::*;
-        vec![
-            Add,
-            Sub,
-            Mul,
-            Div,
-            Pow,
-            Min,
-            Max,
-            Neg,
-            Abs,
-            Sqrt,
-            Square,
-            Reciprocal,
-            Exp,
-            Log,
-            Erf,
-            Sin,
-            Cos,
-            Asin,
-            BitShift,
-            Relu,
-            LeakyRelu,
-            PRelu,
-            Sigmoid,
-            HardSigmoid,
-            HardSwish,
-            Silu,
-            Mish,
-            Gelu,
-            Tanh,
-            Softplus,
-            Clip,
-            Ceil,
-            Floor,
-            Round,
-            Cast,
-            Greater,
-            Equal,
-            Not,
-            Where,
-            Identity,
-            BatchNormalization,
-            Concat,
-            Slice,
-            Split,
-            Pad,
-            Expand,
-            Gather,
-            Resize,
-            Upsample,
-            Tile,
-            Conv,
-            ConvTranspose,
-            Gemm,
-            MatMul,
-            AveragePool,
-            MaxPool,
-            GlobalAveragePool,
-            Softmax,
-            LogSoftmax,
-            ReduceSum,
-            ReduceMean,
-            ReduceProd,
-            ReduceMax,
-            ReduceMin,
-            ArgMax,
-            CumSum,
-            Einsum,
-            InstanceNormalization,
-            LayerNormalization,
-            Reshape,
-            Flatten,
-            Squeeze,
-            Unsqueeze,
-            Transpose,
-            DepthToSpace,
-            SpaceToDepth,
-        ]
+    fn facts(self) -> &'static Facts {
+        &FACTS[self as usize]
     }
 
     /// The ONNX-style operator name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        use OpKind::*;
-        match self {
-            Add => "Add",
-            Sub => "Sub",
-            Mul => "Mul",
-            Div => "Div",
-            Pow => "Pow",
-            Min => "Min",
-            Max => "Max",
-            Neg => "Neg",
-            Abs => "Abs",
-            Sqrt => "Sqrt",
-            Square => "Square",
-            Reciprocal => "Reciprocal",
-            Exp => "Exp",
-            Log => "Log",
-            Erf => "Erf",
-            Sin => "Sin",
-            Cos => "Cos",
-            Asin => "Asin",
-            BitShift => "BitShift",
-            Relu => "Relu",
-            LeakyRelu => "LeakyRelu",
-            PRelu => "PRelu",
-            Sigmoid => "Sigmoid",
-            HardSigmoid => "HardSigmoid",
-            HardSwish => "HardSwish",
-            Silu => "Silu",
-            Mish => "Mish",
-            Gelu => "Gelu",
-            Tanh => "Tanh",
-            Softplus => "Softplus",
-            Clip => "Clip",
-            Ceil => "Ceil",
-            Floor => "Floor",
-            Round => "Round",
-            Cast => "Cast",
-            Greater => "Greater",
-            Equal => "Equal",
-            Not => "Not",
-            Where => "Where",
-            Identity => "Identity",
-            BatchNormalization => "BatchNormalization",
-            Concat => "Concat",
-            Slice => "Slice",
-            Split => "Split",
-            Pad => "Pad",
-            Expand => "Expand",
-            Gather => "Gather",
-            Resize => "Resize",
-            Upsample => "Upsample",
-            Tile => "Tile",
-            Conv => "Conv",
-            ConvTranspose => "ConvTranspose",
-            Gemm => "Gemm",
-            MatMul => "MatMul",
-            AveragePool => "AveragePool",
-            MaxPool => "MaxPool",
-            GlobalAveragePool => "GlobalAveragePool",
-            Softmax => "Softmax",
-            LogSoftmax => "LogSoftmax",
-            ReduceSum => "ReduceSum",
-            ReduceMean => "ReduceMean",
-            ReduceProd => "ReduceProd",
-            ReduceMax => "ReduceMax",
-            ReduceMin => "ReduceMin",
-            ArgMax => "ArgMax",
-            CumSum => "CumSum",
-            Einsum => "Einsum",
-            InstanceNormalization => "InstanceNormalization",
-            LayerNormalization => "LayerNormalization",
-            Reshape => "Reshape",
-            Flatten => "Flatten",
-            Squeeze => "Squeeze",
-            Unsqueeze => "Unsqueeze",
-            Transpose => "Transpose",
-            DepthToSpace => "DepthToSpace",
-            SpaceToDepth => "SpaceToDepth",
-        }
+        self.facts().name
     }
 
     /// Parses the ONNX-style name produced by [`OpKind::name`] back into the
@@ -276,7 +194,7 @@ impl OpKind {
     /// typed unknown-operator error rather than guessing.
     #[must_use]
     pub fn from_name(name: &str) -> Option<OpKind> {
-        OpKind::all().into_iter().find(|op| op.name() == name)
+        OpKind::all().iter().copied().find(|op| op.name() == name)
     }
 
     /// The operator's mapping type per the paper's Table 2 classification,
@@ -284,36 +202,7 @@ impl OpKind {
     /// [`OpKind::mapping_type_with_shapes`] when input shapes are known.
     #[must_use]
     pub fn mapping_type(self) -> MappingType {
-        use OpKind::*;
-        match self {
-            Add | Sub | Mul | Div | Pow | Min | Max | Neg | Abs | Sqrt | Square | Reciprocal
-            | Exp | Log | Erf | Sin | Cos | Asin | BitShift | Relu | LeakyRelu | PRelu
-            | Sigmoid | HardSigmoid | HardSwish | Silu | Mish | Gelu | Tanh | Softplus | Clip
-            | Ceil | Floor | Round | Cast | Greater | Equal | Not | Where | Identity
-            | BatchNormalization | Concat | Slice | Split | Pad => MappingType::OneToOne,
-            Expand | Gather | Resize | Upsample | Tile => MappingType::OneToMany,
-            Conv
-            | ConvTranspose
-            | Gemm
-            | MatMul
-            | AveragePool
-            | MaxPool
-            | GlobalAveragePool
-            | Softmax
-            | LogSoftmax
-            | ReduceSum
-            | ReduceMean
-            | ReduceProd
-            | ReduceMax
-            | ReduceMin
-            | ArgMax
-            | CumSum
-            | Einsum
-            | InstanceNormalization
-            | LayerNormalization => MappingType::ManyToMany,
-            Reshape | Flatten | Squeeze | Unsqueeze => MappingType::Reorganize,
-            Transpose | DepthToSpace | SpaceToDepth => MappingType::Shuffle,
-        }
+        self.facts().mapping
     }
 
     /// Mapping type refined with shape information: an element-wise operator
@@ -365,90 +254,32 @@ impl OpKind {
     /// MatMul, CONV"). Everything else is memory-intensive (MIL).
     #[must_use]
     pub fn is_compute_intensive(self) -> bool {
-        use OpKind::*;
-        matches!(self, Conv | ConvTranspose | Gemm | MatMul | Einsum)
+        self.facts().flags.compute_intensive
     }
 
     /// Minimum number of inputs.
     #[must_use]
     pub fn min_inputs(self) -> usize {
-        use OpKind::*;
-        match self {
-            Add | Sub | Mul | Div | Pow | Min | Max | Greater | Equal | BitShift | PRelu
-            | MatMul | Gather => 2,
-            Where => 3,
-            Gemm | Conv | ConvTranspose => 2,
-            BatchNormalization => 5,
-            InstanceNormalization | LayerNormalization => 3,
-            Concat | Einsum => 1,
-            _ => 1,
-        }
+        self.facts().min_inputs
     }
 
     /// Maximum number of inputs, or `None` for variadic operators.
     #[must_use]
     pub fn max_inputs(self) -> Option<usize> {
-        use OpKind::*;
-        match self {
-            Concat | Einsum | Min | Max => None,
-            Where => Some(3),
-            Gemm | Conv | ConvTranspose => Some(3),
-            BatchNormalization => Some(5),
-            InstanceNormalization | LayerNormalization => Some(3),
-            Clip => Some(3),
-            Slice => Some(5),
-            Pad => Some(3),
-            Resize | Upsample => Some(4),
-            x if x.min_inputs() == 2 => Some(2),
-            _ => Some(1),
-        }
+        self.facts().max_inputs
     }
 
     /// Whether this is a unary element-wise operator (`y[i] = f(x[i])`).
     #[must_use]
     pub fn is_elementwise_unary(self) -> bool {
-        use OpKind::*;
-        matches!(
-            self,
-            Neg | Abs
-                | Sqrt
-                | Square
-                | Reciprocal
-                | Exp
-                | Log
-                | Erf
-                | Sin
-                | Cos
-                | Asin
-                | Relu
-                | LeakyRelu
-                | Sigmoid
-                | HardSigmoid
-                | HardSwish
-                | Silu
-                | Mish
-                | Gelu
-                | Tanh
-                | Softplus
-                | Clip
-                | Ceil
-                | Floor
-                | Round
-                | Cast
-                | Not
-                | Identity
-        )
+        self.facts().flags.unary
     }
 
     /// Whether this is a binary element-wise operator (`y[i] = f(a[i], b[i])`
     /// with broadcasting).
     #[must_use]
     pub fn is_elementwise_binary(self) -> bool {
-        use OpKind::*;
-        matches!(
-            self,
-            Add | Sub | Mul | Div | Pow | Min | Max | Greater | Equal | BitShift | PRelu
-        )
+        self.facts().flags.binary
     }
 
     /// Whether the operator only moves data (no arithmetic): the Reorganize
@@ -457,14 +288,16 @@ impl OpKind {
     /// access pattern.
     #[must_use]
     pub fn is_data_movement(self) -> bool {
-        use OpKind::*;
-        matches!(
-            self.mapping_type(),
-            MappingType::Reorganize | MappingType::Shuffle
-        ) || matches!(
-            self,
-            Slice | Split | Concat | Identity | Gather | Expand | Tile | Pad
-        )
+        self.facts().flags.data_movement
+    }
+
+    /// Whether the operator has an optimized kernel behind
+    /// [`crate::execute_fast_into_packed`] (the rows flagged `fast_kernel`).
+    /// The fused engine uses this to choose between that kernel and the
+    /// reference fallback ([`crate::execute`]).
+    #[must_use]
+    pub fn has_fast_kernel(self) -> bool {
+        self.facts().flags.fast_kernel
     }
 
     /// Applies the operator as a scalar unary function, if it is one.
@@ -635,7 +468,7 @@ mod tests {
     #[test]
     fn unary_binary_classification_is_consistent_with_scalar_kernels() {
         let attrs = Attrs::new();
-        for op in OpKind::all() {
+        for &op in OpKind::all() {
             if op.is_elementwise_unary() {
                 assert!(
                     op.scalar_unary(0.5, &attrs).is_some(),
@@ -677,7 +510,7 @@ mod tests {
 
     #[test]
     fn from_name_round_trips_every_op_and_rejects_unknowns() {
-        for op in OpKind::all() {
+        for &op in OpKind::all() {
             assert_eq!(OpKind::from_name(op.name()), Some(op));
         }
         assert_eq!(OpKind::from_name("NotAnOp"), None);
@@ -687,7 +520,7 @@ mod tests {
 
     #[test]
     fn arity_bounds_are_consistent() {
-        for op in OpKind::all() {
+        for &op in OpKind::all() {
             if let Some(max) = op.max_inputs() {
                 assert!(max >= op.min_inputs(), "{op}: max < min inputs");
             }

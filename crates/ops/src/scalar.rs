@@ -153,7 +153,7 @@ mod tests {
             Attrs::new().with_float("min", -0.5).with_float("max", 0.75),
         ];
         let samples = [-10.0f32, -1.5, -0.25, 0.0, 0.25, 0.5, 1.5, 10.0];
-        for op in OpKind::all() {
+        for &op in OpKind::all() {
             if !op.is_elementwise_unary() {
                 continue;
             }

@@ -720,6 +720,28 @@ mod tests {
     fn arity_is_enforced() {
         assert!(infer_shapes(OpKind::Add, &Attrs::new(), &[s(&[2])]).is_err());
         assert!(infer_shapes(OpKind::Relu, &Attrs::new(), &[s(&[2]), s(&[2])]).is_err());
+        // Inputs that no kernel reads are surplus, not ignored: `Max(a, b, c)`
+        // with `c` of another shape, and `Clip` with its bounds as inputs.
+        use OpKind::*;
+        for (op, expected, inputs) in [
+            (Min, 2, vec![s(&[4]), s(&[4]), s(&[7])]),
+            (Max, 2, vec![s(&[4]), s(&[4]), s(&[7])]),
+            (Clip, 1, vec![s(&[4]), s(&[]), s(&[])]),
+            (Slice, 1, vec![s(&[4]); 5]),
+            (Pad, 1, vec![s(&[4]); 3]),
+            (Resize, 1, vec![s(&[4]); 4]),
+            (Upsample, 1, vec![s(&[4]); 4]),
+        ] {
+            let actual = inputs.len();
+            assert_eq!(
+                infer_shapes(op, &Attrs::new(), &inputs),
+                Err(OpError::ArityMismatch {
+                    op,
+                    expected,
+                    actual
+                }),
+            );
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! dispatches blocks through those kernels:
 //!
 //! * **Scalar tapes** — maximal element-wise/broadcast runs inside a block
-//!   (including inference-form `BatchNormalization`) evaluate in a single
-//!   pass per output element; intermediate tensors inside a tape are never
-//!   materialized, they live in scalar registers.
+//!   (including inference-form `BatchNormalization`) evaluate in one pass,
+//!   an instruction at a time over strips of up to 64 elements; a tape's
+//!   intermediate tensors live in strip-sized registers, never in memory.
 //! * **Anchor kernels** — `Conv`, `MatMul`, `Gemm` and pooling execute
 //!   through optimized flat-slice kernels that visit taps in exactly the
 //!   reference kernels' order, so results stay bit-identical. Operators
@@ -36,23 +36,23 @@
 //!   latencies recorded by [`Executor::profile_compiled`] persist through
 //!   `dnnf_profiledb::ProfileDatabase::save`/`load` and feed the next
 //!   compilation's plan search. See `docs/execution.md`.
-//! * **SIMD** — within a thread's tile, the Conv/MatMul/Gemm microkernels
-//!   and the scalar tapes are lane-blocked over portable 4/8-wide `f32`
-//!   bundles (`dnnf_ops::simd`): each lane owns one output element and runs
-//!   the scalar operation sequence, extending the ownership rule down to
-//!   the instruction level. Each of these kernels and the tape evaluator is
-//!   written once, generic over its lane width; width 1 is its scalar
-//!   instance, serving row remainders and the scalar mode alike, so SIMD
-//!   results are also bit-identical to the scalar path
-//!   ([`ExecOptions::force_scalar`] runs width 1 everywhere, for
-//!   differential testing and benchmarking).
+//! * **SIMD** — within a thread's tile, the anchor and reduce kernels are
+//!   lane-blocked over explicit `f32` bundles (`dnnf_ops::simd`): the dot
+//!   micro-kernel of packed conv, `MatMul` and `Gemm` runs 256-bit AVX
+//!   lanes where the host has them, the rest SSE. Each lane owns one
+//!   output element and runs the scalar operation sequence, so SIMD results
+//!   are bit-identical to each kernel's scalar instance, which
+//!   [`ExecOptions::force_scalar`] selects for differential testing and
+//!   benchmarking. Tapes have no explicit lanes: their strip loops are
+//!   plain loops the compiler vectorizes, the same code in every mode.
 //!
 //! [`Executor::run_plan_reference`] keeps the original per-operator
 //! reference interpreter alive as the semantic oracle: the differential
 //! test harness (property tests plus per-model golden tests) pins the
-//! engine's outputs to it within 1e-5, and `dnnf-bench`'s `bench_exec`
-//! binary gates the wall-clock ratio between the two (`speedup` in
-//! `BENCH_exec.json`; the engine is >10x faster on VGG-16-class models).
+//! engine's outputs to it. `dnnf-bench`'s `bench_exec` binary times the
+//! engine against its own configurations (unfused, scalar, unpacked,
+//! threaded, cold and warm compile), not against the interpreter; its only
+//! `speedup` column is the KV-cached decode's cached-vs-recompute ratio.
 //!
 //! A run returns outputs and nothing else. The latency / memory / cache /
 //! utilization counters the paper reads from real hardware come from
